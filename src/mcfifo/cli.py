@@ -27,6 +27,7 @@ from .experiments import (
     DEFAULT_SEED,
     CaseConfig,
     CurveEntry,
+    _empirical_entries,
     preset,
     run_comparison,
     simulate_case,
@@ -193,17 +194,7 @@ def cmd_simulate(args) -> int:
     result = simulate_case(config)
     result.write_csv(out / "records.csv")
 
-    grid = config.grid()
-    entries = []
-    for metric, values in (("delay", result.delay_s), ("waiting", result.waiting_s)):
-        for cid in sorted(set(int(c) for c in result.class_ids)):
-            mask = result.class_ids == cid
-            ccdf = empirical_ccdf(values[mask], grid, config.warmup_fraction)
-            entries.append(
-                CurveEntry(
-                    f"sim_{metric}_c{cid}", "empirical", metric, cid, grid, ccdf.fractions
-                )
-            )
+    entries = [e for e in _empirical_entries(config, result) if e.class_id is not None]
     _write_curves_csv(out / "ccdf.csv", entries)
 
     summary = {

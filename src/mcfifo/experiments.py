@@ -318,7 +318,11 @@ def simulate_case(config: CaseConfig) -> RunResult:
 
 
 def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry]:
+    """Empirical CCDFs of delay and waiting: aggregate, then one per class."""
     grid = config.grid()
+    masks = {
+        cid: result.class_ids == cid for cid in np.unique(result.class_ids).tolist()
+    }
     entries = []
     per_metric = {"delay": result.delay_s, "waiting": result.waiting_s}
     for metric, values in per_metric.items():
@@ -334,8 +338,7 @@ def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry
                 samples=ccdf.sample_count,
             )
         )
-        for cid in sorted(set(int(c) for c in result.class_ids)):
-            mask = result.class_ids == cid
+        for cid, mask in masks.items():
             ccdf_c = empirical_ccdf(values[mask], grid, config.warmup_fraction)
             entries.append(
                 CurveEntry(

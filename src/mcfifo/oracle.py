@@ -1,10 +1,11 @@
 """Brute-force validators used by the tests.
 
 These recompute simulator outputs and bound conditions from first
-principles: the workload supremum is evaluated by scanning candidate window
-starts, and excess-work MGFs are estimated by Monte Carlo. Everything here
-favors clarity over speed; the per-customer scans are quadratic and test
-suites cap them at 10^4 customers.
+principles: the FIFO recursion is run one customer at a time, the workload
+supremum is evaluated by scanning candidate window starts, and excess-work
+MGFs are estimated by Monte Carlo. Everything here favors clarity over
+speed; the per-customer scans are quadratic and test suites cap them at
+10^4 customers.
 """
 
 from __future__ import annotations
@@ -42,6 +43,28 @@ def _merged_with_service(
         [rates_bps[cid] for cid in merged.class_ids]
     )
     return merged, service
+
+
+def sequential_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
+    """Waiting times from d_j = max(a_j, d_{j-1}) + s_j, one customer at a time.
+
+    The independent reference for simulator.fifo_waits: the recursion as
+    written, in plain floats from d = 0. Its rounding grows with the absolute
+    arrival times (up to ~3e-12 s over 1M customers of a preset), so compare
+    against it with FLOAT_SLACK_S on short runs only.
+    """
+    a_list = np.asarray(arrival_s, dtype=float).tolist()
+    s_list = np.asarray(service_s, dtype=float).tolist()
+    w_list = [0.0] * len(a_list)
+    d_prev = 0.0
+    for i in range(len(a_list)):
+        a_i = a_list[i]
+        w = d_prev - a_i
+        if w < 0.0:
+            w = 0.0
+        w_list[i] = w
+        d_prev = a_i + (w + s_list[i])
+    return np.asarray(w_list, dtype=float)
 
 
 def virtual_wait_direct(

@@ -1,17 +1,31 @@
+import csv
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from mcfifo.analytic import bound_dd1
 from mcfifo.errors import InvalidInputError
 from mcfifo.experiments import FLOAT_SLACK_S, preset, simulate_case
+from mcfifo.oracle import sequential_waits
 from mcfifo.simulator import (
+    FIFO_BLOCK,
     empirical_ccdf,
+    fifo_waits,
     merge_streams,
     run_fifo,
     replication_seed,
     transient_delays,
     transient_distribution,
 )
-from mcfifo.traffic import ArrivalSequence, gen_periodic
+from mcfifo.traffic import (
+    ArrivalSequence,
+    deterministic_envelope,
+    gen_periodic,
+    generate_sequences,
+    proportional_counts,
+)
 
 
 def _seq(class_id, times, sizes):
@@ -113,6 +127,90 @@ class TestRunFifo:
         np.testing.assert_array_equal(r1.arrival_s, r2.arrival_s)
 
 
+def _exact_waits(arrival_s, service_s) -> list[Fraction]:
+    """The FIFO recursion in exact rational arithmetic on the float inputs."""
+    out = []
+    d_prev = Fraction(0)
+    for a, s in zip(arrival_s.tolist(), service_s.tolist()):
+        w = max(d_prev - Fraction(a), Fraction(0))
+        out.append(w)
+        d_prev = Fraction(a) + w + Fraction(s)
+    return out
+
+
+def _max_error(waits, exact) -> Fraction:
+    return max(abs(Fraction(w) - e) for w, e in zip(waits.tolist(), exact))
+
+
+class TestFifoKernel:
+    @pytest.mark.parametrize("case_id", range(1, 7))
+    def test_matches_sequential_reference(self, case_id):
+        result = simulate_case(replace(preset(case_id), customers=3 * FIFO_BLOCK))
+        assert len(result) > 2 * FIFO_BLOCK
+        reference = sequential_waits(result.arrival_s, result.service_s)
+        np.testing.assert_allclose(
+            result.waiting_s, reference, rtol=0, atol=FLOAT_SLACK_S
+        )
+
+    @pytest.mark.parametrize("case_id", range(1, 7))
+    def test_exact_error_no_larger_than_the_loop(self, case_id):
+        result = simulate_case(replace(preset(case_id), customers=2 * FIFO_BLOCK + 500))
+        a, s = result.arrival_s, result.service_s
+        exact = _exact_waits(a, s)
+        kernel_err = _max_error(result.waiting_s, exact)
+        assert kernel_err <= _max_error(sequential_waits(a, s), exact)
+        assert kernel_err <= FLOAT_SLACK_S
+
+    @pytest.mark.parametrize(
+        "arrival_s, service_s",
+        [
+            ([], []),
+            ([5.0], [0.25]),
+            ([1.0, 1.0, 1.0, 1.0, 2.0], [0.5, 0.5, 0.5, 0.5, 0.25]),  # ties
+            ([0.0, 0.0], [2.0**-40, 1.0]),
+        ],
+    )
+    def test_small_inputs_equal_the_reference(self, arrival_s, service_s):
+        a = np.asarray(arrival_s, dtype=float)
+        s = np.asarray(service_s, dtype=float)
+        waits = fifo_waits(a, s)
+        assert waits.shape == a.shape
+        np.testing.assert_array_equal(waits, sequential_waits(a, s))
+
+    def test_busy_period_across_block_boundary(self):
+        # dyadic times and services keep both recursions exact; long services
+        # around the boundary build one busy period that spans it
+        n = 2 * FIFO_BLOCK + 7
+        a = 0.5 * np.arange(n)
+        s = np.full(n, 0.25)
+        s[FIFO_BLOCK - 8 : FIFO_BLOCK + 4] = 0.75
+        waits = fifo_waits(a, s)
+        np.testing.assert_array_equal(waits, sequential_waits(a, s))
+        assert np.all(waits[FIFO_BLOCK - 7 : FIFO_BLOCK + 5] > 0)
+        assert waits[-1] == 0.0
+
+    def test_deterministic_case_offset_by_a_million_seconds(self):
+        # times near 1e6 s have a 1.2e-10 s spacing; block-relative times
+        # keep waits exact enough that no delay exceeds the worst case
+        config = preset(2)
+        counts = proportional_counts(config.specs, 40_000)
+        seqs = [
+            ArrivalSequence(q.class_id, q.times_s + 1e6, q.sizes_bits)
+            for q in generate_sequences(config.specs, counts, config.seed)
+        ]
+        result = run_fifo(merge_streams(seqs), config.rates())
+        worst = bound_dd1(
+            [deterministic_envelope(s) for s in config.specs],
+            [s.service_rate_bps for s in config.specs],
+        )
+        assert result.delay_s.max() <= worst + FLOAT_SLACK_S
+
+    def test_class_without_rate_rejected(self):
+        merged = merge_streams([_seq(1, [1.0], [1.0]), _seq(3, [2.0], [1.0])])
+        with pytest.raises(InvalidInputError, match="class 3"):
+            run_fifo(merged, {1: 1.0, 2: 1.0})
+
+
 class TestEmpiricalCcdf:
     def test_direct_count(self):
         ccdf = empirical_ccdf([1.0, 2.0, 3.0], np.array([2.0]), warmup_discard=0.0)
@@ -196,3 +294,26 @@ class TestCsvExport:
         header = path.read_text().splitlines()[0]
         assert header == "class_id,j,arrival_s,departure_s,delay_s,waiting_s"
         assert len(path.read_text().splitlines()) == len(result) + 1
+
+    def test_bytes_equal_row_by_row_reference(self, tmp_path):
+        result = simulate_case(replace(preset(4), customers=500))
+        path = tmp_path / "records.csv"
+        result.write_csv(path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["class_id", "j", "arrival_s", "departure_s", "delay_s", "waiting_s"]
+            )
+            for i in range(len(result)):
+                writer.writerow(
+                    [
+                        int(result.class_ids[i]),
+                        int(result.class_index[i]),
+                        repr(float(result.arrival_s[i])),
+                        repr(float(result.departure_s[i])),
+                        repr(float(result.delay_s[i])),
+                        repr(float(result.waiting_s[i])),
+                    ]
+                )
+        assert path.read_bytes() == reference.read_bytes()

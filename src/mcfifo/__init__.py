@@ -47,7 +47,6 @@ from .simulator import (
     empirical_ccdf,
     merge_streams,
     run_fifo,
-    transient_distribution,
 )
 from .traffic import (
     ArrivalSequence,

@@ -226,7 +226,7 @@ def cmd_compare(args) -> int:
         # transient curves of the first class's early customers
         first = config.specs[0].class_id
         js = (1, 10, 100)
-        delays = transient_delays(config, js, first, config.replications, jobs=args.jobs)
+        delays = transient_delays(config, js, first, config.replications)
         grid = config.grid()
         for j, values in delays.items():
             ccdf = empirical_ccdf(values, grid, warmup_discard=0.0)
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--warmup", type=float, default=None, help="discard fraction")
         p.add_argument("--out", type=str, default=".")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, default=1)
         p.set_defaults(fn=fn)
     p = sub.add_parser("preset-list")
     p.set_defaults(fn=cmd_preset_list)

@@ -66,6 +66,13 @@ class CaseConfig:
     replications: int = 1
     explicit_sequences: tuple[ArrivalSequence, ...] | None = None
 
+    def __post_init__(self):
+        seen = set()
+        for spec in self.specs:
+            if spec.class_id in seen:
+                raise InvalidSpecError(f"duplicate class_id {spec.class_id}")
+            seen.add(spec.class_id)
+
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.tau_max_s, self.grid_points)
 
@@ -301,6 +308,9 @@ def simulate_case(config: CaseConfig) -> RunResult:
     else:
         counts = proportional_counts(config.specs, config.customers)
         seqs = generate_sequences(config.specs, counts, config.seed)
+    for seq in seqs:
+        if len(seq) == 0:  # a thinned class can keep no instant of a short run
+            raise InvalidInputError(f"class {seq.class_id} has no arrivals: raise customers")
     result = run_fifo(merge_streams(seqs), config.rates())
     if len(seqs) > 1:
         # keep only the span where every class is still arriving, so the

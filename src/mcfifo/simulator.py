@@ -1,4 +1,4 @@
-"""Event-driven multiclass FIFO queue.
+"""Event-driven multiclass FIFO queue, for one long run or a batch of runs.
 
 FIFO with known arrival order needs no event calendar: after merging the
 per-class sequences, departures follow the single-pass recursion
@@ -17,6 +17,14 @@ exact reference over 1M customers of each preset, the blocked scan's largest
 error is 3.2e-15 s. The sequential loop (oracle.sequential_waits, kept as
 the reference) reaches 3.1e-12 s, and so does an unblocked scan, whose
 prefix sums grow with the whole run.
+
+Generation, merge_streams and fifo_waits work along the last axis, so the
+same code runs one long path of shape (n,) and a batch of independent paths
+of shape (rows, n), one queue per row. transient_delays runs replications in
+chunks of rows, about TRANSIENT_CHUNK customers each. Chunk c draws from
+replication_seed(case seed, c) and always draws all its rows, so replication
+r is row r % rows of chunk r // rows, and results are a prefix-stable
+function of (case, js, class id) whatever the number of replications.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .traffic import ArrivalSequence, ClassSpec, Periodic, generate_sequences
+from .traffic import ArrivalSequence, ArrivalStreams, ClassSpec, Periodic
 
 if TYPE_CHECKING:  # pragma: no cover
     from .experiments import CaseConfig
@@ -38,6 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: overhead, smaller ones keep the block-local prefix sums shorter and so
 #: their rounding smaller.
 FIFO_BLOCK = 2048
+
+#: Customers per chunk of transient replications: enough rows to spread the
+#: per-call overhead, few enough that a chunk's arrays stay near 1 MB each.
+TRANSIENT_CHUNK = 2**17
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,8 @@ class RunResult:
     """All per-customer outcomes of one simulation run, as parallel arrays.
 
     Waiting is the stored quantity; delay and departure derive from it, so
-    waiting >= 0 and delay = waiting + service hold exactly in floats.
+    waiting >= 0 and delay = waiting + service hold exactly in floats. A
+    batch run holds (rows, n) arrays, and its length counts every row.
     """
 
     class_ids: np.ndarray
@@ -88,7 +101,7 @@ class RunResult:
     service_s: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.arrival_s)
+        return self.arrival_s.size
 
     @property
     def delay_s(self) -> np.ndarray:
@@ -150,45 +163,52 @@ class EmpiricalCCDF:
 
 
 def merge_streams(sequences: Sequence[ArrivalSequence]) -> MergedArrivals:
-    """Stable time-ordered merge; ties go to the lower class id, then lower j."""
-    times = np.concatenate([s.times_s for s in sequences])
-    sizes = np.concatenate([s.sizes_bits for s in sequences])
-    cids = np.concatenate(
-        [np.full(len(s), s.class_id, dtype=np.int64) for s in sequences]
+    """Stable time-ordered merge; ties go to the lower class id, then lower j.
+
+    Streams are concatenated in class-id order, each already time-ordered, so
+    one stable sort along the last axis breaks ties as stated. Batches of
+    shape (rows, n) merge row by row.
+    """
+    sequences = sorted(sequences, key=lambda s: s.class_id)
+    times = np.concatenate([s.times_s for s in sequences], axis=-1)
+    sizes = np.concatenate([s.sizes_bits for s in sequences], axis=-1)
+    cids = np.concatenate([np.full(len(s), s.class_id, dtype=np.int64) for s in sequences])
+    jidx = np.concatenate([np.arange(1, len(s) + 1, dtype=np.int64) for s in sequences])
+    order = np.argsort(times, axis=-1, kind="stable")
+    return MergedArrivals(
+        np.take_along_axis(times, order, -1),
+        np.take_along_axis(sizes, order, -1),
+        cids[order],
+        jidx[order],
     )
-    jidx = np.concatenate(
-        [np.arange(1, len(s) + 1, dtype=np.int64) for s in sequences]
-    )
-    order = np.lexsort((jidx, cids, times))
-    return MergedArrivals(times[order], sizes[order], cids[order], jidx[order])
 
 
 def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
     """Waiting times of the FIFO recursion, by the blocked prefix-max scan.
 
-    Arrivals must be time-ordered; the server is empty at time 0, as in the
-    recursion started from d = 0. See the module docstring for the formula.
+    Arrivals must be time-ordered along the last axis; each leading index is
+    its own queue. The server is empty at time 0, as in the recursion
+    started from d = 0. See the module docstring for the formula.
     """
-    n = len(arrival_s)
-    waits = np.empty(n)
-    backlog = 0.0  # departure minus the last arrival, carried across blocks
-    last_arrival = 0.0
-    for lo in range(0, n, FIFO_BLOCK):
-        a = arrival_s[lo : lo + FIFO_BLOCK]
-        s = service_s[lo : lo + FIFO_BLOCK]
-        rel = a - a[0]
-        prefix = np.empty(len(a))  # service of the block's customers before i
-        prefix[0] = 0.0
-        np.cumsum(s[:-1], out=prefix[1:])
-        start = np.empty(len(a))  # departure before i, minus prefix[i]
-        start[0] = backlog - (a[0] - last_arrival)
-        np.subtract(rel[:-1], prefix[:-1], out=start[1:])
-        np.maximum.accumulate(start, out=start)
+    waits = np.empty(arrival_s.shape)
+    backlog = np.zeros(arrival_s.shape[:-1])  # departure minus the last arrival
+    last_arrival = np.zeros(arrival_s.shape[:-1])
+    for lo in range(0, arrival_s.shape[-1], FIFO_BLOCK):
+        a = arrival_s[..., lo : lo + FIFO_BLOCK]
+        s = service_s[..., lo : lo + FIFO_BLOCK]
+        rel = a - a[..., :1]
+        prefix = np.empty(a.shape)  # service of the block's customers before i
+        prefix[..., 0] = 0.0
+        np.cumsum(s[..., :-1], axis=-1, out=prefix[..., 1:])
+        start = np.empty(a.shape)  # departure before i, minus prefix[i]
+        start[..., 0] = backlog - (a[..., 0] - last_arrival)
+        np.subtract(rel[..., :-1], prefix[..., :-1], out=start[..., 1:])
+        np.maximum.accumulate(start, axis=-1, out=start)
         w = prefix + start - rel
         np.maximum(w, 0.0, out=w)
-        waits[lo : lo + FIFO_BLOCK] = w
-        backlog = float(w[-1] + s[-1])
-        last_arrival = float(a[-1])
+        waits[..., lo : lo + FIFO_BLOCK] = w
+        backlog = w[..., -1] + s[..., -1]
+        last_arrival = a[..., -1]
     return waits
 
 
@@ -250,92 +270,72 @@ def empirical_ccdf(
     return EmpiricalCCDF(grid, above / len(kept), len(kept), discard)
 
 
-def replication_seed(base_seed: int, replication: int) -> int:
-    """Independent 64-bit seed for one replication, stable across platforms."""
-    ss = np.random.SeedSequence(entropy=[base_seed, replication])
+def replication_seed(base_seed: int, chunk: int) -> int:
+    """Independent 64-bit seed for one chunk of replications, stable across platforms."""
+    ss = np.random.SeedSequence(entropy=[base_seed, chunk])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _simulate_prefix(
-    specs: Sequence[ClassSpec], target_class: int, j_max: int, seed: int
-) -> RunResult:
-    """Simulate until the target class has served at least j_max customers."""
-    rates = {s.class_id: s.service_rate_bps for s in specs}
-    target = next(s for s in specs if s.class_id == target_class)
-    factor = 1.25
-    while True:
-        counts = {}
-        for s in specs:
-            expected = j_max * s.arrival_rate_hz / target.arrival_rate_hz
-            counts[s.class_id] = max(4, int(factor * expected) + 8)
-        counts[target_class] = max(counts[target_class], j_max)
-        seqs = generate_sequences(specs, counts, seed)
-        horizon = {s.class_id: seq.times_s[-1] for s, seq in zip(specs, seqs)}
-        t_needed = next(
-            seq for s, seq in zip(specs, seqs) if s.class_id == target_class
-        ).times_s[j_max - 1]
-        if all(h >= t_needed for cid, h in horizon.items() if cid != target_class):
-            return run_fifo(merge_streams(seqs), rates)
-        factor *= 2.0  # other classes ran out before the target's j-th arrival
+def _transient_plan(
+    specs: Sequence[ClassSpec], class_id: int, j_max: int
+) -> tuple[dict[int, int], int]:
+    """Arrivals per class in each draw of a chunk, and the chunk's rows."""
+    target = next(s for s in specs if s.class_id == class_id)
+    step = {}
+    for s in specs:
+        expected = j_max * s.arrival_rate_hz / target.arrival_rate_hz
+        step[s.class_id] = max(4, int(1.25 * expected) + 8)
+    step[class_id] = max(step[class_id], j_max)
+    return step, max(1, TRANSIENT_CHUNK // sum(step.values()))
 
 
-def _transient_worker(args) -> list[float]:
-    specs, class_id, js, seed = args
-    result = _simulate_prefix(specs, class_id, max(js), seed)
-    delays = result.for_class(class_id).delay_s
-    return [float(delays[j - 1]) for j in js]
+def _chunk_delays(
+    sequences: Sequence[ArrivalSequence], rates_bps: Mapping[int, float], class_id: int, js
+) -> np.ndarray:
+    """Delays of the target's js-th customers in each row, shape (len(js), rows)."""
+    merged = merge_streams(sequences)
+    target = merged.class_ids == class_id
+    at = np.stack([np.argmax(target & (merged.class_index == j), axis=-1) for j in js])
+    # FIFO is causal: customers after the last requested one cannot change
+    # its delay, so each row is cut there, and later times (the +inf padding
+    # of ragged rows among them) are clamped to the cut time
+    width = at[-1].max() + 1
+    cut_s = np.take_along_axis(merged.times_s, at[-1:].T, -1)
+    times = np.minimum(merged.times_s[:, :width], cut_s)
+    rest = (merged.sizes_bits, merged.class_ids, merged.class_index)
+    sizes, cids, jidx = (x[:, :width] for x in rest)
+    result = run_fifo(MergedArrivals(times, sizes, cids, jidx), rates_bps)
+    return np.take_along_axis(result.delay_s, at.T, -1).T
 
 
 def transient_delays(
-    case: "CaseConfig",
-    js: Sequence[int],
-    class_id: int,
-    replications: int,
-    jobs: int = 1,
+    case: "CaseConfig", js: Sequence[int], class_id: int, replications: int
 ) -> dict[int, np.ndarray]:
     """Delay of the j-th class customer across independent replications.
 
-    One simulation per replication serves every requested j, so the returned
-    arrays are sampled from the same runs. Replication seeds depend only on
-    (case seed, replication index), so results are identical for any jobs
-    count.
+    One path per replication serves every requested j, so the returned
+    arrays are sampled from the same runs. Replications run as rows of
+    chunks; the module docstring gives the seed layout.
     """
     if replications < 1:
         raise InvalidInputError("replications must be >= 1")
     js = sorted(set(int(j) for j in js))
     if any(j < 1 for j in js):
         raise InvalidInputError("customer indices are 1-based")
+    if class_id not in case.rates():
+        raise InvalidInputError(f"no class {class_id} in the case")
     if all(isinstance(s.arrival, Periodic) for s in case.specs):
         if replications > 1:
             warnings.warn(
                 "all classes are deterministic: replications are identical",
                 stacklevel=2,
             )
-    tasks = [
-        (case.specs, class_id, js, replication_seed(case.seed, r))
-        for r in range(replications)
-    ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_transient_worker, tasks, chunksize=64))
-    else:
-        rows = [_transient_worker(t) for t in tasks]
-    out = {j: np.empty(replications) for j in js}
-    for r, row in enumerate(rows):
-        for j, value in zip(js, row):
-            out[j][r] = value
-    return out
-
-
-def transient_distribution(
-    case: "CaseConfig",
-    j: int,
-    class_id: int,
-    replications: int,
-    grid_s: np.ndarray,
-) -> EmpiricalCCDF:
-    """CCDF of the j-th class customer's delay across independent replications."""
-    values = transient_delays(case, [j], class_id, replications)[j]
-    return empirical_ccdf(values, grid_s, warmup_discard=0.0)
+    step, rows = _transient_plan(case.specs, class_id, js[-1])
+    chunks = -(-replications // rows)
+    out = np.empty((len(js), chunks * rows))
+    for chunk in range(chunks):
+        streams = ArrivalStreams(case.specs, step, replication_seed(case.seed, chunk), rows)
+        streams.draw_through(class_id, js[-1])
+        delays = _chunk_delays(streams.sequences(), case.rates(), class_id, js)
+        out[:, chunk * rows : (chunk + 1) * rows] = delays
+    return {j: out[i, :replications].copy() for i, j in enumerate(js)}

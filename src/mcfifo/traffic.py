@@ -6,7 +6,9 @@ size distribution, and the constant service rate its customers receive.
 Generators are pure functions of (spec, count, seed): the same seed always
 reproduces the same sequence, and every class draws from its own substream
 of a single 64-bit seed, so adding or reordering classes does not perturb
-the others.
+the others. ArrivalStreams draws those streams for a batch of independent
+paths, one per row, and can lengthen the paths after they are drawn; a
+single sequence is its one-row case.
 """
 
 from __future__ import annotations
@@ -147,7 +149,11 @@ class ClassSpec:
 
 @dataclass(frozen=True)
 class ArrivalSequence:
-    """Ordered arrival events (time in seconds, size in bits) of one class."""
+    """Ordered arrival events (time in seconds, size in bits) of one class.
+
+    The arrays are one path of shape (n,), or a batch of paths of shape
+    (rows, n), each row ordered; ragged rows end in +inf times.
+    """
 
     class_id: int
     times_s: np.ndarray
@@ -158,15 +164,15 @@ class ArrivalSequence:
         sizes = np.asarray(self.sizes_bits, dtype=float)
         object.__setattr__(self, "times_s", times)
         object.__setattr__(self, "sizes_bits", sizes)
-        if times.shape != sizes.shape or times.ndim != 1:
-            raise InvalidSpecError("times and sizes must be 1-d arrays of equal length")
-        if len(times) and np.any(np.diff(times) < 0):
+        if times.shape != sizes.shape or times.ndim not in (1, 2):
+            raise InvalidSpecError("times and sizes must be 1-d or 2-d arrays of equal shape")
+        if np.any(times[..., 1:] < times[..., :-1]):
             raise InvalidSpecError("arrival times must be nondecreasing")
         if np.any(sizes <= 0):
             raise InvalidSpecError("sizes must be positive")
 
     def __len__(self) -> int:
-        return len(self.times_s)
+        return self.times_s.shape[-1]
 
     def traffic_bits(self, start_s: float, end_s: float) -> float:
         """Total bits arriving in the half-open window [start, end)."""
@@ -240,12 +246,155 @@ def _exponential_from_uniforms(u: np.ndarray, rate_hz: float) -> np.ndarray:
     return -np.log(u) / rate_hz
 
 
-def _draw_sizes(size: SizeKind, count: int, seed: int, class_id: int) -> np.ndarray:
-    if isinstance(size, Constant):
-        return np.full(count, size.bits, dtype=float)
-    u = _substream(seed, _ROLE_SIZES, class_id).random(count)
-    u = np.where(u == 0.0, np.finfo(float).tiny, u)
-    return -size.mean_bits * np.log(u)
+def _pack(kept: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
+    """Each row's kept values moved to its start, in order; the rest is fill."""
+    counts = kept.sum(-1)
+    out = np.full((len(kept), counts.max()), fill)
+    out[np.arange(out.shape[-1]) < counts[:, None]] = values[kept]
+    return out
+
+
+class ArrivalStreams:
+    """Arrivals of every class over `rows` independent sample paths.
+
+    Row r of each class's (rows, n) arrays is one path, time-ordered along
+    the last axis. Each draw appends `step[class_id]` arrivals to every row of
+    the named classes, continuing their random streams, so a path can be
+    lengthened after it has been inspected. A coupling group is drawn as a
+    whole. A synchronized group draws `step` instants of its fastest class;
+    the slower classes keep a random subset, so their rows are ragged and end
+    in +inf padding. `horizon[class_id][r]` is the time up to which row r
+    holds every arrival of the class: its last arrival, or for a thinned
+    class the last instant of the master stream it was thinned from.
+    """
+
+    def __init__(self, specs: Sequence[ClassSpec], step: dict[int, int], seed: int, rows: int):
+        if any(step[s.class_id] < 1 for s in specs):
+            raise InvalidSpecError("count must be >= 1")
+        for spec in specs:
+            if isinstance(spec.arrival, Periodic) and not isinstance(spec.size, Constant):
+                raise InvalidSpecError("periodic generation requires constant sizes")
+        self._groups = coupling_groups(specs)
+        for members in self._groups.values():
+            if len(members) < 2:
+                raise InvalidSpecError("a coupling group needs at least 2 classes")
+            if len({m.arrival.mechanism for m in members}) != 1:
+                raise InvalidSpecError("all specs in a group must use the same mechanism")
+        self.specs = tuple(specs)
+        self.step = step
+        self.rows = rows
+        self._seed = seed
+        self._rngs: dict[tuple[int, int], np.random.Generator] = {}
+        self._shared: dict[int, np.ndarray] = {}  # uniforms of each scaled group
+        self.times = {s.class_id: np.empty((rows, 0)) for s in specs}
+        self.sizes = {s.class_id: np.empty((rows, 0)) for s in specs}
+        self.horizon = {s.class_id: np.zeros(rows) for s in specs}
+
+    def draw(self, class_ids: Iterable[int]) -> None:
+        """Append one step of arrivals to each named class (and its group)."""
+        ids = set(class_ids)
+        for spec in self.specs:
+            n = self.step[spec.class_id]
+            if spec.class_id not in ids or isinstance(spec.arrival, CoupledPoisson):
+                continue
+            if isinstance(spec.arrival, Periodic):
+                k = self.times[spec.class_id].shape[-1]
+                period = np.full((self.rows, 1), spec.arrival.period_s)
+                times = np.arange(k + 1, k + n + 1, dtype=float) * period
+                self._append(spec, times, self._sizes(spec, n))
+                self.horizon[spec.class_id] = times[:, -1]
+            else:
+                u = self._rng(_ROLE_ARRIVALS, spec.class_id).random((self.rows, n))
+                self._append_gaps(spec, _exponential_from_uniforms(u, spec.arrival.rate_hz))
+        for group, members in self._groups.items():
+            if ids.isdisjoint(m.class_id for m in members):
+                continue
+            if members[0].arrival.mechanism == "scaled":
+                self._draw_scaled(group, members)
+            else:
+                self._draw_synchronized(group, members)
+
+    def draw_through(self, class_id: int, j: int) -> None:
+        """Draw until every row holds all arrivals up to class_id's j-th one."""
+        while True:
+            times = self.times[class_id]
+            if times.shape[-1] < j or np.any(np.isinf(times[:, j - 1])):
+                short = {class_id}  # a thinned class kept fewer than j instants
+            else:
+                needed = times[:, j - 1]
+                short = {cid for cid, h in self.horizon.items() if np.any(h < needed)}
+            if not short:
+                return
+            self.draw(short)
+
+    def sequences(self) -> list[ArrivalSequence]:
+        """One (rows, n) ArrivalSequence per class, ordered like the specs."""
+        return [
+            ArrivalSequence(s.class_id, self.times[s.class_id], self.sizes[s.class_id])
+            for s in self.specs
+        ]
+
+    def _rng(self, role: int, key: int) -> np.random.Generator:
+        if (role, key) not in self._rngs:
+            self._rngs[role, key] = _substream(self._seed, role, key)
+        return self._rngs[role, key]
+
+    def _sizes(self, spec: ClassSpec, count: int) -> np.ndarray:
+        if isinstance(spec.size, Constant):
+            return np.full((self.rows, count), spec.size.bits, dtype=float)
+        u = self._rng(_ROLE_SIZES, spec.class_id).random((self.rows, count))
+        u = np.where(u == 0.0, np.finfo(float).tiny, u)
+        return -spec.size.mean_bits * np.log(u)
+
+    def _append_gaps(self, spec: ClassSpec, gaps: np.ndarray) -> None:
+        """Continue each row's arrival times by cumulative interarrival gaps."""
+        gaps[:, 0] += self.horizon[spec.class_id]  # the same sums as one longer path
+        times = np.cumsum(gaps, axis=-1)
+        self._append(spec, times, self._sizes(spec, times.shape[-1]))
+        self.horizon[spec.class_id] = times[:, -1]
+
+    def _append(self, spec: ClassSpec, times: np.ndarray, sizes: np.ndarray) -> None:
+        old = self.times[spec.class_id]
+        if old.shape[-1]:
+            times = np.concatenate([old, times], axis=-1)
+            sizes = np.concatenate([self.sizes[spec.class_id], sizes], axis=-1)
+            if np.any(np.isinf(old[:, -1])):
+                # padding of the earlier draw now sits mid-row: move it to the end
+                real = np.isfinite(times)
+                times, sizes = _pack(real, times, np.inf), _pack(real, sizes, spec.mean_size_bits)
+        self.times[spec.class_id] = times
+        self.sizes[spec.class_id] = sizes
+
+    def _draw_scaled(self, group: int, members: list[ClassSpec]) -> None:
+        # class n's j-th gap is -ln(u_j)/rate_n for every class: the members
+        # consume one shared row of uniforms, each at its own step
+        u = self._shared.get(group, np.empty((self.rows, 0)))
+        need = max(self.times[m.class_id].shape[-1] + self.step[m.class_id] for m in members)
+        if need > u.shape[-1]:
+            more = self._rng(_ROLE_GROUP, group).random((self.rows, need - u.shape[-1]))
+            u = self._shared[group] = np.concatenate([u, more], axis=-1)
+        for m in members:
+            k = self.times[m.class_id].shape[-1]
+            gaps = _exponential_from_uniforms(
+                u[:, k : k + self.step[m.class_id]], m.arrival.rate_hz
+            )
+            self._append_gaps(m, gaps)
+
+    def _draw_synchronized(self, group: int, members: list[ClassSpec]) -> None:
+        rng = self._rng(_ROLE_GROUP, group)
+        master = max(members, key=lambda m: m.arrival.rate_hz)
+        rate_max = master.arrival.rate_hz
+        u = rng.random((self.rows, self.step[master.class_id]))
+        self._append_gaps(master, _exponential_from_uniforms(u, rate_max))
+        instants = self.times[master.class_id][:, -u.shape[-1] :]
+        for m in members:
+            if m is master:
+                continue
+            # thinning keeps the Poisson marginal at the class rate
+            kept = rng.random(u.shape) < m.arrival.rate_hz / rate_max
+            times = _pack(kept, instants, np.inf)
+            self._append(m, times, self._sizes(m, times.shape[-1]))
+            self.horizon[m.class_id] = self.horizon[master.class_id]
 
 
 def gen_periodic(spec: ClassSpec, count: int) -> ArrivalSequence:
@@ -255,25 +404,14 @@ def gen_periodic(spec: ClassSpec, count: int) -> ArrivalSequence:
     """
     if not isinstance(spec.arrival, Periodic):
         raise InvalidSpecError(f"class {spec.class_id} is not periodic")
-    if not isinstance(spec.size, Constant):
-        raise InvalidSpecError("periodic generation requires constant sizes")
-    if count < 1:
-        raise InvalidSpecError("count must be >= 1")
-    times = np.arange(1, count + 1, dtype=float) * spec.arrival.period_s
-    sizes = np.full(count, spec.size.bits, dtype=float)
-    return ArrivalSequence(spec.class_id, times, sizes)
+    return generate_sequences([spec], {spec.class_id: count}, seed=0)[0]
 
 
 def gen_poisson(spec: ClassSpec, count: int, seed: int) -> ArrivalSequence:
     """Poisson arrivals with sizes drawn from the class's size distribution."""
     if not isinstance(spec.arrival, Poisson):
         raise InvalidSpecError(f"class {spec.class_id} is not an independent Poisson class")
-    if count < 1:
-        raise InvalidSpecError("count must be >= 1")
-    u = _substream(seed, _ROLE_ARRIVALS, spec.class_id).random(count)
-    times = np.cumsum(_exponential_from_uniforms(u, spec.arrival.rate_hz))
-    sizes = _draw_sizes(spec.size, count, seed, spec.class_id)
-    return ArrivalSequence(spec.class_id, times, sizes)
+    return generate_sequences([spec], {spec.class_id: count}, seed)[0]
 
 
 def gen_coupled_poisson(
@@ -286,52 +424,17 @@ def gen_coupled_poisson(
     With the "scaled" mechanism every class applies -ln(u_j)/rate to the same
     uniform u_j, so interarrival sequences are elementwise proportional. With
     "synchronized", slower classes keep a random subset of the fastest class's
-    arrival instants. Size draws always come from per-class substreams, so the
-    coupling affects interarrival times only.
+    arrival instants, and only the fastest class's count is used. Size draws
+    always come from per-class substreams, so the coupling affects
+    interarrival times only.
     """
-    if len(specs) < 2:
-        raise InvalidSpecError("a coupling group needs at least 2 classes")
-    groups = {s.arrival.coupling_group for s in specs if isinstance(s.arrival, CoupledPoisson)}
-    if len(groups) != 1 or len(specs) != sum(
-        isinstance(s.arrival, CoupledPoisson) for s in specs
-    ):
+    groups = coupling_groups(specs)
+    if len(groups) != 1 or len(specs) != sum(len(m) for m in groups.values()):
         raise InvalidSpecError("all specs must share one coupling group")
-    mechanisms = {s.arrival.mechanism for s in specs}
-    if len(mechanisms) != 1:
-        raise InvalidSpecError("all specs in a group must use the same mechanism")
-    group = groups.pop()
-    mechanism = mechanisms.pop()
-
     counts = [count] * len(specs) if isinstance(count, int) else list(count)
-    if len(counts) != len(specs) or any(c < 1 for c in counts):
+    if len(counts) != len(specs):
         raise InvalidSpecError("need one positive count per class")
-
-    rng = _substream(seed, _ROLE_GROUP, group)
-    out = []
-    if mechanism == "scaled":
-        u = rng.random(max(counts))
-        for spec, n in zip(specs, counts):
-            gaps = _exponential_from_uniforms(u[:n], spec.arrival.rate_hz)
-            sizes = _draw_sizes(spec.size, n, seed, spec.class_id)
-            out.append(ArrivalSequence(spec.class_id, np.cumsum(gaps), sizes))
-    else:
-        fastest = max(range(len(specs)), key=lambda i: specs[i].arrival.rate_hz)
-        rate_max = specs[fastest].arrival.rate_hz
-        n_master = counts[fastest]
-        u = rng.random(n_master)
-        master = np.cumsum(_exponential_from_uniforms(u, rate_max))
-        for i, spec in enumerate(specs):
-            if i == fastest:
-                times = master
-            else:
-                # thinning keeps the Poisson marginal at the class rate
-                keep = rng.random(n_master) < spec.arrival.rate_hz / rate_max
-                times = master[keep]
-                if len(times) == 0:
-                    times = master[-1:]
-            sizes = _draw_sizes(spec.size, len(times), seed, spec.class_id)
-            out.append(ArrivalSequence(spec.class_id, times, sizes))
-    return out
+    return generate_sequences(specs, {s.class_id: n for s, n in zip(specs, counts)}, seed)
 
 
 def generate_sequences(
@@ -339,25 +442,17 @@ def generate_sequences(
     counts: dict[int, int],
     seed: int,
 ) -> list[ArrivalSequence]:
-    """Generate all classes' sequences, dispatching per arrival kind.
+    """Generate one sample path of every class, ordered like `specs`.
 
-    Coupling groups are generated together so they share their stream; the
-    result is ordered like `specs`.
+    This is row 0 of a one-row ArrivalStreams draw, so a long run and a batch
+    of replications come from the same generator.
     """
-    by_id: dict[int, ArrivalSequence] = {}
-    grouped: dict[int, list[ClassSpec]] = {}
-    for spec in specs:
-        if isinstance(spec.arrival, CoupledPoisson):
-            grouped.setdefault(spec.arrival.coupling_group, []).append(spec)
-        elif isinstance(spec.arrival, Periodic):
-            by_id[spec.class_id] = gen_periodic(spec, counts[spec.class_id])
-        else:
-            by_id[spec.class_id] = gen_poisson(spec, counts[spec.class_id], seed)
-    for members in grouped.values():
-        seqs = gen_coupled_poisson(members, [counts[s.class_id] for s in members], seed)
-        for seq in seqs:
-            by_id[seq.class_id] = seq
-    return [by_id[s.class_id] for s in specs]
+    streams = ArrivalStreams(specs, counts, seed, rows=1)
+    streams.draw(counts)
+    return [
+        ArrivalSequence(s.class_id, streams.times[s.class_id][0], streams.sizes[s.class_id][0])
+        for s in specs
+    ]
 
 
 def proportional_counts(specs: Sequence[ClassSpec], total: int) -> dict[int, int]:

@@ -204,6 +204,27 @@ class TestConfigHandling:
         code = main(["bounds", "--config", str(path), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_duplicate_class_ids_rejected(self, tmp_path, capsys):
+        classes = [
+            {
+                "class_id": 1,
+                "arrival": {"kind": "periodic", "period_ms": period},
+                "size": {"kind": "constant", "packet_bytes": 100},
+                "service_rate_mbps": 20,
+            }
+            for period in (0.1, 1.0)
+        ]
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"classes": classes, "customers": 2000}))
+        code = main(["compare", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "duplicate class_id 1" in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--case", "3", "--jobs", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_preset_list(self, capsys):
         assert main(["preset-list"]) == EXIT_OK
         out = capsys.readouterr().out

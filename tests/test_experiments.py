@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mcfifo.errors import InvalidSpecError
+from mcfifo.errors import InvalidInputError, InvalidSpecError
 from mcfifo.experiments import (
     FLOAT_SLACK_S,
     CaseConfig,
@@ -226,3 +226,13 @@ class TestCaseConfig:
         np.testing.assert_array_equal(a.waiting_s, b.waiting_s)
         c = simulate_case(replace(config, seed=123))
         assert len(c) != len(a) or not np.array_equal(c.waiting_s, a.waiting_s)
+
+    def test_duplicate_class_ids_rejected(self):
+        spec = preset(3).specs[0]
+        with pytest.raises(InvalidSpecError, match="duplicate class_id 1"):
+            CaseConfig(case_id="x", specs=(spec, spec))
+
+    def test_class_without_arrivals_rejected(self):
+        # three customers of case 5: the thinned class keeps no instant
+        with pytest.raises(InvalidInputError, match="class 2 has no arrivals"):
+            simulate_case(replace(preset(5), customers=3, seed=3))

@@ -11,16 +11,17 @@ from mcfifo.experiments import FLOAT_SLACK_S, preset, simulate_case
 from mcfifo.oracle import sequential_waits
 from mcfifo.simulator import (
     FIFO_BLOCK,
+    _transient_plan,
     empirical_ccdf,
     fifo_waits,
     merge_streams,
     run_fifo,
     replication_seed,
     transient_delays,
-    transient_distribution,
 )
 from mcfifo.traffic import (
     ArrivalSequence,
+    ArrivalStreams,
     deterministic_envelope,
     gen_periodic,
     generate_sequences,
@@ -177,6 +178,16 @@ class TestFifoKernel:
         assert waits.shape == a.shape
         np.testing.assert_array_equal(waits, sequential_waits(a, s))
 
+    def test_rows_are_independent_queues(self):
+        # three blocks per row, each row carrying its own backlog
+        rng = np.random.default_rng(2)
+        n = 2 * FIFO_BLOCK + 7
+        a = np.cumsum(rng.exponential(1.0, (3, n)), axis=-1)
+        s = rng.exponential([[0.5], [0.9], [1.5]], (3, n))
+        waits = fifo_waits(a, s)
+        for r in range(3):
+            np.testing.assert_array_equal(waits[r], fifo_waits(a[r], s[r]))
+
     def test_busy_period_across_block_boundary(self):
         # dyadic times and services keep both recursions exact; long services
         # around the boundary build one busy period that spans it
@@ -259,16 +270,10 @@ class TestTransient:
         )
         assert np.all(ccdf1 <= ccdf10 + se)
 
-    def test_replication_seeds_are_distinct_and_stable(self):
-        s1 = replication_seed(1, 0)
-        s2 = replication_seed(1, 1)
-        assert s1 != s2
-        assert replication_seed(1, 0) == s1
-
     def test_transient_distribution_interface(self):
         config = preset(3)
         grid = np.linspace(0.0, 1e-3, 20)
-        ccdf = transient_distribution(config, 1, 1, 100, grid)
+        ccdf = empirical_ccdf(transient_delays(config, [1], 1, 100)[1], grid, 0.0)
         assert ccdf.sample_count == 100
         assert ccdf.fractions[0] == 1.0  # delay is always positive
 
@@ -276,12 +281,112 @@ class TestTransient:
         with pytest.warns(UserWarning):
             transient_delays(preset(1), [1], class_id=1, replications=2)
 
-    def test_jobs_do_not_change_results(self):
+    def test_single_replication(self):
+        delays = transient_delays(preset(4), [1, 5], class_id=1, replications=1)
+        assert delays[1].shape == delays[5].shape == (1,)
+        assert np.all(np.isfinite(delays[1])) and np.all(delays[5] > 0)
+        more = transient_delays(preset(4), [1, 5], class_id=1, replications=50)
+        assert delays[5][0] == more[5][0]
+
+    def test_prefix_stable_across_chunk_boundary(self):
         config = preset(3)
-        a = transient_delays(config, [1, 10], 1, 64, jobs=1)
-        b = transient_delays(config, [1, 10], 1, 64, jobs=4)
-        np.testing.assert_array_equal(a[1], b[1])
-        np.testing.assert_array_equal(a[10], b[10])
+        _, rows = _transient_plan(config.specs, 1, 10)
+        small = transient_delays(config, [1, 10], 1, 100)
+        over = transient_delays(config, [1, 10], 1, rows + 10)
+        larger = transient_delays(config, [1, 10], 1, rows + 50)
+        for j in (1, 10):
+            np.testing.assert_array_equal(small[j], over[j][:100])
+            np.testing.assert_array_equal(over[j], larger[j][: rows + 10])
+
+    def test_chunks_draw_distinct_streams(self):
+        assert len({replication_seed(1, c) for c in range(100)}) == 100
+        assert replication_seed(1, 0) == replication_seed(1, 0)
+        # exponential sizes make every first delay distinct unless streams repeat
+        config = preset(4)
+        _, rows = _transient_plan(config.specs, 1, 1)
+        delays = transient_delays(config, [1], 1, 3 * rows)[1]
+        assert len(np.unique(delays)) == len(delays)
+
+    @pytest.mark.parametrize("case_id, class_id", [(3, 1), (6, 1), (5, 1), (5, 2)])
+    def test_rows_equal_single_path_runs(self, case_id, class_id):
+        # rebuild rows of chunk 0, extended ones included, as one-path
+        # sequences; case 5 class 2 is a thinned, ragged target
+        config = preset(case_id)
+        js = (1, 10, 100)
+        step, rows = _transient_plan(config.specs, class_id, js[-1])
+        streams = ArrivalStreams(config.specs, step, replication_seed(config.seed, 0), rows)
+        streams.draw_through(class_id, js[-1])
+        seqs = streams.sequences()
+        batch = transient_delays(config, js, class_id, rows)
+        t_needed = next(q for q in seqs if q.class_id == class_id).times_s[:, js[-1] - 1]
+        for q in seqs:  # every row holds each class's arrivals up to t_needed
+            assert np.all(streams.horizon[q.class_id] >= t_needed)
+        extended = np.zeros(rows, dtype=bool)
+        for q in seqs:
+            if q.class_id != class_id:
+                extended |= q.times_s[:, step[q.class_id] - 1] < t_needed
+        sample = sorted(set(np.flatnonzero(extended)[:5].tolist()) | {0, 1, rows - 1})
+        if case_id != 5:
+            assert extended.any()
+        for r in sample:
+            path = [
+                ArrivalSequence(
+                    q.class_id,
+                    q.times_s[r][np.isfinite(q.times_s[r])],
+                    q.sizes_bits[r][np.isfinite(q.times_s[r])],
+                )
+                for q in seqs
+            ]
+            merged = merge_streams(path)
+            single = run_fifo(merged, config.rates())
+            target = single.class_ids == class_id
+            reference = sequential_waits(single.arrival_s, single.service_s)[target]
+            for j in js:
+                delay = batch[j][r]
+                assert abs(delay - single.delay_s[target][j - 1]) <= 1e-15
+                assert abs(delay - reference[j - 1] - single.service_s[target][j - 1]) <= (
+                    FLOAT_SLACK_S
+                )
+
+    @pytest.mark.parametrize("case_id, class_id", [(3, 1), (6, 1), (5, 2)])
+    def test_batch_agrees_with_per_replication_reference(self, case_id, class_id):
+        config = preset(case_id)
+        js, reps = (1, 10), 2000
+        reference = _per_replication_delays(config, class_id, js, reps)
+        batch = transient_delays(config, js, class_id, reps)
+        grid = np.linspace(0.0, config.tau_max_s / 2, 40)
+        for j in js:
+            a = empirical_ccdf(batch[j], grid, 0.0).fractions
+            b = empirical_ccdf(reference[j], grid, 0.0).fractions
+            pooled = (a + b) / 2
+            se = np.sqrt(pooled * (1 - pooled) * 2 / reps)
+            assert np.all(np.abs(a - b) <= 3 * se), f"j={j}"
+
+
+def _per_replication_delays(config, class_id, js, replications):
+    """One generate/merge/run_fifo call per replication, regenerating longer
+    until every class has arrived past the target's last requested customer."""
+    target = next(s for s in config.specs if s.class_id == class_id)
+    out = {j: np.empty(replications) for j in js}
+    for r in range(replications):
+        scale = 3.0
+        while True:
+            counts = {
+                s.class_id: int(scale * js[-1] * s.arrival_rate_hz / target.arrival_rate_hz)
+                + 20
+                for s in config.specs
+            }
+            seqs = generate_sequences(config.specs, counts, 1000 + r)
+            times = next(q for q in seqs if q.class_id == class_id).times_s
+            if len(times) >= js[-1] and all(
+                q.times_s[-1] >= times[js[-1] - 1] for q in seqs
+            ):
+                break
+            scale *= 2.0
+        result = run_fifo(merge_streams(seqs), config.rates()).for_class(class_id)
+        for j in js:
+            out[j][r] = result.delay_s[j - 1]
+    return out
 
 
 class TestCsvExport:

@@ -3,6 +3,7 @@ import pytest
 
 from mcfifo.errors import InvalidSpecError, NoDecayError, UnsupportedEnvelopeError
 from mcfifo.traffic import (
+    ArrivalStreams,
     ClassSpec,
     Constant,
     CoupledPoisson,
@@ -15,6 +16,7 @@ from mcfifo.traffic import (
     gen_coupled_poisson,
     gen_periodic,
     gen_poisson,
+    generate_sequences,
     gsbb_tail_from_mgf,
 )
 
@@ -123,6 +125,41 @@ class TestGenCoupledPoisson:
         seqs = gen_coupled_poisson(specs, 5000, seed=1)
         corr = np.corrcoef(seqs[0].sizes_bits, seqs[1].sizes_bits)[0, 1]
         assert abs(corr) < 0.05
+
+
+class TestArrivalStreams:
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [ClassSpec(1, Poisson(1e4), ExponentialMean(800.0), 10e6), CASE1_CLASS2],
+            _coupled_pair(10000.0, 1000.0),
+        ],
+    )
+    def test_one_row_drawn_twice_continues_the_path(self, specs):
+        # a one-row stream draws sequentially, so two steps of n must give
+        # the same path, bit for bit, as one sequence of 2n
+        streams = ArrivalStreams(specs, {1: 50, 2: 30}, seed=3, rows=1)
+        streams.draw([1, 2])
+        streams.draw([1, 2])
+        whole = generate_sequences(specs, {1: 100, 2: 60}, seed=3)
+        for seq, row in zip(whole, streams.sequences()):
+            np.testing.assert_array_equal(row.times_s[0], seq.times_s)
+            np.testing.assert_array_equal(row.sizes_bits[0], seq.sizes_bits)
+
+    def test_synchronized_rows_are_ragged_subsets_of_the_master(self):
+        specs = _coupled_pair(10000.0, 1000.0, "synchronized")
+        streams = ArrivalStreams(specs, {1: 40, 2: 4}, seed=5, rows=200)
+        streams.draw([2])
+        streams.draw([2])
+        master, slow = streams.times[1], streams.times[2]
+        assert master.shape == (200, 80)
+        kept = np.isfinite(slow)
+        assert len(set(kept.sum(-1).tolist())) > 1  # ragged
+        assert np.all(np.sort(~kept, axis=-1) == ~kept)  # padding only at row ends
+        for r in range(200):
+            assert np.all(np.isin(slow[r][kept[r]], master[r]))
+            assert np.all(np.diff(slow[r][kept[r]]) > 0)
+        np.testing.assert_array_equal(streams.horizon[2], master[:, -1])
 
 
 class TestDeterministicEnvelope:

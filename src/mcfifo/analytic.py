@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import signal
 
 from .errors import (
     ConditionNotMetError,
@@ -213,6 +212,14 @@ def _check_stable(specs: Sequence[ClassSpec]) -> float:
     return rho
 
 
+def _second_order_theta(specs: Sequence[ClassSpec]) -> float:
+    """2*(1-rho)/sum_n rate_n*Y_n^2, the root of the excess-work condition
+    with each exponential expanded to second order."""
+    rho = _check_stable(specs)
+    curvature = sum(s.arrival_rate_hz * s.mean_service_s**2 for s in specs)
+    return 2.0 * (1.0 - rho) / curvature
+
+
 def mgf_excess_constant_sizes(specs: Sequence[ClassSpec]) -> Callable[[float], float]:
     """Excess-work MGF for Poisson arrivals with constant sizes.
 
@@ -253,10 +260,8 @@ def theta_md1(specs: Sequence[ClassSpec]) -> tuple[ThetaSolution, ThetaSolution]
     2*(1-rho)/sum_n rate_n*Y_n^2, which always overestimates the exact root.
     """
     _require_poisson_family(specs, Constant)
-    rho = _check_stable(specs)
+    approx = ThetaSolution(_second_order_theta(specs), "taylor-approx", 0.0)
     exact = theta_exact(mgf_excess_constant_sizes(specs))
-    curvature = sum(s.arrival_rate_hz * s.mean_service_s**2 for s in specs)
-    approx = ThetaSolution(2.0 * (1.0 - rho) / curvature, "taylor-approx", 0.0)
     return exact, approx
 
 
@@ -268,11 +273,10 @@ def theta_mm1(specs: Sequence[ClassSpec]) -> tuple[ThetaSolution, ThetaSolution]
     (1-rho)/sum_n rate_n*Y_n^2.
     """
     _require_poisson_family(specs, ExponentialMean)
-    rho = _check_stable(specs)
+    # halving is exact in binary, so this is (1-rho)/curvature to the bit
+    approx = ThetaSolution(0.5 * _second_order_theta(specs), "taylor-approx", 0.0)
     domain_hi = min(s.service_completion_rate_hz for s in specs)
     exact = theta_exact(mgf_excess_exponential_sizes(specs), domain_hi=domain_hi)
-    curvature = sum(s.arrival_rate_hz * s.mean_service_s**2 for s in specs)
-    approx = ThetaSolution((1.0 - rho) / curvature, "taylor-approx", 0.0)
     return exact, approx
 
 
@@ -317,16 +321,43 @@ def _uniform_step(grid: np.ndarray) -> float:
     return float(h)
 
 
+def _fine_grid(grid: np.ndarray, refine: int) -> np.ndarray:
+    """The uniform grid from 0 with each step cut into `refine` steps."""
+    _uniform_step(grid)
+    if grid[0] != 0.0:
+        raise InvalidInputError("convolution grid must start at 0")
+    if refine < 1:
+        raise InvalidInputError("refine must be >= 1")
+    return np.linspace(grid[0], grid[-1], (len(grid) - 1) * refine + 1)
+
+
+def _fast_fft_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, the lengths real FFTs handle fastest."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_cdfs_fine(cdf_a: np.ndarray, cdf_b: np.ndarray) -> np.ndarray:
     """CDF of the sum of two nonnegative variables tabulated on one uniform grid.
 
     cdf_b's probability mass is assigned to the right end of each grid cell,
     which can only understate the convolution, keeping 1 - result a valid
     upper bound on the tail of the sum. Mass beyond the grid is dropped,
-    which errs the same direction.
+    which errs the same direction. The full linear convolution is taken by
+    real FFTs zero-padded to a fast length.
     """
     mass_b = np.diff(cdf_b, prepend=0.0)
-    out = signal.fftconvolve(cdf_a, mass_b)[: len(cdf_a)]
+    size = _fast_fft_len(len(cdf_a) + len(mass_b) - 1)
+    spectrum = np.fft.rfft(cdf_a, size) * np.fft.rfft(mass_b, size)
+    out = np.fft.irfft(spectrum, size)[: len(cdf_a)]
     out = np.clip(out, 0.0, 1.0)
     return np.maximum.accumulate(out)
 
@@ -373,12 +404,7 @@ def delay_bound_convolve(
 
     if not callable(service_cdf):
         raise InvalidInputError("service_cdf must be a constant or a callable CDF")
-    if grid[0] != 0.0:
-        raise InvalidInputError("convolution grid must start at 0")
-    if refine < 1:
-        raise InvalidInputError("refine must be >= 1")
-    n_fine = (len(grid) - 1) * refine + 1
-    fine = np.linspace(grid[0], grid[-1], n_fine)
+    fine = _fine_grid(grid, refine)
     f_service = np.asarray(service_cdf(fine), dtype=float)
     if np.any(np.diff(f_service) < -1e-12) or f_service[0] < -1e-12:
         raise InvalidInputError("service_cdf is not a valid CDF")
@@ -533,11 +559,7 @@ def gsbb_bound_convolution(
         )
     _check_gsbb_rates(tails, rates_bps)
     grid = np.asarray(grid_s, dtype=float)
-    _uniform_step(grid)
-    if grid[0] != 0.0:
-        raise InvalidInputError("convolution grid must start at 0")
-    n_fine = (len(grid) - 1) * refine + 1
-    fine = np.linspace(grid[0], grid[-1], n_fine)
+    fine = _fine_grid(grid, refine)
 
     shift = 0.0
     f_total: np.ndarray | None = None
@@ -554,7 +576,7 @@ def gsbb_bound_convolution(
         # evaluate the shifted CDF at grid points, flooring to the fine grid
         # so the CDF is never overstated
         idx = np.floor((grid - shift) / (fine[1] - fine[0]) + 1e-9).astype(int)
-        probs = np.where(idx < 0, 1.0, 1.0 - f_total[np.clip(idx, 0, n_fine - 1)])
+        probs = np.where(idx < 0, 1.0, 1.0 - f_total[np.clip(idx, 0, len(fine) - 1)])
     else:
         probs = 1.0 - f_total[::refine]
     probs = np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
@@ -587,9 +609,7 @@ def bound_mstar_d1(specs: Sequence[ClassSpec], grid_s: np.ndarray) -> BoundCurve
     form.
     """
     _require_poisson_family(specs, Constant)
-    rho = _check_stable(specs)
-    curvature = sum(s.arrival_rate_hz * s.mean_service_s**2 for s in specs)
-    theta = 2.0 * (1.0 - rho) / curvature
+    theta = _second_order_theta(specs)
     weights = equalized_weights(specs, theta)
     if not math.isclose(float(weights.sum()), 1.0, rel_tol=1e-9):
         raise InvalidInputError("equalized shares do not sum to 1")

@@ -17,20 +17,23 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
-
-from . import analytic
+from . import analytic, experiments
 from .errors import InvalidInputError, InvalidSpecError
 from .experiments import (
+    BOUNDS,
     DEFAULT_SEED,
     CaseConfig,
     CurveEntry,
     _empirical_entries,
+    _is_deterministic,
     preset,
     run_comparison,
     simulate_case,
+    write_curves_csv,
+    write_json,
 )
 from .simulator import empirical_ccdf, transient_delays
 from .traffic import (
@@ -86,6 +89,10 @@ def _config_from_json(path: str, fallback_seed: int) -> CaseConfig:
         )
         for c in data["classes"]
     )
+    bounds = tuple(data.get("bounds", ()))
+    for name in bounds:
+        if name not in BOUNDS:
+            raise InvalidSpecError(f"unknown bound name {name!r}")
     return CaseConfig(
         case_id=data.get("case_id", "custom"),
         specs=specs,
@@ -96,7 +103,7 @@ def _config_from_json(path: str, fallback_seed: int) -> CaseConfig:
         else CaseConfig.tau_max_s,
         grid_points=int(data.get("grid_points", CaseConfig.grid_points)),
         warmup_fraction=float(data.get("warmup_fraction", CaseConfig.warmup_fraction)),
-        bounds=tuple(data.get("bounds", ())),
+        bounds=bounds,
         replications=int(data.get("replications", 1)),
     )
 
@@ -137,53 +144,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_curves_csv(path: Path, entries) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["curve_label", "tau_s", "prob"])
-        for entry in entries:
-            for tau, p in zip(entry.grid_s, entry.probs):
-                writer.writerow([entry.label, repr(float(tau)), repr(float(p))])
-
-
 def cmd_bounds(args) -> int:
     config = _resolve_config(args)
     out = _out_dir(args)
-    from .experiments import case_bound_entries  # analytical side, no simulation
-
-    entries, values = case_bound_entries(config)
-    stability = analytic.stability(config.specs)
+    # looked up at call time, so a wrapper set on the module is seen
+    entries, values = experiments.case_bound_entries(config)
     payload = {
         "case_id": config.case_id,
-        "stability": {
-            "rho": stability.rho,
-            "multiclass_rate_condition": stability.multiclass_rate_condition,
-            "cruz_condition": stability.cruz_condition,
-        },
+        "stability": asdict(analytic.stability(config.specs)),
         "bounds": values,
-        "curves": [
-            {
-                "label": e.label,
-                "metric": e.metric,
-                "class_id": e.class_id,
-                "guaranteed": e.guaranteed,
-                "approximate": e.approximate,
-                "note": e.note,
-            }
-            for e in entries
-        ],
+        "curves": [e.metadata() for e in entries],
     }
-    _write_json(out / "bounds.json", payload)
+    write_json(out / "bounds.json", payload)
     if args.format == "csv":
-        _write_curves_csv(out / "bound_curves.csv", entries)
+        write_curves_csv(out / "bound_curves.csv", entries)
     print(json.dumps(payload["bounds"], indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -195,7 +169,7 @@ def cmd_simulate(args) -> int:
     result.write_csv(out / "records.csv")
 
     entries = [e for e in _empirical_entries(config, result) if e.class_id is not None]
-    _write_curves_csv(out / "ccdf.csv", entries)
+    write_curves_csv(out / "ccdf.csv", entries)
 
     summary = {
         "case_id": config.case_id,
@@ -205,7 +179,7 @@ def cmd_simulate(args) -> int:
         "seed": config.seed,
     }
     if args.format == "json":
-        _write_json(out / "summary.json", summary)
+        write_json(out / "summary.json", summary)
     print(
         f"case={summary['case_id']} customers={summary['customers']} "
         f"max_delay_s={summary['max_delay_s']!r} "
@@ -220,9 +194,7 @@ def cmd_compare(args) -> int:
     comparison = run_comparison(config)
     curves = list(comparison.curves)
 
-    if config.replications > 1 and not all(
-        isinstance(s.arrival, Periodic) for s in config.specs
-    ):
+    if config.replications > 1 and not _is_deterministic(config):
         # transient curves of the first class's early customers
         first = config.specs[0].class_id
         js = (1, 10, 100)
@@ -242,10 +214,10 @@ def cmd_compare(args) -> int:
                 )
             )
 
-    _write_curves_csv(out / "curves.csv", curves)
+    write_curves_csv(out / "curves.csv", curves)
     summary = comparison.summary_dict()
     summary["seed"] = config.seed
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
 
     hard_failures = comparison.guaranteed_violations
     hard_failures += int(comparison.values.get("delays_above_dd1", 0))

@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from . import analytic
-from .analytic import StabilityReport, step_bound_curve
+from .analytic import BoundCurve, StabilityReport, step_bound_curve
 from .errors import InvalidInputError, InvalidSpecError
 from .simulator import RunResult, empirical_ccdf, merge_streams, run_fifo
 from .traffic import (
@@ -95,6 +96,17 @@ class CurveEntry:
     note: str = ""
     samples: int = 0  # sample count behind empirical curves
 
+    def metadata(self) -> dict:
+        """What the JSON outputs report of a curve, without its values."""
+        return {
+            "label": self.label,
+            "metric": self.metric,
+            "class_id": self.class_id,
+            "guaranteed": self.guaranteed,
+            "approximate": self.approximate,
+            "note": self.note,
+        }
+
 
 @dataclass(frozen=True)
 class ViolationPoint:
@@ -136,34 +148,14 @@ class ComparisonResult:
         raise KeyError(label)
 
     def write_curves_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["curve_label", "tau_s", "prob"])
-            for entry in self.curves:
-                for tau, p in zip(entry.grid_s, entry.probs):
-                    writer.writerow([entry.label, repr(float(tau)), repr(float(p))])
+        write_curves_csv(path, self.curves)
 
     def summary_dict(self) -> dict:
         return {
             "case_id": self.case_id,
-            "stability": {
-                "rho": self.stability.rho,
-                "multiclass_rate_condition": self.stability.multiclass_rate_condition,
-                "cruz_condition": self.stability.cruz_condition,
-            },
+            "stability": asdict(self.stability),
             "values": self.values,
-            "curves": [
-                {
-                    "label": c.label,
-                    "kind": c.kind,
-                    "metric": c.metric,
-                    "class_id": c.class_id,
-                    "guaranteed": c.guaranteed,
-                    "approximate": c.approximate,
-                    "note": c.note,
-                }
-                for c in self.curves
-            ],
+            "curves": [{"kind": c.kind, **c.metadata()} for c in self.curves],
             "violations": [
                 {
                     "bound_label": v.bound_label,
@@ -178,9 +170,23 @@ class ComparisonResult:
         }
 
     def write_summary_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary_dict())
+
+
+def write_curves_csv(path, entries: Sequence[CurveEntry]) -> None:
+    """One row per grid point of every curve: label, tau and probability."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["curve_label", "tau_s", "prob"])
+        for entry in entries:
+            for tau, p in zip(entry.grid_s, entry.probs):
+                writer.writerow([entry.label, repr(float(tau)), repr(float(p))])
+
+
+def write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _case12_specs(c1_mbps: float) -> tuple[ClassSpec, ClassSpec]:
@@ -336,188 +342,145 @@ def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry
     entries = []
     per_metric = {"delay": result.delay_s, "waiting": result.waiting_s}
     for metric, values in per_metric.items():
-        ccdf = empirical_ccdf(values, grid, config.warmup_fraction)
-        entries.append(
-            CurveEntry(
-                f"sim_{metric}",
-                "empirical",
-                metric,
-                None,
-                grid,
-                ccdf.fractions,
-                samples=ccdf.sample_count,
-            )
-        )
-        for cid, mask in masks.items():
-            ccdf_c = empirical_ccdf(values[mask], grid, config.warmup_fraction)
+        samples = [(f"sim_{metric}", None, values)] + [
+            (f"sim_{metric}_c{cid}", cid, values[mask]) for cid, mask in masks.items()
+        ]
+        for label, cid, sample in samples:
+            ccdf = empirical_ccdf(sample, grid, config.warmup_fraction)
             entries.append(
                 CurveEntry(
-                    f"sim_{metric}_c{cid}",
+                    label,
                     "empirical",
                     metric,
                     cid,
                     grid,
-                    ccdf_c.fractions,
-                    samples=ccdf_c.sample_count,
+                    ccdf.fractions,
+                    samples=ccdf.sample_count,
                 )
             )
     return entries
 
 
+def _bound_entry(
+    curve: BoundCurve,
+    metric: str,
+    class_id: int | None = None,
+    guaranteed: bool = False,
+    note: str = "",
+) -> CurveEntry:
+    return CurveEntry(
+        curve.label,
+        "bound",
+        metric,
+        class_id,
+        curve.grid_s,
+        curve.probs,
+        guaranteed=guaranteed,
+        approximate=curve.approximate,
+        note=note,
+    )
+
+
+def _deterministic(specs, grid) -> tuple[list[CurveEntry], dict]:
+    envelopes = [deterministic_envelope(s) for s in specs]
+    rates = [s.service_rate_bps for s in specs]
+    dd1 = analytic.bound_dd1(envelopes, rates)
+    cruz = analytic.bound_cruz_aggregate(envelopes, rates)
+    values = {"dd1_bound_s": dd1, "cruz_bound_s": cruz if cruz is not None else "N.A."}
+    entries = [
+        _bound_entry(step_bound_curve(dd1, grid, "det_multiclass"), "delay", guaranteed=True)
+    ]
+    if cruz is not None:
+        entries.append(
+            _bound_entry(step_bound_curve(cruz, grid, "det_aggregate"), "delay", guaranteed=True)
+        )
+    return entries, values
+
+
+def _decay_rate_entries(
+    prefix: str, exact, approx, grid, guaranteed: bool = True, note: str = ""
+) -> tuple[list[CurveEntry], dict]:
+    """Waiting curves and values of an exact decay rate and its approximation."""
+    values = {
+        f"{prefix}_theta_exact_per_s": exact.theta_star,
+        f"{prefix}_theta_approx_per_s": approx.theta_star,
+        "theta_star_per_s": exact.theta_star,
+    }
+    entries = [
+        _bound_entry(
+            analytic.waiting_bound_curve(theta, grid, label=f"{prefix}_waiting_{kind}"),
+            "waiting",
+            guaranteed=guaranteed and kind == "exact",
+            note=note,
+        )
+        for kind, theta in (("exact", exact), ("approx", approx))
+    ]
+    return entries, values
+
+
+def _md1(specs, grid, independent: bool = True) -> tuple[list[CurveEntry], dict]:
+    """M/D/1-like curves; without independence the exact curve is not proven
+    and the per-class delay forms are left out."""
+    exact, approx = analytic.theta_md1(specs)
+    note = "" if independent else "assumes independent classes"
+    entries, values = _decay_rate_entries("md1", exact, approx, grid, independent, note)
+    if independent:
+        # delay form: constant service shifts the waiting tail
+        waiting = analytic.waiting_bound_curve(exact, grid)
+        for s in specs:
+            curve = analytic.delay_bound_convolve(
+                s.mean_service_s, waiting, label=f"md1_delay_exact_c{s.class_id}"
+            )
+            entries.append(_bound_entry(curve, "delay", s.class_id, guaranteed=True))
+    return entries, values
+
+
+def _mm1(specs, grid) -> tuple[list[CurveEntry], dict]:
+    return _decay_rate_entries("mm1", *analytic.theta_mm1(specs), grid)
+
+
+def _split_constant(specs, grid) -> tuple[list[CurveEntry], dict]:
+    curve = analytic.bound_mstar_d1(specs, grid)
+    values = {"split_theta_per_s": analytic.theta_md1(specs)[1].theta_star}
+    entries = [
+        _bound_entry(curve, "waiting", note="valid under any cross-class dependence")
+    ]
+    return entries, values
+
+
+def _mixed_pair(specs, grid) -> tuple[list[CurveEntry], dict]:
+    values = {"theta_star_per_s": analytic.theta_dmdm(specs).theta_star}
+    entries = [
+        _bound_entry(
+            analytic.bound_dmdm(specs, grid, s.class_id), "waiting", s.class_id, guaranteed=True
+        )
+        for s in specs
+    ]
+    return entries, values
+
+
+#: Bound name -> builder(specs, grid) returning (curve entries, scalar values).
+BOUNDS = {
+    "deterministic": _deterministic,
+    "md1": _md1,
+    "md1_independent": partial(_md1, independent=False),
+    "mm1": _mm1,
+    "split_constant": _split_constant,
+    "mixed_pair": _mixed_pair,
+}
+
+
 def case_bound_entries(config: CaseConfig) -> tuple[list[CurveEntry], dict]:
     """Analytical curves for the case plus the scalar summary values."""
     grid = config.grid()
-    specs = config.specs
     entries: list[CurveEntry] = []
     values: dict = {}
-
     for name in config.bounds:
-        if name == "deterministic":
-            envelopes = [deterministic_envelope(s) for s in specs]
-            rates = [s.service_rate_bps for s in specs]
-            dd1 = analytic.bound_dd1(envelopes, rates)
-            values["dd1_bound_s"] = dd1
-            entries.append(
-                CurveEntry(
-                    "det_multiclass",
-                    "bound",
-                    "delay",
-                    None,
-                    grid,
-                    step_bound_curve(dd1, grid, "det_multiclass").probs,
-                    guaranteed=True,
-                )
-            )
-            cruz = analytic.bound_cruz_aggregate(envelopes, rates)
-            values["cruz_bound_s"] = cruz if cruz is not None else "N.A."
-            if cruz is not None:
-                entries.append(
-                    CurveEntry(
-                        "det_aggregate",
-                        "bound",
-                        "delay",
-                        None,
-                        grid,
-                        step_bound_curve(cruz, grid, "det_aggregate").probs,
-                        guaranteed=True,
-                    )
-                )
-        elif name in ("md1", "md1_independent"):
-            exact, approx = analytic.theta_md1(specs)
-            values["md1_theta_exact_per_s"] = exact.theta_star
-            values["md1_theta_approx_per_s"] = approx.theta_star
-            independent = name == "md1"
-            note = "" if independent else "assumes independent classes"
-            entries.append(
-                CurveEntry(
-                    "md1_waiting_exact",
-                    "bound",
-                    "waiting",
-                    None,
-                    grid,
-                    analytic.waiting_bound_curve(exact, grid).probs,
-                    guaranteed=independent,
-                    note=note,
-                )
-            )
-            entries.append(
-                CurveEntry(
-                    "md1_waiting_approx",
-                    "bound",
-                    "waiting",
-                    None,
-                    grid,
-                    analytic.waiting_bound_curve(approx, grid).probs,
-                    approximate=True,
-                    note=note,
-                )
-            )
-            if independent:
-                # delay form: constant service shifts the waiting tail
-                for s in specs:
-                    curve = analytic.delay_bound_convolve(
-                        s.mean_service_s,
-                        analytic.waiting_bound_curve(exact, grid),
-                        label=f"md1_delay_exact_c{s.class_id}",
-                    )
-                    entries.append(
-                        CurveEntry(
-                            curve.label,
-                            "bound",
-                            "delay",
-                            s.class_id,
-                            grid,
-                            curve.probs,
-                            guaranteed=True,
-                        )
-                    )
-        elif name == "mm1":
-            exact, approx = analytic.theta_mm1(specs)
-            values["mm1_theta_exact_per_s"] = exact.theta_star
-            values["mm1_theta_approx_per_s"] = approx.theta_star
-            entries.append(
-                CurveEntry(
-                    "mm1_waiting_exact",
-                    "bound",
-                    "waiting",
-                    None,
-                    grid,
-                    analytic.waiting_bound_curve(exact, grid).probs,
-                    guaranteed=True,
-                )
-            )
-            entries.append(
-                CurveEntry(
-                    "mm1_waiting_approx",
-                    "bound",
-                    "waiting",
-                    None,
-                    grid,
-                    analytic.waiting_bound_curve(approx, grid).probs,
-                    approximate=True,
-                )
-            )
-        elif name == "split_constant":
-            curve = analytic.bound_mstar_d1(specs, grid)
-            rho = sum(s.utilization for s in specs)
-            curvature = sum(s.arrival_rate_hz * s.mean_service_s**2 for s in specs)
-            values["split_theta_per_s"] = 2.0 * (1.0 - rho) / curvature
-            entries.append(
-                CurveEntry(
-                    curve.label,
-                    "bound",
-                    "waiting",
-                    None,
-                    grid,
-                    curve.probs,
-                    approximate=True,
-                    note="valid under any cross-class dependence",
-                )
-            )
-        elif name == "mixed_pair":
-            theta = analytic.theta_dmdm(specs)
-            values["theta_star_per_s"] = theta.theta_star
-            for s in specs:
-                curve = analytic.bound_dmdm(specs, grid, s.class_id)
-                entries.append(
-                    CurveEntry(
-                        curve.label,
-                        "bound",
-                        "waiting",
-                        s.class_id,
-                        grid,
-                        curve.probs,
-                        guaranteed=True,
-                    )
-                )
-        else:
+        if name not in BOUNDS:
             raise InvalidSpecError(f"unknown bound name {name!r}")
-
-    if "theta_star_per_s" not in values:
-        for key in ("md1_theta_exact_per_s", "mm1_theta_exact_per_s"):
-            if key in values:
-                values["theta_star_per_s"] = values[key]
-                break
+        more, scalars = BOUNDS[name](config.specs, grid)
+        entries += more
+        values.update(scalars)
     return entries, values
 
 

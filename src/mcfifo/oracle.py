@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .simulator import CustomerRecord, MergedArrivals, merge_streams
+from .simulator import CustomerRecord, MergedArrivals, _rates_per_customer, merge_streams
 from .traffic import (
     ArrivalSequence,
     ClassSpec,
@@ -39,10 +39,7 @@ def _merged_with_service(
     sequences: Sequence[ArrivalSequence], rates_bps: Mapping[int, float]
 ) -> tuple[MergedArrivals, np.ndarray]:
     merged = merge_streams(sequences)
-    service = merged.sizes_bits / np.array(
-        [rates_bps[cid] for cid in merged.class_ids]
-    )
-    return merged, service
+    return merged, merged.sizes_bits / _rates_per_customer(merged.class_ids, rates_bps)
 
 
 def sequential_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:

@@ -174,12 +174,6 @@ class ArrivalSequence:
     def __len__(self) -> int:
         return self.times_s.shape[-1]
 
-    def traffic_bits(self, start_s: float, end_s: float) -> float:
-        """Total bits arriving in the half-open window [start, end)."""
-        lo = np.searchsorted(self.times_s, start_s, side="left")
-        hi = np.searchsorted(self.times_s, end_s, side="left")
-        return float(np.sum(self.sizes_bits[lo:hi]))
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import fft, integrate, signal
 
 from mcfifo.analytic import (
+    CONV_REFINE,
     BoundCurve,
+    _convolve_cdfs_fine,
+    _fast_fft_len,
     bound_cruz_aggregate,
     bound_dd1,
     bound_dmdm,
@@ -236,6 +239,30 @@ class TestWaitingBoundCurve:
         curve = waiting_bound_curve(1000.0, grid, prefactor=2.0)
         assert curve.probs[0] == 1.0  # clamped
         assert curve.probs[1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
+
+
+class TestConvolveCdfsFine:
+    """The numpy real-FFT convolution against scipy's fftconvolve, which the
+    package no longer imports; scipy is the test-only reference here."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [200 * CONV_REFINE + 1, 2000 * CONV_REFINE + 1, 7919],  # 7919 is prime
+    )
+    def test_bit_identical_to_fftconvolve(self, n):
+        fine = np.linspace(0.0, 6e-3, n)
+        cdf_a = -np.expm1(-2702.7 * fine)
+        cdf_b = -np.expm1(-12500.0 * fine)
+        mass_b = np.diff(cdf_b, prepend=0.0)
+        reference = signal.fftconvolve(cdf_a, mass_b)[:n]
+        reference = np.maximum.accumulate(np.clip(reference, 0.0, 1.0))
+        got = _convolve_cdfs_fine(cdf_a, cdf_b)
+        assert got.tobytes() == reference.tobytes()
+
+    def test_fast_length_matches_scipy(self):
+        ns = list(range(1, 20_001)) + [127_999, 128_001, 7919 * 2 - 1, 1_000_003]
+        for n in ns:
+            assert _fast_fft_len(n) == fft.next_fast_len(n, real=True), n
 
 
 class TestDelayBoundConvolve:

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mcfifo
 
 from mcfifo.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 
@@ -220,6 +226,27 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "duplicate class_id 1" in capsys.readouterr().err
 
+    def test_misspelled_bound_name_rejected_on_load(self, tmp_path, capsys):
+        config = {
+            "classes": [
+                {
+                    "class_id": 1,
+                    "arrival": {"kind": "periodic", "period_ms": 0.1},
+                    "size": {"kind": "constant", "packet_bytes": 100},
+                    "service_rate_mbps": 20,
+                }
+            ],
+            "customers": 1000,
+            "bounds": ["determinstic"],
+        }
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "unknown bound name 'determinstic'" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     def test_jobs_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--case", "3", "--jobs", "2", "--out", str(tmp_path)])
@@ -230,3 +257,17 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert out.count("case ") == 6
         assert "synchronized" in out
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(mcfifo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, mcfifo.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mcfifo.analytic import theta_md1
 from mcfifo.errors import InvalidInputError, InvalidSpecError
 from mcfifo.experiments import (
     FLOAT_SLACK_S,
     CaseConfig,
+    case_bound_entries,
     preset,
     run_comparison,
     simulate_case,
@@ -182,6 +184,83 @@ class TestRunComparison:
         config = replace(preset(1), bounds=("nope",), customers=100)
         with pytest.raises(InvalidSpecError):
             run_comparison(config)
+
+
+#: Per preset: each bound entry's (label, metric, class_id, guaranteed,
+#: approximate, note) in order, then the sorted keys of the scalar values.
+BOUND_METADATA = {
+    1: (
+        [
+            ("det_multiclass", "delay", None, True, False, ""),
+            ("det_aggregate", "delay", None, True, False, ""),
+        ],
+        ["cruz_bound_s", "dd1_bound_s"],
+    ),
+    2: (
+        [("det_multiclass", "delay", None, True, False, "")],
+        ["cruz_bound_s", "dd1_bound_s"],
+    ),
+    3: (
+        [
+            ("md1_waiting_exact", "waiting", None, True, False, ""),
+            ("md1_waiting_approx", "waiting", None, False, True, ""),
+            ("md1_delay_exact_c1", "delay", 1, True, False, ""),
+            ("md1_delay_exact_c2", "delay", 2, True, False, ""),
+        ],
+        ["md1_theta_approx_per_s", "md1_theta_exact_per_s", "theta_star_per_s"],
+    ),
+    4: (
+        [
+            ("mm1_waiting_exact", "waiting", None, True, False, ""),
+            ("mm1_waiting_approx", "waiting", None, False, True, ""),
+        ],
+        ["mm1_theta_approx_per_s", "mm1_theta_exact_per_s", "theta_star_per_s"],
+    ),
+    5: (
+        [
+            ("md1_waiting_exact", "waiting", None, False, False, "assumes independent classes"),
+            ("md1_waiting_approx", "waiting", None, False, True, "assumes independent classes"),
+            (
+                "split_equal_constant_sizes",
+                "waiting",
+                None,
+                False,
+                True,
+                "valid under any cross-class dependence",
+            ),
+        ],
+        [
+            "md1_theta_approx_per_s",
+            "md1_theta_exact_per_s",
+            "split_theta_per_s",
+            "theta_star_per_s",
+        ],
+    ),
+    6: (
+        [
+            ("mixed_pair_waiting_c1", "waiting", 1, True, False, ""),
+            ("mixed_pair_waiting_c2", "waiting", 2, True, False, ""),
+        ],
+        ["theta_star_per_s"],
+    ),
+}
+
+
+class TestBoundRegistry:
+    @pytest.mark.parametrize("case_id", sorted(BOUND_METADATA))
+    def test_preset_entries_pinned(self, case_id):
+        entries, values = case_bound_entries(preset(case_id))
+        got = [
+            (e.label, e.metric, e.class_id, e.guaranteed, e.approximate, e.note)
+            for e in entries
+        ]
+        assert (got, sorted(values)) == BOUND_METADATA[case_id]
+        assert all(e.kind == "bound" for e in entries)
+
+    def test_split_theta_is_the_second_order_md1_rate(self):
+        config = preset(5)
+        _, values = case_bound_entries(config)
+        assert values["split_theta_per_s"] == theta_md1(config.specs)[1].theta_star
 
 
 class TestBurstTailSplitAgainstSimulation:

@@ -8,6 +8,7 @@ from mcfifo.analytic import theta_md1
 from mcfifo.errors import InvalidInputError
 from mcfifo.experiments import preset
 from mcfifo.oracle import (
+    _merged_with_service,
     mgf_monte_carlo,
     samplepath_bounds_all,
     samplepath_delay_bound,
@@ -87,6 +88,20 @@ class TestVirtualWaitDirect:
         for i in (0, 5, 42, 299):
             single = virtual_wait_direct(seqs, rates, merged.times_s[i])
             assert single.supremum_s == pytest.approx(batch[i], abs=1e-12)
+
+
+    def test_service_matches_per_customer_rates(self):
+        seqs, rates = _case_sequences(3, 5000)
+        merged = merge_streams(seqs)
+        expected = merged.sizes_bits / np.array([rates[c] for c in merged.class_ids.tolist()])
+        _, service = _merged_with_service(seqs, rates)
+        assert service.tobytes() == expected.tobytes()
+
+    def test_class_without_rate_rejected(self):
+        seqs, rates = _case_sequences(3, 300)
+        del rates[2]
+        with pytest.raises(InvalidInputError, match="no service rate for class 2"):
+            virtual_waits_at_arrivals(seqs, rates)
 
 
 class TestSamplepathDelayBound:

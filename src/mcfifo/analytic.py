@@ -29,7 +29,6 @@ from .traffic import (
     DegenerateTail,
     DeterministicEnvelope,
     ExponentialMean,
-    ExponentialTail,
     GsbbTail,
     Periodic,
     Poisson,
@@ -37,12 +36,8 @@ from .traffic import (
 
 #: Relative width at which the decay-rate bisection stops.
 ROOT_REL_TOL = 1e-12
-#: Golden-section tolerance for the two-class split search.
-SPLIT_TOL = 1e-8
 #: Default refinement factor of the internal convolution grid.
 CONV_REFINE = 32
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -80,9 +75,9 @@ class BoundCurve:
         object.__setattr__(self, "probs", probs)
         if grid.ndim != 1 or grid.shape != probs.shape:
             raise InvalidInputError("grid and probs must be 1-d arrays of equal length")
-        if len(grid) > 1 and np.any(np.diff(grid) <= 0):
-            raise InvalidInputError("grid must be strictly increasing")
-        if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
+        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+            raise InvalidInputError("grid must be finite and strictly increasing")
+        if not np.all((probs >= -1e-12) & (probs <= 1 + 1e-12)):  # NaN fails too
             raise InvalidInputError("probabilities must lie in [0, 1]")
         if np.any(np.diff(probs) > 1e-12):
             raise InvalidInputError("tail probabilities must be nonincreasing")
@@ -425,103 +420,35 @@ def _check_gsbb_rates(tails: Sequence[GsbbTail], rates_bps: Sequence[float]) -> 
         )
 
 
-def _golden_min(fun: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimizer for unimodal fun on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+def _equalized_split(
+    prefactors: np.ndarray, b: np.ndarray, budget: np.ndarray
+) -> np.ndarray:
+    """Minimum of sum_n M_n*exp(-b_n*p_n) over p_n >= 0 summing to budget,
+    for each row of b (rows x classes).
 
-
-def _equalized_exponential_split(
-    coeffs: Sequence[tuple[float, float]], budget: float
-) -> list[float]:
-    """Minimize sum_i M_i*exp(-b_i*p_i) over p_i >= 0 summing to budget.
-
-    The interior stationary point equalizes M_i*b_i*exp(-b_i*p_i); classes
-    whose allocation would go negative are pinned to zero and the rest
-    re-solved. Zero-prefactor terms vanish identically and get no share.
+    The optimum equalizes M_n*b_n*exp(-b_n*p_n) = nu over the classes with a
+    positive share and gives no share to a class with M_n*b_n <= nu (the KKT
+    conditions, as in water-filling). Each pass solves for nu on the active
+    classes and pins every negative share to zero; nu only grows as classes
+    are pinned, so a pinned class stays pinned and K classes need at most K
+    passes.
     """
-    active = [i for i in range(len(coeffs)) if coeffs[i][0] > 0.0]
-    alloc = [0.0] * len(coeffs)
-    while active:
-        inv_b = sum(1.0 / coeffs[i][1] for i in active)
-        log_nu = (
-            sum(math.log(coeffs[i][0] * coeffs[i][1]) / coeffs[i][1] for i in active)
-            - budget
-        ) / inv_b
-        negative = []
-        for i in active:
-            m, b = coeffs[i]
-            alloc[i] = (math.log(m * b) - log_nu) / b
-            if alloc[i] < 0:
-                negative.append(i)
-        if not negative:
+    log_mb = np.log(prefactors * b)
+    # the largest M_n*b_n is at least nu, so its share is never negative in
+    # exact arithmetic; keeping it guards a budget within rounding of zero
+    keep = log_mb == log_mb.max(axis=1, keepdims=True)
+    inv_b, log_mb_per_b = 1.0 / b, log_mb / b
+    active = np.ones(b.shape, dtype=bool)
+    for _ in range(b.shape[1]):
+        weight = np.where(active, inv_b, 0.0).sum(axis=1)
+        log_nu = (np.where(active, log_mb_per_b, 0.0).sum(axis=1) - budget) / weight
+        share = (log_mb - log_nu[:, None]) / b
+        pinned = active & ~keep & (share < 0.0)
+        if not pinned.any():
             break
-        for i in negative:
-            alloc[i] = 0.0
-            active.remove(i)
-    return alloc
-
-
-def gsbb_bound_split(
-    tails: Sequence[GsbbTail], rates_bps: Sequence[float], tau_s: float
-) -> float:
-    """Delay tail bound by the best split of tau across classes.
-
-    The delay is bounded by the sum of per-class backlog terms, each of which
-    exceeds its share p_n*C_n*tau with probability tail_n(p_n*C_n*tau); the
-    infimum runs over the probability simplex. Degenerate tails take exactly
-    the share that zeroes them; the remaining budget is split across
-    exponential tails by golden section (two classes) or the closed-form
-    exponent equalization.
-    """
-    _check_gsbb_rates(tails, rates_bps)
-    if tau_s <= 0.0:
-        return 1.0
-
-    budget = 1.0
-    exps: list[tuple[ExponentialTail, float]] = []
-    for tail, capacity in zip(tails, rates_bps):
-        if isinstance(tail, DegenerateTail):
-            budget -= tail.burst_bits / (capacity * tau_s)
-        else:
-            exps.append((tail, capacity))
-    if budget < 0.0:
-        return 1.0
-    if not exps:
-        return 0.0
-
-    # exponent of each term as a function of its share: M*exp(-b*p)
-    coeffs = [(t.prefactor, t.decay_per_bit * c * tau_s) for t, c in exps]
-
-    if len(coeffs) == 1:
-        m, b = coeffs[0]
-        value = m * math.exp(-b * budget)
-    elif len(coeffs) == 2:
-        (m1, b1), (m2, b2) = coeffs
-
-        def objective(x: float) -> float:
-            return m1 * math.exp(-b1 * x * budget) + m2 * math.exp(
-                -b2 * (1.0 - x) * budget
-            )
-
-        x_star = _golden_min(objective, 0.0, 1.0, SPLIT_TOL)
-        value = min(objective(x_star), objective(0.0), objective(1.0))
-    else:
-        alloc = _equalized_exponential_split(coeffs, budget)
-        value = sum(m * math.exp(-b * p) for (m, b), p in zip(coeffs, alloc))
-    return min(1.0, max(0.0, value))
+        active &= ~pinned
+    share = np.where(active, share, 0.0)
+    return np.clip((prefactors * np.exp(-b * share)).sum(axis=1), 0.0, 1.0)
 
 
 def gsbb_split_curve(
@@ -531,10 +458,43 @@ def gsbb_split_curve(
     label: str = "gsbb_split",
     approximate: bool = False,
 ) -> BoundCurve:
-    """gsbb_bound_split evaluated over a grid."""
+    """Delay tail bound by the best split of tau across classes, over a grid.
+
+    The delay is bounded by the sum of per-class backlog terms, each of which
+    exceeds its share p_n*C_n*tau with probability tail_n(p_n*C_n*tau); the
+    infimum runs over the probability simplex. Degenerate tails take exactly
+    the share that zeroes them; the remaining budget goes to the exponential
+    tails by closed-form exponent equalization, for any number of classes.
+    Zero-prefactor tails vanish and take no share. The bound is 1 at tau <= 0
+    and where the degenerate tails need more than the whole budget.
+    """
+    _check_gsbb_rates(tails, rates_bps)
     grid = np.asarray(grid_s, dtype=float)
-    probs = np.array([gsbb_bound_split(tails, rates_bps, t) for t in grid])
+    probs = np.ones_like(grid)
+    positive = np.flatnonzero(grid > 0.0)
+    tau = grid[positive]
+    budget = np.ones_like(tau)
+    prefactors, decays = [], []
+    for tail, capacity in zip(tails, rates_bps):
+        if isinstance(tail, DegenerateTail):
+            budget -= tail.burst_bits / (capacity * tau)
+        elif tail.prefactor > 0.0:
+            prefactors.append(tail.prefactor)
+            decays.append(tail.decay_per_bit * capacity)
+    fits = budget >= 0.0
+    probs[positive[fits]] = (
+        _equalized_split(np.array(prefactors), np.outer(tau[fits], decays), budget[fits])
+        if prefactors
+        else 0.0
+    )
     return BoundCurve(grid, probs, label, approximate=approximate)
+
+
+def gsbb_bound_split(
+    tails: Sequence[GsbbTail], rates_bps: Sequence[float], tau_s: float
+) -> float:
+    """gsbb_split_curve at one tau."""
+    return float(gsbb_split_curve(tails, rates_bps, np.array([tau_s])).probs[0])
 
 
 def gsbb_bound_convolution(

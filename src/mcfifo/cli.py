@@ -53,58 +53,124 @@ EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
 
 
-def _arrival_from_json(obj: dict):
+#: Keys a config file may hold: at the top level, in each class, and in
+#: each arrival and size object by kind.
+_CONFIG_KEYS = {
+    "case_id", "classes", "customers", "seed", "tau_max_ms", "grid_points",
+    "warmup_fraction", "bounds", "replications",
+}
+_CLASS_KEYS = {"class_id", "arrival", "size", "service_rate_mbps"}
+_ARRIVAL_KEYS = {
+    "periodic": {"kind", "period_ms"},
+    "poisson": {"kind", "rate_per_s"},
+    "coupled_poisson": {"kind", "rate_per_s", "coupling_group", "mechanism"},
+}
+_SIZE_KEYS = {
+    "constant": {"kind", "packet_bytes"},
+    "exponential": {"kind", "mean_packet_bytes"},
+}
+_REQUIRED = object()
+
+
+def _check_keys(obj, allowed: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise InvalidSpecError(f"{where}: expected a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise InvalidSpecError(f"{where}: unknown key {unknown[0]!r}")
+
+
+def _field(obj: dict, key: str, where: str, cast=float, default=_REQUIRED):
+    """obj[key] converted by cast, or default when the key is absent."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise InvalidSpecError(f"{where}: missing key {key!r}")
+        return default
+    try:
+        return cast(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidSpecError(f"{where}: invalid {key}: {obj[key]!r}") from None
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return value
+
+
+def _integer(value) -> int:
+    """A whole number as an int; a fraction is an error, not truncated."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(value)
+    return int(value)
+
+
+def _kind(obj: dict, keys_by_kind: dict, where: str) -> str:
+    """The object's kind, once its keys are checked against that kind."""
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in keys_by_kind:
+        raise InvalidSpecError(f"{where}: unknown kind {kind!r}")
+    _check_keys(obj, keys_by_kind[kind], where)
+    return kind
+
+
+def _arrival_from_json(obj, where: str):
+    kind = _kind(obj, _ARRIVAL_KEYS, where)
     if kind == "periodic":
-        return Periodic(seconds_from_ms(float(obj["period_ms"])))
+        return Periodic(seconds_from_ms(_field(obj, "period_ms", where)))
+    rate = _field(obj, "rate_per_s", where)
     if kind == "poisson":
-        return Poisson(float(obj["rate_per_s"]))
-    if kind == "coupled_poisson":
-        return CoupledPoisson(
-            float(obj["rate_per_s"]),
-            int(obj["coupling_group"]),
-            obj.get("mechanism", "scaled"),
-        )
-    raise InvalidSpecError(f"unknown arrival kind {kind!r}")
+        return Poisson(rate)
+    return CoupledPoisson(
+        rate,
+        _field(obj, "coupling_group", where, _integer),
+        _field(obj, "mechanism", where, str, "scaled"),
+    )
 
 
-def _size_from_json(obj: dict):
-    kind = obj.get("kind")
-    if kind == "constant":
-        return Constant(bits_from_bytes(float(obj["packet_bytes"])))
-    if kind == "exponential":
-        return ExponentialMean(bits_from_bytes(float(obj["mean_packet_bytes"])))
-    raise InvalidSpecError(f"unknown size kind {kind!r}")
+def _size_from_json(obj, where: str):
+    if _kind(obj, _SIZE_KEYS, where) == "constant":
+        return Constant(bits_from_bytes(_field(obj, "packet_bytes", where)))
+    return ExponentialMean(bits_from_bytes(_field(obj, "mean_packet_bytes", where)))
+
+
+def _class_from_json(obj, index: int) -> ClassSpec:
+    _check_keys(obj, _CLASS_KEYS, f"classes[{index}]")
+    class_id = _field(obj, "class_id", f"classes[{index}]", _integer)
+    where = f"class {class_id}"
+    return ClassSpec(
+        class_id=class_id,
+        arrival=_arrival_from_json(_field(obj, "arrival", where, dict), f"{where} arrival"),
+        size=_size_from_json(_field(obj, "size", where, dict), f"{where} size"),
+        service_rate_bps=bps_from_mbps(_field(obj, "service_rate_mbps", where)),
+    )
 
 
 def _config_from_json(path: str, fallback_seed: int) -> CaseConfig:
     with open(path) as fh:
-        data = json.load(fh)
-    specs = tuple(
-        ClassSpec(
-            class_id=int(c["class_id"]),
-            arrival=_arrival_from_json(c["arrival"]),
-            size=_size_from_json(c["size"]),
-            service_rate_bps=bps_from_mbps(float(c["service_rate_mbps"])),
-        )
-        for c in data["classes"]
-    )
-    bounds = tuple(data.get("bounds", ()))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InvalidSpecError(f"{path}: malformed JSON: {exc}") from None
+    _check_keys(data, _CONFIG_KEYS, "config")
+    classes = _field(data, "classes", "config", _array)
+    bounds = tuple(_field(data, "bounds", "config", _array, []))
     for name in bounds:
-        if name not in BOUNDS:
+        if not isinstance(name, str) or name not in BOUNDS:
             raise InvalidSpecError(f"unknown bound name {name!r}")
+    tau_max_ms = _field(data, "tau_max_ms", "config", float, None)
     return CaseConfig(
         case_id=data.get("case_id", "custom"),
-        specs=specs,
-        customers=int(data.get("customers", CaseConfig.customers)),
-        seed=int(data.get("seed", fallback_seed)),
-        tau_max_s=seconds_from_ms(float(data["tau_max_ms"]))
-        if "tau_max_ms" in data
-        else CaseConfig.tau_max_s,
-        grid_points=int(data.get("grid_points", CaseConfig.grid_points)),
-        warmup_fraction=float(data.get("warmup_fraction", CaseConfig.warmup_fraction)),
+        specs=tuple(_class_from_json(c, i) for i, c in enumerate(classes)),
+        customers=_field(data, "customers", "config", _integer, CaseConfig.customers),
+        seed=_field(data, "seed", "config", _integer, fallback_seed),
+        tau_max_s=CaseConfig.tau_max_s if tau_max_ms is None else seconds_from_ms(tau_max_ms),
+        grid_points=_field(data, "grid_points", "config", _integer, CaseConfig.grid_points),
+        warmup_fraction=_field(
+            data, "warmup_fraction", "config", float, CaseConfig.warmup_fraction
+        ),
         bounds=bounds,
-        replications=int(data.get("replications", 1)),
+        replications=_field(data, "replications", "config", _integer, 1),
     )
 
 
@@ -113,11 +179,16 @@ def _resolve_config(args) -> CaseConfig:
     if (args.case is None) == (args.config is None):
         raise InvalidInputError("provide exactly one of --case or --config")
     env_seed = os.environ.get(SEED_ENV_VAR)
-    fallback_seed = int(env_seed) if env_seed else DEFAULT_SEED
+    try:
+        fallback_seed = int(env_seed) if env_seed else DEFAULT_SEED
+    except ValueError:
+        raise InvalidInputError(
+            f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
+        ) from None
     if args.case is not None:
         config = preset(args.case)
         if env_seed:
-            config = replace(config, seed=int(env_seed))
+            config = replace(config, seed=fallback_seed)
     else:
         config = _config_from_json(args.config, fallback_seed)
     overrides = {}
@@ -288,7 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidInputError, InvalidSpecError, OSError, KeyError, ValueError) as exc:
+    except (InvalidInputError, InvalidSpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

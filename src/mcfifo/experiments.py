@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Sequence
@@ -73,6 +74,16 @@ class CaseConfig:
             if spec.class_id in seen:
                 raise InvalidSpecError(f"duplicate class_id {spec.class_id}")
             seen.add(spec.class_id)
+        if not (math.isfinite(self.tau_max_s) and self.tau_max_s > 0):
+            raise InvalidSpecError(f"tau_max_s must be finite and > 0, got {self.tau_max_s!r}")
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise InvalidSpecError(
+                f"warmup_fraction must be in [0, 1), got {self.warmup_fraction!r}"
+            )
+        for name, least in (("customers", 1), ("grid_points", 2), ("replications", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise InvalidSpecError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.tau_max_s, self.grid_points)
@@ -207,7 +218,7 @@ def _case12_specs(c1_mbps: float) -> tuple[ClassSpec, ClassSpec]:
 
 
 def preset(case_id: int) -> CaseConfig:
-    """Benchmark case presets; parameters are golden data frozen by tests."""
+    """Benchmark case presets; their parameters are pinned by tests."""
     if case_id == 1:
         return CaseConfig(1, _case12_specs(20), tau_max_s=2.0e-4, bounds=("deterministic",))
     if case_id == 2:

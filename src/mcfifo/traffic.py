@@ -90,11 +90,9 @@ class ClassSpec:
 
     def __post_init__(self):
         if isinstance(self.arrival, Periodic):
-            if self.arrival.period_s <= 0:
-                raise InvalidSpecError(f"class {self.class_id}: period must be > 0")
+            self._require_positive("period", self.arrival.period_s)
         elif isinstance(self.arrival, (Poisson, CoupledPoisson)):
-            if self.arrival.rate_hz <= 0:
-                raise InvalidSpecError(f"class {self.class_id}: rate must be > 0")
+            self._require_positive("rate", self.arrival.rate_hz)
             if isinstance(self.arrival, CoupledPoisson):
                 if self.arrival.mechanism not in COUPLING_MECHANISMS:
                     raise InvalidSpecError(
@@ -104,15 +102,18 @@ class ClassSpec:
         else:
             raise InvalidSpecError(f"class {self.class_id}: unknown arrival kind")
         if isinstance(self.size, Constant):
-            if self.size.bits <= 0:
-                raise InvalidSpecError(f"class {self.class_id}: size must be > 0")
+            self._require_positive("size", self.size.bits)
         elif isinstance(self.size, ExponentialMean):
-            if self.size.mean_bits <= 0:
-                raise InvalidSpecError(f"class {self.class_id}: mean size must be > 0")
+            self._require_positive("mean size", self.size.mean_bits)
         else:
             raise InvalidSpecError(f"class {self.class_id}: unknown size kind")
-        if self.service_rate_bps <= 0:
-            raise InvalidSpecError(f"class {self.class_id}: service rate must be > 0")
+        self._require_positive("service rate", self.service_rate_bps)
+
+    def _require_positive(self, name: str, value: float) -> None:
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidSpecError(
+                f"class {self.class_id}: {name} must be finite and > 0, got {value!r}"
+            )
 
     @property
     def arrival_rate_hz(self) -> float:

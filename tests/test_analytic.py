@@ -353,9 +353,9 @@ class TestGsbbSplit:
         got = gsbb_bound_split(tails, [capacity, capacity], tau)
         assert got == pytest.approx(expected, rel=1e-6)
 
-    def test_golden_section_matches_closed_form(self):
-        # two unequal exponential tails: compare search against the
-        # exponent-equalization solution
+    def test_two_tails_match_interior_equalization(self):
+        # two unequal exponential tails against the interior
+        # exponent-equalization solution written out by hand
         c1, c2 = 10e6, 100e6
         t1 = ExponentialTail(0.3 * c1, 1.0, 1500.0 / c1)
         t2 = ExponentialTail(0.3 * c2, 1.0, 4000.0 / c2)
@@ -397,6 +397,138 @@ class TestGsbbSplit:
         tails = [ExponentialTail(8e6, 1.0, 1e-4), ExponentialTail(4e6, 1.0, 1e-4)]
         with pytest.raises(ConditionNotMetError):
             gsbb_bound_split(tails, [10e6, 10e6], 1e-3)
+
+    @pytest.mark.parametrize(
+        "prefactors,decays",
+        [
+            ((1.0, 1.0), (1500.0, 4000.0)),
+            ((1.0, 0.01), (3000.0, 3000.0)),  # the small term gets no share early
+            ((2.5, 0.3), (500.0, 20000.0)),
+        ],
+    )
+    def test_two_tails_against_brute_force_split(self, prefactors, decays):
+        caps = [10e6, 100e6]
+        tails = [
+            ExponentialTail(0.3 * c, m, d / c) for m, d, c in zip(prefactors, decays, caps)
+        ]
+        grid = np.linspace(0.0, 3e-3, 61)
+        curve = gsbb_split_curve(tails, caps, grid)
+        x = np.linspace(0.0, 1.0, 100_001)
+        h = x[1] - x[0]
+        (m1, m2), (d1, d2) = prefactors, decays
+        for tau, got in zip(grid[1:], curve.probs[1:]):
+            b1, b2 = d1 * tau, d2 * tau
+            brute = np.min(m1 * np.exp(-b1 * x) + m2 * np.exp(-b2 * (1.0 - x)))
+            # the grid misses the convex minimum by at most max f'' * h^2 / 8,
+            # or not at all when the minimum sits at a vertex
+            grid_error = (m1 * b1**2 + m2 * b2**2) * h**2 / 8.0
+            assert got <= min(1.0, brute) + 1e-12
+            assert got >= min(1.0, brute) - grid_error - 1e-12
+
+    @pytest.mark.parametrize(
+        "tails,caps",
+        [
+            (
+                [
+                    ExponentialTail(3e6, 1.0, 1000.0 / 10e6),
+                    DegenerateTail(4e6, 2000.0),
+                    ExponentialTail(5e6, 0.7, 6000.0 / 50e6),
+                ],
+                [10e6, 20e6, 50e6],
+            ),
+            (
+                [
+                    ExponentialTail(2e6, 1.0, 2500.0 / 10e6),
+                    ExponentialTail(2e6, 0.0, 900.0 / 20e6),  # zero prefactor
+                    DegenerateTail(1e6, 4000.0),
+                    ExponentialTail(8e6, 3.0, 7000.0 / 40e6),
+                ],
+                [10e6, 20e6, 30e6, 40e6],
+            ),
+            (
+                [
+                    ExponentialTail(2e6, 1.0, 1000.0 / 10e6),
+                    ExponentialTail(5e6, 0.2, 2500.0 / 20e6),
+                    ExponentialTail(1e7, 1.0, 4000.0 / 40e6),
+                    ExponentialTail(2e6, 0.05, 9000.0 / 20e6),
+                ],
+                [10e6, 20e6, 40e6, 20e6],
+            ),
+        ],
+    )
+    def test_many_tails_never_above_sampled_splits(self, tails, caps):
+        grid = np.linspace(0.0, 4e-3, 41)
+        curve = gsbb_split_curve(tails, caps, grid)
+        exp_idx = [i for i, t in enumerate(tails) if isinstance(t, ExponentialTail)]
+        rng = np.random.default_rng(5)
+        # random points and vertices of the simplex left after each
+        # degenerate class takes the share that zeroes its term
+        k = len(exp_idx)
+        shares = np.vstack([rng.dirichlet(np.ones(k), 20_000), np.eye(k)])
+        for tau, got in zip(grid[1:], curve.probs[1:]):
+            budget = 1.0 - sum(
+                t.burst_bits / (c * tau)
+                for t, c in zip(tails, caps)
+                if isinstance(t, DegenerateTail)
+            )
+            if budget < 0.0:
+                assert got == 1.0
+                continue
+            value = sum(
+                tails[i].tail(budget * shares[:, j] * caps[i] * tau)
+                for j, i in enumerate(exp_idx)
+            )
+            assert got <= min(1.0, value.min()) + 1e-12
+
+    def test_nonpositive_tau_gives_one(self):
+        tails = [_exp_tail(2000.0, 10e6), DegenerateTail(1e6, 0.0)]
+        curve = gsbb_split_curve(tails, [10e6, 10e6], np.array([-1e-3, 0.0, 1e-3]))
+        assert curve.probs[0] == 1.0 and curve.probs[1] == 1.0
+        assert curve.probs[2] < 1.0
+
+    def test_overdrawn_budget_gives_one(self):
+        # the degenerate class alone needs 800/(10e6*tau) > 1 below 80 us
+        tails = [DegenerateTail(8e6, 800.0), ExponentialTail(2e7, 1.0, 5000.0 / 100e6)]
+        grid = np.array([1e-5, 7.9e-5, 8e-5, 2e-4])
+        curve = gsbb_split_curve(tails, [10e6, 100e6], grid)
+        np.testing.assert_array_equal(curve.probs[:2], [1.0, 1.0])
+        # a budget of about 0 leaves the whole prefactor
+        assert curve.probs[2] == pytest.approx(1.0, abs=1e-12)
+        assert curve.probs[3] == pytest.approx(
+            math.exp(-5000.0 * (1.0 - 800.0 / (10e6 * 2e-4)) * 2e-4), rel=1e-12
+        )
+
+    def test_zero_budget_leaves_every_prefactor(self):
+        # the degenerate class takes the whole budget at tau = 0.5 s exactly,
+        # so identical exponential tails sit at the rounding edge of a zero
+        # share and none may be lost to it
+        for decay in np.linspace(100.0, 10_000.0, 50):
+            tails = [DegenerateTail(1e5, 5e5)] + [ExponentialTail(1e5, 0.2, decay / 1e6)] * 3
+            assert gsbb_bound_split(tails, [1e6] * 4, 0.5) == pytest.approx(0.6, rel=1e-9)
+
+    def test_one_exponential_tail_takes_the_whole_budget(self):
+        tails = [DegenerateTail(8e6, 800.0), ExponentialTail(2e7, 0.6, 5000.0 / 100e6)]
+        grid = np.linspace(1e-4, 2e-3, 20)
+        curve = gsbb_split_curve(tails, [10e6, 100e6], grid)
+        expected = 0.6 * np.exp(-5000.0 * (1.0 - 800.0 / (10e6 * grid)) * grid)
+        np.testing.assert_allclose(curve.probs, expected, rtol=1e-12)
+
+    def test_only_degenerate_or_zero_prefactor_tails_give_zero(self):
+        tails = [DegenerateTail(8e6, 800.0), ExponentialTail(2e7, 0.0, 5e-5)]
+        curve = gsbb_split_curve(tails, [10e6, 100e6], np.array([1e-4, 1e-3]))
+        np.testing.assert_array_equal(curve.probs, [0.0, 0.0])
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_point_bound_is_the_curve_bit_for_bit(self, count):
+        caps = [10e6, 20e6, 40e6, 20e6][:count]
+        tails = [
+            ExponentialTail(0.2 * c, m, d / c)
+            for m, d, c in zip((1.0, 0.2, 1.0, 0.05), (1000.0, 2500.0, 4000.0, 9000.0), caps)
+        ]
+        grid = np.linspace(0.0, 4e-3, 101)
+        curve = gsbb_split_curve(tails, caps, grid)
+        points = np.array([gsbb_bound_split(tails, caps, tau) for tau in grid])
+        assert points.tobytes() == curve.probs.tobytes()
 
 
 class TestGsbbConvolution:
@@ -564,6 +696,18 @@ class TestBoundCurveValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
             BoundCurve(np.array([0.0, 1.0]), np.array([1.5, 0.5]), "x")
+
+    @pytest.mark.parametrize(
+        "grid,probs",
+        [
+            ([0.0, 1.0], [np.nan, np.nan]),
+            ([np.nan, np.nan], [1.0, 0.5]),
+            ([np.nan], [1.0]),
+        ],
+    )
+    def test_rejects_nan(self, grid, probs):
+        with pytest.raises(InvalidInputError):
+            BoundCurve(np.array(grid), np.array(probs), "x")
 
     def test_step_curve(self):
         grid = np.array([0.0, 1.0, 2.0, 3.0])

@@ -161,6 +161,12 @@ class TestCompareCommand:
         assert code == EXIT_VIOLATION
 
 
+def _readme_config() -> dict:
+    """The config-file example of the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+
+
 class TestConfigHandling:
     def test_custom_config_file(self, tmp_path):
         config = {
@@ -204,11 +210,12 @@ class TestConfigHandling:
         code = main(["bounds", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
-    def test_malformed_json_rejected(self, tmp_path):
+    def test_malformed_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         code = main(["bounds", "--config", str(path), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+        assert "malformed JSON" in capsys.readouterr().err
 
     def test_duplicate_class_ids_rejected(self, tmp_path, capsys):
         classes = [
@@ -246,6 +253,81 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "unknown bound name 'determinstic'" in capsys.readouterr().err
         assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda c: c["classes"][1]["arrival"].update(rate_per_s=float("nan")),
+                "class 2: rate must be finite and > 0, got nan",
+            ),
+            (
+                lambda c: c["classes"][0].update(service_rate_mbps=float("inf")),
+                "class 1: service rate must be finite and > 0, got inf",
+            ),
+            (lambda c: c.update(custmers=5), "config: unknown key 'custmers'"),
+            (
+                lambda c: c["classes"][1].update(service_rate=5),
+                "classes[1]: unknown key 'service_rate'",
+            ),
+            (
+                lambda c: c["classes"][1]["size"].update(packet_bytes=5),
+                "class 2 size: unknown key 'packet_bytes'",
+            ),
+            (
+                lambda c: c["classes"][1]["arrival"].pop("rate_per_s"),
+                "class 2 arrival: missing key 'rate_per_s'",
+            ),
+            (lambda c: c.pop("classes"), "config: missing key 'classes'"),
+            (lambda c: c.update(bounds="md1"), "config: invalid bounds: 'md1'"),
+            (lambda c: c.update(customers=float("inf")), "config: invalid customers: inf"),
+            (lambda c: c.update(customers=2500.7), "config: invalid customers: 2500.7"),
+            (
+                lambda c: c["classes"][1].update(class_id=2.9),
+                "classes[1]: invalid class_id: 2.9",
+            ),
+            (lambda c: c.update(tau_max_ms=float("nan")), "tau_max_s must be finite"),
+        ],
+    )
+    def test_bad_config_is_a_precise_config_error(self, tmp_path, capsys, edit, message):
+        config = _readme_config()
+        edit(config)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
+    def test_readme_example_loads(self, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(_readme_config()))
+        code = main(["bounds", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+
+    def test_non_integer_env_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MCFIFO_SEED", "seven")
+        assert main(["bounds", "--case", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "MCFIFO_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+
+    def test_overloaded_config_is_a_config_error(self, tmp_path, capsys):
+        config = _readme_config()
+        config["classes"][1]["arrival"]["rate_per_s"] = 1e6
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(config))
+        assert main(["bounds", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "no positive decay" in capsys.readouterr().err
+
+    def test_internal_key_error_propagates(self, tmp_path, monkeypatch):
+        import mcfifo.experiments as experiments_mod
+
+        def broken(config):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(experiments_mod, "case_bound_entries", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["bounds", "--case", "1", "--out", str(tmp_path)])
 
     def test_jobs_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -311,6 +311,26 @@ class TestCaseConfig:
         with pytest.raises(InvalidSpecError, match="duplicate class_id 1"):
             CaseConfig(case_id="x", specs=(spec, spec))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tau_max_s", 0.0),
+            ("tau_max_s", float("nan")),
+            ("tau_max_s", float("inf")),
+            ("warmup_fraction", 1.0),
+            ("warmup_fraction", -0.1),
+            ("warmup_fraction", float("nan")),
+            ("grid_points", 1),
+            ("grid_points", 2.5),
+            ("customers", 0),
+            ("customers", float("inf")),
+            ("replications", 0),
+        ],
+    )
+    def test_invalid_run_parameters_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError, match=field):
+            replace(preset(3), **{field: value})
+
     def test_class_without_arrivals_rejected(self):
         # three customers of case 5: the thinned class keeps no instant
         with pytest.raises(InvalidInputError, match="class 2 has no arrivals"):

@@ -265,6 +265,18 @@ class TestSpecValidation:
             (Poisson(1.0), Constant(0.0), 1.0),
             (Poisson(1.0), ExponentialMean(-5.0), 1.0),
             (Poisson(1.0), Constant(1.0), 0.0),
+            (Periodic(float("nan")), Constant(1.0), 1.0),
+            (Periodic(float("inf")), Constant(1.0), 1.0),
+            (Poisson(float("nan")), Constant(1.0), 1.0),
+            (Poisson(float("inf")), Constant(1.0), 1.0),
+            (CoupledPoisson(float("nan"), 1), Constant(1.0), 1.0),
+            (Poisson(1.0), Constant(float("nan")), 1.0),
+            (Poisson(1.0), Constant(float("inf")), 1.0),
+            (Poisson(1.0), ExponentialMean(float("nan")), 1.0),
+            (Poisson(1.0), ExponentialMean(float("inf")), 1.0),
+            (Poisson(1.0), Constant(1.0), float("nan")),
+            (Poisson(1.0), Constant(1.0), float("inf")),
+            (Poisson(1.0), Constant(1.0), float("-inf")),
         ],
     )
     def test_invalid_parameters_rejected(self, arrival, size, rate):

@@ -41,7 +41,6 @@ from .oracle import (
     virtual_wait_direct,
 )
 from .simulator import (
-    CustomerRecord,
     EmpiricalCCDF,
     RunResult,
     empirical_ccdf,
@@ -60,9 +59,6 @@ from .traffic import (
     Periodic,
     Poisson,
     deterministic_envelope,
-    gen_coupled_poisson,
-    gen_periodic,
-    gen_poisson,
     gsbb_tail_from_mgf,
 )
 

@@ -82,10 +82,6 @@ class BoundCurve:
         if np.any(np.diff(probs) > 1e-12):
             raise InvalidInputError("tail probabilities must be nonincreasing")
 
-    def at(self, tau_s: float) -> float:
-        """Curve value at tau, interpolated; 1 left of the grid, last value right."""
-        return float(np.interp(tau_s, self.grid_s, self.probs, left=1.0))
-
 
 @dataclass(frozen=True)
 class StabilityReport:

@@ -23,7 +23,7 @@ import numpy as np
 from . import analytic
 from .analytic import BoundCurve, StabilityReport, step_bound_curve
 from .errors import InvalidInputError, InvalidSpecError
-from .simulator import RunResult, empirical_ccdf, merge_streams, run_fifo
+from .simulator import MergedArrivals, RunResult, empirical_ccdf, merge_streams, run_fifo
 from .traffic import (
     ArrivalSequence,
     ClassSpec,
@@ -69,6 +69,8 @@ class CaseConfig:
     explicit_sequences: tuple[ArrivalSequence, ...] | None = None
 
     def __post_init__(self):
+        if not self.specs:
+            raise InvalidSpecError("need at least one class: specs is empty")
         seen = set()
         for spec in self.specs:
             if spec.class_id in seen:
@@ -80,7 +82,8 @@ class CaseConfig:
             raise InvalidSpecError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction!r}"
             )
-        for name, least in (("customers", 1), ("grid_points", 2), ("replications", 1)):
+        integers = (("customers", 1), ("grid_points", 2), ("replications", 1), ("seed", 0))
+        for name, least in integers:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= least):
                 raise InvalidSpecError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -158,9 +161,6 @@ class ComparisonResult:
                 return entry
         raise KeyError(label)
 
-    def write_curves_csv(self, path) -> None:
-        write_curves_csv(path, self.curves)
-
     def summary_dict(self) -> dict:
         return {
             "case_id": self.case_id,
@@ -179,9 +179,6 @@ class ComparisonResult:
             ],
             "guaranteed_violations": self.guaranteed_violations,
         }
-
-    def write_summary_json(self, path) -> None:
-        write_json(path, self.summary_dict())
 
 
 def write_curves_csv(path, entries: Sequence[CurveEntry]) -> None:
@@ -328,20 +325,18 @@ def simulate_case(config: CaseConfig) -> RunResult:
     for seq in seqs:
         if len(seq) == 0:  # a thinned class can keep no instant of a short run
             raise InvalidInputError(f"class {seq.class_id} has no arrivals: raise customers")
-    result = run_fifo(merge_streams(seqs), config.rates())
+    merged = merge_streams(seqs)
     if len(seqs) > 1:
         # keep only the span where every class is still arriving, so the
-        # tail of the run is not a partially-loaded system
+        # tail of the run is not a partially-loaded system; the merged
+        # stream is time-ordered, so that span is a prefix, and FIFO is
+        # causal, so cutting it before the queue leaves its waits unchanged
         horizon = min(seq.times_s[-1] for seq in seqs)
-        keep = result.arrival_s <= horizon
-        result = RunResult(
-            result.class_ids[keep],
-            result.class_index[keep],
-            result.arrival_s[keep],
-            result.waiting_s[keep],
-            result.service_s[keep],
+        n = int(np.searchsorted(merged.times_s, horizon, side="right"))
+        merged = MergedArrivals(
+            merged.times_s[:n], merged.sizes_bits[:n], merged.class_ids[:n], merged.class_index[:n]
         )
-    return result
+    return run_fifo(merged, config.rates())
 
 
 def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry]:

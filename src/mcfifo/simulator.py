@@ -53,26 +53,6 @@ TRANSIENT_CHUNK = 2**17
 
 
 @dataclass(frozen=True)
-class CustomerRecord:
-    """One served customer."""
-
-    class_id: int
-    class_index: int  # 1-based index within the class
-    aggregate_index: int  # 0-based position in arrival order
-    arrival_s: float
-    departure_s: float
-    service_s: float
-
-    @property
-    def delay_s(self) -> float:
-        return self.departure_s - self.arrival_s
-
-    @property
-    def waiting_s(self) -> float:
-        return self.delay_s - self.service_s
-
-
-@dataclass(frozen=True)
 class MergedArrivals:
     """Aggregate arrival stream, ordered by time with deterministic tie-breaks."""
 
@@ -91,7 +71,8 @@ class RunResult:
 
     Waiting is the stored quantity; delay and departure derive from it, so
     waiting >= 0 and delay = waiting + service hold exactly in floats. A
-    batch run holds (rows, n) arrays, and its length counts every row.
+    batch run holds (rows, n) arrays, and its length counts every row. The
+    class, index and arrival arrays are those of the merged stream, not copies.
     """
 
     class_ids: np.ndarray
@@ -111,34 +92,13 @@ class RunResult:
     def departure_s(self) -> np.ndarray:
         return self.arrival_s + self.delay_s
 
-    def record(self, i: int) -> CustomerRecord:
-        return CustomerRecord(
-            class_id=int(self.class_ids[i]),
-            class_index=int(self.class_index[i]),
-            aggregate_index=i,
-            arrival_s=float(self.arrival_s[i]),
-            departure_s=float(self.departure_s[i]),
-            service_s=float(self.service_s[i]),
-        )
-
-    def for_class(self, class_id: int) -> "RunResult":
-        mask = self.class_ids == class_id
-        return RunResult(
-            self.class_ids[mask],
-            self.class_index[mask],
-            self.arrival_s[mask],
-            self.waiting_s[mask],
-            self.service_s[mask],
-        )
-
     def write_csv(self, path) -> None:
-        delay = self.delay_s
         columns = (
             self.class_ids.tolist(),
             self.class_index.tolist(),
             map(repr, self.arrival_s.tolist()),
-            map(repr, (self.arrival_s + delay).tolist()),
-            map(repr, delay.tolist()),
+            map(repr, self.departure_s.tolist()),
+            map(repr, self.delay_s.tolist()),
             map(repr, self.waiting_s.tolist()),
         )
         with open(path, "w", newline="") as fh:
@@ -157,9 +117,6 @@ class EmpiricalCCDF:
     fractions: np.ndarray
     sample_count: int
     discarded: int
-
-    def at(self, tau_s: float) -> float:
-        return float(np.interp(tau_s, self.grid_s, self.fractions, left=1.0))
 
 
 def merge_streams(sequences: Sequence[ArrivalSequence]) -> MergedArrivals:
@@ -240,9 +197,9 @@ def run_fifo(merged: MergedArrivals, rates_bps: Mapping[int, float]) -> RunResul
     service = merged.sizes_bits / rate_per_customer
 
     return RunResult(
-        class_ids=merged.class_ids.copy(),
-        class_index=merged.class_index.copy(),
-        arrival_s=times.copy(),
+        class_ids=merged.class_ids,
+        class_index=merged.class_index,
+        arrival_s=times,
         waiting_s=fifo_waits(times, service),
         service_s=service,
     )

@@ -13,7 +13,6 @@ single sequence is its one-row case.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -174,13 +173,6 @@ class ArrivalSequence:
 
     def __len__(self) -> int:
         return self.times_s.shape[-1]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class_id", "arrival_time_s", "size_bits"])
-            for t, b in zip(self.times_s, self.sizes_bits):
-                writer.writerow([self.class_id, repr(float(t)), repr(float(b))])
 
 
 @dataclass(frozen=True)
@@ -390,46 +382,6 @@ class ArrivalStreams:
             times = _pack(kept, instants, np.inf)
             self._append(m, times, self._sizes(m, times.shape[-1]))
             self.horizon[m.class_id] = self.horizon[master.class_id]
-
-
-def gen_periodic(spec: ClassSpec, count: int) -> ArrivalSequence:
-    """Arrivals at period, 2*period, ..., count*period, all of constant size.
-
-    The first arrival is strictly after time 0 so the system starts empty.
-    """
-    if not isinstance(spec.arrival, Periodic):
-        raise InvalidSpecError(f"class {spec.class_id} is not periodic")
-    return generate_sequences([spec], {spec.class_id: count}, seed=0)[0]
-
-
-def gen_poisson(spec: ClassSpec, count: int, seed: int) -> ArrivalSequence:
-    """Poisson arrivals with sizes drawn from the class's size distribution."""
-    if not isinstance(spec.arrival, Poisson):
-        raise InvalidSpecError(f"class {spec.class_id} is not an independent Poisson class")
-    return generate_sequences([spec], {spec.class_id: count}, seed)[0]
-
-
-def gen_coupled_poisson(
-    specs: Sequence[ClassSpec],
-    count: int | Sequence[int],
-    seed: int,
-) -> list[ArrivalSequence]:
-    """Generate one coupling group's arrival sequences from a shared stream.
-
-    With the "scaled" mechanism every class applies -ln(u_j)/rate to the same
-    uniform u_j, so interarrival sequences are elementwise proportional. With
-    "synchronized", slower classes keep a random subset of the fastest class's
-    arrival instants, and only the fastest class's count is used. Size draws
-    always come from per-class substreams, so the coupling affects
-    interarrival times only.
-    """
-    groups = coupling_groups(specs)
-    if len(groups) != 1 or len(specs) != sum(len(m) for m in groups.values()):
-        raise InvalidSpecError("all specs must share one coupling group")
-    counts = [count] * len(specs) if isinstance(count, int) else list(count)
-    if len(counts) != len(specs):
-        raise InvalidSpecError("need one positive count per class")
-    return generate_sequences(specs, {s.class_id: n for s, n in zip(specs, counts)}, seed)
 
 
 def generate_sequences(

@@ -15,9 +15,5 @@ def seconds_from_ms(ms: float) -> float:
     return ms * 1e-3
 
 
-def seconds_from_us(us: float) -> float:
-    return us * 1e-6
-
-
 def bps_from_mbps(mbps: float) -> float:
     return mbps * 1e6

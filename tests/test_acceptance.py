@@ -205,8 +205,8 @@ def test_criterion_7_transient_delays_increase_toward_steady_state():
 
     # the 100th customer must not sit above steady state beyond slack
     steady_run = simulate_case(config)
-    class1 = steady_run.for_class(1)
-    steady = empirical_ccdf(class1.delay_s, grid, warmup_discard=0.1)
+    class1 = steady_run.delay_s[steady_run.class_ids == 1]
+    steady = empirical_ccdf(class1, grid, warmup_discard=0.1)
     se = 3.0 * np.sqrt(
         curves[100] * (1 - curves[100]) / reps
         + steady.fractions * (1 - steady.fractions) / steady.sample_count

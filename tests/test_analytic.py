@@ -713,10 +713,3 @@ class TestBoundCurveValidation:
         grid = np.array([0.0, 1.0, 2.0, 3.0])
         curve = step_bound_curve(2.0, grid, "step")
         np.testing.assert_array_equal(curve.probs, [1.0, 1.0, 0.0, 0.0])
-
-    def test_point_lookup_interpolates_and_extends(self):
-        curve = waiting_bound_curve(1000.0, np.linspace(1e-4, 1e-3, 10))
-        assert curve.at(0.0) == 1.0  # left of the grid
-        assert curve.at(2e-3) == curve.probs[-1]
-        mid = 0.5 * (curve.grid_s[3] + curve.grid_s[4])
-        assert curve.probs[4] <= curve.at(mid) <= curve.probs[3]

@@ -161,10 +161,21 @@ class TestCompareCommand:
         assert code == EXIT_VIOLATION
 
 
+def _readme_block(fence: str, after: str = "") -> str:
+    """The first README code block opened by `fence` after the heading `after`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index(after) :]
+    return section.split(fence + "\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_config() -> dict:
     """The config-file example of the README."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    return json.loads(_readme_block("```json"))
+
+
+def test_readme_library_imports():
+    # a name deleted from the package must not stay documented
+    exec(_readme_block("```python", "## Library entry points"), {})
 
 
 class TestConfigHandling:
@@ -287,6 +298,8 @@ class TestConfigHandling:
                 "classes[1]: invalid class_id: 2.9",
             ),
             (lambda c: c.update(tau_max_ms=float("nan")), "tau_max_s must be finite"),
+            (lambda c: c.update(seed=-4), "seed must be an integer >= 0, got -4"),
+            (lambda c: c.update(classes=[]), "need at least one class"),
         ],
     )
     def test_bad_config_is_a_precise_config_error(self, tmp_path, capsys, edit, message):
@@ -310,6 +323,15 @@ class TestConfigHandling:
         monkeypatch.setenv("MCFIFO_SEED", "seven")
         assert main(["bounds", "--case", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "MCFIFO_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        args = ["simulate", "--case", "3", "--customers", "100", "--out", str(tmp_path)]
+        assert main(args + ["--seed", "-1"]) == EXIT_CONFIG
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        monkeypatch.setenv("MCFIFO_SEED", "-3")
+        assert main(args) == EXIT_CONFIG
+        assert "seed must be an integer >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
 
     def test_overloaded_config_is_a_config_error(self, tmp_path, capsys):
         config = _readme_config()

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,10 @@ from mcfifo.experiments import (
     run_comparison,
     simulate_case,
     tightness_scenario,
+    write_curves_csv,
+    write_json,
 )
+from mcfifo.simulator import RunResult, merge_streams, run_fifo
 from mcfifo.traffic import (
     Constant,
     CoupledPoisson,
@@ -23,6 +26,8 @@ from mcfifo.traffic import (
     Periodic,
     Poisson,
     deterministic_envelope,
+    generate_sequences,
+    proportional_counts,
 )
 
 # golden preset parameters: any drift here is a regression
@@ -164,7 +169,7 @@ class TestRunComparison:
     def test_curve_csv_schema(self, tmp_path):
         r = run_comparison(replace(preset(1), customers=5_000))
         path = tmp_path / "curves.csv"
-        r.write_curves_csv(path)
+        write_curves_csv(path, r.curves)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["curve_label", "tau_s", "prob"]
@@ -174,7 +179,7 @@ class TestRunComparison:
     def test_summary_json_round_trip(self, tmp_path):
         r = run_comparison(replace(preset(2), customers=5_000))
         path = tmp_path / "summary.json"
-        r.write_summary_json(path)
+        write_json(path, r.summary_dict())
         data = json.loads(path.read_text())
         assert data["stability"]["rho"] == pytest.approx(0.9)
         assert data["values"]["cruz_bound_s"] == "N.A."
@@ -306,6 +311,23 @@ class TestCaseConfig:
         c = simulate_case(replace(config, seed=123))
         assert len(c) != len(a) or not np.array_equal(c.waiting_s, a.waiting_s)
 
+    @pytest.mark.parametrize("case_id", [3, 5, 6])
+    def test_horizon_cut_is_a_prefix_of_the_full_run(self, case_id):
+        # cutting the merged stream before the queue keeps the full run's
+        # customers up to the smallest last arrival, bit for bit in every
+        # field: FIFO is causal
+        config = replace(preset(case_id), customers=20_000)
+        counts = proportional_counts(config.specs, config.customers)
+        seqs = generate_sequences(config.specs, counts, config.seed)
+        full = run_fifo(merge_streams(seqs), config.rates())
+        horizon = min(seq.times_s[-1] for seq in seqs)
+        n = int(np.count_nonzero(full.arrival_s <= horizon))
+        cut = simulate_case(config)
+        assert 0 < n < len(full) and len(cut) == n
+        for field in fields(RunResult):
+            kept = getattr(cut, field.name)
+            assert kept.tobytes() == getattr(full, field.name)[:n].tobytes(), field.name
+
     def test_duplicate_class_ids_rejected(self):
         spec = preset(3).specs[0]
         with pytest.raises(InvalidSpecError, match="duplicate class_id 1"):
@@ -325,6 +347,9 @@ class TestCaseConfig:
             ("customers", 0),
             ("customers", float("inf")),
             ("replications", 0),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("specs", ()),
         ],
     )
     def test_invalid_run_parameters_rejected(self, field, value):

@@ -109,7 +109,7 @@ class TestSamplepathDelayBound:
         seqs = [_seq(1, [3.0], [0.25])]
         rates = {1: 1.0}
         result = run_fifo(merge_streams(seqs), rates)
-        bound = samplepath_delay_bound(seqs, rates, result.record(0))
+        bound = samplepath_delay_bound(seqs, rates, 0)
         assert bound == pytest.approx(0.25, rel=1e-12)
         assert bound == pytest.approx(result.delay_s[0], rel=1e-12)
 
@@ -127,17 +127,15 @@ class TestSamplepathDelayBound:
         seqs = [_seq(1, [0.0], [800.0]), _seq(2, [0.0], [10000.0])]
         rates = {1: 20e6, 2: 100e6}
         result = run_fifo(merge_streams(seqs), rates)
-        last = result.record(len(result) - 1)
-        bound = samplepath_delay_bound(seqs, rates, last)
-        assert bound == pytest.approx(last.delay_s, abs=1e-12)
+        bound = samplepath_delay_bound(seqs, rates, len(result) - 1)
+        assert bound == pytest.approx(result.delay_s[-1], abs=1e-12)
         assert bound == pytest.approx(1.4e-4, rel=1e-12)
 
-    def test_record_mismatch_rejected(self):
+    @pytest.mark.parametrize("index", [-1, 1, 2])
+    def test_index_out_of_range_rejected(self, index):
         seqs = [_seq(1, [1.0], [1.0])]
-        rates = {1: 1.0}
-        other = run_fifo(merge_streams([_seq(1, [1.0, 2.0], [1.0, 1.0])]), rates)
-        with pytest.raises(InvalidInputError):
-            samplepath_delay_bound(seqs, rates, other.record(1))
+        with pytest.raises(InvalidInputError, match="merge index"):
+            samplepath_delay_bound(seqs, {1: 1.0}, index)
 
 
 class TestMgfMonteCarlo:

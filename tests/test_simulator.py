@@ -23,7 +23,6 @@ from mcfifo.traffic import (
     ArrivalSequence,
     ArrivalStreams,
     deterministic_envelope,
-    gen_periodic,
     generate_sequences,
     proportional_counts,
 )
@@ -52,7 +51,8 @@ class TestMergeStreams:
 
     def test_case1_customer_count_over_one_second(self):
         config = preset(1)
-        seqs = [gen_periodic(s, int(1.0 / s.arrival.period_s)) for s in config.specs]
+        counts = {s.class_id: int(1.0 / s.arrival.period_s) for s in config.specs}
+        seqs = generate_sequences(config.specs, counts, seed=0)
         merged = merge_streams(seqs)
         assert len(merged) == 11000
 
@@ -383,9 +383,10 @@ def _per_replication_delays(config, class_id, js, replications):
             ):
                 break
             scale *= 2.0
-        result = run_fifo(merge_streams(seqs), config.rates()).for_class(class_id)
+        result = run_fifo(merge_streams(seqs), config.rates())
+        delays = result.delay_s[result.class_ids == class_id]
         for j in js:
-            out[j][r] = result.delay_s[j - 1]
+            out[j][r] = delays[j - 1]
     return out
 
 

@@ -13,9 +13,6 @@ from mcfifo.traffic import (
     Periodic,
     Poisson,
     deterministic_envelope,
-    gen_coupled_poisson,
-    gen_periodic,
-    gen_poisson,
     generate_sequences,
     gsbb_tail_from_mgf,
 )
@@ -24,50 +21,53 @@ CASE1_CLASS1 = ClassSpec(1, Periodic(1e-4), Constant(800.0), 20e6)
 CASE1_CLASS2 = ClassSpec(2, Periodic(1e-3), Constant(10000.0), 100e6)
 
 
+def _one(spec, count, seed=0):
+    return generate_sequences([spec], {spec.class_id: count}, seed)[0]
+
+
+def _group(specs, count, seed):
+    return generate_sequences(specs, {s.class_id: count for s in specs}, seed)
+
+
 class TestGenPeriodic:
     def test_case1_first_three_arrivals(self):
-        seq = gen_periodic(CASE1_CLASS1, 3)
+        seq = _one(CASE1_CLASS1, 3)
         np.testing.assert_allclose(seq.times_s, [1e-4, 2e-4, 3e-4], rtol=1e-12)
         assert np.all(seq.sizes_bits == 800.0)
 
     def test_single_arrival(self):
         spec = ClassSpec(1, Periodic(1.0), Constant(1.0), 1.0)
-        seq = gen_periodic(spec, 1)
+        seq = _one(spec, 1)
         assert seq.times_s[0] == 1.0
 
     def test_thousandth_arrival_lands_on_one_second(self):
-        seq = gen_periodic(CASE1_CLASS2, 1000)
+        seq = _one(CASE1_CLASS2, 1000)
         assert seq.times_s[-1] == pytest.approx(1.0, rel=1e-12)
-
-    def test_wrong_arrival_kind_rejected(self):
-        spec = ClassSpec(1, Poisson(10.0), Constant(1.0), 1.0)
-        with pytest.raises(InvalidSpecError):
-            gen_periodic(spec, 5)
 
 
 class TestGenPoisson:
     def test_mean_interarrival(self):
         spec = ClassSpec(1, Poisson(10000.0), Constant(800.0), 10e6)
-        seq = gen_poisson(spec, 1_000_000, seed=42)
+        seq = _one(spec, 1_000_000, seed=42)
         gaps = np.diff(np.concatenate([[0.0], seq.times_s]))
         assert gaps.mean() == pytest.approx(1e-4, rel=0.01)
 
     def test_deterministic_for_fixed_seed(self):
         spec = ClassSpec(1, Poisson(1.0), Constant(1.0), 1.0)
-        a = gen_poisson(spec, 1000, seed=7)
-        b = gen_poisson(spec, 1000, seed=7)
+        a = _one(spec, 1000, seed=7)
+        b = _one(spec, 1000, seed=7)
         np.testing.assert_array_equal(a.times_s, b.times_s)
         np.testing.assert_array_equal(a.sizes_bits, b.sizes_bits)
 
     def test_exponential_size_mean(self):
         spec = ClassSpec(1, Poisson(1000.0), ExponentialMean(10000.0), 100e6)
-        seq = gen_poisson(spec, 1_000_000, seed=3)
+        seq = _one(spec, 1_000_000, seed=3)
         assert seq.sizes_bits.mean() == pytest.approx(10000.0, rel=0.01)
 
     def test_count_must_be_positive(self):
         spec = ClassSpec(1, Poisson(1.0), Constant(1.0), 1.0)
         with pytest.raises(InvalidSpecError):
-            gen_poisson(spec, 0, seed=1)
+            _one(spec, 0, seed=1)
 
 
 def _coupled_pair(rate1, rate2, mechanism="scaled"):
@@ -79,13 +79,13 @@ def _coupled_pair(rate1, rate2, mechanism="scaled"):
 
 class TestGenCoupledPoisson:
     def test_equal_rates_give_identical_sequences(self):
-        seqs = gen_coupled_poisson(_coupled_pair(500.0, 500.0), 2000, seed=5)
+        seqs = _group(_coupled_pair(500.0, 500.0), 2000, seed=5)
         np.testing.assert_array_equal(seqs[0].times_s, seqs[1].times_s)
 
     def test_scaling_identity_elementwise(self):
         # identical uniforms scaled per class: the whole class-2 timeline is
         # the class-1 timeline stretched by the rate ratio
-        seqs = gen_coupled_poisson(_coupled_pair(10000.0, 1000.0), 5000, seed=5)
+        seqs = _group(_coupled_pair(10000.0, 1000.0), 5000, seed=5)
         np.testing.assert_allclose(seqs[1].times_s, 10.0 * seqs[0].times_s, rtol=1e-12)
         gaps1 = np.diff(np.concatenate([[0.0], seqs[0].times_s]))
         gaps2 = np.diff(np.concatenate([[0.0], seqs[1].times_s]))
@@ -94,7 +94,7 @@ class TestGenCoupledPoisson:
     def test_marginal_moments_match_independent_poisson(self):
         # coupling must leave each marginal an exponential interarrival stream
         n = 1_000_000
-        seqs = gen_coupled_poisson(_coupled_pair(10000.0, 1000.0), n, seed=11)
+        seqs = _group(_coupled_pair(10000.0, 1000.0), n, seed=11)
         for seq, rate in zip(seqs, (10000.0, 1000.0)):
             gaps = np.diff(np.concatenate([[0.0], seq.times_s]))
             mean_se = (1 / rate) / np.sqrt(n)
@@ -103,7 +103,7 @@ class TestGenCoupledPoisson:
             assert abs(gaps.var(ddof=1) - 1 / rate**2) < 3 * var_se
 
     def test_synchronized_is_a_subset_of_the_fast_class(self):
-        seqs = gen_coupled_poisson(
+        seqs = _group(
             _coupled_pair(10000.0, 1000.0, "synchronized"), 50_000, seed=13
         )
         fast, slow = seqs
@@ -115,14 +115,14 @@ class TestGenCoupledPoisson:
     def test_rejects_single_class_group(self):
         spec = ClassSpec(1, CoupledPoisson(1.0, 9), Constant(1.0), 1.0)
         with pytest.raises(InvalidSpecError):
-            gen_coupled_poisson([spec], 10, seed=1)
+            _group([spec], 10, seed=1)
 
     def test_sizes_are_not_coupled(self):
         specs = [
             ClassSpec(1, CoupledPoisson(100.0, 9), ExponentialMean(100.0), 1e6),
             ClassSpec(2, CoupledPoisson(100.0, 9), ExponentialMean(100.0), 1e6),
         ]
-        seqs = gen_coupled_poisson(specs, 5000, seed=1)
+        seqs = _group(specs, 5000, seed=1)
         corr = np.corrcoef(seqs[0].sizes_bits, seqs[1].sizes_bits)[0, 1]
         assert abs(corr) < 0.05
 
@@ -185,7 +185,7 @@ class TestDeterministicEnvelope:
 class TestPeriodicEnvelopeInvariant:
     def test_window_scan(self):
         # every window of the generated sequence obeys rate*t + burst
-        seq = gen_periodic(CASE1_CLASS1, 2000)
+        seq = _one(CASE1_CLASS1, 2000)
         env = deterministic_envelope(CASE1_CLASS1)
         times = seq.times_s
         counts = np.arange(1, len(times) + 1)
@@ -241,19 +241,6 @@ class TestGsbbTail:
         assert tail.decay_per_bit > 0
         with pytest.raises(NoDecayError):
             gsbb_tail_from_mgf(spec, reference_rate_bps=0.799 * 10e6)
-
-
-class TestSequenceCsv:
-    def test_schema_and_roundtrip(self, tmp_path):
-        seq = gen_periodic(CASE1_CLASS1, 5)
-        path = tmp_path / "seq.csv"
-        seq.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "class_id,arrival_time_s,size_bits"
-        assert len(lines) == 6
-        cid, t, bits = lines[1].split(",")
-        assert int(cid) == 1
-        assert float(t) == seq.times_s[0] and float(bits) == 800.0
 
 
 class TestSpecValidation:

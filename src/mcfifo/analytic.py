@@ -274,14 +274,9 @@ def theta_mm1(specs: Sequence[ClassSpec]) -> tuple[ThetaSolution, ThetaSolution]
 def waiting_bound_curve(
     theta: ThetaSolution | float,
     grid_s: np.ndarray,
-    prefactor: float = 1.0,
     label: str | None = None,
 ) -> BoundCurve:
-    """Waiting-time tail bound prefactor * exp(-theta*tau), clamped to [0, 1].
-
-    The default prefactor 1 is the continuous-time form; discrete-time
-    analyses may pass the excess-work MGF value at theta instead.
-    """
+    """Waiting-time tail bound exp(-theta*tau), clamped to [0, 1]."""
     if isinstance(theta, ThetaSolution):
         rate, approximate = theta.theta_star, theta.method == "taylor-approx"
     else:
@@ -289,7 +284,7 @@ def waiting_bound_curve(
     if rate <= 0:
         raise InvalidInputError("decay rate must be positive")
     grid = np.asarray(grid_s, dtype=float)
-    probs = np.clip(prefactor * np.exp(-rate * grid), 0.0, 1.0)
+    probs = np.clip(np.exp(-rate * grid), 0.0, 1.0)
     if label is None:
         label = f"waiting_exp_decay_{rate:.6g}"
     return BoundCurve(grid, probs, label, approximate=approximate)
@@ -377,8 +372,6 @@ def delay_bound_convolve(
         y = float(service_cdf)
         if y < 0:
             raise InvalidInputError("constant service time must be >= 0")
-        if y == 0.0:
-            return BoundCurve(grid, wait_tail, label, waiting_curve.approximate)
         shift = y / h
         if abs(shift - round(shift)) < 1e-9:
             k = int(round(shift))
@@ -451,8 +444,6 @@ def gsbb_split_curve(
     tails: Sequence[GsbbTail],
     rates_bps: Sequence[float],
     grid_s: np.ndarray,
-    label: str = "gsbb_split",
-    approximate: bool = False,
 ) -> BoundCurve:
     """Delay tail bound by the best split of tau across classes, over a grid.
 
@@ -483,7 +474,7 @@ def gsbb_split_curve(
         if prefactors
         else 0.0
     )
-    return BoundCurve(grid, probs, label, approximate=approximate)
+    return BoundCurve(grid, probs, "gsbb_split")
 
 
 def gsbb_bound_split(
@@ -497,22 +488,15 @@ def gsbb_bound_convolution(
     tails: Sequence[GsbbTail],
     rates_bps: Sequence[float],
     grid_s: np.ndarray,
-    independent: bool = True,
     refine: int = CONV_REFINE,
-    label: str = "gsbb_convolution",
 ) -> BoundCurve:
     """Delay tail bound for independent classes by convolving per-class CDFs.
 
     Each class contributes a backlog term with CDF 1 - tail_n(C_n*tau) in the
     delay variable; independence lets the sum's CDF be their convolution.
     Degenerate tails are exact shifts; exponential tails are tabulated on an
-    internally refined grid. Refuses dependent inputs, where only the split
-    bound applies.
+    internally refined grid. Under dependence only the split bound applies.
     """
-    if not independent:
-        raise ConditionNotMetError(
-            "classes are not independent: use the split bound instead"
-        )
     _check_gsbb_rates(tails, rates_bps)
     grid = np.asarray(grid_s, dtype=float)
     fine = _fine_grid(grid, refine)
@@ -527,7 +511,7 @@ def gsbb_bound_convolution(
         f_total = f_n if f_total is None else _convolve_cdfs_fine(f_total, f_n)
 
     if f_total is None:
-        return step_bound_curve(shift, grid, label)
+        return step_bound_curve(shift, grid, "gsbb_convolution")
     if shift > 0.0:
         # evaluate the shifted CDF at grid points, flooring to the fine grid
         # so the CDF is never overstated
@@ -536,7 +520,7 @@ def gsbb_bound_convolution(
     else:
         probs = 1.0 - f_total[::refine]
     probs = np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
-    return BoundCurve(grid, probs, label)
+    return BoundCurve(grid, probs, "gsbb_convolution")
 
 
 def equalized_weights(specs: Sequence[ClassSpec], theta: float) -> np.ndarray:
@@ -630,13 +614,11 @@ def bound_dmdm(
     grid = np.asarray(grid_s, dtype=float)
     if class_id == det.class_id:
         probs = np.clip(np.exp(-theta * grid), 0.0, 1.0)
-        label = f"mixed_pair_waiting_c{class_id}"
     elif class_id == mm.class_id:
         probs = np.clip(np.exp(-theta * (grid - det.mean_service_s)), 0.0, 1.0)
-        label = f"mixed_pair_waiting_c{class_id}"
     else:
         raise InvalidSpecError(f"unknown class_id {class_id}")
-    return BoundCurve(grid, probs, label)
+    return BoundCurve(grid, probs, f"mixed_pair_waiting_c{class_id}")
 
 
 def kingman_reference(

@@ -66,7 +66,6 @@ class CaseConfig:
     warmup_fraction: float = DEFAULT_WARMUP
     bounds: tuple[str, ...] = ()
     replications: int = 1
-    explicit_sequences: tuple[ArrivalSequence, ...] | None = None
 
     def __post_init__(self):
         if not self.specs:
@@ -153,7 +152,9 @@ class ComparisonResult:
 
     @property
     def guaranteed_violations(self) -> int:
-        return sum(v.count for v in self.violations if v.guaranteed)
+        """Exceedances of guaranteed curves, plus delays above the D/D/1 bound."""
+        over_dd1 = int(self.values.get("delays_above_dd1", 0))
+        return sum(v.count for v in self.violations if v.guaranteed) + over_dd1
 
     def curve(self, label: str) -> CurveEntry:
         for entry in self.curves:
@@ -279,91 +280,70 @@ def preset(case_id: int) -> CaseConfig:
 
 def tightness_scenario(
     envelopes: Sequence[DeterministicEnvelope], rates_bps: Sequence[float]
-) -> CaseConfig:
-    """Arrival pattern attaining the worst-case deterministic delay.
+) -> RunResult:
+    """Run of the arrival pattern attaining the worst-case deterministic delay.
 
     Every class emits its full burst at time 0; the burst customer served
-    last leaves exactly sum_n burst_n/C_n later. Sequences are explicit, so
-    the run bypasses the generators and their first-arrival phase convention.
+    last leaves exactly sum_n burst_n/C_n later. Class n is the n-th
+    envelope, served at the n-th rate.
     """
-    specs = []
+    if len(envelopes) != len(rates_bps):
+        raise InvalidInputError("need one rate per envelope")
     seqs = []
-    for i, (env, capacity) in enumerate(zip(envelopes, rates_bps), start=1):
+    for i, env in enumerate(envelopes, start=1):
         if env.burst_bits <= 0 or env.rate_bps <= 0:
             raise InvalidInputError("tightness needs positive rate and burst")
-        specs.append(
-            ClassSpec(
-                class_id=i,
-                arrival=Periodic(env.burst_bits / env.rate_bps),
-                size=Constant(env.burst_bits),
-                service_rate_bps=capacity,
-            )
-        )
-        seqs.append(
-            ArrivalSequence(i, np.array([0.0]), np.array([env.burst_bits]))
-        )
-    bound = sum(e.burst_bits / c for e, c in zip(envelopes, rates_bps))
-    return CaseConfig(
-        case_id="tightness",
-        specs=tuple(specs),
-        customers=len(specs),
-        tau_max_s=1.5 * bound,
-        grid_points=200,
-        warmup_fraction=0.0,
-        bounds=("deterministic",),
-        explicit_sequences=tuple(seqs),
-    )
+        seqs.append(ArrivalSequence(i, np.array([0.0]), np.array([env.burst_bits])))
+    return run_fifo(merge_streams(seqs), dict(enumerate(rates_bps, start=1)))
 
 
 def simulate_case(config: CaseConfig) -> RunResult:
-    """Generate (or take) the case's arrivals and run them through the queue."""
-    if config.explicit_sequences is not None:
-        seqs = list(config.explicit_sequences)
-    else:
-        counts = proportional_counts(config.specs, config.customers)
-        seqs = generate_sequences(config.specs, counts, config.seed)
+    """Generate the case's arrivals and run them through the queue until the
+    horizon, the last arrival of the class that stops first."""
+    counts = proportional_counts(config.specs, config.customers)
+    seqs = generate_sequences(config.specs, counts, config.seed)
+    # keep only the span where every class is still arriving, so the tail of
+    # the run is not a partially-loaded system; the merged stream is
+    # time-ordered, so that span is a prefix, and FIFO is causal, so cutting
+    # it before the queue leaves its waits unchanged
+    horizon = min((seq.times_s[-1] for seq in seqs if len(seq)), default=0.0)
     for seq in seqs:
-        if len(seq) == 0:  # a thinned class can keep no instant of a short run
-            raise InvalidInputError(f"class {seq.class_id} has no arrivals: raise customers")
+        # a short run can thin a class to nothing or end before its first
+        # arrival; every class of the config must be in the run
+        if len(seq) == 0 or seq.times_s[0] > horizon:
+            raise InvalidInputError(
+                f"class {seq.class_id} has no arrivals before the horizon: raise customers"
+            )
     merged = merge_streams(seqs)
-    if len(seqs) > 1:
-        # keep only the span where every class is still arriving, so the
-        # tail of the run is not a partially-loaded system; the merged
-        # stream is time-ordered, so that span is a prefix, and FIFO is
-        # causal, so cutting it before the queue leaves its waits unchanged
-        horizon = min(seq.times_s[-1] for seq in seqs)
-        n = int(np.searchsorted(merged.times_s, horizon, side="right"))
-        merged = MergedArrivals(
-            merged.times_s[:n], merged.sizes_bits[:n], merged.class_ids[:n], merged.class_index[:n]
-        )
+    n = int(np.searchsorted(merged.times_s, horizon, side="right"))
+    merged = MergedArrivals(
+        merged.times_s[:n], merged.sizes_bits[:n], merged.class_ids[:n], merged.class_index[:n]
+    )
     return run_fifo(merged, config.rates())
+
+
+def empirical_entry(
+    label: str, metric: str, class_id: int | None, values, grid, warmup: float, note: str = ""
+) -> CurveEntry:
+    """The empirical tail of values over grid, after discarding a warmup fraction."""
+    ccdf = empirical_ccdf(values, grid, warmup)
+    fractions, samples = ccdf.fractions, ccdf.sample_count
+    return CurveEntry(
+        label, "empirical", metric, class_id, grid, fractions, note=note, samples=samples
+    )
 
 
 def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry]:
     """Empirical CCDFs of delay and waiting: aggregate, then one per class."""
-    grid = config.grid()
-    masks = {
-        cid: result.class_ids == cid for cid in np.unique(result.class_ids).tolist()
-    }
+    grid, warmup = config.grid(), config.warmup_fraction
+    masks = {cid: result.class_ids == cid for cid in sorted(s.class_id for s in config.specs)}
     entries = []
-    per_metric = {"delay": result.delay_s, "waiting": result.waiting_s}
-    for metric, values in per_metric.items():
-        samples = [(f"sim_{metric}", None, values)] + [
-            (f"sim_{metric}_c{cid}", cid, values[mask]) for cid, mask in masks.items()
+    for metric, values in (("delay", result.delay_s), ("waiting", result.waiting_s)):
+        entries.append(empirical_entry(f"sim_{metric}", metric, None, values, grid, warmup))
+        entries += [
+            empirical_entry(f"sim_{metric}_c{cid}", metric, cid, values[mask], grid, warmup)
+            for cid, mask in masks.items()
         ]
-        for label, cid, sample in samples:
-            ccdf = empirical_ccdf(sample, grid, config.warmup_fraction)
-            entries.append(
-                CurveEntry(
-                    label,
-                    "empirical",
-                    metric,
-                    cid,
-                    grid,
-                    ccdf.fractions,
-                    samples=ccdf.sample_count,
-                )
-            )
     return entries
 
 
@@ -528,17 +508,12 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     bound_entries, values = case_bound_entries(config)
     deterministic = _is_deterministic(config)
 
-    violations = []
-    for bound in bound_entries:
-        target_label = (
-            f"sim_{bound.metric}"
-            if bound.class_id is None
-            else f"sim_{bound.metric}_c{bound.class_id}"
-        )
-        target = next((e for e in empirical if e.label == target_label), None)
-        if target is None:
-            continue
-        violations.append(_check_violations(bound, target, deterministic))
+    # simulate_case ran every class of the config, so every bound has its curve
+    targets = {(e.metric, e.class_id): e for e in empirical}
+    violations = [
+        _check_violations(bound, targets[bound.metric, bound.class_id], deterministic)
+        for bound in bound_entries
+    ]
 
     if deterministic and "dd1_bound_s" in values:
         bound_s = values["dd1_bound_s"]

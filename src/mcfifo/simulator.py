@@ -113,10 +113,8 @@ class RunResult:
 class EmpiricalCCDF:
     """Tail fractions of a sample over a tau grid."""
 
-    grid_s: np.ndarray
     fractions: np.ndarray
     sample_count: int
-    discarded: int
 
 
 def merge_streams(sequences: Sequence[ArrivalSequence]) -> MergedArrivals:
@@ -224,7 +222,7 @@ def empirical_ccdf(
         raise InvalidInputError("no values left after warmup discard")
     grid = np.asarray(grid_s, dtype=float)
     above = len(kept) - np.searchsorted(kept, grid, side="right")
-    return EmpiricalCCDF(grid, above / len(kept), len(kept), discard)
+    return EmpiricalCCDF(above / len(kept), len(kept))
 
 
 def replication_seed(base_seed: int, chunk: int) -> int:

@@ -84,7 +84,7 @@ def test_criterion_2_tightness_attains_the_bound():
         config = preset(case_id)
         envs = [deterministic_envelope(s) for s in config.specs]
         rates = [s.service_rate_bps for s in config.specs]
-        result = simulate_case(tightness_scenario(envs, rates))
+        result = tightness_scenario(envs, rates)
         gap = abs(result.delay_s.max() - bound_dd1(envs, rates))
         assert gap <= 1e-9, f"case {case_id}: gap {gap}"
         assert result.delay_s.max() == pytest.approx(bound, abs=1e-9)

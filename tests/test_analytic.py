@@ -234,12 +234,6 @@ class TestWaitingBoundCurve:
         logs = np.log(curve.probs)
         np.testing.assert_allclose(np.diff(logs), np.diff(logs)[0], rtol=1e-9)
 
-    def test_prefactor_option(self):
-        grid = np.array([0.0, 1e-3])
-        curve = waiting_bound_curve(1000.0, grid, prefactor=2.0)
-        assert curve.probs[0] == 1.0  # clamped
-        assert curve.probs[1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
-
 
 class TestConvolveCdfsFine:
     """The numpy real-FFT convolution against scipy's fftconvolve, which the
@@ -554,11 +548,6 @@ class TestGsbbConvolution:
         curve = gsbb_bound_convolution(tails, rates, grid)
         bound = bound_dd1(envs, rates)
         np.testing.assert_array_equal(curve.probs, np.where(grid >= bound, 0.0, 1.0))
-
-    def test_dependence_refused(self):
-        tails = [_exp_tail(1000.0, 10e6)] * 2
-        with pytest.raises(ConditionNotMetError):
-            gsbb_bound_convolution(tails, [10e6, 10e6], np.linspace(0, 1e-3, 10), independent=False)
 
 
 class TestMstarSplitBound:

@@ -155,10 +155,12 @@ class TestCompareCommand:
             return result
 
         monkeypatch.setattr(cli_mod, "run_comparison", doctored)
-        code = main(
-            ["compare", "--case", "1", "--customers", "2000", "--out", str(tmp_path / "o")]
-        )
+        out = tmp_path / "o"
+        code = main(["compare", "--case", "1", "--customers", "2000", "--out", str(out)])
         assert code == EXIT_VIOLATION
+        # the exit code and summary.json report the same verdict
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["guaranteed_violations"] == 3
 
 
 def _readme_block(fence: str, after: str = "") -> str:

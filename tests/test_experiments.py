@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mcfifo.analytic import theta_md1
+from mcfifo.cli import EXIT_CONFIG, main
 from mcfifo.errors import InvalidInputError, InvalidSpecError
 from mcfifo.experiments import (
     FLOAT_SLACK_S,
@@ -106,22 +107,24 @@ class TestTightness:
         config = preset(1)
         envs = [deterministic_envelope(s) for s in config.specs]
         rates = [s.service_rate_bps for s in config.specs]
-        scenario = tightness_scenario(envs, rates)
-        result = simulate_case(scenario)
+        result = tightness_scenario(envs, rates)
         assert result.delay_s.max() == pytest.approx(1.4e-4, abs=1e-9)
 
     def test_case2_envelopes_attain_the_bound(self):
         config = preset(2)
         envs = [deterministic_envelope(s) for s in config.specs]
         rates = [s.service_rate_bps for s in config.specs]
-        result = simulate_case(tightness_scenario(envs, rates))
+        result = tightness_scenario(envs, rates)
         assert result.delay_s.max() == pytest.approx(1.8e-4, abs=1e-9)
 
     def test_single_class(self):
-        result = simulate_case(
-            tightness_scenario([DeterministicEnvelope(1e6, 5000.0)], [10e6])
-        )
+        result = tightness_scenario([DeterministicEnvelope(1e6, 5000.0)], [10e6])
         assert result.delay_s.max() == pytest.approx(5e-4, abs=1e-12)
+
+    def test_one_rate_per_envelope(self):
+        envs = [DeterministicEnvelope(1e6, 5000.0)] * 2
+        with pytest.raises(InvalidInputError, match="need one rate per envelope"):
+            tightness_scenario(envs, [10e6])
 
 
 class TestRunComparison:
@@ -356,7 +359,16 @@ class TestCaseConfig:
         with pytest.raises(InvalidSpecError, match=field):
             replace(preset(3), **{field: value})
 
-    def test_class_without_arrivals_rejected(self):
+    def test_class_without_arrivals_rejected(self, tmp_path, capsys):
         # three customers of case 5: the thinned class keeps no instant
         with pytest.raises(InvalidInputError, match="class 2 has no arrivals"):
             simulate_case(replace(preset(5), customers=3, seed=3))
+        # three customers of case 6: the Poisson class first arrives after
+        # the periodic class's last arrival, the horizon, so the run would
+        # hold none of it and its bound would go unchecked
+        horizon = "class 2 has no arrivals before the horizon"
+        with pytest.raises(InvalidInputError, match=horizon):
+            simulate_case(replace(preset(6), customers=3, seed=2))
+        args = ["compare", "--case", "6", "--customers", "3", "--seed", "2", "--grid-points", "50"]
+        assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert horizon in capsys.readouterr().err

@@ -244,7 +244,7 @@ class TestEmpiricalCcdf:
         values = [100.0] * 10 + [1.0] * 90
         ccdf = empirical_ccdf(values, np.array([50.0]), warmup_discard=0.1)
         assert ccdf.fractions[0] == 0.0
-        assert ccdf.discarded == 10
+        assert ccdf.sample_count == 90
 
     def test_empty_after_discard_rejected(self):
         with pytest.raises(InvalidInputError):

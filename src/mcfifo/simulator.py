@@ -18,6 +18,16 @@ error is 3.2e-15 s. The sequential loop (oracle.sequential_waits, kept as
 the reference) reaches 3.1e-12 s, and so does an unblocked scan, whose
 prefix sums grow with the whole run.
 
+merge_streams sorts the class-ordered concatenation of the streams once.
+The sort order is a source position per customer: the segment of the
+concatenation it falls in gives the class, and its offset inside that
+segment gives j, so no id or j column is concatenated and then gathered
+through the sort order. Tail fractions count the values above each tau by
+count_above, one searchsorted on sorted values; empirical_ccdf uses it, and
+so does the comparison's CCDF stage (experiments._empirical_entries), which
+sorts each class's values once and counts the aggregate curve from the
+class counts.
+
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
 of shape (rows, n), one queue per row. transient_delays runs replications in
@@ -121,21 +131,26 @@ def merge_streams(sequences: Sequence[ArrivalSequence]) -> MergedArrivals:
     """Stable time-ordered merge; ties go to the lower class id, then lower j.
 
     Streams are concatenated in class-id order, each already time-ordered, so
-    one stable sort along the last axis breaks ties as stated. Batches of
-    shape (rows, n) merge row by row.
+    one stable sort along the last axis breaks ties as stated. The sort order
+    also names each customer: the segment of the concatenation that a source
+    position falls in gives the class, and the offset inside it gives j.
+    Batches of shape (rows, n) merge row by row.
     """
     sequences = sorted(sequences, key=lambda s: s.class_id)
+    ids = np.array([s.class_id for s in sequences], dtype=np.int64)
+    starts = np.cumsum([0] + [len(s) for s in sequences[:-1]], dtype=np.int64)
     times = np.concatenate([s.times_s for s in sequences], axis=-1)
-    sizes = np.concatenate([s.sizes_bits for s in sequences], axis=-1)
-    cids = np.concatenate([np.full(len(s), s.class_id, dtype=np.int64) for s in sequences])
-    jidx = np.concatenate([np.arange(1, len(s) + 1, dtype=np.int64) for s in sequences])
     order = np.argsort(times, axis=-1, kind="stable")
-    return MergedArrivals(
-        np.take_along_axis(times, order, -1),
-        np.take_along_axis(sizes, order, -1),
-        cids[order],
-        jidx[order],
-    )
+    times = np.take_along_axis(times, order, -1)
+    sizes = np.concatenate([s.sizes_bits for s in sequences], axis=-1)
+    sizes = np.take_along_axis(sizes, order, -1)
+    segment = np.zeros(order.shape, dtype=np.intp)  # class position in ids
+    for start in starts[1:]:
+        segment += order >= start
+    class_ids = ids.take(segment)
+    order -= starts.take(segment)
+    order += 1
+    return MergedArrivals(times, sizes, class_ids, order)
 
 
 def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
@@ -159,9 +174,10 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
         start[..., 0] = backlog - (a[..., 0] - last_arrival)
         np.subtract(rel[..., :-1], prefix[..., :-1], out=start[..., 1:])
         np.maximum.accumulate(start, axis=-1, out=start)
-        w = prefix + start - rel
+        w = waits[..., lo : lo + FIFO_BLOCK]
+        np.add(prefix, start, out=w)
+        np.subtract(w, rel, out=w)
         np.maximum(w, 0.0, out=w)
-        waits[..., lo : lo + FIFO_BLOCK] = w
         backlog = w[..., -1] + s[..., -1]
         last_arrival = a[..., -1]
     return waits
@@ -172,12 +188,16 @@ def _rates_per_customer(
 ) -> np.ndarray:
     ids = np.array(sorted(rates_bps), dtype=np.int64)
     pos = np.searchsorted(ids, class_ids)
-    known = pos < len(ids)
-    known[known] = ids[pos[known]] == class_ids[known]
+    # an unknown id lands beside the known ones; clipping keeps the lookup
+    # in range so that the comparison catches it
+    if len(ids):
+        known = ids.take(pos, mode="clip") == class_ids
+    else:
+        known = np.zeros(class_ids.shape, dtype=bool)
     if not np.all(known):
         missing = int(class_ids[~known][0])
         raise InvalidInputError(f"no service rate for class {missing}")
-    return np.array([rates_bps[cid] for cid in ids.tolist()], dtype=float)[pos]
+    return np.array([rates_bps[cid] for cid in ids.tolist()], dtype=float).take(pos)
 
 
 def run_fifo(merged: MergedArrivals, rates_bps: Mapping[int, float]) -> RunResult:
@@ -187,7 +207,7 @@ def run_fifo(merged: MergedArrivals, rates_bps: Mapping[int, float]) -> RunResul
     empty before the first arrival.
     """
     times = merged.times_s
-    if len(times) and np.any(np.diff(times) < 0):
+    if np.any(times[..., 1:] < times[..., :-1]):
         raise InvalidInputError("aggregate arrivals must be time-ordered")
     rate_per_customer = _rates_per_customer(merged.class_ids, rates_bps)
     if np.any(rate_per_customer <= 0) or np.any(merged.sizes_bits <= 0):
@@ -220,9 +240,13 @@ def empirical_ccdf(
     kept = np.sort(values[discard:])
     if len(kept) == 0:
         raise InvalidInputError("no values left after warmup discard")
-    grid = np.asarray(grid_s, dtype=float)
-    above = len(kept) - np.searchsorted(kept, grid, side="right")
+    above = count_above(kept, np.asarray(grid_s, dtype=float))
     return EmpiricalCCDF(above / len(kept), len(kept))
+
+
+def count_above(sorted_s: np.ndarray, grid_s: np.ndarray) -> np.ndarray:
+    """Number of values above each tau of the grid, of values sorted ascending."""
+    return len(sorted_s) - np.searchsorted(sorted_s, grid_s, side="right")
 
 
 def replication_seed(base_seed: int, chunk: int) -> int:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,12 @@ from mcfifo.cli import EXIT_CONFIG, main
 from mcfifo.errors import InvalidInputError, InvalidSpecError
 from mcfifo.experiments import (
     FLOAT_SLACK_S,
+    NOISE_FLOOR_COUNT,
     CaseConfig,
+    CurveEntry,
+    ViolationPoint,
+    _check_violations,
+    _empirical_entries,
     case_bound_entries,
     preset,
     run_comparison,
@@ -19,7 +25,7 @@ from mcfifo.experiments import (
     write_curves_csv,
     write_json,
 )
-from mcfifo.simulator import RunResult, merge_streams, run_fifo
+from mcfifo.simulator import RunResult, empirical_ccdf, merge_streams, run_fifo
 from mcfifo.traffic import (
     Constant,
     CoupledPoisson,
@@ -298,6 +304,80 @@ class TestBurstTailSplitAgainstSimulation:
                 continue
             slack = 3.0 * np.sqrt(p * (1.0 - p) / emp.samples)
             assert p <= b + slack, f"split bound broken at tau={tau}"
+
+
+class TestEmpiricalEntries:
+    def test_every_curve_is_the_ccdf_of_its_own_samples(self):
+        """The aggregate is counted from the class sorts; each curve must
+        still equal empirical_ccdf of its samples, with the aggregate's
+        warmup boundary both before and after each class's own."""
+        boundary_sides = set()
+        for case_id in range(1, 7):
+            for warmup in (0.0, 0.1, 0.5, 0.9):
+                config = replace(preset(case_id), customers=20_000, warmup_fraction=warmup)
+                result = simulate_case(config)
+                entries = _empirical_entries(config, result)
+                by_key = {(e.metric, e.class_id): e for e in entries}
+                assert len(by_key) == len(entries) == 2 * (1 + len(config.specs))
+                skip = int(len(result) * warmup)
+                samples = {None: np.ones(len(result), dtype=bool)}
+                for s in config.specs:
+                    mask = result.class_ids == s.class_id
+                    samples[s.class_id] = mask
+                    # e_c vs d_c: where the aggregate's boundary falls in class c
+                    e = np.count_nonzero(mask[:skip])
+                    boundary_sides.add(np.sign(e - int(np.count_nonzero(mask) * warmup)))
+                metrics = (("delay", result.delay_s), ("waiting", result.waiting_s))
+                for metric, values in metrics:
+                    for cid, mask in samples.items():
+                        want = empirical_ccdf(values[mask], config.grid(), warmup)
+                        got = by_key[metric, cid]
+                        assert np.array_equal(got.probs, want.fractions), (case_id, warmup, cid)
+                        assert got.samples == want.sample_count
+        assert {-1, 1} <= boundary_sides
+
+
+def _violations_reference(bound, target, deterministic):
+    """The point-by-point check: floor, binomial 3-SE slack, exceedance."""
+    points, checked = [], 0
+    n = max(1, target.samples)
+    floor = 0.0 if deterministic else NOISE_FLOOR_COUNT / n
+    for tau, emp, b in zip(target.grid_s, target.probs, bound.probs):
+        if emp <= floor:
+            continue
+        checked += 1
+        slack = 0.0 if deterministic else 3.0 * math.sqrt(emp * (1.0 - emp) / n)
+        if emp > b + slack:
+            points.append(ViolationPoint(float(tau), float(emp), float(b), slack))
+    return checked, tuple(points)
+
+
+class TestCheckViolations:
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_matches_the_pointwise_check(self, deterministic):
+        rng = np.random.default_rng(3)
+        grid = np.linspace(0.0, 1.0, 400)
+        samples = 5000
+        emp = np.sort(rng.integers(0, samples + 1, len(grid)))[::-1] / samples
+        emp[-50:] = 0.0
+        bound_probs = np.clip(emp + rng.normal(0.0, 0.01, len(grid)), 0.0, 1.0)
+        target = CurveEntry("t", "empirical", "waiting", None, grid, emp, samples=samples)
+        bound = CurveEntry("b", "bound", "waiting", None, grid, bound_probs, guaranteed=True)
+        report = _check_violations(bound, target, deterministic)
+        checked, points = _violations_reference(bound, target, deterministic)
+        assert 0 < len(points) < checked < len(grid)
+        assert (report.checked_points, report.points) == (checked, points)
+
+    def test_matches_the_pointwise_check_on_case5(self):
+        config = replace(preset(5), customers=50_000)
+        entries = _empirical_entries(config, simulate_case(config))
+        targets = {(e.metric, e.class_id): e for e in entries}
+        bounds, _ = case_bound_entries(config)
+        for bound in bounds:
+            target = targets[bound.metric, bound.class_id]
+            report = _check_violations(bound, target, False)
+            checked, points = _violations_reference(bound, target, False)
+            assert (report.checked_points, report.points) == (checked, points)
 
 
 class TestCaseConfig:

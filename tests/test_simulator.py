@@ -11,6 +11,7 @@ from mcfifo.experiments import FLOAT_SLACK_S, preset, simulate_case
 from mcfifo.oracle import sequential_waits
 from mcfifo.simulator import (
     FIFO_BLOCK,
+    _rates_per_customer,
     _transient_plan,
     empirical_ccdf,
     fifo_waits,
@@ -55,6 +56,85 @@ class TestMergeStreams:
         seqs = generate_sequences(config.specs, counts, seed=0)
         merged = merge_streams(seqs)
         assert len(merged) == 11000
+
+
+def _merge_reference(sequences):
+    """Stable argsort of the class-ordered concatenation, then a gather of
+    every column: times, sizes, class ids and 1-based j."""
+    sequences = sorted(sequences, key=lambda s: s.class_id)
+    times = np.concatenate([s.times_s for s in sequences], axis=-1)
+    order = np.argsort(times, axis=-1, kind="stable")
+    columns = (
+        times,
+        np.concatenate([s.sizes_bits for s in sequences], axis=-1),
+        np.concatenate([np.full(len(s), s.class_id) for s in sequences]),
+        np.concatenate([np.arange(1, len(s) + 1) for s in sequences]),
+    )
+    return [np.take_along_axis(np.broadcast_to(c, times.shape), order, -1) for c in columns]
+
+
+def _random_streams(rng, ids, lengths, rows=None, tick=None):
+    """Ordered exponential arrivals per class; tick rounds times to force ties,
+    and rows makes a batch whose rows end in a random number of +inf times."""
+    seqs = []
+    for cid, n in zip(ids, lengths):
+        shape = (n,) if rows is None else (rows, n)
+        times = np.cumsum(rng.exponential(1.0, shape), axis=-1)
+        if tick is not None:
+            times = np.round(times / tick) * tick
+        if rows is not None:
+            kept = rng.integers(1, n + 1, rows)
+            times[np.arange(n) >= kept[:, None]] = np.inf
+        seqs.append(ArrivalSequence(cid, times, rng.uniform(1.0, 2.0, shape)))
+    return seqs
+
+
+class TestMergeAgainstReference:
+    @pytest.mark.parametrize(
+        "ids, lengths, rows, tick",
+        [
+            ((2, 1), (300, 500), None, None),  # one dimension, given out of order
+            ((1, 2, 3), (50, 400, 7), None, None),
+            ((1, 2, 3), (200, 300, 100), None, 0.5),  # tied times across and within classes
+            ((7, -3, 0), (40, 120, 1), None, 0.25),  # negative, non-contiguous ids
+            ((1, 3, 2), (30, 60, 45), 25, None),  # ragged batch padded with +inf
+            ((5, -1), (20, 20), 10, 1.0),  # batch with ties
+        ],
+    )
+    def test_columns_equal_the_argsort_gather(self, ids, lengths, rows, tick):
+        rng = np.random.default_rng(sum(lengths))
+        seqs = _random_streams(rng, ids, lengths, rows, tick)
+        merged = merge_streams(seqs)
+        columns = (merged.times_s, merged.sizes_bits, merged.class_ids, merged.class_index)
+        for got, want in zip(columns, _merge_reference(seqs)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_class_among_others(self):
+        seqs = [_seq(1, [1.0, 2.0], [1, 1]), _seq(2, [], []), _seq(3, [1.5], [1])]
+        merged = merge_streams(seqs)
+        np.testing.assert_array_equal(merged.class_ids, [1, 3, 1])
+        np.testing.assert_array_equal(merged.class_index, [1, 1, 2])
+
+
+class TestRateLookup:
+    RATES = {-2: 1.0, 3: 2.0, 8: 4.0}
+
+    def test_rates_follow_class_ids(self):
+        ids = np.array([[3, -2, 8], [8, 8, -2]])
+        np.testing.assert_array_equal(
+            _rates_per_customer(ids, self.RATES), [[2.0, 1.0, 4.0], [4.0, 4.0, 1.0]]
+        )
+
+    @pytest.mark.parametrize("unknown", [-7, 0, 5, 11])  # below, between, above
+    def test_unknown_id_rejected(self, unknown):
+        ids = np.array([3, -2, unknown, 8])
+        with pytest.raises(InvalidInputError, match=f"^no service rate for class {unknown}$"):
+            _rates_per_customer(ids, self.RATES)
+
+    def test_no_rates_at_all(self):
+        with pytest.raises(InvalidInputError, match="^no service rate for class 4$"):
+            _rates_per_customer(np.array([4, 4]), {})
 
 
 class TestRunFifo:

@@ -1,11 +1,14 @@
 """Analytical delay and waiting-time bounds for the multiclass FIFO queue.
 
 Deterministic bounds come straight from rate/burst envelopes. Stochastic
-bounds hinge on a decay rate: the largest theta for which the excess-work
-condition E[exp(theta*(sum_n A_n(1)/C_n - 1))] <= 1 holds, where A_n(1)/C_n
-is the service time brought by class n per unit time. The waiting-time tail
-is then bounded by exp(-theta*tau), and delay tails follow by convolving
-with the service-time distribution.
+bounds hinge on a decay rate: the largest theta for which one excess-work
+condition, E[exp(theta*(sum_n A_n(1)/C_n - share))] <= 1, holds, where
+A_n(1)/C_n is the service time brought by class n per unit time
+(excess_mgf). Taken over all classes at share 1 it gives the aggregate rate,
+whose waiting-time tail bound exp(-theta*tau) holds for independent classes;
+delay tails follow by convolving with the service-time distribution. Taken
+for one class at its rate share omega_n it gives that class's burst tail,
+and the split of tau across those tails tolerates any dependence.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .traffic import (
 ROOT_REL_TOL = 1e-12
 #: Default refinement factor of the internal convolution grid.
 CONV_REFINE = 32
+#: E[S^2]/Y^2 of a service time S with mean Y, by size kind.
+_SECOND_MOMENT = {Constant: 1.0, ExponentialMean: 2.0}
 
 
 @dataclass(frozen=True)
@@ -196,51 +201,62 @@ def _require_poisson_family(specs: Sequence[ClassSpec], size_kind: type) -> None
             )
 
 
-def _check_stable(specs: Sequence[ClassSpec]) -> float:
+def second_order_theta(specs: Sequence[ClassSpec], share: float = 1.0) -> float:
+    """2*(share-rho)/sum_n rate_n*E[S_n^2], the root of the excess-work
+    condition with each class's log-MGF expanded to second order."""
     rho = sum(s.utilization for s in specs)
-    if rho >= 1.0:
-        raise NoPositiveRootError(f"utilization {rho:.6g} is not below 1")
-    return rho
+    if rho >= share:
+        raise NoPositiveRootError(f"utilization {rho:.6g} is not below {share:.6g}")
+    curvature = sum(
+        s.arrival_rate_hz * s.mean_service_s**2 * _SECOND_MOMENT[type(s.size)] for s in specs
+    )
+    return 2.0 * (share - rho) / curvature
 
 
-def _second_order_theta(specs: Sequence[ClassSpec]) -> float:
-    """2*(1-rho)/sum_n rate_n*Y_n^2, the root of the excess-work condition
-    with each exponential expanded to second order."""
-    rho = _check_stable(specs)
-    curvature = sum(s.arrival_rate_hz * s.mean_service_s**2 for s in specs)
-    return 2.0 * (1.0 - rho) / curvature
+def excess_mgf(specs: Sequence[ClassSpec], share: float = 1.0) -> Callable[[float], float]:
+    """The excess-work MGF E[exp(theta*(sum_n A_n(1)/C_n - share))] of Poisson
+    classes, as a function of theta.
 
-
-def mgf_excess_constant_sizes(specs: Sequence[ClassSpec]) -> Callable[[float], float]:
-    """Excess-work MGF for Poisson arrivals with constant sizes.
-
-    Per class the unit-time work is compound Poisson, so the log-MGF is
-    rate*(exp(theta*Y)-1); the aggregate excess adds -theta.
+    Per class the unit-time work is compound Poisson, so its log-MGF is
+    rate*(E[exp(theta*S)] - 1): rate*expm1(theta*Y) for constant sizes and
+    rate*theta/(mu - theta) for exponential sizes, which is +inf at and past
+    mu, so the root search treats it as condition violated. Share 1 is the
+    aggregate condition; a class's rate share omega_n gives its own.
     """
-    params = [(s.arrival_rate_hz, s.mean_service_s) for s in specs]
-
-    def mgf(theta: float) -> float:
-        return math.exp(
-            sum(lam * math.expm1(theta * y) for lam, y in params) - theta
+    params = [
+        (
+            s.arrival_rate_hz,
+            s.mean_service_s,
+            s.service_completion_rate_hz if isinstance(s.size, ExponentialMean) else None,
         )
-
-    return mgf
-
-
-def mgf_excess_exponential_sizes(specs: Sequence[ClassSpec]) -> Callable[[float], float]:
-    """Excess-work MGF for Poisson arrivals with exponential sizes.
-
-    Finite only for theta below every class's service completion rate; larger
-    theta returns +inf so the root search treats it as condition violated.
-    """
-    params = [(s.arrival_rate_hz, s.service_completion_rate_hz) for s in specs]
+        for s in specs
+    ]
 
     def mgf(theta: float) -> float:
-        if any(theta >= mu for _, mu in params):
+        if any(mu is not None and theta >= mu for _, _, mu in params):
             return math.inf
-        return math.exp(sum(lam * theta / (mu - theta) for lam, mu in params) - theta)
+        log_mgf = sum(
+            lam * math.expm1(theta * y) if mu is None else lam * theta / (mu - theta)
+            for lam, y, mu in params
+        )
+        return math.exp(log_mgf - theta * share)
 
     return mgf
+
+
+#: The condition under the name of each size family, for callers that name it.
+mgf_excess_constant_sizes = excess_mgf
+mgf_excess_exponential_sizes = excess_mgf
+
+
+def _decay_rates(
+    specs: Sequence[ClassSpec], size_kind: type
+) -> tuple[ThetaSolution, ThetaSolution]:
+    _require_poisson_family(specs, size_kind)
+    approx = ThetaSolution(second_order_theta(specs), "taylor-approx", 0.0)
+    exponential = size_kind is ExponentialMean
+    domain_hi = min(s.service_completion_rate_hz for s in specs) if exponential else None
+    return theta_exact(excess_mgf(specs), domain_hi=domain_hi), approx
 
 
 def theta_md1(specs: Sequence[ClassSpec]) -> tuple[ThetaSolution, ThetaSolution]:
@@ -250,25 +266,17 @@ def theta_md1(specs: Sequence[ClassSpec]) -> tuple[ThetaSolution, ThetaSolution]
     Expanding the exponential to second order gives the closed form
     2*(1-rho)/sum_n rate_n*Y_n^2, which always overestimates the exact root.
     """
-    _require_poisson_family(specs, Constant)
-    approx = ThetaSolution(_second_order_theta(specs), "taylor-approx", 0.0)
-    exact = theta_exact(mgf_excess_constant_sizes(specs))
-    return exact, approx
+    return _decay_rates(specs, Constant)
 
 
 def theta_mm1(specs: Sequence[ClassSpec]) -> tuple[ThetaSolution, ThetaSolution]:
-    """Exact and first-order decay rates for Poisson/exponential-size classes.
+    """Exact and second-order decay rates for Poisson/exponential-size classes.
 
     The exact rate is the root of sum_n rate_n/(mu_n - theta) = 1 on
-    (0, min_n mu_n); the geometric-series expansion gives the closed form
+    (0, min_n mu_n); with E[S^2] = 2*Y^2 the second-order form is
     (1-rho)/sum_n rate_n*Y_n^2.
     """
-    _require_poisson_family(specs, ExponentialMean)
-    # halving is exact in binary, so this is (1-rho)/curvature to the bit
-    approx = ThetaSolution(0.5 * _second_order_theta(specs), "taylor-approx", 0.0)
-    domain_hi = min(s.service_completion_rate_hz for s in specs)
-    exact = theta_exact(mgf_excess_exponential_sizes(specs), domain_hi=domain_hi)
-    return exact, approx
+    return _decay_rates(specs, ExponentialMean)
 
 
 def waiting_bound_curve(
@@ -549,7 +557,7 @@ def bound_mstar_d1(specs: Sequence[ClassSpec], grid_s: np.ndarray) -> BoundCurve
     form.
     """
     _require_poisson_family(specs, Constant)
-    theta = _second_order_theta(specs)
+    theta = second_order_theta(specs)
     weights = equalized_weights(specs, theta)
     if not math.isclose(float(weights.sum()), 1.0, rel_tol=1e-9):
         raise InvalidInputError("equalized shares do not sum to 1")

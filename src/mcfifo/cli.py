@@ -71,6 +71,16 @@ _SIZE_KEYS = {
 }
 _REQUIRED = object()
 
+#: Command-line flags (as argparse names them) that override a CaseConfig field.
+_OVERRIDES = (
+    ("customers", "customers"),
+    ("replications", "replications"),
+    ("seed", "seed"),
+    ("tau_max", "tau_max_s"),
+    ("grid_points", "grid_points"),
+    ("warmup", "warmup_fraction"),
+)
+
 
 def _check_keys(obj, allowed: set, where: str) -> None:
     if not isinstance(obj, dict):
@@ -191,19 +201,11 @@ def _resolve_config(args) -> CaseConfig:
             config = replace(config, seed=fallback_seed)
     else:
         config = _config_from_json(args.config, fallback_seed)
-    overrides = {}
-    if args.customers is not None:
-        overrides["customers"] = args.customers
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.tau_max is not None:
-        overrides["tau_max_s"] = args.tau_max
-    if args.grid_points is not None:
-        overrides["grid_points"] = args.grid_points
-    if args.warmup is not None:
-        overrides["warmup_fraction"] = args.warmup
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in _OVERRIDES
+        if getattr(args, flag) is not None
+    }
     return replace(config, **overrides) if overrides else config
 
 

@@ -15,7 +15,6 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +39,7 @@ from .traffic import (
     ExponentialMean,
     Periodic,
     Poisson,
+    coupling_groups,
     deterministic_envelope,
     generate_sequences,
     proportional_counts,
@@ -263,9 +263,7 @@ def preset(case_id: int) -> CaseConfig:
                 bps_from_mbps(100),
             ),
         )
-        return CaseConfig(
-            5, specs, tau_max_s=6.0e-3, bounds=("md1_independent", "split_constant")
-        )
+        return CaseConfig(5, specs, tau_max_s=6.0e-3, bounds=("md1", "split_constant"))
     if case_id == 6:
         specs = (
             ClassSpec(
@@ -301,7 +299,7 @@ def tightness_scenario(
         if env.burst_bits <= 0 or env.rate_bps <= 0:
             raise InvalidInputError("tightness needs positive rate and burst")
         seqs.append(ArrivalSequence(i, np.array([0.0]), np.array([env.burst_bits])))
-    return run_fifo(merge_streams(seqs), dict(enumerate(rates_bps, start=1)))
+    return run_fifo(merge_streams(seqs, dict(enumerate(rates_bps, start=1))))
 
 
 def simulate_case(config: CaseConfig) -> RunResult:
@@ -321,13 +319,13 @@ def simulate_case(config: CaseConfig) -> RunResult:
             raise InvalidInputError(
                 f"class {seq.class_id} has no arrivals before the horizon: raise customers"
             )
-    merged = merge_streams(seqs)
+    merged = merge_streams(seqs, config.rates())
     del seqs, seq  # the merged stream holds every arrival now
     n = int(np.searchsorted(merged.times_s, horizon, side="right"))
     merged = MergedArrivals(
-        merged.times_s[:n], merged.sizes_bits[:n], merged.class_ids[:n], merged.class_index[:n]
+        merged.times_s[:n], merged.service_s[:n], merged.class_ids[:n], merged.class_index[:n]
     )
-    return run_fifo(merged, config.rates())
+    return run_fifo(merged)
 
 
 def empirical_entry(
@@ -433,9 +431,13 @@ def _deterministic(specs, grid) -> tuple[list[CurveEntry], dict]:
 
 
 def _decay_rate_entries(
-    prefix: str, exact, approx, grid, guaranteed: bool = True, note: str = ""
+    prefix: str, exact, approx, grid, independent: bool
 ) -> tuple[list[CurveEntry], dict]:
-    """Waiting curves and values of an exact decay rate and its approximation."""
+    """Waiting curves and values of an exact decay rate and its approximation.
+
+    The exact rate is proven for independent classes only; with coupled
+    classes its curve is informational and says what it assumes.
+    """
     values = {
         f"{prefix}_theta_exact_per_s": exact.theta_star,
         f"{prefix}_theta_approx_per_s": approx.theta_star,
@@ -445,20 +447,19 @@ def _decay_rate_entries(
         _bound_entry(
             analytic.waiting_bound_curve(theta, grid, label=f"{prefix}_waiting_{kind}"),
             "waiting",
-            guaranteed=guaranteed and kind == "exact",
-            note=note,
+            guaranteed=independent and kind == "exact",
+            note="" if independent else "assumes independent classes",
         )
         for kind, theta in (("exact", exact), ("approx", approx))
     ]
     return entries, values
 
 
-def _md1(specs, grid, independent: bool = True) -> tuple[list[CurveEntry], dict]:
-    """M/D/1-like curves; without independence the exact curve is not proven
-    and the per-class delay forms are left out."""
+def _md1(specs, grid) -> tuple[list[CurveEntry], dict]:
+    """M/D/1-like curves, with per-class delay forms for independent classes."""
+    independent = not coupling_groups(specs)
     exact, approx = analytic.theta_md1(specs)
-    note = "" if independent else "assumes independent classes"
-    entries, values = _decay_rate_entries("md1", exact, approx, grid, independent, note)
+    entries, values = _decay_rate_entries("md1", exact, approx, grid, independent)
     if independent:
         # delay form: constant service shifts the waiting tail
         waiting = analytic.waiting_bound_curve(exact, grid)
@@ -471,12 +472,13 @@ def _md1(specs, grid, independent: bool = True) -> tuple[list[CurveEntry], dict]
 
 
 def _mm1(specs, grid) -> tuple[list[CurveEntry], dict]:
-    return _decay_rate_entries("mm1", *analytic.theta_mm1(specs), grid)
+    independent = not coupling_groups(specs)
+    return _decay_rate_entries("mm1", *analytic.theta_mm1(specs), grid, independent)
 
 
 def _split_constant(specs, grid) -> tuple[list[CurveEntry], dict]:
     curve = analytic.bound_mstar_d1(specs, grid)
-    values = {"split_theta_per_s": analytic.theta_md1(specs)[1].theta_star}
+    values = {"split_theta_per_s": analytic.second_order_theta(specs)}
     entries = [
         _bound_entry(curve, "waiting", note="valid under any cross-class dependence")
     ]
@@ -498,7 +500,6 @@ def _mixed_pair(specs, grid) -> tuple[list[CurveEntry], dict]:
 BOUNDS = {
     "deterministic": _deterministic,
     "md1": _md1,
-    "md1_independent": partial(_md1, independent=False),
     "mm1": _mm1,
     "split_constant": _split_constant,
     "mixed_pair": _mixed_pair,

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .simulator import MergedArrivals, _rates_per_customer, merge_streams
+from .simulator import merge_streams
 from .traffic import (
     ArrivalSequence,
     ClassSpec,
@@ -35,13 +35,6 @@ class WindowScanResult:
 
     supremum_s: float
     window_start_s: float
-
-
-def _merged_with_service(
-    sequences: Sequence[ArrivalSequence], rates_bps: Mapping[int, float]
-) -> tuple[MergedArrivals, np.ndarray]:
-    merged = merge_streams(sequences)
-    return merged, merged.sizes_bits / _rates_per_customer(merged.class_ids, rates_bps)
 
 
 def sequential_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
@@ -81,14 +74,14 @@ def virtual_wait_direct(
     """
     if t_s < 0:
         raise InvalidInputError("t must be >= 0")
-    merged, service = _merged_with_service(sequences, rates_bps)
+    merged = merge_streams(sequences, rates_bps)
     n_before = int(np.searchsorted(merged.times_s, t_s, side="left"))
 
     best = 0.0  # s = t: empty window
     best_s = t_s
     if n_before:
         times = merged.times_s[:n_before]
-        prefix = np.concatenate([[0.0], np.cumsum(service[:n_before])])
+        prefix = np.concatenate([[0.0], np.cumsum(merged.service_s[:n_before])])
         total = prefix[-1]
         # candidate s = 0 and s = each arrival instant (window keeps it)
         candidates = np.concatenate([[0.0], times])
@@ -112,10 +105,10 @@ def virtual_waits_at_arrivals(
     running maximum of (a_k - total service before k) plus the work pending
     at the queried instant.
     """
-    merged, service = _merged_with_service(sequences, rates_bps)
+    merged = merge_streams(sequences, rates_bps)
     n = len(merged)
     times = merged.times_s
-    prefix = np.concatenate([[0.0], np.cumsum(service)])  # prefix[k] = work of first k
+    prefix = np.concatenate([[0.0], np.cumsum(merged.service_s)])  # prefix[k] = work of first k
     running = np.maximum.accumulate(times - prefix[:-1])
     new_group = np.concatenate([[True], times[1:] > times[:-1]])
     group_start = np.maximum.accumulate(np.where(new_group, np.arange(n), 0))
@@ -138,11 +131,11 @@ def samplepath_delay_bound(
     including the customer itself in merge order (co-arrivals behind it are
     excluded, which keeps the bound tight at ties).
     """
-    merged, service = _merged_with_service(sequences, rates_bps)
+    merged = merge_streams(sequences, rates_bps)
     if not 0 <= i < len(merged):
         raise InvalidInputError(f"merge index {i} is outside 0..{len(merged) - 1}")
     a_i = merged.times_s[i]
-    prefix = np.concatenate([[0.0], np.cumsum(service[: i + 1])])
+    prefix = np.concatenate([[0.0], np.cumsum(merged.service_s[: i + 1])])
     candidates = np.concatenate([[0.0], merged.times_s[: i + 1]])
     work_from = prefix[-1] - np.concatenate([[0.0], prefix[:-1]])
     objective = work_from - (a_i - candidates)
@@ -153,7 +146,8 @@ def samplepath_bounds_all(
     sequences: Sequence[ArrivalSequence], rates_bps: Mapping[int, float]
 ) -> np.ndarray:
     """samplepath_delay_bound for every customer, in merge order."""
-    merged, service = _merged_with_service(sequences, rates_bps)
+    merged = merge_streams(sequences, rates_bps)
+    service = merged.service_s
     prefix_prev = np.concatenate([[0.0], np.cumsum(service)])[:-1]
     running = np.maximum.accumulate(merged.times_s - prefix_prev)
     return running + (prefix_prev + service) - merged.times_s

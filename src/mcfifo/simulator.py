@@ -22,11 +22,13 @@ merge_streams sorts the class-ordered concatenation of the streams once.
 The sort order is a source position per customer: the segment of the
 concatenation it falls in gives the class, and its offset inside that
 segment gives j, so no id or j column is concatenated and then gathered
-through the sort order. Tail fractions count the values above each tau by
-count_above, one searchsorted on sorted values; empirical_ccdf uses it, and
-so does the comparison's CCDF stage (experiments._empirical_entries), which
-sorts each class's values once and counts the aggregate curve from the
-class counts.
+through the sort order. Service times are made there too, while each class
+is still one segment: its sizes are divided by its own rate before the
+gather, so run_fifo never looks a customer's class up. Tail fractions count
+the values above each tau by count_above, one searchsorted on sorted values;
+empirical_ccdf uses it, and so does the comparison's CCDF stage
+(experiments._empirical_entries), which sorts each class's values once and
+counts the aggregate curve from the class counts.
 
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
@@ -67,7 +69,7 @@ class MergedArrivals:
     """Aggregate arrival stream, ordered by time with deterministic tie-breaks."""
 
     times_s: np.ndarray
-    sizes_bits: np.ndarray
+    service_s: np.ndarray  # size over the rate of the customer's class
     class_ids: np.ndarray
     class_index: np.ndarray  # 1-based per-class customer number
 
@@ -127,30 +129,41 @@ class EmpiricalCCDF:
     sample_count: int
 
 
-def merge_streams(sequences: Sequence[ArrivalSequence]) -> MergedArrivals:
+def merge_streams(
+    sequences: Sequence[ArrivalSequence], rates_bps: Mapping[int, float]
+) -> MergedArrivals:
     """Stable time-ordered merge; ties go to the lower class id, then lower j.
 
     Streams are concatenated in class-id order, each already time-ordered, so
-    one stable sort along the last axis breaks ties as stated. The sort order
-    also names each customer: the segment of the concatenation that a source
+    one stable sort along the last axis breaks ties as stated. Each class's
+    segment of the concatenated sizes is divided in place by its service
+    rate, so the gathered column holds service times. The sort order also
+    names each customer: the segment of the concatenation that a source
     position falls in gives the class, and the offset inside it gives j.
     Batches of shape (rows, n) merge row by row.
     """
     sequences = sorted(sequences, key=lambda s: s.class_id)
+    for seq in sequences:
+        if seq.class_id not in rates_bps:
+            raise InvalidInputError(f"no service rate for class {seq.class_id}")
+        if not rates_bps[seq.class_id] > 0:  # NaN fails too
+            raise InvalidInputError("sizes and rates must be positive")
     ids = np.array([s.class_id for s in sequences], dtype=np.int64)
     starts = np.cumsum([0] + [len(s) for s in sequences[:-1]], dtype=np.int64)
     times = np.concatenate([s.times_s for s in sequences], axis=-1)
     order = np.argsort(times, axis=-1, kind="stable")
     times = np.take_along_axis(times, order, -1)
-    sizes = np.concatenate([s.sizes_bits for s in sequences], axis=-1)
-    sizes = np.take_along_axis(sizes, order, -1)
+    service = np.concatenate([s.sizes_bits for s in sequences], axis=-1)
+    for start, seq in zip(starts.tolist(), sequences):
+        service[..., start : start + len(seq)] /= rates_bps[seq.class_id]
+    service = np.take_along_axis(service, order, -1)
     segment = np.zeros(order.shape, dtype=np.intp)  # class position in ids
     for start in starts[1:]:
         segment += order >= start
     class_ids = ids.take(segment)
     order -= starts.take(segment)
     order += 1
-    return MergedArrivals(times, sizes, class_ids, order)
+    return MergedArrivals(times, service, class_ids, order)
 
 
 def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
@@ -183,43 +196,20 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
     return waits
 
 
-def _rates_per_customer(
-    class_ids: np.ndarray, rates_bps: Mapping[int, float]
-) -> np.ndarray:
-    ids = np.array(sorted(rates_bps), dtype=np.int64)
-    pos = np.searchsorted(ids, class_ids)
-    # an unknown id lands beside the known ones; clipping keeps the lookup
-    # in range so that the comparison catches it
-    if len(ids):
-        known = ids.take(pos, mode="clip") == class_ids
-    else:
-        known = np.zeros(class_ids.shape, dtype=bool)
-    if not np.all(known):
-        missing = int(class_ids[~known][0])
-        raise InvalidInputError(f"no service rate for class {missing}")
-    return np.array([rates_bps[cid] for cid in ids.tolist()], dtype=float).take(pos)
-
-
-def run_fifo(merged: MergedArrivals, rates_bps: Mapping[int, float]) -> RunResult:
+def run_fifo(merged: MergedArrivals) -> RunResult:
     """Apply the FIFO departure recursion to a merged arrival stream.
 
-    Service times are size/rate of the customer's own class; the server is
-    empty before the first arrival.
+    The server is empty before the first arrival.
     """
     times = merged.times_s
     if np.any(times[..., 1:] < times[..., :-1]):
         raise InvalidInputError("aggregate arrivals must be time-ordered")
-    rate_per_customer = _rates_per_customer(merged.class_ids, rates_bps)
-    if np.any(rate_per_customer <= 0) or np.any(merged.sizes_bits <= 0):
-        raise InvalidInputError("sizes and rates must be positive")
-    service = merged.sizes_bits / rate_per_customer
-
     return RunResult(
         class_ids=merged.class_ids,
         class_index=merged.class_index,
         arrival_s=times,
-        waiting_s=fifo_waits(times, service),
-        service_s=service,
+        waiting_s=fifo_waits(times, merged.service_s),
+        service_s=merged.service_s,
     )
 
 
@@ -272,7 +262,7 @@ def _chunk_delays(
     sequences: Sequence[ArrivalSequence], rates_bps: Mapping[int, float], class_id: int, js
 ) -> np.ndarray:
     """Delays of the target's js-th customers in each row, shape (len(js), rows)."""
-    merged = merge_streams(sequences)
+    merged = merge_streams(sequences, rates_bps)
     target = merged.class_ids == class_id
     at = np.stack([np.argmax(target & (merged.class_index == j), axis=-1) for j in js])
     # FIFO is causal: customers after the last requested one cannot change
@@ -281,9 +271,8 @@ def _chunk_delays(
     width = at[-1].max() + 1
     cut_s = np.take_along_axis(merged.times_s, at[-1:].T, -1)
     times = np.minimum(merged.times_s[:, :width], cut_s)
-    rest = (merged.sizes_bits, merged.class_ids, merged.class_index)
-    sizes, cids, jidx = (x[:, :width] for x in rest)
-    result = run_fifo(MergedArrivals(times, sizes, cids, jidx), rates_bps)
+    rest = (merged.service_s, merged.class_ids, merged.class_index)
+    result = run_fifo(MergedArrivals(times, *(x[:, :width] for x in rest)))
     return np.take_along_axis(result.delay_s, at.T, -1).T
 
 

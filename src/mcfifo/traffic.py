@@ -432,9 +432,10 @@ def gsbb_tail_from_mgf(
     For a periodic constant-size class the tail is degenerate: the backlog
     supremum never exceeds one customer's bits. For Poisson classes the tail
     is exponential, with decay rate the largest theta satisfying the per-class
-    condition E[exp(theta*(A(1)/C - R/C))] <= 1. With constant sizes that root
-    has no closed form; method "exact" solves it numerically and "approx" uses
-    the second-order expansion 2*(R/C - utilization)/(rate*Y^2). Exponential
+    condition E[exp(theta*(A(1)/C - R/C))] <= 1, the excess-work condition of
+    analytic.excess_mgf at share R/C. With constant sizes that root has no
+    closed form; method "exact" solves it numerically and "approx" uses the
+    second-order expansion 2*(R/C - utilization)/(rate*Y^2). Exponential
     sizes admit the closed form mu - rate/(R/C), which is always exact.
     """
     if method not in ("exact", "approx"):
@@ -449,7 +450,6 @@ def gsbb_tail_from_mgf(
             )
         return DegenerateTail(rate_bps=reference_rate_bps, burst_bits=spec.size.bits)
 
-    lam = spec.arrival_rate_hz
     omega = reference_rate_bps / capacity
     rho_n = spec.utilization
     if omega <= rho_n:
@@ -457,21 +457,16 @@ def gsbb_tail_from_mgf(
             f"class {spec.class_id}: reference rate share {omega:.6g} does not "
             f"exceed the class utilization {rho_n:.6g}"
         )
-    y = spec.mean_service_s
     if isinstance(spec.size, Constant):
+        from .analytic import excess_mgf, second_order_theta, theta_exact
+
         if method == "approx":
-            theta = 2.0 * (omega - rho_n) / (lam * y * y)
+            theta = second_order_theta([spec], omega)
         else:
-            from .analytic import theta_exact
-
-            def mgf_excess(theta: float) -> float:
-                return math.exp(lam * math.expm1(theta * y) - theta * omega)
-
-            theta = theta_exact(mgf_excess).theta_star
+            theta = theta_exact(excess_mgf([spec], omega)).theta_star
     else:
         # exponential sizes: rate/(mu - theta) = omega solves exactly
-        mu = spec.service_completion_rate_hz
-        theta = mu - lam / omega
+        theta = spec.service_completion_rate_hz - spec.arrival_rate_hz / omega
     return ExponentialTail(
         rate_bps=reference_rate_bps, prefactor=1.0, decay_per_bit=theta / capacity
     )

@@ -243,9 +243,9 @@ def test_criterion_8_oracle_equivalence():
         counts = proportional_counts(specs, 10_000)
         seqs = generate_sequences(specs, counts, seed)
         rates = {s.class_id: s.service_rate_bps for s in specs}
-        merged = merge_streams(seqs)
+        merged = merge_streams(seqs, rates)
         assert np.all(np.diff(merged.times_s) > 0), f"case {case_id}: tied arrivals"
-        result = run_fifo(merged, rates)
+        result = run_fifo(merged)
 
         virtual = virtual_waits_at_arrivals(seqs, rates)
         max_err = float(np.max(np.abs(virtual - result.waiting_s)))

@@ -15,6 +15,7 @@ from mcfifo.analytic import (
     bound_mstar_d1,
     delay_bound_convolve,
     equalized_weights,
+    excess_mgf,
     gsbb_bound_convolution,
     gsbb_bound_split,
     gsbb_split_curve,
@@ -135,11 +136,86 @@ class TestThetaExact:
         assert mgf(solution.theta_star * (1.0 + 1e-6)) > 1.0
 
 
+def _aggregate_constant(specs):
+    """The aggregate condition for constant sizes, written out on its own."""
+    params = [(s.arrival_rate_hz, s.mean_service_s) for s in specs]
+    return lambda theta: math.exp(
+        sum(lam * math.expm1(theta * y) for lam, y in params) - theta
+    )
+
+
+def _aggregate_exponential(specs):
+    params = [(s.arrival_rate_hz, s.service_completion_rate_hz) for s in specs]
+
+    def mgf(theta):
+        if any(theta >= mu for _, mu in params):
+            return math.inf
+        return math.exp(sum(lam * theta / (mu - theta) for lam, mu in params) - theta)
+
+    return mgf
+
+
+def _one_class(spec, omega):
+    """One class's condition at rate share omega."""
+    lam, y, mu = spec.arrival_rate_hz, spec.mean_service_s, spec.service_completion_rate_hz
+    if isinstance(spec.size, Constant):
+        return lambda theta: math.exp(lam * math.expm1(theta * y) - theta * omega)
+    return lambda theta: (
+        math.inf if theta >= mu else math.exp(lam * theta / (mu - theta) - theta * omega)
+    )
+
+
+def _value(mgf, theta):
+    """mgf(theta), or "overflow" where the exponential leaves the floats."""
+    try:
+        return mgf(theta)
+    except OverflowError:
+        return "overflow"
+
+
+class TestExcessMgf:
+    """One body holds the condition of both size families, at any share."""
+
+    def test_case3_equals_the_constant_size_formula(self):
+        reference = _aggregate_constant(CASE3.specs)
+        for theta in np.linspace(0.0, 6000.0, 61):
+            assert _value(excess_mgf(CASE3.specs), theta) == _value(reference, theta)
+        assert mgf_excess_constant_sizes is excess_mgf
+
+    def test_case4_equals_the_exponential_size_formula(self):
+        # class 2 completes at 1e4/s and class 1 at 1.25e4/s: +inf from 1e4 on
+        reference = _aggregate_exponential(CASE4.specs)
+        thetas = np.concatenate([np.linspace(0.0, 3000.0, 31), [9990.0, 1e4, 1.25e4, 2e4]])
+        for theta in thetas:
+            assert _value(excess_mgf(CASE4.specs), theta) == _value(reference, theta)
+        assert excess_mgf(CASE4.specs)(1e4) == math.inf
+        assert mgf_excess_exponential_sizes is excess_mgf
+
+    @pytest.mark.parametrize("config", [CASE3, CASE4])
+    def test_one_class_at_its_share(self, config):
+        for spec in config.specs:
+            edge = spec.service_completion_rate_hz
+            for omega in np.linspace(spec.utilization + 0.01, 1.0, 7):
+                mgf = excess_mgf([spec], omega)
+                for theta in np.linspace(0.0, 1.2 * min(edge, 4e4), 25):
+                    assert _value(mgf, theta) == _value(_one_class(spec, omega), theta)
+
+
 class TestThetaMd1:
     def test_case3_approximation(self):
         _, approx = theta_md1(CASE3.specs)
         assert approx.theta_star == pytest.approx(2702.7027027027, rel=1e-9)
         assert approx.method == "taylor-approx"
+
+    @pytest.mark.parametrize("scale", [0.3, 0.7, 1.0])
+    def test_approximation_is_the_closed_form(self, scale):
+        specs = [
+            ClassSpec(s.class_id, Poisson(s.arrival_rate_hz * scale), s.size, s.service_rate_bps)
+            for s in CASE3.specs
+        ]
+        rho = sum(s.utilization for s in specs)
+        curvature = sum(s.arrival_rate_hz * s.mean_service_s**2 for s in specs)
+        assert theta_md1(specs)[1].theta_star == 2.0 * (1.0 - rho) / curvature
 
     def test_case3_exact_residual(self):
         exact, _ = theta_md1(CASE3.specs)
@@ -166,6 +242,17 @@ class TestThetaMm1:
     def test_case4_approximation(self):
         _, approx = theta_mm1(CASE4.specs)
         assert approx.theta_star == pytest.approx(1351.3513513514, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [0.3, 0.7, 1.0])
+    def test_approximation_is_the_closed_form(self, scale):
+        # E[S^2] = 2*Y^2 turns the second-order root into (1-rho)/sum rate*Y^2
+        specs = [
+            ClassSpec(s.class_id, Poisson(s.arrival_rate_hz * scale), s.size, s.service_rate_bps)
+            for s in CASE4.specs
+        ]
+        rho = sum(s.utilization for s in specs)
+        curvature = sum(s.arrival_rate_hz * s.mean_service_s**2 for s in specs)
+        assert theta_mm1(specs)[1].theta_star == (1.0 - rho) / curvature
 
     def test_case4_exact(self):
         exact, _ = theta_mm1(CASE4.specs)

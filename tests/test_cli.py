@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import mcfifo
 
 from mcfifo.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from mcfifo.experiments import BOUNDS
 
 
 def _run_bounds(tmp_path, *extra):
@@ -116,6 +118,51 @@ class TestCompareCommand:
         )
         assert independent["count"] > 0 and not independent["guaranteed"]
 
+    @pytest.mark.parametrize(
+        "size_kind, size_key, bound, tau_max_ms",
+        [("constant", "packet_bytes", "md1", 6), ("exponential", "mean_packet_bytes", "mm1", 12)],
+    )
+    def test_coupled_classes_make_exact_curves_informational(
+        self, tmp_path, size_kind, size_key, bound, tau_max_ms
+    ):
+        # case 3 or 4 with the streams of case 5: the exact decay rate assumes
+        # independent classes, these exceed its curve by far, and that must
+        # not be exit 3
+        classes = [
+            {
+                "class_id": cid,
+                "arrival": {
+                    "kind": "coupled_poisson",
+                    "rate_per_s": rate,
+                    "coupling_group": 1,
+                    "mechanism": "synchronized",
+                },
+                "size": {"kind": size_kind, size_key: size_bytes},
+                "service_rate_mbps": mbps,
+            }
+            for cid, rate, size_bytes, mbps in ((1, 1e4, 100, 10), (2, 1e3, 1250, 100))
+        ]
+        config = {
+            "classes": classes,
+            "customers": 50_000,
+            "tau_max_ms": tau_max_ms,
+            "bounds": [bound],
+        }
+        path = tmp_path / "coupled.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        curves = {c["label"]: c for c in summary["curves"] if c["kind"] == "bound"}
+        assert sorted(curves) == [f"{bound}_waiting_approx", f"{bound}_waiting_exact"]
+        for curve in curves.values():
+            assert not curve["guaranteed"]
+            assert curve["note"] == "assumes independent classes"
+        exact = next(
+            v for v in summary["violations"] if v["bound_label"] == f"{bound}_waiting_exact"
+        )
+        assert exact["count"] > 0 and summary["guaranteed_violations"] == 0
+
     def test_case1_step_curve_in_output(self, tmp_path):
         out = tmp_path / "o"
         code = main(
@@ -178,6 +225,13 @@ def _readme_config() -> dict:
 def test_readme_library_imports():
     # a name deleted from the package must not stay documented
     exec(_readme_block("```python", "## Library entry points"), {})
+
+
+def test_readme_bound_names_are_the_registry():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    intro = "Bound names (the keys of `experiments.BOUNDS`):"
+    sentence = readme[readme.index(intro) + len(intro) :].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(BOUNDS)
 
 
 class TestConfigHandling:
@@ -257,15 +311,17 @@ class TestConfigHandling:
                 }
             ],
             "customers": 1000,
-            "bounds": ["determinstic"],
         }
-        path = tmp_path / "case.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "o"
-        code = main(["simulate", "--config", str(path), "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert "unknown bound name 'determinstic'" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        # md1 tells coupled classes apart itself, so md1_independent is no bound name
+        for name in ("determinstic", "md1_independent"):
+            config["bounds"] = [name]
+            path = tmp_path / "case.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / "o"
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert f"unknown bound name '{name}'" in capsys.readouterr().err
+            assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -363,6 +419,7 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert out.count("case ") == 6
         assert "synchronized" in out
+        assert out.splitlines()[4].endswith(" | bounds=md1,split_constant")
 
 
 def test_cli_import_loads_no_scipy():

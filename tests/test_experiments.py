@@ -195,9 +195,11 @@ class TestRunComparison:
         assert data["guaranteed_violations"] == 0
 
     def test_unknown_bound_name_rejected(self):
-        config = replace(preset(1), bounds=("nope",), customers=100)
-        with pytest.raises(InvalidSpecError):
-            run_comparison(config)
+        # md1 tells coupled classes apart itself, so md1_independent is no bound name
+        for name in ("nope", "md1_independent"):
+            config = replace(preset(1), bounds=(name,), customers=100)
+            with pytest.raises(InvalidSpecError, match=f"unknown bound name '{name}'"):
+                run_comparison(config)
 
 
 #: Per preset: each bound entry's (label, metric, class_id, guaranteed,
@@ -402,7 +404,7 @@ class TestCaseConfig:
         config = replace(preset(case_id), customers=20_000)
         counts = proportional_counts(config.specs, config.customers)
         seqs = generate_sequences(config.specs, counts, config.seed)
-        full = run_fifo(merge_streams(seqs), config.rates())
+        full = run_fifo(merge_streams(seqs, config.rates()))
         horizon = min(seq.times_s[-1] for seq in seqs)
         n = int(np.count_nonzero(full.arrival_s <= horizon))
         cut = simulate_case(config)

@@ -8,7 +8,6 @@ from mcfifo.analytic import theta_md1
 from mcfifo.errors import InvalidInputError
 from mcfifo.experiments import preset
 from mcfifo.oracle import (
-    _merged_with_service,
     mgf_monte_carlo,
     samplepath_bounds_all,
     samplepath_delay_bound,
@@ -76,14 +75,13 @@ class TestVirtualWaitDirect:
     def test_matches_simulated_waits_per_case(self):
         for case_id in (3, 4, 6):
             seqs, rates = _case_sequences(case_id, 2000)
-            merged = merge_streams(seqs)
-            result = run_fifo(merged, rates)
+            result = run_fifo(merge_streams(seqs, rates))
             v = virtual_waits_at_arrivals(seqs, rates)
             assert np.max(np.abs(v - result.waiting_s)) < 1e-9
 
     def test_single_point_matches_batch(self):
         seqs, rates = _case_sequences(3, 300)
-        merged = merge_streams(seqs)
+        merged = merge_streams(seqs, rates)
         batch = virtual_waits_at_arrivals(seqs, rates)
         for i in (0, 5, 42, 299):
             single = virtual_wait_direct(seqs, rates, merged.times_s[i])
@@ -92,10 +90,13 @@ class TestVirtualWaitDirect:
 
     def test_service_matches_per_customer_rates(self):
         seqs, rates = _case_sequences(3, 5000)
-        merged = merge_streams(seqs)
-        expected = merged.sizes_bits / np.array([rates[c] for c in merged.class_ids.tolist()])
-        _, service = _merged_with_service(seqs, rates)
-        assert service.tobytes() == expected.tobytes()
+        merged = merge_streams(seqs, rates)
+        # the sizes in merge order, gathered by the same stable sort
+        ordered = sorted(seqs, key=lambda q: q.class_id)
+        times = np.concatenate([q.times_s for q in ordered])
+        sizes = np.concatenate([q.sizes_bits for q in ordered])[np.argsort(times, kind="stable")]
+        expected = sizes / np.array([rates[c] for c in merged.class_ids.tolist()])
+        assert merged.service_s.tobytes() == expected.tobytes()
 
     def test_class_without_rate_rejected(self):
         seqs, rates = _case_sequences(3, 300)
@@ -108,7 +109,7 @@ class TestSamplepathDelayBound:
     def test_isolated_customer_equals_own_service(self):
         seqs = [_seq(1, [3.0], [0.25])]
         rates = {1: 1.0}
-        result = run_fifo(merge_streams(seqs), rates)
+        result = run_fifo(merge_streams(seqs, rates))
         bound = samplepath_delay_bound(seqs, rates, 0)
         assert bound == pytest.approx(0.25, rel=1e-12)
         assert bound == pytest.approx(result.delay_s[0], rel=1e-12)
@@ -118,7 +119,7 @@ class TestSamplepathDelayBound:
         counts = proportional_counts(config.specs, 10_000)
         seqs = generate_sequences(config.specs, counts, config.seed)
         rates = config.rates()
-        result = run_fifo(merge_streams(seqs), rates)
+        result = run_fifo(merge_streams(seqs, rates))
         bounds = samplepath_bounds_all(seqs, rates)
         assert np.all(result.delay_s <= bounds + 1e-9)
         assert bounds.max() <= 1.4e-4 + 1e-9
@@ -126,7 +127,7 @@ class TestSamplepathDelayBound:
     def test_tightness_last_customer_attains_equality(self):
         seqs = [_seq(1, [0.0], [800.0]), _seq(2, [0.0], [10000.0])]
         rates = {1: 20e6, 2: 100e6}
-        result = run_fifo(merge_streams(seqs), rates)
+        result = run_fifo(merge_streams(seqs, rates))
         bound = samplepath_delay_bound(seqs, rates, len(result) - 1)
         assert bound == pytest.approx(result.delay_s[-1], abs=1e-12)
         assert bound == pytest.approx(1.4e-4, rel=1e-12)

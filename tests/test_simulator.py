@@ -11,7 +11,7 @@ from mcfifo.experiments import FLOAT_SLACK_S, preset, simulate_case
 from mcfifo.oracle import sequential_waits
 from mcfifo.simulator import (
     FIFO_BLOCK,
-    _rates_per_customer,
+    MergedArrivals,
     _transient_plan,
     empirical_ccdf,
     fifo_waits,
@@ -33,40 +33,44 @@ def _seq(class_id, times, sizes):
     return ArrivalSequence(class_id, np.asarray(times, float), np.asarray(sizes, float))
 
 
+#: Unit service rates: service times equal sizes.
+UNIT = {1: 1.0, 2: 1.0}
+
+
 class TestMergeStreams:
     def test_strict_interleave_preserved(self):
         merged = merge_streams(
-            [_seq(1, [1.0, 3.0], [1, 1]), _seq(2, [2.0, 4.0], [1, 1])]
+            [_seq(1, [1.0, 3.0], [1, 1]), _seq(2, [2.0, 4.0], [1, 1])], UNIT
         )
         np.testing.assert_array_equal(merged.class_ids, [1, 2, 1, 2])
         np.testing.assert_array_equal(merged.times_s, [1, 2, 3, 4])
 
     def test_tie_goes_to_lower_class_id(self):
-        merged = merge_streams([_seq(2, [5.0], [1]), _seq(1, [5.0], [2])])
+        merged = merge_streams([_seq(2, [5.0], [1]), _seq(1, [5.0], [2])], UNIT)
         np.testing.assert_array_equal(merged.class_ids, [1, 2])
 
     def test_tie_within_class_keeps_index_order(self):
-        merged = merge_streams([_seq(1, [5.0, 5.0, 5.0], [1, 2, 3])])
-        np.testing.assert_array_equal(merged.sizes_bits, [1, 2, 3])
+        merged = merge_streams([_seq(1, [5.0, 5.0, 5.0], [1, 2, 3])], UNIT)
+        np.testing.assert_array_equal(merged.service_s, [1, 2, 3])
         np.testing.assert_array_equal(merged.class_index, [1, 2, 3])
 
     def test_case1_customer_count_over_one_second(self):
         config = preset(1)
         counts = {s.class_id: int(1.0 / s.arrival.period_s) for s in config.specs}
         seqs = generate_sequences(config.specs, counts, seed=0)
-        merged = merge_streams(seqs)
+        merged = merge_streams(seqs, config.rates())
         assert len(merged) == 11000
 
 
-def _merge_reference(sequences):
+def _merge_reference(sequences, rates):
     """Stable argsort of the class-ordered concatenation, then a gather of
-    every column: times, sizes, class ids and 1-based j."""
+    every column: times, sizes over the class's rate, class ids and 1-based j."""
     sequences = sorted(sequences, key=lambda s: s.class_id)
     times = np.concatenate([s.times_s for s in sequences], axis=-1)
     order = np.argsort(times, axis=-1, kind="stable")
     columns = (
         times,
-        np.concatenate([s.sizes_bits for s in sequences], axis=-1),
+        np.concatenate([s.sizes_bits / rates[s.class_id] for s in sequences], axis=-1),
         np.concatenate([np.full(len(s), s.class_id) for s in sequences]),
         np.concatenate([np.arange(1, len(s) + 1) for s in sequences]),
     )
@@ -104,56 +108,67 @@ class TestMergeAgainstReference:
     def test_columns_equal_the_argsort_gather(self, ids, lengths, rows, tick):
         rng = np.random.default_rng(sum(lengths))
         seqs = _random_streams(rng, ids, lengths, rows, tick)
-        merged = merge_streams(seqs)
-        columns = (merged.times_s, merged.sizes_bits, merged.class_ids, merged.class_index)
-        for got, want in zip(columns, _merge_reference(seqs)):
+        # a distinct, inexact rate per class, so a rate paired with the
+        # wrong class moves the service column
+        rates = {cid: 0.3 + 0.7 * k for k, cid in enumerate(ids, start=1)}
+        merged = merge_streams(seqs, rates)
+        columns = (merged.times_s, merged.service_s, merged.class_ids, merged.class_index)
+        for got, want in zip(columns, _merge_reference(seqs, rates)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
     def test_empty_class_among_others(self):
         seqs = [_seq(1, [1.0, 2.0], [1, 1]), _seq(2, [], []), _seq(3, [1.5], [1])]
-        merged = merge_streams(seqs)
+        merged = merge_streams(seqs, {1: 1.0, 2: 1.0, 3: 4.0})
         np.testing.assert_array_equal(merged.class_ids, [1, 3, 1])
         np.testing.assert_array_equal(merged.class_index, [1, 1, 2])
 
 
 class TestRateLookup:
+    """merge_streams divides each class's sizes by that class's own rate."""
+
     RATES = {-2: 1.0, 3: 2.0, 8: 4.0}
 
     def test_rates_follow_class_ids(self):
-        ids = np.array([[3, -2, 8], [8, 8, -2]])
-        np.testing.assert_array_equal(
-            _rates_per_customer(ids, self.RATES), [[2.0, 1.0, 4.0], [4.0, 4.0, 1.0]]
-        )
+        seqs = [
+            _seq(8, [3.0, 4.0, 5.0], [1.0, 1.0, 1.0]),
+            _seq(3, [1.0], [1.0]),
+            _seq(-2, [2.0, 6.0], [1.0, 1.0]),
+        ]
+        merged = merge_streams(seqs, self.RATES)
+        np.testing.assert_array_equal(merged.class_ids, [3, -2, 8, 8, 8, -2])
+        np.testing.assert_array_equal(merged.service_s, [0.5, 1.0, 0.25, 0.25, 0.25, 1.0])
 
     @pytest.mark.parametrize("unknown", [-7, 0, 5, 11])  # below, between, above
     def test_unknown_id_rejected(self, unknown):
-        ids = np.array([3, -2, unknown, 8])
+        seqs = [_seq(cid, [1.0], [1.0]) for cid in (3, -2, unknown, 8)]
         with pytest.raises(InvalidInputError, match=f"^no service rate for class {unknown}$"):
-            _rates_per_customer(ids, self.RATES)
+            merge_streams(seqs, self.RATES)
 
     def test_no_rates_at_all(self):
         with pytest.raises(InvalidInputError, match="^no service rate for class 4$"):
-            _rates_per_customer(np.array([4, 4]), {})
+            merge_streams([_seq(4, [1.0, 2.0], [1.0, 1.0])], {})
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_rate_not_positive_rejected(self, rate):
+        seqs = [_seq(-2, [1.0], [1.0]), _seq(3, [2.0], [1.0])]
+        with pytest.raises(InvalidInputError, match="^sizes and rates must be positive$"):
+            merge_streams(seqs, {**self.RATES, 3: rate})
 
 
 class TestRunFifo:
     def test_single_customer_empty_system(self):
-        merged = merge_streams([_seq(1, [1.0], [0.5])])
-        result = run_fifo(merged, {1: 1.0})
+        result = run_fifo(merge_streams([_seq(1, [1.0], [0.5])], UNIT))
         assert result.departure_s[0] == pytest.approx(1.5)
         assert result.delay_s[0] == pytest.approx(0.5)
         assert result.waiting_s[0] == 0.0
 
     def test_two_customers_hand_recursion(self):
-        merged = merge_streams([_seq(1, [1.0, 1.1], [0.5, 0.2])])
-        result = run_fifo(merged, {1: 1.0})
+        result = run_fifo(merge_streams([_seq(1, [1.0, 1.1], [0.5, 0.2])], UNIT))
         np.testing.assert_allclose(result.departure_s, [1.5, 1.7], rtol=1e-12)
         np.testing.assert_allclose(result.waiting_s, [0.0, 0.4], rtol=1e-12)
 
     def test_unordered_input_rejected(self):
-        from mcfifo.simulator import MergedArrivals
-
         bad = MergedArrivals(
             np.array([2.0, 1.0]),
             np.array([1.0, 1.0]),
@@ -161,7 +176,7 @@ class TestRunFifo:
             np.array([1, 2]),
         )
         with pytest.raises(InvalidInputError):
-            run_fifo(bad, {1: 1.0})
+            run_fifo(bad)
 
     def test_departures_follow_arrival_order(self):
         config = preset(3)
@@ -289,7 +304,7 @@ class TestFifoKernel:
             ArrivalSequence(q.class_id, q.times_s + 1e6, q.sizes_bits)
             for q in generate_sequences(config.specs, counts, config.seed)
         ]
-        result = run_fifo(merge_streams(seqs), config.rates())
+        result = run_fifo(merge_streams(seqs, config.rates()))
         worst = bound_dd1(
             [deterministic_envelope(s) for s in config.specs],
             [s.service_rate_bps for s in config.specs],
@@ -297,9 +312,9 @@ class TestFifoKernel:
         assert result.delay_s.max() <= worst + FLOAT_SLACK_S
 
     def test_class_without_rate_rejected(self):
-        merged = merge_streams([_seq(1, [1.0], [1.0]), _seq(3, [2.0], [1.0])])
+        seqs = [_seq(1, [1.0], [1.0]), _seq(3, [2.0], [1.0])]
         with pytest.raises(InvalidInputError, match="class 3"):
-            run_fifo(merged, {1: 1.0, 2: 1.0})
+            merge_streams(seqs, {1: 1.0, 2: 1.0})
 
 
 class TestEmpiricalCcdf:
@@ -417,8 +432,7 @@ class TestTransient:
                 )
                 for q in seqs
             ]
-            merged = merge_streams(path)
-            single = run_fifo(merged, config.rates())
+            single = run_fifo(merge_streams(path, config.rates()))
             target = single.class_ids == class_id
             reference = sequential_waits(single.arrival_s, single.service_s)[target]
             for j in js:
@@ -463,7 +477,7 @@ def _per_replication_delays(config, class_id, js, replications):
             ):
                 break
             scale *= 2.0
-        result = run_fifo(merge_streams(seqs), config.rates())
+        result = run_fifo(merge_streams(seqs, config.rates()))
         delays = result.delay_s[result.class_ids == class_id]
         for j in js:
             out[j][r] = delays[j - 1]

@@ -23,7 +23,6 @@ from . import analytic
 from .analytic import BoundCurve, StabilityReport, step_bound_curve
 from .errors import InvalidInputError, InvalidSpecError
 from .simulator import (
-    MergedArrivals,
     RunResult,
     count_above,
     empirical_ccdf,
@@ -302,15 +301,21 @@ def tightness_scenario(
     return run_fifo(merge_streams(seqs, dict(enumerate(rates_bps, start=1))))
 
 
+def _trimmed(seq: ArrivalSequence, horizon_s: float) -> ArrivalSequence:
+    """The class's arrivals at or before the horizon."""
+    n = int(np.searchsorted(seq.times_s, horizon_s, side="right"))
+    return ArrivalSequence(seq.class_id, seq.times_s[:n], seq.sizes_bits[:n])
+
+
 def simulate_case(config: CaseConfig) -> RunResult:
     """Generate the case's arrivals and run them through the queue until the
     horizon, the last arrival of the class that stops first."""
     counts = proportional_counts(config.specs, config.customers)
     seqs = generate_sequences(config.specs, counts, config.seed)
     # keep only the span where every class is still arriving, so the tail of
-    # the run is not a partially-loaded system; the merged stream is
-    # time-ordered, so that span is a prefix, and FIFO is causal, so cutting
-    # it before the queue leaves its waits unchanged
+    # the run is not a partially-loaded system; that span holds a prefix of
+    # each class and a prefix of the merged stream, and FIFO is causal, so
+    # cutting each class before the merge leaves every wait unchanged
     horizon = min((seq.times_s[-1] for seq in seqs if len(seq)), default=0.0)
     for seq in seqs:
         # a short run can thin a class to nothing or end before its first
@@ -319,12 +324,9 @@ def simulate_case(config: CaseConfig) -> RunResult:
             raise InvalidInputError(
                 f"class {seq.class_id} has no arrivals before the horizon: raise customers"
             )
+    seqs = [_trimmed(seq, horizon) for seq in seqs]
     merged = merge_streams(seqs, config.rates())
-    del seqs, seq  # the merged stream holds every arrival now
-    n = int(np.searchsorted(merged.times_s, horizon, side="right"))
-    merged = MergedArrivals(
-        merged.times_s[:n], merged.service_s[:n], merged.class_ids[:n], merged.class_index[:n]
-    )
+    del seqs  # the merged stream holds every arrival now
     return run_fifo(merged)
 
 
@@ -355,30 +357,34 @@ def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry
 
     Each curve equals empirical_ccdf of its values, but every class's kept
     values are sorted once per metric and the aggregate is counted from them.
-    Class c's curve keeps its values from d_c = int(n_c * warmup) on. The
+    A metric is scattered into class order by source once, so class c's
+    values in arrival order are its segment [start, start + n_c) of that
+    buffer. Class c's curve keeps them from d_c = int(n_c * warmup) on. The
     aggregate keeps every customer from int(n * warmup) on, which is class
-    c's values from e_c on, e_c being the class-c customers before that
-    point. So the aggregate counts are the class counts, less the count over
-    class c's values between d_c and e_c when e_c > d_c, or plus it when
-    e_c < d_c.
+    c's values from e_c on, e_c being the class-c sources among the first
+    int(n * warmup) customers. So the aggregate counts are the class counts,
+    less the count over class c's values between d_c and e_c when e_c > d_c,
+    or plus it when e_c < d_c.
     """
     grid, warmup = config.grid(), config.warmup_fraction
     skip = int(len(result) * warmup)
-    classes = []
-    for cid in sorted(s.class_id for s in config.specs):
-        mask = result.class_ids == cid
-        classes.append((cid, mask, int(np.count_nonzero(mask[:skip]))))
+    head = result.source[:skip]
+    classes = [
+        (cid, start, count, int(np.count_nonzero((head >= start) & (head < start + count))))
+        for cid, start, count in result.segments
+    ]
+    by_class = np.empty(len(result))
     entries = []
     for metric, values in (("delay", result.delay_s), ("waiting", result.waiting_s)):
+        by_class[result.source] = values
         total = np.zeros(len(grid), dtype=np.int64)
         per_class = []
-        for cid, mask, e in classes:
-            v = values[mask]
-            d = int(len(v) * warmup)
-            # sorted copy of the boundary segment, taken before v[d:] is
-            # sorted in place
-            edge = count_above(np.sort(v[min(d, e) : max(d, e)]), grid)
-            kept = v[d:]
+        for cid, start, count, e in classes:
+            d = int(count * warmup)
+            # sorted copy of the boundary segment, taken before the kept
+            # values are sorted in place
+            edge = count_above(np.sort(by_class[start + min(d, e) : start + max(d, e)]), grid)
+            kept = by_class[start + d : start + count]
             kept.sort()
             above = count_above(kept, grid)
             total += above

@@ -18,17 +18,21 @@ error is 3.2e-15 s. The sequential loop (oracle.sequential_waits, kept as
 the reference) reaches 3.1e-12 s, and so does an unblocked scan, whose
 prefix sums grow with the whole run.
 
-merge_streams sorts the class-ordered concatenation of the streams once.
-The sort order is a source position per customer: the segment of the
-concatenation it falls in gives the class, and its offset inside that
-segment gives j, so no id or j column is concatenated and then gathered
-through the sort order. Service times are made there too, while each class
-is still one segment: its sizes are divided by its own rate before the
-gather, so run_fifo never looks a customer's class up. Tail fractions count
-the values above each tau by count_above, one searchsorted on sorted values;
-empirical_ccdf uses it, and so does the comparison's CCDF stage
-(experiments._empirical_entries), which sorts each class's values once and
-counts the aggregate curve from the class counts.
+merge_streams sorts the class-ordered concatenation of the streams once,
+and keeps that sort order as the one per-customer fact besides times and
+service: source, each customer's position in the concatenation. Next to it
+sit the segments, one (class_id, start, count) per class in id order, so a
+class's customers are the sources in [start, start + count) and the j-th of
+them is source start + j - 1. The class-id and j columns (class_ids,
+class_index) are derived from the two on demand, for records.csv and tests;
+the long run and the replications never build them. Service times are made
+in the merge too, while each class is still one segment: its sizes are
+divided by its own rate before the gather, so run_fifo never looks a
+customer's class up. Tail fractions count the values above each tau by
+count_above, one searchsorted on sorted values; empirical_ccdf uses it, and
+so does the comparison's CCDF stage (experiments._empirical_entries), which
+scatters each metric back into class order by source, sorts each class's
+segment once and counts the aggregate curve from the class counts.
 
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
@@ -37,6 +41,10 @@ chunks of rows, about TRANSIENT_CHUNK customers each. Chunk c draws from
 replication_seed(case seed, c) and always draws all its rows, so replication
 r is row r % rows of chunk r // rows, and results are a prefix-stable
 function of (case, js, class id) whatever the number of replications.
+Because FIFO is causal, a run is cut before the merge, never after it: the
+long run trims each class at the horizon (experiments.simulate_case), and a
+chunk trims each class at its rows' cut, the target's last requested
+arrival, so a class's segment holds exactly its customers in the run.
 """
 
 from __future__ import annotations
@@ -64,31 +72,68 @@ FIFO_BLOCK = 2048
 TRANSIENT_CHUNK = 2**17
 
 
+#: One class's place in the class-ordered concatenation of the streams:
+#: (class_id, start, count), its customers being sources start..start+count-1.
+Segment = tuple[int, int, int]
+
+
+class _ClassColumns:
+    """Class-id and 1-based j columns, derived on demand from source and segments."""
+
+    source: np.ndarray
+    segments: tuple[Segment, ...]
+
+    def _segment_positions(self) -> np.ndarray:
+        """Position in segments of each customer's class."""
+        positions = np.zeros(self.source.shape, dtype=np.intp)
+        for _, start, _ in self.segments[1:]:
+            positions += self.source >= start
+        return positions
+
+    @property
+    def class_ids(self) -> np.ndarray:
+        ids = np.array([cid for cid, _, _ in self.segments], dtype=np.int64)
+        return ids.take(self._segment_positions())
+
+    @property
+    def class_index(self) -> np.ndarray:
+        starts = np.array([start for _, start, _ in self.segments], dtype=np.int64)
+        return self.source - starts.take(self._segment_positions()) + 1
+
+
 @dataclass(frozen=True)
-class MergedArrivals:
-    """Aggregate arrival stream, ordered by time with deterministic tie-breaks."""
+class MergedArrivals(_ClassColumns):
+    """Aggregate arrival stream, ordered by time with deterministic tie-breaks.
+
+    source[i] is customer i's position in the class-ordered concatenation
+    of the streams, and segments lay the classes out in it, one
+    (class_id, start, count) per class in id order. class_ids and
+    class_index are derived from them when read.
+    """
 
     times_s: np.ndarray
     service_s: np.ndarray  # size over the rate of the customer's class
-    class_ids: np.ndarray
-    class_index: np.ndarray  # 1-based per-class customer number
+    source: np.ndarray
+    segments: tuple[Segment, ...]
 
     def __len__(self) -> int:
         return len(self.times_s)
 
 
 @dataclass
-class RunResult:
+class RunResult(_ClassColumns):
     """All per-customer outcomes of one simulation run, as parallel arrays.
 
     Waiting is the stored quantity; delay and departure derive from it, so
     waiting >= 0 and delay = waiting + service hold exactly in floats. A
     batch run holds (rows, n) arrays, and its length counts every row. The
-    class, index and arrival arrays are those of the merged stream, not copies.
+    source, arrival and service arrays are those of the merged stream, not
+    copies; class_ids and class_index are derived from source and segments
+    when read, as for MergedArrivals.
     """
 
-    class_ids: np.ndarray
-    class_index: np.ndarray
+    source: np.ndarray
+    segments: tuple[Segment, ...]
     arrival_s: np.ndarray
     waiting_s: np.ndarray
     service_s: np.ndarray
@@ -137,33 +182,36 @@ def merge_streams(
     Streams are concatenated in class-id order, each already time-ordered, so
     one stable sort along the last axis breaks ties as stated. Each class's
     segment of the concatenated sizes is divided in place by its service
-    rate, so the gathered column holds service times. The sort order also
-    names each customer: the segment of the concatenation that a source
-    position falls in gives the class, and the offset inside it gives j.
-    Batches of shape (rows, n) merge row by row.
+    rate, so the gathered column holds service times. The sort order is kept
+    as each customer's source, and the class layout as segments. Batches of
+    shape (rows, n) merge row by row.
     """
+    if not sequences:
+        raise InvalidInputError("need at least one arrival sequence")
     sequences = sorted(sequences, key=lambda s: s.class_id)
+    segments = []
+    start = 0
     for seq in sequences:
         if seq.class_id not in rates_bps:
             raise InvalidInputError(f"no service rate for class {seq.class_id}")
         if not rates_bps[seq.class_id] > 0:  # NaN fails too
             raise InvalidInputError("sizes and rates must be positive")
-    ids = np.array([s.class_id for s in sequences], dtype=np.int64)
-    starts = np.cumsum([0] + [len(s) for s in sequences[:-1]], dtype=np.int64)
+        segments.append((seq.class_id, start, len(seq)))
+        start += len(seq)
     times = np.concatenate([s.times_s for s in sequences], axis=-1)
-    order = np.argsort(times, axis=-1, kind="stable")
-    times = np.take_along_axis(times, order, -1)
     service = np.concatenate([s.sizes_bits for s in sequences], axis=-1)
-    for start, seq in zip(starts.tolist(), sequences):
-        service[..., start : start + len(seq)] /= rates_bps[seq.class_id]
-    service = np.take_along_axis(service, order, -1)
-    segment = np.zeros(order.shape, dtype=np.intp)  # class position in ids
-    for start in starts[1:]:
-        segment += order >= start
-    class_ids = ids.take(segment)
-    order -= starts.take(segment)
-    order += 1
-    return MergedArrivals(times, service, class_ids, order)
+    for cid, start, count in segments:
+        service[..., start : start + count] /= rates_bps[cid]
+    source = np.argsort(times, axis=-1, kind="stable")
+    # a batch row's sources count from that row's start in the flat arrays
+    n = times.shape[-1]
+    flat = source if source.ndim == 1 else source + n * np.arange(len(source))[:, None]
+    service_s = service.take(flat)
+    # the concatenated sizes are spent: their buffer takes the ordered times,
+    # which saves the fresh pages of one more array (indices are in range,
+    # so clip mode changes nothing but skips the buffered bounds check)
+    times_s = times.take(flat, out=service, mode="clip")
+    return MergedArrivals(times_s, service_s, source, tuple(segments))
 
 
 def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
@@ -205,8 +253,8 @@ def run_fifo(merged: MergedArrivals) -> RunResult:
     if np.any(times[..., 1:] < times[..., :-1]):
         raise InvalidInputError("aggregate arrivals must be time-ordered")
     return RunResult(
-        class_ids=merged.class_ids,
-        class_index=merged.class_index,
+        source=merged.source,
+        segments=merged.segments,
         arrival_s=times,
         waiting_s=fifo_waits(times, merged.service_s),
         service_s=merged.service_s,
@@ -262,17 +310,25 @@ def _chunk_delays(
     sequences: Sequence[ArrivalSequence], rates_bps: Mapping[int, float], class_id: int, js
 ) -> np.ndarray:
     """Delays of the target's js-th customers in each row, shape (len(js), rows)."""
-    merged = merge_streams(sequences, rates_bps)
-    target = merged.class_ids == class_id
-    at = np.stack([np.argmax(target & (merged.class_index == j), axis=-1) for j in js])
     # FIFO is causal: customers after the last requested one cannot change
-    # its delay, so each row is cut there, and later times (the +inf padding
-    # of ragged rows among them) are clamped to the cut time
+    # its delay, so each row is cut at that customer's arrival. Every class
+    # keeps the columns that some row holds up to its cut, a customer at the
+    # cut itself included: with a lower class id it goes first
+    target = next(s for s in sequences if s.class_id == class_id)
+    cut_s = target.times_s[:, js[-1] - 1 : js[-1]]
+    trimmed = []
+    for seq in sequences:
+        k = int(np.count_nonzero(seq.times_s <= cut_s, axis=-1).max())
+        trimmed.append(ArrivalSequence(seq.class_id, seq.times_s[:, :k], seq.sizes_bits[:, :k]))
+    merged = merge_streams(trimmed, rates_bps)
+    start = next(start for cid, start, _ in merged.segments if cid == class_id)
+    at = np.stack([np.argmax(merged.source == start + j - 1, axis=-1) for j in js])
+    # the columns past every row's cut are dropped, and a row's later times
+    # (the +inf padding of ragged rows among them) are clamped to its cut
     width = at[-1].max() + 1
-    cut_s = np.take_along_axis(merged.times_s, at[-1:].T, -1)
     times = np.minimum(merged.times_s[:, :width], cut_s)
-    rest = (merged.service_s, merged.class_ids, merged.class_index)
-    result = run_fifo(MergedArrivals(times, *(x[:, :width] for x in rest)))
+    rest = (merged.service_s[:, :width], merged.source[:, :width], merged.segments)
+    result = run_fifo(MergedArrivals(times, *rest))
     return np.take_along_axis(result.delay_s, at.T, -1).T
 
 

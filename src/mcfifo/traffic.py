@@ -166,10 +166,16 @@ class ArrivalSequence:
         object.__setattr__(self, "sizes_bits", sizes)
         if times.shape != sizes.shape or times.ndim not in (1, 2):
             raise InvalidSpecError("times and sizes must be 1-d or 2-d arrays of equal shape")
-        if np.any(times[..., 1:] < times[..., :-1]):
+        # NaN fails every comparison, so a nondecreasing row that starts
+        # above -inf holds no NaN or -inf, and the ordering pass checks both;
+        # +inf stays legal, as the padding that ends a ragged row
+        ordered = np.all(times[..., :1] > -np.inf) and np.all(times[..., 1:] >= times[..., :-1])
+        if not ordered:
+            if np.any(np.isnan(times) | (times == -np.inf)):
+                raise InvalidSpecError("arrival times must not be NaN or -inf")
             raise InvalidSpecError("arrival times must be nondecreasing")
-        if np.any(sizes <= 0):
-            raise InvalidSpecError("sizes must be positive")
+        if sizes.size and not (sizes.min() > 0 and sizes.max() < np.inf):  # NaN propagates
+            raise InvalidSpecError("sizes must be finite and > 0")
 
     def __len__(self) -> int:
         return self.times_s.shape[-1]

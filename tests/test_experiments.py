@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,15 @@ from mcfifo.experiments import (
     write_curves_csv,
     write_json,
 )
-from mcfifo.simulator import RunResult, empirical_ccdf, merge_streams, run_fifo
+from mcfifo.simulator import (
+    MergedArrivals,
+    RunResult,
+    empirical_ccdf,
+    fifo_waits,
+    merge_streams,
+    run_fifo,
+    transient_delays,
+)
 from mcfifo.traffic import (
     Constant,
     CoupledPoisson,
@@ -396,22 +404,37 @@ class TestCaseConfig:
         c = simulate_case(replace(config, seed=123))
         assert len(c) != len(a) or not np.array_equal(c.waiting_s, a.waiting_s)
 
-    @pytest.mark.parametrize("case_id", [3, 5, 6])
+    @pytest.mark.parametrize("case_id", range(1, 7))
     def test_horizon_cut_is_a_prefix_of_the_full_run(self, case_id):
-        # cutting the merged stream before the queue keeps the full run's
-        # customers up to the smallest last arrival, bit for bit in every
-        # field: FIFO is causal
+        # simulate_case trims each class at the horizon before the merge; it
+        # must keep the full run's customers up to the smallest last
+        # arrival, bit for bit in every column: FIFO is causal. The full run
+        # is merged inline, by a stable argsort and a gather of each column
         config = replace(preset(case_id), customers=20_000)
         counts = proportional_counts(config.specs, config.customers)
-        seqs = generate_sequences(config.specs, counts, config.seed)
-        full = run_fifo(merge_streams(seqs, config.rates()))
-        horizon = min(seq.times_s[-1] for seq in seqs)
-        n = int(np.count_nonzero(full.arrival_s <= horizon))
+        seqs = sorted(
+            generate_sequences(config.specs, counts, config.seed), key=lambda q: q.class_id
+        )
+        rates = config.rates()
+        times = np.concatenate([q.times_s for q in seqs])
+        order = np.argsort(times, kind="stable")
+        full = {
+            "arrival_s": times,
+            "service_s": np.concatenate([q.sizes_bits / rates[q.class_id] for q in seqs]),
+            "class_ids": np.concatenate([np.full(len(q), q.class_id) for q in seqs]),
+            "class_index": np.concatenate([np.arange(1, len(q) + 1) for q in seqs]),
+        }
+        full = {name: column[order] for name, column in full.items()}
+        full["waiting_s"] = fifo_waits(full["arrival_s"], full["service_s"])
+        full["delay_s"] = full["waiting_s"] + full["service_s"]
+        horizon = min(q.times_s[-1] for q in seqs)
+        n = int(np.count_nonzero(full["arrival_s"] <= horizon))
         cut = simulate_case(config)
-        assert 0 < n < len(full) and len(cut) == n
-        for field in fields(RunResult):
-            kept = getattr(cut, field.name)
-            assert kept.tobytes() == getattr(full, field.name)[:n].tobytes(), field.name
+        assert 0 < n < len(times) and len(cut) == n
+        for name, column in full.items():
+            kept = getattr(cut, name)
+            assert kept.dtype == column.dtype, name
+            assert kept.tobytes() == column[:n].tobytes(), name
 
     def test_duplicate_class_ids_rejected(self):
         spec = preset(3).specs[0]
@@ -454,3 +477,20 @@ class TestCaseConfig:
         args = ["compare", "--case", "6", "--customers", "3", "--seed", "2", "--grid-points", "50"]
         assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
         assert horizon in capsys.readouterr().err
+
+
+def test_comparison_and_replications_build_no_class_columns(monkeypatch):
+    # the long run and the replications work from source and segments; the
+    # class-id and j columns are derived for records.csv and tests only
+    def refuse(self):
+        raise AssertionError("a per-customer class column was built")
+
+    for owner in (MergedArrivals, RunResult):
+        for name in ("class_ids", "class_index"):
+            monkeypatch.setattr(owner, name, property(refuse))
+    with pytest.raises(AssertionError, match="class column"):
+        simulate_case(replace(preset(3), customers=1000)).class_index
+    for case_id in range(1, 7):
+        run_comparison(replace(preset(case_id), customers=20_000))
+    for case_id in (3, 5):
+        transient_delays(preset(case_id), (1, 10, 100), 1, 500)

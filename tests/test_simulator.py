@@ -12,6 +12,7 @@ from mcfifo.oracle import sequential_waits
 from mcfifo.simulator import (
     FIFO_BLOCK,
     MergedArrivals,
+    _chunk_delays,
     _transient_plan,
     empirical_ccdf,
     fifo_waits,
@@ -64,7 +65,8 @@ class TestMergeStreams:
 
 def _merge_reference(sequences, rates):
     """Stable argsort of the class-ordered concatenation, then a gather of
-    every column: times, sizes over the class's rate, class ids and 1-based j."""
+    every column: times, sizes over the class's rate, class ids and 1-based
+    j. The argsort itself is the source column."""
     sequences = sorted(sequences, key=lambda s: s.class_id)
     times = np.concatenate([s.times_s for s in sequences], axis=-1)
     order = np.argsort(times, axis=-1, kind="stable")
@@ -74,7 +76,8 @@ def _merge_reference(sequences, rates):
         np.concatenate([np.full(len(s), s.class_id) for s in sequences]),
         np.concatenate([np.arange(1, len(s) + 1) for s in sequences]),
     )
-    return [np.take_along_axis(np.broadcast_to(c, times.shape), order, -1) for c in columns]
+    gathered = [np.take_along_axis(np.broadcast_to(c, times.shape), order, -1) for c in columns]
+    return gathered + [order]
 
 
 def _random_streams(rng, ids, lengths, rows=None, tick=None):
@@ -112,16 +115,42 @@ class TestMergeAgainstReference:
         # wrong class moves the service column
         rates = {cid: 0.3 + 0.7 * k for k, cid in enumerate(ids, start=1)}
         merged = merge_streams(seqs, rates)
-        columns = (merged.times_s, merged.service_s, merged.class_ids, merged.class_index)
-        for got, want in zip(columns, _merge_reference(seqs, rates)):
+        columns = (
+            merged.times_s,
+            merged.service_s,
+            merged.class_ids,
+            merged.class_index,
+            merged.source,
+        )
+        reference = _merge_reference(seqs, rates)
+        assert len(columns) == len(reference)
+        for got, want in zip(columns, reference):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+        by_id = sorted(seqs, key=lambda q: q.class_id)
+        starts = np.cumsum([0] + [len(q) for q in by_id[:-1]]).tolist()
+        assert merged.segments == tuple(
+            (q.class_id, start, len(q)) for q, start in zip(by_id, starts)
+        )
 
     def test_empty_class_among_others(self):
         seqs = [_seq(1, [1.0, 2.0], [1, 1]), _seq(2, [], []), _seq(3, [1.5], [1])]
         merged = merge_streams(seqs, {1: 1.0, 2: 1.0, 3: 4.0})
         np.testing.assert_array_equal(merged.class_ids, [1, 3, 1])
         np.testing.assert_array_equal(merged.class_index, [1, 1, 2])
+        assert merged.segments == ((1, 0, 2), (2, 2, 0), (3, 2, 1))
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_every_class_empty(self, shape):
+        seqs = [_seq(c, np.empty(shape), np.empty(shape)) for c in (1, 2)]
+        merged = merge_streams(seqs, UNIT)
+        for column in (merged.times_s, merged.service_s, merged.class_ids, merged.class_index):
+            assert column.shape == shape
+        assert run_fifo(merged).waiting_s.shape == shape
+
+    def test_no_sequences_rejected(self):
+        with pytest.raises(InvalidInputError, match="^need at least one arrival sequence$"):
+            merge_streams([], UNIT)
 
 
 class TestRateLookup:
@@ -172,8 +201,8 @@ class TestRunFifo:
         bad = MergedArrivals(
             np.array([2.0, 1.0]),
             np.array([1.0, 1.0]),
-            np.array([1, 1]),
-            np.array([1, 2]),
+            np.array([0, 1]),
+            ((1, 0, 2),),
         )
         with pytest.raises(InvalidInputError):
             run_fifo(bad)
@@ -442,6 +471,25 @@ class TestTransient:
                     FLOAT_SLACK_S
                 )
 
+    @pytest.mark.parametrize(
+        "case_id, class_id",
+        [(1, 2), (2, 2), (3, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2)],
+    )
+    def test_chunk_equals_the_whole_merge(self, case_id, class_id):
+        # each class trimmed at the cut before the merge must give the delays
+        # of the merge of every drawn customer, bit for bit; in cases 1 and 2
+        # class 2's cut ties with a class-1 arrival, which goes first
+        config = preset(case_id)
+        js = (1, 10, 100)
+        step, rows = _transient_plan(config.specs, class_id, js[-1])
+        streams = ArrivalStreams(config.specs, step, replication_seed(config.seed, 0), rows)
+        streams.draw_through(class_id, js[-1])
+        seqs = streams.sequences()
+        got = _chunk_delays(seqs, config.rates(), class_id, js)
+        want = _chunk_reference(seqs, config.rates(), class_id, js)
+        assert got.shape == want.shape == (len(js), rows)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("case_id, class_id", [(3, 1), (6, 1), (5, 2)])
     def test_batch_agrees_with_per_replication_reference(self, case_id, class_id):
         config = preset(case_id)
@@ -455,6 +503,18 @@ class TestTransient:
             pooled = (a + b) / 2
             se = np.sqrt(pooled * (1 - pooled) * 2 / reps)
             assert np.all(np.abs(a - b) <= 3 * se), f"j={j}"
+
+
+def _chunk_reference(sequences, rates, class_id, js):
+    """A chunk's delays with every drawn customer merged: the target's j-th
+    customer found by the class-id and j columns, each row cut there and
+    its later times clamped to the cut."""
+    times, service, ids, index, _ = _merge_reference(sequences, rates)
+    at = np.stack([np.argmax((ids == class_id) & (index == j), axis=-1) for j in js])
+    width = at[-1].max() + 1
+    cut_s = np.take_along_axis(times, at[-1:].T, -1)
+    waits = fifo_waits(np.minimum(times[:, :width], cut_s), service[:, :width])
+    return np.take_along_axis(waits + service[:, :width], at.T, -1).T
 
 
 def _per_replication_delays(config, class_id, js, replications):

@@ -3,6 +3,7 @@ import pytest
 
 from mcfifo.errors import InvalidSpecError, NoDecayError, UnsupportedEnvelopeError
 from mcfifo.traffic import (
+    ArrivalSequence,
     ArrivalStreams,
     ClassSpec,
     Constant,
@@ -276,3 +277,40 @@ class TestSpecValidation:
         assert spec.service_completion_rate_hz == pytest.approx(12500.0)
         assert spec.utilization == pytest.approx(0.8)
         assert spec.mean_rate_bps == pytest.approx(8e6)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestArrivalSequenceValidation:
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([0.5, NAN, 2.0], "NaN or -inf"),
+            ([NAN], "NaN or -inf"),
+            ([NAN, 1.0], "NaN or -inf"),
+            ([1.0, NAN], "NaN or -inf"),
+            ([-INF, 1.0, 2.0], "NaN or -inf"),
+            ([[1.0, 2.0], [NAN, INF]], "NaN or -inf"),
+            ([[1.0, 2.0], [-INF, -INF]], "NaN or -inf"),
+            ([2.0, 1.0], "nondecreasing"),
+            ([[1.0, 2.0], [3.0, 2.5]], "nondecreasing"),
+        ],
+    )
+    def test_bad_times_rejected(self, times, message):
+        sizes = np.ones(np.shape(times))
+        with pytest.raises(InvalidSpecError, match=message):
+            ArrivalSequence(1, times, sizes)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[1.0, NAN, 1.0], [NAN, INF, 1.0], [1.0, INF, 1.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 1.0]],
+    )
+    def test_sizes_not_finite_and_positive_rejected(self, sizes):
+        with pytest.raises(InvalidSpecError, match="^sizes must be finite and > 0$"):
+            ArrivalSequence(1, [0.5, 1.0, 2.0], sizes)
+
+    def test_padding_and_empty_rows_stay_legal(self):
+        ArrivalSequence(1, [[1.0, INF, INF], [0.5, 0.5, 2.0]], np.ones((2, 3)))
+        ArrivalSequence(1, np.empty((3, 0)), np.empty((3, 0)))
+        ArrivalSequence(1, [], [])

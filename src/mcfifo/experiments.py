@@ -301,12 +301,6 @@ def tightness_scenario(
     return run_fifo(merge_streams(seqs, dict(enumerate(rates_bps, start=1))))
 
 
-def _trimmed(seq: ArrivalSequence, horizon_s: float) -> ArrivalSequence:
-    """The class's arrivals at or before the horizon."""
-    n = int(np.searchsorted(seq.times_s, horizon_s, side="right"))
-    return ArrivalSequence(seq.class_id, seq.times_s[:n], seq.sizes_bits[:n])
-
-
 def simulate_case(config: CaseConfig) -> RunResult:
     """Generate the case's arrivals and run them through the queue until the
     horizon, the last arrival of the class that stops first."""
@@ -324,7 +318,7 @@ def simulate_case(config: CaseConfig) -> RunResult:
             raise InvalidInputError(
                 f"class {seq.class_id} has no arrivals before the horizon: raise customers"
             )
-    seqs = [_trimmed(seq, horizon) for seq in seqs]
+    seqs = [seq.prefix(int(np.searchsorted(seq.times_s, horizon, "right"))) for seq in seqs]
     merged = merge_streams(seqs, config.rates())
     del seqs  # the merged stream holds every arrival now
     return run_fifo(merged)

@@ -316,10 +316,10 @@ def _chunk_delays(
     # cut itself included: with a lower class id it goes first
     target = next(s for s in sequences if s.class_id == class_id)
     cut_s = target.times_s[:, js[-1] - 1 : js[-1]]
-    trimmed = []
-    for seq in sequences:
-        k = int(np.count_nonzero(seq.times_s <= cut_s, axis=-1).max())
-        trimmed.append(ArrivalSequence(seq.class_id, seq.times_s[:, :k], seq.sizes_bits[:, :k]))
+    trimmed = [
+        seq.prefix(int(np.count_nonzero(seq.times_s <= cut_s, axis=-1).max()))
+        for seq in sequences
+    ]
     merged = merge_streams(trimmed, rates_bps)
     start = next(start for cid, start, _ in merged.segments if cid == class_id)
     at = np.stack([np.argmax(merged.source == start + j - 1, axis=-1) for j in js])

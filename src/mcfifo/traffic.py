@@ -180,6 +180,15 @@ class ArrivalSequence:
     def __len__(self) -> int:
         return self.times_s.shape[-1]
 
+    def prefix(self, count: int) -> ArrivalSequence:
+        """The first count arrivals of every row, not checked again: a prefix
+        of an ordered row with valid sizes is ordered with valid sizes."""
+        out = object.__new__(ArrivalSequence)
+        object.__setattr__(out, "class_id", self.class_id)
+        object.__setattr__(out, "times_s", self.times_s[..., :count])
+        object.__setattr__(out, "sizes_bits", self.sizes_bits[..., :count])
+        return out
+
 
 @dataclass(frozen=True)
 class DeterministicEnvelope:
@@ -202,8 +211,9 @@ class ExponentialTail:
     decay_per_bit: float
 
     def __post_init__(self):
-        if self.prefactor < 0 or self.decay_per_bit <= 0:
-            raise InvalidSpecError("need prefactor >= 0 and decay > 0")
+        # NaN fails both comparisons
+        if not (0 <= self.prefactor < math.inf and 0 < self.decay_per_bit < math.inf):
+            raise InvalidSpecError("need a finite prefactor >= 0 and a finite decay > 0")
 
     def tail(self, sigma_bits):
         """Probability that the backlog-like supremum exceeds sigma bits."""

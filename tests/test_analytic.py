@@ -7,8 +7,11 @@ from scipy import fft, integrate, signal
 from mcfifo.analytic import (
     CONV_REFINE,
     BoundCurve,
-    _convolve_cdfs_fine,
+    _add_exponential_term,
     _fast_fft_len,
+    _fine_grid,
+    _geometric_sum,
+    _linear_convolution,
     bound_cruz_aggregate,
     bound_dd1,
     bound_dmdm,
@@ -322,7 +325,7 @@ class TestWaitingBoundCurve:
         np.testing.assert_allclose(np.diff(logs), np.diff(logs)[0], rtol=1e-9)
 
 
-class TestConvolveCdfsFine:
+class TestLinearConvolution:
     """The numpy real-FFT convolution against scipy's fftconvolve, which the
     package no longer imports; scipy is the test-only reference here."""
 
@@ -333,11 +336,9 @@ class TestConvolveCdfsFine:
     def test_bit_identical_to_fftconvolve(self, n):
         fine = np.linspace(0.0, 6e-3, n)
         cdf_a = -np.expm1(-2702.7 * fine)
-        cdf_b = -np.expm1(-12500.0 * fine)
-        mass_b = np.diff(cdf_b, prepend=0.0)
+        mass_b = np.diff(-np.expm1(-12500.0 * fine), prepend=0.0)
         reference = signal.fftconvolve(cdf_a, mass_b)[:n]
-        reference = np.maximum.accumulate(np.clip(reference, 0.0, 1.0))
-        got = _convolve_cdfs_fine(cdf_a, cdf_b)
+        got = _linear_convolution(cdf_a, mass_b)
         assert got.tobytes() == reference.tobytes()
 
     def test_fast_length_matches_scipy(self):
@@ -396,6 +397,25 @@ class TestDelayBoundConvolve:
         wait = waiting_bound_curve(1000.0, grid)
         with pytest.raises(InvalidInputError):
             delay_bound_convolve(lambda t: -np.ones_like(t), wait)
+
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            lambda t: np.full_like(t, 2.0),  # read as zero service time before
+            lambda t: np.minimum(1.0 + 1e-9, 1e4 * t),
+            lambda t: np.where(t > 5e-4, np.nan, 0.0),
+            lambda t: np.full_like(t, np.nan),
+        ],
+    )
+    def test_values_above_one_or_nan_rejected(self, cdf):
+        wait = waiting_bound_curve(1000.0, np.linspace(0.0, 1e-3, 100))
+        with pytest.raises(InvalidInputError, match="service_cdf is not a valid CDF"):
+            delay_bound_convolve(cdf, wait)
+
+    def test_rounding_above_one_accepted(self):
+        wait = waiting_bound_curve(1000.0, np.linspace(0.0, 1e-3, 100))
+        delay = delay_bound_convolve(lambda t: np.minimum(1.0 + 1e-13, 1e4 * t), wait)
+        assert np.all(delay.probs >= wait.probs - 1e-12)
 
 
 def _exp_tail(decay_per_s, capacity, prefactor=1.0):
@@ -635,6 +655,157 @@ class TestGsbbConvolution:
         curve = gsbb_bound_convolution(tails, rates, grid)
         bound = bound_dd1(envs, rates)
         np.testing.assert_array_equal(curve.probs, np.where(grid >= bound, 0.0, 1.0))
+
+
+def _tail_masses(tail, capacity, fine):
+    """Masses of the CDF 1 - tail(C*t) on the fine grid, each at the right end
+    of its cell: T(k-1) - T(k), with T(-1) = 1."""
+    t = tail.tail(fine * capacity)
+    return np.concatenate(([1.0], t[:-1])) - t
+
+
+def _fine_fft_convolution(tails, caps, grid, refine):
+    """gsbb_bound_convolution by fine-grid FFTs: every exponential tail
+    tabulated on the refined grid and convolved by scipy."""
+    fine = _fine_grid(grid, refine)
+    shift, cdf = 0.0, None
+    for tail, capacity in zip(tails, caps):
+        if isinstance(tail, DegenerateTail):
+            shift += tail.burst_bits / capacity
+        elif cdf is None:
+            cdf = 1.0 - tail.tail(fine * capacity)
+        else:
+            cdf = signal.fftconvolve(cdf, _tail_masses(tail, capacity, fine))[: len(fine)]
+            cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+    idx = np.floor((grid - shift) / fine[1] + 1e-9).astype(int)
+    probs = np.where(idx < 0, 1.0, 1.0 - cdf[np.clip(idx, 0, len(fine) - 1)])
+    return np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
+
+
+def _fine_fft_delay(service_cdf, wait, refine):
+    """delay_bound_convolve's callable path by one fine-grid FFT: the
+    interpolated waiting CDF against the service masses."""
+    fine = _fine_grid(wait.grid_s, refine)
+    f_wait = 1.0 - np.interp(fine, wait.grid_s, wait.probs)
+    mass = np.diff(np.clip(service_cdf(fine), 0.0, 1.0), prepend=0.0)
+    f_delay = signal.fftconvolve(f_wait, mass)[: len(fine)]
+    return 1.0 - np.maximum.accumulate(np.clip(f_delay, 0.0, 1.0))[::refine]
+
+
+class TestConvolutionKernels:
+    """The geometric recurrence and the grid-size delay convolution against
+    exact sums of the tabulated masses and the fine-grid FFTs they replace."""
+
+    CAP = 10e6
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 1025, 40_000])
+    @pytest.mark.parametrize("rate", [1e-6, 3e-4, 0.1, 30.0, 700.0])
+    def test_geometric_sum_against_fsum(self, n, rate):
+        values = np.random.default_rng(n).random(n)
+        got = _geometric_sum(values, rate)
+        assert got.shape == (n,)
+        for j in sorted({0, 1, 31, 32, 33, n // 2, n - 1} & set(range(n))):
+            want = math.fsum(np.exp(-rate * np.arange(j, -1.0, -1.0)) * values[: j + 1])
+            assert got[j] == pytest.approx(want, rel=1e-13)
+
+    # 5e8 and 5e9 per second decay so fast that exp(-beta*h)**32 underflows;
+    # prefactor 0 is no term, 0.4 an atom at 0, 3 and 1e300 a knee past 0
+    # (1e300 past the grid's end)
+    @pytest.mark.parametrize("prefactor", [0.0, 0.4, 1.0, 3.0, 1e300])
+    @pytest.mark.parametrize("decay_per_s", [2000.0, 5e8, 5e9])
+    def test_one_term_against_fsum(self, prefactor, decay_per_s):
+        fine = _fine_grid(np.linspace(0.0, 3e-3, 301), CONV_REFINE)
+        cdf = -np.expm1(-1500.0 * fine)
+        tail = ExponentialTail(0.2 * self.CAP, prefactor, decay_per_s / self.CAP)
+        got = _add_exponential_term(cdf, tail, self.CAP, fine)
+        mass = _tail_masses(tail, self.CAP, fine)
+        for i in (0, 1, 2, 31, 32, 33, 1757, 1758, 5000, len(fine) - 1):
+            want = math.fsum(mass[: i + 1] * cdf[i::-1])
+            assert got[i] == pytest.approx(want, rel=0.0, abs=1e-12), i
+
+    def test_knee_on_a_fine_point_against_fsum(self):
+        # prefactor exp(beta*h*k) puts the knee within rounding of point k,
+        # where the knee's first guess is often one point off
+        fine = _fine_grid(np.linspace(0.0, 3e-3, 201), CONV_REFINE)
+        cdf = -np.expm1(-1500.0 * fine)
+        rng = np.random.default_rng(2)
+        for k, decay_per_s in zip(rng.integers(1, 5000, 40), rng.uniform(100.0, 5e4, 40)):
+            prefactor = math.exp(decay_per_s * fine[1] * k)
+            tail = ExponentialTail(0.2 * self.CAP, prefactor, decay_per_s / self.CAP)
+            got = _add_exponential_term(cdf, tail, self.CAP, fine)
+            mass = _tail_masses(tail, self.CAP, fine)
+            for i in (k - 1, k, k + 1, k + 2, k + 500):
+                want = math.fsum(mass[: i + 1] * cdf[i::-1])
+                assert got[i] == pytest.approx(want, rel=0.0, abs=1e-12), (k, i)
+
+    def test_knee_within_rounding_of_the_grid_end(self):
+        # log(prefactor) just below beta*h*n in the product, while the
+        # quotient log(prefactor)/(beta*h) rounds to n: the knee is the end
+        fine = _fine_grid(np.linspace(0.0, 3e-3, 201), CONV_REFINE)
+        n = len(fine)
+        cdf = -np.expm1(-1500.0 * fine)
+        hits = 0
+        for decay_per_s in np.linspace(100.0, 5e4, 400):
+            beta, h = decay_per_s / self.CAP * self.CAP, float(fine[1])
+            prefactor = math.exp(beta * h * n)
+            for _ in range(60):
+                lift = math.log(prefactor)
+                if lift < beta * h * n and int(lift / (beta * h)) + 1 > n:
+                    break
+                prefactor = math.nextafter(prefactor, 0.0)
+            else:
+                continue
+            hits += 1
+            tail = ExponentialTail(0.2 * self.CAP, prefactor, decay_per_s / self.CAP)
+            got = _add_exponential_term(cdf, tail, self.CAP, fine)
+            mass = _tail_masses(tail, self.CAP, fine)
+            for i in (0, n // 2, n - 1):
+                want = math.fsum(mass[: i + 1] * cdf[i::-1])
+                assert got[i] == pytest.approx(want, rel=0.0, abs=1e-12), (decay_per_s, i)
+        assert hits > 0
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("refine", [1, 16, 32, 64])
+    @pytest.mark.parametrize("points", [2, 201])
+    def test_tails_against_fine_fft(self, count, refine, points):
+        caps = [10e6, 100e6, 50e6, 20e6]
+        tails = [
+            ExponentialTail(0.2 * c, m, d / c)
+            for c, m, d in zip(caps, [1.0, 0.4, 3.0, 0.0], [1500.0, 4000.0, 2500.0, 900.0])
+        ]
+        grid = np.linspace(0.0, 4e-3, points)
+        got = gsbb_bound_convolution(tails[:count], caps[:count], grid, refine=refine)
+        want = _fine_fft_convolution(tails[:count], caps[:count], grid, refine)
+        np.testing.assert_allclose(got.probs, want, rtol=0.0, atol=1e-12)
+
+    def test_shift_with_tails_against_fine_fft(self):
+        caps = [10e6, 100e6, 50e6, 20e6]
+        tails = [
+            DegenerateTail(1e6, 4_000.0),
+            ExponentialTail(20e6, 1.0, 1500.0 / 100e6),
+            ExponentialTail(10e6, 2.0, 3000.0 / 50e6),
+            DegenerateTail(2e6, 3_000.0),
+        ]
+        grid = np.linspace(0.0, 4e-3, 401)
+        got = gsbb_bound_convolution(tails, caps, grid)
+        want = _fine_fft_convolution(tails, caps, grid, CONV_REFINE)
+        np.testing.assert_allclose(got.probs, want, rtol=0.0, atol=1e-12)
+        assert np.all(got.probs[grid < 5.5e-4] == 1.0)  # 400 us + 150 us shift
+
+    @pytest.mark.parametrize("refine", [1, 16, 32, 64])
+    @pytest.mark.parametrize("points", [2, 301])
+    @pytest.mark.parametrize("atom", [1.0, 0.6])  # P(W > 0); 0.6 leaves an atom at 0
+    @pytest.mark.parametrize("service", ["exponential", "step"])
+    def test_delay_against_fine_fft(self, refine, points, atom, service):
+        grid = np.linspace(0.0, 3e-3, points)
+        wait = BoundCurve(grid, atom * np.exp(-2000.0 * grid), "wait")
+        if service == "exponential":
+            cdf = lambda t: -np.expm1(-8000.0 * t)
+        else:  # a constant 0.77 ms, off the grid, given as a CDF
+            cdf = lambda t: (t >= 7.7e-4).astype(float)
+        got = delay_bound_convolve(cdf, wait, refine=refine)
+        want = _fine_fft_delay(cdf, wait, refine)
+        np.testing.assert_allclose(got.probs, want, rtol=0.0, atol=1e-12)
 
 
 class TestMstarSplitBound:

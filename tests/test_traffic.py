@@ -244,6 +244,27 @@ class TestGsbbTail:
             gsbb_tail_from_mgf(spec, reference_rate_bps=0.799 * 10e6)
 
 
+class TestExponentialTailValidation:
+    @pytest.mark.parametrize(
+        "prefactor, decay",
+        [
+            (float("nan"), 1e-4),
+            (float("inf"), 1e-4),
+            (-0.5, 1e-4),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+            (1.0, 0.0),
+            (1.0, -1e-4),
+        ],
+    )
+    def test_rejected_when_built(self, prefactor, decay):
+        with pytest.raises(InvalidSpecError, match="finite prefactor >= 0 and a finite decay > 0"):
+            ExponentialTail(1e6, prefactor, decay)
+
+    def test_zero_prefactor_and_tiny_decay_accepted(self):
+        assert ExponentialTail(1e6, 0.0, 5e-324).tail(1e9) == 0.0
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize(
         "arrival,size,rate",
@@ -314,3 +335,38 @@ class TestArrivalSequenceValidation:
         ArrivalSequence(1, [[1.0, INF, INF], [0.5, 0.5, 2.0]], np.ones((2, 3)))
         ArrivalSequence(1, np.empty((3, 0)), np.empty((3, 0)))
         ArrivalSequence(1, [], [])
+
+
+class TestArrivalSequencePrefix:
+    """A prefix skips the checks; it must equal the checked sequence."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got.class_id == want.class_id
+        assert got.times_s.shape == want.times_s.shape
+        assert got.times_s.tobytes() == want.times_s.tobytes()
+        assert got.sizes_bits.tobytes() == want.sizes_bits.tobytes()
+        assert len(got) == len(want)
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 5, 9])
+    def test_one_path(self, count):
+        seq = _one(ClassSpec(3, Poisson(1e3), ExponentialMean(500.0), 1e6), 5, seed=4)
+        want = ArrivalSequence(3, seq.times_s[:count], seq.sizes_bits[:count])
+        self._same(seq.prefix(count), want)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
+    def test_ragged_batch(self, count):
+        times = np.array([[1.0, INF, INF, INF], [0.5, 0.5, 2.0, INF], [0.1, 0.2, 0.3, 0.4]])
+        sizes = np.arange(1.0, 13.0).reshape(3, 4)
+        seq = ArrivalSequence(2, times, sizes)
+        want = ArrivalSequence(2, times[:, :count], sizes[:, :count])
+        self._same(seq.prefix(count), want)
+
+    @pytest.mark.parametrize("count", [1, 5, 30])
+    def test_drawn_ragged_batch(self, count):
+        specs = _coupled_pair(10000.0, 1000.0, "synchronized")
+        streams = ArrivalStreams(specs, {1: 40, 2: 4}, seed=5, rows=50)
+        streams.draw([2])
+        for seq in streams.sequences():
+            want = ArrivalSequence(seq.class_id, seq.times_s[:, :count], seq.sizes_bits[:, :count])
+            self._same(seq.prefix(count), want)

@@ -115,6 +115,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _case_id(value) -> int | str:
+    """A string or an integer, as JSON writes them; NaN, lists and the rest fail."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise TypeError(value)
+
+
 def _kind(obj: dict, keys_by_kind: dict, where: str) -> str:
     """The object's kind, once its keys are checked against that kind."""
     kind = obj.get("kind")
@@ -170,7 +177,7 @@ def _config_from_json(path: str, fallback_seed: int) -> CaseConfig:
             raise InvalidSpecError(f"unknown bound name {name!r}")
     tau_max_ms = _field(data, "tau_max_ms", "config", float, None)
     return CaseConfig(
-        case_id=data.get("case_id", "custom"),
+        case_id=_field(data, "case_id", "config", _case_id, "custom"),
         specs=tuple(_class_from_json(c, i) for i, c in enumerate(classes)),
         customers=_field(data, "customers", "config", _integer, CaseConfig.customers),
         seed=_field(data, "seed", "config", _integer, fallback_seed),

@@ -6,15 +6,24 @@ then exponential sizes), case 5 couples the Poisson streams, and case 6
 mixes a periodic class with a Poisson/exponential class. run_comparison
 simulates a case, evaluates every applicable bound, and reports where the
 empirical tail exceeds a bound beyond statistical slack.
+
+Its CCDF stage (_empirical_entries) sorts each class's waits once and,
+for a class of constant sizes, counts the delay curve from the same sorted
+waits shifted by the class's one service time; only classes with
+exponential sizes (presets 4 and 6) have their delays scattered and sorted.
+write_curves_csv writes the bytes of csv.writer without a per-row writer
+call: each label is quoted once and each distinct grid's taus formatted once.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -189,18 +198,35 @@ class ComparisonResult:
 
 
 def write_curves_csv(path, entries: Sequence[CurveEntry]) -> None:
-    """One row per grid point of every curve: label, tau and probability."""
+    """One row per grid point of every curve: label, tau and probability.
+
+    The bytes are those of csv.writer on repr of each float. Each label is
+    quoted once, by csv itself, and each distinct grid's tau column is
+    formatted once, however many curves share it.
+    """
+    row = "{},{},{!r}\r\n".format
+    taus: dict[bytes, list[str]] = {}  # grid bytes -> its formatted tau column
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["curve_label", "tau_s", "prob"])
+        fh.write("curve_label,tau_s,prob\r\n")
         for entry in entries:
-            for tau, p in zip(entry.grid_s, entry.probs):
-                writer.writerow([entry.label, repr(float(tau)), repr(float(p))])
+            grid = np.asarray(entry.grid_s, dtype=float)
+            key = grid.tobytes()
+            if key not in taus:
+                taus[key] = [repr(t) for t in grid.tolist()]
+            probs = np.asarray(entry.probs, dtype=float).tolist()
+            fh.write("".join(map(row, repeat(_csv_field(entry.label)), taus[key], probs)))
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text, ""])
+    return buf.getvalue()[:-1]
 
 
 def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -359,39 +385,70 @@ def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry
     int(n * warmup) customers. So the aggregate counts are the class counts,
     less the count over class c's values between d_c and e_c when e_c > d_c,
     or plus it when e_c < d_c.
+
+    Waits are sorted first. A class of Constant sizes has the one service
+    time s_c = bits / rate, the merge's own division, and adding a constant
+    keeps float order, so its sorted delays are its sorted waits plus s_c:
+    they are shifted in place and counted, and delay_s is scattered and
+    sorted only when some class has exponential sizes.
     """
     grid, warmup = config.grid(), config.warmup_fraction
     skip = int(len(result) * warmup)
     head = result.source[:skip]
-    classes = [
-        (cid, start, count, int(np.count_nonzero((head >= start) & (head < start + count))))
-        for cid, start, count in result.segments
-    ]
+    classes = []  # per class: id, segment start and length, d_c and e_c
+    for cid, start, n in result.segments:
+        e = int(np.count_nonzero((head >= start) & (head < start + n)))
+        classes.append((cid, start, n, int(n * warmup), e))
+    service = {
+        s.class_id: s.size.bits / s.service_rate_bps
+        for s in config.specs
+        if isinstance(s.size, Constant)
+    }
+    # (metric, class id) -> counts above the grid of the class's kept values
+    # and of its values between d_c and e_c
+    counts: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
     by_class = np.empty(len(result))
+    by_class[result.source] = result.waiting_s
+    for cid, start, n, d, e in classes:
+        kept, edge = _sorted_class(by_class[start : start + n], d, e)
+        counts["waiting", cid] = count_above(kept, grid), count_above(edge, grid)
+        if cid in service:
+            kept += service[cid]
+            edge += service[cid]
+            counts["delay", cid] = count_above(kept, grid), count_above(edge, grid)
+    exponential = [c for c in classes if c[0] not in service]
+    if exponential:
+        by_class[result.source] = result.delay_s
+        for cid, start, n, d, e in exponential:
+            kept, edge = _sorted_class(by_class[start : start + n], d, e)
+            counts["delay", cid] = count_above(kept, grid), count_above(edge, grid)
+
     entries = []
-    for metric, values in (("delay", result.delay_s), ("waiting", result.waiting_s)):
-        by_class[result.source] = values
+    for metric in ("delay", "waiting"):
         total = np.zeros(len(grid), dtype=np.int64)
         per_class = []
-        for cid, start, count, e in classes:
-            d = int(count * warmup)
-            # sorted copy of the boundary segment, taken before the kept
-            # values are sorted in place
-            edge = count_above(np.sort(by_class[start + min(d, e) : start + max(d, e)]), grid)
-            kept = by_class[start + d : start + count]
-            kept.sort()
-            above = count_above(kept, grid)
+        for cid, _, n, d, e in classes:
+            above, edge = counts[metric, cid]
             total += above
             if e > d:
                 total -= edge
             else:
                 total += edge
             label = f"sim_{metric}_c{cid}"
-            per_class.append(_counted_entry(label, metric, cid, grid, above, len(kept)))
+            per_class.append(_counted_entry(label, metric, cid, grid, above, n - d))
         samples = len(result) - skip
         entries.append(_counted_entry(f"sim_{metric}", metric, None, grid, total, samples))
         entries += per_class
     return entries
+
+
+def _sorted_class(values: np.ndarray, d: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """A class's values from d on, sorted in place, and a sorted copy of
+    its values between d and e, taken before the sort."""
+    edge = np.sort(values[min(d, e) : max(d, e)])
+    kept = values[d:]
+    kept.sort()
+    return kept, edge
 
 
 def _bound_entry(

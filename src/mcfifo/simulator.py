@@ -25,14 +25,18 @@ sit the segments, one (class_id, start, count) per class in id order, so a
 class's customers are the sources in [start, start + count) and the j-th of
 them is source start + j - 1. The class-id and j columns (class_ids,
 class_index) are derived from the two on demand, for records.csv and tests;
-the long run and the replications never build them. Service times are made
+the long run and the replications never build them. RunResult.write_csv
+derives them, with the delay and departure columns, from one chunk of
+CSV_CHUNK customers at a time and formats each row with one str.format, so
+writing records.csv takes memory bounded by the chunk. Service times are made
 in the merge too, while each class is still one segment: its sizes are
 divided by its own rate before the gather, so run_fifo never looks a
 customer's class up. Tail fractions count the values above each tau by
 count_above, one searchsorted on sorted values; empirical_ccdf uses it, and
 so does the comparison's CCDF stage (experiments._empirical_entries), which
 scatters each metric back into class order by source, sorts each class's
-segment once and counts the aggregate curve from the class counts.
+segment once and counts the aggregate curve from the class counts; a class
+of constant sizes gets its sorted delays by shifting its sorted waits.
 
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
@@ -49,9 +53,9 @@ arrival, so a class's segment holds exactly its customers in the run.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
+from itertools import starmap
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -71,10 +75,25 @@ FIFO_BLOCK = 2048
 #: per-call overhead, few enough that a chunk's arrays stay near 1 MB each.
 TRANSIENT_CHUNK = 2**17
 
+#: Rows of records.csv formatted at a time: a chunk's six columns as Python
+#: objects take a few MB, where a whole run's would grow with its length.
+CSV_CHUNK = 2**16
+
 
 #: One class's place in the class-ordered concatenation of the streams:
 #: (class_id, start, count), its customers being sources start..start+count-1.
 Segment = tuple[int, int, int]
+
+
+def _class_columns(
+    source: np.ndarray, segments: Sequence[Segment]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Class ids and 1-based j of the customers with the given sources."""
+    positions = np.zeros(source.shape, dtype=np.intp)  # each customer's segment
+    for _, start, _ in segments[1:]:
+        positions += source >= start
+    ids, starts = np.array([(cid, start) for cid, start, _ in segments], dtype=np.int64).T
+    return ids.take(positions), source - starts.take(positions) + 1
 
 
 class _ClassColumns:
@@ -83,22 +102,13 @@ class _ClassColumns:
     source: np.ndarray
     segments: tuple[Segment, ...]
 
-    def _segment_positions(self) -> np.ndarray:
-        """Position in segments of each customer's class."""
-        positions = np.zeros(self.source.shape, dtype=np.intp)
-        for _, start, _ in self.segments[1:]:
-            positions += self.source >= start
-        return positions
-
     @property
     def class_ids(self) -> np.ndarray:
-        ids = np.array([cid for cid, _, _ in self.segments], dtype=np.int64)
-        return ids.take(self._segment_positions())
+        return _class_columns(self.source, self.segments)[0]
 
     @property
     def class_index(self) -> np.ndarray:
-        starts = np.array([start for _, start, _ in self.segments], dtype=np.int64)
-        return self.source - starts.take(self._segment_positions()) + 1
+        return _class_columns(self.source, self.segments)[1]
 
 
 @dataclass(frozen=True)
@@ -150,20 +160,30 @@ class RunResult(_ClassColumns):
         return self.arrival_s + self.delay_s
 
     def write_csv(self, path) -> None:
-        columns = (
-            self.class_ids.tolist(),
-            self.class_index.tolist(),
-            map(repr, self.arrival_s.tolist()),
-            map(repr, self.departure_s.tolist()),
-            map(repr, self.delay_s.tolist()),
-            map(repr, self.waiting_s.tolist()),
-        )
+        """records.csv: one row per customer, in arrival order.
+
+        Rows are formatted CSV_CHUNK at a time from that chunk's slices, so
+        memory stays bounded whatever the run's length. The bytes are those
+        of csv.writer on repr of each float: no field needs quoting.
+        """
+        if self.arrival_s.ndim != 1:
+            raise InvalidInputError("records.csv holds one run: this result is a batch")
+        row = "{},{},{!r},{!r},{!r},{!r}\r\n".format
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["class_id", "j", "arrival_s", "departure_s", "delay_s", "waiting_s"]
-            )
-            writer.writerows(zip(*columns))
+            fh.write("class_id,j,arrival_s,departure_s,delay_s,waiting_s\r\n")
+            for lo in range(0, len(self), CSV_CHUNK):
+                chunk = slice(lo, lo + CSV_CHUNK)
+                arrival, waiting = self.arrival_s[chunk], self.waiting_s[chunk]
+                delay = waiting + self.service_s[chunk]
+                departure = arrival + delay
+                columns = (
+                    *_class_columns(self.source[chunk], self.segments),
+                    arrival,
+                    departure,
+                    delay,
+                    waiting,
+                )
+                fh.write("".join(starmap(row, zip(*(c.tolist() for c in columns)))))
 
 
 @dataclass(frozen=True)

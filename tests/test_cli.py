@@ -358,6 +358,11 @@ class TestConfigHandling:
             (lambda c: c.update(tau_max_ms=float("nan")), "tau_max_s must be finite"),
             (lambda c: c.update(seed=-4), "seed must be an integer >= 0, got -4"),
             (lambda c: c.update(classes=[]), "need at least one class"),
+            # summary.json would carry a bare NaN, which strict JSON rejects
+            (lambda c: c.update(case_id=float("nan")), "config: invalid case_id: nan"),
+            (lambda c: c.update(case_id=[3]), "config: invalid case_id: [3]"),
+            (lambda c: c.update(case_id=True), "config: invalid case_id: True"),
+            (lambda c: c.update(case_id=2.5), "config: invalid case_id: 2.5"),
         ],
     )
     def test_bad_config_is_a_precise_config_error(self, tmp_path, capsys, edit, message):

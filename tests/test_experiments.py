@@ -35,15 +35,18 @@ from mcfifo.simulator import (
     transient_delays,
 )
 from mcfifo.traffic import (
+    ClassSpec,
     Constant,
     CoupledPoisson,
     DeterministicEnvelope,
+    ExponentialMean,
     Periodic,
     Poisson,
     deterministic_envelope,
     generate_sequences,
     proportional_counts,
 )
+from mcfifo.units import bits_from_bytes, bps_from_mbps
 
 # golden preset parameters: any drift here is a regression
 GOLDEN = {
@@ -193,6 +196,32 @@ class TestRunComparison:
         labels = {row[0] for row in rows[1:]}
         assert "sim_delay" in labels and "det_multiclass" in labels
 
+    def test_curve_csv_bytes_equal_row_by_row_reference(self, tmp_path):
+        # two distinct grids, one of them repeated, and a label csv must quote
+        grid = np.linspace(0.0, 1e-3, 7)
+        other = np.linspace(0.0, 3e-3, 5)
+        probs = np.linspace(1.0, 1 / 3, 7)
+        entries = [
+            CurveEntry("a", "bound", "delay", None, grid, probs),
+            CurveEntry('b, "quoted"', "bound", "waiting", 1, other, np.full(5, 0.1)),
+            CurveEntry("c", "empirical", "delay", 2, grid.copy(), probs**2),
+        ]
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, entries)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["curve_label", "tau_s", "prob"])
+            for entry in entries:
+                for tau, p in zip(entry.grid_s, entry.probs):
+                    writer.writerow([entry.label, repr(float(tau)), repr(float(p))])
+        assert path.read_bytes() == reference.read_bytes()
+        assert b'"b, ""quoted""",0.0,0.1' in path.read_bytes()
+
+    def test_json_outputs_refuse_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "summary.json", {"case_id": float("nan")})
+
     def test_summary_json_round_trip(self, tmp_path):
         r = run_comparison(replace(preset(2), customers=5_000))
         path = tmp_path / "summary.json"
@@ -322,9 +351,9 @@ class TestEmpiricalEntries:
         still equal empirical_ccdf of its samples, with the aggregate's
         warmup boundary both before and after each class's own."""
         boundary_sides = set()
-        for case_id in range(1, 7):
+        for base in [preset(case_id) for case_id in range(1, 7)] + _uneven_configs():
             for warmup in (0.0, 0.1, 0.5, 0.9):
-                config = replace(preset(case_id), customers=20_000, warmup_fraction=warmup)
+                config = replace(base, customers=20_000, warmup_fraction=warmup)
                 result = simulate_case(config)
                 entries = _empirical_entries(config, result)
                 by_key = {(e.metric, e.class_id): e for e in entries}
@@ -334,6 +363,10 @@ class TestEmpiricalEntries:
                 for s in config.specs:
                     mask = result.class_ids == s.class_id
                     samples[s.class_id] = mask
+                    if isinstance(s.size, Constant):
+                        # the delay curve shifts the sorted waits by this service time
+                        service = s.size.bits / s.service_rate_bps
+                        assert np.all(result.service_s[mask] == service)
                     # e_c vs d_c: where the aggregate's boundary falls in class c
                     e = np.count_nonzero(mask[:skip])
                     boundary_sides.add(np.sign(e - int(np.count_nonzero(mask) * warmup)))
@@ -345,6 +378,39 @@ class TestEmpiricalEntries:
                         assert np.array_equal(got.probs, want.fractions), (case_id, warmup, cid)
                         assert got.samples == want.sample_count
         assert {-1, 1} <= boundary_sides
+
+    def test_constant_service_delays_are_counted_from_the_waits(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("delay_s was built")
+
+        results = {k: simulate_case(replace(preset(k), customers=20_000)) for k in (1, 2, 3, 5, 6)}
+        monkeypatch.setattr(RunResult, "delay_s", property(refuse))
+        for case_id in (1, 2, 3, 5):
+            _empirical_entries(preset(case_id), results[case_id])
+        # preset 6 has an exponential class, whose delays must be sorted
+        with pytest.raises(AssertionError, match="delay_s was built"):
+            _empirical_entries(preset(6), results[6])
+
+
+def _uneven_configs() -> list[CaseConfig]:
+    """Constant sizes whose service times are not round numbers, alone and
+    mixed with exponential sizes."""
+    uneven = ClassSpec(1, Poisson(1e3), Constant(bits_from_bytes(333)), bps_from_mbps(7))
+    return [
+        CaseConfig(
+            "uneven",
+            (uneven, ClassSpec(2, Poisson(500), Constant(bits_from_bytes(77)), bps_from_mbps(3))),
+        ),
+        CaseConfig(
+            "mixed-sizes",
+            (
+                uneven,
+                ClassSpec(
+                    2, Poisson(800), ExponentialMean(bits_from_bytes(513)), bps_from_mbps(9)
+                ),
+            ),
+        ),
+    ]
 
 
 def _violations_reference(bound, target, deterministic):

@@ -10,6 +10,7 @@ from mcfifo.errors import InvalidInputError
 from mcfifo.experiments import FLOAT_SLACK_S, preset, simulate_case
 from mcfifo.oracle import sequential_waits
 from mcfifo.simulator import (
+    CSV_CHUNK,
     FIFO_BLOCK,
     MergedArrivals,
     _chunk_delays,
@@ -577,3 +578,41 @@ class TestCsvExport:
                     ]
                 )
         assert path.read_bytes() == reference.read_bytes()
+
+    def test_bytes_equal_reference_past_a_chunk_boundary(self, tmp_path):
+        # the derived columns are built once here, so the row loop is linear
+        # and reaches the second chunk
+        result = simulate_case(replace(preset(6), customers=80_000))
+        assert len(result) > CSV_CHUNK
+        path = tmp_path / "records.csv"
+        result.write_csv(path)
+        columns = (
+            result.class_ids.tolist(),
+            result.class_index.tolist(),
+            *(
+                [repr(v) for v in values.tolist()]
+                for values in (
+                    result.arrival_s,
+                    result.departure_s,
+                    result.delay_s,
+                    result.waiting_s,
+                )
+            ),
+        )
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["class_id", "j", "arrival_s", "departure_s", "delay_s", "waiting_s"]
+            )
+            for row in zip(*columns):
+                writer.writerow(row)
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_batch_result_is_refused(self, tmp_path):
+        times = np.array([[0.0, 1.0], [0.0, 2.0]])
+        result = run_fifo(merge_streams([_seq(1, times, np.ones((2, 2)))], UNIT))
+        path = tmp_path / "records.csv"
+        with pytest.raises(InvalidInputError, match="this result is a batch"):
+            result.write_csv(path)
+        assert not path.exists()

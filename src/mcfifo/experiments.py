@@ -99,7 +99,9 @@ class CaseConfig:
         integers = (("customers", 1), ("grid_points", 2), ("replications", 1), ("seed", 0))
         for name, least in integers:
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            # a bool is an Integral, but True is not a count or a seed
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral and value >= least):
                 raise InvalidSpecError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def grid(self) -> np.ndarray:

@@ -8,7 +8,11 @@ reproduces the same sequence, and every class draws from its own substream
 of a single 64-bit seed, so adding or reordering classes does not perturb
 the others. ArrivalStreams draws those streams for a batch of independent
 paths, one per row, and can lengthen the paths after they are drawn; a
-single sequence is its one-row case.
+single sequence is its one-row case. Draws are transformed in the buffer
+they were drawn into: uniforms become exponential gaps or sizes in place,
+and gaps become arrival times by a cumulative sum into the same buffer.
+Every member of a scaled coupling group reads the group's shared uniforms,
+so each member transforms a copy of its slice.
 """
 
 from __future__ import annotations
@@ -243,10 +247,19 @@ def _substream(seed: int, role: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(role, key)))
 
 
+def _log_of_uniforms(u: np.ndarray) -> np.ndarray:
+    """ln(u), computed in u's own buffer, which is returned."""
+    # u == 0 has probability 2**-53 per draw but would give -inf; any other u
+    # is at least 2**-53, so the maximum moves 0 alone
+    np.maximum(u, np.finfo(float).tiny, out=u)
+    return np.log(u, out=u)
+
+
 def _exponential_from_uniforms(u: np.ndarray, rate_hz: float) -> np.ndarray:
-    # -ln(u)/rate; u == 0 has probability 2**-53 per draw but would give inf
-    u = np.where(u == 0.0, np.finfo(float).tiny, u)
-    return -np.log(u) / rate_hz
+    """-ln(u)/rate, computed in u's own buffer, which is returned."""
+    np.negative(_log_of_uniforms(u), out=u)
+    u /= rate_hz
+    return u
 
 
 def _pack(kept: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
@@ -345,14 +358,15 @@ class ArrivalStreams:
     def _sizes(self, spec: ClassSpec, count: int) -> np.ndarray:
         if isinstance(spec.size, Constant):
             return np.full((self.rows, count), spec.size.bits, dtype=float)
-        u = self._rng(_ROLE_SIZES, spec.class_id).random((self.rows, count))
-        u = np.where(u == 0.0, np.finfo(float).tiny, u)
-        return -spec.size.mean_bits * np.log(u)
+        u = _log_of_uniforms(self._rng(_ROLE_SIZES, spec.class_id).random((self.rows, count)))
+        u *= -spec.size.mean_bits
+        return u
 
     def _append_gaps(self, spec: ClassSpec, gaps: np.ndarray) -> None:
-        """Continue each row's arrival times by cumulative interarrival gaps."""
+        """Continue each row's arrival times by cumulative interarrival gaps,
+        summed in the gaps' own buffer."""
         gaps[:, 0] += self.horizon[spec.class_id]  # the same sums as one longer path
-        times = np.cumsum(gaps, axis=-1)
+        times = np.cumsum(gaps, axis=-1, out=gaps)
         self._append(spec, times, self._sizes(spec, times.shape[-1]))
         self.horizon[spec.class_id] = times[:, -1]
 
@@ -378,8 +392,9 @@ class ArrivalStreams:
             u = self._shared[group] = np.concatenate([u, more], axis=-1)
         for m in members:
             k = self.times[m.class_id].shape[-1]
+            # a copy: the other members read the same uniforms again
             gaps = _exponential_from_uniforms(
-                u[:, k : k + self.step[m.class_id]], m.arrival.rate_hz
+                u[:, k : k + self.step[m.class_id]].copy(), m.arrival.rate_hz
             )
             self._append_gaps(m, gaps)
 

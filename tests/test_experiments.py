@@ -524,6 +524,11 @@ class TestCaseConfig:
             ("seed", -1),
             ("seed", 1.5),
             ("specs", ()),
+            ("customers", True),
+            ("grid_points", True),
+            ("replications", True),
+            ("seed", True),
+            ("seed", False),
         ],
     )
     def test_invalid_run_parameters_rejected(self, field, value):

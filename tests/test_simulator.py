@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mcfifo.oracle import sequential_waits
 from mcfifo.simulator import (
     CSV_CHUNK,
     FIFO_BLOCK,
+    FIFO_GROUP,
     MergedArrivals,
     _chunk_delays,
     _transient_plan,
@@ -347,6 +349,75 @@ class TestFifoKernel:
             merge_streams(seqs, {1: 1.0, 2: 1.0})
 
 
+def _per_block_waits(arrival_s, service_s):
+    """The blocked scan with one block per numpy call: fifo_waits groups
+    FIFO_GROUP blocks per call and must give these waits bit for bit."""
+    waits = np.empty(arrival_s.shape)
+    backlog = np.zeros(arrival_s.shape[:-1])
+    last_arrival = np.zeros(arrival_s.shape[:-1])
+    for lo in range(0, arrival_s.shape[-1], FIFO_BLOCK):
+        a = arrival_s[..., lo : lo + FIFO_BLOCK]
+        s = service_s[..., lo : lo + FIFO_BLOCK]
+        rel = a - a[..., :1]
+        prefix = np.empty(a.shape)
+        prefix[..., 0] = 0.0
+        np.cumsum(s[..., :-1], axis=-1, out=prefix[..., 1:])
+        start = np.empty(a.shape)
+        start[..., 0] = backlog - (a[..., 0] - last_arrival)
+        np.subtract(rel[..., :-1], prefix[..., :-1], out=start[..., 1:])
+        np.maximum.accumulate(start, axis=-1, out=start)
+        w = waits[..., lo : lo + FIFO_BLOCK]
+        np.add(prefix, start, out=w)
+        np.subtract(w, rel, out=w)
+        np.maximum(w, 0.0, out=w)
+        backlog = w[..., -1] + s[..., -1]
+        last_arrival = a[..., -1]
+    return waits
+
+
+#: Customers in one group of blocks of the FIFO scan.
+GROUP = FIFO_GROUP * FIFO_BLOCK
+
+
+class TestGroupedScan:
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, FIFO_BLOCK - 1, FIFO_BLOCK, FIFO_BLOCK + 1, GROUP - 1, GROUP, GROUP + 1,
+         3 * GROUP + 17],
+    )
+    def test_equals_the_per_block_scan(self, n):
+        # load near 1: busy periods span blocks and groups
+        rng = np.random.default_rng(n)
+        a = np.cumsum(rng.exponential(1.0, n))
+        s = rng.exponential(0.97, n)
+        assert np.array_equal(fifo_waits(a, s), _per_block_waits(a, s))
+
+    def test_batch_equals_the_per_block_scan(self):
+        rng = np.random.default_rng(5)
+        shape = (3, GROUP + 5)
+        a = np.cumsum(rng.exponential(1.0, shape), axis=-1)
+        s = rng.exponential([[0.5], [0.97], [1.5]], shape)
+        assert np.array_equal(fifo_waits(a, s), _per_block_waits(a, s))
+
+    @pytest.mark.parametrize("case_id", range(1, 7))
+    def test_presets_equal_the_per_block_scan(self, case_id):
+        result = simulate_case(replace(preset(case_id), customers=2 * GROUP + 100))
+        a, s = result.arrival_s, result.service_s
+        assert np.array_equal(result.waiting_s, _per_block_waits(a, s))
+
+    @pytest.mark.parametrize("shape", [(GROUP + 9,), (2, GROUP + 9)])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nan_spreads_as_in_the_per_block_scan(self, shape, column):
+        # the carry between blocks follows np.maximum's NaN rule too: a NaN
+        # arrival inside a block reaches the carry only through the running max
+        a = np.cumsum(np.full(shape, 1.0), axis=-1)
+        s = np.full(shape, 0.5)
+        (a, s)[column][..., FIFO_BLOCK + 3] = np.nan
+        waits = fifo_waits(a, s)
+        assert np.array_equal(waits, _per_block_waits(a, s), equal_nan=True)
+        assert np.isnan(waits[..., -1]).all() and not np.isnan(waits[..., :FIFO_BLOCK]).any()
+
+
 class TestEmpiricalCcdf:
     def test_direct_count(self):
         ccdf = empirical_ccdf([1.0, 2.0, 3.0], np.array([2.0]), warmup_discard=0.0)
@@ -401,6 +472,33 @@ class TestTransient:
         ccdf = empirical_ccdf(transient_delays(config, [1], 1, 100)[1], grid, 0.0)
         assert ccdf.sample_count == 100
         assert ccdf.fractions[0] == 1.0  # delay is always positive
+
+    @pytest.mark.parametrize(
+        "js,replications,message",
+        [
+            ([], 2, "js must name at least one customer"),
+            ((2.7,), 2, "customer indices must be integers >= 1, got 2.7"),
+            (("3",), 2, "customer indices must be integers >= 1, got '3'"),
+            ((float("nan"),), 2, "customer indices must be integers >= 1, got nan"),
+            ((True,), 2, "customer indices must be integers >= 1, got True"),
+            ((0,), 2, "customer indices must be integers >= 1, got 0"),
+            ((1, -3), 2, "customer indices must be integers >= 1, got -3"),
+            ((1,), 2.5, "replications must be an integer >= 1, got 2.5"),
+            ((1,), True, "replications must be an integer >= 1, got True"),
+            ((1,), 0, "replications must be an integer >= 1, got 0"),
+            ((1,), "2", "replications must be an integer >= 1, got '2'"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, js, replications, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            transient_delays(preset(3), js, 1, replications)
+
+    def test_numpy_integers_accepted(self):
+        plain = transient_delays(preset(3), (1, 10), 1, 20)
+        numpy = transient_delays(preset(3), np.array([10, 1]), 1, np.int64(20))
+        assert plain.keys() == numpy.keys() == {1, 10}
+        assert all(np.array_equal(plain[j], numpy[j]) for j in plain)
+        assert all(type(j) is int for j in numpy)
 
     def test_deterministic_case_warns(self):
         with pytest.warns(UserWarning):

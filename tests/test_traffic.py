@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mcfifo import traffic
 from mcfifo.errors import InvalidSpecError, NoDecayError, UnsupportedEnvelopeError
+from mcfifo.experiments import preset
 from mcfifo.traffic import (
     ArrivalSequence,
     ArrivalStreams,
@@ -16,6 +18,7 @@ from mcfifo.traffic import (
     deterministic_envelope,
     generate_sequences,
     gsbb_tail_from_mgf,
+    proportional_counts,
 )
 
 CASE1_CLASS1 = ClassSpec(1, Periodic(1e-4), Constant(800.0), 20e6)
@@ -161,6 +164,71 @@ class TestArrivalStreams:
             assert np.all(np.isin(slow[r][kept[r]], master[r]))
             assert np.all(np.diff(slow[r][kept[r]]) > 0)
         np.testing.assert_array_equal(streams.horizon[2], master[:, -1])
+
+
+def _copying_exponential(u, rate_hz):
+    u = np.where(u == 0.0, np.finfo(float).tiny, u)
+    return -np.log(u) / rate_hz
+
+
+def _copying_sizes(self, spec, count):
+    if isinstance(spec.size, Constant):
+        return np.full((self.rows, count), spec.size.bits, dtype=float)
+    u = self._rng(traffic._ROLE_SIZES, spec.class_id).random((self.rows, count))
+    u = np.where(u == 0.0, np.finfo(float).tiny, u)
+    return -spec.size.mean_bits * np.log(u)
+
+
+def _copying_append_gaps(self, spec, gaps):
+    gaps[:, 0] += self.horizon[spec.class_id]
+    times = np.cumsum(gaps, axis=-1)
+    self._append(spec, times, self._sizes(spec, times.shape[-1]))
+    self.horizon[spec.class_id] = times[:, -1]
+
+
+class TestInPlaceDraws:
+    """Draws are transformed in the buffer they were drawn into; the same
+    formulas on fresh arrays at each step must give the same bits."""
+
+    SPECS = [*(preset(k).specs for k in (3, 4, 5, 6)), _coupled_pair(10000.0, 1000.0)]
+
+    @staticmethod
+    def _copying(monkeypatch):
+        monkeypatch.setattr(traffic, "_exponential_from_uniforms", _copying_exponential)
+        monkeypatch.setattr(ArrivalStreams, "_sizes", _copying_sizes)
+        monkeypatch.setattr(ArrivalStreams, "_append_gaps", _copying_append_gaps)
+
+    @pytest.mark.parametrize("specs", SPECS)
+    def test_sequences_equal_the_copying_formulas(self, specs, monkeypatch):
+        counts = proportional_counts(specs, 20_000)
+        fast = generate_sequences(specs, counts, seed=8)
+        self._copying(monkeypatch)
+        for got, want in zip(fast, generate_sequences(specs, counts, seed=8)):
+            assert np.array_equal(got.times_s, want.times_s)
+            assert np.array_equal(got.sizes_bits, want.sizes_bits)
+
+    @pytest.mark.parametrize("specs", SPECS)
+    def test_batch_draws_equal_the_copying_formulas(self, specs, monkeypatch):
+        def drawn():
+            streams = ArrivalStreams(specs, {s.class_id: 40 for s in specs}, seed=6, rows=5)
+            streams.draw([s.class_id for s in specs])
+            streams.draw([specs[-1].class_id])
+            return streams.sequences()
+
+        fast = drawn()
+        self._copying(monkeypatch)
+        for got, want in zip(fast, drawn()):
+            assert np.array_equal(got.times_s, want.times_s)
+            assert np.array_equal(got.sizes_bits, want.sizes_bits)
+
+    def test_scaled_draw_leaves_the_shared_uniforms_alone(self):
+        # every member reads the group's uniforms: a draw must not transform them
+        streams = ArrivalStreams(_coupled_pair(10000.0, 1000.0), {1: 50, 2: 30}, seed=3, rows=4)
+        streams.draw([1, 2])
+        fresh = traffic._substream(3, traffic._ROLE_GROUP, 9).random((4, 50))
+        assert np.array_equal(streams._shared[9], fresh)
+        streams.draw([1, 2])
+        assert np.array_equal(streams._shared[9][:, :50], fresh)
 
 
 class TestDeterministicEnvelope:

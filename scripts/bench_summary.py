@@ -19,6 +19,13 @@ With a "parent" label the pairs are read against it, and the last line says
 whether the other side shows a gain: it must win at least nine tenths of
 the pairs, and its median must differ from the parent's by more than the
 parent's interquartile range.
+
+The output ends with one regression verdict per end-to-end metric and side,
+read against "parent" with the metric's relative bound from BENCHMARK.json:
+"beyond bound" when the side's median is worse than the parent's by more
+than the bound, else "unresolved" when the parent's interquartile range
+exceeds the bound times its median and not every run of the side beats
+every parent run, else "within bound".
 """
 
 from __future__ import annotations
@@ -88,8 +95,21 @@ def paired(a: dict[int, float], b: dict[int, float], lower: bool) -> tuple[int, 
     return a_wins, len(common) - a_wins - ties, ties
 
 
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """Whether change's runs are worse than parent's by more than the relative bound."""
+    p_q1, p_med, p_q3 = quartiles(sorted(parent))
+    c_med = statistics.median(change)
+    worse = (c_med - p_med if lower else p_med - c_med) / p_med
+    if worse > bound:
+        return "beyond bound"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if (p_q3 - p_q1) / p_med > bound and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def summary(runs: dict, metrics: list[dict]) -> list[str]:
-    lines = []
+    lines, verdicts = [], []
     labels = sorted(runs, key=lambda label: (label != "parent", str(label)))
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -115,6 +135,13 @@ def summary(runs: dict, metrics: list[dict]) -> list[str]:
             gain = better and b_wins >= 0.9 * pairs and abs(gap) > q3 - q1
             lines.append(f"    median gap {gap:+.6g} ({100 * gap / med:+.1f} %), parent IQR "
                          f"{q3 - q1:.6g}: gain {'shown' if gain else 'not shown'}")
+            found = verdict(list(by_label[a].values()), list(by_label[b].values()), lower,
+                            metric["bound"])
+            verdicts.append(f"{name} {b} vs parent: {found} "
+                            f"(bound {100 * metric['bound']:g} %)")
+    if verdicts:
+        lines.append("regression verdicts")
+        lines += [f"  {line}" for line in verdicts]
     return lines
 
 

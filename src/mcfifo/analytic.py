@@ -671,8 +671,6 @@ def _split_periodic_mm(specs: Sequence[ClassSpec]) -> tuple[ClassSpec, ClassSpec
             "need one periodic constant-size class and one Poisson "
             "exponential-size class"
         )
-    if not isinstance(periodic[0].size, Constant):
-        raise InvalidSpecError("the periodic class must have constant sizes")
     return periodic[0], stochastic[0]
 
 

@@ -23,19 +23,16 @@ from pathlib import Path
 from . import analytic, experiments
 from .errors import InvalidInputError, InvalidSpecError
 from .experiments import (
-    BOUNDS,
     DEFAULT_SEED,
+    PRESETS,
     CaseConfig,
     _empirical_entries,
-    _is_deterministic,
-    empirical_entry,
     preset,
     run_comparison,
     simulate_case,
     write_curves_csv,
     write_json,
 )
-from .simulator import transient_delays
 from .traffic import (
     ClassSpec,
     Constant,
@@ -171,10 +168,6 @@ def _config_from_json(path: str, fallback_seed: int) -> CaseConfig:
             raise InvalidSpecError(f"{path}: malformed JSON: {exc}") from None
     _check_keys(data, _CONFIG_KEYS, "config")
     classes = _field(data, "classes", "config", _array)
-    bounds = tuple(_field(data, "bounds", "config", _array, []))
-    for name in bounds:
-        if not isinstance(name, str) or name not in BOUNDS:
-            raise InvalidSpecError(f"unknown bound name {name!r}")
     tau_max_ms = _field(data, "tau_max_ms", "config", float, None)
     return CaseConfig(
         case_id=_field(data, "case_id", "config", _case_id, "custom"),
@@ -186,7 +179,7 @@ def _config_from_json(path: str, fallback_seed: int) -> CaseConfig:
         warmup_fraction=_field(
             data, "warmup_fraction", "config", float, CaseConfig.warmup_fraction
         ),
-        bounds=bounds,
+        bounds=tuple(_field(data, "bounds", "config", _array, [])),
         replications=_field(data, "replications", "config", _integer, 1),
     )
 
@@ -272,18 +265,7 @@ def cmd_compare(args) -> int:
     config = _resolve_config(args)
     out = _out_dir(args)
     comparison = run_comparison(config)
-    curves = list(comparison.curves)
-
-    if config.replications > 1 and not _is_deterministic(config):
-        # transient curves of the first class's early customers
-        first = config.specs[0].class_id
-        delays = transient_delays(config, (1, 10, 100), first, config.replications)
-        grid = config.grid()
-        for j, values in delays.items():
-            label, note = f"sim_delay_c{first}_j{j}", f"delay of the {j}-th class-{first} customer"
-            curves.append(empirical_entry(label, "delay", first, values, grid, 0.0, note))
-
-    write_curves_csv(out / "curves.csv", curves)
+    write_curves_csv(out / "curves.csv", comparison.curves)
     summary = comparison.summary_dict()
     summary["seed"] = config.seed
     write_json(out / "summary.json", summary)
@@ -302,8 +284,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_preset_list(args) -> int:
-    for case_id in range(1, 7):
-        config = preset(case_id)
+    for case_id, config in PRESETS.items():
         parts = []
         for s in config.specs:
             if isinstance(s.arrival, Periodic):
@@ -336,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", cmd_compare),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--case", type=int, choices=range(1, 7), default=None)
+        p.add_argument("--case", type=int, choices=sorted(PRESETS), default=None)
         p.add_argument("--config", type=str, default=None, help="JSON case config")
         p.add_argument("--customers", type=int, default=None)
         p.add_argument("--replications", type=int, default=None)

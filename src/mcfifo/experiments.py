@@ -3,9 +3,12 @@
 Cases 1-2 are periodic constant-size pairs (worst-case bounds apply),
 cases 3-4 replace arrivals with independent Poisson processes (constant
 then exponential sizes), case 5 couples the Poisson streams, and case 6
-mixes a periodic class with a Poisson/exponential class. run_comparison
-simulates a case, evaluates every applicable bound, and reports where the
-empirical tail exceeds a bound beyond statistical slack.
+mixes a periodic class with a Poisson/exponential class; PRESETS holds
+them by case id. run_comparison simulates a case, evaluates every applicable
+bound, and reports where the empirical tail exceeds a bound beyond
+statistical slack. It builds every curve a comparison reports: with
+replications > 1 and some stochastic class, these include the transient
+delay tails of the first class's 1st, 10th and 100th customers.
 
 Its CCDF stage (_empirical_entries) sorts each class's waits once and,
 for a class of constant sizes, counts the delay curve from the same sorted
@@ -22,7 +25,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from typing import Sequence
 
@@ -37,6 +40,7 @@ from .simulator import (
     empirical_ccdf,
     merge_streams,
     run_fifo,
+    transient_delays,
 )
 from .traffic import (
     ArrivalSequence,
@@ -103,6 +107,12 @@ class CaseConfig:
             integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             if not (integral and value >= least):
                 raise InvalidSpecError(f"{name} must be an integer >= {least}, got {value!r}")
+        for i, name in enumerate(self.bounds):
+            # a name that is not a string fails here, not as a TypeError of the lookup
+            if not isinstance(name, str) or name not in BOUNDS:
+                raise InvalidSpecError(f"unknown bound name {name!r}")
+            if name in self.bounds[:i]:
+                raise InvalidSpecError(f"duplicate bound name {name!r}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.tau_max_s, self.grid_points)
@@ -232,84 +242,6 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _case12_specs(c1_mbps: float) -> tuple[ClassSpec, ClassSpec]:
-    return (
-        ClassSpec(
-            class_id=1,
-            arrival=Periodic(seconds_from_ms(0.1)),
-            size=Constant(bits_from_bytes(100)),
-            service_rate_bps=bps_from_mbps(c1_mbps),
-        ),
-        ClassSpec(
-            class_id=2,
-            arrival=Periodic(seconds_from_ms(1.0)),
-            size=Constant(bits_from_bytes(1250)),
-            service_rate_bps=bps_from_mbps(100),
-        ),
-    )
-
-
-def preset(case_id: int) -> CaseConfig:
-    """Benchmark case presets; their parameters are pinned by tests."""
-    if case_id == 1:
-        return CaseConfig(1, _case12_specs(20), tau_max_s=2.0e-4, bounds=("deterministic",))
-    if case_id == 2:
-        return CaseConfig(2, _case12_specs(10), tau_max_s=2.5e-4, bounds=("deterministic",))
-    if case_id == 3:
-        specs = (
-            ClassSpec(1, Poisson(1e4), Constant(bits_from_bytes(100)), bps_from_mbps(10)),
-            ClassSpec(2, Poisson(1e3), Constant(bits_from_bytes(1250)), bps_from_mbps(100)),
-        )
-        return CaseConfig(3, specs, tau_max_s=6.0e-3, bounds=("md1",))
-    if case_id == 4:
-        specs = (
-            ClassSpec(
-                1, Poisson(1e4), ExponentialMean(bits_from_bytes(100)), bps_from_mbps(10)
-            ),
-            ClassSpec(
-                2, Poisson(1e3), ExponentialMean(bits_from_bytes(1250)), bps_from_mbps(100)
-            ),
-        )
-        return CaseConfig(4, specs, tau_max_s=1.2e-2, bounds=("mm1",))
-    if case_id == 5:
-        # same rates as case 3 with the arrival streams coupled; the
-        # synchronized mechanism keeps Poisson marginals while making class-2
-        # arrivals coincide with class-1 arrivals, which is what defeats the
-        # independence-based bound
-        specs = (
-            ClassSpec(
-                1,
-                CoupledPoisson(1e4, coupling_group=1, mechanism="synchronized"),
-                Constant(bits_from_bytes(100)),
-                bps_from_mbps(10),
-            ),
-            ClassSpec(
-                2,
-                CoupledPoisson(1e3, coupling_group=1, mechanism="synchronized"),
-                Constant(bits_from_bytes(1250)),
-                bps_from_mbps(100),
-            ),
-        )
-        return CaseConfig(5, specs, tau_max_s=6.0e-3, bounds=("md1", "split_constant"))
-    if case_id == 6:
-        specs = (
-            ClassSpec(
-                1,
-                Periodic(seconds_from_ms(0.1)),
-                Constant(bits_from_bytes(100)),
-                bps_from_mbps(10),
-            ),
-            ClassSpec(
-                2,
-                Poisson(1e3),
-                ExponentialMean(bits_from_bytes(1250)),
-                bps_from_mbps(100),
-            ),
-        )
-        return CaseConfig(6, specs, tau_max_s=3.5e-3, bounds=("mixed_pair",))
-    raise InvalidSpecError(f"unknown case id {case_id!r}")
-
-
 def tightness_scenario(
     envelopes: Sequence[DeterministicEnvelope], rates_bps: Sequence[float]
 ) -> RunResult:
@@ -350,17 +282,6 @@ def simulate_case(config: CaseConfig) -> RunResult:
     merged = merge_streams(seqs, config.rates())
     del seqs  # the merged stream holds every arrival now
     return run_fifo(merged)
-
-
-def empirical_entry(
-    label: str, metric: str, class_id: int | None, values, grid, warmup: float, note: str = ""
-) -> CurveEntry:
-    """The empirical tail of values over grid, after discarding a warmup fraction."""
-    ccdf = empirical_ccdf(values, grid, warmup)
-    fractions, samples = ccdf.fractions, ccdf.sample_count
-    return CurveEntry(
-        label, "empirical", metric, class_id, grid, fractions, note=note, samples=samples
-    )
 
 
 def _counted_entry(
@@ -571,16 +492,63 @@ def case_bound_entries(config: CaseConfig) -> tuple[list[CurveEntry], dict]:
     entries: list[CurveEntry] = []
     values: dict = {}
     for name in config.bounds:
-        if name not in BOUNDS:
-            raise InvalidSpecError(f"unknown bound name {name!r}")
         more, scalars = BOUNDS[name](config.specs, grid)
         entries += more
         values.update(scalars)
     return entries, values
 
 
-def _is_deterministic(config: CaseConfig) -> bool:
-    return all(isinstance(s.arrival, Periodic) for s in config.specs)
+def _case12_specs(c1_mbps: float) -> tuple[ClassSpec, ClassSpec]:
+    return (
+        ClassSpec(
+            class_id=1,
+            arrival=Periodic(seconds_from_ms(0.1)),
+            size=Constant(bits_from_bytes(100)),
+            service_rate_bps=bps_from_mbps(c1_mbps),
+        ),
+        ClassSpec(
+            class_id=2,
+            arrival=Periodic(seconds_from_ms(1.0)),
+            size=Constant(bits_from_bytes(1250)),
+            service_rate_bps=bps_from_mbps(100),
+        ),
+    )
+
+
+_CASE3_SPECS = (
+    ClassSpec(1, Poisson(1e4), Constant(bits_from_bytes(100)), bps_from_mbps(10)),
+    ClassSpec(2, Poisson(1e3), Constant(bits_from_bytes(1250)), bps_from_mbps(100)),
+)
+_CASE4_SPECS = (
+    ClassSpec(1, Poisson(1e4), ExponentialMean(bits_from_bytes(100)), bps_from_mbps(10)),
+    ClassSpec(2, Poisson(1e3), ExponentialMean(bits_from_bytes(1250)), bps_from_mbps(100)),
+)
+# case 3 with the arrival streams coupled; the synchronized mechanism keeps
+# Poisson marginals while making class-2 arrivals coincide with class-1
+# arrivals, which is what defeats the independence-based bound
+_CASE5_SPECS = tuple(
+    replace(s, arrival=CoupledPoisson(s.arrival.rate_hz, 1, "synchronized"))
+    for s in _CASE3_SPECS
+)
+# the periodic class 1 of case 2 and the Poisson class 2 of case 4
+_CASE6_SPECS = (_case12_specs(10)[0], _CASE4_SPECS[1])
+
+#: Benchmark case presets by case id; their parameters are pinned by tests.
+PRESETS = {
+    1: CaseConfig(1, _case12_specs(20), tau_max_s=2.0e-4, bounds=("deterministic",)),
+    2: CaseConfig(2, _case12_specs(10), tau_max_s=2.5e-4, bounds=("deterministic",)),
+    3: CaseConfig(3, _CASE3_SPECS, tau_max_s=6.0e-3, bounds=("md1",)),
+    4: CaseConfig(4, _CASE4_SPECS, tau_max_s=1.2e-2, bounds=("mm1",)),
+    5: CaseConfig(5, _CASE5_SPECS, tau_max_s=6.0e-3, bounds=("md1", "split_constant")),
+    6: CaseConfig(6, _CASE6_SPECS, tau_max_s=3.5e-3, bounds=("mixed_pair",)),
+}
+
+
+def preset(case_id: int) -> CaseConfig:
+    """The benchmark case of PRESETS with this id."""
+    if case_id not in PRESETS:
+        raise InvalidSpecError(f"unknown case id {case_id!r}")
+    return PRESETS[case_id]
 
 
 def _check_violations(
@@ -611,13 +579,15 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
 
     Deterministic cases additionally compare every delay against the
     worst-case value directly (no grid, no statistical slack, only the
-    double-rounding allowance).
+    double-rounding allowance). With replications > 1 and some stochastic
+    class, the curves end with the delay tails of the first class's 1st,
+    10th and 100th customers across that many independent replications.
     """
     result = simulate_case(config)
     stability = analytic.stability(config.specs)
     empirical = _empirical_entries(config, result)
     bound_entries, values = case_bound_entries(config)
-    deterministic = _is_deterministic(config)
+    deterministic = all(isinstance(s.arrival, Periodic) for s in config.specs)
 
     # simulate_case ran every class of the config, so every bound has its curve
     targets = {(e.metric, e.class_id): e for e in empirical}
@@ -633,10 +603,27 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
         values["max_delay_s"] = float(delays.max())
         values["delays_above_dd1"] = int(np.count_nonzero(over))
 
+    # appended after the violations, so the long run's delay curve of the
+    # first class stays the target its bounds were checked against
+    curves = empirical + bound_entries
+    if config.replications > 1 and not deterministic:
+        first = config.specs[0].class_id
+        grid = config.grid()
+        delays = transient_delays(config, (1, 10, 100), first, config.replications)
+        for j, sample in delays.items():
+            label, note = f"sim_delay_c{first}_j{j}", f"delay of the {j}-th class-{first} customer"
+            ccdf = empirical_ccdf(sample, grid, 0.0)
+            fractions, samples = ccdf.fractions, ccdf.sample_count
+            curves.append(
+                CurveEntry(
+                    label, "empirical", "delay", first, grid, fractions, note=note, samples=samples
+                )
+            )
+
     return ComparisonResult(
         case_id=config.case_id,
         stability=stability,
         values=values,
-        curves=tuple(empirical + bound_entries),
+        curves=tuple(curves),
         violations=tuple(violations),
     )

@@ -110,6 +110,8 @@ class ClassSpec:
             self._require_positive("mean size", self.size.mean_bits)
         else:
             raise InvalidSpecError(f"class {self.class_id}: unknown size kind")
+        if isinstance(self.arrival, Periodic) and not isinstance(self.size, Constant):
+            raise InvalidSpecError(f"class {self.class_id}: periodic classes need constant sizes")
         self._require_positive("service rate", self.service_rate_bps)
 
     def _require_positive(self, name: str, value: float) -> None:
@@ -287,9 +289,6 @@ class ArrivalStreams:
     def __init__(self, specs: Sequence[ClassSpec], step: dict[int, int], seed: int, rows: int):
         if any(step[s.class_id] < 1 for s in specs):
             raise InvalidSpecError("count must be >= 1")
-        for spec in specs:
-            if isinstance(spec.arrival, Periodic) and not isinstance(spec.size, Constant):
-                raise InvalidSpecError("periodic generation requires constant sizes")
         self._groups = coupling_groups(specs)
         for members in self._groups.values():
             if len(members) < 2:
@@ -445,7 +444,7 @@ def proportional_counts(specs: Sequence[ClassSpec], total: int) -> dict[int, int
 
 def deterministic_envelope(spec: ClassSpec) -> DeterministicEnvelope:
     """Rate/burst envelope of a periodic constant-size class: (size/period, size)."""
-    if not (isinstance(spec.arrival, Periodic) and isinstance(spec.size, Constant)):
+    if not isinstance(spec.arrival, Periodic):
         raise UnsupportedEnvelopeError(
             f"class {spec.class_id}: only periodic constant-size classes have a "
             "deterministic envelope"
@@ -473,8 +472,6 @@ def gsbb_tail_from_mgf(
         raise InvalidSpecError(f"unknown method {method!r}")
     capacity = spec.service_rate_bps
     if isinstance(spec.arrival, Periodic):
-        if not isinstance(spec.size, Constant):
-            raise UnsupportedEnvelopeError("periodic classes need constant sizes")
         if reference_rate_bps < spec.mean_rate_bps:
             raise NoDecayError(
                 "reference rate below the class's long-run rate: no finite burst"

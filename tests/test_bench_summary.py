@@ -79,6 +79,31 @@ def test_gap_inside_the_parent_spread_is_no_gain(tmp_path, capsys):
     assert out[4].endswith("gain not shown")
 
 
+@pytest.mark.parametrize(
+    "spread,change,found",
+    [
+        (0.01, lambda s: 1.05 + 0.01 * s, "within bound"),  # 5 % worse, bound 25 %
+        (0.01, lambda s: 1.5 + 0.01 * s, "beyond bound"),
+        # the parent's quartiles lie further apart than the bound: a median
+        # inside that spread tells nothing, whichever side it falls on
+        (0.1, lambda s: 1.0 + 0.1 * s, "unresolved"),
+        (0.1, lambda s: 0.95 + 0.1 * s, "unresolved"),
+        # ... unless every change run beats every parent run
+        (0.1, lambda s: 0.1 + 0.05 * s, "within bound"),
+    ],
+)
+def test_regression_verdict_per_metric(tmp_path, capsys, spread, change, found):
+    runs = [("parent", s, 1.0 + spread * s, 0) for s in range(10)]
+    runs += [("change", s, change(s), 0) for s in range(10)]
+    _write(tmp_path, runs)
+    out = _summary(tmp_path, capsys)
+    assert out[-3:] == [
+        "regression verdicts",
+        f"  wall_s change vs parent: {found} (bound 25 %)",
+        f"  work_per_s change vs parent: {found} (bound 25 %)",
+    ]
+
+
 @pytest.mark.parametrize("text,seeds", [("7", {7}), ("1,4-6", {1, 4, 5, 6})])
 def test_parse_seeds(text, seeds):
     assert bench_summary.parse_seeds(text) == seeds

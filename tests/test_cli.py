@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import os
 import re
@@ -9,8 +11,8 @@ import pytest
 
 import mcfifo
 
-from mcfifo.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
-from mcfifo.experiments import BOUNDS
+from mcfifo.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, build_parser, main
+from mcfifo.experiments import BOUNDS, PRESETS
 
 
 def _run_bounds(tmp_path, *extra):
@@ -188,9 +190,13 @@ class TestCompareCommand:
             ]
         )
         assert code == EXIT_OK
-        text = (out / "curves.csv").read_text()
-        for j in (1, 10, 100):
-            assert f"sim_delay_c1_j{j}" in text
+        with open(out / "curves.csv", newline="") as fh:
+            labels = list(dict.fromkeys(row["curve_label"] for row in csv.DictReader(fh)))
+        assert labels[-3:] == [f"sim_delay_c1_j{j}" for j in (1, 10, 100)]
+        # summary.json describes every curve of curves.csv, in its order
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["label"] for c in summary["curves"]] == labels
+        assert summary["curves"][-1]["note"] == "delay of the 100-th class-1 customer"
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         import mcfifo.cli as cli_mod
@@ -363,6 +369,13 @@ class TestConfigHandling:
             (lambda c: c.update(case_id=[3]), "config: invalid case_id: [3]"),
             (lambda c: c.update(case_id=True), "config: invalid case_id: True"),
             (lambda c: c.update(case_id=2.5), "config: invalid case_id: 2.5"),
+            (
+                lambda c: c["classes"][0].update(
+                    size={"kind": "exponential", "mean_packet_bytes": 100}
+                ),
+                "class 1: periodic classes need constant sizes",
+            ),
+            (lambda c: c.update(bounds=["mixed_pair", "mixed_pair"]), "duplicate bound name"),
         ],
     )
     def test_bad_config_is_a_precise_config_error(self, tmp_path, capsys, edit, message):
@@ -425,6 +438,12 @@ class TestConfigHandling:
         assert out.count("case ") == 6
         assert "synchronized" in out
         assert out.splitlines()[4].endswith(" | bounds=md1,split_constant")
+
+    def test_case_choices_are_the_presets(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("bounds", "simulate", "compare"):
+            case = next(a for a in sub.choices[command]._actions if a.dest == "case")
+            assert case.choices == sorted(PRESETS)
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -234,9 +235,39 @@ class TestRunComparison:
     def test_unknown_bound_name_rejected(self):
         # md1 tells coupled classes apart itself, so md1_independent is no bound name
         for name in ("nope", "md1_independent"):
-            config = replace(preset(1), bounds=(name,), customers=100)
             with pytest.raises(InvalidSpecError, match=f"unknown bound name '{name}'"):
-                run_comparison(config)
+                replace(preset(1), bounds=(name,), customers=100)
+
+    def test_transient_curves_follow_the_long_run(self):
+        config = replace(preset(3), customers=20_000, replications=200)
+        comparison = run_comparison(config)
+        delays = transient_delays(config, (1, 10, 100), 1, 200)
+        labels = [f"sim_delay_c1_j{j}" for j in (1, 10, 100)]
+        assert [c.label for c in comparison.curves[-3:]] == labels
+        for j, label in zip((1, 10, 100), labels):
+            curve = comparison.curve(label)
+            expected = empirical_ccdf(delays[j], config.grid(), 0.0).fractions
+            assert curve.probs.tobytes() == expected.tobytes()
+            assert (curve.kind, curve.metric, curve.class_id, curve.samples) == (
+                "empirical",
+                "delay",
+                1,
+                200,
+            )
+            assert curve.note == f"delay of the {j}-th class-1 customer"
+        # the bounds are still checked against the long run's curves
+        single = run_comparison(replace(config, replications=1))
+        assert comparison.violations == single.violations
+        same = [(c.label, c.probs.tobytes()) for c in single.curves]
+        assert [(c.label, c.probs.tobytes()) for c in comparison.curves[:-3]] == same
+
+    def test_deterministic_case_has_no_transient_curves(self):
+        config = replace(preset(1), customers=20_000, replications=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comparison = run_comparison(config)
+        single = run_comparison(replace(config, replications=1))
+        assert [c.label for c in comparison.curves] == [c.label for c in single.curves]
 
 
 #: Per preset: each bound entry's (label, metric, class_id, guaranteed,
@@ -534,6 +565,21 @@ class TestCaseConfig:
     def test_invalid_run_parameters_rejected(self, field, value):
         with pytest.raises(InvalidSpecError, match=field):
             replace(preset(3), **{field: value})
+
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            (("nope",), "unknown bound name 'nope'"),
+            # unhashable: rejected as a name, not a TypeError of the registry lookup
+            ((["md1"],), r"unknown bound name \['md1'\]"),
+            # a repeat would count every violation of its curves twice
+            (("md1", "md1"), "duplicate bound name 'md1'"),
+            (("md1", "split_constant", "md1"), "duplicate bound name 'md1'"),
+        ],
+    )
+    def test_invalid_bound_names_rejected(self, bounds, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            replace(preset(5), bounds=bounds)
 
     def test_class_without_arrivals_rejected(self, tmp_path, capsys):
         # three customers of case 5: the thinned class keeps no instant

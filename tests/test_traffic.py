@@ -354,6 +354,7 @@ class TestSpecValidation:
             (Poisson(1.0), Constant(1.0), float("nan")),
             (Poisson(1.0), Constant(1.0), float("inf")),
             (Poisson(1.0), Constant(1.0), float("-inf")),
+            (Periodic(1.0), ExponentialMean(1.0), 1.0),
         ],
     )
     def test_invalid_parameters_rejected(self, arrival, size, rate):

@@ -3,9 +3,8 @@
 Commands: bounds (analytical values and curves, no simulation), simulate
 (records and empirical CCDFs), compare (bounds versus simulation with a
 violation report), preset-list. Cases come from the built-in presets or a
-JSON config whose field names carry explicit units (period_ms,
-packet_bytes, service_rate_mbps); everything is canonicalized to seconds
-and bits on load.
+JSON config file, which this module opens and parses, rejecting a key given
+twice; CaseConfig.from_dict reads the parsed config into seconds and bits.
 
 Exit codes: 0 success, 2 configuration error, 3 a guaranteed bound was
 violated beyond slack.
@@ -23,7 +22,6 @@ from pathlib import Path
 from . import analytic, experiments
 from .errors import InvalidInputError, InvalidSpecError
 from .experiments import (
-    DEFAULT_SEED,
     PRESETS,
     CaseConfig,
     _empirical_entries,
@@ -33,15 +31,7 @@ from .experiments import (
     write_curves_csv,
     write_json,
 )
-from .traffic import (
-    ClassSpec,
-    Constant,
-    CoupledPoisson,
-    ExponentialMean,
-    Periodic,
-    Poisson,
-)
-from .units import bits_from_bytes, bps_from_mbps, seconds_from_ms
+from .traffic import Constant, CoupledPoisson, Periodic
 
 SEED_ENV_VAR = "MCFIFO_SEED"
 
@@ -49,24 +39,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
 
-
-#: Keys a config file may hold: at the top level, in each class, and in
-#: each arrival and size object by kind.
-_CONFIG_KEYS = {
-    "case_id", "classes", "customers", "seed", "tau_max_ms", "grid_points",
-    "warmup_fraction", "bounds", "replications",
-}
-_CLASS_KEYS = {"class_id", "arrival", "size", "service_rate_mbps"}
-_ARRIVAL_KEYS = {
-    "periodic": {"kind", "period_ms"},
-    "poisson": {"kind", "rate_per_s"},
-    "coupled_poisson": {"kind", "rate_per_s", "coupling_group", "mechanism"},
-}
-_SIZE_KEYS = {
-    "constant": {"kind", "packet_bytes"},
-    "exponential": {"kind", "mean_packet_bytes"},
-}
-_REQUIRED = object()
 
 #: Command-line flags (as argparse names them) that override a CaseConfig field.
 _OVERRIDES = (
@@ -79,109 +51,25 @@ _OVERRIDES = (
 )
 
 
-def _check_keys(obj, allowed: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise InvalidSpecError(f"{where}: expected a JSON object, got {obj!r}")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise InvalidSpecError(f"{where}: unknown key {unknown[0]!r}")
+def _load_json(path: str):
+    """The JSON value in the file at path; a key given twice in one object is
+    an error, where json.load would keep the last value."""
 
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InvalidSpecError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
 
-def _field(obj: dict, key: str, where: str, cast=float, default=_REQUIRED):
-    """obj[key] converted by cast, or default when the key is absent."""
-    if key not in obj:
-        if default is _REQUIRED:
-            raise InvalidSpecError(f"{where}: missing key {key!r}")
-        return default
-    try:
-        return cast(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidSpecError(f"{where}: invalid {key}: {obj[key]!r}") from None
-
-
-def _array(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(value)
-    return value
-
-
-def _integer(value) -> int:
-    """A whole number as an int; a fraction is an error, not truncated."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(value)
-    return int(value)
-
-
-def _case_id(value) -> int | str:
-    """A string or an integer, as JSON writes them; NaN, lists and the rest fail."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return value
-    raise TypeError(value)
-
-
-def _kind(obj: dict, keys_by_kind: dict, where: str) -> str:
-    """The object's kind, once its keys are checked against that kind."""
-    kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in keys_by_kind:
-        raise InvalidSpecError(f"{where}: unknown kind {kind!r}")
-    _check_keys(obj, keys_by_kind[kind], where)
-    return kind
-
-
-def _arrival_from_json(obj, where: str):
-    kind = _kind(obj, _ARRIVAL_KEYS, where)
-    if kind == "periodic":
-        return Periodic(seconds_from_ms(_field(obj, "period_ms", where)))
-    rate = _field(obj, "rate_per_s", where)
-    if kind == "poisson":
-        return Poisson(rate)
-    return CoupledPoisson(
-        rate,
-        _field(obj, "coupling_group", where, _integer),
-        _field(obj, "mechanism", where, str, "scaled"),
-    )
-
-
-def _size_from_json(obj, where: str):
-    if _kind(obj, _SIZE_KEYS, where) == "constant":
-        return Constant(bits_from_bytes(_field(obj, "packet_bytes", where)))
-    return ExponentialMean(bits_from_bytes(_field(obj, "mean_packet_bytes", where)))
-
-
-def _class_from_json(obj, index: int) -> ClassSpec:
-    _check_keys(obj, _CLASS_KEYS, f"classes[{index}]")
-    class_id = _field(obj, "class_id", f"classes[{index}]", _integer)
-    where = f"class {class_id}"
-    return ClassSpec(
-        class_id=class_id,
-        arrival=_arrival_from_json(_field(obj, "arrival", where, dict), f"{where} arrival"),
-        size=_size_from_json(_field(obj, "size", where, dict), f"{where} size"),
-        service_rate_bps=bps_from_mbps(_field(obj, "service_rate_mbps", where)),
-    )
-
-
-def _config_from_json(path: str, fallback_seed: int) -> CaseConfig:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
+        except InvalidSpecError:
+            raise
         except ValueError as exc:
             raise InvalidSpecError(f"{path}: malformed JSON: {exc}") from None
-    _check_keys(data, _CONFIG_KEYS, "config")
-    classes = _field(data, "classes", "config", _array)
-    tau_max_ms = _field(data, "tau_max_ms", "config", float, None)
-    return CaseConfig(
-        case_id=_field(data, "case_id", "config", _case_id, "custom"),
-        specs=tuple(_class_from_json(c, i) for i, c in enumerate(classes)),
-        customers=_field(data, "customers", "config", _integer, CaseConfig.customers),
-        seed=_field(data, "seed", "config", _integer, fallback_seed),
-        tau_max_s=CaseConfig.tau_max_s if tau_max_ms is None else seconds_from_ms(tau_max_ms),
-        grid_points=_field(data, "grid_points", "config", _integer, CaseConfig.grid_points),
-        warmup_fraction=_field(
-            data, "warmup_fraction", "config", float, CaseConfig.warmup_fraction
-        ),
-        bounds=tuple(_field(data, "bounds", "config", _array, [])),
-        replications=_field(data, "replications", "config", _integer, 1),
-    )
 
 
 def _resolve_config(args) -> CaseConfig:
@@ -190,17 +78,18 @@ def _resolve_config(args) -> CaseConfig:
         raise InvalidInputError("provide exactly one of --case or --config")
     env_seed = os.environ.get(SEED_ENV_VAR)
     try:
-        fallback_seed = int(env_seed) if env_seed else DEFAULT_SEED
+        fallback_seed = int(env_seed) if env_seed else None
     except ValueError:
         raise InvalidInputError(
             f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
         ) from None
     if args.case is not None:
-        config = preset(args.case)
-        if env_seed:
-            config = replace(config, seed=fallback_seed)
+        config, file_seed = preset(args.case), False
     else:
-        config = _config_from_json(args.config, fallback_seed)
+        data = _load_json(args.config)
+        config, file_seed = CaseConfig.from_dict(data), "seed" in data
+    if fallback_seed is not None and not file_seed:
+        config = replace(config, seed=fallback_seed)
     overrides = {
         field: getattr(args, flag)
         for flag, field in _OVERRIDES

@@ -16,6 +16,10 @@ waits shifted by the class's one service time; only classes with
 exponential sizes (presets 4 and 6) have their delays scattered and sorted.
 write_curves_csv writes the bytes of csv.writer without a per-row writer
 call: each label is quoted once and each distinct grid's taus formatted once.
+
+A config file is read here, by CaseConfig.from_dict from its parsed JSON:
+one table, _KEYS, gives each key its field and its conversion to seconds
+and bits, and an absent key keeps its field's dataclass default.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import repeat
 from typing import Sequence
 
@@ -58,10 +62,7 @@ from .traffic import (
 )
 from .units import bits_from_bytes, bps_from_mbps, seconds_from_ms
 
-DEFAULT_SEED = 1
-DEFAULT_CUSTOMERS = 1_000_000
 DEFAULT_GRID_POINTS = 2000
-DEFAULT_WARMUP = 0.1
 
 #: Absolute slack absorbing accumulated double rounding when simulated
 #: delays are compared against deterministic bounds they can attain exactly.
@@ -78,11 +79,11 @@ class CaseConfig:
 
     case_id: int | str
     specs: tuple[ClassSpec, ...]
-    customers: int = DEFAULT_CUSTOMERS
-    seed: int = DEFAULT_SEED
+    customers: int = 1_000_000
+    seed: int = 1
     tau_max_s: float = 1e-3
     grid_points: int = DEFAULT_GRID_POINTS
-    warmup_fraction: float = DEFAULT_WARMUP
+    warmup_fraction: float = 0.1
     bounds: tuple[str, ...] = ()
     replications: int = 1
 
@@ -114,11 +115,117 @@ class CaseConfig:
             if name in self.bounds[:i]:
                 raise InvalidSpecError(f"duplicate bound name {name!r}")
 
+    @classmethod
+    def from_dict(cls, obj) -> CaseConfig:
+        """The case a parsed JSON config describes, in seconds and bits.
+
+        _KEYS gives each key its field and readers. An absent key keeps its
+        field's dataclass default, and a field with none makes its key
+        required; the one exception is case_id, which defaults to "custom".
+        Bad input raises InvalidSpecError naming the object and the key.
+        """
+        return _read(cls, obj, "config", case_id="custom")
+
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.tau_max_s, self.grid_points)
 
     def rates(self) -> dict[int, float]:
         return {s.class_id: s.service_rate_bps for s in self.specs}
+
+
+def _json(*types):
+    """A reader that passes on a value of one of types, not a bool, and fails on any other."""
+
+    def read(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(value)
+        return value
+
+    return read
+
+
+def _integer(value) -> int:
+    """A whole number as an int; a fraction is an error, not truncated."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(value)
+    return int(value)
+
+
+def _classes(objs: list) -> tuple[ClassSpec, ...]:
+    return tuple(_read(ClassSpec, obj, f"classes[{i}]") for i, obj in enumerate(objs))
+
+
+_NUMBER = _json(int, float)
+#: Every key of a config file: the field it sets, and the readers that take
+#: its JSON value, one after the other, to the field's value in seconds and
+#: bits. A key belongs to each type with its field. In place of readers, a
+#: dict maps the "kind" of a nested object to its type.
+_KEYS = {
+    "case_id": ("case_id", _json(str, int)),
+    "classes": ("specs", _json(list), _classes),
+    "customers": ("customers", _integer),
+    "seed": ("seed", _integer),
+    "tau_max_ms": ("tau_max_s", _NUMBER, seconds_from_ms),
+    "grid_points": ("grid_points", _integer),
+    "warmup_fraction": ("warmup_fraction", _NUMBER, float),
+    "bounds": ("bounds", _json(list), tuple),
+    "replications": ("replications", _integer),
+    "class_id": ("class_id", _integer),
+    "arrival": (
+        "arrival",
+        {"periodic": Periodic, "poisson": Poisson, "coupled_poisson": CoupledPoisson},
+    ),
+    "size": ("size", {"constant": Constant, "exponential": ExponentialMean}),
+    "service_rate_mbps": ("service_rate_bps", _NUMBER, bps_from_mbps),
+    "period_ms": ("period_s", _NUMBER, seconds_from_ms),
+    "rate_per_s": ("rate_hz", _NUMBER, float),
+    "coupling_group": ("coupling_group", _integer),
+    "mechanism": ("mechanism", _json(str)),
+    "packet_bytes": ("bits", _NUMBER, bits_from_bytes),
+    "mean_packet_bytes": ("mean_bits", _NUMBER, bits_from_bytes),
+}
+
+
+def _read(cls, obj, where: str, **given):
+    """cls built from the JSON object obj by its keys in _KEYS; where names
+    obj in messages, and given sets fields before obj's keys are read."""
+    if not isinstance(obj, dict):
+        raise InvalidSpecError(f"{where}: expected a JSON object, got {obj!r}")
+    values = {f.name: f.default for f in fields(cls)} | given
+    keys = {key: row for key, row in _KEYS.items() if row[0] in values}
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise InvalidSpecError(f"{where}: unknown key {unknown[0]!r}")
+    for key, (name, *readers) in keys.items():
+        if key not in obj:
+            if values[name] is MISSING:
+                raise InvalidSpecError(f"{where}: missing key {key!r}")
+            continue
+        value = obj[key]
+        try:
+            if isinstance(readers[0], dict):
+                value = _read_kind(readers[0], value, f"{where} {key}")
+            else:
+                for reader in readers:
+                    value = reader(value)
+        except InvalidSpecError:
+            raise
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidSpecError(f"{where}: invalid {key}: {obj[key]!r}") from None
+        values[name] = value
+        if name == "class_id":  # the keys after a class's id name the class by it
+            where = f"class {value}"
+    return cls(**values)
+
+
+def _read_kind(kinds: dict, obj, where: str):
+    """The object of the type that obj's "kind" names in kinds."""
+    if not isinstance(obj, dict):
+        raise TypeError(obj)
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidSpecError(f"{where}: unknown kind {kind!r}")
+    return _read(kinds[kind], {k: v for k, v in obj.items() if k != "kind"}, where)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 import mcfifo
 
 from mcfifo.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, build_parser, main
-from mcfifo.experiments import BOUNDS, PRESETS
+from mcfifo.experiments import _KEYS, BOUNDS, PRESETS
 
 
 def _run_bounds(tmp_path, *extra):
@@ -240,6 +240,15 @@ def test_readme_bound_names_are_the_registry():
     assert re.findall(r"`(\w+)`", sentence) == list(BOUNDS)
 
 
+def test_readme_config_keys_are_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    intro = "Config keys (the keys of `experiments._KEYS`)"
+    section = readme[readme.index(intro) :].split("\n\n")[1]
+    assert re.findall(r"^- `(\w+)`", section, flags=re.M) == list(_KEYS)
+    for line in section.splitlines():
+        assert line.endswith("; required.") or "; default " in line, line
+
+
 class TestConfigHandling:
     def test_custom_config_file(self, tmp_path):
         config = {
@@ -376,18 +385,72 @@ class TestConfigHandling:
                 "class 1: periodic classes need constant sizes",
             ),
             (lambda c: c.update(bounds=["mixed_pair", "mixed_pair"]), "duplicate bound name"),
+            # a number is an int or a float, never true, false or a string
+            (
+                lambda c: c["classes"][1]["arrival"].update(rate_per_s=True),
+                "class 2 arrival: invalid rate_per_s: True",
+            ),
+            (
+                lambda c: c["classes"][1].update(service_rate_mbps=True),
+                "class 2: invalid service_rate_mbps: True",
+            ),
+            (
+                lambda c: c["classes"][0]["size"].update(packet_bytes="100"),
+                "class 1 size: invalid packet_bytes: '100'",
+            ),
+            (lambda c: c.update(tau_max_ms="5"), "config: invalid tau_max_ms: '5'"),
+            (lambda c: c.update(warmup_fraction=False), "config: invalid warmup_fraction: False"),
+            (
+                lambda c: c["classes"][1].update(arrival=[["kind", "poisson"], ["rate_per_s", 1]]),
+                "class 2: invalid arrival: [['kind', 'poisson'], ['rate_per_s', 1]]",
+            ),
+            (
+                lambda c: c["classes"][1].update(
+                    arrival={
+                        "kind": "coupled_poisson",
+                        "rate_per_s": 1000,
+                        "coupling_group": 1,
+                        "mechanism": 5,
+                    }
+                ),
+                "class 2 arrival: invalid mechanism: 5",
+            ),
+            # json.load alone would keep the last of the two values; an edit
+            # that returns a string writes that string
+            (
+                lambda c: '{"customers": 5, ' + json.dumps(c)[1:],
+                "case.json: duplicate key 'customers'",
+            ),
         ],
     )
     def test_bad_config_is_a_precise_config_error(self, tmp_path, capsys, edit, message):
         config = _readme_config()
-        edit(config)
+        text = edit(config)
         path = tmp_path / "case.json"
-        path.write_text(json.dumps(config))
+        path.write_text(text if isinstance(text, str) else json.dumps(config))
         out = tmp_path / "o"
         code = main(["simulate", "--config", str(path), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize(
+        "file_seed,flags,seed", [(5, [], 5), (None, [], 99), (5, ["--seed", "7"], 7)]
+    )
+    def test_seed_precedence_with_a_config_file(
+        self, tmp_path, monkeypatch, file_seed, flags, seed
+    ):
+        # --seed, then the file's seed, then MCFIFO_SEED
+        monkeypatch.setenv("MCFIFO_SEED", "99")
+        config = _readme_config()
+        if file_seed is not None:
+            config["seed"] = file_seed
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        args = ["simulate", "--config", str(path), "--customers", "2000", "--format", "json"]
+        assert main(args + flags + ["--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["seed"] == seed
 
     def test_readme_example_loads(self, tmp_path):
         path = tmp_path / "case.json"

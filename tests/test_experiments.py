@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from mcfifo.traffic import (
     generate_sequences,
     proportional_counts,
 )
-from mcfifo.units import bits_from_bytes, bps_from_mbps
+from mcfifo.units import bits_from_bytes, bps_from_mbps, seconds_from_ms
 
 # golden preset parameters: any drift here is a regression
 GOLDEN = {
@@ -594,6 +595,60 @@ class TestCaseConfig:
         args = ["compare", "--case", "6", "--customers", "3", "--seed", "2", "--grid-points", "50"]
         assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
         assert horizon in capsys.readouterr().err
+
+
+def _readme_config() -> dict:
+    """The config-file example of the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+class TestFromDict:
+    #: the classes of the README example, built in Python
+    SPECS = (
+        ClassSpec(
+            1, Periodic(seconds_from_ms(0.1)), Constant(bits_from_bytes(100)), bps_from_mbps(20)
+        ),
+        ClassSpec(2, Poisson(1000.0), ExponentialMean(bits_from_bytes(1250)), bps_from_mbps(100)),
+    )
+
+    def test_readme_example_is_the_python_config(self):
+        expected = CaseConfig(
+            "custom",
+            self.SPECS,
+            customers=1_000_000,
+            tau_max_s=seconds_from_ms(3.5),
+            bounds=("mixed_pair",),
+        )
+        assert CaseConfig.from_dict(_readme_config()) == expected
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        classes = _readme_config()["classes"]
+        assert CaseConfig.from_dict({"classes": classes}) == CaseConfig("custom", self.SPECS)
+        classes[1]["arrival"] = {"kind": "coupled_poisson", "rate_per_s": 10, "coupling_group": 1}
+        coupled = CaseConfig.from_dict({"classes": classes}).specs[1].arrival
+        assert coupled == CoupledPoisson(10.0, 1)
+
+    @pytest.mark.parametrize(
+        "field,obj",
+        [
+            ("arrival", {"kind": "periodic", "period_ms": 1.0}),
+            ("arrival", {"kind": "poisson", "rate_per_s": 1000}),
+            ("arrival", {"kind": "coupled_poisson", "rate_per_s": 1000, "coupling_group": 1}),
+            ("size", {"kind": "constant", "packet_bytes": 1250}),
+            ("size", {"kind": "exponential", "mean_packet_bytes": 1250}),
+        ],
+    )
+    def test_each_kind_requires_its_keys(self, field, obj):
+        data = _readme_config()
+        cls = data["classes"][1]
+        cls["size"] = {"kind": "constant", "packet_bytes": 1250}  # any arrival kind takes it
+        cls[field] = obj
+        CaseConfig.from_dict(data)
+        for key in set(obj) - {"kind"}:
+            cls[field] = {k: v for k, v in obj.items() if k != key}
+            with pytest.raises(InvalidSpecError, match=f"class 2 {field}: missing key '{key}'"):
+                CaseConfig.from_dict(data)
 
 
 def test_comparison_and_replications_build_no_class_columns(monkeypatch):

@@ -36,11 +36,13 @@ COMMANDS = (
     + [["simulate", "--case", "4", "--customers", "40000", "--format", "json"]]
     + [["compare", "--case", k, "--customers", "200000"] for k in CASES]
     + [["compare", "--case", "3", "--customers", "200000", "--replications", "2000"]]
+    # the grid ends at case 2's D/D/1 bound, which the run attains up to rounding
+    + [["compare", "--case", "2", "--tau-max", "1.8e-4", "--customers", "20000"]]
     + [[name, "--config", "configs/readme.json"] for name in ("bounds", "simulate", "compare")]
 )
 
-#: Edits of the README example that a config reader must reject. An edit
-#: that returns a string is the file's text.
+#: Edits of the README example that the CLI must reject as configuration
+#: errors. An edit that returns a string is the file's text.
 BAD_CONFIGS = {
     "rate_true": lambda c: c["classes"][1]["arrival"].update(rate_per_s=True),
     "service_rate_true": lambda c: c["classes"][1].update(service_rate_mbps=True),
@@ -55,6 +57,14 @@ BAD_CONFIGS = {
                  "mechanism": 5}
     ),
     "duplicate_key": lambda c: '{"customers": 5, ' + json.dumps(c)[1:],
+    # Poisson classes of constant and exponential sizes, which md1 does not take
+    "mixed_sizes": lambda c: c.update(
+        classes=[
+            {**c["classes"][0], "arrival": {"kind": "poisson", "rate_per_s": 10000}},
+            c["classes"][1],
+        ],
+        bounds=["md1"],
+    ),
 }
 COMMANDS += [["bounds", "--config", f"configs/{name}.json"] for name in BAD_CONFIGS]
 

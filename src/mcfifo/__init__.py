@@ -10,8 +10,6 @@ from .analytic import (
     bound_mstar_d1,
     delay_bound_convolve,
     gsbb_bound_convolution,
-    gsbb_bound_split,
-    kingman_reference,
     stability,
     theta_dmdm,
     theta_exact,

@@ -176,14 +176,10 @@ def theta_exact(
     # Find a theta where the condition visibly holds; if none exists down to
     # an absurdly small theta, the load is at or above 1.
     lo = 1.0 if cap is None else min(1.0, cap / 2.0)
-    for _ in range(2000):
-        if value(lo) < 1.0 - 1e-12:
-            break
+    while value(lo) >= 1.0 - 1e-12:
         lo /= 2.0
         if lo < 1e-290:
             raise NoPositiveRootError("no positive decay rate: load at or above 1")
-    else:
-        raise NoPositiveRootError("no positive decay rate: load at or above 1")
 
     hi = 2.0 * lo
     if cap is not None:
@@ -269,9 +265,9 @@ def _decay_rates(
 ) -> tuple[ThetaSolution, ThetaSolution]:
     _require_poisson_family(specs, size_kind)
     approx = ThetaSolution(second_order_theta(specs), "taylor-approx", 0.0)
-    exponential = size_kind is ExponentialMean
-    domain_hi = min(s.service_completion_rate_hz for s in specs) if exponential else None
-    return theta_exact(excess_mgf(specs), domain_hi=domain_hi), approx
+    # excess_mgf is infinite from the least mu of the exponential-size classes on
+    mus = [s.service_completion_rate_hz for s in specs if isinstance(s.size, ExponentialMean)]
+    return theta_exact(excess_mgf(specs), domain_hi=min(mus, default=None)), approx
 
 
 def theta_md1(specs: Sequence[ClassSpec]) -> tuple[ThetaSolution, ThetaSolution]:
@@ -567,13 +563,6 @@ def gsbb_split_curve(
     return BoundCurve(grid, probs, "gsbb_split")
 
 
-def gsbb_bound_split(
-    tails: Sequence[GsbbTail], rates_bps: Sequence[float], tau_s: float
-) -> float:
-    """gsbb_split_curve at one tau."""
-    return float(gsbb_split_curve(tails, rates_bps, np.array([tau_s])).probs[0])
-
-
 def gsbb_bound_convolution(
     tails: Sequence[GsbbTail],
     rates_bps: Sequence[float],
@@ -714,25 +703,3 @@ def bound_dmdm(
     else:
         raise InvalidSpecError(f"unknown class_id {class_id}")
     return BoundCurve(grid, probs, f"mixed_pair_waiting_c{class_id}")
-
-
-def kingman_reference(
-    interarrival_mgf: Callable[[float], float],
-    service_mgf: Callable[[float], float],
-    grid_s: np.ndarray,
-    domain_hi: float | None = None,
-) -> tuple[ThetaSolution, BoundCurve]:
-    """Single-class waiting bound from the service-minus-interarrival MGF.
-
-    The decay rate is the largest theta with
-    E[exp(theta*service)] * E[exp(-theta*interarrival)] <= 1, found with the
-    same bracketing bisection; the curve is exp(-theta*tau). Provided for
-    single-class comparison against the multiclass machinery.
-    """
-
-    def mgf_excess(theta: float) -> float:
-        return service_mgf(theta) * interarrival_mgf(-theta)
-
-    solution = theta_exact(mgf_excess, domain_hi=domain_hi)
-    curve = waiting_bound_curve(solution, grid_s, label="single_class_reference")
-    return solution, curve

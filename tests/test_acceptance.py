@@ -20,8 +20,7 @@ from mcfifo.analytic import (
     mgf_excess_exponential_sizes,
     bound_dd1,
     bound_mstar_d1,
-    gsbb_bound_split,
-    kingman_reference,
+    gsbb_split_curve,
     theta_dmdm,
     theta_exact,
     theta_md1,
@@ -266,18 +265,15 @@ def test_criterion_9_reduction_identities():
     rates = [s.service_rate_bps for s in preset(1).specs]
     tails = [DegenerateTail(e.rate_bps, e.burst_bits) for e in envs]
     bound = bound_dd1(envs, rates)
-    assert gsbb_bound_split(tails, rates, bound) == 0.0
-    assert gsbb_bound_split(tails, rates, np.nextafter(bound, 0.0)) == 1.0
+    split = gsbb_split_curve(tails, rates, np.array([np.nextafter(bound, 0.0), bound]))
+    assert split.probs.tolist() == [1.0, 0.0]
 
-    # single-class reference solver agrees with the multiclass condition
+    # the single-class (Kingman) root of E[exp(theta*S)]*E[exp(-theta*T)] = 1
+    # agrees with the multiclass condition
     lam, y = 0.5, 1.0
     spec = ClassSpec(1, Poisson(lam), Constant(y), 1.0)
     multi = theta_exact(mgf_excess_constant_sizes([spec]))
-    single, _ = kingman_reference(
-        lambda s: lam / (lam - s) if s < lam else math.inf,
-        lambda s: math.exp(s * y),
-        np.array([0.0, 1.0]),
-    )
+    single = theta_exact(lambda t: math.exp(t * y) * (lam / (lam + t)))
     assert single.theta_star == pytest.approx(multi.theta_star, rel=1e-9)
 
     # one-class split curve collapses to the plain waiting curve

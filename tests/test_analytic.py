@@ -20,9 +20,7 @@ from mcfifo.analytic import (
     equalized_weights,
     excess_mgf,
     gsbb_bound_convolution,
-    gsbb_bound_split,
     gsbb_split_curve,
-    kingman_reference,
     mgf_excess_constant_sizes,
     mgf_excess_exponential_sizes,
     stability,
@@ -431,16 +429,15 @@ class TestGsbbSplit:
             DegenerateTail(e.rate_bps, e.burst_bits) for e in envs
         ]
         bound = bound_dd1(envs, rates)
-        assert gsbb_bound_split(tails, rates, bound) == 0.0
-        assert gsbb_bound_split(tails, rates, bound * 0.999) == 1.0
-        assert gsbb_bound_split(tails, rates, bound * 1.5) == 0.0
+        curve = gsbb_split_curve(tails, rates, np.array([bound * 0.999, bound, bound * 1.5]))
+        assert curve.probs.tolist() == [1.0, 0.0, 0.0]
 
     def test_single_tail_reduction(self):
         tail = _exp_tail(2000.0, 10e6)
-        for tau in (1e-4, 5e-4, 2e-3):
-            assert gsbb_bound_split([tail], [10e6], tau) == pytest.approx(
-                min(1.0, tail.tail(10e6 * tau)), rel=1e-12
-            )
+        taus = np.array([1e-4, 5e-4, 2e-3])
+        curve = gsbb_split_curve([tail], [10e6], taus)
+        for tau, got in zip(taus, curve.probs):
+            assert got == pytest.approx(min(1.0, tail.tail(10e6 * tau)), rel=1e-12)
 
     def test_two_identical_tails_split_evenly(self):
         capacity = 10e6
@@ -451,7 +448,7 @@ class TestGsbbSplit:
         ]
         tau = 1.2e-3
         expected = 2.0 * math.exp(-eta * capacity * tau / 2.0)
-        got = gsbb_bound_split(tails, [capacity, capacity], tau)
+        got = gsbb_split_curve(tails, [capacity, capacity], np.array([tau])).probs[0]
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_two_tails_match_interior_equalization(self):
@@ -468,7 +465,7 @@ class TestGsbbSplit:
         ) / (1.0 / b1 + 1.0 / b2)
         p1 = (math.log(b1) - log_nu) / b1
         expected = math.exp(-b1 * p1) + math.exp(-b2 * (1 - p1))
-        got = gsbb_bound_split([t1, t2], [c1, c2], tau)
+        got = gsbb_split_curve([t1, t2], [c1, c2], np.array([tau])).probs[0]
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_three_tails_beat_equal_split(self):
@@ -478,7 +475,7 @@ class TestGsbbSplit:
             for d, c in zip((1000.0, 2500.0, 4000.0), caps)
         ]
         tau = 1.5e-3
-        got = gsbb_bound_split(tails, caps, tau)
+        got = gsbb_split_curve(tails, caps, np.array([tau])).probs[0]
         equal = sum(t.tail(c * tau / 3.0) for t, c in zip(tails, caps))
         assert got <= equal + 1e-12
 
@@ -491,13 +488,13 @@ class TestGsbbSplit:
         # goes to the exponential term
         residual = 1.0 - 800.0 / (c1 * tau)
         expected = math.exp(-5000.0 * residual * tau)
-        got = gsbb_bound_split([det, exp_tail], [c1, c2], tau)
+        got = gsbb_split_curve([det, exp_tail], [c1, c2], np.array([tau])).probs[0]
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_rate_condition_enforced(self):
         tails = [ExponentialTail(8e6, 1.0, 1e-4), ExponentialTail(4e6, 1.0, 1e-4)]
         with pytest.raises(ConditionNotMetError):
-            gsbb_bound_split(tails, [10e6, 10e6], 1e-3)
+            gsbb_split_curve(tails, [10e6, 10e6], np.array([1e-3]))
 
     @pytest.mark.parametrize(
         "prefactors,decays",
@@ -605,7 +602,8 @@ class TestGsbbSplit:
         # share and none may be lost to it
         for decay in np.linspace(100.0, 10_000.0, 50):
             tails = [DegenerateTail(1e5, 5e5)] + [ExponentialTail(1e5, 0.2, decay / 1e6)] * 3
-            assert gsbb_bound_split(tails, [1e6] * 4, 0.5) == pytest.approx(0.6, rel=1e-9)
+            probs = gsbb_split_curve(tails, [1e6] * 4, np.array([0.5])).probs
+            assert probs[0] == pytest.approx(0.6, rel=1e-9)
 
     def test_one_exponential_tail_takes_the_whole_budget(self):
         tails = [DegenerateTail(8e6, 800.0), ExponentialTail(2e7, 0.6, 5000.0 / 100e6)]
@@ -628,7 +626,9 @@ class TestGsbbSplit:
         ]
         grid = np.linspace(0.0, 4e-3, 101)
         curve = gsbb_split_curve(tails, caps, grid)
-        points = np.array([gsbb_bound_split(tails, caps, tau) for tau in grid])
+        points = np.array(
+            [gsbb_split_curve(tails, caps, np.array([tau])).probs[0] for tau in grid]
+        )
         assert points.tobytes() == curve.probs.tobytes()
 
 
@@ -898,14 +898,18 @@ class TestDmdmBound:
 
 
 class TestKingmanReference:
+    """The single-class waiting bound: theta_exact of
+    E[exp(theta*service)] * E[exp(-theta*interarrival)], then waiting_bound_curve."""
+
     def test_mm1_closed_form(self):
         lam, mu = 1.0, 2.0
-        solution, curve = kingman_reference(
-            lambda s: lam / (lam - s) if s < lam else math.inf,
-            lambda s: mu / (mu - s) if s < mu else math.inf,
-            np.array([0.0, 1.0]),
-            domain_hi=mu,
-        )
+
+        def excess(t):
+            service = mu / (mu - t) if t < mu else math.inf
+            return service * (lam / (lam + t))
+
+        solution = theta_exact(excess, domain_hi=mu)
+        curve = waiting_bound_curve(solution, np.array([0.0, 1.0]))
         assert solution.theta_star == pytest.approx(1.0, rel=1e-9)
         assert curve.probs[0] == 1.0
 
@@ -913,22 +917,18 @@ class TestKingmanReference:
         lam, y = 0.5, 1.0
         spec = ClassSpec(1, Poisson(lam), Constant(y), 1.0)
         multiclass = theta_exact(mgf_excess_constant_sizes([spec]))
-        single, _ = kingman_reference(
-            lambda s: lam / (lam - s) if s < lam else math.inf,
-            lambda s: math.exp(s * y),
-            np.array([0.0, 1.0]),
-        )
+        single = theta_exact(lambda t: math.exp(t * y) * (lam / (lam + t)))
         assert single.theta_star == pytest.approx(multiclass.theta_star, rel=1e-9)
 
     def test_unstable_raises(self):
         lam, mu = 2.0, 1.0
+
+        def excess(t):
+            service = mu / (mu - t) if t < mu else math.inf
+            return service * (lam / (lam + t))
+
         with pytest.raises(NoPositiveRootError):
-            kingman_reference(
-                lambda s: lam / (lam - s) if s < lam else math.inf,
-                lambda s: mu / (mu - s) if s < mu else math.inf,
-                np.array([0.0, 1.0]),
-                domain_hi=mu,
-            )
+            theta_exact(excess, domain_hi=mu)
 
 
 class TestBoundCurveValidation:

@@ -215,6 +215,16 @@ class TestCompareCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["guaranteed_violations"] == 3
 
+    def test_grid_point_at_an_attained_bound_is_not_a_violation(self, tmp_path):
+        # the grid ends at the D/D/1 bound 1.8e-4, which the run attains up
+        # to rounding (its largest delay is 1.8e-4 + 6.3e-19)
+        out = tmp_path / "o"
+        argv = ["compare", "--case", "2", "--tau-max", "1.8e-4", "--customers", "2000"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["values"]["max_delay_s"] > summary["values"]["dd1_bound_s"]
+        assert summary["guaranteed_violations"] == 0
+
 
 def _readme_block(fence: str, after: str = "") -> str:
     """The first README code block opened by `fence` after the heading `after`."""

@@ -161,6 +161,23 @@ class TestRunComparison:
         assert all(c.label != "det_aggregate" for c in r.curves)
         assert r.values["delays_above_dd1"] == 0
 
+    def test_delay_beyond_the_rounding_slack_is_flagged(self, monkeypatch):
+        config = replace(preset(2), customers=2000, tau_max_s=1.8e-4)
+        bound = run_comparison(config).values["dd1_bound_s"]
+
+        def late(config):
+            result = simulate_case(config)
+            # the last customer leaves two slacks after the bound
+            result.waiting_s[-1] = bound + 2 * FLOAT_SLACK_S - result.service_s[-1]
+            return result
+
+        monkeypatch.setattr("mcfifo.experiments.simulate_case", late)
+        r = run_comparison(config)
+        report = next(v for v in r.violations if v.bound_label == "det_multiclass")
+        assert [p.tau_s for p in report.points] == [config.tau_max_s]
+        assert r.values["delays_above_dd1"] == 1
+        assert r.guaranteed_violations == 2
+
     def test_case3_small_run_exact_bound_holds(self):
         r = run_comparison(replace(preset(3), customers=150_000))
         report = next(v for v in r.violations if v.bound_label == "md1_waiting_exact")
@@ -342,6 +359,19 @@ class TestBoundRegistry:
         assert (got, sorted(values)) == BOUND_METADATA[case_id]
         assert all(e.kind == "bound" for e in entries)
 
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("md1", "class 2: size kind Constant required"),
+            ("mm1", "class 1: size kind ExponentialMean required"),
+        ],
+    )
+    def test_poisson_builders_reject_mixed_sizes(self, name, message):
+        # class 1 of case 3 (constant sizes), class 2 of case 4 (exponential)
+        specs = (preset(3).specs[0], preset(4).specs[1])
+        with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+            case_bound_entries(CaseConfig("mixed", specs, bounds=(name,)))
+
     def test_split_theta_is_the_second_order_md1_rate(self):
         config = preset(5)
         _, values = case_bound_entries(config)
@@ -471,7 +501,7 @@ class TestCheckViolations:
         bound_probs = np.clip(emp + rng.normal(0.0, 0.01, len(grid)), 0.0, 1.0)
         target = CurveEntry("t", "empirical", "waiting", None, grid, emp, samples=samples)
         bound = CurveEntry("b", "bound", "waiting", None, grid, bound_probs, guaranteed=True)
-        report = _check_violations(bound, target, deterministic)
+        report = _check_violations(bound, target, math.inf if deterministic else None)
         checked, points = _violations_reference(bound, target, deterministic)
         assert 0 < len(points) < checked < len(grid)
         assert (report.checked_points, report.points) == (checked, points)
@@ -483,7 +513,7 @@ class TestCheckViolations:
         bounds, _ = case_bound_entries(config)
         for bound in bounds:
             target = targets[bound.metric, bound.class_id]
-            report = _check_violations(bound, target, False)
+            report = _check_violations(bound, target, None)
             checked, points = _violations_reference(bound, target, False)
             assert (report.checked_points, report.points) == (checked, points)
 

@@ -65,6 +65,20 @@ BAD_CONFIGS = {
         ],
         bounds=["md1"],
     ),
+    # a coupling group of one class, and a group that mixes mechanisms
+    "coupling_single": lambda c: c["classes"][1].update(
+        arrival={"kind": "coupled_poisson", "rate_per_s": 1000, "coupling_group": 1}
+    ),
+    "coupling_mixed": lambda c: c.update(
+        classes=[
+            {**c["classes"][0], "arrival": {"kind": "coupled_poisson", "rate_per_s": 10000,
+                                            "coupling_group": 1, "mechanism": "scaled"}},
+            {**c["classes"][1], "arrival": {"kind": "coupled_poisson", "rate_per_s": 1000,
+                                            "coupling_group": 1, "mechanism": "synchronized"},
+             "size": {"kind": "constant", "packet_bytes": 1250}},
+        ],
+        bounds=["md1"],
+    ),
 }
 COMMANDS += [["bounds", "--config", f"configs/{name}.json"] for name in BAD_CONFIGS]
 

@@ -33,11 +33,6 @@ from .experiments import (
     simulate_case,
     tightness_scenario,
 )
-from .oracle import (
-    mgf_monte_carlo,
-    samplepath_delay_bound,
-    virtual_wait_direct,
-)
 from .simulator import (
     EmpiricalCCDF,
     RunResult,

@@ -115,6 +115,7 @@ class CaseConfig:
                 raise InvalidSpecError(f"unknown bound name {name!r}")
             if name in self.bounds[:i]:
                 raise InvalidSpecError(f"duplicate bound name {name!r}")
+        coupling_groups(self.specs)
 
     @classmethod
     def from_dict(cls, obj) -> CaseConfig:

@@ -14,8 +14,8 @@ restart, so rounding scales with one block's span and work rather than the
 whole run's; the departure is carried into the next block as the backlog
 after the block's last arrival, never as an absolute time. Against an
 exact reference over 1M customers of each preset, the blocked scan's largest
-error is 3.2e-15 s. The sequential loop (oracle.sequential_waits, kept as
-the reference) reaches 3.1e-12 s, and so does an unblocked scan, whose
+error is 3.2e-15 s. The sequential loop (sequential_waits in
+tests/reference.py) reaches 3.1e-12 s, and so does an unblocked scan, whose
 prefix sums grow with the whole run.
 
 Each numpy call of fifo_waits handles FIFO_GROUP blocks, the group viewed as

@@ -290,11 +290,6 @@ class ArrivalStreams:
         if any(step[s.class_id] < 1 for s in specs):
             raise InvalidSpecError("count must be >= 1")
         self._groups = coupling_groups(specs)
-        for members in self._groups.values():
-            if len(members) < 2:
-                raise InvalidSpecError("a coupling group needs at least 2 classes")
-            if len({m.arrival.mechanism for m in members}) != 1:
-                raise InvalidSpecError("all specs in a group must use the same mechanism")
         self.specs = tuple(specs)
         self.step = step
         self.rows = rows
@@ -501,9 +496,18 @@ def gsbb_tail_from_mgf(
 
 
 def coupling_groups(specs: Iterable[ClassSpec]) -> dict[int, list[ClassSpec]]:
-    """Map coupling-group id to its member specs."""
+    """Map coupling-group id to its member specs.
+
+    Raises InvalidSpecError for a group of one class or a group whose
+    classes use different mechanisms.
+    """
     groups: dict[int, list[ClassSpec]] = {}
     for spec in specs:
         if isinstance(spec.arrival, CoupledPoisson):
             groups.setdefault(spec.arrival.coupling_group, []).append(spec)
+    for members in groups.values():
+        if len(members) < 2:
+            raise InvalidSpecError("a coupling group needs at least 2 classes")
+        if len({m.arrival.mechanism for m in members}) != 1:
+            raise InvalidSpecError("all specs in a group must use the same mechanism")
     return groups

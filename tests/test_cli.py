@@ -445,6 +445,48 @@ class TestConfigHandling:
         assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda c: c["classes"][1].update(
+                    arrival={"kind": "coupled_poisson", "rate_per_s": 1000, "coupling_group": 1}
+                ),
+                "a coupling group needs at least 2 classes",
+            ),
+            (
+                lambda c: c.update(
+                    classes=[
+                        {
+                            **c["classes"][0],
+                            "arrival": {"kind": "coupled_poisson", "rate_per_s": 10000,
+                                        "coupling_group": 1, "mechanism": "scaled"},
+                        },
+                        {
+                            **c["classes"][1],
+                            "arrival": {"kind": "coupled_poisson", "rate_per_s": 1000,
+                                        "coupling_group": 1, "mechanism": "synchronized"},
+                            "size": {"kind": "constant", "packet_bytes": 1250},
+                        },
+                    ],
+                    bounds=["md1"],
+                ),
+                "all specs in a group must use the same mechanism",
+            ),
+        ],
+    )
+    def test_bad_coupling_group_rejected_by_every_command(self, tmp_path, capsys, edit, message):
+        # bounds draws no arrivals, so the group is checked with the config
+        config = _readme_config()
+        edit(config)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(config))
+        for command in ("bounds", "simulate", "compare"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
         "file_seed,flags,seed", [(5, [], 5), (None, [], 99), (5, ["--seed", "7"], 7)]
     )
     def test_seed_precedence_with_a_config_file(

@@ -612,6 +612,25 @@ class TestCaseConfig:
         with pytest.raises(InvalidSpecError, match=message):
             replace(preset(5), bounds=bounds)
 
+    @pytest.mark.parametrize(
+        "arrivals,message",
+        [
+            # class 1 of case 5 stays alone in its group
+            ((None, Poisson(10_000.0)), "a coupling group needs at least 2 classes"),
+            (
+                (CoupledPoisson(10_000.0, 1, "scaled"), None),
+                "all specs in a group must use the same mechanism",
+            ),
+        ],
+    )
+    def test_bad_coupling_group_rejected(self, arrivals, message):
+        # rejected with the config, before any arrival is drawn
+        specs = tuple(
+            s if a is None else replace(s, arrival=a) for s, a in zip(preset(5).specs, arrivals)
+        )
+        with pytest.raises(InvalidSpecError, match=message):
+            replace(preset(5), specs=specs)
+
     def test_class_without_arrivals_rejected(self, tmp_path, capsys):
         # three customers of case 5: the thinned class keeps no instant
         with pytest.raises(InvalidInputError, match="class 2 has no arrivals"):
@@ -656,6 +675,8 @@ class TestFromDict:
         classes = _readme_config()["classes"]
         assert CaseConfig.from_dict({"classes": classes}) == CaseConfig("custom", self.SPECS)
         classes[1]["arrival"] = {"kind": "coupled_poisson", "rate_per_s": 10, "coupling_group": 1}
+        # a coupling group needs a second class
+        classes[0]["arrival"] = {"kind": "coupled_poisson", "rate_per_s": 5, "coupling_group": 1}
         coupled = CaseConfig.from_dict({"classes": classes}).specs[1].arrival
         assert coupled == CoupledPoisson(10.0, 1)
 
@@ -674,6 +695,8 @@ class TestFromDict:
         cls = data["classes"][1]
         cls["size"] = {"kind": "constant", "packet_bytes": 1250}  # any arrival kind takes it
         cls[field] = obj
+        if obj["kind"] == "coupled_poisson":  # a coupling group needs a second class
+            data["classes"][0]["arrival"] = {**obj, "rate_per_s": 5000}
         CaseConfig.from_dict(data)
         for key in set(obj) - {"kind"}:
             cls[field] = {k: v for k, v in obj.items() if k != key}

@@ -7,13 +7,7 @@ import pytest
 from mcfifo.analytic import theta_md1
 from mcfifo.errors import InvalidInputError
 from mcfifo.experiments import preset
-from mcfifo.oracle import (
-    mgf_monte_carlo,
-    samplepath_bounds_all,
-    samplepath_delay_bound,
-    virtual_wait_direct,
-    virtual_waits_at_arrivals,
-)
+from mcfifo.oracle import samplepath_bounds_all, virtual_waits_at_arrivals
 from mcfifo.simulator import merge_streams, run_fifo
 from mcfifo.traffic import (
     ArrivalSequence,
@@ -24,6 +18,7 @@ from mcfifo.traffic import (
     generate_sequences,
     proportional_counts,
 )
+from reference import mgf_monte_carlo, samplepath_delay_bound, virtual_wait_direct
 
 
 def _seq(class_id, times, sizes):

@@ -9,7 +9,6 @@ import pytest
 from mcfifo.analytic import bound_dd1
 from mcfifo.errors import InvalidInputError
 from mcfifo.experiments import FLOAT_SLACK_S, preset, simulate_case
-from mcfifo.oracle import sequential_waits
 from mcfifo.simulator import (
     CSV_CHUNK,
     FIFO_BLOCK,
@@ -31,6 +30,7 @@ from mcfifo.traffic import (
     generate_sequences,
     proportional_counts,
 )
+from reference import sequential_waits
 
 
 def _seq(class_id, times, sizes):

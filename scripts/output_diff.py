@@ -34,8 +34,13 @@ COMMANDS = (
     + [[name, "--help"] for name in ("bounds", "simulate", "compare", "preset-list")]
     + [["bounds", "--case", k] for k in CASES]
     + [["simulate", "--case", "4", "--customers", "40000", "--format", "json"]]
+    # the class columns of records.csv for a coupled case
+    + [["simulate", "--case", "5", "--customers", "40000"]]
     + [["compare", "--case", k, "--customers", "200000"] for k in CASES]
-    + [["compare", "--case", "3", "--customers", "200000", "--replications", "2000"]]
+    # transient curves: Poisson classes, the ragged rows of a synchronized
+    # coupling, and periodic classes mixed with Poisson ones
+    + [["compare", "--case", k, "--customers", "200000", "--replications", "2000"]
+       for k in ("3", "5", "6")]
     # the grid ends at case 2's D/D/1 bound, which the run attains up to rounding
     + [["compare", "--case", "2", "--tau-max", "1.8e-4", "--customers", "20000"]]
     + [[name, "--config", "configs/readme.json"] for name in ("bounds", "simulate", "compare")]

@@ -45,7 +45,6 @@ from .traffic import (
     ClassSpec,
     Constant,
     CoupledPoisson,
-    DegenerateTail,
     DeterministicEnvelope,
     ExponentialMean,
     ExponentialTail,

@@ -37,7 +37,6 @@ from .traffic import (
     ClassSpec,
     Constant,
     CoupledPoisson,
-    DegenerateTail,
     DeterministicEnvelope,
     ExponentialMean,
     ExponentialTail,
@@ -535,11 +534,12 @@ def gsbb_split_curve(
 
     The delay is bounded by the sum of per-class backlog terms, each of which
     exceeds its share p_n*C_n*tau with probability tail_n(p_n*C_n*tau); the
-    infimum runs over the probability simplex. Degenerate tails take exactly
-    the share that zeroes them; the remaining budget goes to the exponential
-    tails by closed-form exponent equalization, for any number of classes.
+    infimum runs over the probability simplex. Deterministic envelopes take
+    exactly the share that zeroes their tails; the remaining budget goes to
+    the exponential tails by closed-form exponent equalization, for any
+    number of classes.
     Zero-prefactor tails vanish and take no share. The bound is 1 at tau <= 0
-    and where the degenerate tails need more than the whole budget.
+    and where the deterministic envelopes need more than the whole budget.
     """
     _check_gsbb_rates(tails, rates_bps)
     grid = np.asarray(grid_s, dtype=float)
@@ -549,7 +549,7 @@ def gsbb_split_curve(
     budget = np.ones_like(tau)
     prefactors, decays = [], []
     for tail, capacity in zip(tails, rates_bps):
-        if isinstance(tail, DegenerateTail):
+        if isinstance(tail, DeterministicEnvelope):
             budget -= tail.burst_bits / (capacity * tau)
         elif tail.prefactor > 0.0:
             prefactors.append(tail.prefactor)
@@ -573,7 +573,7 @@ def gsbb_bound_convolution(
 
     Each class contributes a backlog term with CDF 1 - tail_n(C_n*tau) in the
     delay variable; independence lets the sum's CDF be their convolution.
-    Degenerate tails are exact shifts. The first exponential tail is
+    Deterministic envelopes are exact shifts. The first exponential tail is
     tabulated on the grid with each step cut into `refine` steps, each mass
     at the right end of its fine cell (one-sided: the CDF is understated,
     and mass past the grid is dropped, which errs the same way). Every
@@ -588,7 +588,7 @@ def gsbb_bound_convolution(
     shift = 0.0
     f_total: np.ndarray | None = None
     for tail, capacity in zip(tails, rates_bps):
-        if isinstance(tail, DegenerateTail):
+        if isinstance(tail, DeterministicEnvelope):
             shift += tail.burst_bits / capacity
             continue
         if f_total is None:

@@ -42,7 +42,6 @@ from .errors import InvalidInputError, InvalidSpecError
 from .simulator import (
     RunResult,
     count_above,
-    empirical_ccdf,
     merge_streams,
     run_fifo,
     transient_delays,
@@ -394,13 +393,19 @@ def simulate_case(config: CaseConfig) -> RunResult:
 
 
 def _counted_entry(
-    label: str, metric: str, class_id: int | None, grid, above: np.ndarray, samples: int
+    label: str,
+    metric: str,
+    class_id: int | None,
+    grid,
+    above: np.ndarray,
+    samples: int,
+    note: str = "",
 ) -> CurveEntry:
     """The empirical curve of samples values, above[i] of them above grid[i]."""
     if samples == 0:
         raise InvalidInputError("no values left after warmup discard")
     return CurveEntry(
-        label, "empirical", metric, class_id, grid, above / samples, samples=samples
+        label, "empirical", metric, class_id, grid, above / samples, note=note, samples=samples
     )
 
 
@@ -716,14 +721,10 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
         grid = config.grid()
         delays = transient_delays(config, (1, 10, 100), first, config.replications)
         for j, sample in delays.items():
-            label, note = f"sim_delay_c{first}_j{j}", f"delay of the {j}-th class-{first} customer"
-            ccdf = empirical_ccdf(sample, grid, 0.0)
-            fractions, samples = ccdf.fractions, ccdf.sample_count
-            curves.append(
-                CurveEntry(
-                    label, "empirical", "delay", first, grid, fractions, note=note, samples=samples
-                )
-            )
+            above = count_above(np.sort(sample), grid)
+            note = f"delay of the {j}-th class-{first} customer"
+            label = f"sim_delay_c{first}_j{j}"
+            curves.append(_counted_entry(label, "delay", first, grid, above, len(sample), note))
 
     return ComparisonResult(
         case_id=config.case_id,

@@ -31,7 +31,7 @@ def virtual_waits_at_arrivals(
     """
     merged = merge_streams(sequences, rates_bps)
     n = len(merged)
-    times = merged.times_s
+    times = merged.arrival_s
     prefix = np.concatenate([[0.0], np.cumsum(merged.service_s)])  # prefix[k] = work of first k
     running = np.maximum.accumulate(times - prefix[:-1])
     new_group = np.concatenate([[True], times[1:] > times[:-1]])
@@ -56,5 +56,5 @@ def samplepath_bounds_all(
     merged = merge_streams(sequences, rates_bps)
     service = merged.service_s
     prefix_prev = np.concatenate([[0.0], np.cumsum(service)])[:-1]
-    running = np.maximum.accumulate(merged.times_s - prefix_prev)
-    return running + (prefix_prev + service) - merged.times_s
+    running = np.maximum.accumulate(merged.arrival_s - prefix_prev)
+    return running + (prefix_prev + service) - merged.arrival_s

@@ -36,7 +36,9 @@ sit the segments, one (class_id, start, count) per class in id order, so a
 class's customers are the sources in [start, start + count) and the j-th of
 them is source start + j - 1. The class-id and j columns (class_ids,
 class_index) are derived from the two on demand, for records.csv and tests;
-the long run and the replications never build them. RunResult.write_csv
+the long run and the replications never build them. A run's record is one
+type: RunResult is the MergedArrivals it ran, the same arrays, plus its
+waits, so every per-customer column is defined once. RunResult.write_csv
 derives them, with the delay and departure columns, from one chunk of
 CSV_CHUNK customers at a time and formats each row with one str.format, so
 writing records.csv takes memory bounded by the chunk. Service times are made
@@ -65,7 +67,7 @@ arrival, so a class's segment holds exactly its customers in the run.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import starmap
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -112,11 +114,24 @@ def _class_columns(
     return ids.take(positions), source - starts.take(positions) + 1
 
 
-class _ClassColumns:
-    """Class-id and 1-based j columns, derived on demand from source and segments."""
+@dataclass(frozen=True)
+class MergedArrivals:
+    """Aggregate arrival stream, ordered by time with deterministic tie-breaks.
 
+    source[i] is customer i's position in the class-ordered concatenation
+    of the streams, and segments lay the classes out in it, one
+    (class_id, start, count) per class in id order. class_ids and
+    class_index are derived from them when read. A batch holds (rows, n)
+    arrays, and its length counts every row.
+    """
+
+    arrival_s: np.ndarray
+    service_s: np.ndarray  # size over the rate of the customer's class
     source: np.ndarray
     segments: tuple[Segment, ...]
+
+    def __len__(self) -> int:
+        return self.arrival_s.size
 
     @property
     def class_ids(self) -> np.ndarray:
@@ -128,44 +143,15 @@ class _ClassColumns:
 
 
 @dataclass(frozen=True)
-class MergedArrivals(_ClassColumns):
-    """Aggregate arrival stream, ordered by time with deterministic tie-breaks.
-
-    source[i] is customer i's position in the class-ordered concatenation
-    of the streams, and segments lay the classes out in it, one
-    (class_id, start, count) per class in id order. class_ids and
-    class_index are derived from them when read.
-    """
-
-    times_s: np.ndarray
-    service_s: np.ndarray  # size over the rate of the customer's class
-    source: np.ndarray
-    segments: tuple[Segment, ...]
-
-    def __len__(self) -> int:
-        return len(self.times_s)
-
-
-@dataclass
-class RunResult(_ClassColumns):
-    """All per-customer outcomes of one simulation run, as parallel arrays.
+class RunResult(MergedArrivals):
+    """The merged stream of one simulation run, or a batch, with its waits.
 
     Waiting is the stored quantity; delay and departure derive from it, so
-    waiting >= 0 and delay = waiting + service hold exactly in floats. A
-    batch run holds (rows, n) arrays, and its length counts every row. The
-    source, arrival and service arrays are those of the merged stream, not
-    copies; class_ids and class_index are derived from source and segments
-    when read, as for MergedArrivals.
+    waiting >= 0 and delay = waiting + service hold exactly in floats. The
+    merged stream's arrays are held as they are, not copied.
     """
 
-    source: np.ndarray
-    segments: tuple[Segment, ...]
-    arrival_s: np.ndarray
     waiting_s: np.ndarray
-    service_s: np.ndarray
-
-    def __len__(self) -> int:
-        return self.arrival_s.size
 
     @property
     def delay_s(self) -> np.ndarray:
@@ -246,8 +232,8 @@ def merge_streams(
     # the concatenated sizes are spent: their buffer takes the ordered times,
     # which saves the fresh pages of one more array (indices are in range,
     # so clip mode changes nothing but skips the buffered bounds check)
-    times_s = times.take(flat, out=service, mode="clip")
-    return MergedArrivals(times_s, service_s, source, tuple(segments))
+    arrival_s = times.take(flat, out=service, mode="clip")
+    return MergedArrivals(arrival_s, service_s, source, tuple(segments))
 
 
 def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
@@ -313,16 +299,10 @@ def run_fifo(merged: MergedArrivals) -> RunResult:
 
     The server is empty before the first arrival.
     """
-    times = merged.times_s
+    times = merged.arrival_s
     if np.any(times[..., 1:] < times[..., :-1]):
         raise InvalidInputError("aggregate arrivals must be time-ordered")
-    return RunResult(
-        source=merged.source,
-        segments=merged.segments,
-        arrival_s=times,
-        waiting_s=fifo_waits(times, merged.service_s),
-        service_s=merged.service_s,
-    )
+    return RunResult(**vars(merged) | {"waiting_s": fifo_waits(times, merged.service_s)})
 
 
 def empirical_ccdf(
@@ -390,9 +370,12 @@ def _chunk_delays(
     # the columns past every row's cut are dropped, and a row's later times
     # (the +inf padding of ragged rows among them) are clamped to its cut
     width = at[-1].max() + 1
-    times = np.minimum(merged.times_s[:, :width], cut_s)
-    rest = (merged.service_s[:, :width], merged.source[:, :width], merged.segments)
-    result = run_fifo(MergedArrivals(times, *rest))
+    result = run_fifo(replace(
+        merged,
+        arrival_s=np.minimum(merged.arrival_s[:, :width], cut_s),
+        service_s=merged.service_s[:, :width],
+        source=merged.source[:, :width],
+    ))
     # delay = waiting + service, at the requested customers only
     waiting = np.take_along_axis(result.waiting_s, at.T, -1)
     return (waiting + np.take_along_axis(result.service_s, at.T, -1)).T

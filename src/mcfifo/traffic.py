@@ -13,6 +13,10 @@ they were drawn into: uniforms become exponential gaps or sizes in place,
 and gaps become arrival times by a cumulative sum into the same buffer.
 Every member of a scaled coupling group reads the group's shared uniforms,
 so each member transforms a copy of its slice.
+
+A periodic class has one envelope type, DeterministicEnvelope: its rate/burst
+constraint, and at a reference rate its burst tail. A Poisson class's burst
+tail is an ExponentialTail.
 """
 
 from __future__ import annotations
@@ -204,8 +208,15 @@ class DeterministicEnvelope:
     burst_bits: float
 
     def __post_init__(self):
-        if self.rate_bps < 0 or self.burst_bits < 0:
-            raise InvalidSpecError("envelope rate and burst must be nonnegative")
+        # NaN fails both comparisons
+        if not (0 <= self.rate_bps < math.inf and 0 <= self.burst_bits < math.inf):
+            raise InvalidSpecError("envelope rate and burst must be finite and nonnegative")
+
+    def tail(self, sigma_bits):
+        """As a burst tail: 1 below the burst, 0 from it on."""
+        sigma = np.asarray(sigma_bits, dtype=float)
+        out = np.where(sigma >= self.burst_bits, 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -228,20 +239,7 @@ class ExponentialTail:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class DegenerateTail:
-    """Deterministic envelope as a tail: certain below the burst, zero at/above."""
-
-    rate_bps: float
-    burst_bits: float
-
-    def tail(self, sigma_bits):
-        sigma = np.asarray(sigma_bits, dtype=float)
-        out = np.where(sigma >= self.burst_bits, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
-
-GsbbTail = ExponentialTail | DegenerateTail
+GsbbTail = ExponentialTail | DeterministicEnvelope
 
 
 def _substream(seed: int, role: int, key: int) -> np.random.Generator:
@@ -454,8 +452,9 @@ def gsbb_tail_from_mgf(
 ) -> GsbbTail:
     """Probabilistic burst tail of one class relative to a reference rate.
 
-    For a periodic constant-size class the tail is degenerate: the backlog
-    supremum never exceeds one customer's bits. For Poisson classes the tail
+    For a periodic constant-size class the tail is its envelope at the
+    reference rate: the backlog supremum never exceeds one customer's bits.
+    For Poisson classes the tail
     is exponential, with decay rate the largest theta satisfying the per-class
     condition E[exp(theta*(A(1)/C - R/C))] <= 1, the excess-work condition of
     analytic.excess_mgf at share R/C. With constant sizes that root has no
@@ -471,7 +470,7 @@ def gsbb_tail_from_mgf(
             raise NoDecayError(
                 "reference rate below the class's long-run rate: no finite burst"
             )
-        return DegenerateTail(rate_bps=reference_rate_bps, burst_bits=spec.size.bits)
+        return DeterministicEnvelope(rate_bps=reference_rate_bps, burst_bits=spec.size.bits)
 
     omega = reference_rate_bps / capacity
     rho_n = spec.utilization
@@ -505,9 +504,15 @@ def coupling_groups(specs: Iterable[ClassSpec]) -> dict[int, list[ClassSpec]]:
     for spec in specs:
         if isinstance(spec.arrival, CoupledPoisson):
             groups.setdefault(spec.arrival.coupling_group, []).append(spec)
-    for members in groups.values():
+    for group, members in groups.items():
+        ids = ", ".join(str(m.class_id) for m in members)
         if len(members) < 2:
-            raise InvalidSpecError("a coupling group needs at least 2 classes")
+            raise InvalidSpecError(
+                f"coupling group {group} (class {ids}): a coupling group needs at least 2 classes"
+            )
         if len({m.arrival.mechanism for m in members}) != 1:
-            raise InvalidSpecError("all specs in a group must use the same mechanism")
+            raise InvalidSpecError(
+                f"coupling group {group} (classes {ids}): "
+                "all specs in a group must use the same mechanism"
+            )
     return groups

@@ -73,12 +73,12 @@ def virtual_wait_direct(
     if t_s < 0:
         raise InvalidInputError("t must be >= 0")
     merged = merge_streams(sequences, rates_bps)
-    n_before = int(np.searchsorted(merged.times_s, t_s, side="left"))
+    n_before = int(np.searchsorted(merged.arrival_s, t_s, side="left"))
 
     best = 0.0  # s = t: empty window
     best_s = t_s
     if n_before:
-        times = merged.times_s[:n_before]
+        times = merged.arrival_s[:n_before]
         prefix = np.concatenate([[0.0], np.cumsum(merged.service_s[:n_before])])
         total = prefix[-1]
         # candidate s = 0 and s = each arrival instant (window keeps it)
@@ -107,9 +107,9 @@ def samplepath_delay_bound(
     merged = merge_streams(sequences, rates_bps)
     if not 0 <= i < len(merged):
         raise InvalidInputError(f"merge index {i} is outside 0..{len(merged) - 1}")
-    a_i = merged.times_s[i]
+    a_i = merged.arrival_s[i]
     prefix = np.concatenate([[0.0], np.cumsum(merged.service_s[: i + 1])])
-    candidates = np.concatenate([[0.0], merged.times_s[: i + 1]])
+    candidates = np.concatenate([[0.0], merged.arrival_s[: i + 1]])
     work_from = prefix[-1] - np.concatenate([[0.0], prefix[:-1]])
     objective = work_from - (a_i - candidates)
     return float(np.max(objective))

@@ -41,7 +41,6 @@ from mcfifo.traffic import (
     ClassSpec,
     Constant,
     CoupledPoisson,
-    DegenerateTail,
     Poisson,
     deterministic_envelope,
     generate_sequences,
@@ -243,7 +242,7 @@ def test_criterion_8_oracle_equivalence():
         seqs = generate_sequences(specs, counts, seed)
         rates = {s.class_id: s.service_rate_bps for s in specs}
         merged = merge_streams(seqs, rates)
-        assert np.all(np.diff(merged.times_s) > 0), f"case {case_id}: tied arrivals"
+        assert np.all(np.diff(merged.arrival_s) > 0), f"case {case_id}: tied arrivals"
         result = run_fifo(merged)
 
         virtual = virtual_waits_at_arrivals(seqs, rates)
@@ -260,12 +259,11 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_reduction_identities():
     t0 = time.perf_counter()
 
-    # deterministic tails reproduce the worst-case step exactly
+    # the envelopes, taken as tails, reproduce the worst-case step exactly
     envs = [deterministic_envelope(s) for s in preset(1).specs]
     rates = [s.service_rate_bps for s in preset(1).specs]
-    tails = [DegenerateTail(e.rate_bps, e.burst_bits) for e in envs]
     bound = bound_dd1(envs, rates)
-    split = gsbb_split_curve(tails, rates, np.array([np.nextafter(bound, 0.0), bound]))
+    split = gsbb_split_curve(envs, rates, np.array([np.nextafter(bound, 0.0), bound]))
     assert split.probs.tolist() == [1.0, 0.0]
 
     # the single-class (Kingman) root of E[exp(theta*S)]*E[exp(-theta*T)] = 1

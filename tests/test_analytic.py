@@ -40,7 +40,6 @@ from mcfifo.experiments import preset
 from mcfifo.traffic import (
     ClassSpec,
     Constant,
-    DegenerateTail,
     DeterministicEnvelope,
     ExponentialMean,
     ExponentialTail,
@@ -425,11 +424,8 @@ def _exp_tail(decay_per_s, capacity, prefactor=1.0):
 class TestGsbbSplit:
     def test_degenerate_tails_reproduce_the_deterministic_step(self):
         envs, rates = _case_envelopes(CASE1)
-        tails = [
-            DegenerateTail(e.rate_bps, e.burst_bits) for e in envs
-        ]
         bound = bound_dd1(envs, rates)
-        curve = gsbb_split_curve(tails, rates, np.array([bound * 0.999, bound, bound * 1.5]))
+        curve = gsbb_split_curve(envs, rates, np.array([bound * 0.999, bound, bound * 1.5]))
         assert curve.probs.tolist() == [1.0, 0.0, 0.0]
 
     def test_single_tail_reduction(self):
@@ -481,7 +477,7 @@ class TestGsbbSplit:
 
     def test_mixed_degenerate_and_exponential(self):
         c1, c2 = 10e6, 100e6
-        det = DegenerateTail(8e6, 800.0)
+        det = DeterministicEnvelope(8e6, 800.0)
         exp_tail = ExponentialTail(0.2 * c2, 1.0, 5000.0 / c2)
         tau = 1e-3
         # the degenerate class needs 800/(c1*tau) of the budget, the rest
@@ -529,7 +525,7 @@ class TestGsbbSplit:
             (
                 [
                     ExponentialTail(3e6, 1.0, 1000.0 / 10e6),
-                    DegenerateTail(4e6, 2000.0),
+                    DeterministicEnvelope(4e6, 2000.0),
                     ExponentialTail(5e6, 0.7, 6000.0 / 50e6),
                 ],
                 [10e6, 20e6, 50e6],
@@ -538,7 +534,7 @@ class TestGsbbSplit:
                 [
                     ExponentialTail(2e6, 1.0, 2500.0 / 10e6),
                     ExponentialTail(2e6, 0.0, 900.0 / 20e6),  # zero prefactor
-                    DegenerateTail(1e6, 4000.0),
+                    DeterministicEnvelope(1e6, 4000.0),
                     ExponentialTail(8e6, 3.0, 7000.0 / 40e6),
                 ],
                 [10e6, 20e6, 30e6, 40e6],
@@ -567,7 +563,7 @@ class TestGsbbSplit:
             budget = 1.0 - sum(
                 t.burst_bits / (c * tau)
                 for t, c in zip(tails, caps)
-                if isinstance(t, DegenerateTail)
+                if isinstance(t, DeterministicEnvelope)
             )
             if budget < 0.0:
                 assert got == 1.0
@@ -579,14 +575,14 @@ class TestGsbbSplit:
             assert got <= min(1.0, value.min()) + 1e-12
 
     def test_nonpositive_tau_gives_one(self):
-        tails = [_exp_tail(2000.0, 10e6), DegenerateTail(1e6, 0.0)]
+        tails = [_exp_tail(2000.0, 10e6), DeterministicEnvelope(1e6, 0.0)]
         curve = gsbb_split_curve(tails, [10e6, 10e6], np.array([-1e-3, 0.0, 1e-3]))
         assert curve.probs[0] == 1.0 and curve.probs[1] == 1.0
         assert curve.probs[2] < 1.0
 
     def test_overdrawn_budget_gives_one(self):
         # the degenerate class alone needs 800/(10e6*tau) > 1 below 80 us
-        tails = [DegenerateTail(8e6, 800.0), ExponentialTail(2e7, 1.0, 5000.0 / 100e6)]
+        tails = [DeterministicEnvelope(8e6, 800.0), ExponentialTail(2e7, 1.0, 5000.0 / 100e6)]
         grid = np.array([1e-5, 7.9e-5, 8e-5, 2e-4])
         curve = gsbb_split_curve(tails, [10e6, 100e6], grid)
         np.testing.assert_array_equal(curve.probs[:2], [1.0, 1.0])
@@ -601,19 +597,19 @@ class TestGsbbSplit:
         # so identical exponential tails sit at the rounding edge of a zero
         # share and none may be lost to it
         for decay in np.linspace(100.0, 10_000.0, 50):
-            tails = [DegenerateTail(1e5, 5e5)] + [ExponentialTail(1e5, 0.2, decay / 1e6)] * 3
+            tails = [DeterministicEnvelope(1e5, 5e5)] + [ExponentialTail(1e5, 0.2, decay / 1e6)] * 3
             probs = gsbb_split_curve(tails, [1e6] * 4, np.array([0.5])).probs
             assert probs[0] == pytest.approx(0.6, rel=1e-9)
 
     def test_one_exponential_tail_takes_the_whole_budget(self):
-        tails = [DegenerateTail(8e6, 800.0), ExponentialTail(2e7, 0.6, 5000.0 / 100e6)]
+        tails = [DeterministicEnvelope(8e6, 800.0), ExponentialTail(2e7, 0.6, 5000.0 / 100e6)]
         grid = np.linspace(1e-4, 2e-3, 20)
         curve = gsbb_split_curve(tails, [10e6, 100e6], grid)
         expected = 0.6 * np.exp(-5000.0 * (1.0 - 800.0 / (10e6 * grid)) * grid)
         np.testing.assert_allclose(curve.probs, expected, rtol=1e-12)
 
     def test_only_degenerate_or_zero_prefactor_tails_give_zero(self):
-        tails = [DegenerateTail(8e6, 800.0), ExponentialTail(2e7, 0.0, 5e-5)]
+        tails = [DeterministicEnvelope(8e6, 800.0), ExponentialTail(2e7, 0.0, 5e-5)]
         curve = gsbb_split_curve(tails, [10e6, 100e6], np.array([1e-4, 1e-3]))
         np.testing.assert_array_equal(curve.probs, [0.0, 0.0])
 
@@ -650,9 +646,8 @@ class TestGsbbConvolution:
 
     def test_deterministic_tails_form_the_step(self):
         envs, rates = _case_envelopes(CASE1)
-        tails = [DegenerateTail(e.rate_bps, e.burst_bits) for e in envs]
         grid = np.linspace(0.0, 3e-4, 301)
-        curve = gsbb_bound_convolution(tails, rates, grid)
+        curve = gsbb_bound_convolution(envs, rates, grid)
         bound = bound_dd1(envs, rates)
         np.testing.assert_array_equal(curve.probs, np.where(grid >= bound, 0.0, 1.0))
 
@@ -670,7 +665,7 @@ def _fine_fft_convolution(tails, caps, grid, refine):
     fine = _fine_grid(grid, refine)
     shift, cdf = 0.0, None
     for tail, capacity in zip(tails, caps):
-        if isinstance(tail, DegenerateTail):
+        if isinstance(tail, DeterministicEnvelope):
             shift += tail.burst_bits / capacity
         elif cdf is None:
             cdf = 1.0 - tail.tail(fine * capacity)
@@ -781,10 +776,10 @@ class TestConvolutionKernels:
     def test_shift_with_tails_against_fine_fft(self):
         caps = [10e6, 100e6, 50e6, 20e6]
         tails = [
-            DegenerateTail(1e6, 4_000.0),
+            DeterministicEnvelope(1e6, 4_000.0),
             ExponentialTail(20e6, 1.0, 1500.0 / 100e6),
             ExponentialTail(10e6, 2.0, 3000.0 / 50e6),
-            DegenerateTail(2e6, 3_000.0),
+            DeterministicEnvelope(2e6, 3_000.0),
         ]
         grid = np.linspace(0.0, 4e-3, 401)
         got = gsbb_bound_convolution(tails, caps, grid)

@@ -33,3 +33,32 @@ def test_every_module_name_the_benchmark_reads_exists():
         if not hasattr(importlib.import_module(f"mcfifo.{module}"), name)
     ]
     assert missing == []
+
+
+def _traced_names() -> dict[str, tuple[str, ...]]:
+    """The `by_name` table of Tracer.install: each name the tracer looks up
+    by string, with the modules whose globals it patches."""
+    tree = ast.parse((HARNESS / "spans.py").read_text())
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["by_name"]
+            and isinstance(node.value, ast.Dict)
+        ):
+            return {
+                ast.literal_eval(key): tuple(ast.literal_eval(value.elts[-1]))
+                for key, value in zip(node.value.keys, node.value.values)
+            }
+    raise AssertionError("no by_name dict literal in perfbench/spans.py")
+
+
+def test_every_name_the_tracer_looks_up_exists():
+    # a name no listed module has is skipped by the tracer, and its metrics read 0
+    missing = [
+        name
+        for name, modules in sorted(_traced_names().items())
+        if not any(hasattr(importlib.import_module(f"mcfifo.{m}"), name) for m in modules)
+    ]
+    assert missing == []
+    assert hasattr(importlib.import_module("mcfifo.analytic"), "theta_exact")
+    assert hasattr(importlib.import_module("mcfifo.simulator").RunResult, "write_csv")

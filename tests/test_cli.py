@@ -447,13 +447,15 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (
+            # each id ends with the rule its message states after naming the group
+            pytest.param(
                 lambda c: c["classes"][1].update(
                     arrival={"kind": "coupled_poisson", "rate_per_s": 1000, "coupling_group": 1}
                 ),
-                "a coupling group needs at least 2 classes",
+                "coupling group 1 (class 2): a coupling group needs at least 2 classes",
+                id="<lambda>-a coupling group needs at least 2 classes",
             ),
-            (
+            pytest.param(
                 lambda c: c.update(
                     classes=[
                         {
@@ -470,7 +472,8 @@ class TestConfigHandling:
                     ],
                     bounds=["md1"],
                 ),
-                "all specs in a group must use the same mechanism",
+                "coupling group 1 (classes 1, 2): all specs in a group must use the same mechanism",
+                id="<lambda>-all specs in a group must use the same mechanism",
             ),
         ],
     )

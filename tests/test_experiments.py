@@ -615,11 +615,18 @@ class TestCaseConfig:
     @pytest.mark.parametrize(
         "arrivals,message",
         [
-            # class 1 of case 5 stays alone in its group
-            ((None, Poisson(10_000.0)), "a coupling group needs at least 2 classes"),
-            (
+            # class 1 of case 5 stays alone in its group; each id ends with
+            # the rule its message states after naming the group
+            pytest.param(
+                (None, Poisson(10_000.0)),
+                r"coupling group 1 \(class 1\): a coupling group needs at least 2 classes",
+                id="arrivals0-a coupling group needs at least 2 classes",
+            ),
+            pytest.param(
                 (CoupledPoisson(10_000.0, 1, "scaled"), None),
+                r"coupling group 1 \(classes 1, 2\): "
                 "all specs in a group must use the same mechanism",
+                id="arrivals1-all specs in a group must use the same mechanism",
             ),
         ],
     )

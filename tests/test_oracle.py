@@ -79,7 +79,7 @@ class TestVirtualWaitDirect:
         merged = merge_streams(seqs, rates)
         batch = virtual_waits_at_arrivals(seqs, rates)
         for i in (0, 5, 42, 299):
-            single = virtual_wait_direct(seqs, rates, merged.times_s[i])
+            single = virtual_wait_direct(seqs, rates, merged.arrival_s[i])
             assert single.supremum_s == pytest.approx(batch[i], abs=1e-12)
 
 

@@ -47,7 +47,7 @@ class TestMergeStreams:
             [_seq(1, [1.0, 3.0], [1, 1]), _seq(2, [2.0, 4.0], [1, 1])], UNIT
         )
         np.testing.assert_array_equal(merged.class_ids, [1, 2, 1, 2])
-        np.testing.assert_array_equal(merged.times_s, [1, 2, 3, 4])
+        np.testing.assert_array_equal(merged.arrival_s, [1, 2, 3, 4])
 
     def test_tie_goes_to_lower_class_id(self):
         merged = merge_streams([_seq(2, [5.0], [1]), _seq(1, [5.0], [2])], UNIT)
@@ -119,7 +119,7 @@ class TestMergeAgainstReference:
         rates = {cid: 0.3 + 0.7 * k for k, cid in enumerate(ids, start=1)}
         merged = merge_streams(seqs, rates)
         columns = (
-            merged.times_s,
+            merged.arrival_s,
             merged.service_s,
             merged.class_ids,
             merged.class_index,
@@ -147,7 +147,7 @@ class TestMergeAgainstReference:
     def test_every_class_empty(self, shape):
         seqs = [_seq(c, np.empty(shape), np.empty(shape)) for c in (1, 2)]
         merged = merge_streams(seqs, UNIT)
-        for column in (merged.times_s, merged.service_s, merged.class_ids, merged.class_index):
+        for column in (merged.arrival_s, merged.service_s, merged.class_ids, merged.class_index):
             assert column.shape == shape
         assert run_fifo(merged).waiting_s.shape == shape
 
@@ -209,6 +209,25 @@ class TestRunFifo:
         )
         with pytest.raises(InvalidInputError):
             run_fifo(bad)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_result_is_the_merged_stream_plus_waits(self, rows):
+        # one path of shape (n,), or a batch of shape (rows, n)
+        times, sizes = np.array([1.0, 2.0, 3.5]), np.array([0.5, 2.0, 1.0])
+        if rows is not None:
+            times, sizes = np.tile(times, (rows, 1)), np.tile(sizes, (rows, 1))
+        seqs = [_seq(2, times, sizes), _seq(1, times + 0.25, sizes)]
+        merged = merge_streams(seqs, {1: 2.0, 2: 4.0})
+        result = run_fifo(merged)
+        assert isinstance(result, MergedArrivals)
+        assert result.arrival_s is merged.arrival_s
+        assert result.service_s is merged.service_s
+        assert result.source is merged.source
+        assert result.segments is merged.segments
+        assert len(result) == len(merged) == 6 * (rows or 1)
+        np.testing.assert_array_equal(result.class_ids, merged.class_ids)
+        np.testing.assert_array_equal(result.class_index, merged.class_index)
+        assert result.waiting_s.shape == merged.arrival_s.shape
 
     def test_departures_follow_arrival_order(self):
         config = preset(3)

@@ -10,7 +10,7 @@ from mcfifo.traffic import (
     ClassSpec,
     Constant,
     CoupledPoisson,
-    DegenerateTail,
+    DeterministicEnvelope,
     ExponentialMean,
     ExponentialTail,
     Periodic,
@@ -268,10 +268,17 @@ class TestPeriodicEnvelopeInvariant:
 class TestGsbbTail:
     def test_periodic_class_degenerate(self):
         tail = gsbb_tail_from_mgf(CASE1_CLASS1, reference_rate_bps=8e6)
-        assert isinstance(tail, DegenerateTail)
+        assert isinstance(tail, DeterministicEnvelope)
         assert tail.tail(799.0) == 1.0
         assert tail.tail(800.0) == 0.0
         assert tail.tail(801.0) == 0.0
+
+    def test_periodic_class_is_its_envelope_at_the_reference_rate(self):
+        tail = gsbb_tail_from_mgf(CASE1_CLASS1, reference_rate_bps=9e6)
+        assert tail == DeterministicEnvelope(9e6, deterministic_envelope(CASE1_CLASS1).burst_bits)
+        sigma = np.array([0.0, 799.0, 800.0, 801.0, np.inf])
+        steps = tail.tail(sigma)
+        assert isinstance(steps, np.ndarray) and steps.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
 
     def test_boundary_rate_share_rejected(self):
         # reference share exactly equal to the class utilization: no decay
@@ -310,6 +317,24 @@ class TestGsbbTail:
         assert tail.decay_per_bit > 0
         with pytest.raises(NoDecayError):
             gsbb_tail_from_mgf(spec, reference_rate_bps=0.799 * 10e6)
+
+
+class TestDeterministicEnvelopeValidation:
+    @pytest.mark.parametrize(
+        "rate, burst",
+        [
+            (float("nan"), 8.0),
+            (float("inf"), 8.0),
+            (-1.0, 8.0),
+            (1e6, float("nan")),
+            (1e6, float("inf")),
+            (1e6, -5.0),
+            (-1.0, -5.0),
+        ],
+    )
+    def test_rejected_when_built(self, rate, burst):
+        with pytest.raises(InvalidSpecError, match="finite and nonnegative"):
+            DeterministicEnvelope(rate, burst)
 
 
 class TestExponentialTailValidation:

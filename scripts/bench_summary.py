@@ -8,8 +8,9 @@ Usage (from any directory):
 Reads BENCH_<workload>.json at the repository root (the JSON lines that
 scripts/bench_record.py appends: a {"context": ...} line, then the run's
 result line) and groups the runs by their label and seed. A later run of the
-same label and seed replaces an earlier one, and runs without the end-to-end
-metrics (traced runs) are skipped. --seeds keeps only the listed seeds, as
+same label and seed replaces an earlier one. Traced runs carry the per-layer
+metrics instead of the end-to-end ones, so they are left out of the
+comparison and summarised apart. --seeds keeps only the listed seeds, as
 comma-separated numbers or a-b ranges.
 
 For each end-to-end metric named in BENCHMARK.json it prints each label's
@@ -26,6 +27,10 @@ read against "parent" with the metric's relative bound from BENCHMARK.json:
 than the bound, else "unresolved" when the parent's interquartile range
 exceeds the bound times its median and not every run of the side beats
 every parent run, else "within bound".
+
+When the file holds traced runs, the output closes with each per-layer
+metric named in BENCHMARK.json that they recorded: per label, its median
+and run count.
 """
 
 from __future__ import annotations
@@ -145,16 +150,33 @@ def summary(runs: dict, metrics: list[dict]) -> list[str]:
     return lines
 
 
+def layer_summary(path: Path, metrics: list[dict], seeds: set[int] | None) -> list[str]:
+    """Median and run count per label of each per-layer metric that
+    traced runs recorded; no lines when there are none."""
+    lines = []
+    for metric in metrics:
+        runs = read_runs(path, [metric["name"]], seeds)
+        if not runs:
+            continue
+        lines.append(f"  {metric['name']} ({metric['unit']})")
+        for label in sorted(runs, key=lambda label: (label != "parent", str(label))):
+            values = [v[metric["name"]] for v in runs[label].values()]
+            lines.append(f"    {label:<8} n={len(values):<3} median {statistics.median(values):.6g}")
+    return ["per-layer metrics of traced runs"] + lines if lines else []
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
-    metrics = json.loads((args.root / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.root / "BENCHMARK.json").read_text())
+    metrics = benchmark["end_to_end"]
     path = args.root / f"BENCH_{args.workload}.json"
     if not path.exists():
         sys.exit(f"error: no {path.name} in {args.root}")
     runs = read_runs(path, [m["name"] for m in metrics], args.seeds)
-    if not runs:
+    layers = layer_summary(path, benchmark.get("per_layer", []), args.seeds)
+    if not runs and not layers:
         sys.exit(f"error: no runs with every end-to-end metric in {path.name}")
-    print("\n".join(summary(runs, metrics)))
+    print("\n".join((summary(runs, metrics) if runs else []) + layers))
     return 0
 
 

@@ -16,11 +16,14 @@ understate a CDF and the tail bounds stay valid. Neither transforms the
 fine grid: an exponential tail's term is a geometric recurrence over it,
 and a delay tail is one real-FFT convolution of grid size, because the
 interpolated waiting CDF spreads each grid cell's mass evenly over its fine
-steps. Both match the fine-grid convolution up to rounding (about 1e-15).
+steps. The last exponential term, and a lone tail, are computed only at
+the fine points the returned curve reads. Both convolutions match the
+fine-grid convolution up to rounding (about 1e-15).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -320,8 +323,8 @@ def _uniform_step(grid: np.ndarray) -> float:
         raise InvalidInputError("grid needs at least 2 points")
     steps = np.diff(grid)
     h = steps[0]
-    if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise InvalidInputError("convolution requires a uniform grid")
+    if not (np.all(np.isfinite(steps)) and np.all(np.abs(steps - h) <= 1e-9 * abs(h))):
+        raise InvalidInputError("convolution requires a finite, uniform grid")
     return float(h)
 
 
@@ -386,20 +389,52 @@ def _geometric_sum(values: np.ndarray, rate: float) -> np.ndarray:
     return sums.reshape(-1)[: len(values)]
 
 
+def _points(values: np.ndarray, points: range, offset: int = 0) -> np.ndarray:
+    """values at points - offset, as a view; every point is >= offset."""
+    return values[points.start - offset :: points.step][: len(points)]
+
+
+def _geometric_sum_at(values: np.ndarray, rate: float, ends: range) -> np.ndarray:
+    """_geometric_sum(values, rate) at the points of `ends` alone.
+
+    With stride s the step of ends, one matrix-vector product sums the
+    values over each s-long block ending at a point of ends, and over the
+    blocks before the first, back to index 0 (zeros before it), weighted
+    exp(-rate*(s-1)) ... 1; the recurrence at rate*s over those sums
+    (_geometric_sum) gives g at the block ends. At s = 1 the sums are the
+    values themselves, so every point costs what _geometric_sum does.
+    """
+    if not ends:
+        return np.zeros(0)
+    stride = ends.step
+    lead = ends.start // stride  # blocks before the first end
+    start = ends.start % stride - stride + 1  # the first block's first point, <= 0
+    stop = ends[-1] + 1
+    padded = values[:stop] if start == 0 else np.concatenate((np.zeros(-start), values[:stop]))
+    blocks = padded.reshape(lead + len(ends), stride)
+    if stride > 1:
+        powers = np.exp(-rate * np.arange(stride - 1.0, -1.0, -1.0))
+        powers[powers < _FLUSH_TO_ZERO] = 0.0
+        sums = blocks @ powers
+    else:
+        sums = blocks[:, 0]
+    return _geometric_sum(sums, rate * stride)[lead:]
+
+
 def _add_exponential_term(
-    cdf: np.ndarray, tail: ExponentialTail, capacity: float, fine: np.ndarray
+    cdf: np.ndarray, tail: ExponentialTail, capacity: float, fine: np.ndarray, reads: range
 ) -> np.ndarray:
-    """CDF on the fine grid of X + D, for X with CDF cdf and an independent D
-    with CDF 1 - tail(C*t), whose mass in each fine cell sits at the cell's
-    right end.
+    """CDF at the fine points `reads` of X + D, for X with CDF cdf on the
+    whole fine grid and an independent D with CDF 1 - tail(C*t), whose mass
+    in each fine cell sits at the cell's right end.
 
     D has no mass before its knee k0, the first fine point k where
     prefactor*exp(-beta*h*k) drops below 1; it has 1 - T0 at k0 (T0 the
     tail there) and T0*(1-r)*r**(k-k0-1) at each later point k, with
     r = exp(-beta*h) for decay beta per second and fine step h. So the
     convolution at point i is (1-T0)*cdf[i-k0] + T0*(1-r)*g[i-k0-1], with g
-    the geometric sum of cdf at ratio r: a few passes over the grid, no FFT,
-    and no tail evaluated past the knee.
+    the geometric sum of cdf at ratio r, taken at the read points alone
+    (_geometric_sum_at): no FFT, and no tail evaluated past the knee.
     """
     n = len(cdf)
     h = float(fine[1])
@@ -411,14 +446,18 @@ def _add_exponential_term(
     if tail.prefactor > 1.0:
         lift = math.log(tail.prefactor)
         k0 = n if lift >= beta * h * n else min(n, int(lift / (beta * h)) + 1)
-    out = np.zeros(n)
+    out = np.zeros(len(reads))
     if k0 == n:  # the tail is 1 over the whole grid
         return out
     t0 = tail.tail(fine[k0] * capacity)
-    out[k0:] = (1.0 - t0) * cdf[: n - k0]
-    out[k0 + 1 :] += (t0 * -math.expm1(-beta * h)) * _geometric_sum(
-        cdf[: n - k0 - 1], beta * h
-    )
+    # the first read at the knee or past it, and the first past it
+    at, past = bisect.bisect_left(reads, k0), bisect.bisect_right(reads, k0)
+    np.multiply(_points(cdf, reads[at:], k0), 1.0 - t0, out=out[at:])
+    later = reads[past:]
+    ends = range(later.start - k0 - 1, later.stop - k0 - 1, later.step)
+    carried = _geometric_sum_at(cdf, beta * h, ends)
+    carried *= t0 * -math.expm1(-beta * h)
+    out[past:] += carried
     return out
 
 
@@ -449,10 +488,14 @@ def delay_bound_convolve(
     if label is None:
         label = waiting_curve.label + "_delay"
 
+    if isinstance(service_cdf, bool):
+        raise InvalidInputError("service_cdf must be a constant or a callable CDF, not a bool")
     if isinstance(service_cdf, (int, float)):
         y = float(service_cdf)
-        if y < 0:
-            raise InvalidInputError("constant service time must be >= 0")
+        if not 0.0 <= y < math.inf:  # NaN fails too
+            raise InvalidInputError(
+                f"constant service time {y} s must be finite and >= 0"
+            )
         shift = y / h
         if abs(shift - round(shift)) < 1e-9:
             k = int(round(shift))
@@ -471,6 +514,11 @@ def delay_bound_convolve(
         raise InvalidInputError("service_cdf must be a constant or a callable CDF")
     fine = _fine_grid(grid, refine)
     f_service = np.asarray(service_cdf(fine), dtype=float)
+    if f_service.shape != fine.shape:
+        raise InvalidInputError(
+            f"service_cdf returned shape {f_service.shape} for {len(fine)} points; "
+            "it must return one value per point"
+        )
     # NaN fails the upper check
     valid = f_service[0] >= -1e-12 and np.all(f_service <= 1.0 + 1e-12)
     if not valid or np.any(np.diff(f_service) < -1e-12):
@@ -487,6 +535,9 @@ def delay_bound_convolve(
 def _check_gsbb_rates(tails: Sequence[GsbbTail], rates_bps: Sequence[float]) -> None:
     if len(tails) != len(rates_bps):
         raise InvalidInputError("need one service rate per tail")
+    for capacity in rates_bps:
+        if not 0.0 < capacity < math.inf:  # NaN fails too
+            raise InvalidInputError(f"service rate {capacity} bps must be finite and > 0")
     share = sum(t.rate_bps / c for t, c in zip(tails, rates_bps))
     if share > 1.0 + 1e-12:
         raise ConditionNotMetError(
@@ -579,32 +630,47 @@ def gsbb_bound_convolution(
     and mass past the grid is dropped, which errs the same way). Every
     further exponential tail adds its term by a geometric recurrence in O(n)
     (_add_exponential_term), which is the fine-grid convolution up to
-    rounding (about 1e-15). Under dependence only the split bound applies.
+    rounding (about 1e-15). A term before the last is built at every fine
+    point, because the next term reads them all; the last term, and a lone
+    tail, are computed only at the fine points the curve reads, one per
+    grid point, so that term costs O(grid size) past one pass over the
+    previous CDF. Under dependence only the split bound applies.
     """
     _check_gsbb_rates(tails, rates_bps)
     grid = np.asarray(grid_s, dtype=float)
     fine = _fine_grid(grid, refine)
 
     shift = 0.0
-    f_total: np.ndarray | None = None
+    terms = []
     for tail, capacity in zip(tails, rates_bps):
         if isinstance(tail, DeterministicEnvelope):
             shift += tail.burst_bits / capacity
-            continue
-        if f_total is None:
-            f_total = 1.0 - tail.tail(fine * capacity)
         else:
-            f_total = _add_exponential_term(f_total, tail, capacity, fine)
-
-    if f_total is None:
+            terms.append((tail, capacity))
+    if not terms:
         return step_bound_curve(shift, grid, "gsbb_convolution")
+
+    # the fine points the curve reads: the grid's, or with a shift the
+    # shifted grid's floored to the fine grid, so the CDF is never overstated
     if shift > 0.0:
-        # evaluate the shifted CDF at grid points, flooring to the fine grid
-        # so the CDF is never overstated
         idx = np.floor((grid - shift) / (fine[1] - fine[0]) + 1e-9).astype(int)
-        probs = np.where(idx < 0, 1.0, 1.0 - f_total[np.clip(idx, 0, len(fine) - 1)])
     else:
-        probs = 1.0 - f_total[::refine]
+        idx = np.arange(0, len(fine), refine)
+    kept = np.minimum(idx[idx >= 0], len(fine) - 1)
+    first = int(kept[0]) if len(kept) else 0
+    reads = range(first, first + refine * len(kept), refine)
+    if np.any(np.diff(kept) != refine):  # rounding took a shifted point off the step
+        reads = range(first, int(kept[-1]) + 1)
+    f_total: np.ndarray | None = None
+    for i, (tail, capacity) in enumerate(terms):
+        # a term before the last is read at every fine point by the next one
+        points = reads if i == len(terms) - 1 else range(len(fine))
+        if f_total is None:
+            f_total = 1.0 - tail.tail(_points(fine, points) * capacity)
+        else:
+            f_total = _add_exponential_term(f_total, tail, capacity, fine, points)
+    probs = np.ones_like(grid)
+    probs[idx >= 0] = 1.0 - f_total[(kept - reads.start) // reads.step]
     probs = np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
     return BoundCurve(grid, probs, "gsbb_convolution")
 

@@ -229,6 +229,8 @@ class ExponentialTail:
 
     def __post_init__(self):
         # NaN fails both comparisons
+        if not 0 <= self.rate_bps < math.inf:
+            raise InvalidSpecError("tail reference rate must be finite and nonnegative")
         if not (0 <= self.prefactor < math.inf and 0 < self.decay_per_bit < math.inf):
             raise InvalidSpecError("need a finite prefactor >= 0 and a finite decay > 0")
 

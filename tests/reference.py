@@ -5,22 +5,28 @@ principles, favoring clarity over speed: the FIFO recursion is run one
 customer at a time, the workload supremum at one instant is evaluated by
 scanning every candidate window start, and excess-work MGFs are estimated
 by Monte Carlo. mcfifo.oracle keeps the linear-time scans that answer every
-customer of a long run at once; these single queries check them.
+customer of a long run at once; these single queries check them. The
+convolution bound of independent burst tails is kept here as it was first
+built, every exponential term added at every fine point, for the version
+that computes the last term at the returned points alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from mcfifo.analytic import _fine_grid
 from mcfifo.errors import InvalidInputError, InvalidSpecError
 from mcfifo.simulator import merge_streams
 from mcfifo.traffic import (
     ArrivalSequence,
     ClassSpec,
     Constant,
+    DeterministicEnvelope,
     ExponentialMean,
     Poisson,
     coupling_groups,
@@ -212,3 +218,64 @@ def mgf_monte_carlo(
     value = float(values.mean())
     std_error = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else np.inf
     return MgfEstimate(value, std_error, samples, diverged)
+
+
+def geometric_sum_every_point(values: np.ndarray, rate: float) -> np.ndarray:
+    """g[j] = sum_{l <= j} exp(-rate*(j - l)) * values[l] at every point, by
+    the blocked scan: one matmul with each 32-block's lower-triangular
+    powers, the same recurrence at rate*32 over the block ends, and an outer
+    product that carries each end into the next block."""
+    if rate > -math.log(1e-290):
+        return values.copy()
+    block = 32
+    powers = np.exp(-rate * np.arange(block + 1.0))
+    powers[powers < 1e-290] = 0.0
+    rows = -(-len(values) // block)
+    padded = np.zeros(rows * block)
+    padded[: len(values)] = values
+    lag = np.subtract.outer(np.arange(block), np.arange(block))  # t - s
+    inside = np.where(lag >= 0, powers[np.abs(lag)], 0.0)  # [t, s]
+    sums = padded.reshape(rows, block) @ inside.T
+    if rows > 1:
+        ends = geometric_sum_every_point(sums[:, -1], rate * block)
+        sums[1:] += np.outer(ends[:-1], powers[1:])
+    return sums.reshape(-1)[: len(values)]
+
+
+def gsbb_convolution_every_point(tails, rates_bps, grid_s, refine: int = 32) -> np.ndarray:
+    """Tail probabilities of mcfifo.analytic.gsbb_bound_convolution with
+    every exponential term, the last included, added at every fine point:
+    the first tail tabulated on the fine grid, each further one as
+    (1-T0)*cdf[i-k0] + T0*(1-r)*g[i-k0-1], g the geometric sum of cdf at
+    ratio r = exp(-beta*h), and the sum read at the grid points shifted by
+    the envelopes' bursts."""
+    grid = np.asarray(grid_s, dtype=float)
+    fine = _fine_grid(grid, refine)
+    n, h = len(fine), float(fine[1])
+    shift, cdf = 0.0, None
+    for tail, capacity in zip(tails, rates_bps):
+        if isinstance(tail, DeterministicEnvelope):
+            shift += tail.burst_bits / capacity
+            continue
+        if cdf is None:
+            cdf = 1.0 - tail.tail(fine * capacity)
+            continue
+        beta = tail.decay_per_bit * capacity
+        k0 = 0
+        if tail.prefactor > 1.0:
+            lift = math.log(tail.prefactor)
+            k0 = n if lift >= beta * h * n else min(n, int(lift / (beta * h)) + 1)
+        out = np.zeros(n)
+        if k0 < n:
+            t0 = tail.tail(fine[k0] * capacity)
+            out[k0:] = (1.0 - t0) * cdf[: n - k0]
+            out[k0 + 1 :] += (t0 * -math.expm1(-beta * h)) * geometric_sum_every_point(
+                cdf[: n - k0 - 1], beta * h
+            )
+        cdf = out
+    if shift > 0.0:
+        idx = np.floor((grid - shift) / (fine[1] - fine[0]) + 1e-9).astype(int)
+        probs = np.where(idx < 0, 1.0, 1.0 - cdf[np.clip(idx, 0, n - 1)])
+    else:
+        probs = 1.0 - cdf[::refine]
+    return np.minimum.accumulate(np.clip(probs, 0.0, 1.0))

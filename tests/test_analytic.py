@@ -11,6 +11,7 @@ from mcfifo.analytic import (
     _fast_fft_len,
     _fine_grid,
     _geometric_sum,
+    _geometric_sum_at,
     _linear_convolution,
     bound_cruz_aggregate,
     bound_dd1,
@@ -36,16 +37,19 @@ from mcfifo.errors import (
     InvalidInputError,
     NoPositiveRootError,
 )
-from mcfifo.experiments import preset
+from mcfifo.experiments import DEFAULT_GRID_POINTS, preset
 from mcfifo.traffic import (
     ClassSpec,
     Constant,
     DeterministicEnvelope,
     ExponentialMean,
     ExponentialTail,
+    Periodic,
     Poisson,
     deterministic_envelope,
+    gsbb_tail_from_mgf,
 )
+from reference import gsbb_convolution_every_point
 
 # Bisection on sum(rate_n/(mu_n - theta)) = 1 run before this package was
 # built (cross-checked against the closed-form quadratic root).
@@ -414,6 +418,23 @@ class TestDelayBoundConvolve:
         delay = delay_bound_convolve(lambda t: np.minimum(1.0 + 1e-13, 1e4 * t), wait)
         assert np.all(delay.probs >= wait.probs - 1e-12)
 
+    @pytest.mark.parametrize(
+        "service,message",
+        [
+            (float("nan"), "constant service time nan s must be finite and >= 0"),
+            (float("inf"), "constant service time inf s must be finite and >= 0"),
+            (-1e-4, "constant service time -0.0001 s must be finite and >= 0"),
+            (True, "not a bool"),
+            (lambda t: 0.5, r"returned shape \(\) for 3169 points"),
+            (lambda t: np.zeros(len(t) - 1), r"returned shape \(3168,\) for 3169 points"),
+        ],
+        ids=["nan", "inf", "negative", "bool", "scalar", "short"],
+    )
+    def test_bad_service_rejected(self, service, message):
+        wait = waiting_bound_curve(1000.0, np.linspace(0.0, 1e-3, 100))
+        with pytest.raises(InvalidInputError, match=message):
+            delay_bound_convolve(service, wait)
+
 
 def _exp_tail(decay_per_s, capacity, prefactor=1.0):
     return ExponentialTail(
@@ -491,6 +512,12 @@ class TestGsbbSplit:
         tails = [ExponentialTail(8e6, 1.0, 1e-4), ExponentialTail(4e6, 1.0, 1e-4)]
         with pytest.raises(ConditionNotMetError):
             gsbb_split_curve(tails, [10e6, 10e6], np.array([1e-3]))
+
+    @pytest.mark.parametrize("bound", [gsbb_split_curve, gsbb_bound_convolution])
+    @pytest.mark.parametrize("capacity", [0.0, float("nan"), -1e6, float("inf")])
+    def test_bad_capacity_rejected(self, bound, capacity):
+        with pytest.raises(InvalidInputError, match=f"service rate {capacity} bps must be"):
+            bound([ExponentialTail(1e5, 1.0, 1e-4)], [capacity], np.linspace(0.0, 1e-3, 11))
 
     @pytest.mark.parametrize(
         "prefactors,decays",
@@ -651,6 +678,77 @@ class TestGsbbConvolution:
         bound = bound_dd1(envs, rates)
         np.testing.assert_array_equal(curve.probs, np.where(grid >= bound, 0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.0, np.inf], [0.0, 1e-3, np.inf], [0.0, np.nan, 2e-3], [0.0, 1e-3, 2.1e-3]],
+    )
+    def test_grid_must_be_finite_and_uniform(self, grid):
+        with pytest.raises(InvalidInputError, match="requires a finite, uniform grid"):
+            gsbb_bound_convolution([ExponentialTail(1e5, 1.0, 1e-4)], [1e7], np.array(grid))
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_lone_tail_is_the_every_point_result_bit_for_bit(self, shifted):
+        tails = [ExponentialTail(2e7, 3.0, 1500.0 / 100e6)]
+        caps = [100e6]
+        if shifted:  # 100 B at 10 Mbps: an 80 us shift, off the fine grid
+            tails, caps = [DeterministicEnvelope(1e6, 800.0)] + tails, [10e6] + caps
+        grid = np.linspace(0.0, 4e-3, 2000)
+        got = gsbb_bound_convolution(tails, caps, grid).probs
+        assert got.tobytes() == gsbb_convolution_every_point(tails, caps, grid).tobytes()
+
+    def test_bound_mixes_within_1e15_of_the_every_point_result(self):
+        four = (
+            ClassSpec(1, Poisson(1e4), Constant(800.0), 10e6),
+            ClassSpec(2, Poisson(1e3), Constant(10_000.0), 100e6),
+            ClassSpec(3, Poisson(2e3), Constant(4_000.0), 50e6),
+            ClassSpec(4, Poisson(5e2), Constant(12_000.0), 20e6),
+        )
+        mixes = {
+            "p3": (CASE3.specs, CASE3.tau_max_s),
+            "p4": (CASE4.specs, CASE4.tau_max_s),
+            "p6": (CASE6.specs, CASE6.tau_max_s),
+            "c4": (four, CASE3.tau_max_s),
+        }
+        for mix, (specs, tau_max) in mixes.items():
+            grid = np.linspace(0.0, tau_max, DEFAULT_GRID_POINTS)
+            for rho in np.linspace(0.1, 0.9, 9):
+                tails, caps = _equalized_exact_tails(_at_load(specs, rho))
+                got = gsbb_bound_convolution(tails, caps, grid).probs
+                want = gsbb_convolution_every_point(tails, caps, grid)
+                if mix == "p6":  # one envelope and one exponential tail
+                    assert got.tobytes() == want.tobytes(), rho
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-15, (mix, rho)
+
+
+def _at_load(specs, rho):
+    """The class mix with arrival rates scaled to total utilization rho."""
+    k = rho / sum(s.utilization for s in specs)
+    return [
+        ClassSpec(
+            s.class_id,
+            Periodic(s.arrival.period_s / k)
+            if isinstance(s.arrival, Periodic)
+            else Poisson(s.arrival.rate_hz * k),
+            s.size,
+            s.service_rate_bps,
+        )
+        for s in specs
+    ]
+
+
+def _equalized_exact_tails(specs):
+    """Exact per-class burst tails at the shares that equalize the
+    second-order decay rates, with the classes' service rates."""
+    rho = sum(s.utilization for s in specs)
+    curvature = sum(s.arrival_rate_hz * s.mean_service_s**2 for s in specs)
+    weights = equalized_weights(specs, 2.0 * (1.0 - rho) / curvature)
+    tails = [
+        gsbb_tail_from_mgf(s, w * s.service_rate_bps, method="exact")
+        for s, w in zip(specs, weights)
+    ]
+    return tails, [s.service_rate_bps for s in specs]
+
 
 def _tail_masses(tail, capacity, fine):
     """Masses of the CDF 1 - tail(C*t) on the fine grid, each at the right end
@@ -712,7 +810,7 @@ class TestConvolutionKernels:
         fine = _fine_grid(np.linspace(0.0, 3e-3, 301), CONV_REFINE)
         cdf = -np.expm1(-1500.0 * fine)
         tail = ExponentialTail(0.2 * self.CAP, prefactor, decay_per_s / self.CAP)
-        got = _add_exponential_term(cdf, tail, self.CAP, fine)
+        got = _add_exponential_term(cdf, tail, self.CAP, fine, range(len(fine)))
         mass = _tail_masses(tail, self.CAP, fine)
         for i in (0, 1, 2, 31, 32, 33, 1757, 1758, 5000, len(fine) - 1):
             want = math.fsum(mass[: i + 1] * cdf[i::-1])
@@ -727,7 +825,7 @@ class TestConvolutionKernels:
         for k, decay_per_s in zip(rng.integers(1, 5000, 40), rng.uniform(100.0, 5e4, 40)):
             prefactor = math.exp(decay_per_s * fine[1] * k)
             tail = ExponentialTail(0.2 * self.CAP, prefactor, decay_per_s / self.CAP)
-            got = _add_exponential_term(cdf, tail, self.CAP, fine)
+            got = _add_exponential_term(cdf, tail, self.CAP, fine, range(len(fine)))
             mass = _tail_masses(tail, self.CAP, fine)
             for i in (k - 1, k, k + 1, k + 2, k + 500):
                 want = math.fsum(mass[: i + 1] * cdf[i::-1])
@@ -752,12 +850,88 @@ class TestConvolutionKernels:
                 continue
             hits += 1
             tail = ExponentialTail(0.2 * self.CAP, prefactor, decay_per_s / self.CAP)
-            got = _add_exponential_term(cdf, tail, self.CAP, fine)
+            got = _add_exponential_term(cdf, tail, self.CAP, fine, range(len(fine)))
             mass = _tail_masses(tail, self.CAP, fine)
             for i in (0, n // 2, n - 1):
                 want = math.fsum(mass[: i + 1] * cdf[i::-1])
                 assert got[i] == pytest.approx(want, rel=0.0, abs=1e-12), (decay_per_s, i)
         assert hits > 0
+
+    @pytest.mark.parametrize("stride", [1, 2, 7, 32])
+    @pytest.mark.parametrize("start", [0, 5, 31, 32, 100])
+    @pytest.mark.parametrize("rate", [3e-4, 0.1, 30.0, 700.0])
+    def test_geometric_sum_at_is_the_every_point_sum_there(self, stride, start, rate):
+        values = np.random.default_rng(start).random(2_000)
+        ends = range(start, len(values), stride)
+        got = _geometric_sum_at(values, rate, ends)
+        want = _geometric_sum(values, rate)[start::stride]
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert _geometric_sum_at(values, rate, range(start, start, stride)).shape == (0,)
+
+    @pytest.mark.parametrize("refine", [1, 32])
+    @pytest.mark.parametrize("points", [2, 201])
+    @pytest.mark.parametrize(
+        "last",
+        [
+            # prefactor 3 at 4000/s: with refine 32 the knee is fine point
+            # 440 of 201 grid points, and 3 of 2, neither on a grid point
+            ExponentialTail(20e6, 3.0, 4000.0 / 100e6),
+            ExponentialTail(20e6, 1e300, 4000.0 / 100e6),  # knee past the grid end
+            ExponentialTail(20e6, 0.4, 5e9 / 100e6),  # r**refine underflows
+        ],
+        ids=["knee-off-grid", "knee-past-end", "ratio-underflows"],
+    )
+    def test_last_term_against_fine_fft(self, refine, points, last):
+        tails, caps = [ExponentialTail(2e6, 1.0, 1500.0 / 10e6), last], [10e6, 100e6]
+        grid = np.linspace(0.0, 4e-3, points)
+        got = gsbb_bound_convolution(tails, caps, grid, refine=refine)
+        want = _fine_fft_convolution(tails, caps, grid, refine)
+        np.testing.assert_allclose(got.probs, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("points,knee", [(201, 440), (2, 3)])
+    def test_knee_off_grid_is_off_the_grid(self, points, knee):
+        fine = _fine_grid(np.linspace(0.0, 4e-3, points), 32)
+        assert int(math.log(3.0) / (4000.0 * fine[1])) + 1 == knee < len(fine)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("refine", [1, 32])
+    @pytest.mark.parametrize("points", [2, 201])
+    def test_shift_with_two_or_three_tails_against_fine_fft(self, count, refine, points):
+        tails = [
+            DeterministicEnvelope(1e6, 4_000.0),
+            ExponentialTail(20e6, 1.0, 1500.0 / 100e6),
+            ExponentialTail(10e6, 2.0, 3000.0 / 50e6),
+            ExponentialTail(2e6, 0.7, 2500.0 / 20e6),
+        ]
+        caps = [10e6, 100e6, 50e6, 20e6]
+        grid = np.linspace(0.0, 4e-3, points)
+        got = gsbb_bound_convolution(tails[: count + 1], caps[: count + 1], grid, refine=refine)
+        want = _fine_fft_convolution(tails[: count + 1], caps[: count + 1], grid, refine)
+        np.testing.assert_allclose(got.probs, want, rtol=0.0, atol=1e-12)
+
+    def test_shift_read_off_the_fine_step(self):
+        # a grid uniform to 4e-10 of its step and a shift of 1000 fine steps:
+        # the floored reads of the shifted grid are 31, 32 or 33 fine steps
+        # apart, and the last term is taken at every fine point it spans
+        grid = np.linspace(0.0, 4e-3, 201)
+        grid[1:-1] += np.where(np.arange(1, 200) % 2, 2e-10, -2e-10) * grid[1]
+        fine_step = _fine_grid(grid, CONV_REFINE)[1]
+        shift = 1000 * fine_step
+        reads = np.floor((grid - shift) / fine_step + 1e-9).astype(int)
+        assert set(np.diff(reads[reads >= 0])) == {31, 32, 33}
+        tails = [
+            DeterministicEnvelope(1e6, shift * 10e6),
+            ExponentialTail(20e6, 1.0, 1500.0 / 100e6),
+            ExponentialTail(10e6, 2.0, 3000.0 / 50e6),
+        ]
+        caps = [10e6, 100e6, 50e6]
+        got = gsbb_bound_convolution(tails, caps, grid).probs
+        want = gsbb_convolution_every_point(tails, caps, grid)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        np.testing.assert_allclose(
+            got, _fine_fft_convolution(tails, caps, grid, CONV_REFINE), rtol=0.0, atol=1e-12
+        )
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     @pytest.mark.parametrize("refine", [1, 16, 32, 64])

@@ -15,9 +15,11 @@ METRICS = [
 ]
 
 
-def _write(root: Path, runs) -> None:
+def _write(root: Path, runs, per_layer=()) -> None:
     """BENCHMARK.json and BENCH_toy.json holding (label, seed, wall_s, trace) runs."""
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    (root / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": METRICS, "per_layer": list(per_layer)})
+    )
     with open(root / "BENCH_toy.json", "w") as fh:
         for label, seed, wall, trace in runs:
             fh.write(json.dumps({"context": {"seed": seed, "trace": trace, "label": label}}))
@@ -101,6 +103,39 @@ def test_regression_verdict_per_metric(tmp_path, capsys, spread, change, found):
         "regression verdicts",
         f"  wall_s change vs parent: {found} (bound 25 %)",
         f"  work_per_s change vs parent: {found} (bound 25 %)",
+    ]
+
+
+def test_traced_runs_give_per_layer_medians(tmp_path, capsys):
+    layers = [
+        {"name": "simulator.run_fifo_s", "unit": "s", "better": "lower"},
+        {"name": "analytic.theta_s", "unit": "s", "better": "lower"},  # never recorded
+    ]
+    runs = [("parent", s, 1.0 + 0.01 * s, 0) for s in range(3)]
+    runs += [("change", s, 0.9 + 0.01 * s, 0) for s in range(3)]
+    runs += [("parent", s, w, 1) for s, w in [(0, 0.5), (1, 0.7), (2, 0.6)]]
+    runs += [("change", s, w, 1) for s, w in [(0, 0.4), (1, 0.2), (1, 0.3)]]
+    _write(tmp_path, runs, layers)
+    out = _summary(tmp_path, capsys)
+    assert out[0] == "wall_s (s, lower is better)"
+    assert out[1].startswith("  parent   n=3 ")  # traced runs stay out of the comparison
+    assert out[-4:] == [
+        "per-layer metrics of traced runs",
+        "  simulator.run_fifo_s (s)",
+        "    parent   n=3   median 0.6",
+        "    change   n=2   median 0.35",  # seed 1's later run replaces its first
+    ]
+    out = _summary(tmp_path, capsys, "--seeds", "0")
+    assert out[-2:] == ["    parent   n=1   median 0.5", "    change   n=1   median 0.4"]
+
+
+def test_traced_runs_alone_still_summarised(tmp_path, capsys):
+    layer = {"name": "simulator.run_fifo_s", "unit": "s", "better": "lower"}
+    _write(tmp_path, [("parent", 1, 0.5, 1)], [layer])
+    assert _summary(tmp_path, capsys) == [
+        "per-layer metrics of traced runs",
+        "  simulator.run_fifo_s (s)",
+        "    parent   n=1   median 0.5",
     ]
 
 

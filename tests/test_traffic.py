@@ -354,6 +354,11 @@ class TestExponentialTailValidation:
         with pytest.raises(InvalidSpecError, match="finite prefactor >= 0 and a finite decay > 0"):
             ExponentialTail(1e6, prefactor, decay)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+    def test_bad_rate_rejected_when_built(self, rate):
+        with pytest.raises(InvalidSpecError, match="reference rate must be finite and nonnegative"):
+            ExponentialTail(rate, 1.0, 1e-4)
+
     def test_zero_prefactor_and_tiny_decay_accepted(self):
         assert ExponentialTail(1e6, 0.0, 5e-324).tail(1e9) == 0.0
 

@@ -70,6 +70,18 @@ BAD_CONFIGS = {
         ],
         bounds=["md1"],
     ),
+    # md1 at load 1.12 + 0.1 = 1.22: class 1 at 28,000 arrivals/s, class 2 of constant sizes
+    "overloaded": lambda c: c.update(
+        classes=[
+            {**c["classes"][0], "arrival": {"kind": "poisson", "rate_per_s": 28000}},
+            {**c["classes"][1], "size": {"kind": "constant", "packet_bytes": 1250}},
+        ],
+        bounds=["md1"],
+    ),
+    # the example's mixed_pair bound on two Poisson classes
+    "mixed_pair_poisson": lambda c: c["classes"][0].update(
+        arrival={"kind": "poisson", "rate_per_s": 10000}
+    ),
     # a coupling group of one class, and a group that mixes mechanisms
     "coupling_single": lambda c: c["classes"][1].update(
         arrival={"kind": "coupled_poisson", "rate_per_s": 1000, "coupling_group": 1}
@@ -86,6 +98,11 @@ BAD_CONFIGS = {
     ),
 }
 COMMANDS += [["bounds", "--config", f"configs/{name}.json"] for name in BAD_CONFIGS]
+# the bad configs whose bound cannot be built, which compare must reject as bounds does
+COMMANDS += [
+    ["compare", "--config", f"configs/{name}.json"]
+    for name in ("mixed_sizes", "overloaded", "mixed_pair_poisson")
+]
 
 
 def parse_args(argv=None) -> argparse.Namespace:

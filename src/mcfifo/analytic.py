@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -469,18 +470,18 @@ def delay_bound_convolve(
 ) -> BoundCurve:
     """Delay tail bound 1 - F_service conv F_waiting on the waiting curve's grid.
 
-    A float service_cdf means a constant service time, which shifts the
-    waiting curve right by that amount exactly instead of smearing it through
-    the grid. A callable is taken as the service-time CDF F_s and tabulated
-    on the grid with each step cut into `refine` steps. The waiting CDF
-    interpolates the curve linearly, so on that fine grid its mass is the
-    atom F_w(0) and, on each fine step of cell q, dF_q/refine, placed at the
-    step's right end (one-sided, so the result stays a valid upper bound;
-    mass past the grid is dropped, which errs the same way). The delay CDF
-    at grid point j is then F_w(0)*F_s(tau_j) plus the sum over q of
-    dF_q*box[j-1-q]/refine, where box sums F_s over the fine points of
-    each cell: one real-FFT convolution of grid size, exact up to rounding
-    (about 1e-15) against the fine-grid convolution.
+    A real service_cdf (NumPy scalars too, not a bool) means a constant
+    service time, which shifts the waiting curve right by that amount exactly
+    instead of smearing it through the grid. A callable is taken as the
+    service-time CDF F_s and tabulated on the grid with each step cut into
+    `refine` steps. The waiting CDF interpolates the curve linearly, so on
+    that fine grid its mass is the atom F_w(0) and, on each fine step of cell
+    q, dF_q/refine, placed at the step's right end (one-sided, so the result
+    stays a valid upper bound; mass past the grid is dropped, which errs the
+    same way). The delay CDF at grid point j is then F_w(0)*F_s(tau_j) plus
+    the sum over q of dF_q*box[j-1-q]/refine, where box sums F_s over the fine
+    points of each cell: one real-FFT convolution of grid size, exact up to
+    rounding (about 1e-15) against the fine-grid convolution.
     """
     grid = waiting_curve.grid_s
     h = _uniform_step(grid)
@@ -490,7 +491,7 @@ def delay_bound_convolve(
 
     if isinstance(service_cdf, bool):
         raise InvalidInputError("service_cdf must be a constant or a callable CDF, not a bool")
-    if isinstance(service_cdf, (int, float)):
+    if isinstance(service_cdf, numbers.Real):  # NumPy scalars too
         y = float(service_cdf)
         if not 0.0 <= y < math.inf:  # NaN fails too
             raise InvalidInputError(

@@ -4,8 +4,8 @@ Cases 1-2 are periodic constant-size pairs (worst-case bounds apply),
 cases 3-4 replace arrivals with independent Poisson processes (constant
 then exponential sizes), case 5 couples the Poisson streams, and case 6
 mixes a periodic class with a Poisson/exponential class; PRESETS holds
-them by case id. run_comparison simulates a case, evaluates every applicable
-bound, and reports where the empirical tail exceeds a bound beyond
+them by case id. run_comparison evaluates every bound the case names,
+simulates it, and reports where the empirical tail exceeds a bound beyond
 statistical slack. It builds every curve a comparison reports: with
 replications > 1 and some stochastic class, these include the transient
 delay tails of the first class's 1st, 10th and 100th customers.
@@ -16,6 +16,10 @@ waits shifted by the class's one service time; only classes with
 exponential sizes (presets 4 and 6) have their delays scattered and sorted.
 write_curves_csv writes the bytes of csv.writer without a per-row writer
 call: each label is quoted once and each distinct grid's taus formatted once.
+
+BOUNDS gives each bound its builder and whether its proof allows coupled
+classes; from that, case_bound_entries alone decides which curves are
+guaranteed, and run_comparison calls it first, before the simulation.
 
 A config file is read here, by CaseConfig.from_dict from its parsed JSON:
 one table, _KEYS, gives each key its field and its conversion to seconds
@@ -32,12 +36,12 @@ import numbers
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from itertools import repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import analytic
-from .analytic import BoundCurve, StabilityReport, step_bound_curve
+from .analytic import StabilityReport, step_bound_curve
 from .errors import InvalidInputError, InvalidSpecError
 from .simulator import (
     RunResult,
@@ -488,112 +492,103 @@ def _sorted_class(values: np.ndarray, d: int, e: int) -> tuple[np.ndarray, np.nd
     return kept, edge
 
 
-def _bound_entry(
-    curve: BoundCurve,
-    metric: str,
-    class_id: int | None = None,
-    guaranteed: bool = False,
-    note: str = "",
-) -> CurveEntry:
-    return CurveEntry(
-        curve.label,
-        "bound",
-        metric,
-        class_id,
-        curve.grid_s,
-        curve.probs,
-        guaranteed=guaranteed,
-        approximate=curve.approximate,
-        note=note,
-    )
-
-
-def _deterministic(specs, grid) -> tuple[list[CurveEntry], dict]:
+def _deterministic(specs, grid) -> tuple[list, dict]:
     envelopes = [deterministic_envelope(s) for s in specs]
     rates = [s.service_rate_bps for s in specs]
     dd1 = analytic.bound_dd1(envelopes, rates)
     cruz = analytic.bound_cruz_aggregate(envelopes, rates)
     values = {"dd1_bound_s": dd1, "cruz_bound_s": cruz if cruz is not None else "N.A."}
-    entries = [
-        _bound_entry(step_bound_curve(dd1, grid, "det_multiclass"), "delay", guaranteed=True)
-    ]
+    curves = [(step_bound_curve(dd1, grid, "det_multiclass"), "delay", None)]
     if cruz is not None:
-        entries.append(
-            _bound_entry(step_bound_curve(cruz, grid, "det_aggregate"), "delay", guaranteed=True)
-        )
-    return entries, values
+        curves.append((step_bound_curve(cruz, grid, "det_aggregate"), "delay", None))
+    return curves, values
 
 
-def _poisson(name: str, specs, grid) -> tuple[list[CurveEntry], dict]:
+def _poisson(name: str, specs, grid) -> tuple[list, dict]:
     """md1 or mm1: the exact and second-order decay rates of analytic.theta_<name>
     (looked up when called), their waiting curves, and a delay curve per
     constant-size class, its waiting tail shifted by its service time.
 
-    The exact rate is proven for independent classes only; with coupled
-    classes its curve is informational and says so, and no delay curve is
-    drawn. Exponential-size classes get no delay curve yet (ROADMAP item 4).
+    With coupled classes no delay curve is drawn: the exact rate, and so
+    every shifted curve, is proven for independent classes only.
+    Exponential-size classes get no delay curve yet (ROADMAP item 6).
     """
-    independent = not coupling_groups(specs)
     exact, approx = getattr(analytic, f"theta_{name}")(specs)
     values = {
         f"{name}_theta_exact_per_s": exact.theta_star,
         f"{name}_theta_approx_per_s": approx.theta_star,
         "theta_star_per_s": exact.theta_star,
     }
-    note = "" if independent else "assumes independent classes"
     waiting = analytic.waiting_bound_curve(exact, grid, label=f"{name}_waiting_exact")
     second_order = analytic.waiting_bound_curve(approx, grid, label=f"{name}_waiting_approx")
-    entries = [
-        _bound_entry(waiting, "waiting", guaranteed=independent, note=note),
-        _bound_entry(second_order, "waiting", note=note),
-    ]
+    curves = [(waiting, "waiting", None), (second_order, "waiting", None)]
+    independent = not coupling_groups(specs)
     for s in specs:
         if independent and isinstance(s.size, Constant):
-            curve = analytic.delay_bound_convolve(
-                s.mean_service_s, waiting, label=f"{name}_delay_exact_c{s.class_id}"
-            )
-            entries.append(_bound_entry(curve, "delay", s.class_id, guaranteed=True))
-    return entries, values
+            label = f"{name}_delay_exact_c{s.class_id}"
+            curve = analytic.delay_bound_convolve(s.mean_service_s, waiting, label=label)
+            curves.append((curve, "delay", s.class_id))
+    return curves, values
 
 
-def _split_constant(specs, grid) -> tuple[list[CurveEntry], dict]:
-    curve = analytic.bound_mstar_d1(specs, grid)
+def _split_constant(specs, grid) -> tuple[list, dict]:
     values = {"split_theta_per_s": analytic.second_order_theta(specs)}
-    entries = [
-        _bound_entry(curve, "waiting", note="valid under any cross-class dependence")
-    ]
-    return entries, values
+    return [(analytic.bound_mstar_d1(specs, grid), "waiting", None)], values
 
 
-def _mixed_pair(specs, grid) -> tuple[list[CurveEntry], dict]:
+def _mixed_pair(specs, grid) -> tuple[list, dict]:
     values = {"theta_star_per_s": analytic.theta_dmdm(specs).theta_star}
-    entries = [
-        _bound_entry(
-            analytic.bound_dmdm(specs, grid, s.class_id), "waiting", s.class_id, guaranteed=True
-        )
-        for s in specs
-    ]
-    return entries, values
+    curves = [(analytic.bound_dmdm(specs, grid, s.class_id), "waiting", s.class_id) for s in specs]
+    return curves, values
 
 
-#: Bound name -> builder(specs, grid) returning (curve entries, scalar values).
+@dataclass(frozen=True)
+class Bound:
+    """A row of BOUNDS: build(specs, grid) returns (BoundCurve, metric,
+    class_id) triples and the scalar values, any_dependence says whether its
+    proof allows coupled classes, and note goes on each of its curves."""
+
+    build: Callable[[Sequence[ClassSpec], np.ndarray], tuple[list, dict]]
+    any_dependence: bool
+    note: str = ""
+
+
+#: Bound name -> its row. Of these proofs only the Kingman-type decay rates
+#: of md1 and mm1 need independent classes.
 BOUNDS = {
-    "deterministic": _deterministic,
-    "md1": partial(_poisson, "md1"),
-    "mm1": partial(_poisson, "mm1"),
-    "split_constant": _split_constant,
-    "mixed_pair": _mixed_pair,
+    "deterministic": Bound(_deterministic, any_dependence=True),
+    "md1": Bound(partial(_poisson, "md1"), any_dependence=False),
+    "mm1": Bound(partial(_poisson, "mm1"), any_dependence=False),
+    "split_constant": Bound(
+        _split_constant, any_dependence=True, note="valid under any cross-class dependence"
+    ),
+    "mixed_pair": Bound(_mixed_pair, any_dependence=True),
 }
 
 
 def case_bound_entries(config: CaseConfig) -> tuple[list[CurveEntry], dict]:
-    """Analytical curves for the case plus the scalar summary values."""
+    """Analytical curves for the case plus the scalar summary values.
+
+    A curve is guaranteed when it is not approximate and its row's proof
+    covers the case: the row allows any dependence or no classes are
+    coupled, and else its curves note "assumes independent classes". A
+    builder's error is raised again, of its type, after "bound <name>: ".
+    """
     grid = config.grid()
-    entries: list[CurveEntry] = []
-    values: dict = {}
+    independent = not coupling_groups(config.specs)
+    entries, values = [], {}
     for name in config.bounds:
-        more, scalars = BOUNDS[name](config.specs, grid)
-        entries += more
+        row = BOUNDS[name]
+        try:
+            curves, scalars = row.build(config.specs, grid)
+        except (InvalidSpecError, InvalidInputError) as exc:
+            raise type(exc)(f"bound {name}: {exc}") from exc
+        proven = row.any_dependence or independent
+        note = row.note or ("" if proven else "assumes independent classes")
+        for curve, metric, class_id in curves:
+            guaranteed = proven and not curve.approximate
+            entries.append(CurveEntry(curve.label, "bound", metric, class_id, curve.grid_s,
+                                      curve.probs, guaranteed, curve.approximate, note))
         values.update(scalars)
     return entries, values
 
@@ -680,7 +675,7 @@ def _check_violations(
 
 
 def run_comparison(config: CaseConfig) -> ComparisonResult:
-    """Simulate a case, compute its bounds, and flag empirical exceedances.
+    """Compute a case's bounds, simulate it, and flag empirical exceedances.
 
     Deterministic cases additionally compare every delay against the
     worst-case value directly (no grid, no statistical slack, only the
@@ -689,10 +684,11 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     with the delay tails of the first class's 1st, 10th and 100th customers
     across that many independent replications.
     """
+    # first, so a bound that cannot be built fails before the run
+    bound_entries, values = case_bound_entries(config)
     result = simulate_case(config)
     stability = analytic.stability(config.specs)
     empirical = _empirical_entries(config, result)
-    bound_entries, values = case_bound_entries(config)
     deterministic = all(isinstance(s.arrival, Periodic) for s in config.specs)
 
     top_s = None

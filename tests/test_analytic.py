@@ -363,6 +363,13 @@ class TestDelayBoundConvolve:
         delay = delay_bound_convolve(0.0, wait)
         np.testing.assert_array_equal(delay.probs, wait.probs)
 
+    @pytest.mark.parametrize("service", [np.int64(0), np.float32(1e-4)], ids=["int64", "float32"])
+    def test_numpy_scalar_service_is_a_constant(self, service):
+        wait = waiting_bound_curve(1000.0, np.linspace(0.0, 1e-3, 500))
+        delay = delay_bound_convolve(service, wait)
+        expected = delay_bound_convolve(float(service), wait)
+        np.testing.assert_array_equal(delay.probs, expected.probs)
+
     def test_exponential_service_against_quadrature(self):
         # independent check: tail(tau) = 1 - int F_Y(tau - x) dF_W(x)
         theta, mu = 2702.7027, 1e4
@@ -427,8 +434,9 @@ class TestDelayBoundConvolve:
             (True, "not a bool"),
             (lambda t: 0.5, r"returned shape \(\) for 3169 points"),
             (lambda t: np.zeros(len(t) - 1), r"returned shape \(3168,\) for 3169 points"),
+            (np.bool_(True), "must be a constant or a callable CDF$"),
         ],
-        ids=["nan", "inf", "negative", "bool", "scalar", "short"],
+        ids=["nan", "inf", "negative", "bool", "scalar", "short", "numpy-bool"],
     )
     def test_bad_service_rejected(self, service, message):
         wait = waiting_bound_curve(1000.0, np.linspace(0.0, 1e-3, 100))

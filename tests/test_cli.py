@@ -244,10 +244,15 @@ def test_readme_library_imports():
 
 
 def test_readme_bound_names_are_the_registry():
-    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
-    intro = "Bound names (the keys of `experiments.BOUNDS`):"
-    sentence = readme[readme.index(intro) + len(intro) :].split(".", 1)[0]
-    assert re.findall(r"`(\w+)`", sentence) == list(BOUNDS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    intro = "Bounds (the rows of `experiments.BOUNDS`)"
+    table = readme[readme.index(intro) :].split("\n\n")[1].splitlines()
+    assert table[0] == "| bound | classes | coupled classes | curves |"
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table[2:]]
+    assert [row[0] for row in rows] == [f"`{name}`" for name in BOUNDS]
+    # the dependence column is each row's any_dependence
+    for row, bound in zip(rows, BOUNDS.values()):
+        assert row[2] == ("yes" if bound.any_dependence else "no"), row[0]
 
 
 def test_readme_config_keys_are_the_table():

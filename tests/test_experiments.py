@@ -8,9 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcfifo import experiments
 from mcfifo.analytic import theta_md1
 from mcfifo.cli import EXIT_CONFIG, main
-from mcfifo.errors import InvalidInputError, InvalidSpecError
+from mcfifo.errors import (
+    ConditionNotMetError,
+    InvalidInputError,
+    InvalidSpecError,
+    NoPositiveRootError,
+    UnsupportedEnvelopeError,
+)
 from mcfifo.experiments import (
     FLOAT_SLACK_S,
     NOISE_FLOOR_COUNT,
@@ -348,6 +355,15 @@ BOUND_METADATA = {
 }
 
 
+# case 3 with class 1 at 14,000 arrivals/s: load 1.12 + 0.1 = 1.22
+_OVERLOADED_SPECS = (replace(preset(3).specs[0], arrival=Poisson(1.4e4)), preset(3).specs[1])
+# case 1 with class 1 served at 5 Mbit/s: rate shares 1.6 + 0.1
+_SHARES_ABOVE_ONE_SPECS = (
+    replace(preset(1).specs[0], service_rate_bps=bps_from_mbps(5)),
+    preset(1).specs[1],
+)
+
+
 class TestBoundRegistry:
     @pytest.mark.parametrize("case_id", sorted(BOUND_METADATA))
     def test_preset_entries_pinned(self, case_id):
@@ -362,8 +378,8 @@ class TestBoundRegistry:
     @pytest.mark.parametrize(
         "name,message",
         [
-            ("md1", "class 2: size kind Constant required"),
-            ("mm1", "class 1: size kind ExponentialMean required"),
+            ("md1", "bound md1: class 2: size kind Constant required"),
+            ("mm1", "bound mm1: class 1: size kind ExponentialMean required"),
         ],
     )
     def test_poisson_builders_reject_mixed_sizes(self, name, message):
@@ -371,6 +387,61 @@ class TestBoundRegistry:
         specs = (preset(3).specs[0], preset(4).specs[1])
         with pytest.raises(InvalidSpecError, match=f"^{message}$"):
             case_bound_entries(CaseConfig("mixed", specs, bounds=(name,)))
+
+    @pytest.mark.parametrize(
+        "name,specs,error,message",
+        [
+            (
+                "deterministic",
+                preset(3).specs,
+                UnsupportedEnvelopeError,
+                "class 1: only periodic constant-size classes have a deterministic envelope",
+            ),
+            (
+                "deterministic",
+                _SHARES_ABOVE_ONE_SPECS,
+                ConditionNotMetError,
+                "sum of per-class rate shares exceeds 1",
+            ),
+            ("md1", _OVERLOADED_SPECS, NoPositiveRootError, r"utilization 1\.22 is not below 1"),
+            (
+                "mixed_pair",
+                preset(4).specs,
+                InvalidSpecError,
+                "need one periodic constant-size class and one Poisson exponential-size class",
+            ),
+        ],
+        ids=[
+            "deterministic-poisson",
+            "deterministic-shares",
+            "md1-overloaded",
+            "mixed_pair-poisson",
+        ],
+    )
+    def test_failing_build_names_its_bound(self, name, specs, error, message):
+        with pytest.raises(error, match=f"^bound {name}: {message}$") as info:
+            case_bound_entries(CaseConfig("bad", specs, bounds=(name,)))
+        assert type(info.value) is error
+
+    def test_a_bound_that_cannot_be_built_fails_before_the_run(self, monkeypatch):
+        def no_run(config):
+            pytest.fail("simulate_case ran for a bound that cannot be built")
+
+        monkeypatch.setattr(experiments, "simulate_case", no_run)
+        config = CaseConfig("overloaded", _OVERLOADED_SPECS, bounds=("md1",))
+        with pytest.raises(NoPositiveRootError, match="^bound md1: utilization"):
+            run_comparison(config)
+
+    def test_guaranteed_is_decided_by_the_registry_row(self, monkeypatch):
+        row = replace(experiments.BOUNDS["md1"], any_dependence=True)
+        monkeypatch.setitem(experiments.BOUNDS, "md1", row)
+        entries, _ = case_bound_entries(preset(5))
+        flags = {e.label: (e.guaranteed, e.note) for e in entries}
+        assert flags["md1_waiting_exact"] == (True, "")
+        # approximate curves stay informational whatever the row allows
+        assert flags["md1_waiting_approx"] == (False, "")
+        split = (False, "valid under any cross-class dependence")
+        assert flags["split_equal_constant_sizes"] == split
 
     def test_split_theta_is_the_second_order_md1_rate(self):
         config = preset(5)

@@ -43,6 +43,10 @@ COMMANDS = (
        for k in ("3", "5", "6")]
     # the grid ends at case 2's D/D/1 bound, which the run attains up to rounding
     + [["compare", "--case", "2", "--tau-max", "1.8e-4", "--customers", "20000"]]
+    # case 3's service times of 80 and 100 us are whole steps (4 and 5) of
+    # this grid's 20 us step, so its delay curves shift onto grid points
+    + [["bounds", "--case", "3", "--grid-points", "301"]]
+    + [["compare", "--case", "3", "--grid-points", "301", "--customers", "200000"]]
     + [[name, "--config", "configs/readme.json"] for name in ("bounds", "simulate", "compare")]
 )
 

@@ -127,12 +127,20 @@ def stability(specs: Sequence[ClassSpec]) -> StabilityReport:
     )
 
 
+def _check_rates(tails: Sequence[GsbbTail], rates_bps: Sequence[float]) -> None:
+    """One finite, positive service rate per envelope or tail."""
+    if len(tails) != len(rates_bps):
+        raise InvalidInputError("need one service rate per envelope or tail")
+    for capacity in rates_bps:
+        if not 0.0 < capacity < math.inf:  # NaN fails too
+            raise InvalidInputError(f"service rate {capacity} bps must be finite and > 0")
+
+
 def bound_dd1(
     envelopes: Sequence[DeterministicEnvelope], rates_bps: Sequence[float]
 ) -> float:
     """Worst-case delay sum_n burst_n / C_n, valid when sum_n r_n/C_n <= 1."""
-    if len(envelopes) != len(rates_bps):
-        raise InvalidInputError("need one rate per envelope")
+    _check_rates(envelopes, rates_bps)
     if sum(e.rate_bps / c for e, c in zip(envelopes, rates_bps)) > 1.0:
         raise ConditionNotMetError("sum of per-class rate shares exceeds 1")
     return sum(e.burst_bits / c for e, c in zip(envelopes, rates_bps))
@@ -147,8 +155,7 @@ def bound_cruz_aggregate(
     sum_n burst_n / min_n C_n, but only under the much stronger condition
     sum_n r_n <= min_n C_n. None is the explicit not-applicable marker.
     """
-    if len(envelopes) != len(rates_bps):
-        raise InvalidInputError("need one rate per envelope")
+    _check_rates(envelopes, rates_bps)
     min_capacity = min(rates_bps)
     if sum(e.rate_bps for e in envelopes) > min_capacity:
         return None
@@ -471,20 +478,20 @@ def delay_bound_convolve(
     """Delay tail bound 1 - F_service conv F_waiting on the waiting curve's grid.
 
     A real service_cdf (NumPy scalars too, not a bool) means a constant
-    service time, which shifts the waiting curve right by that amount exactly
-    instead of smearing it through the grid. A callable is taken as the
-    service-time CDF F_s and tabulated on the grid with each step cut into
-    `refine` steps. The waiting CDF interpolates the curve linearly, so on
-    that fine grid its mass is the atom F_w(0) and, on each fine step of cell
-    q, dF_q/refine, placed at the step's right end (one-sided, so the result
-    stays a valid upper bound; mass past the grid is dropped, which errs the
-    same way). The delay CDF at grid point j is then F_w(0)*F_s(tau_j) plus
-    the sum over q of dF_q*box[j-1-q]/refine, where box sums F_s over the fine
-    points of each cell: one real-FFT convolution of grid size, exact up to
-    rounding (about 1e-15) against the fine-grid convolution.
+    service time, which shifts the waiting curve right by that amount: a
+    shift, linear between grid points, which stays above the convex tail. A
+    callable is taken as the service-time CDF F_s and tabulated on the grid
+    with each step cut into `refine` steps. The waiting CDF interpolates the
+    curve linearly, so on that fine grid its mass is the atom F_w(0) and, on
+    each fine step of cell q, dF_q/refine, placed at the step's right end
+    (one-sided, so the result stays a valid upper bound; mass past the grid is
+    dropped, which errs the same way). The delay CDF at grid point j is then
+    F_w(0)*F_s(tau_j) plus the sum over q of dF_q*box[j-1-q]/refine, where box
+    sums F_s over the fine points of each cell: one real-FFT convolution of
+    grid size, exact up to rounding (about 1e-15) against the fine-grid
+    convolution.
     """
     grid = waiting_curve.grid_s
-    h = _uniform_step(grid)
     wait_tail = waiting_curve.probs
     if label is None:
         label = waiting_curve.label + "_delay"
@@ -497,18 +504,8 @@ def delay_bound_convolve(
             raise InvalidInputError(
                 f"constant service time {y} s must be finite and >= 0"
             )
-        shift = y / h
-        if abs(shift - round(shift)) < 1e-9:
-            k = int(round(shift))
-            probs = np.ones_like(wait_tail)
-            if k < len(wait_tail):
-                probs[k:] = wait_tail[: len(wait_tail) - k]
-        else:
-            # off-grid shift: chords of the convex tail overestimate, so the
-            # interpolated curve stays a valid bound
-            probs = np.interp(
-                grid - y, grid, wait_tail, left=1.0, right=float(wait_tail[-1])
-            )
+        _uniform_step(grid)  # only to reject a non-uniform grid
+        probs = np.interp(grid - y, grid, wait_tail, left=1.0, right=float(wait_tail[-1]))
         return BoundCurve(grid, probs, label, waiting_curve.approximate)
 
     if not callable(service_cdf):
@@ -534,11 +531,7 @@ def delay_bound_convolve(
 
 
 def _check_gsbb_rates(tails: Sequence[GsbbTail], rates_bps: Sequence[float]) -> None:
-    if len(tails) != len(rates_bps):
-        raise InvalidInputError("need one service rate per tail")
-    for capacity in rates_bps:
-        if not 0.0 < capacity < math.inf:  # NaN fails too
-            raise InvalidInputError(f"service rate {capacity} bps must be finite and > 0")
+    _check_rates(tails, rates_bps)
     share = sum(t.rate_bps / c for t, c in zip(tails, rates_bps))
     if share > 1.0 + 1e-12:
         raise ConditionNotMetError(

@@ -40,14 +40,15 @@ EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
 
 
-#: Command-line flags (as argparse names them) that override a CaseConfig field.
+#: Command-line flags that override a CaseConfig field: the argparse name (the
+#: flag is "--" + name, "_" written "-"), the CaseConfig field, type and help.
 _OVERRIDES = (
-    ("customers", "customers"),
-    ("replications", "replications"),
-    ("seed", "seed"),
-    ("tau_max", "tau_max_s"),
-    ("grid_points", "grid_points"),
-    ("warmup", "warmup_fraction"),
+    ("customers", "customers", int, None),
+    ("replications", "replications", int, None),
+    ("seed", "seed", int, None),
+    ("tau_max", "tau_max_s", float, "grid end (seconds)"),
+    ("grid_points", "grid_points", int, None),
+    ("warmup", "warmup_fraction", float, "discard fraction"),
 )
 
 
@@ -92,7 +93,7 @@ def _resolve_config(args) -> CaseConfig:
         config = replace(config, seed=fallback_seed)
     overrides = {
         field: getattr(args, flag)
-        for flag, field in _OVERRIDES
+        for flag, field, _, _ in _OVERRIDES
         if getattr(args, flag) is not None
     }
     return replace(config, **overrides) if overrides else config
@@ -208,12 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--case", type=int, choices=sorted(PRESETS), default=None)
         p.add_argument("--config", type=str, default=None, help="JSON case config")
-        p.add_argument("--customers", type=int, default=None)
-        p.add_argument("--replications", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tau-max", type=float, default=None, help="grid end (seconds)")
-        p.add_argument("--grid-points", type=int, default=None)
-        p.add_argument("--warmup", type=float, default=None, help="discard fraction")
+        for flag, _, kind, text in _OVERRIDES:
+            p.add_argument("--" + flag.replace("_", "-"), type=kind, default=None, help=text)
         p.add_argument("--out", type=str, default=".")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(fn=fn)

@@ -216,8 +216,11 @@ def merge_streams(
     for seq in sequences:
         if seq.class_id not in rates_bps:
             raise InvalidInputError(f"no service rate for class {seq.class_id}")
-        if not rates_bps[seq.class_id] > 0:  # NaN fails too
-            raise InvalidInputError("sizes and rates must be positive")
+        rate = rates_bps[seq.class_id]
+        if not 0 < rate < np.inf:  # NaN fails too
+            raise InvalidInputError(
+                f"class {seq.class_id}: service rate must be finite and > 0, got {rate}"
+            )
         segments.append((seq.class_id, start, len(seq)))
         start += len(seq)
     times = np.concatenate([s.times_s for s in sequences], axis=-1)

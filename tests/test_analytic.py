@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from mcfifo.errors import (
     InvalidInputError,
     NoPositiveRootError,
 )
-from mcfifo.experiments import DEFAULT_GRID_POINTS, preset
+from mcfifo.experiments import DEFAULT_GRID_POINTS, case_bound_entries, preset
 from mcfifo.traffic import (
     ClassSpec,
     Constant,
@@ -109,6 +110,17 @@ class TestDeterministicBounds:
     def test_condition_violation_raises(self):
         with pytest.raises(ConditionNotMetError):
             bound_dd1([DeterministicEnvelope(2.0, 1.0)], [1.0])
+
+    @pytest.mark.parametrize("bound", [bound_dd1, bound_cruz_aggregate])
+    @pytest.mark.parametrize("capacity", [0.0, float("nan"), -1e6, float("inf")])
+    def test_bad_capacity_rejected(self, bound, capacity):
+        with pytest.raises(InvalidInputError, match=f"service rate {capacity} bps must be"):
+            bound([DeterministicEnvelope(1e6, 800.0)], [capacity])
+
+    @pytest.mark.parametrize("bound", [bound_dd1, bound_cruz_aggregate])
+    def test_one_rate_per_envelope(self, bound):
+        with pytest.raises(InvalidInputError, match="^need one service rate per envelope or tail$"):
+            bound([DeterministicEnvelope(1e6, 800.0)] * 2, [10e6])
 
 
 class TestThetaExact:
@@ -356,6 +368,29 @@ class TestDelayBoundConvolve:
         delay = delay_bound_convolve(100e-6, wait)
         expected = np.minimum(1.0, np.exp(-theta * (grid - 100e-6)))
         np.testing.assert_allclose(delay.probs, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("eps", [5e-10, -5e-10, 0.0])
+    def test_constant_shift_never_understates(self, eps):
+        # shifts just past, just short of and exactly at a whole grid step
+        grid = np.linspace(0.0, 6e-3, 2000)
+        theta, y = 2700.0, (27 + eps) * grid[1]
+        delay = delay_bound_convolve(y, waiting_bound_curve(theta, grid))
+        exact = np.minimum(1.0, np.exp(-theta * (grid - y)))
+        assert np.all(delay.probs >= exact * (1.0 - 1e-14))
+
+    def test_on_grid_shift_is_an_index_shift(self):
+        # case 3's service times of 80 and 100 us are 4 and 5 steps of 20 us
+        config = replace(preset(3), grid_points=301)
+        entries, _ = case_bound_entries(config)
+        curves = {e.label: e.probs for e in entries}
+        wait = curves["md1_waiting_exact"]
+        h = config.grid()[1]
+        for s in config.specs:
+            k = round(s.mean_service_s / h)
+            assert k == {1: 4, 2: 5}[s.class_id]
+            shifted = np.concatenate((np.ones(k), wait[:-k]))
+            delay = curves[f"md1_delay_exact_c{s.class_id}"]
+            assert np.max(np.abs(delay - shifted)) <= 1.2e-16
 
     def test_zero_service_is_identity(self):
         grid = np.linspace(0.0, 1e-3, 500)

@@ -181,10 +181,11 @@ class TestRateLookup:
         with pytest.raises(InvalidInputError, match="^no service rate for class 4$"):
             merge_streams([_seq(4, [1.0, 2.0], [1.0, 1.0])], {})
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
     def test_rate_not_positive_rejected(self, rate):
         seqs = [_seq(-2, [1.0], [1.0]), _seq(3, [2.0], [1.0])]
-        with pytest.raises(InvalidInputError, match="^sizes and rates must be positive$"):
+        message = f"^class 3: service rate must be finite and > 0, got {rate}$"
+        with pytest.raises(InvalidInputError, match=message):
             merge_streams(seqs, {**self.RATES, 3: rate})
 
 

@@ -98,11 +98,16 @@ class BoundCurve:
         object.__setattr__(self, "probs", probs)
         if grid.ndim != 1 or grid.shape != probs.shape:
             raise InvalidInputError("grid and probs must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        if len(grid) == 0:
+            return
+        # min and max propagate NaN, so a NaN anywhere fails each comparison
+        # it reaches; with finite ends, an inner inf makes a step <= 0 or NaN
+        increasing = len(grid) == 1 or (grid[1:] - grid[:-1]).min() > 0
+        if not (math.isfinite(grid[0]) and math.isfinite(grid[-1]) and increasing):
             raise InvalidInputError("grid must be finite and strictly increasing")
-        if not np.all((probs >= -1e-12) & (probs <= 1 + 1e-12)):  # NaN fails too
+        if not (probs.min() >= -1e-12 and probs.max() <= 1 + 1e-12):
             raise InvalidInputError("probabilities must lie in [0, 1]")
-        if np.any(np.diff(probs) > 1e-12):
+        if len(probs) > 1 and (probs[1:] - probs[:-1]).max() > 1e-12:
             raise InvalidInputError("tail probabilities must be nonincreasing")
 
 
@@ -128,7 +133,9 @@ def stability(specs: Sequence[ClassSpec]) -> StabilityReport:
 
 
 def _check_rates(tails: Sequence[GsbbTail], rates_bps: Sequence[float]) -> None:
-    """One finite, positive service rate per envelope or tail."""
+    """At least one envelope or tail, each with a finite, positive service rate."""
+    if not tails:
+        raise InvalidInputError("need at least one envelope or tail")
     if len(tails) != len(rates_bps):
         raise InvalidInputError("need one service rate per envelope or tail")
     for capacity in rates_bps:
@@ -252,14 +259,14 @@ def excess_mgf(specs: Sequence[ClassSpec], share: float = 1.0) -> Callable[[floa
         )
         for s in specs
     ]
+    least_mu = min((mu for _, _, mu in params if mu is not None), default=math.inf)
 
     def mgf(theta: float) -> float:
-        if any(mu is not None and theta >= mu for _, _, mu in params):
+        if theta >= least_mu:
             return math.inf
-        log_mgf = sum(
-            lam * math.expm1(theta * y) if mu is None else lam * theta / (mu - theta)
-            for lam, y, mu in params
-        )
+        log_mgf = 0.0
+        for lam, y, mu in params:
+            log_mgf += lam * math.expm1(theta * y) if mu is None else lam * theta / (mu - theta)
         return math.exp(log_mgf - theta * share)
 
     return mgf
@@ -539,37 +546,6 @@ def _check_gsbb_rates(tails: Sequence[GsbbTail], rates_bps: Sequence[float]) -> 
         )
 
 
-def _equalized_split(
-    prefactors: np.ndarray, b: np.ndarray, budget: np.ndarray
-) -> np.ndarray:
-    """Minimum of sum_n M_n*exp(-b_n*p_n) over p_n >= 0 summing to budget,
-    for each row of b (rows x classes).
-
-    The optimum equalizes M_n*b_n*exp(-b_n*p_n) = nu over the classes with a
-    positive share and gives no share to a class with M_n*b_n <= nu (the KKT
-    conditions, as in water-filling). Each pass solves for nu on the active
-    classes and pins every negative share to zero; nu only grows as classes
-    are pinned, so a pinned class stays pinned and K classes need at most K
-    passes.
-    """
-    log_mb = np.log(prefactors * b)
-    # the largest M_n*b_n is at least nu, so its share is never negative in
-    # exact arithmetic; keeping it guards a budget within rounding of zero
-    keep = log_mb == log_mb.max(axis=1, keepdims=True)
-    inv_b, log_mb_per_b = 1.0 / b, log_mb / b
-    active = np.ones(b.shape, dtype=bool)
-    for _ in range(b.shape[1]):
-        weight = np.where(active, inv_b, 0.0).sum(axis=1)
-        log_nu = (np.where(active, log_mb_per_b, 0.0).sum(axis=1) - budget) / weight
-        share = (log_mb - log_nu[:, None]) / b
-        pinned = active & ~keep & (share < 0.0)
-        if not pinned.any():
-            break
-        active &= ~pinned
-    share = np.where(active, share, 0.0)
-    return np.clip((prefactors * np.exp(-b * share)).sum(axis=1), 0.0, 1.0)
-
-
 def gsbb_split_curve(
     tails: Sequence[GsbbTail],
     rates_bps: Sequence[float],
@@ -580,9 +556,15 @@ def gsbb_split_curve(
     The delay is bounded by the sum of per-class backlog terms, each of which
     exceeds its share p_n*C_n*tau with probability tail_n(p_n*C_n*tau); the
     infimum runs over the probability simplex. Deterministic envelopes take
-    exactly the share that zeroes their tails; the remaining budget goes to
-    the exponential tails by closed-form exponent equalization, for any
-    number of classes.
+    exactly the share that zeroes their tails, which leaves the delay
+    X = tau - sum_n burst_n/C_n to the exponential tails M_n*exp(-beta_n*x_n),
+    beta_n = decay_per_bit*C_n, split as x_n >= 0 summing to X. The optimum
+    equalizes M_n*beta_n*exp(-beta_n*x_n) over the classes with a positive
+    share (the KKT conditions, as in water-filling), so it depends on X
+    alone. With u_n = log(M_n*beta_n) sorted largest first, class k+1 joins
+    at X_{k+1} = sum_{n<=k} (u_n - u_{k+1})/beta_n; while the first k classes
+    share X, the bound is G(X) = W*exp((L - X)/W) + R, with W = sum 1/beta_n
+    and L = sum u_n/beta_n over them and R the prefactors of the rest.
     Zero-prefactor tails vanish and take no share. The bound is 1 at tau <= 0
     and where the deterministic envelopes need more than the whole budget.
     """
@@ -600,11 +582,25 @@ def gsbb_split_curve(
             prefactors.append(tail.prefactor)
             decays.append(tail.decay_per_bit * capacity)
     fits = budget >= 0.0
-    probs[positive[fits]] = (
-        _equalized_split(np.array(prefactors), np.outer(tau[fits], decays), budget[fits])
-        if prefactors
-        else 0.0
-    )
+    if not prefactors:
+        probs[positive[fits]] = 0.0
+        return BoundCurve(grid, probs, "gsbb_split")
+    m, beta = np.array(prefactors), np.array(decays)
+    u = np.log(m * beta)
+    order = np.argsort(-u, kind="stable")
+    u, beta, m = u[order], beta[order], m[order]
+    # joins[j] is the leftover delay at which sorted class j + 1 (from 0)
+    # takes a share, so k counts the joins passed and classes 0..k share it;
+    # the running maximum keeps searchsorted well defined where ties round
+    lags = np.tril(u[None, :-1] - u[1:, None]) / beta[:-1]
+    joins = np.maximum.accumulate(lags.sum(axis=1))
+    weight = np.cumsum(1.0 / beta)
+    level = np.cumsum(u / beta)
+    rest = np.append(np.cumsum(m[:0:-1])[::-1], 0.0)
+    leftover = tau[fits] * budget[fits]
+    k = np.searchsorted(joins, leftover, side="right")
+    split = weight[k] * np.exp((level[k] - leftover) / weight[k]) + rest[k]
+    probs[positive[fits]] = np.clip(split, 0.0, 1.0)
     return BoundCurve(grid, probs, "gsbb_split")
 
 

@@ -8,14 +8,16 @@ by Monte Carlo. mcfifo.oracle keeps the linear-time scans that answer every
 customer of a long run at once; these single queries check them. The
 convolution bound of independent burst tails is kept here as it was first
 built, every exponential term added at every fine point, for the version
-that computes the last term at the returned points alone.
+that computes the last term at the returned points alone. So are the split
+bound's water-filling passes, for its closed form in the leftover delay, and
+the excess-work MGF summed by sum() over a generator, for its loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -279,3 +281,84 @@ def gsbb_convolution_every_point(tails, rates_bps, grid_s, refine: int = 32) -> 
     else:
         probs = 1.0 - cdf[::refine]
     return np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
+
+
+def excess_mgf_sum(specs: Sequence[ClassSpec], share: float = 1.0) -> Callable[[float], float]:
+    """mcfifo.analytic.excess_mgf with its per-class log-MGFs added by sum()
+    over a generator, and +inf wherever theta reaches any exponential-size
+    class's completion rate."""
+    params = [
+        (
+            s.arrival_rate_hz,
+            s.mean_service_s,
+            s.service_completion_rate_hz if isinstance(s.size, ExponentialMean) else None,
+        )
+        for s in specs
+    ]
+
+    def mgf(theta: float) -> float:
+        if any(mu is not None and theta >= mu for _, _, mu in params):
+            return math.inf
+        log_mgf = sum(
+            lam * math.expm1(theta * y) if mu is None else lam * theta / (mu - theta)
+            for lam, y, mu in params
+        )
+        return math.exp(log_mgf - theta * share)
+
+    return mgf
+
+
+def equalized_split(
+    prefactors: np.ndarray, b: np.ndarray, budget: np.ndarray
+) -> np.ndarray:
+    """Minimum of sum_n M_n*exp(-b_n*p_n) over p_n >= 0 summing to budget,
+    for each row of b (rows x classes).
+
+    The optimum equalizes M_n*b_n*exp(-b_n*p_n) = nu over the classes with a
+    positive share and gives no share to a class with M_n*b_n <= nu (the KKT
+    conditions, as in water-filling). Each pass solves for nu on the active
+    classes and pins every negative share to zero; nu only grows as classes
+    are pinned, so a pinned class stays pinned and K classes need at most K
+    passes.
+    """
+    log_mb = np.log(prefactors * b)
+    # the largest M_n*b_n is at least nu, so its share is never negative in
+    # exact arithmetic; keeping it guards a budget within rounding of zero
+    keep = log_mb == log_mb.max(axis=1, keepdims=True)
+    inv_b, log_mb_per_b = 1.0 / b, log_mb / b
+    active = np.ones(b.shape, dtype=bool)
+    for _ in range(b.shape[1]):
+        weight = np.where(active, inv_b, 0.0).sum(axis=1)
+        log_nu = (np.where(active, log_mb_per_b, 0.0).sum(axis=1) - budget) / weight
+        share = (log_mb - log_nu[:, None]) / b
+        pinned = active & ~keep & (share < 0.0)
+        if not pinned.any():
+            break
+        active &= ~pinned
+    share = np.where(active, share, 0.0)
+    return np.clip((prefactors * np.exp(-b * share)).sum(axis=1), 0.0, 1.0)
+
+
+def gsbb_split_every_pass(tails, rates_bps, grid_s) -> np.ndarray:
+    """Tail probabilities of mcfifo.analytic.gsbb_split_curve by equalized_split
+    on the grid points with tau > 0 whose budget, 1 - sum_n burst_n/(C_n*tau)
+    over the deterministic envelopes, is >= 0; 1 elsewhere."""
+    grid = np.asarray(grid_s, dtype=float)
+    probs = np.ones_like(grid)
+    positive = np.flatnonzero(grid > 0.0)
+    tau = grid[positive]
+    budget = np.ones_like(tau)
+    prefactors, decays = [], []
+    for tail, capacity in zip(tails, rates_bps):
+        if isinstance(tail, DeterministicEnvelope):
+            budget -= tail.burst_bits / (capacity * tau)
+        elif tail.prefactor > 0.0:
+            prefactors.append(tail.prefactor)
+            decays.append(tail.decay_per_bit * capacity)
+    fits = budget >= 0.0
+    probs[positive[fits]] = (
+        equalized_split(np.array(prefactors), np.outer(tau[fits], decays), budget[fits])
+        if prefactors
+        else 0.0
+    )
+    return probs

@@ -50,7 +50,11 @@ from mcfifo.traffic import (
     deterministic_envelope,
     gsbb_tail_from_mgf,
 )
-from reference import gsbb_convolution_every_point
+from reference import (
+    excess_mgf_sum,
+    gsbb_convolution_every_point,
+    gsbb_split_every_pass,
+)
 
 # Bisection on sum(rate_n/(mu_n - theta)) = 1 run before this package was
 # built (cross-checked against the closed-form quadratic root).
@@ -60,7 +64,15 @@ CASE1 = preset(1)
 CASE2 = preset(2)
 CASE3 = preset(3)
 CASE4 = preset(4)
+CASE5 = preset(5)
 CASE6 = preset(6)
+# a Poisson/constant-size mix of four classes
+FOUR_CLASS_MIX = (
+    ClassSpec(1, Poisson(1e4), Constant(800.0), 10e6),
+    ClassSpec(2, Poisson(1e3), Constant(10_000.0), 100e6),
+    ClassSpec(3, Poisson(2e3), Constant(4_000.0), 50e6),
+    ClassSpec(4, Poisson(5e2), Constant(12_000.0), 20e6),
+)
 
 
 def _case_envelopes(config):
@@ -121,6 +133,20 @@ class TestDeterministicBounds:
     def test_one_rate_per_envelope(self, bound):
         with pytest.raises(InvalidInputError, match="^need one service rate per envelope or tail$"):
             bound([DeterministicEnvelope(1e6, 800.0)] * 2, [10e6])
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            bound_dd1,
+            bound_cruz_aggregate,
+            lambda tails, rates: gsbb_split_curve(tails, rates, np.linspace(0.0, 1e-3, 11)),
+            lambda tails, rates: gsbb_bound_convolution(tails, rates, np.linspace(0.0, 1e-3, 11)),
+        ],
+        ids=["bound_dd1", "bound_cruz_aggregate", "gsbb_split_curve", "gsbb_bound_convolution"],
+    )
+    def test_no_envelope_or_tail_rejected(self, bound):
+        with pytest.raises(InvalidInputError, match="^need at least one envelope or tail$"):
+            bound([], [])
 
 
 class TestThetaExact:
@@ -189,8 +215,14 @@ def _value(mgf, theta):
         return "overflow"
 
 
+MGF_MIXES = {"p3": CASE3.specs, "p4": CASE4.specs, "p5": CASE5.specs, "c4": FOUR_CLASS_MIX}
+
+
 class TestExcessMgf:
-    """One body holds the condition of both size families, at any share."""
+    """One body holds the condition of both size families, at any share. It
+    adds the per-class log-MGFs in a loop, in the order that
+    reference.excess_mgf_sum's sum() does, so every value and root is the
+    same float."""
 
     def test_case3_equals_the_constant_size_formula(self):
         reference = _aggregate_constant(CASE3.specs)
@@ -215,6 +247,40 @@ class TestExcessMgf:
                 mgf = excess_mgf([spec], omega)
                 for theta in np.linspace(0.0, 1.2 * min(edge, 4e4), 25):
                     assert _value(mgf, theta) == _value(_one_class(spec, omega), theta)
+
+    @pytest.mark.parametrize("mix", MGF_MIXES)
+    def test_loop_is_the_sum_bit_for_bit(self, mix):
+        specs = MGF_MIXES[mix]
+        mus = [s.service_completion_rate_hz for s in specs if isinstance(s.size, ExponentialMean)]
+        least_mu = min(mus, default=math.inf)
+        thetas = list(np.linspace(0.0, 3e4, 601))
+        if mus:
+            thetas += [np.nextafter(least_mu, 0.0), least_mu, 1.5 * least_mu]
+        for share in (1.0, 0.95):
+            got, want = excess_mgf(specs, share), excess_mgf_sum(specs, share)
+            for theta in thetas:
+                assert _value(got, theta) == _value(want, theta), (share, theta)
+                if theta >= least_mu:
+                    assert got(theta) == math.inf
+
+    @pytest.mark.parametrize("mix", MGF_MIXES)
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+    def test_aggregate_roots_unchanged(self, mix, rho):
+        specs = _at_load(MGF_MIXES[mix], rho)
+        exponential = isinstance(specs[0].size, ExponentialMean)
+        exact, _ = (theta_mm1 if exponential else theta_md1)(specs)
+        mus = [s.service_completion_rate_hz for s in specs] if exponential else []
+        assert exact == theta_exact(excess_mgf_sum(specs), domain_hi=min(mus, default=None))
+
+    @pytest.mark.parametrize("mix", ["p3", "p5", "c4"])
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+    def test_per_class_roots_unchanged(self, mix, rho):
+        specs = _at_load(MGF_MIXES[mix], rho)
+        tails, _ = _equalized_exact_tails(specs)
+        for spec, tail in zip(specs, tails):
+            omega = tail.rate_bps / spec.service_rate_bps
+            want = theta_exact(excess_mgf_sum([spec], omega)).theta_star
+            assert tail.decay_per_bit == want / spec.service_rate_bps
 
 
 class TestThetaMd1:
@@ -683,6 +749,43 @@ class TestGsbbSplit:
         curve = gsbb_split_curve(tails, [10e6, 100e6], np.array([1e-4, 1e-3]))
         np.testing.assert_array_equal(curve.probs, [0.0, 0.0])
 
+    @pytest.mark.parametrize("kind", ["random", "tied", "zero_prefactor", "envelopes"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_closed_form_matches_water_filling(self, count, kind):
+        rng = np.random.default_rng([count, len(kind)])
+        tails, caps = _random_exponential_tails(rng, count, kind)
+        shift = 0.0
+        if kind == "envelopes":
+            for burst, capacity in ((4000.0, 20e6), (12_000.0, 50e6)):
+                tails.append(DeterministicEnvelope(0.05 * capacity, burst))
+                caps.append(capacity)
+                shift += burst / capacity
+        grid = np.linspace(0.0, shift + 6e-3, 601)
+        got = gsbb_split_curve(tails, caps, grid).probs
+        want = gsbb_split_every_pass(tails, caps, grid)
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15)
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "zero_prefactor"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_closed_form_at_a_budget_of_zero(self, count, kind):
+        # the envelope takes the whole budget at tau = 0.5 s exactly, and
+        # within rounding of it a few ulps either side
+        rng = np.random.default_rng([count, len(kind), 1])
+        tails, caps = _random_exponential_tails(rng, count, kind)
+        tails.append(DeterministicEnvelope(1e5, 5e5))
+        caps.append(1e6)
+        near = [0.5]
+        for _ in range(4):
+            near = [np.nextafter(near[0], 0.0)] + near + [np.nextafter(near[-1], 1.0)]
+        grid = np.concatenate([[0.0, 0.25], near, 0.5 + np.linspace(1e-6, 6e-3, 60)])
+        got = gsbb_split_curve(tails, caps, grid).probs
+        want = gsbb_split_every_pass(tails, caps, grid)
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15)
+        # at a budget of 0 every prefactor is left
+        assert got[list(grid).index(0.5)] == pytest.approx(
+            min(1.0, sum(t.prefactor for t in tails[:-1])), rel=1e-12
+        )
+
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_point_bound_is_the_curve_bit_for_bit(self, count):
         caps = [10e6, 20e6, 40e6, 20e6][:count]
@@ -696,6 +799,27 @@ class TestGsbbSplit:
             [gsbb_split_curve(tails, caps, np.array([tau])).probs[0] for tau in grid]
         )
         assert points.tobytes() == curve.probs.tobytes()
+
+
+def _random_exponential_tails(rng, count, kind):
+    """count exponential tails with random prefactors, decays of 300 to
+    3e4 per second and capacities: "tied" makes every second tail's
+    M_n*beta_n equal the first's exactly (prefactor halved, decay doubled
+    per step), "zero_prefactor" makes every second tail's prefactor 0."""
+    caps = list(rng.choice([10e6, 20e6, 50e6, 100e6], count))
+    prefactors = rng.uniform(0.05, 3.0, count)
+    decays = np.exp(rng.uniform(math.log(300.0), math.log(3e4), count)) / caps
+    for n in range(1, count, 2):
+        if kind == "tied":
+            caps[n] = caps[0]
+            prefactors[n] = prefactors[0] * 0.5**n
+            decays[n] = decays[0] * 2.0**n
+        elif kind == "zero_prefactor":
+            prefactors[n] = 0.0
+    tails = [
+        ExponentialTail(0.1 * c, float(m), float(d)) for m, d, c in zip(prefactors, decays, caps)
+    ]
+    return tails, [float(c) for c in caps]
 
 
 class TestGsbbConvolution:
@@ -740,17 +864,11 @@ class TestGsbbConvolution:
         assert got.tobytes() == gsbb_convolution_every_point(tails, caps, grid).tobytes()
 
     def test_bound_mixes_within_1e15_of_the_every_point_result(self):
-        four = (
-            ClassSpec(1, Poisson(1e4), Constant(800.0), 10e6),
-            ClassSpec(2, Poisson(1e3), Constant(10_000.0), 100e6),
-            ClassSpec(3, Poisson(2e3), Constant(4_000.0), 50e6),
-            ClassSpec(4, Poisson(5e2), Constant(12_000.0), 20e6),
-        )
         mixes = {
             "p3": (CASE3.specs, CASE3.tau_max_s),
             "p4": (CASE4.specs, CASE4.tau_max_s),
             "p6": (CASE6.specs, CASE6.tau_max_s),
-            "c4": (four, CASE3.tau_max_s),
+            "c4": (FOUR_CLASS_MIX, CASE3.tau_max_s),
         }
         for mix, (specs, tau_max) in mixes.items():
             grid = np.linspace(0.0, tau_max, DEFAULT_GRID_POINTS)
@@ -765,16 +883,15 @@ class TestGsbbConvolution:
 
 
 def _at_load(specs, rho):
-    """The class mix with arrival rates scaled to total utilization rho."""
+    """The class mix with arrival rates scaled to total utilization rho,
+    coupled classes kept coupled."""
     k = rho / sum(s.utilization for s in specs)
     return [
-        ClassSpec(
-            s.class_id,
-            Periodic(s.arrival.period_s / k)
+        replace(
+            s,
+            arrival=replace(s.arrival, period_s=s.arrival.period_s / k)
             if isinstance(s.arrival, Periodic)
-            else Poisson(s.arrival.rate_hz * k),
-            s.size,
-            s.service_rate_bps,
+            else replace(s.arrival, rate_hz=s.arrival.rate_hz * k),
         )
         for s in specs
     ]
@@ -1167,6 +1284,49 @@ class TestBoundCurveValidation:
     def test_rejects_nan(self, grid, probs):
         with pytest.raises(InvalidInputError):
             BoundCurve(np.array(grid), np.array(probs), "x")
+
+    @pytest.mark.parametrize("grid", [[], [0.5]])
+    def test_empty_and_one_point_curves_accepted(self, grid):
+        curve = BoundCurve(np.array(grid), np.ones(len(grid)), "x")
+        assert curve.grid_s.tolist() == grid
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_rejects_a_grid_point_not_finite(self, value, index):
+        grid = np.linspace(0.0, 1.0, 5)
+        grid[index] = value
+        with pytest.raises(InvalidInputError, match="^grid must be finite and strictly increasing$"):
+            BoundCurve(grid, np.linspace(1.0, 0.0, 5), "x")
+
+    @pytest.mark.parametrize("grid", [[np.inf], [0.0, 0.0], [0.0, 1.0, 1.0]])
+    def test_rejects_a_short_or_flat_grid(self, grid):
+        with pytest.raises(InvalidInputError, match="^grid must be finite and strictly increasing$"):
+            BoundCurve(np.array(grid), np.zeros(len(grid)), "x")
+
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_rejects_nan_probability(self, index):
+        probs = np.linspace(1.0, 0.0, 5)
+        probs[index] = np.nan
+        with pytest.raises(InvalidInputError, match=r"^probabilities must lie in \[0, 1\]$"):
+            BoundCurve(np.linspace(0.0, 1.0, 5), probs, "x")
+
+    @pytest.mark.parametrize("probs", [[0.5, -2e-12], [1.0 + 2e-12, 0.5], [-1.0]])
+    def test_rejects_probability_out_of_range(self, probs):
+        with pytest.raises(InvalidInputError, match=r"^probabilities must lie in \[0, 1\]$"):
+            BoundCurve(np.arange(len(probs), dtype=float), np.array(probs), "x")
+
+    def test_accepts_probabilities_within_rounding_of_the_range(self):
+        BoundCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0 + 1e-12, 0.5, -1e-12]), "x")
+
+    @pytest.mark.parametrize("rise_at", [0, 2])
+    def test_rejects_a_rise_of_2e12(self, rise_at):
+        probs = np.array([0.75, 0.5, 0.25, 0.1])
+        probs[rise_at + 1] = probs[rise_at] + 2e-12
+        with pytest.raises(InvalidInputError, match="^tail probabilities must be nonincreasing$"):
+            BoundCurve(np.linspace(0.0, 1.0, 4), probs, "x")
+
+    def test_accepts_a_rise_of_1e12(self):
+        BoundCurve(np.array([0.0, 1.0]), np.array([0.5, 0.5 + 1e-12]), "x")
 
     def test_step_curve(self):
         grid = np.array([0.0, 1.0, 2.0, 3.0])

@@ -13,17 +13,18 @@ and the split of tau across those tails tolerates any dependence.
 The two numerical convolutions run on a grid refined CONV_REFINE times,
 with each mass at the right end of its fine cell, so they can only
 understate a CDF and the tail bounds stay valid. Neither transforms the
-fine grid: an exponential tail's term is a geometric recurrence over it,
-and a delay tail is one real-FFT convolution of grid size, because the
-interpolated waiting CDF spreads each grid cell's mass evenly over its fine
-steps. The last exponential term, and a lone tail, are computed only at
-the fine points the returned curve reads. Both convolutions match the
-fine-grid convolution up to rounding (about 1e-15).
+fine grid. The convolution of exponential burst tails computes the tail of
+their sum itself, not 1 - CDF, by a recurrence over the fine points that is
+linear in a few states inside each grid step: one state update per grid
+step, no fine-grid array, and sums of nonnegative terms, so the tail keeps
+its relative precision far below 1e-16. A delay tail is one real-FFT
+convolution of grid size, because the interpolated waiting CDF spreads each
+grid cell's mass evenly over its fine steps. Both match the fine-grid
+convolution up to rounding (about 1e-15).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -63,6 +64,11 @@ _FLUSH_TO_ZERO = 1e-290
 _SECOND_MOMENT = {Constant: 1.0, ExponentialMean: 2.0}
 
 
+def _check_decay_rate(rate: float) -> None:
+    if not 0.0 < rate < math.inf:  # NaN fails too
+        raise InvalidInputError(f"decay rate {rate} must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class ThetaSolution:
     """A waiting-time decay rate with how it was obtained.
@@ -78,8 +84,7 @@ class ThetaSolution:
     bracket: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.theta_star <= 0:
-            raise InvalidInputError("decay rate must be positive")
+        _check_decay_rate(self.theta_star)
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,8 @@ class StabilityReport:
 
 def stability(specs: Sequence[ClassSpec]) -> StabilityReport:
     """Utilization report; rates of stochastic classes are their mean rates."""
+    if not specs:
+        raise InvalidInputError("need at least one class")
     rho = sum(s.mean_rate_bps / s.service_rate_bps for s in specs)
     total_rate = sum(s.mean_rate_bps for s in specs)
     min_capacity = min(s.service_rate_bps for s in specs)
@@ -317,8 +324,7 @@ def waiting_bound_curve(
         rate, approximate = theta.theta_star, theta.method == "taylor-approx"
     else:
         rate, approximate = float(theta), False
-    if rate <= 0:
-        raise InvalidInputError("decay rate must be positive")
+        _check_decay_rate(rate)
     grid = np.asarray(grid_s, dtype=float)
     probs = np.clip(np.exp(-rate * grid), 0.0, 1.0)
     if label is None:
@@ -343,13 +349,20 @@ def _uniform_step(grid: np.ndarray) -> float:
     return float(h)
 
 
-def _fine_grid(grid: np.ndarray, refine: int) -> np.ndarray:
-    """The uniform grid from 0 with each step cut into `refine` steps."""
+def _fine_step(grid: np.ndarray, refine: int) -> float:
+    """The step of _fine_grid(grid, refine), which is not built: its point k
+    is k*step, as np.linspace computes it, and its last point is grid[-1]."""
     _uniform_step(grid)
     if grid[0] != 0.0:
         raise InvalidInputError("convolution grid must start at 0")
     if refine < 1:
         raise InvalidInputError("refine must be >= 1")
+    return grid[-1] / ((len(grid) - 1) * refine)
+
+
+def _fine_grid(grid: np.ndarray, refine: int) -> np.ndarray:
+    """The uniform grid from 0 with each step cut into `refine` steps."""
+    _fine_step(grid, refine)
     return np.linspace(grid[0], grid[-1], (len(grid) - 1) * refine + 1)
 
 
@@ -404,76 +417,82 @@ def _geometric_sum(values: np.ndarray, rate: float) -> np.ndarray:
     return sums.reshape(-1)[: len(values)]
 
 
-def _points(values: np.ndarray, points: range, offset: int = 0) -> np.ndarray:
-    """values at points - offset, as a view; every point is >= offset."""
-    return values[points.start - offset :: points.step][: len(points)]
+def _knee(prefactor: float, decay_h: float, size: int) -> int:
+    """The first of `size` fine points where prefactor*exp(-decay_h*k) drops
+    below 1, or size if it never does there.
 
-
-def _geometric_sum_at(values: np.ndarray, rate: float, ends: range) -> np.ndarray:
-    """_geometric_sum(values, rate) at the points of `ends` alone.
-
-    With stride s the step of ends, one matrix-vector product sums the
-    values over each s-long block ending at a point of ends, and over the
-    blocks before the first, back to index 0 (zeros before it), weighted
-    exp(-rate*(s-1)) ... 1; the recurrence at rate*s over those sums
-    (_geometric_sum) gives g at the block ends. At s = 1 the sums are the
-    values themselves, so every point costs what _geometric_sum does.
+    Rounding can put the knee one point off only where the tail there is
+    within rounding of 1, which moves no mass by more than rounding; the
+    quotient can round up to size even where the product compares below it.
     """
-    if not ends:
-        return np.zeros(0)
-    stride = ends.step
-    lead = ends.start // stride  # blocks before the first end
-    start = ends.start % stride - stride + 1  # the first block's first point, <= 0
-    stop = ends[-1] + 1
-    padded = values[:stop] if start == 0 else np.concatenate((np.zeros(-start), values[:stop]))
-    blocks = padded.reshape(lead + len(ends), stride)
-    if stride > 1:
-        powers = np.exp(-rate * np.arange(stride - 1.0, -1.0, -1.0))
-        powers[powers < _FLUSH_TO_ZERO] = 0.0
-        sums = blocks @ powers
-    else:
-        sums = blocks[:, 0]
-    return _geometric_sum(sums, rate * stride)[lead:]
+    if prefactor <= 1.0:
+        return 0
+    lift = math.log(prefactor)
+    return size if lift >= decay_h * size else min(size, int(lift / decay_h) + 1)
 
 
-def _add_exponential_term(
-    cdf: np.ndarray, tail: ExponentialTail, capacity: float, fine: np.ndarray, reads: range
+def _tail_of_sum(
+    knee_tails: Sequence[float], decays_h: Sequence[float], reads: range
 ) -> np.ndarray:
-    """CDF at the fine points `reads` of X + D, for X with CDF cdf on the
-    whole fine grid and an independent D with CDF 1 - tail(C*t), whose mass
-    in each fine cell sits at the cell's right end.
+    """P(Y_1 + ... + Y_K > i) at the points i >= 0 of reads, for
+    independent Y_n on the fine points with P(Y_n > j) = T_n*r_n**j, where
+    T_n is knee_tails[n] and r_n = exp(-decays_h[n]).
 
-    D has no mass before its knee k0, the first fine point k where
-    prefactor*exp(-beta*h*k) drops below 1; it has 1 - T0 at k0 (T0 the
-    tail there) and T0*(1-r)*r**(k-k0-1) at each later point k, with
-    r = exp(-beta*h) for decay beta per second and fine step h. So the
-    convolution at point i is (1-T0)*cdf[i-k0] + T0*(1-r)*g[i-k0-1], with g
-    the geometric sum of cdf at ratio r, taken at the read points alone
-    (_geometric_sum_at): no FFT, and no tail evaluated past the knee.
+    Y_n has the atom a_n = 1 - T_n at 0 and mass c_n*r_n**(j-1) at j >= 1,
+    with c_n = T_n*(1 - r_n). So the tail z_n of the first n terms is
+    z_1[i] = T_1*r_1**i and, for n >= 2,
+
+        z_n[i] = a_n*z_{n-1}[i] + c_n*g_n[i-1] + T_n*r_n**i,
+        g_n[i] = r_n*g_n[i-1] + z_{n-1}[i],  g_n[-1] = 0:
+
+    sums of nonnegative terms, so rounding stays relative even where the
+    tail is far below 1e-16. The reads split the points into blocks of
+    reads.step points, each ending at a read: block 0 is 0 .. reads[0]
+    (padded with blocks ahead of reads[0] when it is a step or more past
+    0), and each later block starts after the previous read. Inside a
+    block, z_n at each point is linear in the block's states: e_m =
+    T_m*r_m**s at its first point s, for m <= n, and g_m at the point
+    before it, for 2 <= m <= n. So one (step, 2n - 1) response matrix per
+    term, built from the last by one product with a lower-triangular
+    matrix of powers, gives z_n inside every block. Its r_n-weighted sum
+    over each block is one number per block, and _geometric_sum at ratio
+    r_n**step over those numbers gives g_n at every block end, which is
+    the next block's state. Block 0 starts at 0, where every g_m is 0, and
+    is read at its own row of the responses.
     """
-    n = len(cdf)
-    h = float(fine[1])
-    beta = tail.decay_per_bit * capacity
-    # rounding can put the knee one point off only where the tail there is
-    # within rounding of 1, which moves no mass by more than rounding; the
-    # quotient can round up to n even where the product compares below it
-    k0 = 0
-    if tail.prefactor > 1.0:
-        lift = math.log(tail.prefactor)
-        k0 = n if lift >= beta * h * n else min(n, int(lift / (beta * h)) + 1)
-    out = np.zeros(len(reads))
-    if k0 == n:  # the tail is 1 over the whole grid
-        return out
-    t0 = tail.tail(fine[k0] * capacity)
-    # the first read at the knee or past it, and the first past it
-    at, past = bisect.bisect_left(reads, k0), bisect.bisect_right(reads, k0)
-    np.multiply(_points(cdf, reads[at:], k0), 1.0 - t0, out=out[at:])
-    later = reads[past:]
-    ends = range(later.start - k0 - 1, later.stop - k0 - 1, later.step)
-    carried = _geometric_sum_at(cdf, beta * h, ends)
-    carried *= t0 * -math.expm1(-beta * h)
-    out[past:] += carried
-    return out
+    step = reads.step
+    lead = reads.start // step  # blocks ahead of the first read
+    last = reads.start - lead * step  # block 0's last point, < step
+    blocks = lead + len(reads)
+    offsets = np.arange(step, dtype=float)
+    starts = np.arange(blocks) * step + (last + 1 - step)
+    starts[0] = 0
+    lag = np.subtract.outer(np.arange(step), np.arange(step)) - 1  # u - 1 - v
+    states = response = None
+    for knee_tail, decay_h in zip(knee_tails, decays_h):
+        powers = np.exp(-decay_h * offsets)  # r**u
+        powers[powers < _FLUSH_TO_ZERO] = 0.0
+        first = knee_tail * np.exp(-decay_h * starts)
+        if response is None:
+            states, response = first[:, None], powers[:, None]
+            continue
+        sums = states @ (powers[::-1] @ response)
+        sums[0] = states[0] @ (powers[last::-1] @ response[: last + 1])
+        carried = np.zeros(blocks)
+        carried[1:] = _geometric_sum(sums, decay_h * step)[:-1]
+        spread = -math.expm1(-decay_h) * knee_tail  # c_n
+        lower = np.where(lag >= 0, powers[np.maximum(lag, 0)], 0.0)  # r**(u-1-v), v < u
+        response = np.column_stack(
+            (
+                (1.0 - knee_tail) * response + spread * (lower @ response),
+                powers,
+                spread * powers,
+            )
+        )
+        states = np.column_stack((states, first, carried))
+    out = states @ response[-1]
+    out[0] = states[0] @ response[last]
+    return out[lead:]
 
 
 def delay_bound_convolve(
@@ -524,11 +543,15 @@ def delay_bound_convolve(
             f"service_cdf returned shape {f_service.shape} for {len(fine)} points; "
             "it must return one value per point"
         )
-    # NaN fails the upper check
-    valid = f_service[0] >= -1e-12 and np.all(f_service <= 1.0 + 1e-12)
-    if not valid or np.any(np.diff(f_service) < -1e-12):
+    # max and min propagate NaN, so a NaN fails a check; with every step
+    # >= 0 the least value is f_service[0], so the clip can move a value
+    # only where one of these three reductions says so
+    low, high = f_service[0], f_service.max()
+    rise = (f_service[1:] - f_service[:-1]).min()  # the fine grid has >= 2 points
+    if not (low >= -1e-12 and high <= 1.0 + 1e-12 and rise >= -1e-12):
         raise InvalidInputError("service_cdf is not a valid CDF")
-    f_service = np.clip(f_service, 0.0, 1.0)
+    if low < 0.0 or high > 1.0 or rise < 0.0:
+        f_service = np.clip(f_service, 0.0, 1.0)
     box = f_service[:-1].reshape(len(grid) - 1, refine).sum(axis=1)
     smeared = _linear_convolution(-np.diff(wait_tail), box) / refine
     f_delay = (1.0 - wait_tail[0]) * f_service[::refine]
@@ -610,25 +633,32 @@ def gsbb_bound_convolution(
     grid_s: np.ndarray,
     refine: int = CONV_REFINE,
 ) -> BoundCurve:
-    """Delay tail bound for independent classes by convolving per-class CDFs.
+    """Delay tail bound for independent classes by convolving per-class terms.
 
-    Each class contributes a backlog term with CDF 1 - tail_n(C_n*tau) in the
-    delay variable; independence lets the sum's CDF be their convolution.
-    Deterministic envelopes are exact shifts. The first exponential tail is
-    tabulated on the grid with each step cut into `refine` steps, each mass
-    at the right end of its fine cell (one-sided: the CDF is understated,
-    and mass past the grid is dropped, which errs the same way). Every
-    further exponential tail adds its term by a geometric recurrence in O(n)
-    (_add_exponential_term), which is the fine-grid convolution up to
-    rounding (about 1e-15). A term before the last is built at every fine
-    point, because the next term reads them all; the last term, and a lone
-    tail, are computed only at the fine points the curve reads, one per
-    grid point, so that term costs O(grid size) past one pass over the
-    previous CDF. Under dependence only the split bound applies.
+    Each class contributes a backlog term with tail tail_n(C_n*tau) in the
+    delay variable; independence makes the sum's distribution their
+    convolution. Deterministic envelopes are exact shifts. Every
+    exponential term is discretized on the grid with each step cut into
+    `refine` steps, each mass at the right end of its fine cell (one-sided,
+    so the tail is never understated).
+    A term with prefactor above 1 has no mass before its knee, the first
+    fine point k0 where its tail drops below 1, and past it is the knee-free
+    geometric term of _tail_of_sum delayed by k0; so the knees add to one
+    delay, and every read moves back by it. _tail_of_sum then computes the
+    tail of the sum itself, not 1 - CDF, at the points the curve reads, one
+    state update per grid step; it matches the fine-grid convolution up to
+    rounding, relative to the tail. A lone tail is tail_n at the read
+    points. No fine-grid array is built. Under dependence only the split
+    bound applies.
     """
     _check_gsbb_rates(tails, rates_bps)
     grid = np.asarray(grid_s, dtype=float)
-    fine = _fine_grid(grid, refine)
+    step = _fine_step(grid, refine)
+    size = (len(grid) - 1) * refine + 1  # fine points
+
+    def fine_points(k):
+        """Fine points k, as np.linspace computes them."""
+        return np.where(k == size - 1, grid[-1], k * step)
 
     shift = 0.0
     terms = []
@@ -641,26 +671,35 @@ def gsbb_bound_convolution(
         return step_bound_curve(shift, grid, "gsbb_convolution")
 
     # the fine points the curve reads: the grid's, or with a shift the
-    # shifted grid's floored to the fine grid, so the CDF is never overstated
+    # shifted grid's floored to the fine grid, so the tail is never understated
     if shift > 0.0:
-        idx = np.floor((grid - shift) / (fine[1] - fine[0]) + 1e-9).astype(int)
+        idx = np.floor((grid - shift) / step + 1e-9).astype(int)
     else:
-        idx = np.arange(0, len(fine), refine)
-    kept = np.minimum(idx[idx >= 0], len(fine) - 1)
-    first = int(kept[0]) if len(kept) else 0
-    reads = range(first, first + refine * len(kept), refine)
-    if np.any(np.diff(kept) != refine):  # rounding took a shifted point off the step
-        reads = range(first, int(kept[-1]) + 1)
-    f_total: np.ndarray | None = None
-    for i, (tail, capacity) in enumerate(terms):
-        # a term before the last is read at every fine point by the next one
-        points = reads if i == len(terms) - 1 else range(len(fine))
-        if f_total is None:
-            f_total = 1.0 - tail.tail(_points(fine, points) * capacity)
-        else:
-            f_total = _add_exponential_term(f_total, tail, capacity, fine, points)
+        idx = np.arange(0, size, refine)
+    kept = np.minimum(idx[idx >= 0], size - 1)
     probs = np.ones_like(grid)
-    probs[idx >= 0] = 1.0 - f_total[(kept - reads.start) // reads.step]
+    if len(terms) == 1:
+        tail, capacity = terms[0]
+        probs[idx >= 0] = tail.tail(fine_points(kept) * capacity)
+    elif len(kept):
+        first = int(kept[0])
+        reads = range(first, first + refine * len(kept), refine)
+        if np.any(np.diff(kept) != refine):  # rounding took a shifted point off the step
+            reads = range(first, int(kept[-1]) + 1)
+        delay, knee_tails, decays_h = 0, [], []
+        for tail, capacity in terms:
+            decay = tail.decay_per_bit * capacity
+            knee = _knee(tail.prefactor, decay * step, size)
+            delay += knee
+            knee_tails.append(tail.tail(fine_points(knee) * capacity) if knee < size else 1.0)
+            decays_h.append(decay * step)
+        # the reads before the delay have tail 1
+        later = reads[len(range(reads.start, delay, reads.step)) :]
+        values = np.ones(len(reads))
+        if later:
+            shifted = range(later.start - delay, later.stop - delay, later.step)
+            values[len(reads) - len(later) :] = _tail_of_sum(knee_tails, decays_h, shifted)
+        probs[idx >= 0] = values[(kept - reads.start) // reads.step]
     probs = np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
     return BoundCurve(grid, probs, "gsbb_convolution")
 

@@ -7,8 +7,9 @@ scanning every candidate window start, and excess-work MGFs are estimated
 by Monte Carlo. mcfifo.oracle keeps the linear-time scans that answer every
 customer of a long run at once; these single queries check them. The
 convolution bound of independent burst tails is kept here as it was first
-built, every exponential term added at every fine point, for the version
-that computes the last term at the returned points alone. So are the split
+built, every exponential term added to the CDF at every fine point, and
+again in long double in the tail domain, for the version that computes the
+tail at the returned points alone. So are the split
 bound's water-filling passes, for its closed form in the leftover delay, and
 the excess-work MGF summed by sum() over a generator, for its loop.
 """
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy import signal
 
 from mcfifo.analytic import _fine_grid
 from mcfifo.errors import InvalidInputError, InvalidSpecError
@@ -281,6 +283,54 @@ def gsbb_convolution_every_point(tails, rates_bps, grid_s, refine: int = 32) -> 
     else:
         probs = 1.0 - cdf[::refine]
     return np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
+
+
+#: Whether np.longdouble carries more precision than a double, as the x87
+#: 80-bit format does; where it is a double, the long-double reference
+#: checks nothing and its tests skip.
+LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def gsbb_convolution_long_double(tails, rates_bps, grid_s, refine: int = 32) -> np.ndarray:
+    """Tail probabilities of mcfifo.analytic.gsbb_bound_convolution before
+    its final clip, in long double and in the tail domain, at every fine point.
+
+    Each exponential term's tail min(1, M*exp(-beta*h*i)) is evaluated at
+    every fine index i in long double. The first term is the sum's tail z;
+    each further term with its first index k0 below 1, tail t0 there and
+    ratio r = exp(-beta*h) makes z[i] = 1 before k0 and, from k0 on,
+    (1-t0)*z[i-k0] + t0*(1-r)*g[i-k0-1] + its own tail at i, g[l] being
+    r*g[l-1] + z[l] (a long-double lfilter). No 1 - CDF is taken, so deep
+    tails keep their relative precision. The result is read at the grid
+    points shifted by the envelopes' bursts, 1 before the shift."""
+    grid = np.asarray(grid_s, dtype=float)
+    fine = _fine_grid(grid, refine)
+    n = len(fine)
+    index = np.arange(n, dtype=np.longdouble)
+    wide = np.longdouble
+    shift, z = 0.0, None
+    for tail, capacity in zip(tails, rates_bps):
+        if isinstance(tail, DeterministicEnvelope):
+            shift += tail.burst_bits / capacity
+            continue
+        decay_h = wide(tail.decay_per_bit) * wide(capacity) * wide(fine[1])
+        own = np.minimum(wide(1), wide(tail.prefactor) * np.exp(-decay_h * index))
+        if z is None:
+            z = own
+            continue
+        out = np.ones(n, dtype=np.longdouble)
+        below = np.flatnonzero(own < 1)
+        if len(below):
+            k0 = int(below[0])
+            t0 = own[k0]
+            g = signal.lfilter([wide(1)], [wide(1), -np.exp(-decay_h)], z[: n - k0 - 1])
+            out[k0:] = (1 - t0) * z[: n - k0] + own[k0:]
+            out[k0 + 1 :] += t0 * -np.expm1(-decay_h) * g
+        z = out
+    if shift > 0.0:
+        idx = np.floor((grid - shift) / (fine[1] - fine[0]) + 1e-9).astype(int)
+        return np.where(idx < 0, wide(1), z[np.clip(idx, 0, n - 1)])
+    return z[::refine]
 
 
 def excess_mgf_sum(specs: Sequence[ClassSpec], share: float = 1.0) -> Callable[[float], float]:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,12 @@ from scipy import fft, integrate, signal
 from mcfifo.analytic import (
     CONV_REFINE,
     BoundCurve,
-    _add_exponential_term,
+    ThetaSolution,
     _fast_fft_len,
     _fine_grid,
     _geometric_sum,
-    _geometric_sum_at,
     _linear_convolution,
+    _tail_of_sum,
     bound_cruz_aggregate,
     bound_dd1,
     bound_dmdm,
@@ -51,8 +52,10 @@ from mcfifo.traffic import (
     gsbb_tail_from_mgf,
 )
 from reference import (
+    LONG_DOUBLE_IS_WIDER,
     excess_mgf_sum,
     gsbb_convolution_every_point,
+    gsbb_convolution_long_double,
     gsbb_split_every_pass,
 )
 
@@ -93,6 +96,10 @@ class TestStability:
         assert report.rho == pytest.approx(0.9, rel=1e-12)
         assert report.multiclass_rate_condition
         assert not report.cruz_condition
+
+    def test_no_class_rejected(self):
+        with pytest.raises(InvalidInputError, match="^need at least one class$"):
+            stability([])
 
     def test_full_single_class_is_boundary_stable(self):
         spec = ClassSpec(1, Poisson(1.0), Constant(1.0), 1.0)
@@ -396,6 +403,14 @@ class TestWaitingBoundCurve:
         assert curve.probs[-1] == pytest.approx(0.0670, abs=1e-4)
         assert curve.approximate
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rate_not_finite_and_positive_rejected(self, rate):
+        message = f"^decay rate {re.escape(str(rate))} must be finite and > 0$"
+        with pytest.raises(InvalidInputError, match=message):
+            waiting_bound_curve(rate, np.linspace(0, 1e-3, 10))
+        with pytest.raises(InvalidInputError, match=message):
+            ThetaSolution(rate, "exact-root", 0.0)
+
     def test_log_linear_and_nonincreasing(self):
         grid = np.linspace(0, 2e-3, 50)
         curve = waiting_bound_curve(2702.7, grid)
@@ -525,6 +540,22 @@ class TestDelayBoundConvolve:
         wait = waiting_bound_curve(1000.0, np.linspace(0.0, 1e-3, 100))
         delay = delay_bound_convolve(lambda t: np.minimum(1.0 + 1e-13, 1e4 * t), wait)
         assert np.all(delay.probs >= wait.probs - 1e-12)
+
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            lambda t: np.minimum(1.0 + 1e-13, 1e4 * t),  # above 1
+            lambda t: np.minimum(1.0, 1e4 * t) - 1e-13,  # below 0 at the first point
+            lambda t: np.where(t == t[1], -1e-13, np.minimum(1.0, 1e4 * t)),  # below 0 after it
+            lambda t: -np.expm1(-2e4 * t),  # inside [0, 1] and nondecreasing
+        ],
+        ids=["above-one", "below-zero", "below-zero-inside", "exponential"],
+    )
+    def test_tolerated_rounding_is_clipped(self, cdf):
+        wait = waiting_bound_curve(1000.0, np.linspace(0.0, 1e-3, 100))
+        got = delay_bound_convolve(cdf, wait).probs
+        want = delay_bound_convolve(lambda t: np.clip(cdf(t), 0.0, 1.0), wait).probs
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "service,message",
@@ -854,14 +885,31 @@ class TestGsbbConvolution:
             gsbb_bound_convolution([ExponentialTail(1e5, 1.0, 1e-4)], [1e7], np.array(grid))
 
     @pytest.mark.parametrize("shifted", [False, True])
-    def test_lone_tail_is_the_every_point_result_bit_for_bit(self, shifted):
+    def test_lone_tail_is_its_tail_at_the_read_points_bit_for_bit(self, shifted):
         tails = [ExponentialTail(2e7, 3.0, 1500.0 / 100e6)]
         caps = [100e6]
         if shifted:  # 100 B at 10 Mbps: an 80 us shift, off the fine grid
             tails, caps = [DeterministicEnvelope(1e6, 800.0)] + tails, [10e6] + caps
         grid = np.linspace(0.0, 4e-3, 2000)
         got = gsbb_bound_convolution(tails, caps, grid).probs
-        assert got.tobytes() == gsbb_convolution_every_point(tails, caps, grid).tobytes()
+        assert got.tobytes() == _lone_tail_at_reads(tails, caps, grid).tobytes()
+
+    @pytest.mark.skipif(not LONG_DOUBLE_IS_WIDER, reason="np.longdouble is a double here")
+    @pytest.mark.parametrize(
+        "case",
+        [f"{mix}@{rho}" for mix in ("p3", "p4", "c4") for rho in (0.1, 0.5, 0.9)]
+        + ["knees", "knees-shifted"],
+    )
+    def test_tail_within_1e12_relative_of_long_double(self, case):
+        # the deep tails reach 1e-100: a tail taken as 1 - CDF keeps none of it
+        tails, caps, tau_max = _long_double_case(case)
+        grid = np.linspace(0.0, tau_max, DEFAULT_GRID_POINTS)
+        got = gsbb_bound_convolution(tails, caps, grid).probs
+        want = gsbb_convolution_long_double(tails, caps, grid)
+        positive = want > 0
+        assert positive.any()
+        error = np.abs(got[positive] - want[positive]) / want[positive]
+        assert float(error.max()) <= 1e-12
 
     def test_bound_mixes_within_1e15_of_the_every_point_result(self):
         mixes = {
@@ -877,9 +925,47 @@ class TestGsbbConvolution:
                 got = gsbb_bound_convolution(tails, caps, grid).probs
                 want = gsbb_convolution_every_point(tails, caps, grid)
                 if mix == "p6":  # one envelope and one exponential tail
-                    assert got.tobytes() == want.tobytes(), rho
+                    assert got.tobytes() == _lone_tail_at_reads(tails, caps, grid).tobytes(), rho
                 else:
                     assert np.max(np.abs(got - want)) <= 1e-15, (mix, rho)
+
+
+def _long_double_case(case):
+    """Tails, capacities and tau_max of a bound mix with two or more
+    exponential tails at a load, "p3@0.5" say, or of tails with knees,
+    unshifted or shifted."""
+    mixes = {
+        "p3": (CASE3.specs, CASE3.tau_max_s),
+        "p4": (CASE4.specs, CASE4.tau_max_s),
+        "c4": (FOUR_CLASS_MIX, CASE3.tau_max_s),
+    }
+    if "@" in case:
+        mix, rho = case.split("@")
+        specs, tau_max = mixes[mix]
+        return (*_equalized_exact_tails(_at_load(specs, float(rho))), tau_max)
+    caps = [10e6, 100e6, 50e6]
+    tails = [
+        ExponentialTail(0.2 * c, m, d / c)
+        for c, m, d in zip(caps, (3.0, 40.0, 0.4), (1500.0, 4000.0, 2500.0))
+    ]
+    if case == "knees-shifted":
+        tails, caps = [DeterministicEnvelope(1e6, 800.0)] + tails, [10e6] + caps
+    return tails, caps, 4e-3
+
+
+def _lone_tail_at_reads(tails, caps, grid):
+    """One exponential tail after the envelopes' shift: tail.tail at the
+    fine points the curve reads, the shifted grid floored to the fine grid
+    (1 before the shift), clipped and made nonincreasing."""
+    fine = _fine_grid(grid, CONV_REFINE)
+    shift = sum(t.burst_bits / c for t, c in zip(tails, caps) if isinstance(t, DeterministicEnvelope))
+    ((tail, capacity),) = [(t, c) for t, c in zip(tails, caps) if isinstance(t, ExponentialTail)]
+    if shift > 0.0:
+        reads = np.floor((grid - shift) / fine[1] + 1e-9).astype(int)
+    else:
+        reads = np.arange(0, len(fine), CONV_REFINE)
+    probs = np.where(reads < 0, 1.0, tail.tail(fine[np.clip(reads, 0, len(fine) - 1)] * capacity))
+    return np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
 
 
 def _at_load(specs, rho):
@@ -961,6 +1047,14 @@ class TestConvolutionKernels:
             want = math.fsum(np.exp(-rate * np.arange(j, -1.0, -1.0)) * values[: j + 1])
             assert got[j] == pytest.approx(want, rel=1e-13)
 
+    def _second_term(self, tail, grid):
+        """The convolution of the 1500/s unit tail and `tail` at every point
+        of `grid`, which is its own fine grid (refine 1), and the first
+        term's CDF -expm1(-1500*t) there."""
+        first = ExponentialTail(0.2 * self.CAP, 1.0, 1500.0 / self.CAP)
+        got = gsbb_bound_convolution([first, tail], [self.CAP, self.CAP], grid, refine=1)
+        return got.probs, -np.expm1(-1500.0 * grid)
+
     # 5e8 and 5e9 per second decay so fast that exp(-beta*h)**32 underflows;
     # prefactor 0 is no term, 0.4 an atom at 0, 3 and 1e300 a knee past 0
     # (1e300 past the grid's end)
@@ -968,27 +1062,25 @@ class TestConvolutionKernels:
     @pytest.mark.parametrize("decay_per_s", [2000.0, 5e8, 5e9])
     def test_one_term_against_fsum(self, prefactor, decay_per_s):
         fine = _fine_grid(np.linspace(0.0, 3e-3, 301), CONV_REFINE)
-        cdf = -np.expm1(-1500.0 * fine)
         tail = ExponentialTail(0.2 * self.CAP, prefactor, decay_per_s / self.CAP)
-        got = _add_exponential_term(cdf, tail, self.CAP, fine, range(len(fine)))
+        got, cdf = self._second_term(tail, fine)
         mass = _tail_masses(tail, self.CAP, fine)
         for i in (0, 1, 2, 31, 32, 33, 1757, 1758, 5000, len(fine) - 1):
-            want = math.fsum(mass[: i + 1] * cdf[i::-1])
+            want = 1.0 - math.fsum(mass[: i + 1] * cdf[i::-1])
             assert got[i] == pytest.approx(want, rel=0.0, abs=1e-12), i
 
     def test_knee_on_a_fine_point_against_fsum(self):
         # prefactor exp(beta*h*k) puts the knee within rounding of point k,
         # where the knee's first guess is often one point off
         fine = _fine_grid(np.linspace(0.0, 3e-3, 201), CONV_REFINE)
-        cdf = -np.expm1(-1500.0 * fine)
         rng = np.random.default_rng(2)
         for k, decay_per_s in zip(rng.integers(1, 5000, 40), rng.uniform(100.0, 5e4, 40)):
             prefactor = math.exp(decay_per_s * fine[1] * k)
             tail = ExponentialTail(0.2 * self.CAP, prefactor, decay_per_s / self.CAP)
-            got = _add_exponential_term(cdf, tail, self.CAP, fine, range(len(fine)))
+            got, cdf = self._second_term(tail, fine)
             mass = _tail_masses(tail, self.CAP, fine)
             for i in (k - 1, k, k + 1, k + 2, k + 500):
-                want = math.fsum(mass[: i + 1] * cdf[i::-1])
+                want = 1.0 - math.fsum(mass[: i + 1] * cdf[i::-1])
                 assert got[i] == pytest.approx(want, rel=0.0, abs=1e-12), (k, i)
 
     def test_knee_within_rounding_of_the_grid_end(self):
@@ -996,7 +1088,6 @@ class TestConvolutionKernels:
         # quotient log(prefactor)/(beta*h) rounds to n: the knee is the end
         fine = _fine_grid(np.linspace(0.0, 3e-3, 201), CONV_REFINE)
         n = len(fine)
-        cdf = -np.expm1(-1500.0 * fine)
         hits = 0
         for decay_per_s in np.linspace(100.0, 5e4, 400):
             beta, h = decay_per_s / self.CAP * self.CAP, float(fine[1])
@@ -1010,24 +1101,46 @@ class TestConvolutionKernels:
                 continue
             hits += 1
             tail = ExponentialTail(0.2 * self.CAP, prefactor, decay_per_s / self.CAP)
-            got = _add_exponential_term(cdf, tail, self.CAP, fine, range(len(fine)))
+            got, cdf = self._second_term(tail, fine)
             mass = _tail_masses(tail, self.CAP, fine)
             for i in (0, n // 2, n - 1):
-                want = math.fsum(mass[: i + 1] * cdf[i::-1])
+                want = 1.0 - math.fsum(mass[: i + 1] * cdf[i::-1])
                 assert got[i] == pytest.approx(want, rel=0.0, abs=1e-12), (decay_per_s, i)
         assert hits > 0
 
+    # refine sets the reads' stride in fine steps, an envelope of `start`
+    # fine steps where the first falls, and the rates are per fine step
     @pytest.mark.parametrize("stride", [1, 2, 7, 32])
     @pytest.mark.parametrize("start", [0, 5, 31, 32, 100])
     @pytest.mark.parametrize("rate", [3e-4, 0.1, 30.0, 700.0])
-    def test_geometric_sum_at_is_the_every_point_sum_there(self, stride, start, rate):
-        values = np.random.default_rng(start).random(2_000)
-        ends = range(start, len(values), stride)
-        got = _geometric_sum_at(values, rate, ends)
-        want = _geometric_sum(values, rate)[start::stride]
+    def test_reads_at_every_stride_and_start_against_fsum(self, stride, start, rate):
+        grid = np.linspace(0.0, 2e-3, 2_000 // stride + 1)
+        fine = _fine_grid(grid, stride)
+        h = float(fine[1])
+        tails = [
+            DeterministicEnvelope(1e6, start * h * self.CAP),
+            ExponentialTail(0.2 * self.CAP, 0.7, 0.05 / h / self.CAP),
+            ExponentialTail(0.2 * self.CAP, 0.9, rate / h / self.CAP),
+        ]
+        got = gsbb_bound_convolution(tails, [self.CAP] * 3, grid, refine=stride).probs
+        cdf = 1.0 - tails[1].tail(fine * self.CAP)
+        mass = _tail_masses(tails[2], self.CAP, fine)
+        reads = np.floor((grid - start * h) / h + 1e-9).astype(int)
+        assert np.all(got[reads < 0] == 1.0)
+        for j in np.flatnonzero(reads >= 0)[[0, 1, -1]]:
+            i = reads[j]
+            want = 1.0 - math.fsum(mass[: i + 1] * cdf[i::-1])
+            assert got[j] == pytest.approx(want, rel=0.0, abs=1e-12), (j, i)
+
+    @pytest.mark.parametrize("stride", [1, 2, 7, 32])
+    @pytest.mark.parametrize("start", [0, 5, 31, 32, 100])
+    def test_tail_of_sum_reads_are_its_every_point_values(self, stride, start):
+        # a start a step or more past 0 puts blocks ahead of the first read
+        knee_tails, decays_h = [0.7, 0.9, 1.0], [3e-4, 0.1, 30.0]
+        got = _tail_of_sum(knee_tails, decays_h, range(start, 2_000, stride))
+        want = _tail_of_sum(knee_tails, decays_h, range(2_000))[start::stride]
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-        assert _geometric_sum_at(values, rate, range(start, start, stride)).shape == (0,)
 
     @pytest.mark.parametrize("refine", [1, 32])
     @pytest.mark.parametrize("points", [2, 201])

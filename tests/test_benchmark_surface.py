@@ -4,6 +4,7 @@ away. This reads the harness and edits nothing."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 HARNESS = Path(__file__).resolve().parents[1] / "perfbench"
@@ -62,3 +63,45 @@ def test_every_name_the_tracer_looks_up_exists():
     assert missing == []
     assert hasattr(importlib.import_module("mcfifo.analytic"), "theta_exact")
     assert hasattr(importlib.import_module("mcfifo.simulator").RunResult, "write_csv")
+
+
+def _fine_point_keys() -> set[str]:
+    """The `arguments[...]` keys, and the keys tested with `in arguments`,
+    of perfbench/spans.py::_fine_points, which reads the bound arguments
+    of the two convolutions."""
+    tree = ast.parse((HARNESS / "spans.py").read_text())
+    function = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_fine_points"
+    )
+    keys = set()
+    for node in ast.walk(function):
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "arguments"
+        ):
+            keys.add(ast.literal_eval(node.slice))
+        elif (
+            isinstance(node, ast.Compare)
+            and isinstance(node.ops[0], ast.In)
+            and isinstance(node.comparators[0], ast.Name)
+            and node.comparators[0].id == "arguments"
+        ):
+            keys.add(ast.literal_eval(node.left))
+    return keys
+
+
+def test_every_argument_the_tracer_reads_is_a_convolution_parameter():
+    # the tracer binds the call's arguments by name, so a renamed parameter
+    # makes a traced run fail with a KeyError
+    analytic = importlib.import_module("mcfifo.analytic")
+    parameters = {
+        name
+        for function in (analytic.gsbb_bound_convolution, analytic.delay_bound_convolve)
+        for name in inspect.signature(function).parameters
+    }
+    keys = _fine_point_keys()
+    assert {"grid_s", "refine"} <= keys
+    assert sorted(keys - parameters) == []

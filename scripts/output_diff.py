@@ -41,8 +41,13 @@ COMMANDS = (
     # coupling, and periodic classes mixed with Poisson ones
     + [["compare", "--case", k, "--customers", "200000", "--replications", "2000"]
        for k in ("3", "5", "6")]
-    # the grid ends at case 2's D/D/1 bound, which the run attains up to rounding
+    # the grid ends at case 1's or case 2's D/D/1 bound, which the run attains
+    # up to rounding
+    + [["compare", "--case", "1", "--tau-max", "1.4e-4", "--customers", "20000"]]
     + [["compare", "--case", "2", "--tau-max", "1.8e-4", "--customers", "20000"]]
+    # flags of fields the command does not read, which it rejects
+    + [["bounds", "--case", "3", "--seed", "7"]]
+    + [["simulate", "--case", "4", "--customers", "2000", "--replications", "5"]]
     # case 3's service times of 80 and 100 us are whole steps (4 and 5) of
     # this grid's 20 us step, so its delay curves shift onto grid points
     + [["bounds", "--case", "3", "--grid-points", "301"]]

@@ -531,7 +531,7 @@ def delay_bound_convolve(
                 f"constant service time {y} s must be finite and >= 0"
             )
         _uniform_step(grid)  # only to reject a non-uniform grid
-        probs = np.interp(grid - y, grid, wait_tail, left=1.0, right=float(wait_tail[-1]))
+        probs = np.interp(grid - y, grid, wait_tail, left=1.0)
         return BoundCurve(grid, probs, label, waiting_curve.approximate)
 
     if not callable(service_cdf):
@@ -676,6 +676,15 @@ def gsbb_bound_convolution(
         idx = np.floor((grid - shift) / step + 1e-9).astype(int)
     else:
         idx = np.arange(0, size, refine)
+    delay, knee_tails, decays_h = 0, [], []
+    if len(terms) > 1:
+        for tail, capacity in terms:
+            decay = tail.decay_per_bit * capacity
+            knee = _knee(tail.prefactor, decay * step, size)
+            delay += knee
+            knee_tails.append(tail.tail(fine_points(knee) * capacity) if knee < size else 1.0)
+            decays_h.append(decay * step)
+        idx -= delay  # the reads before the knees keep tail 1, as those before the shift do
     kept = np.minimum(idx[idx >= 0], size - 1)
     probs = np.ones_like(grid)
     if len(terms) == 1:
@@ -686,20 +695,7 @@ def gsbb_bound_convolution(
         reads = range(first, first + refine * len(kept), refine)
         if np.any(np.diff(kept) != refine):  # rounding took a shifted point off the step
             reads = range(first, int(kept[-1]) + 1)
-        delay, knee_tails, decays_h = 0, [], []
-        for tail, capacity in terms:
-            decay = tail.decay_per_bit * capacity
-            knee = _knee(tail.prefactor, decay * step, size)
-            delay += knee
-            knee_tails.append(tail.tail(fine_points(knee) * capacity) if knee < size else 1.0)
-            decays_h.append(decay * step)
-        # the reads before the delay have tail 1
-        later = reads[len(range(reads.start, delay, reads.step)) :]
-        values = np.ones(len(reads))
-        if later:
-            shifted = range(later.start - delay, later.stop - delay, later.step)
-            values[len(reads) - len(later) :] = _tail_of_sum(knee_tails, decays_h, shifted)
-        probs[idx >= 0] = values[(kept - reads.start) // reads.step]
+        probs[idx >= 0] = _tail_of_sum(knee_tails, decays_h, reads)[(kept - first) // reads.step]
     probs = np.minimum.accumulate(np.clip(probs, 0.0, 1.0))
     return BoundCurve(grid, probs, "gsbb_convolution")
 
@@ -733,7 +729,8 @@ def bound_mstar_d1(specs: Sequence[ClassSpec], grid_s: np.ndarray) -> BoundCurve
     theta = second_order_theta(specs)
     weights = equalized_weights(specs, theta)
     if not math.isclose(float(weights.sum()), 1.0, rel_tol=1e-9):
-        raise InvalidInputError("equalized shares do not sum to 1")
+        # they do by construction: a miss is a bug, not a bad config
+        raise RuntimeError("equalized shares do not sum to 1")
     n = len(specs)
     grid = np.asarray(grid_s, dtype=float)
     probs = np.clip(n * np.exp(-theta * grid / n), 0.0, 1.0)
@@ -791,10 +788,8 @@ def bound_dmdm(
     det, mm = _split_periodic_mm(specs)
     theta = theta_dmdm(specs).theta_star
     grid = np.asarray(grid_s, dtype=float)
-    if class_id == det.class_id:
-        probs = np.clip(np.exp(-theta * grid), 0.0, 1.0)
-    elif class_id == mm.class_id:
-        probs = np.clip(np.exp(-theta * (grid - det.mean_service_s)), 0.0, 1.0)
-    else:
+    shifts = {det.class_id: 0.0, mm.class_id: det.mean_service_s}
+    if class_id not in shifts:
         raise InvalidSpecError(f"unknown class_id {class_id}")
+    probs = np.clip(np.exp(-theta * (grid - shifts[class_id])), 0.0, 1.0)
     return BoundCurve(grid, probs, f"mixed_pair_waiting_c{class_id}")

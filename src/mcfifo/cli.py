@@ -41,14 +41,15 @@ EXIT_VIOLATION = 3
 
 
 #: Command-line flags that override a CaseConfig field: the argparse name (the
-#: flag is "--" + name, "_" written "-"), the CaseConfig field, type and help.
+#: flag is "--" + name, "_" written "-"), the CaseConfig field, type, help,
+#: and the commands that read the field and so take the flag.
 _OVERRIDES = (
-    ("customers", "customers", int, None),
-    ("replications", "replications", int, None),
-    ("seed", "seed", int, None),
-    ("tau_max", "tau_max_s", float, "grid end (seconds)"),
-    ("grid_points", "grid_points", int, None),
-    ("warmup", "warmup_fraction", float, "discard fraction"),
+    ("customers", "customers", int, None, ("simulate", "compare")),
+    ("replications", "replications", int, None, ("compare",)),
+    ("seed", "seed", int, None, ("simulate", "compare")),
+    ("tau_max", "tau_max_s", float, "grid end (seconds)", ("bounds", "simulate", "compare")),
+    ("grid_points", "grid_points", int, None, ("bounds", "simulate", "compare")),
+    ("warmup", "warmup_fraction", float, "discard fraction", ("simulate", "compare")),
 )
 
 
@@ -93,8 +94,8 @@ def _resolve_config(args) -> CaseConfig:
         config = replace(config, seed=fallback_seed)
     overrides = {
         field: getattr(args, flag)
-        for flag, field, _, _ in _OVERRIDES
-        if getattr(args, flag) is not None
+        for flag, field, *_ in _OVERRIDES
+        if getattr(args, flag, None) is not None
     }
     return replace(config, **overrides) if overrides else config
 
@@ -161,6 +162,9 @@ def cmd_compare(args) -> int:
     write_json(out / "summary.json", summary)
 
     hard_failures = comparison.guaranteed_violations
+    if "delays_above_dd1" in comparison.values:
+        print("det_multiclass vs every delay: {delays_above_dd1} above the bound, largest "
+              "{max_delay_s!r} s [guaranteed]".format(**comparison.values))
     for report in comparison.violations:
         flag = "guaranteed" if report.guaranteed else "informational"
         print(
@@ -209,10 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--case", type=int, choices=sorted(PRESETS), default=None)
         p.add_argument("--config", type=str, default=None, help="JSON case config")
-        for flag, _, kind, text in _OVERRIDES:
-            p.add_argument("--" + flag.replace("_", "-"), type=kind, default=None, help=text)
+        for flag, _, kind, text, commands in _OVERRIDES:
+            if name in commands:
+                p.add_argument("--" + flag.replace("_", "-"), type=kind, default=None, help=text)
         p.add_argument("--out", type=str, default=".")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name != "compare":  # compare writes both curves.csv and summary.json
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(fn=fn)
     p = sub.add_parser("preset-list")
     p.set_defaults(fn=cmd_preset_list)

@@ -6,7 +6,8 @@ then exponential sizes), case 5 couples the Poisson streams, and case 6
 mixes a periodic class with a Poisson/exponential class; PRESETS holds
 them by case id. run_comparison evaluates every bound the case names,
 simulates it, and reports where the empirical tail exceeds a bound beyond
-statistical slack. It builds every curve a comparison reports: with
+statistical slack, or for periodic classes which delays exceed the D/D/1
+bound. It builds every curve a comparison reports: with
 replications > 1 and some stochastic class, these include the transient
 delay tails of the first class's 1st, 10th and 100th customers.
 
@@ -68,8 +69,9 @@ from .units import bits_from_bytes, bps_from_mbps, seconds_from_ms
 
 DEFAULT_GRID_POINTS = 2000
 
-#: Absolute slack absorbing accumulated double rounding when simulated
-#: delays are compared against deterministic bounds they can attain exactly.
+#: Absolute slack absorbing accumulated double rounding in run_comparison's
+#: per-customer check of a periodic case, whose delays can attain the D/D/1
+#: bound exactly; the grid checks of stochastic bounds do not use it.
 FLOAT_SLACK_S = 1e-12
 
 #: Grid points with empirical tail below 10/samples are inside shot noise
@@ -509,9 +511,10 @@ def _poisson(name: str, specs, grid) -> tuple[list, dict]:
     (looked up when called), their waiting curves, and a delay curve per
     constant-size class, its waiting tail shifted by its service time.
 
-    With coupled classes no delay curve is drawn: the exact rate, and so
-    every shifted curve, is proven for independent classes only.
-    Exponential-size classes get no delay curve yet (ROADMAP item 6).
+    The curves are drawn whatever the coupling; case_bound_entries marks
+    them informational when classes are coupled, as the row's proof needs
+    independent classes. Exponential-size classes get no delay curve yet
+    (ROADMAP item 6).
     """
     exact, approx = getattr(analytic, f"theta_{name}")(specs)
     values = {
@@ -522,9 +525,8 @@ def _poisson(name: str, specs, grid) -> tuple[list, dict]:
     waiting = analytic.waiting_bound_curve(exact, grid, label=f"{name}_waiting_exact")
     second_order = analytic.waiting_bound_curve(approx, grid, label=f"{name}_waiting_approx")
     curves = [(waiting, "waiting", None), (second_order, "waiting", None)]
-    independent = not coupling_groups(specs)
     for s in specs:
-        if independent and isinstance(s.size, Constant):
+        if isinstance(s.size, Constant):
             label = f"{name}_delay_exact_c{s.class_id}"
             curve = analytic.delay_bound_convolve(s.mean_service_s, waiting, label=label)
             curves.append((curve, "delay", s.class_id))
@@ -646,25 +648,15 @@ def preset(case_id: int) -> CaseConfig:
     return PRESETS[case_id]
 
 
-def _check_violations(
-    bound: CurveEntry,
-    target: CurveEntry,
-    top_s: float | None,
-) -> ViolationReport:
-    """The grid points where target's tail is above bound's: by three binomial
-    standard errors for a stochastic target (top_s None), and for a
-    deterministic one only where top_s, its largest value, is above tau +
-    FLOAT_SLACK_S, the allowance of the direct D/D/1 check."""
+def _check_violations(bound: CurveEntry, target: CurveEntry) -> ViolationReport:
+    """The grid points where target's tail is above bound's by more than
+    three binomial standard errors, of those where it is above the noise
+    floor NOISE_FLOOR_COUNT / samples."""
     n_samples = max(1, target.samples)
     emp, b = target.probs, bound.probs
-    if top_s is not None:
-        checked = emp > 0.0
-        slack = np.zeros(len(emp))
-        over = np.flatnonzero(checked & (emp > b) & (top_s > target.grid_s + FLOAT_SLACK_S))
-    else:
-        checked = emp > NOISE_FLOOR_COUNT / n_samples
-        slack = 3.0 * np.sqrt(emp * (1.0 - emp) / n_samples)
-        over = np.flatnonzero(checked & (emp > b + slack))
+    checked = emp > NOISE_FLOOR_COUNT / n_samples
+    slack = 3.0 * np.sqrt(emp * (1.0 - emp) / n_samples)
+    over = np.flatnonzero(checked & (emp > b + slack))
     points = tuple(
         ViolationPoint(float(target.grid_s[i]), float(emp[i]), float(b[i]), float(slack[i]))
         for i in over
@@ -677,12 +669,15 @@ def _check_violations(
 def run_comparison(config: CaseConfig) -> ComparisonResult:
     """Compute a case's bounds, simulate it, and flag empirical exceedances.
 
-    Deterministic cases additionally compare every delay against the
-    worst-case value directly (no grid, no statistical slack, only the
-    double-rounding allowance FLOAT_SLACK_S, which their grid checks allow
-    too). With replications > 1 and some stochastic class, the curves end
-    with the delay tails of the first class's 1st, 10th and 100th customers
-    across that many independent replications.
+    A case of periodic classes is judged customer by customer: its one
+    buildable bound is "deterministic", whose worst-case delays bound every
+    customer, so every delay is compared with the D/D/1 value directly (no
+    grid, no statistical slack, only the double-rounding allowance
+    FLOAT_SLACK_S), and that also covers the Cruz step, which is never
+    below it. Every other case checks each bound curve on the grid with
+    _check_violations. With replications > 1 and some stochastic class, the
+    curves end with the delay tails of the first class's 1st, 10th and
+    100th customers across that many independent replications.
     """
     # first, so a bound that cannot be built fails before the run
     bound_entries, values = case_bound_entries(config)
@@ -691,23 +686,19 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     empirical = _empirical_entries(config, result)
     deterministic = all(isinstance(s.arrival, Periodic) for s in config.specs)
 
-    top_s = None
-    if deterministic:
+    violations = []
+    if "dd1_bound_s" in values:  # the deterministic bound, a periodic case's only one
         delays = result.delay_s
-        # the only bounds of periodic classes are steps of the aggregate
-        # delay, whose kept values are those from int(n * warmup) on
-        top_s = float(delays[int(len(result) * config.warmup_fraction) :].max())
-        if "dd1_bound_s" in values:
-            over = delays > values["dd1_bound_s"] + FLOAT_SLACK_S
-            values["max_delay_s"] = float(delays.max())
-            values["delays_above_dd1"] = int(np.count_nonzero(over))
-
-    # simulate_case ran every class of the config, so every bound has its curve
-    targets = {(e.metric, e.class_id): e for e in empirical}
-    violations = [
-        _check_violations(bound, targets[bound.metric, bound.class_id], top_s)
-        for bound in bound_entries
-    ]
+        over = delays > values["dd1_bound_s"] + FLOAT_SLACK_S
+        values["max_delay_s"] = float(delays.max())
+        values["delays_above_dd1"] = int(np.count_nonzero(over))
+    else:
+        # simulate_case ran every class of the config, so every bound has its curve
+        targets = {(e.metric, e.class_id): e for e in empirical}
+        violations = [
+            _check_violations(bound, targets[bound.metric, bound.class_id])
+            for bound in bound_entries
+        ]
 
     # appended after the violations, so the long run's delay curve of the
     # first class stays the target its bounds were checked against

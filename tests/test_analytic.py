@@ -1277,6 +1277,22 @@ class TestMstarSplitBound:
         assert weights.sum() == pytest.approx(1.0, rel=1e-12)
         assert np.all(weights > [s.utilization for s in specs])
 
+    def test_shares_off_one_are_a_bug_not_a_config_error(self, tmp_path, monkeypatch):
+        import mcfifo.analytic as analytic_mod
+        from mcfifo.cli import main
+
+        def short(specs, theta):
+            weights = equalized_weights(specs, theta)
+            return 0.9 * weights / weights.sum()
+
+        monkeypatch.setattr(analytic_mod, "equalized_weights", short)
+        with pytest.raises(RuntimeError, match="equalized shares do not sum to 1"):
+            bound_mstar_d1(preset(5).specs, np.array([0.0, 1e-3]))
+        # raised through the CLI, not turned into exit 2
+        argv = ["compare", "--case", "5", "--customers", "2000", "--out", str(tmp_path)]
+        with pytest.raises(RuntimeError, match="equalized shares do not sum to 1"):
+            main(argv)
+
 
 class TestBurstTailPipeline:
     """Per-class tails at equalized shares reproduce the closed-form curve."""

@@ -156,7 +156,10 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(path), "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         curves = {c["label"]: c for c in summary["curves"] if c["kind"] == "bound"}
-        assert sorted(curves) == [f"{bound}_waiting_approx", f"{bound}_waiting_exact"]
+        # a delay curve per constant-size class, drawn under coupling too
+        delays = [f"md1_delay_exact_c{cid}" for cid in (1, 2)] if bound == "md1" else []
+        assert sorted(curves) == sorted([f"{bound}_waiting_approx", f"{bound}_waiting_exact",
+                                         *delays])
         for curve in curves.values():
             assert not curve["guaranteed"]
             assert curve["note"] == "assumes independent classes"
@@ -215,15 +218,33 @@ class TestCompareCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["guaranteed_violations"] == 3
 
-    def test_grid_point_at_an_attained_bound_is_not_a_violation(self, tmp_path):
+    @pytest.mark.parametrize("case_id,tau_max", [(1, None), (2, None), (1, "1.4e-4")])
+    def test_periodic_case_prints_one_per_customer_line(self, tmp_path, capsys, case_id, tau_max):
+        out = tmp_path / "o"
+        argv = ["compare", "--case", str(case_id), "--customers", "20000", "--out", str(out)]
+        assert main(argv + (["--tau-max", tau_max] if tau_max else [])) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["violations"] == []
+        largest = summary["values"]["max_delay_s"]
+        assert capsys.readouterr().out == (
+            f"det_multiclass vs every delay: 0 above the bound, largest {largest!r} s "
+            "[guaranteed]\n"
+        )
+
+    def test_grid_point_at_an_attained_bound_is_not_a_violation(self, tmp_path, capsys):
         # the grid ends at the D/D/1 bound 1.8e-4, which the run attains up
         # to rounding (its largest delay is 1.8e-4 + 6.3e-19)
         out = tmp_path / "o"
         argv = ["compare", "--case", "2", "--tau-max", "1.8e-4", "--customers", "2000"]
         assert main([*argv, "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["values"]["max_delay_s"] > summary["values"]["dd1_bound_s"]
+        largest = summary["values"]["max_delay_s"]
+        assert largest > summary["values"]["dd1_bound_s"]
         assert summary["guaranteed_violations"] == 0
+        assert capsys.readouterr().out == (
+            f"det_multiclass vs every delay: 0 above the bound, largest {largest!r} s "
+            "[guaranteed]\n"
+        )
 
 
 def _readme_block(fence: str, after: str = "") -> str:
@@ -554,6 +575,39 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--case", "3", "--jobs", "2", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("bounds", ["--customers", "100"]),
+            ("bounds", ["--replications", "10"]),
+            ("bounds", ["--seed", "7"]),
+            ("bounds", ["--warmup", "0.2"]),
+            ("simulate", ["--replications", "10000"]),
+            ("compare", ["--format", "json"]),
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--case", "3", *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_benchmark_command_lines_parse(self):
+        parser = build_parser()
+        for argv in (
+            ["bounds", "--case", "4"],
+            ["bounds", "--case", "4", "--grid-points", "200"],
+            ["simulate", "--case", "4", "--customers", "40000", "--format", "json", "--seed", "3"],
+            ["simulate", "--case", "4", "--customers", "2000", "--format", "json", "--seed", "3",
+             "--grid-points", "200"],
+            ["compare", "--case", "5", "--seed", "3"],
+            ["compare", "--case", "5", "--seed", "3", "--customers", "20000",
+             "--grid-points", "200"],
+        ):
+            assert parser.parse_args(argv).command == argv[0]
 
     def test_preset_list(self, capsys):
         assert main(["preset-list"]) == EXIT_OK

@@ -168,6 +168,20 @@ class TestRunComparison:
         assert all(c.label != "det_aggregate" for c in r.curves)
         assert r.values["delays_above_dd1"] == 0
 
+    @pytest.mark.parametrize("case_id,bound", [(1, 1.4e-4), (2, 1.8e-4)])
+    @pytest.mark.parametrize("steps_below", [None, 0, 1])
+    def test_periodic_case_is_judged_customer_by_customer(self, case_id, bound, steps_below):
+        # the grid ends at the preset's tau_max, at the D/D/1 bound, which
+        # the run attains up to rounding, or one preset grid step below it
+        config = replace(preset(case_id), customers=20_000)
+        if steps_below is not None:
+            step = config.tau_max_s / (config.grid_points - 1)
+            config = replace(config, tau_max_s=bound - steps_below * step)
+        r = run_comparison(config)
+        assert r.values["dd1_bound_s"] == pytest.approx(bound, rel=1e-12)
+        assert r.violations == ()
+        assert r.guaranteed_violations == r.values["delays_above_dd1"] == 0
+
     def test_delay_beyond_the_rounding_slack_is_flagged(self, monkeypatch):
         config = replace(preset(2), customers=2000, tau_max_s=1.8e-4)
         bound = run_comparison(config).values["dd1_bound_s"]
@@ -180,10 +194,10 @@ class TestRunComparison:
 
         monkeypatch.setattr("mcfifo.experiments.simulate_case", late)
         r = run_comparison(config)
-        report = next(v for v in r.violations if v.bound_label == "det_multiclass")
-        assert [p.tau_s for p in report.points] == [config.tau_max_s]
+        # a periodic case is judged customer by customer, not on the grid
+        assert r.violations == ()
         assert r.values["delays_above_dd1"] == 1
-        assert r.guaranteed_violations == 2
+        assert r.guaranteed_violations == 1
 
     def test_case3_small_run_exact_bound_holds(self):
         r = run_comparison(replace(preset(3), customers=150_000))
@@ -329,6 +343,8 @@ BOUND_METADATA = {
         [
             ("md1_waiting_exact", "waiting", None, False, False, "assumes independent classes"),
             ("md1_waiting_approx", "waiting", None, False, True, "assumes independent classes"),
+            ("md1_delay_exact_c1", "delay", 1, False, False, "assumes independent classes"),
+            ("md1_delay_exact_c2", "delay", 2, False, False, "assumes independent classes"),
             (
                 "split_equal_constant_sizes",
                 "waiting",
@@ -546,24 +562,23 @@ def _uneven_configs() -> list[CaseConfig]:
     ]
 
 
-def _violations_reference(bound, target, deterministic):
+def _violations_reference(bound, target):
     """The point-by-point check: floor, binomial 3-SE slack, exceedance."""
     points, checked = [], 0
     n = max(1, target.samples)
-    floor = 0.0 if deterministic else NOISE_FLOOR_COUNT / n
+    floor = NOISE_FLOOR_COUNT / n
     for tau, emp, b in zip(target.grid_s, target.probs, bound.probs):
         if emp <= floor:
             continue
         checked += 1
-        slack = 0.0 if deterministic else 3.0 * math.sqrt(emp * (1.0 - emp) / n)
+        slack = 3.0 * math.sqrt(emp * (1.0 - emp) / n)
         if emp > b + slack:
             points.append(ViolationPoint(float(tau), float(emp), float(b), slack))
     return checked, tuple(points)
 
 
 class TestCheckViolations:
-    @pytest.mark.parametrize("deterministic", [True, False])
-    def test_matches_the_pointwise_check(self, deterministic):
+    def test_matches_the_pointwise_check(self):
         rng = np.random.default_rng(3)
         grid = np.linspace(0.0, 1.0, 400)
         samples = 5000
@@ -572,8 +587,8 @@ class TestCheckViolations:
         bound_probs = np.clip(emp + rng.normal(0.0, 0.01, len(grid)), 0.0, 1.0)
         target = CurveEntry("t", "empirical", "waiting", None, grid, emp, samples=samples)
         bound = CurveEntry("b", "bound", "waiting", None, grid, bound_probs, guaranteed=True)
-        report = _check_violations(bound, target, math.inf if deterministic else None)
-        checked, points = _violations_reference(bound, target, deterministic)
+        report = _check_violations(bound, target)
+        checked, points = _violations_reference(bound, target)
         assert 0 < len(points) < checked < len(grid)
         assert (report.checked_points, report.points) == (checked, points)
 
@@ -584,8 +599,8 @@ class TestCheckViolations:
         bounds, _ = case_bound_entries(config)
         for bound in bounds:
             target = targets[bound.metric, bound.class_id]
-            report = _check_violations(bound, target, None)
-            checked, points = _violations_reference(bound, target, False)
+            report = _check_violations(bound, target)
+            checked, points = _violations_reference(bound, target)
             assert (report.checked_points, report.points) == (checked, points)
 
 

@@ -41,6 +41,9 @@ COMMANDS = (
     # coupling, and periodic classes mixed with Poisson ones
     + [["compare", "--case", k, "--customers", "200000", "--replications", "2000"]
        for k in ("3", "5", "6")]
+    # full-size runs that exit 3: their stdout and summary.json report the
+    # flagged guaranteed points (146 and 650 at 1M customers)
+    + [["compare", "--case", k, "--seed", "2"] for k in ("3", "4")]
     # the grid ends at case 1's or case 2's D/D/1 bound, which the run attains
     # up to rounding
     + [["compare", "--case", "1", "--tau-max", "1.4e-4", "--customers", "20000"]]

@@ -11,10 +11,17 @@ bound. It builds every curve a comparison reports: with
 replications > 1 and some stochastic class, these include the transient
 delay tails of the first class's 1st, 10th and 100th customers.
 
-Its CCDF stage (_empirical_entries) sorts each class's waits once and,
-for a class of constant sizes, counts the delay curve from the same sorted
-waits shifted by the class's one service time; only classes with
-exponential sizes (presets 4 and 6) have their delays scattered and sorted.
+simulate_case draws the run into two class-ordered buffers of times and
+sizes (generate_sequences), cuts each class at the horizon in them
+(_horizon_run) and hands them to the merge, which consumes them. Its CCDF
+stage (_empirical_entries) sorts each class's waits once and, for a class
+of constant sizes, counts the delay curve from the same sorted waits
+shifted by the class's one service time; only classes with exponential
+sizes (presets 4 and 6) have their delays scattered, a chunk at a time from
+RunResult.delay_chunks, and sorted. The D/D/1 check of a periodic case
+reads its delays the same way. Each grid check gives a
+ViolationReport(count, worst): how many checked points exceed the bound,
+and the one that does by the most binomial standard errors.
 write_curves_csv writes the bytes of csv.writer without a per-row writer
 call: each label is quoted once and each distinct grid's taus formatted once.
 
@@ -46,7 +53,9 @@ from .analytic import StabilityReport, step_bound_curve
 from .errors import InvalidInputError, InvalidSpecError
 from .simulator import (
     RunResult,
+    Segment,
     count_above,
+    merge_buffers,
     merge_streams,
     run_fifo,
     transient_delays,
@@ -272,15 +281,16 @@ class ViolationPoint:
 
 @dataclass(frozen=True)
 class ViolationReport:
+    """How many checked grid points exceed a bound, and the worst of them:
+    the largest excess over the bound in binomial standard errors (None when
+    count is 0)."""
+
     bound_label: str
     target_label: str
     guaranteed: bool
     checked_points: int
-    points: tuple[ViolationPoint, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
+    count: int
+    worst: ViolationPoint | None
 
 
 @dataclass(frozen=True)
@@ -378,24 +388,41 @@ def tightness_scenario(
 def simulate_case(config: CaseConfig) -> RunResult:
     """Generate the case's arrivals and run them through the queue until the
     horizon, the last arrival of the class that stops first."""
+    # the buffers pass straight to the merge, which consumes them: no name
+    # here keeps the spent times buffer alive through the FIFO scan
+    return run_fifo(merge_buffers(*_horizon_run(config), config.rates()))
+
+
+def _horizon_run(config: CaseConfig) -> tuple[np.ndarray, np.ndarray, list[Segment]]:
+    """The case's class-ordered buffers of times and sizes, cut at the
+    horizon, and their segments.
+
+    Only the span where every class is still arriving is kept, so the tail
+    of the run is not a partially-loaded system; that span holds a prefix of
+    each class and a prefix of the merged stream, and FIFO is causal, so
+    cutting each class before the merge leaves every wait unchanged. Each
+    class's segment moves down, in the same buffers, over the arrivals cut
+    from the classes before it.
+    """
     counts = proportional_counts(config.specs, config.customers)
-    seqs = generate_sequences(config.specs, counts, config.seed)
-    # keep only the span where every class is still arriving, so the tail of
-    # the run is not a partially-loaded system; that span holds a prefix of
-    # each class and a prefix of the merged stream, and FIFO is causal, so
-    # cutting each class before the merge leaves every wait unchanged
-    horizon = min((seq.times_s[-1] for seq in seqs if len(seq)), default=0.0)
-    for seq in seqs:
+    path = generate_sequences(config.specs, counts, config.seed)
+    horizon = min((seq.times_s[-1] for seq in path if len(seq)), default=0.0)
+    for seq in path:
         # a short run can thin a class to nothing or end before its first
         # arrival; every class of the config must be in the run
         if len(seq) == 0 or seq.times_s[0] > horizon:
             raise InvalidInputError(
                 f"class {seq.class_id} has no arrivals before the horizon: raise customers"
             )
-    seqs = [seq.prefix(int(np.searchsorted(seq.times_s, horizon, "right"))) for seq in seqs]
-    merged = merge_streams(seqs, config.rates())
-    del seqs  # the merged stream holds every arrival now
-    return run_fifo(merged)
+    times, sizes, segments, end = path.times_s, path.sizes_bits, [], 0
+    for cid, start, n in path.segments:
+        count = int(np.searchsorted(times[start : start + n], horizon, "right"))
+        if end != start:
+            times[end : end + count] = times[start : start + count]
+            sizes[end : end + count] = sizes[start : start + count]
+        segments.append((cid, end, count))
+        end += count
+    return times[:end], sizes[:end], segments
 
 
 def _counted_entry(
@@ -461,7 +488,8 @@ def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry
             counts["delay", cid] = count_above(kept, grid), count_above(edge, grid)
     exponential = [c for c in classes if c[0] not in service]
     if exponential:
-        by_class[result.source] = result.delay_s
+        for chunk, delays in result.delay_chunks():
+            by_class[result.source[chunk]] = delays
         for cid, start, n, d, e in exponential:
             kept, edge = _sorted_class(by_class[start : start + n], d, e)
             counts["delay", cid] = count_above(kept, grid), count_above(edge, grid)
@@ -651,18 +679,25 @@ def preset(case_id: int) -> CaseConfig:
 def _check_violations(bound: CurveEntry, target: CurveEntry) -> ViolationReport:
     """The grid points where target's tail is above bound's by more than
     three binomial standard errors, of those where it is above the noise
-    floor NOISE_FLOOR_COUNT / samples."""
+    floor NOISE_FLOOR_COUNT / samples: their count and the worst of them."""
     n_samples = max(1, target.samples)
     emp, b = target.probs, bound.probs
     checked = emp > NOISE_FLOOR_COUNT / n_samples
-    slack = 3.0 * np.sqrt(emp * (1.0 - emp) / n_samples)
-    over = np.flatnonzero(checked & (emp > b + slack))
-    points = tuple(
-        ViolationPoint(float(target.grid_s[i]), float(emp[i]), float(b[i]), float(slack[i]))
-        for i in over
-    )
+    se = np.sqrt(emp * (1.0 - emp) / n_samples)
+    over = np.flatnonzero(checked & (emp > b + 3.0 * se))
+    worst = None
+    if over.size:
+        # excess over the bound in standard errors; at a tail of 1 the
+        # standard error is 0, so any excess there counts as infinite
+        excess, err = emp[over] - b[over], se[over]
+        z = np.divide(excess, err, out=np.full(over.size, np.inf), where=err > 0)
+        i = over[np.argmax(z)]
+        worst = ViolationPoint(
+            float(target.grid_s[i]), float(emp[i]), float(b[i]), float(3.0 * se[i])
+        )
     return ViolationReport(
-        bound.label, target.label, bound.guaranteed, int(np.count_nonzero(checked)), points
+        bound.label, target.label, bound.guaranteed, int(np.count_nonzero(checked)),
+        int(over.size), worst,
     )
 
 
@@ -688,10 +723,13 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
 
     violations = []
     if "dd1_bound_s" in values:  # the deterministic bound, a periodic case's only one
-        delays = result.delay_s
-        over = delays > values["dd1_bound_s"] + FLOAT_SLACK_S
-        values["max_delay_s"] = float(delays.max())
-        values["delays_above_dd1"] = int(np.count_nonzero(over))
+        limit = values["dd1_bound_s"] + FLOAT_SLACK_S
+        largest, over = -np.inf, 0
+        for _, delays in result.delay_chunks():
+            largest = max(largest, float(delays.max()))
+            over += int(np.count_nonzero(delays > limit))
+        values["max_delay_s"] = largest
+        values["delays_above_dd1"] = over
     else:
         # simulate_case ran every class of the config, so every bound has its curve
         targets = {(e.metric, e.class_id): e for e in empirical}

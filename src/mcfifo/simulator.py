@@ -24,32 +24,40 @@ every block's relative times, prefix sums and running max of rel - prefix
 without the carried start; a short loop then carries the backlog from block
 to block in the operations of one block per call, and the group's waits take
 the max with each block's start in one call more. max is exact, so the waits
-are bit for bit those of one block per call. Groups stay small: each of a
-group's temporaries is 256 KB and stays in a core's cache, where one stack
-of every block of a 1M-customer run made 8 MB temporaries and, in place,
-ran no faster than one block per call.
+are bit for bit those of one block per call. Groups stay small: the relative
+times sit in the group's slice of the waits, and the two other temporaries,
+256 KB each, are allocated once per call and stay in a core's cache, where
+one stack of every block of a 1M-customer run made 8 MB temporaries and, in
+place, ran no faster than one block per call.
 
-merge_streams sorts the class-ordered concatenation of the streams once,
-and keeps that sort order as the one per-customer fact besides times and
-service: source, each customer's position in the concatenation. Next to it
-sit the segments, one (class_id, start, count) per class in id order, so a
+merge_buffers sorts class-ordered buffers of times and sizes once, and
+keeps that sort order as the one per-customer fact besides times and
+service: source, each customer's position in the buffers. Next to it sit
+the segments, one (class_id, start, count) per class in id order, so a
 class's customers are the sources in [start, start + count) and the j-th of
-them is source start + j - 1. The class-id and j columns (class_ids,
-class_index) are derived from the two on demand, for records.csv and tests;
-the long run and the replications never build them. A run's record is one
-type: RunResult is the MergedArrivals it ran, the same arrays, plus its
-waits, so every per-customer column is defined once. RunResult.write_csv
-derives them, with the delay and departure columns, from one chunk of
-CSV_CHUNK customers at a time and formats each row with one str.format, so
-writing records.csv takes memory bounded by the chunk. Service times are made
-in the merge too, while each class is still one segment: its sizes are
-divided by its own rate before the gather, so run_fifo never looks a
-customer's class up. Tail fractions count the values above each tau by
-count_above, one searchsorted on sorted values; empirical_ccdf uses it, and
-so does the comparison's CCDF stage (experiments._empirical_entries), which
-scatters each metric back into class order by source, sorts each class's
-segment once and counts the aggregate curve from the class counts; a class
-of constant sizes gets its sorted delays by shifting its sorted waits.
+them is source start + j - 1. It consumes the buffers: each class's sizes
+are divided in place by its own rate, so run_fifo never looks a customer's
+class up, and once gathered the sizes buffer takes the ordered times. A long
+run hands it the buffers its draw wrote (experiments.simulate_case), so it
+copies no whole-run array; merge_streams first concatenates caller-owned
+sequences into fresh buffers and leaves the sequences as they were. The
+class-id and j columns (class_ids, class_index) are derived from source and
+segments on demand, for records.csv and tests; the long run and the
+replications never build them. A run's record is one type: RunResult is
+the MergedArrivals it ran, the same arrays, plus its waits, so every
+per-customer column is defined once. run_fifo rejects arrival times that
+are not finite or not time-ordered and service times that are not finite
+and >= 0. RunResult.delay_chunks yields the delays CHUNK customers at a
+time: write_csv derives each chunk's columns from them and formats each row
+with one str.format, so writing records.csv takes memory bounded by the
+chunk, and the comparison's D/D/1 check and CCDF stage read delays the same
+way, so a whole-run delay array is never built there. Tail fractions count
+the values above each tau by count_above, one searchsorted on sorted values;
+empirical_ccdf uses it, and so does the comparison's CCDF stage
+(experiments._empirical_entries), which scatters each metric back into
+class order by source, sorts each class's segment once and counts the
+aggregate curve from the class counts; a class of constant sizes gets its
+sorted delays by shifting its sorted waits.
 
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
@@ -59,13 +67,16 @@ replication_seed(case seed, c) and always draws all its rows, so replication
 r is row r % rows of chunk r // rows, and results are a prefix-stable
 function of (case, js, class id) whatever the number of replications.
 Because FIFO is causal, a run is cut before the merge, never after it: the
-long run trims each class at the horizon (experiments.simulate_case), and a
-chunk trims each class at its rows' cut, the target's last requested
-arrival, so a class's segment holds exactly its customers in the run.
+long run cuts each class's segment of its draw buffers at the horizon and
+moves the later segments down over the cut arrivals
+(experiments._horizon_run), and a chunk trims each class at its rows' cut,
+the target's last requested arrival, so a class's segment holds exactly its
+customers in the run.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from itertools import starmap
@@ -93,9 +104,10 @@ FIFO_GROUP = 16
 #: per-call overhead, few enough that a chunk's arrays stay near 1 MB each.
 TRANSIENT_CHUNK = 2**17
 
-#: Rows of records.csv formatted at a time: a chunk's six columns as Python
-#: objects take a few MB, where a whole run's would grow with its length.
-CSV_CHUNK = 2**16
+#: Customers per chunk of RunResult.delay_chunks, and so rows of records.csv
+#: formatted at a time: a chunk's six columns as Python objects take a few
+#: MB, where a whole run's would grow with its length.
+CHUNK = 2**16
 
 
 #: One class's place in the class-ordered concatenation of the streams:
@@ -161,29 +173,35 @@ class RunResult(MergedArrivals):
     def departure_s(self) -> np.ndarray:
         return self.arrival_s + self.delay_s
 
+    def delay_chunks(self):
+        """Yield (chunk, delays) for consecutive slices of CHUNK customers of
+        one run, delays being the chunk's waiting + service, so no
+        whole-run delay array is built."""
+        for lo in range(0, len(self), CHUNK):
+            chunk = slice(lo, lo + CHUNK)
+            yield chunk, self.waiting_s[chunk] + self.service_s[chunk]
+
     def write_csv(self, path) -> None:
         """records.csv: one row per customer, in arrival order.
 
-        Rows are formatted CSV_CHUNK at a time from that chunk's slices, so
-        memory stays bounded whatever the run's length. The bytes are those
-        of csv.writer on repr of each float: no field needs quoting.
+        Rows are formatted a chunk of delay_chunks at a time from that
+        chunk's slices, so memory stays bounded whatever the run's length.
+        The bytes are those of csv.writer on repr of each float: no field
+        needs quoting.
         """
         if self.arrival_s.ndim != 1:
             raise InvalidInputError("records.csv holds one run: this result is a batch")
         row = "{},{},{!r},{!r},{!r},{!r}\r\n".format
         with open(path, "w", newline="") as fh:
             fh.write("class_id,j,arrival_s,departure_s,delay_s,waiting_s\r\n")
-            for lo in range(0, len(self), CSV_CHUNK):
-                chunk = slice(lo, lo + CSV_CHUNK)
-                arrival, waiting = self.arrival_s[chunk], self.waiting_s[chunk]
-                delay = waiting + self.service_s[chunk]
-                departure = arrival + delay
+            for chunk, delay in self.delay_chunks():
+                arrival = self.arrival_s[chunk]
                 columns = (
                     *_class_columns(self.source[chunk], self.segments),
                     arrival,
-                    departure,
+                    arrival + delay,
                     delay,
-                    waiting,
+                    self.waiting_s[chunk],
                 )
                 fh.write("".join(starmap(row, zip(*(c.tolist() for c in columns)))))
 
@@ -201,12 +219,9 @@ def merge_streams(
 ) -> MergedArrivals:
     """Stable time-ordered merge; ties go to the lower class id, then lower j.
 
-    Streams are concatenated in class-id order, each already time-ordered, so
-    one stable sort along the last axis breaks ties as stated. Each class's
-    segment of the concatenated sizes is divided in place by its service
-    rate, so the gathered column holds service times. The sort order is kept
-    as each customer's source, and the class layout as segments. Batches of
-    shape (rows, n) merge row by row.
+    Streams are copied into class-ordered buffers, one concatenation each of
+    times and sizes, which merge_buffers consumes; the sequences are left as
+    they are. Batches of shape (rows, n) merge row by row.
     """
     if not sequences:
         raise InvalidInputError("need at least one arrival sequence")
@@ -214,28 +229,47 @@ def merge_streams(
     segments = []
     start = 0
     for seq in sequences:
-        if seq.class_id not in rates_bps:
-            raise InvalidInputError(f"no service rate for class {seq.class_id}")
-        rate = rates_bps[seq.class_id]
-        if not 0 < rate < np.inf:  # NaN fails too
-            raise InvalidInputError(
-                f"class {seq.class_id}: service rate must be finite and > 0, got {rate}"
-            )
         segments.append((seq.class_id, start, len(seq)))
         start += len(seq)
     times = np.concatenate([s.times_s for s in sequences], axis=-1)
-    service = np.concatenate([s.sizes_bits for s in sequences], axis=-1)
+    sizes = np.concatenate([s.sizes_bits for s in sequences], axis=-1)
+    return merge_buffers(times, sizes, segments, rates_bps)
+
+
+def merge_buffers(
+    times: np.ndarray,
+    sizes: np.ndarray,
+    segments: Sequence[Segment],
+    rates_bps: Mapping[int, float],
+) -> MergedArrivals:
+    """The merge of class-ordered buffers of times and sizes, which it consumes.
+
+    Class c's arrivals are [start, start + count) of the buffers along the
+    last axis, for its segment (c, start, count), segments being in class-id
+    order; each class is time-ordered. One stable sort then breaks ties as
+    merge_streams states. Each class's segment of sizes is divided in place
+    by its service rate, so the gathered column holds service times; after
+    that gather the sizes buffer takes the ordered times. The sort order is
+    kept as each customer's source.
+    """
     for cid, start, count in segments:
-        service[..., start : start + count] /= rates_bps[cid]
+        if cid not in rates_bps:
+            raise InvalidInputError(f"no service rate for class {cid}")
+        rate = rates_bps[cid]
+        if not 0 < rate < np.inf:  # NaN fails too
+            raise InvalidInputError(
+                f"class {cid}: service rate must be finite and > 0, got {rate}"
+            )
+        sizes[..., start : start + count] /= rate
     source = np.argsort(times, axis=-1, kind="stable")
     # a batch row's sources count from that row's start in the flat arrays
     n = times.shape[-1]
     flat = source if source.ndim == 1 else source + n * np.arange(len(source))[:, None]
-    service_s = service.take(flat)
-    # the concatenated sizes are spent: their buffer takes the ordered times,
-    # which saves the fresh pages of one more array (indices are in range,
-    # so clip mode changes nothing but skips the buffered bounds check)
-    arrival_s = times.take(flat, out=service, mode="clip")
+    service_s = sizes.take(flat)
+    # the sizes are spent: their buffer takes the ordered times, which saves
+    # the fresh pages of one more array (indices are in range, so clip mode
+    # changes nothing but skips the buffered bounds check)
+    arrival_s = times.take(flat, out=sizes, mode="clip")
     return MergedArrivals(arrival_s, service_s, source, tuple(segments))
 
 
@@ -261,15 +295,21 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
               for lo in range(0, full, FIFO_GROUP * FIFO_BLOCK)]
     if full < n:  # the ragged last block is a group of one shorter block
         groups.append((full, n, n - full))
+    # two temporaries of the largest group, which every group reuses; the
+    # relative times are kept in the group's slice of the waits
+    lead = arrival_s.shape[:-1]
+    size = math.prod(lead) * max((hi - lo for lo, hi, _ in groups), default=0)
+    prefixes, starts = np.empty(size), np.empty(size)
     for lo, hi, width in groups:
-        shape = (*arrival_s.shape[:-1], (hi - lo) // width, width)  # (..., blocks, width)
+        shape = (*lead, (hi - lo) // width, width)  # (..., blocks, width)
         a = arrival_s[..., lo:hi].reshape(shape)
         s = service_s[..., lo:hi].reshape(shape)
-        rel = a - a[..., :1]
-        prefix = np.empty(shape)  # service of the block's customers before i
+        rel = waits[..., lo:hi].reshape(shape)
+        np.subtract(a, a[..., :1], out=rel)
+        prefix = prefixes[: math.prod(shape)].reshape(shape)  # service before i in its block
         prefix[..., 0] = 0.0
         np.cumsum(s[..., :-1], axis=-1, out=prefix[..., 1:])
-        start = np.empty(shape)  # departure before i, minus prefix[i], once carried
+        start = starts[: prefix.size].reshape(shape)  # departure before i, minus prefix[i]
         start[..., 0] = -np.inf
         np.subtract(rel[..., :-1], prefix[..., :-1], out=start[..., 1:])
         np.maximum.accumulate(start, axis=-1, out=start)
@@ -285,10 +325,9 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
             last_arrival = a_last
         carried = np.moveaxis(np.array(carried), 0, -1)  # (..., blocks)
         np.maximum(carried[..., None], start, out=start)
-        w = waits[..., lo:hi].reshape(shape)
-        np.add(prefix, start, out=w)
-        np.subtract(w, rel, out=w)
-        np.maximum(w, 0.0, out=w)
+        np.add(prefix, start, out=start)
+        np.subtract(start, rel, out=rel)  # the waits, in rel's own slice
+        np.maximum(rel, 0.0, out=rel)
     return waits
 
 
@@ -300,12 +339,20 @@ def _maximum(x: float, y: float) -> float:
 def run_fifo(merged: MergedArrivals) -> RunResult:
     """Apply the FIFO departure recursion to a merged arrival stream.
 
-    The server is empty before the first arrival.
+    The server is empty before the first arrival. Arrival times must be
+    finite and time-ordered, service times finite and >= 0.
     """
-    times = merged.arrival_s
-    if np.any(times[..., 1:] < times[..., :-1]):
+    times, service = merged.arrival_s, merged.service_s
+    # NaN fails every comparison, so a nondecreasing row whose ends are
+    # finite holds only finite times: one ordering pass and two ends
+    ends = times[..., [0, -1]] if times.shape[-1] else times
+    if not (np.all(times[..., 1:] >= times[..., :-1]) and np.all(np.isfinite(ends))):
+        if not np.all(np.isfinite(times)):
+            raise InvalidInputError("arrival times must be finite")
         raise InvalidInputError("aggregate arrivals must be time-ordered")
-    return RunResult(**vars(merged) | {"waiting_s": fifo_waits(times, merged.service_s)})
+    if service.size and not (service.min() >= 0 and service.max() < np.inf):  # NaN propagates
+        raise InvalidInputError("service times must be finite and >= 0")
+    return RunResult(**vars(merged) | {"waiting_s": fifo_waits(times, service)})
 
 
 def empirical_ccdf(
@@ -325,6 +372,8 @@ def empirical_ccdf(
     kept = np.sort(values[discard:])
     if len(kept) == 0:
         raise InvalidInputError("no values left after warmup discard")
+    if np.isnan(kept[-1]):  # NaN sorts last
+        raise InvalidInputError("values must not be NaN")
     above = count_above(kept, np.asarray(grid_s, dtype=float))
     return EmpiricalCCDF(above / len(kept), len(kept))
 

@@ -8,11 +8,16 @@ reproduces the same sequence, and every class draws from its own substream
 of a single 64-bit seed, so adding or reordering classes does not perturb
 the others. ArrivalStreams draws those streams for a batch of independent
 paths, one per row, and can lengthen the paths after they are drawn; a
-single sequence is its one-row case. Draws are transformed in the buffer
-they were drawn into: uniforms become exponential gaps or sizes in place,
-and gaps become arrival times by a cumulative sum into the same buffer.
-Every member of a scaled coupling group reads the group's shared uniforms,
-so each member transforms a copy of its slice.
+single sequence is its one-row case. A draw first fixes how many arrivals
+each class gets (a thinned class's count comes from its mask), then has
+somewhere to draw them: fresh arrays per class for a batch, and for the
+one-row draw of a long run (draw_run, behind generate_sequences) one run
+buffer of times and one of sizes, the classes in id order, which the merge
+then consumes. Draws are transformed in the buffer they were drawn into:
+uniforms become exponential gaps or sizes in place, and gaps become arrival
+times by a cumulative sum into the same buffer. Every member of a scaled
+coupling group reads the group's shared uniforms, so each member copies its
+slice into its own buffer and transforms it there.
 
 A periodic class has one envelope type, DeterministicEnvelope: its rate/burst
 constraint, and at a reference rate its burst tail. A Poisson class's burst
@@ -264,10 +269,15 @@ def _exponential_from_uniforms(u: np.ndarray, rate_hz: float) -> np.ndarray:
     return u
 
 
-def _pack(kept: np.ndarray, values: np.ndarray, fill: float) -> np.ndarray:
-    """Each row's kept values moved to its start, in order; the rest is fill."""
+def _pack(kept: np.ndarray, values: np.ndarray, fill: float, out=None) -> np.ndarray:
+    """Each row's kept values moved to its start, in order; the rest is fill.
+
+    The result is out when given, of as many columns as the fullest row.
+    """
     counts = kept.sum(-1)
-    out = np.full((len(kept), counts.max()), fill)
+    if out is None:
+        out = np.empty((len(kept), counts.max()))
+    out.fill(fill)
     out[np.arange(out.shape[-1]) < counts[:, None]] = values[kept]
     return out
 
@@ -302,27 +312,79 @@ class ArrivalStreams:
 
     def draw(self, class_ids: Iterable[int]) -> None:
         """Append one step of arrivals to each named class (and its group)."""
+        widths, kept = self._plan(class_ids)
+        self._fill(kept, {
+            cid: (np.empty((self.rows, width)), np.empty((self.rows, width)))
+            for cid, width in widths.items()
+        })
+
+    def draw_run(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+        """The first step of every class of a one-row stream, drawn into two
+        class-ordered buffers of times and sizes.
+
+        Returns the buffers and the segments, one (class_id, start, count)
+        per class in id order, class c's arrivals being the buffers'
+        [start, start + count). The classes' arrays are views into them.
+        """
+        widths, kept = self._plan(s.class_id for s in self.specs)
+        segments, start = [], 0
+        for cid in sorted(widths):
+            segments.append((cid, start, widths[cid]))
+            start += widths[cid]
+        times, sizes = np.empty((1, start)), np.empty((1, start))
+        self._fill(kept, {
+            cid: (times[:, lo : lo + n], sizes[:, lo : lo + n]) for cid, lo, n in segments
+        })
+        return times[0], sizes[0], segments
+
+    def _plan(self, class_ids: Iterable[int]) -> tuple[dict[int, int], dict[int, np.ndarray]]:
+        """Arrivals per row that one step appends to each class it draws, and
+        the thinning masks of the synchronized groups among them.
+
+        The named classes are drawn with their whole coupling groups. A
+        thinned class keeps a random subset of its master's instants, so its
+        width is known only from its mask: the masks are drawn here, before
+        any buffer exists (see _thinning).
+        """
         ids = set(class_ids)
-        for spec in self.specs:
-            n = self.step[spec.class_id]
-            if spec.class_id not in ids or isinstance(spec.arrival, CoupledPoisson):
-                continue
-            if isinstance(spec.arrival, Periodic):
-                k = self.times[spec.class_id].shape[-1]
-                period = np.full((self.rows, 1), spec.arrival.period_s)
-                times = np.arange(k + 1, k + n + 1, dtype=float) * period
-                self._append(spec, times, self._sizes(spec, n))
-                self.horizon[spec.class_id] = times[:, -1]
-            else:
-                u = self._rng(_ROLE_ARRIVALS, spec.class_id).random((self.rows, n))
-                self._append_gaps(spec, _exponential_from_uniforms(u, spec.arrival.rate_hz))
+        for members in self._groups.values():
+            if not ids.isdisjoint(m.class_id for m in members):
+                ids.update(m.class_id for m in members)
+        widths = {s.class_id: self.step[s.class_id] for s in self.specs if s.class_id in ids}
+        kept = {}
         for group, members in self._groups.items():
-            if ids.isdisjoint(m.class_id for m in members):
+            if members[0].class_id in ids and members[0].arrival.mechanism == "synchronized":
+                kept.update(self._thinning(group, members))
+        for cid, mask in kept.items():
+            widths[cid] = int(mask.sum(-1).max())
+        return widths, kept
+
+    def _fill(self, kept: dict[int, np.ndarray], out: dict[int, tuple]) -> None:
+        """Draw the step that _plan laid out into out's (times, sizes) arrays
+        of each class, and append them."""
+        for spec in self.specs:
+            cid = spec.class_id
+            if cid not in out or isinstance(spec.arrival, CoupledPoisson):
+                continue
+            times, sizes = out[cid]
+            if isinstance(spec.arrival, Periodic):
+                k = self.times[cid].shape[-1]
+                period = np.full((self.rows, 1), spec.arrival.period_s)
+                np.multiply(np.arange(k + 1, k + times.shape[-1] + 1, dtype=float), period,
+                            out=times)
+                self._append(spec, times, self._sizes(spec, sizes))
+                self.horizon[cid] = times[:, -1]
+            else:
+                self._rng(_ROLE_ARRIVALS, cid).random(out=times)
+                self._append_gaps(spec, _exponential_from_uniforms(times, spec.arrival.rate_hz),
+                                  sizes)
+        for group, members in self._groups.items():
+            if members[0].class_id not in out:
                 continue
             if members[0].arrival.mechanism == "scaled":
-                self._draw_scaled(group, members)
+                self._draw_scaled(group, members, out)
             else:
-                self._draw_synchronized(group, members)
+                self._draw_synchronized(group, members, kept, out)
 
     def draw_through(self, class_id: int, j: int) -> None:
         """Draw until every row holds all arrivals up to class_id's j-th one."""
@@ -349,19 +411,21 @@ class ArrivalStreams:
             self._rngs[role, key] = _substream(self._seed, role, key)
         return self._rngs[role, key]
 
-    def _sizes(self, spec: ClassSpec, count: int) -> np.ndarray:
+    def _sizes(self, spec: ClassSpec, out: np.ndarray) -> np.ndarray:
+        """Sizes drawn into out, which is returned."""
         if isinstance(spec.size, Constant):
-            return np.full((self.rows, count), spec.size.bits, dtype=float)
-        u = _log_of_uniforms(self._rng(_ROLE_SIZES, spec.class_id).random((self.rows, count)))
+            out.fill(spec.size.bits)
+            return out
+        u = _log_of_uniforms(self._rng(_ROLE_SIZES, spec.class_id).random(out=out))
         u *= -spec.size.mean_bits
         return u
 
-    def _append_gaps(self, spec: ClassSpec, gaps: np.ndarray) -> None:
+    def _append_gaps(self, spec: ClassSpec, gaps: np.ndarray, sizes: np.ndarray) -> None:
         """Continue each row's arrival times by cumulative interarrival gaps,
-        summed in the gaps' own buffer."""
+        summed in the gaps' own buffer, and draw their sizes into sizes."""
         gaps[:, 0] += self.horizon[spec.class_id]  # the same sums as one longer path
         times = np.cumsum(gaps, axis=-1, out=gaps)
-        self._append(spec, times, self._sizes(spec, times.shape[-1]))
+        self._append(spec, times, self._sizes(spec, sizes))
         self.horizon[spec.class_id] = times[:, -1]
 
     def _append(self, spec: ClassSpec, times: np.ndarray, sizes: np.ndarray) -> None:
@@ -376,7 +440,7 @@ class ArrivalStreams:
         self.times[spec.class_id] = times
         self.sizes[spec.class_id] = sizes
 
-    def _draw_scaled(self, group: int, members: list[ClassSpec]) -> None:
+    def _draw_scaled(self, group: int, members: list[ClassSpec], out: dict) -> None:
         # class n's j-th gap is -ln(u_j)/rate_n for every class: the members
         # consume one shared row of uniforms, each at its own step
         u = self._shared.get(group, np.empty((self.rows, 0)))
@@ -386,45 +450,82 @@ class ArrivalStreams:
             u = self._shared[group] = np.concatenate([u, more], axis=-1)
         for m in members:
             k = self.times[m.class_id].shape[-1]
-            # a copy: the other members read the same uniforms again
-            gaps = _exponential_from_uniforms(
-                u[:, k : k + self.step[m.class_id]].copy(), m.arrival.rate_hz
-            )
-            self._append_gaps(m, gaps)
+            times, sizes = out[m.class_id]
+            # copied out: the other members read the same uniforms again
+            np.copyto(times, u[:, k : k + times.shape[-1]])
+            self._append_gaps(m, _exponential_from_uniforms(times, m.arrival.rate_hz), sizes)
 
-    def _draw_synchronized(self, group: int, members: list[ClassSpec]) -> None:
+    def _thinning(self, group: int, members: list[ClassSpec]) -> dict[int, np.ndarray]:
+        """Each slower member's mask of the master instants it keeps.
+
+        In the group's stream the masks follow the master's uniforms, which
+        _draw_synchronized draws later: the stream is advanced past them
+        (a float64 uniform is one 64-bit step), the masks are drawn, and the
+        stream is set back to draw the uniforms.
+        """
         rng = self._rng(_ROLE_GROUP, group)
         master = max(members, key=lambda m: m.arrival.rate_hz)
-        rate_max = master.arrival.rate_hz
-        u = rng.random((self.rows, self.step[master.class_id]))
-        self._append_gaps(master, _exponential_from_uniforms(u, rate_max))
-        instants = self.times[master.class_id][:, -u.shape[-1] :]
+        shape = (self.rows, self.step[master.class_id])
+        before = rng.bit_generator.state
+        rng.bit_generator.advance(shape[0] * shape[1])
+        # thinning keeps the Poisson marginal at the class rate
+        kept = {
+            m.class_id: rng.random(shape) < m.arrival.rate_hz / master.arrival.rate_hz
+            for m in members
+            if m is not master
+        }
+        rng.bit_generator.state = before
+        return kept
+
+    def _draw_synchronized(
+        self, group: int, members: list[ClassSpec], kept: dict[int, np.ndarray], out: dict
+    ) -> None:
+        rng = self._rng(_ROLE_GROUP, group)
+        master = max(members, key=lambda m: m.arrival.rate_hz)
+        times, sizes = out[master.class_id]
+        rng.random(out=times)
+        rng.bit_generator.advance((len(members) - 1) * times.size)  # past _thinning's masks
+        self._append_gaps(master, _exponential_from_uniforms(times, master.arrival.rate_hz),
+                          sizes)
+        instants = self.times[master.class_id][:, -times.shape[-1] :]
         for m in members:
-            if m is master:
-                continue
-            # thinning keeps the Poisson marginal at the class rate
-            kept = rng.random(u.shape) < m.arrival.rate_hz / rate_max
-            times = _pack(kept, instants, np.inf)
-            self._append(m, times, self._sizes(m, times.shape[-1]))
-            self.horizon[m.class_id] = self.horizon[master.class_id]
+            if m is not master:
+                times, sizes = out[m.class_id]
+                self._append(m, _pack(kept[m.class_id], instants, np.inf, times),
+                             self._sizes(m, sizes))
+                self.horizon[m.class_id] = self.horizon[master.class_id]
+
+
+class SamplePath(list):
+    """One sample path of every class: a list of ArrivalSequence, one per
+    class in spec order, whose arrays are views into two class-ordered
+    buffers, times_s and sizes_bits, laid out by segments, one
+    (class_id, start, count) per class in id order."""
+
+    def __init__(self, sequences, times_s: np.ndarray, sizes_bits: np.ndarray, segments):
+        super().__init__(sequences)
+        self.times_s, self.sizes_bits, self.segments = times_s, sizes_bits, segments
 
 
 def generate_sequences(
     specs: Sequence[ClassSpec],
     counts: dict[int, int],
     seed: int,
-) -> list[ArrivalSequence]:
+) -> SamplePath:
     """Generate one sample path of every class, ordered like `specs`.
 
-    This is row 0 of a one-row ArrivalStreams draw, so a long run and a batch
-    of replications come from the same generator.
+    This is the one-row ArrivalStreams draw (draw_run), so a long run and a
+    batch of replications come from the same generator.
     """
     streams = ArrivalStreams(specs, counts, seed, rows=1)
-    streams.draw(counts)
-    return [
-        ArrivalSequence(s.class_id, streams.times[s.class_id][0], streams.sizes[s.class_id][0])
-        for s in specs
-    ]
+    buffers = streams.draw_run()
+    return SamplePath(
+        [
+            ArrivalSequence(s.class_id, streams.times[s.class_id][0], streams.sizes[s.class_id][0])
+            for s in specs
+        ],
+        *buffers,
+    )
 
 
 def proportional_counts(specs: Sequence[ClassSpec], total: int) -> dict[int, int]:

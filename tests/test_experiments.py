@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -532,13 +533,21 @@ class TestEmpiricalEntries:
         def refuse(self):
             raise AssertionError("delay_s was built")
 
-        results = {k: simulate_case(replace(preset(k), customers=20_000)) for k in (1, 2, 3, 5, 6)}
+        results = {k: simulate_case(replace(preset(k), customers=20_000)) for k in range(1, 7)}
+        chunked = []
+        delay_chunks = RunResult.delay_chunks
         monkeypatch.setattr(RunResult, "delay_s", property(refuse))
-        for case_id in (1, 2, 3, 5):
+        monkeypatch.setattr(
+            RunResult, "delay_chunks", lambda self: chunked.append(self) or delay_chunks(self)
+        )
+        for case_id in range(1, 7):
             _empirical_entries(preset(case_id), results[case_id])
-        # preset 6 has an exponential class, whose delays must be sorted
-        with pytest.raises(AssertionError, match="delay_s was built"):
-            _empirical_entries(preset(6), results[6])
+        # only the exponential classes of presets 4 and 6 take their delays,
+        # a chunk at a time
+        assert [id(r) for r in chunked] == [id(results[4]), id(results[6])]
+        # nor does a comparison build them, the D/D/1 check of presets 1 and 2 included
+        for case_id in (1, 2, 4):
+            run_comparison(replace(preset(case_id), customers=20_000))
 
 
 def _uneven_configs() -> list[CaseConfig]:
@@ -563,18 +572,32 @@ def _uneven_configs() -> list[CaseConfig]:
 
 
 def _violations_reference(bound, target):
-    """The point-by-point check: floor, binomial 3-SE slack, exceedance."""
-    points, checked = [], 0
+    """The point-by-point check: floor, binomial 3-SE slack, exceedance;
+    the checked count, the flagged points and the largest-z one of them
+    (the first, at a tie)."""
+    points, checked, worst, z_max = [], 0, None, -math.inf
     n = max(1, target.samples)
     floor = NOISE_FLOOR_COUNT / n
     for tau, emp, b in zip(target.grid_s, target.probs, bound.probs):
         if emp <= floor:
             continue
         checked += 1
-        slack = 3.0 * math.sqrt(emp * (1.0 - emp) / n)
+        se = math.sqrt(emp * (1.0 - emp) / n)
+        slack = 3.0 * se
         if emp > b + slack:
             points.append(ViolationPoint(float(tau), float(emp), float(b), slack))
-    return checked, tuple(points)
+            z = (emp - b) / se if se > 0 else math.inf
+            if z > z_max:
+                worst, z_max = points[-1], z
+    return checked, points, worst
+
+
+def _assert_report_matches(report, bound, target):
+    checked, points, worst = _violations_reference(bound, target)
+    assert report.checked_points == checked
+    assert report.count == len(points)
+    assert report.worst == worst
+    return checked, points
 
 
 class TestCheckViolations:
@@ -587,10 +610,28 @@ class TestCheckViolations:
         bound_probs = np.clip(emp + rng.normal(0.0, 0.01, len(grid)), 0.0, 1.0)
         target = CurveEntry("t", "empirical", "waiting", None, grid, emp, samples=samples)
         bound = CurveEntry("b", "bound", "waiting", None, grid, bound_probs, guaranteed=True)
-        report = _check_violations(bound, target)
-        checked, points = _violations_reference(bound, target)
+        checked, points = _assert_report_matches(_check_violations(bound, target), bound, target)
         assert 0 < len(points) < checked < len(grid)
-        assert (report.checked_points, report.points) == (checked, points)
+
+    def test_a_tail_of_one_is_the_worst_point(self):
+        # at a tail of 1 the standard error is 0, so any excess is infinitely
+        # many of them, however small next to another point's
+        grid = np.array([0.0, 1.0, 2.0])
+        target = CurveEntry("t", "empirical", "waiting", None, grid,
+                            np.array([0.5, 1.0, 0.5]), samples=10_000)
+        bound = CurveEntry("b", "bound", "waiting", None, grid, np.array([0.1, 0.99, 0.2]))
+        report = _check_violations(bound, target)
+        assert (report.checked_points, report.count) == (3, 3)
+        assert report.worst == ViolationPoint(1.0, 1.0, 0.99, 0.0)
+        _assert_report_matches(report, bound, target)
+
+    def test_no_violation_has_no_worst_point(self):
+        grid = np.array([0.0, 1.0])
+        target = CurveEntry("t", "empirical", "waiting", None, grid,
+                            np.array([0.5, 0.2]), samples=10_000)
+        bound = CurveEntry("b", "bound", "waiting", None, grid, np.array([0.6, 0.3]))
+        report = _check_violations(bound, target)
+        assert (report.checked_points, report.count, report.worst) == (2, 0, None)
 
     def test_matches_the_pointwise_check_on_case5(self):
         config = replace(preset(5), customers=50_000)
@@ -599,9 +640,70 @@ class TestCheckViolations:
         bounds, _ = case_bound_entries(config)
         for bound in bounds:
             target = targets[bound.metric, bound.class_id]
-            report = _check_violations(bound, target)
-            checked, points = _violations_reference(bound, target)
-            assert (report.checked_points, report.points) == (checked, points)
+            _assert_report_matches(_check_violations(bound, target), bound, target)
+
+
+def _trimmed_merge(config: CaseConfig) -> tuple[RunResult, list[int]]:
+    """run_fifo of merge_streams over the case's sequences cut at the
+    horizon, and the arrivals cut from each class, in class-id order."""
+    counts = proportional_counts(config.specs, config.customers)
+    seqs = sorted(generate_sequences(config.specs, counts, config.seed), key=lambda q: q.class_id)
+    horizon = min(q.times_s[-1] for q in seqs)
+    kept = [int(np.searchsorted(q.times_s, horizon, "right")) for q in seqs]
+    cut = [len(q) - k for q, k in zip(seqs, kept)]
+    result = run_fifo(merge_streams([q.prefix(k) for q, k in zip(seqs, kept)], config.rates()))
+    return result, cut
+
+
+#: A synchronized group whose master (the faster class) has the higher id,
+#: and a scaled group beside an independent class.
+_COUPLED_CONFIGS = [
+    CaseConfig("master-high", (
+        ClassSpec(1, CoupledPoisson(1e3, 4, "synchronized"), Constant(800.0), 1e7),
+        ClassSpec(2, CoupledPoisson(1e4, 4, "synchronized"), ExponentialMean(800.0), 1e7),
+    ), customers=20_000),
+    CaseConfig("scaled", (
+        ClassSpec(1, CoupledPoisson(1e4, 9, "scaled"), Constant(800.0), 1e7),
+        ClassSpec(2, CoupledPoisson(1e3, 9, "scaled"), ExponentialMean(800.0), 1e7),
+        ClassSpec(3, Poisson(2e3), Constant(100.0), 1e7),
+    ), customers=20_000),
+]
+
+
+class TestRunBuffers:
+    def test_simulate_case_equals_the_merge_of_the_trimmed_sequences(self):
+        # the run draws into class-ordered buffers and cuts them at the
+        # horizon in place: bit for bit the merge of the cut sequences
+        cut_classes = set()
+        configs = [replace(preset(k), customers=20_000) for k in range(1, 7)]
+        for config in configs + _COUPLED_CONFIGS:
+            got = simulate_case(config)
+            want, cut = _trimmed_merge(config)
+            for name in ("arrival_s", "service_s", "source", "waiting_s"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (config.case_id, name)
+            assert got.segments == want.segments
+            cut_classes |= {"last" if i == len(cut) - 1 else "earlier"
+                            for i, c in enumerate(cut) if c}
+        # both an earlier class (whose later segments move down) and the last one
+        assert cut_classes == {"earlier", "last"}
+
+    @pytest.mark.parametrize("case_id", [3, 5])
+    def test_simulate_case_peak_memory(self, case_id):
+        # whole-run arrays of 8n bytes: the two draw buffers, the sort order
+        # and the gathered service times, then the waits in place of the spent
+        # times buffer; the FIFO scan's fixed temporaries add about 0.45 at
+        # this n. A concatenation, or a spent buffer alive through the scan,
+        # adds a whole one
+        config = replace(preset(case_id), customers=200_000)
+        simulate_case(config)  # one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            simulate_case(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * config.customers
 
 
 class TestCaseConfig:

@@ -10,7 +10,7 @@ from mcfifo.analytic import bound_dd1
 from mcfifo.errors import InvalidInputError
 from mcfifo.experiments import FLOAT_SLACK_S, preset, simulate_case
 from mcfifo.simulator import (
-    CSV_CHUNK,
+    CHUNK,
     FIFO_BLOCK,
     FIFO_GROUP,
     MergedArrivals,
@@ -57,6 +57,19 @@ class TestMergeStreams:
         merged = merge_streams([_seq(1, [5.0, 5.0, 5.0], [1, 2, 3])], UNIT)
         np.testing.assert_array_equal(merged.service_s, [1, 2, 3])
         np.testing.assert_array_equal(merged.class_index, [1, 2, 3])
+
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_sequences_left_untouched(self, rows):
+        # the merge divides sizes in place and reuses their buffer: only in
+        # its own copies, never in the caller's sequences
+        seqs = [_seq(1, [1.0, 3.0], [4.0, 6.0]), _seq(2, [2.0, 2.5], [8.0, 10.0])]
+        if rows:
+            seqs = [_seq(q.class_id, np.tile(q.times_s, (rows, 1)),
+                         np.tile(q.sizes_bits, (rows, 1))) for q in seqs]
+        before = [(q.times_s.copy(), q.sizes_bits.copy()) for q in seqs]
+        merge_streams(seqs, {1: 2.0, 2: 4.0})
+        for q, (times, sizes) in zip(seqs, before):
+            assert np.array_equal(q.times_s, times) and np.array_equal(q.sizes_bits, sizes)
 
     def test_case1_customer_count_over_one_second(self):
         config = preset(1)
@@ -210,6 +223,36 @@ class TestRunFifo:
         )
         with pytest.raises(InvalidInputError):
             run_fifo(bad)
+
+    @pytest.mark.parametrize(
+        "arrival_s",
+        [[0.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
+         [[0.0, 1.0, 2.0], [0.0, 1.0, np.nan]]],
+    )
+    def test_arrival_not_finite_rejected(self, arrival_s):
+        # [0, nan, 2] gave waits [0, nan, nan]
+        arrival_s = np.array(arrival_s)
+        bad = MergedArrivals(
+            arrival_s,
+            np.ones(arrival_s.shape),
+            np.broadcast_to(np.arange(3), arrival_s.shape),
+            ((1, 0, 3),),
+        )
+        with pytest.raises(InvalidInputError, match="arrival times must be finite"):
+            run_fifo(bad)
+
+    @pytest.mark.parametrize("service_s", [[1.0, -5.0, 1.0], [1.0, np.nan, 1.0], [np.inf] * 3])
+    def test_service_not_finite_and_nonnegative_rejected(self, service_s):
+        # [1, -5, 1] gave waits [0, 0, 0]
+        bad = MergedArrivals(
+            np.array([0.0, 1.0, 2.0]), np.array(service_s), np.arange(3), ((1, 0, 3),)
+        )
+        with pytest.raises(InvalidInputError, match="service times must be finite and >= 0"):
+            run_fifo(bad)
+
+    def test_zero_service_accepted(self):
+        merged = MergedArrivals(np.array([0.0, 0.0]), np.zeros(2), np.arange(2), ((1, 0, 2),))
+        assert run_fifo(merged).waiting_s.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_result_is_the_merged_stream_plus_waits(self, rows):
@@ -466,6 +509,11 @@ class TestEmpiricalCcdf:
         with pytest.raises(InvalidInputError):
             empirical_ccdf([], np.array([1.0]), warmup_discard=0.0)
 
+    def test_nan_value_rejected(self):
+        # the NaN counted as above 0.2, which read 2/3
+        with pytest.raises(InvalidInputError, match="values must not be NaN"):
+            empirical_ccdf([0.1, np.nan, 0.3], np.array([0.0, 0.2]), warmup_discard=0.0)
+
 
 class TestTransient:
     def test_first_customer_delay_at_least_its_service(self):
@@ -701,7 +749,7 @@ class TestCsvExport:
         # the derived columns are built once here, so the row loop is linear
         # and reaches the second chunk
         result = simulate_case(replace(preset(6), customers=80_000))
-        assert len(result) > CSV_CHUNK
+        assert len(result) > CHUNK
         path = tmp_path / "records.csv"
         result.write_csv(path)
         columns = (

@@ -171,18 +171,18 @@ def _copying_exponential(u, rate_hz):
     return -np.log(u) / rate_hz
 
 
-def _copying_sizes(self, spec, count):
+def _copying_sizes(self, spec, out):
     if isinstance(spec.size, Constant):
-        return np.full((self.rows, count), spec.size.bits, dtype=float)
-    u = self._rng(traffic._ROLE_SIZES, spec.class_id).random((self.rows, count))
+        return np.full(out.shape, spec.size.bits, dtype=float)
+    u = self._rng(traffic._ROLE_SIZES, spec.class_id).random(out.shape)
     u = np.where(u == 0.0, np.finfo(float).tiny, u)
     return -spec.size.mean_bits * np.log(u)
 
 
-def _copying_append_gaps(self, spec, gaps):
+def _copying_append_gaps(self, spec, gaps, sizes):
     gaps[:, 0] += self.horizon[spec.class_id]
     times = np.cumsum(gaps, axis=-1)
-    self._append(spec, times, self._sizes(spec, times.shape[-1]))
+    self._append(spec, times, self._sizes(spec, sizes))
     self.horizon[spec.class_id] = times[:, -1]
 
 

@@ -8,7 +8,8 @@ Usage (from any directory):
 
 Each side runs the CLI in a temporary directory of its own, with
 PYTHONPATH=<tree>/src and MCFIFO_SEED unset. Both directories hold the same
-config files (the README's example and bad configs built from it) and take
+config files (the README's example, and bad configs and a valid scaled
+coupling built from it) and take
 the same relative --out paths, so every difference comes from the code. One
 line per command; the exit status is 1 if any command differs.
 """
@@ -110,6 +111,23 @@ BAD_CONFIGS = {
     ),
 }
 COMMANDS += [["bounds", "--config", f"configs/{name}.json"] for name in BAD_CONFIGS]
+
+
+def _scaled(config: dict) -> None:
+    """coupling_mixed with both classes scaled: a valid coupling, under
+    which md1 is informational."""
+    BAD_CONFIGS["coupling_mixed"](config)
+    config["classes"][1]["arrival"]["mechanism"] = "scaled"
+
+
+#: Edits of the README example that give valid configs.
+GOOD_CONFIGS = {"scaled": _scaled}
+# a scaled coupling group, drawn by the long run and by the replications
+COMMANDS += [
+    ["simulate", "--config", "configs/scaled.json", "--customers", "40000"],
+    ["compare", "--config", "configs/scaled.json", "--customers", "200000",
+     "--replications", "2000"],
+]
 # the bad configs whose bound cannot be built, which compare must reject as bounds does
 COMMANDS += [
     ["compare", "--config", f"configs/{name}.json"]
@@ -133,7 +151,7 @@ def write_configs(directory: Path) -> None:
     directory.mkdir(parents=True)
     example = readme_config()
     (directory / "readme.json").write_text(json.dumps(example))
-    for name, edit in BAD_CONFIGS.items():
+    for name, edit in {**BAD_CONFIGS, **GOOD_CONFIGS}.items():
         config = copy.deepcopy(example)
         text = edit(config)
         (directory / f"{name}.json").write_text(

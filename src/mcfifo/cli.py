@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
     summary = {
         "case_id": config.case_id,
         "customers": len(result),
-        "max_delay_s": float(result.delay_s.max()),
+        "max_delay_s": max(float(delays.max()) for _, delays in result.delay_chunks()),
         "mean_waiting_s": float(result.waiting_s.mean()),
         "seed": config.seed,
     }

@@ -55,6 +55,7 @@ from .simulator import (
     RunResult,
     Segment,
     count_above,
+    empirical_ccdf,
     merge_buffers,
     merge_streams,
     run_fifo,
@@ -432,14 +433,11 @@ def _counted_entry(
     grid,
     above: np.ndarray,
     samples: int,
-    note: str = "",
 ) -> CurveEntry:
     """The empirical curve of samples values, above[i] of them above grid[i]."""
     if samples == 0:
         raise InvalidInputError("no values left after warmup discard")
-    return CurveEntry(
-        label, "empirical", metric, class_id, grid, above / samples, note=note, samples=samples
-    )
+    return CurveEntry(label, "empirical", metric, class_id, grid, above / samples, samples=samples)
 
 
 def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry]:
@@ -746,10 +744,11 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
         grid = config.grid()
         delays = transient_delays(config, (1, 10, 100), first, config.replications)
         for j, sample in delays.items():
-            above = count_above(np.sort(sample), grid)
-            note = f"delay of the {j}-th class-{first} customer"
-            label = f"sim_delay_c{first}_j{j}"
-            curves.append(_counted_entry(label, "delay", first, grid, above, len(sample), note))
+            ccdf = empirical_ccdf(sample, grid, 0.0)
+            curves.append(CurveEntry(
+                f"sim_delay_c{first}_j{j}", "empirical", "delay", first, grid, ccdf.fractions,
+                note=f"delay of the {j}-th class-{first} customer", samples=ccdf.sample_count,
+            ))
 
     return ComparisonResult(
         case_id=config.case_id,

@@ -69,9 +69,10 @@ function of (case, js, class id) whatever the number of replications.
 Because FIFO is causal, a run is cut before the merge, never after it: the
 long run cuts each class's segment of its draw buffers at the horizon and
 moves the later segments down over the cut arrivals
-(experiments._horizon_run), and a chunk trims each class at its rows' cut,
-the target's last requested arrival, so a class's segment holds exactly its
-customers in the run.
+(experiments._horizon_run), and a chunk (_chunk_delays) cuts its rows at
+the target's last requested arrival: each class's columns up to the cut
+are the one ArrivalSequence built of it, checked by that constructor, so
+a class's segment holds exactly its customers in the run.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .traffic import ArrivalSequence, ArrivalStreams, ClassSpec, Periodic
+from .traffic import ArrivalSequence, ArrivalStreams, ClassSpec, Periodic, Segment
 
 if TYPE_CHECKING:  # pragma: no cover
     from .experiments import CaseConfig
@@ -108,11 +109,6 @@ TRANSIENT_CHUNK = 2**17
 #: formatted at a time: a chunk's six columns as Python objects take a few
 #: MB, where a whole run's would grow with its length.
 CHUNK = 2**16
-
-
-#: One class's place in the class-ordered concatenation of the streams:
-#: (class_id, start, count), its customers being sources start..start+count-1.
-Segment = tuple[int, int, int]
 
 
 def _class_columns(
@@ -229,6 +225,8 @@ def merge_streams(
     segments = []
     start = 0
     for seq in sequences:
+        if segments and segments[-1][0] == seq.class_id:
+            raise InvalidInputError(f"duplicate class id {seq.class_id}")
         segments.append((seq.class_id, start, len(seq)))
         start += len(seq)
     times = np.concatenate([s.times_s for s in sequences], axis=-1)
@@ -295,11 +293,11 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
               for lo in range(0, full, FIFO_GROUP * FIFO_BLOCK)]
     if full < n:  # the ragged last block is a group of one shorter block
         groups.append((full, n, n - full))
-    # two temporaries of the largest group, which every group reuses; the
-    # relative times are kept in the group's slice of the waits
+    # two temporaries of the largest group, which every group reuses (starts
+    # with one spare element); the relative times sit in the waits' slice
     lead = arrival_s.shape[:-1]
     size = math.prod(lead) * max((hi - lo for lo, hi, _ in groups), default=0)
-    prefixes, starts = np.empty(size), np.empty(size)
+    prefixes, starts = np.empty(size), np.empty(size + 1)
     for lo, hi, width in groups:
         shape = (*lead, (hi - lo) // width, width)  # (..., blocks, width)
         a = arrival_s[..., lo:hi].reshape(shape)
@@ -310,8 +308,10 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
         prefix[..., 0] = 0.0
         np.cumsum(s[..., :-1], axis=-1, out=prefix[..., 1:])
         start = starts[: prefix.size].reshape(shape)  # departure before i, minus prefix[i]
+        # rel[i] - prefix[i] to start[i + 1] through a contiguous view, which
+        # needs no buffer; a block's last lands on the next block's first
+        np.subtract(rel, prefix, out=starts[1 : prefix.size + 1].reshape(shape))
         start[..., 0] = -np.inf
-        np.subtract(rel[..., :-1], prefix[..., :-1], out=start[..., 1:])
         np.maximum.accumulate(start, axis=-1, out=start)
         # the carry, block by block, in the operations of one block per call:
         # each block starts from the backlog after the previous block's last
@@ -366,6 +366,9 @@ def empirical_ccdf(
     warmup_discard=0 for transient studies.
     """
     values = np.asarray(values_s, dtype=float)
+    grid = np.asarray(grid_s, dtype=float)
+    if np.any(np.isnan(grid)):
+        raise InvalidInputError("the tau grid must not hold NaN")
     if not 0.0 <= warmup_discard < 1.0:
         raise InvalidInputError("warmup_discard must be in [0, 1)")
     discard = int(len(values) * warmup_discard)
@@ -374,7 +377,7 @@ def empirical_ccdf(
         raise InvalidInputError("no values left after warmup discard")
     if np.isnan(kept[-1]):  # NaN sorts last
         raise InvalidInputError("values must not be NaN")
-    above = count_above(kept, np.asarray(grid_s, dtype=float))
+    above = count_above(kept, grid)
     return EmpiricalCCDF(above / len(kept), len(kept))
 
 
@@ -403,19 +406,22 @@ def _transient_plan(
 
 
 def _chunk_delays(
-    sequences: Sequence[ArrivalSequence], rates_bps: Mapping[int, float], class_id: int, js
+    streams: ArrivalStreams, rates_bps: Mapping[int, float], class_id: int, js
 ) -> np.ndarray:
-    """Delays of the target's js-th customers in each row, shape (len(js), rows)."""
-    # FIFO is causal: customers after the last requested one cannot change
-    # its delay, so each row is cut at that customer's arrival. Every class
-    # keeps the columns that some row holds up to its cut, a customer at the
-    # cut itself included: with a lower class id it goes first
-    target = next(s for s in sequences if s.class_id == class_id)
-    cut_s = target.times_s[:, js[-1] - 1 : js[-1]]
-    trimmed = [
-        seq.prefix(int(np.count_nonzero(seq.times_s <= cut_s, axis=-1).max()))
-        for seq in sequences
-    ]
+    """Delays of the target's js-th customers in each row of the drawn
+    streams, shape (len(js), rows).
+
+    FIFO is causal: customers after the last requested one cannot change
+    its delay, so each row is cut at that customer's arrival. Each class
+    keeps the columns that some row holds up to its cut, a customer at the
+    cut itself included (with a lower class id it goes first), and only
+    they are built, and checked, as the class's ArrivalSequence.
+    """
+    cut_s = streams.times[class_id][:, js[-1] - 1 : js[-1]]
+    kept = {cid: int(np.count_nonzero(t <= cut_s, axis=-1).max())
+            for cid, t in streams.times.items()}
+    trimmed = [ArrivalSequence(cid, streams.times[cid][:, :n], streams.sizes[cid][:, :n])
+               for cid, n in kept.items()]
     merged = merge_streams(trimmed, rates_bps)
     start = next(start for cid, start, _ in merged.segments if cid == class_id)
     at = np.stack([np.argmax(merged.source == start + j - 1, axis=-1) for j in js])
@@ -470,6 +476,6 @@ def transient_delays(
     for chunk in range(chunks):
         streams = ArrivalStreams(case.specs, step, replication_seed(case.seed, chunk), rows)
         streams.draw_through(class_id, js[-1])
-        delays = _chunk_delays(streams.sequences(), case.rates(), class_id, js)
+        delays = _chunk_delays(streams, case.rates(), class_id, js)
         out[:, chunk * rows : (chunk + 1) * rows] = delays
     return {j: out[i, :replications].copy() for i, j in enumerate(js)}

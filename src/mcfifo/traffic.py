@@ -9,15 +9,15 @@ of a single 64-bit seed, so adding or reordering classes does not perturb
 the others. ArrivalStreams draws those streams for a batch of independent
 paths, one per row, and can lengthen the paths after they are drawn; a
 single sequence is its one-row case. A draw first fixes how many arrivals
-each class gets (a thinned class's count comes from its mask), then has
-somewhere to draw them: fresh arrays per class for a batch, and for the
-one-row draw of a long run (draw_run, behind generate_sequences) one run
-buffer of times and one of sizes, the classes in id order, which the merge
-then consumes. Draws are transformed in the buffer they were drawn into:
-uniforms become exponential gaps or sizes in place, and gaps become arrival
-times by a cumulative sum into the same buffer. Every member of a scaled
-coupling group reads the group's shared uniforms, so each member copies its
-slice into its own buffer and transforms it there.
+each class gets (a thinned class's count comes from its mask), then lays
+the step out in one flat buffer of times and one of sizes: each drawn class
+has one contiguous (rows, width) block, the classes in id order. With one
+row (generate_sequences, the long run) the blocks are the class-ordered
+run that the merge then consumes. Draws are transformed in the block they
+were drawn into: uniforms become exponential gaps or sizes in place, and
+gaps become arrival times by a cumulative sum into the same block. Every
+member of a scaled coupling group reads the group's shared uniforms, so
+each member copies its slice into its own block and transforms it there.
 
 A periodic class has one envelope type, DeterministicEnvelope: its rate/burst
 constraint, and at a reference rate its burst tail. A Poisson class's burst
@@ -195,15 +195,6 @@ class ArrivalSequence:
     def __len__(self) -> int:
         return self.times_s.shape[-1]
 
-    def prefix(self, count: int) -> ArrivalSequence:
-        """The first count arrivals of every row, not checked again: a prefix
-        of an ordered row with valid sizes is ordered with valid sizes."""
-        out = object.__new__(ArrivalSequence)
-        object.__setattr__(out, "class_id", self.class_id)
-        object.__setattr__(out, "times_s", self.times_s[..., :count])
-        object.__setattr__(out, "sizes_bits", self.sizes_bits[..., :count])
-        return out
-
 
 @dataclass(frozen=True)
 class DeterministicEnvelope:
@@ -247,6 +238,10 @@ class ExponentialTail:
 
 
 GsbbTail = ExponentialTail | DeterministicEnvelope
+
+#: One class's place in class-ordered buffers: (class_id, start, count), its
+#: count columns following the start columns of the classes before it.
+Segment = tuple[int, int, int]
 
 
 def _substream(seed: int, role: int, key: int) -> np.random.Generator:
@@ -310,32 +305,31 @@ class ArrivalStreams:
         self.sizes = {s.class_id: np.empty((rows, 0)) for s in specs}
         self.horizon = {s.class_id: np.zeros(rows) for s in specs}
 
-    def draw(self, class_ids: Iterable[int]) -> None:
-        """Append one step of arrivals to each named class (and its group)."""
-        widths, kept = self._plan(class_ids)
-        self._fill(kept, {
-            cid: (np.empty((self.rows, width)), np.empty((self.rows, width)))
-            for cid, width in widths.items()
-        })
+    def draw(self, class_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray, list[Segment]]:
+        """Append one step of arrivals to each named class (and its group).
 
-    def draw_run(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-        """The first step of every class of a one-row stream, drawn into two
-        class-ordered buffers of times and sizes.
-
-        Returns the buffers and the segments, one (class_id, start, count)
-        per class in id order, class c's arrivals being the buffers'
-        [start, start + count). The classes' arrays are views into them.
+        The step is drawn into two flat buffers, of times and of sizes, in
+        which each drawn class has one contiguous (rows, width) block, the
+        classes in id order. Returns the buffers and the segments, one
+        (class_id, start, width) per drawn class, class c's block being
+        [start*rows, (start + width)*rows) of the buffers. With one row the
+        blocks are the class-ordered run that merge_buffers takes.
         """
-        widths, kept = self._plan(s.class_id for s in self.specs)
+        widths, kept = self._plan(class_ids)
         segments, start = [], 0
         for cid in sorted(widths):
             segments.append((cid, start, widths[cid]))
             start += widths[cid]
-        times, sizes = np.empty((1, start)), np.empty((1, start))
+        rows = self.rows
+        times, sizes = np.empty(start * rows), np.empty(start * rows)
+        # blocks, not column slices of (rows, start) arrays: random(out=)
+        # takes only contiguous arrays
         self._fill(kept, {
-            cid: (times[:, lo : lo + n], sizes[:, lo : lo + n]) for cid, lo, n in segments
+            cid: (times[lo * rows : (lo + n) * rows].reshape(rows, n),
+                  sizes[lo * rows : (lo + n) * rows].reshape(rows, n))
+            for cid, lo, n in segments
         })
-        return times[0], sizes[0], segments
+        return times, sizes, segments
 
     def _plan(self, class_ids: Iterable[int]) -> tuple[dict[int, int], dict[int, np.ndarray]]:
         """Arrivals per row that one step appends to each class it draws, and
@@ -498,9 +492,9 @@ class ArrivalStreams:
 
 class SamplePath(list):
     """One sample path of every class: a list of ArrivalSequence, one per
-    class in spec order, whose arrays are views into two class-ordered
-    buffers, times_s and sizes_bits, laid out by segments, one
-    (class_id, start, count) per class in id order."""
+    class in spec order, whose arrays are views into the one-row draw's
+    buffers, times_s and sizes_bits, each class's block laid out by
+    segments, one (class_id, start, count) per class in id order."""
 
     def __init__(self, sequences, times_s: np.ndarray, sizes_bits: np.ndarray, segments):
         super().__init__(sequences)
@@ -514,11 +508,11 @@ def generate_sequences(
 ) -> SamplePath:
     """Generate one sample path of every class, ordered like `specs`.
 
-    This is the one-row ArrivalStreams draw (draw_run), so a long run and a
-    batch of replications come from the same generator.
+    This is the one-row ArrivalStreams draw, so a long run and a batch of
+    replications come from the same generator.
     """
     streams = ArrivalStreams(specs, counts, seed, rows=1)
-    buffers = streams.draw_run()
+    buffers = streams.draw(counts)
     return SamplePath(
         [
             ArrivalSequence(s.class_id, streams.times[s.class_id][0], streams.sizes[s.class_id][0])

@@ -45,6 +45,7 @@ from mcfifo.simulator import (
     transient_delays,
 )
 from mcfifo.traffic import (
+    ArrivalSequence,
     ClassSpec,
     Constant,
     CoupledPoisson,
@@ -651,7 +652,10 @@ def _trimmed_merge(config: CaseConfig) -> tuple[RunResult, list[int]]:
     horizon = min(q.times_s[-1] for q in seqs)
     kept = [int(np.searchsorted(q.times_s, horizon, "right")) for q in seqs]
     cut = [len(q) - k for q, k in zip(seqs, kept)]
-    result = run_fifo(merge_streams([q.prefix(k) for q, k in zip(seqs, kept)], config.rates()))
+    trimmed = [
+        ArrivalSequence(q.class_id, q.times_s[:k], q.sizes_bits[:k]) for q, k in zip(seqs, kept)
+    ]
+    result = run_fifo(merge_streams(trimmed, config.rates()))
     return result, cut
 
 

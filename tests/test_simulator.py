@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -167,6 +168,12 @@ class TestMergeAgainstReference:
     def test_no_sequences_rejected(self):
         with pytest.raises(InvalidInputError, match="^need at least one arrival sequence$"):
             merge_streams([], UNIT)
+
+    def test_duplicate_class_id_rejected(self):
+        # merged, the two sequences would give class 1 two customers j = 1
+        seqs = [_seq(1, [1.0, 2.0], [8.0, 8.0]), _seq(2, [1.2], [8.0]), _seq(1, [1.5], [8.0])]
+        with pytest.raises(InvalidInputError, match="^duplicate class id 1$"):
+            merge_streams(seqs, {1: 8.0, 2: 8.0})
 
 
 class TestRateLookup:
@@ -480,6 +487,22 @@ class TestGroupedScan:
         assert np.array_equal(waits, _per_block_waits(a, s), equal_nan=True)
         assert np.isnan(waits[..., -1]).all() and not np.isnan(waits[..., :FIFO_BLOCK]).any()
 
+    def test_full_group_peak_memory(self):
+        # the waits and the scan's two temporaries take 8n bytes each; the
+        # broadcasting calls' buffers add about 0.25 more. A shifted
+        # subtraction through strided views adds about 0.5 of its own
+        rng = np.random.default_rng(3)
+        a = np.cumsum(rng.exponential(1.0, GROUP))
+        s = rng.exponential(0.97, GROUP)
+        fifo_waits(a, s)  # one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            fifo_waits(a, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * GROUP
+
 
 class TestEmpiricalCcdf:
     def test_direct_count(self):
@@ -513,6 +536,11 @@ class TestEmpiricalCcdf:
         # the NaN counted as above 0.2, which read 2/3
         with pytest.raises(InvalidInputError, match="values must not be NaN"):
             empirical_ccdf([0.1, np.nan, 0.3], np.array([0.0, 0.2]), warmup_discard=0.0)
+
+    def test_nan_tau_rejected(self):
+        # no value is above a NaN tau, which read 0
+        with pytest.raises(InvalidInputError, match="^the tau grid must not hold NaN$"):
+            empirical_ccdf([1.0, 2.0], np.array([np.nan, 1.5]), warmup_discard=0.0)
 
 
 class TestTransient:
@@ -651,9 +679,8 @@ class TestTransient:
         step, rows = _transient_plan(config.specs, class_id, js[-1])
         streams = ArrivalStreams(config.specs, step, replication_seed(config.seed, 0), rows)
         streams.draw_through(class_id, js[-1])
-        seqs = streams.sequences()
-        got = _chunk_delays(seqs, config.rates(), class_id, js)
-        want = _chunk_reference(seqs, config.rates(), class_id, js)
+        got = _chunk_delays(streams, config.rates(), class_id, js)
+        want = _chunk_reference(streams.sequences(), config.rates(), class_id, js)
         assert got.shape == want.shape == (len(js), rows)
         assert got.tobytes() == want.tobytes()
 

@@ -150,6 +150,29 @@ class TestArrivalStreams:
             np.testing.assert_array_equal(row.times_s[0], seq.times_s)
             np.testing.assert_array_equal(row.sizes_bits[0], seq.sizes_bits)
 
+    @pytest.mark.parametrize("mechanism", ["scaled", "synchronized"])
+    def test_draw_lays_out_one_block_per_class(self, mechanism):
+        # class c's block is [start*rows, (start + width)*rows) of the
+        # buffers, the classes in id order; a drawn class holds its block
+        specs = [*_coupled_pair(10000.0, 1000.0, mechanism),
+                 ClassSpec(3, Poisson(2e3), ExponentialMean(800.0), 10e6)]
+        rows = 4
+        streams = ArrivalStreams(specs, {1: 40, 2: 6, 3: 9}, seed=5, rows=rows)
+        times, sizes, segments = streams.draw([3, 1])
+        assert [cid for cid, _, _ in segments] == [1, 2, 3]
+        end = 0
+        for cid, start, width in segments:
+            assert start == end and streams.times[cid].shape == (rows, width)
+            block = slice(start * rows, (start + width) * rows)
+            assert np.array_equal(times[block].reshape(rows, width), streams.times[cid])
+            assert np.array_equal(sizes[block].reshape(rows, width), streams.sizes[cid])
+            assert np.shares_memory(times[block], streams.times[cid])
+            end += width
+        assert times.shape == sizes.shape == (end * rows,)
+        # a later draw lays out only the classes it draws
+        _, _, segments = streams.draw([3])
+        assert segments == [(3, 0, 9)]
+
     def test_synchronized_rows_are_ragged_subsets_of_the_master(self):
         specs = _coupled_pair(10000.0, 1000.0, "synchronized")
         streams = ArrivalStreams(specs, {1: 40, 2: 4}, seed=5, rows=200)
@@ -436,30 +459,36 @@ class TestArrivalSequenceValidation:
         ArrivalSequence(1, [], [])
 
 
-class TestArrivalSequencePrefix:
-    """A prefix skips the checks; it must equal the checked sequence."""
+class TestArrivalSequenceCut:
+    """A class's first columns, cut as a chunk of replications cuts them,
+    pass the checked constructor as views of the drawn arrays."""
 
     @staticmethod
-    def _same(got, want):
-        assert got.class_id == want.class_id
-        assert got.times_s.shape == want.times_s.shape
-        assert got.times_s.tobytes() == want.times_s.tobytes()
-        assert got.sizes_bits.tobytes() == want.sizes_bits.tobytes()
-        assert len(got) == len(want)
+    def _same_view(got, times, sizes):
+        assert got.times_s.shape == times.shape
+        assert got.times_s.tobytes() == times.tobytes()
+        assert got.sizes_bits.tobytes() == sizes.tobytes()
+        # the cut copies nothing
+        assert got.times_s.size == 0 or np.shares_memory(got.times_s, times)
+        assert got.sizes_bits.size == 0 or np.shares_memory(got.sizes_bits, sizes)
 
     @pytest.mark.parametrize("count", [0, 1, 3, 5, 9])
     def test_one_path(self, count):
         seq = _one(ClassSpec(3, Poisson(1e3), ExponentialMean(500.0), 1e6), 5, seed=4)
-        want = ArrivalSequence(3, seq.times_s[:count], seq.sizes_bits[:count])
-        self._same(seq.prefix(count), want)
+        cut = ArrivalSequence(3, seq.times_s[:count], seq.sizes_bits[:count])
+        assert cut.class_id == 3 and len(cut) == min(count, 5)
+        self._same_view(cut, seq.times_s[:count], seq.sizes_bits[:count])
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
     def test_ragged_batch(self, count):
         times = np.array([[1.0, INF, INF, INF], [0.5, 0.5, 2.0, INF], [0.1, 0.2, 0.3, 0.4]])
         sizes = np.arange(1.0, 13.0).reshape(3, 4)
-        seq = ArrivalSequence(2, times, sizes)
-        want = ArrivalSequence(2, times[:, :count], sizes[:, :count])
-        self._same(seq.prefix(count), want)
+        cut = ArrivalSequence(2, times[:, :count], sizes[:, :count])
+        assert len(cut) == count
+        # each row keeps its customers before the cut, and its padding after them
+        finite = np.isfinite(cut.times_s).sum(axis=-1)
+        assert finite.tolist() == [min(count, n) for n in (1, 3, 4)]
+        self._same_view(cut, times[:, :count], sizes[:, :count])
 
     @pytest.mark.parametrize("count", [1, 5, 30])
     def test_drawn_ragged_batch(self, count):
@@ -467,5 +496,8 @@ class TestArrivalSequencePrefix:
         streams = ArrivalStreams(specs, {1: 40, 2: 4}, seed=5, rows=50)
         streams.draw([2])
         for seq in streams.sequences():
-            want = ArrivalSequence(seq.class_id, seq.times_s[:, :count], seq.sizes_bits[:, :count])
-            self._same(seq.prefix(count), want)
+            times = streams.times[seq.class_id][:, :count]
+            sizes = streams.sizes[seq.class_id][:, :count]
+            cut = ArrivalSequence(seq.class_id, times, sizes)
+            assert len(cut) == min(count, len(seq))
+            self._same_view(cut, seq.times_s[:, :count], seq.sizes_bits[:, :count])

@@ -8,10 +8,10 @@ Usage (from any directory):
 
 Each side runs the CLI in a temporary directory of its own, with
 PYTHONPATH=<tree>/src and MCFIFO_SEED unset. Both directories hold the same
-config files (the README's example, and bad configs and a valid scaled
-coupling built from it) and take
-the same relative --out paths, so every difference comes from the code. One
-line per command; the exit status is 1 if any command differs.
+config files (the README's example, and bad configs and two valid
+couplings built from it) and take the same relative --out paths, so every
+difference comes from the code. One line per command; the exit status is 1
+if any command differs.
 """
 
 from __future__ import annotations
@@ -120,13 +120,35 @@ def _scaled(config: dict) -> None:
     config["classes"][1]["arrival"]["mechanism"] = "scaled"
 
 
+def _sync_master_last(config: dict) -> None:
+    """Case 5's synchronized pair with the ids swapped, so the master (the
+    faster class) has the higher id: class 1 the example's class 2 with
+    constant sizes, class 2 of 100 B at 10,000/s and 10 Mbps."""
+    first, second = config["classes"]
+    group = {"kind": "coupled_poisson", "coupling_group": 1, "mechanism": "synchronized"}
+    config.update(
+        classes=[
+            {**second, "class_id": 1, "arrival": {**group, "rate_per_s": 1000},
+             "size": {"kind": "constant", "packet_bytes": 1250}},
+            {**first, "class_id": 2, "arrival": {**group, "rate_per_s": 10000},
+             "service_rate_mbps": 10},
+        ],
+        bounds=["md1", "split_constant"],
+    )
+
+
 #: Edits of the README example that give valid configs.
-GOOD_CONFIGS = {"scaled": _scaled}
-# a scaled coupling group, drawn by the long run and by the replications
+GOOD_CONFIGS = {"scaled": _scaled, "sync_master_last": _sync_master_last}
+# a scaled coupling group, and a synchronized one whose thinned class's block
+# comes before its master's, drawn by the long run and by the replications
 COMMANDS += [
-    ["simulate", "--config", "configs/scaled.json", "--customers", "40000"],
-    ["compare", "--config", "configs/scaled.json", "--customers", "200000",
-     "--replications", "2000"],
+    command
+    for name in GOOD_CONFIGS
+    for command in (
+        ["simulate", "--config", f"configs/{name}.json", "--customers", "40000"],
+        ["compare", "--config", f"configs/{name}.json", "--customers", "200000",
+         "--replications", "2000"],
+    )
 ]
 # the bad configs whose bound cannot be built, which compare must reject as bounds does
 COMMANDS += [

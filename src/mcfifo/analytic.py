@@ -333,7 +333,10 @@ def waiting_bound_curve(
 
 
 def step_bound_curve(bound_s: float, grid_s: np.ndarray, label: str) -> BoundCurve:
-    """Deterministic bound as a tail curve: 1 below the bound, 0 at and above."""
+    """Deterministic bound as a tail curve: 1 below the bound, 0 at and above
+    (1 everywhere for +inf, no bound)."""
+    if not bound_s >= 0:  # NaN fails too
+        raise InvalidInputError(f"{label}: the bound must be >= 0, got {bound_s!r} s")
     grid = np.asarray(grid_s, dtype=float)
     probs = np.where(grid >= bound_s, 0.0, 1.0)
     return BoundCurve(grid, probs, label)
@@ -515,7 +518,8 @@ def delay_bound_convolve(
     F_w(0)*F_s(tau_j) plus the sum over q of dF_q*box[j-1-q]/refine, where box
     sums F_s over the fine points of each cell: one real-FFT convolution of
     grid size, exact up to rounding (about 1e-15) against the fine-grid
-    convolution.
+    convolution. This path returns 1 minus the delay CDF, so a delay tail
+    below about 1e-16 (the CDF's rounding) reads 0.
     """
     grid = waiting_curve.grid_s
     wait_tail = waiting_curve.probs

@@ -40,7 +40,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from itertools import repeat
@@ -73,6 +72,7 @@ from .traffic import (
     coupling_groups,
     deterministic_envelope,
     generate_sequences,
+    is_integer,
     proportional_counts,
 )
 from .units import bits_from_bytes, bps_from_mbps, seconds_from_ms
@@ -120,9 +120,7 @@ class CaseConfig:
         integers = (("customers", 1), ("grid_points", 2), ("replications", 1), ("seed", 0))
         for name, least in integers:
             value = getattr(self, name)
-            # a bool is an Integral, but True is not a count or a seed
-            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not (integral and value >= least):
+            if not (is_integer(value) and value >= least):
                 raise InvalidSpecError(f"{name} must be an integer >= {least}, got {value!r}")
         for i, name in enumerate(self.bounds):
             # a name that is not a string fails here, not as a TypeError of the lookup

@@ -86,7 +86,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .traffic import ArrivalSequence, ArrivalStreams, ClassSpec, Periodic, Segment
+from .traffic import ArrivalSequence, ArrivalStreams, ClassSpec, Periodic, Segment, is_integer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .experiments import CaseConfig
@@ -367,6 +367,8 @@ def empirical_ccdf(
     """
     values = np.asarray(values_s, dtype=float)
     grid = np.asarray(grid_s, dtype=float)
+    if values.ndim != 1 or grid.ndim != 1:
+        raise InvalidInputError("values and the tau grid must be 1-d arrays")
     if np.any(np.isnan(grid)):
         raise InvalidInputError("the tau grid must not hold NaN")
     if not 0.0 <= warmup_discard < 1.0:
@@ -439,11 +441,6 @@ def _chunk_delays(
     return (waiting + np.take_along_axis(result.service_s, at.T, -1)).T
 
 
-def _is_count(value) -> bool:
-    """An integer, numpy's included, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def transient_delays(
     case: "CaseConfig", js: Sequence[int], class_id: int, replications: int
 ) -> dict[int, np.ndarray]:
@@ -453,23 +450,19 @@ def transient_delays(
     arrays are sampled from the same runs. Replications run as rows of
     chunks; the module docstring gives the seed layout.
     """
-    if not (_is_count(replications) and replications >= 1):
+    if not (is_integer(replications) and replications >= 1):
         raise InvalidInputError(f"replications must be an integer >= 1, got {replications!r}")
     js = list(js)
     if not js:
         raise InvalidInputError("js must name at least one customer")
     for j in js:
-        if not (_is_count(j) and j >= 1):
+        if not (is_integer(j) and j >= 1):
             raise InvalidInputError(f"customer indices must be integers >= 1, got {j!r}")
     js = sorted(set(map(int, js)))
     if class_id not in case.rates():
         raise InvalidInputError(f"no class {class_id} in the case")
-    if all(isinstance(s.arrival, Periodic) for s in case.specs):
-        if replications > 1:
-            warnings.warn(
-                "all classes are deterministic: replications are identical",
-                stacklevel=2,
-            )
+    if replications > 1 and all(isinstance(s.arrival, Periodic) for s in case.specs):
+        warnings.warn("all classes are deterministic: replications are identical", stacklevel=2)
     step, rows = _transient_plan(case.specs, class_id, js[-1])
     chunks = -(-replications // rows)
     out = np.empty((len(js), chunks * rows))

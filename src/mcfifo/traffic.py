@@ -8,10 +8,12 @@ reproduces the same sequence, and every class draws from its own substream
 of a single 64-bit seed, so adding or reordering classes does not perturb
 the others. ArrivalStreams draws those streams for a batch of independent
 paths, one per row, and can lengthen the paths after they are drawn; a
-single sequence is its one-row case. A draw first fixes how many arrivals
-each class gets (a thinned class's count comes from its mask), then lays
-the step out in one flat buffer of times and one of sizes: each drawn class
-has one contiguous (rows, width) block, the classes in id order. With one
+single sequence is its one-row case. One method, ArrivalStreams.draw,
+draws a step: it fixes how many arrivals each class gets (a thinned class's
+count comes from its mask), lays the step out in one flat buffer of times
+and one of sizes, each drawn class one contiguous (rows, width) block in id
+order, and fills the blocks. The step table is checked where it is given:
+one integer count >= 1 for every class and none for another id. With one
 row (generate_sequences, the long run) the blocks are the class-ordered
 run that the merge then consumes. Draws are transformed in the block they
 were drawn into: uniforms become exponential gaps or sizes in place, and
@@ -27,6 +29,7 @@ tail is an ExponentialTail.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -244,6 +247,12 @@ GsbbTail = ExponentialTail | DeterministicEnvelope
 Segment = tuple[int, int, int]
 
 
+def is_integer(value) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    # a bool is an Integral, but True is not a count or a seed
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _substream(seed: int, role: int, key: int) -> np.random.Generator:
     """Deterministic per-(role, key) generator derived from one 64-bit seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(role, key)))
@@ -292,8 +301,16 @@ class ArrivalStreams:
     """
 
     def __init__(self, specs: Sequence[ClassSpec], step: dict[int, int], seed: int, rows: int):
-        if any(step[s.class_id] < 1 for s in specs):
-            raise InvalidSpecError("count must be >= 1")
+        for cid in step.keys() - {s.class_id for s in specs}:
+            raise InvalidSpecError(f"class {cid!r}: not a class of the specs")
+        for s in specs:
+            if s.class_id not in step:
+                raise InvalidSpecError(f"class {s.class_id}: no count given")
+            count = step[s.class_id]
+            if not (is_integer(count) and count >= 1):
+                raise InvalidSpecError(
+                    f"class {s.class_id}: count must be an integer >= 1, got {count!r}"
+                )
         self._groups = coupling_groups(specs)
         self.specs = tuple(specs)
         self.step = step
@@ -306,79 +323,65 @@ class ArrivalStreams:
         self.horizon = {s.class_id: np.zeros(rows) for s in specs}
 
     def draw(self, class_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray, list[Segment]]:
-        """Append one step of arrivals to each named class (and its group).
+        """Append one step of arrivals to each named class and its coupling group.
 
-        The step is drawn into two flat buffers, of times and of sizes, in
-        which each drawn class has one contiguous (rows, width) block, the
-        classes in id order. Returns the buffers and the segments, one
-        (class_id, start, width) per drawn class, class c's block being
-        [start*rows, (start + width)*rows) of the buffers. With one row the
-        blocks are the class-ordered run that merge_buffers takes.
-        """
-        widths, kept = self._plan(class_ids)
-        segments, start = [], 0
-        for cid in sorted(widths):
-            segments.append((cid, start, widths[cid]))
-            start += widths[cid]
-        rows = self.rows
-        times, sizes = np.empty(start * rows), np.empty(start * rows)
-        # blocks, not column slices of (rows, start) arrays: random(out=)
-        # takes only contiguous arrays
-        self._fill(kept, {
-            cid: (times[lo * rows : (lo + n) * rows].reshape(rows, n),
-                  sizes[lo * rows : (lo + n) * rows].reshape(rows, n))
-            for cid, lo, n in segments
-        })
-        return times, sizes, segments
-
-    def _plan(self, class_ids: Iterable[int]) -> tuple[dict[int, int], dict[int, np.ndarray]]:
-        """Arrivals per row that one step appends to each class it draws, and
-        the thinning masks of the synchronized groups among them.
-
-        The named classes are drawn with their whole coupling groups. A
-        thinned class keeps a random subset of its master's instants, so its
-        width is known only from its mask: the masks are drawn here, before
-        any buffer exists (see _thinning).
+        A thinned class keeps a random subset of its master's instants, so
+        its width is known only from its mask: the masks are drawn first (see
+        _thinning). The step is then laid out in two flat buffers, of times
+        and of sizes, each drawn class one contiguous (rows, width) block in
+        id order, and the blocks are filled, the independent classes first.
+        Returns the buffers and the segments, one (class_id, start, width)
+        per drawn class, class c's block being [start*rows, (start + width)*rows)
+        of the buffers. With one row the blocks are the class-ordered run that
+        merge_buffers takes.
         """
         ids = set(class_ids)
+        for cid in ids - self.step.keys():
+            raise InvalidSpecError(f"class {cid!r}: not a class of the specs")
         for members in self._groups.values():
             if not ids.isdisjoint(m.class_id for m in members):
                 ids.update(m.class_id for m in members)
-        widths = {s.class_id: self.step[s.class_id] for s in self.specs if s.class_id in ids}
         kept = {}
         for group, members in self._groups.items():
             if members[0].class_id in ids and members[0].arrival.mechanism == "synchronized":
                 kept.update(self._thinning(group, members))
-        for cid, mask in kept.items():
-            widths[cid] = int(mask.sum(-1).max())
-        return widths, kept
-
-    def _fill(self, kept: dict[int, np.ndarray], out: dict[int, tuple]) -> None:
-        """Draw the step that _plan laid out into out's (times, sizes) arrays
-        of each class, and append them."""
+        segments, start = [], 0
+        for cid in sorted(ids):
+            width = int(kept[cid].sum(-1).max()) if cid in kept else self.step[cid]
+            segments.append((cid, start, width))
+            start += width
+        rows = self.rows
+        times, sizes = np.empty(start * rows), np.empty(start * rows)
+        # blocks, not column slices of (rows, start) arrays: random(out=)
+        # takes only contiguous arrays
+        out = {
+            cid: (times[lo * rows : (lo + n) * rows].reshape(rows, n),
+                  sizes[lo * rows : (lo + n) * rows].reshape(rows, n))
+            for cid, lo, n in segments
+        }
         for spec in self.specs:
             cid = spec.class_id
-            if cid not in out or isinstance(spec.arrival, CoupledPoisson):
+            if cid not in ids or isinstance(spec.arrival, CoupledPoisson):
                 continue
-            times, sizes = out[cid]
+            block, block_sizes = out[cid]
             if isinstance(spec.arrival, Periodic):
                 k = self.times[cid].shape[-1]
-                period = np.full((self.rows, 1), spec.arrival.period_s)
-                np.multiply(np.arange(k + 1, k + times.shape[-1] + 1, dtype=float), period,
-                            out=times)
-                self._append(spec, times, self._sizes(spec, sizes))
-                self.horizon[cid] = times[:, -1]
+                arrivals = np.arange(k + 1, k + block.shape[-1] + 1, dtype=float)
+                np.multiply(arrivals, np.full((rows, 1), spec.arrival.period_s), out=block)
+                self._append(spec, block, self._sizes(spec, block_sizes))
+                self.horizon[cid] = block[:, -1]
             else:
-                self._rng(_ROLE_ARRIVALS, cid).random(out=times)
-                self._append_gaps(spec, _exponential_from_uniforms(times, spec.arrival.rate_hz),
-                                  sizes)
+                u = self._rng(_ROLE_ARRIVALS, cid).random(out=block)
+                gaps = _exponential_from_uniforms(u, spec.arrival.rate_hz)
+                self._append_gaps(spec, gaps, block_sizes)
         for group, members in self._groups.items():
-            if members[0].class_id not in out:
+            if members[0].class_id not in ids:
                 continue
             if members[0].arrival.mechanism == "scaled":
                 self._draw_scaled(group, members, out)
             else:
                 self._draw_synchronized(group, members, kept, out)
+        return times, sizes, segments
 
     def draw_through(self, class_id: int, j: int) -> None:
         """Draw until every row holds all arrivals up to class_id's j-th one."""
@@ -526,10 +529,7 @@ def proportional_counts(specs: Sequence[ClassSpec], total: int) -> dict[int, int
     """Split a total customer budget across classes in proportion to their rates."""
     rates = np.array([s.arrival_rate_hz for s in specs])
     weights = rates / rates.sum()
-    counts = {
-        s.class_id: max(1, int(round(total * w))) for s, w in zip(specs, weights)
-    }
-    return counts
+    return {s.class_id: max(1, int(round(total * w))) for s, w in zip(specs, weights)}
 
 
 def deterministic_envelope(spec: ClassSpec) -> DeterministicEnvelope:

@@ -1461,3 +1461,13 @@ class TestBoundCurveValidation:
         grid = np.array([0.0, 1.0, 2.0, 3.0])
         curve = step_bound_curve(2.0, grid, "step")
         np.testing.assert_array_equal(curve.probs, [1.0, 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bound", [float("nan"), -1.0, float("-inf")])
+    def test_step_curve_rejects_nan_and_negative_bounds(self, bound):
+        # NaN read as a curve of 1s, -1 as a curve of 0s
+        with pytest.raises(InvalidInputError, match=rf"^step: the bound must be >= 0, got {bound}"):
+            step_bound_curve(bound, np.array([0.0, 1.0]), "step")
+
+    def test_step_curve_of_no_bound_is_one(self):
+        curve = step_bound_curve(float("inf"), np.array([0.0, 1.0]), "step")
+        np.testing.assert_array_equal(curve.probs, [1.0, 1.0])

@@ -542,6 +542,19 @@ class TestEmpiricalCcdf:
         with pytest.raises(InvalidInputError, match="^the tau grid must not hold NaN$"):
             empirical_ccdf([1.0, 2.0], np.array([np.nan, 1.5]), warmup_discard=0.0)
 
+    @pytest.mark.parametrize(
+        "values, grid",
+        [
+            (np.ones((2, 3)), np.array([0.0, 0.5])),  # numpy's "truth value ... is ambiguous"
+            (np.ones(3), np.zeros((2, 2))),  # a 2-d array of fractions
+            (np.ones(3), np.array(0.5)),
+        ],
+        ids=["2d_values", "2d_grid", "0d_grid"],
+    )
+    def test_wrong_shape_rejected(self, values, grid):
+        with pytest.raises(InvalidInputError, match="^values and the tau grid must be 1-d arrays$"):
+            empirical_ccdf(values, grid, 0.0)
+
 
 class TestTransient:
     def test_first_customer_delay_at_least_its_service(self):

@@ -150,14 +150,21 @@ class TestArrivalStreams:
             np.testing.assert_array_equal(row.times_s[0], seq.times_s)
             np.testing.assert_array_equal(row.sizes_bits[0], seq.sizes_bits)
 
-    @pytest.mark.parametrize("mechanism", ["scaled", "synchronized"])
-    def test_draw_lays_out_one_block_per_class(self, mechanism):
+    @pytest.mark.parametrize(
+        "rates, mechanism",
+        [((1e4, 1e3), "scaled"), ((1e4, 1e3), "synchronized"), ((1e3, 1e4), "synchronized")],
+        ids=["scaled", "synchronized", "synchronized_master_last"],
+    )
+    def test_draw_lays_out_one_block_per_class(self, rates, mechanism):
         # class c's block is [start*rows, (start + width)*rows) of the
-        # buffers, the classes in id order; a drawn class holds its block
-        specs = [*_coupled_pair(10000.0, 1000.0, mechanism),
+        # buffers, the classes in id order; a drawn class holds its block.
+        # With the master last, the thinned class's block comes first, so
+        # its width is known before the master's uniforms are drawn.
+        specs = [*_coupled_pair(*rates, mechanism),
                  ClassSpec(3, Poisson(2e3), ExponentialMean(800.0), 10e6)]
         rows = 4
-        streams = ArrivalStreams(specs, {1: 40, 2: 6, 3: 9}, seed=5, rows=rows)
+        step = {1: 40, 2: 6, 3: 9} if rates[0] > rates[1] else {1: 6, 2: 40, 3: 9}
+        streams = ArrivalStreams(specs, step, seed=5, rows=rows)
         times, sizes, segments = streams.draw([3, 1])
         assert [cid for cid, _, _ in segments] == [1, 2, 3]
         end = 0
@@ -169,9 +176,43 @@ class TestArrivalStreams:
             assert np.shares_memory(times[block], streams.times[cid])
             end += width
         assert times.shape == sizes.shape == (end * rows,)
+        if mechanism == "synchronized":
+            master, slow = (1, 2) if rates[0] > rates[1] else (2, 1)
+            assert streams.times[master].shape == (rows, 40)
+            kept = np.isfinite(streams.times[slow])
+            for r in range(rows):
+                assert np.all(np.isin(streams.times[slow][r][kept[r]], streams.times[master][r]))
         # a later draw lays out only the classes it draws
         _, _, segments = streams.draw([3])
         assert segments == [(3, 0, 9)]
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({1: 5}, "^class 2: no count given$"),  # was a bare KeyError
+            ({1: 5.0, 2: 5}, r"^class 1: count must be an integer >= 1, got 5\.0$"),
+            ({1: True, 2: 5}, "^class 1: count must be an integer >= 1, got True$"),
+            ({1: 5, 2: 5, 9: 3}, "^class 9: not a class of the specs$"),  # was ignored
+            ({1: 0, 2: 5}, "^class 1: count must be an integer >= 1, got 0$"),
+        ],
+        ids=["missing", "float", "bool", "unknown", "zero"],
+    )
+    def test_bad_step_table_rejected(self, step, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            ArrivalStreams(preset(3).specs, step, seed=1, rows=2)
+        with pytest.raises(InvalidSpecError, match=message):
+            generate_sequences(preset(3).specs, step, seed=1)
+
+    def test_numpy_counts_accepted(self):
+        path = generate_sequences(preset(3).specs, {1: np.int64(5), 2: np.uint8(3)}, seed=1)
+        assert [len(seq) for seq in path] == [5, 3]
+
+    def test_draw_of_an_unknown_class_rejected(self):
+        # a draw of class 9 alone drew nothing
+        streams = ArrivalStreams(preset(3).specs, {1: 5, 2: 5}, seed=1, rows=2)
+        with pytest.raises(InvalidSpecError, match="^class 9: not a class of the specs$"):
+            streams.draw([1, 9])
+        assert all(streams.times[cid].shape == (2, 0) for cid in (1, 2))
 
     def test_synchronized_rows_are_ragged_subsets_of_the_master(self):
         specs = _coupled_pair(10000.0, 1000.0, "synchronized")
@@ -213,7 +254,11 @@ class TestInPlaceDraws:
     """Draws are transformed in the buffer they were drawn into; the same
     formulas on fresh arrays at each step must give the same bits."""
 
-    SPECS = [*(preset(k).specs for k in (3, 4, 5, 6)), _coupled_pair(10000.0, 1000.0)]
+    SPECS = [
+        *(preset(k).specs for k in (3, 4, 5, 6)),
+        _coupled_pair(10000.0, 1000.0),
+        _coupled_pair(1000.0, 10000.0, "synchronized"),  # the master last
+    ]
 
     @staticmethod
     def _copying(monkeypatch):
@@ -501,3 +546,15 @@ class TestArrivalSequenceCut:
             cut = ArrivalSequence(seq.class_id, times, sizes)
             assert len(cut) == min(count, len(seq))
             self._same_view(cut, seq.times_s[:, :count], seq.sizes_bits[:, :count])
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(3, True), (np.int64(3), True), (np.uint8(3), True), (-2, True), (True, False),
+     (np.bool_(True), False), (3.0, False), (np.float64(3.0), False), ("3", False), (None, False)],
+    ids=["int", "int64", "uint8", "negative", "bool", "numpy_bool", "float", "float64", "str",
+         "none"],
+)
+def test_is_integer(value, expected):
+    # the one integer rule of counts, seeds and replications
+    assert traffic.is_integer(value) is expected

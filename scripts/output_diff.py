@@ -12,6 +12,12 @@ config files (the README's example, and bad configs and two valid
 couplings built from it) and take the same relative --out paths, so every
 difference comes from the code. One line per command; the exit status is 1
 if any command differs.
+
+Each line also gives the command's peak RSS in MB on each side, this
+checkout's first, from os.wait4 of the CLI process itself. A harness that
+forks its commands cannot read below its own RSS, since a forked child's
+ru_maxrss counts the parent's pages at the fork; this script imports no
+numpy, so its children read their own peak.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +56,9 @@ COMMANDS = (
     # up to rounding
     + [["compare", "--case", "1", "--tau-max", "1.4e-4", "--customers", "20000"]]
     + [["compare", "--case", "2", "--tau-max", "1.8e-4", "--customers", "20000"]]
+    # a D/D/1 run whose window, warmup and horizon boundaries all fall
+    # inside a window of the comparison's scan
+    + [["compare", "--case", "2", "--customers", "70001", "--warmup", "0.5"]]
     # flags of fields the command does not read, which it rejects
     + [["bounds", "--case", "3", "--seed", "7"]]
     + [["simulate", "--case", "4", "--customers", "2000", "--replications", "5"]]
@@ -188,14 +198,24 @@ def diff_trees(a: Path, b: Path) -> list[str]:
     return sorted(str(p) for p in (files[0] ^ files[1]) | changed)
 
 
-def run(tree: Path, work: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+def run(tree: Path, work: Path, argv: list[str]) -> tuple[int, bytes, bytes, float]:
+    """The exit code, stdout and stderr of one CLI command, and its peak RSS in MB."""
     env = {k: v for k, v in os.environ.items() if k != "MCFIFO_SEED"}
     env["PYTHONPATH"] = str(tree / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "mcfifo.cli", *argv],
-        cwd=work, env=env, capture_output=True, timeout=600,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mcfifo.cli", *argv], cwd=work, env=env, stdout=out, stderr=err
+        )
+        timer = threading.Timer(600, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024.0
 
 
 def main(argv=None) -> int:
@@ -218,7 +238,9 @@ def main(argv=None) -> int:
             for out in outs:
                 shutil.rmtree(out, ignore_errors=True)
             line = " ".join(command)
-            print(f"DIFF {line}: {', '.join(problems)}" if problems else f"same {line}")
+            rss = "{:7.1f} {:7.1f} MB".format(*(result[-1] for result in results))
+            print(f"DIFF {rss} {line}: {', '.join(problems)}" if problems
+                  else f"same {rss} {line}")
             differing += bool(problems)
     return 1 if differing else 0
 

@@ -24,7 +24,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .experiments import (
     PRESETS,
     CaseConfig,
-    _empirical_entries,
+    _run_entries,
     preset,
     run_comparison,
     simulate_case,
@@ -132,7 +132,7 @@ def cmd_simulate(args) -> int:
     result = simulate_case(config)
     result.write_csv(out / "records.csv")
 
-    entries = [e for e in _empirical_entries(config, result) if e.class_id is not None]
+    entries = [e for e in _run_entries(config, result) if e.class_id is not None]
     write_curves_csv(out / "ccdf.csv", entries)
 
     summary = {

@@ -11,15 +11,21 @@ bound. It builds every curve a comparison reports: with
 replications > 1 and some stochastic class, these include the transient
 delay tails of the first class's 1st, 10th and 100th customers.
 
-simulate_case draws the run into two class-ordered buffers of times and
-sizes (generate_sequences), cuts each class at the horizon in them
-(_horizon_run) and hands them to the merge, which consumes them. Its CCDF
-stage (_empirical_entries) sorts each class's waits once and, for a class
-of constant sizes, counts the delay curve from the same sorted waits
+A run is drawn into two class-ordered buffers of times and sizes
+(generate_sequences) and each class cut at the horizon in them
+(_horizon_run). simulate_case hands them to the merge, which consumes them
+into a RunResult of whole columns. run_comparison keeps them: after the
+merge's order step, it scans the merged order in windows
+(simulator.fifo_windows), checks each window's delays against a periodic
+case's D/D/1 bound, and writes the window's waits back into the times
+buffer at the window's sources, and its delays into the sizes buffer when
+some class has exponential sizes. The CCDF stage (_empirical_entries) reads
+those class-ordered buffers: it sorts each class's waits once and, for a
+class of constant sizes, counts the delay curve from the same sorted waits
 shifted by the class's one service time; only classes with exponential
-sizes (presets 4 and 6) have their delays scattered, a chunk at a time from
-RunResult.delay_chunks, and sorted. The D/D/1 check of a periodic case
-reads its delays the same way. Each grid check gives a
+sizes (presets 4 and 6) have their delays sorted. A whole run
+(_run_entries, for the simulate command) reaches it by scattering its waits
+and delays into class order by source. Each grid check gives a
 ViolationReport(count, worst): how many checked points exceed the bound,
 and the one that does by the most binomial standard errors.
 write_curves_csv writes the bytes of csv.writer without a per-row writer
@@ -55,7 +61,9 @@ from .simulator import (
     Segment,
     count_above,
     empirical_ccdf,
+    fifo_windows,
     merge_buffers,
+    merge_order,
     merge_streams,
     run_fifo,
     transient_delays,
@@ -438,63 +446,65 @@ def _counted_entry(
     return CurveEntry(label, "empirical", metric, class_id, grid, above / samples, samples=samples)
 
 
-def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry]:
+def _empirical_entries(
+    config: CaseConfig,
+    source: np.ndarray,
+    segments: Sequence[Segment],
+    waiting: np.ndarray,
+    delay: np.ndarray | None,
+) -> list[CurveEntry]:
     """Empirical CCDFs of delay and waiting: aggregate, then one per class.
+
+    waiting and delay hold a run's values in class order, each customer at
+    its source; source is the run's merged order and segments its classes.
+    delay may be None when every class has Constant sizes. Each class's
+    segment of both is sorted in place.
 
     Each curve equals empirical_ccdf of its values, but every class's kept
     values are sorted once per metric and the aggregate is counted from them.
-    A metric is scattered into class order by source once, so class c's
-    values in arrival order are its segment [start, start + n_c) of that
-    buffer. Class c's curve keeps them from d_c = int(n_c * warmup) on. The
+    Class c's values in arrival order are its segment [start, start + n_c),
+    and its curve keeps them from d_c = int(n_c * warmup) on. The
     aggregate keeps every customer from int(n * warmup) on, which is class
     c's values from e_c on, e_c being the class-c sources among the first
     int(n * warmup) customers. So the aggregate counts are the class counts,
     less the count over class c's values between d_c and e_c when e_c > d_c,
     or plus it when e_c < d_c.
 
-    Waits are sorted first. A class of Constant sizes has the one service
-    time s_c = bits / rate, the merge's own division, and adding a constant
-    keeps float order, so its sorted delays are its sorted waits plus s_c:
-    they are shifted in place and counted, and delay_s is scattered and
-    sorted only when some class has exponential sizes.
+    A class of Constant sizes has the one service time s_c = bits / rate,
+    the merge's own division, and adding a constant keeps float order, so
+    its sorted delays are its sorted waits plus s_c: they are shifted in
+    place and counted, and only the other classes read delay.
     """
     grid, warmup = config.grid(), config.warmup_fraction
-    skip = int(len(result) * warmup)
-    head = result.source[:skip]
-    classes = []  # per class: id, segment start and length, d_c and e_c
-    for cid, start, n in result.segments:
-        e = int(np.count_nonzero((head >= start) & (head < start + n)))
-        classes.append((cid, start, n, int(n * warmup), e))
+    skip = int(len(source) * warmup)
+    head = source[:skip]
     service = {
         s.class_id: s.size.bits / s.service_rate_bps
         for s in config.specs
         if isinstance(s.size, Constant)
     }
+    classes = []  # per class: id, length, d_c and e_c
     # (metric, class id) -> counts above the grid of the class's kept values
     # and of its values between d_c and e_c
     counts: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    by_class = np.empty(len(result))
-    by_class[result.source] = result.waiting_s
-    for cid, start, n, d, e in classes:
-        kept, edge = _sorted_class(by_class[start : start + n], d, e)
+    for cid, start, n in segments:
+        d = int(n * warmup)
+        e = int(np.count_nonzero((head >= start) & (head < start + n)))
+        classes.append((cid, n, d, e))
+        kept, edge = _sorted_class(waiting[start : start + n], d, e)
         counts["waiting", cid] = count_above(kept, grid), count_above(edge, grid)
         if cid in service:
             kept += service[cid]
             edge += service[cid]
-            counts["delay", cid] = count_above(kept, grid), count_above(edge, grid)
-    exponential = [c for c in classes if c[0] not in service]
-    if exponential:
-        for chunk, delays in result.delay_chunks():
-            by_class[result.source[chunk]] = delays
-        for cid, start, n, d, e in exponential:
-            kept, edge = _sorted_class(by_class[start : start + n], d, e)
-            counts["delay", cid] = count_above(kept, grid), count_above(edge, grid)
+        else:
+            kept, edge = _sorted_class(delay[start : start + n], d, e)
+        counts["delay", cid] = count_above(kept, grid), count_above(edge, grid)
 
     entries = []
     for metric in ("delay", "waiting"):
         total = np.zeros(len(grid), dtype=np.int64)
         per_class = []
-        for cid, _, n, d, e in classes:
+        for cid, n, d, e in classes:
             above, edge = counts[metric, cid]
             total += above
             if e > d:
@@ -503,10 +513,29 @@ def _empirical_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry
                 total += edge
             label = f"sim_{metric}_c{cid}"
             per_class.append(_counted_entry(label, metric, cid, grid, above, n - d))
-        samples = len(result) - skip
+        samples = len(source) - skip
         entries.append(_counted_entry(f"sim_{metric}", metric, None, grid, total, samples))
         entries += per_class
     return entries
+
+
+def _exponential_sizes(config: CaseConfig) -> bool:
+    """Whether some class has exponential sizes, so _empirical_entries reads delays."""
+    return not all(isinstance(s.size, Constant) for s in config.specs)
+
+
+def _run_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry]:
+    """_empirical_entries of a whole run: its waits, and its delays when
+    some class has exponential sizes, scattered into class order by source,
+    the delays a chunk of RunResult.delay_chunks at a time."""
+    waiting = np.empty(len(result))
+    waiting[result.source] = result.waiting_s
+    delay = None
+    if _exponential_sizes(config):
+        delay = np.empty(len(result))
+        for chunk, delays in result.delay_chunks():
+            delay[result.source[chunk]] = delays
+    return _empirical_entries(config, result.source, result.segments, waiting, delay)
 
 
 def _sorted_class(values: np.ndarray, d: int, e: int) -> tuple[np.ndarray, np.ndarray]:
@@ -712,22 +741,36 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     """
     # first, so a bound that cannot be built fails before the run
     bound_entries, values = case_bound_entries(config)
-    result = simulate_case(config)
+    times, sizes, segments = _horizon_run(config)
+    source = merge_order(times, sizes, segments, config.rates())
     stability = analytic.stability(config.specs)
-    empirical = _empirical_entries(config, result)
     deterministic = all(isinstance(s.arrival, Periodic) for s in config.specs)
+    exponential = _exponential_sizes(config)
+    # the deterministic bound, a periodic case's only one, is checked
+    # customer by customer
+    dd1 = "dd1_bound_s" in values
+    limit, largest, over = values.get("dd1_bound_s", 0.0) + FLOAT_SLACK_S, -np.inf, 0
+    # each window's waits, and its delays when a class reads them, go back
+    # into the buffers at the window's own sources, which the scan has read
+    # and does not read again: class order, as _empirical_entries takes them
+    for at, service, waits in fifo_windows(times, sizes, source):
+        times[at] = waits
+        if exponential or dd1:
+            delays = np.add(waits, service, out=service)
+            if exponential:
+                sizes[at] = delays
+            if dd1:
+                largest = max(largest, float(delays.max()))
+                over += int(np.count_nonzero(delays > limit))
+    delay = sizes if exponential else None
+    empirical = _empirical_entries(config, source, segments, times, delay)
 
     violations = []
-    if "dd1_bound_s" in values:  # the deterministic bound, a periodic case's only one
-        limit = values["dd1_bound_s"] + FLOAT_SLACK_S
-        largest, over = -np.inf, 0
-        for _, delays in result.delay_chunks():
-            largest = max(largest, float(delays.max()))
-            over += int(np.count_nonzero(delays > limit))
+    if dd1:
         values["max_delay_s"] = largest
         values["delays_above_dd1"] = over
     else:
-        # simulate_case ran every class of the config, so every bound has its curve
+        # _horizon_run kept every class of the config, so every bound has its curve
         targets = {(e.metric, e.class_id): e for e in empirical}
         violations = [
             _check_violations(bound, targets[bound.metric, bound.class_id])

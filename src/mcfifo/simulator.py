@@ -30,34 +30,46 @@ times sit in the group's slice of the waits, and the two other temporaries,
 one stack of every block of a 1M-customer run made 8 MB temporaries and, in
 place, ran no faster than one block per call.
 
-merge_buffers sorts class-ordered buffers of times and sizes once, and
-keeps that sort order as the one per-customer fact besides times and
-service: source, each customer's position in the buffers. Next to it sit
-the segments, one (class_id, start, count) per class in id order, so a
-class's customers are the sources in [start, start + count) and the j-th of
-them is source start + j - 1. It consumes the buffers: each class's sizes
-are divided in place by its own rate, so run_fifo never looks a customer's
-class up, and once gathered the sizes buffer takes the ordered times. A long
-run hands it the buffers its draw wrote (experiments.simulate_case), so it
-copies no whole-run array; merge_streams first concatenates caller-owned
-sequences into fresh buffers and leaves the sequences as they were. The
-class-id and j columns (class_ids, class_index) are derived from source and
-segments on demand, for records.csv and tests; the long run and the
-replications never build them. A run's record is one type: RunResult is
-the MergedArrivals it ran, the same arrays, plus its waits, so every
+merge_order is the order step of every merge: it divides each class's
+sizes in place by its own rate, so run_fifo never looks a customer's class
+up, and sorts the class-ordered times once. That sort order is the one
+per-customer fact besides times and service: source, each customer's
+position in the buffers. Next to it sit the segments, one (class_id, start,
+count) per class in id order, so a class's customers are the sources in
+[start, start + count) and the j-th of them is source start + j - 1.
+merge_buffers consumes the buffers into whole merged columns: it gathers
+the service times, and then the sizes buffer takes the ordered times. A
+long run hands it the buffers its draw wrote (experiments.simulate_case),
+so it copies no whole-run array; merge_streams first concatenates
+caller-owned sequences into fresh buffers and leaves the sequences as they
+were. The class-id and j columns (class_ids, class_index) are derived from
+source and segments on demand, for records.csv and tests; the long run and
+the replications never build them. A run's record is one type: RunResult
+is the MergedArrivals it ran, the same arrays, plus its waits, so every
 per-customer column is defined once. run_fifo rejects arrival times that
 are not finite or not time-ordered and service times that are not finite
 and >= 0. RunResult.delay_chunks yields the delays CHUNK customers at a
 time: write_csv derives each chunk's columns from them and formats each row
 with one str.format, so writing records.csv takes memory bounded by the
-chunk, and the comparison's D/D/1 check and CCDF stage read delays the same
-way, so a whole-run delay array is never built there. Tail fractions count
-the values above each tau by count_above, one searchsorted on sorted values;
-empirical_ccdf uses it, and so does the comparison's CCDF stage
-(experiments._empirical_entries), which scatters each metric back into
-class order by source, sorts each class's segment once and counts the
-aggregate curve from the class counts; a class of constant sizes gets its
-sorted delays by shifting its sorted waits.
+chunk.
+
+The comparison (experiments.run_comparison) builds no merged column at
+all. fifo_windows scans the merged order of the class-ordered buffers in
+windows of CHUNK customers: it gathers a window's arrival and service
+times into window buffers, checks them as run_fifo checks a run and
+against the window before, and runs the scan with the backlog carried in
+from that window (_fifo_scan, the kernel of fifo_waits). CHUNK is a whole
+number of blocks, so every wait is bit for bit that of the whole run. The
+comparison then writes the window's waits into the times buffer at the
+window's own sources, and its delays, when a class of exponential sizes
+needs them, into the service buffer: slots the scan has read and never
+reads again. After the scan the two buffers hold the waits and delays in
+class order. Tail fractions count the values above each tau by
+count_above, one searchsorted on sorted values; empirical_ccdf uses it, and
+so does the comparison's CCDF stage (experiments._empirical_entries), which
+sorts each class's segment of those buffers once and counts the aggregate
+curve from the class counts; a class of constant sizes gets its sorted
+delays by shifting its sorted waits.
 
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
@@ -105,9 +117,11 @@ FIFO_GROUP = 16
 #: per-call overhead, few enough that a chunk's arrays stay near 1 MB each.
 TRANSIENT_CHUNK = 2**17
 
-#: Customers per chunk of RunResult.delay_chunks, and so rows of records.csv
-#: formatted at a time: a chunk's six columns as Python objects take a few
-#: MB, where a whole run's would grow with its length.
+#: Customers per window of fifo_windows and per chunk of
+#: RunResult.delay_chunks, and so rows of records.csv formatted at a time: a
+#: chunk's six columns as Python objects take a few MB, where a whole run's
+#: would grow with its length. A whole number of FIFO_BLOCKs, so a window
+#: starts a block and its waits are those of the whole run's scan.
 CHUNK = 2**16
 
 
@@ -234,21 +248,20 @@ def merge_streams(
     return merge_buffers(times, sizes, segments, rates_bps)
 
 
-def merge_buffers(
+def merge_order(
     times: np.ndarray,
     sizes: np.ndarray,
     segments: Sequence[Segment],
     rates_bps: Mapping[int, float],
-) -> MergedArrivals:
-    """The merge of class-ordered buffers of times and sizes, which it consumes.
+) -> np.ndarray:
+    """The merged order of class-ordered buffers of times and sizes.
 
     Class c's arrivals are [start, start + count) of the buffers along the
     last axis, for its segment (c, start, count), segments being in class-id
-    order; each class is time-ordered. One stable sort then breaks ties as
-    merge_streams states. Each class's segment of sizes is divided in place
-    by its service rate, so the gathered column holds service times; after
-    that gather the sizes buffer takes the ordered times. The sort order is
-    kept as each customer's source.
+    order; each class is time-ordered. Each class's segment of sizes is
+    divided in place by its service rate, so the buffer then holds service
+    times. Returns each customer's source in merged order: one stable sort
+    of the times, which breaks ties as merge_streams states.
     """
     for cid, start, count in segments:
         if cid not in rates_bps:
@@ -259,7 +272,23 @@ def merge_buffers(
                 f"class {cid}: service rate must be finite and > 0, got {rate}"
             )
         sizes[..., start : start + count] /= rate
-    source = np.argsort(times, axis=-1, kind="stable")
+    return np.argsort(times, axis=-1, kind="stable")
+
+
+def merge_buffers(
+    times: np.ndarray,
+    sizes: np.ndarray,
+    segments: Sequence[Segment],
+    rates_bps: Mapping[int, float],
+) -> MergedArrivals:
+    """The merge of class-ordered buffers of times and sizes, which it consumes.
+
+    merge_order gives the sort order, kept as each customer's source, and
+    turns the sizes into service times in place, so the gathered column
+    holds service times; after that gather the sizes buffer takes the
+    ordered times.
+    """
+    source = merge_order(times, sizes, segments, rates_bps)
     # a batch row's sources count from that row's start in the flat arrays
     n = times.shape[-1]
     flat = source if source.ndim == 1 else source + n * np.arange(len(source))[:, None]
@@ -280,12 +309,29 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
     blocks are grouped.
     """
     waits = np.empty(arrival_s.shape)
-    if arrival_s.ndim == 1:  # one queue: its carry is plain floats
-        backlog = last_arrival = 0.0
+    _fifo_scan(arrival_s, service_s, waits)
+    return waits
+
+
+def _fifo_scan(
+    arrival_s: np.ndarray,
+    service_s: np.ndarray,
+    waits: np.ndarray,
+    backlog=0.0,
+    last_arrival=0.0,
+):
+    """The scan of fifo_waits into waits, carrying the queue across calls.
+
+    The queue starts with backlog (departure minus last arrival) after an
+    arrival at last_arrival, 0 and 0 being an empty server at time 0.
+    Returns the same pair after the last arrival: the carry into the scan
+    of the customers that follow, which is bit for bit the scan of both
+    parts at once when the first part is a whole number of blocks.
+    """
+    one = arrival_s.ndim == 1
+    if one:  # one queue: its carry is plain floats
         maximum, per_block = _maximum, np.ndarray.tolist
     else:  # one carry per queue, a vector over the leading axes
-        backlog = np.zeros(arrival_s.shape[:-1])  # departure minus the last arrival
-        last_arrival = np.zeros(arrival_s.shape[:-1])
         maximum, per_block = np.maximum, lambda x: list(np.moveaxis(x, -1, 0))
     n = arrival_s.shape[-1]
     full = n - n % FIFO_BLOCK
@@ -303,7 +349,11 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
         a = arrival_s[..., lo:hi].reshape(shape)
         s = service_s[..., lo:hi].reshape(shape)
         rel = waits[..., lo:hi].reshape(shape)
-        np.subtract(a, a[..., :1], out=rel)
+        if one:  # a scalar operand per block takes no iterator buffer
+            for a_block, rel_block in zip(a, rel):
+                np.subtract(a_block, a_block[0], out=rel_block)
+        else:
+            np.subtract(a, a[..., :1], out=rel)
         prefix = prefixes[: math.prod(shape)].reshape(shape)  # service before i in its block
         prefix[..., 0] = 0.0
         np.cumsum(s[..., :-1], axis=-1, out=prefix[..., 1:])
@@ -323,17 +373,36 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
             carried.append(backlog - (a_first - last_arrival))
             backlog = maximum((p_last + maximum(carried[-1], m_last)) - rel_last, 0.0) + s_last
             last_arrival = a_last
-        carried = np.moveaxis(np.array(carried), 0, -1)  # (..., blocks)
-        np.maximum(carried[..., None], start, out=start)
+        if one:
+            for c, start_block in zip(carried, start):
+                np.maximum(c, start_block, out=start_block)
+        else:
+            carried = np.moveaxis(np.array(carried), 0, -1)  # (..., blocks)
+            np.maximum(carried[..., None], start, out=start)
         np.add(prefix, start, out=start)
         np.subtract(start, rel, out=rel)  # the waits, in rel's own slice
         np.maximum(rel, 0.0, out=rel)
-    return waits
+    return backlog, last_arrival
 
 
 def _maximum(x: float, y: float) -> float:
     """np.maximum of two floats: x on ties and when x is NaN, else the larger."""
     return x if x >= y or x != x else y
+
+
+def _check_run(times: np.ndarray, service: np.ndarray, after: float = -np.inf) -> None:
+    """Arrival times must be finite and time-ordered, none before after, and
+    service times finite and >= 0."""
+    # NaN fails every comparison, so a nondecreasing row whose ends are
+    # finite holds only finite times: one ordering pass and two ends
+    ends = times[..., [0, -1]] if times.shape[-1] else times
+    ordered = np.all(times[..., 1:] >= times[..., :-1]) and np.all(ends[..., :1] >= after)
+    if not (ordered and np.all(np.isfinite(ends))):
+        if not np.all(np.isfinite(times)):
+            raise InvalidInputError("arrival times must be finite")
+        raise InvalidInputError("aggregate arrivals must be time-ordered")
+    if service.size and not (service.min() >= 0 and service.max() < np.inf):  # NaN propagates
+        raise InvalidInputError("service times must be finite and >= 0")
 
 
 def run_fifo(merged: MergedArrivals) -> RunResult:
@@ -343,16 +412,40 @@ def run_fifo(merged: MergedArrivals) -> RunResult:
     finite and time-ordered, service times finite and >= 0.
     """
     times, service = merged.arrival_s, merged.service_s
-    # NaN fails every comparison, so a nondecreasing row whose ends are
-    # finite holds only finite times: one ordering pass and two ends
-    ends = times[..., [0, -1]] if times.shape[-1] else times
-    if not (np.all(times[..., 1:] >= times[..., :-1]) and np.all(np.isfinite(ends))):
-        if not np.all(np.isfinite(times)):
-            raise InvalidInputError("arrival times must be finite")
-        raise InvalidInputError("aggregate arrivals must be time-ordered")
-    if service.size and not (service.min() >= 0 and service.max() < np.inf):  # NaN propagates
-        raise InvalidInputError("service times must be finite and >= 0")
+    _check_run(times, service)
     return RunResult(**vars(merged) | {"waiting_s": fifo_waits(times, service)})
+
+
+def fifo_windows(times: np.ndarray, service: np.ndarray, source: np.ndarray):
+    """The FIFO scan of one run in class-ordered buffers, CHUNK customers at
+    a time.
+
+    times and service hold each customer at its source, and source is their
+    merged order (merge_order), so the k-th window is the customers
+    source[k * CHUNK : (k + 1) * CHUNK]. Yields (at, service, waits) per
+    window: its sources, and its service times and waits in merged order,
+    in window buffers that the next window reuses and the caller may
+    overwrite. Each window is checked as run_fifo checks a run, its first
+    arrival against the last of the window before, and the backlog is
+    carried from window to window; CHUNK is a whole number of FIFO_BLOCKs,
+    so every wait is bit for bit that of fifo_waits over the whole run. No
+    window reads the buffers at the sources of the windows before it, so
+    the caller may write each window's results there.
+    """
+    size = min(CHUNK, len(source))
+    arrivals, services, waits = np.empty(size), np.empty(size), np.empty(size)
+    carry, after = (0.0, 0.0), -np.inf
+    for lo in range(0, len(source), CHUNK):
+        at = source[lo : lo + CHUNK]
+        # indices are in range, so clip mode changes nothing but skips the
+        # buffered bounds check
+        a = times.take(at, out=arrivals[: len(at)], mode="clip")
+        s = service.take(at, out=services[: len(at)], mode="clip")
+        _check_run(a, s, after)
+        w = waits[: len(at)]
+        carry = _fifo_scan(a, s, w, *carry)
+        after = a[-1]
+        yield at, s, w
 
 
 def empirical_ccdf(

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidSpecError, NoDecayError, UnsupportedEnvelopeError
+from .errors import InvalidInputError, InvalidSpecError, NoDecayError, UnsupportedEnvelopeError
 
 # Substream roles for splittable seeding.
 _ROLE_ARRIVALS = 0
@@ -311,6 +311,8 @@ class ArrivalStreams:
                 raise InvalidSpecError(
                     f"class {s.class_id}: count must be an integer >= 1, got {count!r}"
                 )
+        if not (is_integer(rows) and rows >= 1):
+            raise InvalidInputError(f"rows must be an integer >= 1, got {rows!r}")
         self._groups = coupling_groups(specs)
         self.specs = tuple(specs)
         self.step = step

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcfifo import experiments
+from mcfifo import experiments, simulator
 from mcfifo.analytic import theta_md1
 from mcfifo.cli import EXIT_CONFIG, main
 from mcfifo.errors import (
@@ -26,7 +26,7 @@ from mcfifo.experiments import (
     CurveEntry,
     ViolationPoint,
     _check_violations,
-    _empirical_entries,
+    _run_entries,
     case_bound_entries,
     preset,
     run_comparison,
@@ -36,10 +36,12 @@ from mcfifo.experiments import (
     write_json,
 )
 from mcfifo.simulator import (
+    FIFO_BLOCK,
     MergedArrivals,
     RunResult,
     empirical_ccdf,
     fifo_waits,
+    fifo_windows,
     merge_streams,
     run_fifo,
     transient_delays,
@@ -188,13 +190,13 @@ class TestRunComparison:
         config = replace(preset(2), customers=2000, tau_max_s=1.8e-4)
         bound = run_comparison(config).values["dd1_bound_s"]
 
-        def late(config):
-            result = simulate_case(config)
-            # the last customer leaves two slacks after the bound
-            result.waiting_s[-1] = bound + 2 * FLOAT_SLACK_S - result.service_s[-1]
-            return result
+        def late(times, sizes, source):
+            # one window: its last customer, the run's, leaves two slacks after the bound
+            for at, service, waits in fifo_windows(times, sizes, source):
+                waits[-1] = bound + 2 * FLOAT_SLACK_S - service[-1]
+                yield at, service, waits
 
-        monkeypatch.setattr("mcfifo.experiments.simulate_case", late)
+        monkeypatch.setattr("mcfifo.experiments.fifo_windows", late)
         r = run_comparison(config)
         # a periodic case is judged customer by customer, not on the grid
         assert r.violations == ()
@@ -443,9 +445,9 @@ class TestBoundRegistry:
 
     def test_a_bound_that_cannot_be_built_fails_before_the_run(self, monkeypatch):
         def no_run(config):
-            pytest.fail("simulate_case ran for a bound that cannot be built")
+            pytest.fail("the run was drawn for a bound that cannot be built")
 
-        monkeypatch.setattr(experiments, "simulate_case", no_run)
+        monkeypatch.setattr(experiments, "_horizon_run", no_run)
         config = CaseConfig("overloaded", _OVERLOADED_SPECS, bounds=("md1",))
         with pytest.raises(NoPositiveRootError, match="^bound md1: utilization"):
             run_comparison(config)
@@ -496,6 +498,37 @@ class TestBurstTailSplitAgainstSimulation:
             assert p <= b + slack, f"split bound broken at tau={tau}"
 
 
+def _assert_empirical_curves(config: CaseConfig, result: RunResult, entries) -> set[int]:
+    """Each empirical curve of entries must equal empirical_ccdf of its
+    samples, the class-masked waits or delays of result. Returns the sides,
+    -1, 0 or 1, on which the aggregate's warmup boundary fell of each
+    class's own."""
+    by_key = {(e.metric, e.class_id): e for e in entries if e.kind == "empirical"}
+    assert len(by_key) == 2 * (1 + len(config.specs))
+    warmup = config.warmup_fraction
+    skip = int(len(result) * warmup)
+    samples = {None: np.ones(len(result), dtype=bool)}
+    sides = set()
+    for s in config.specs:
+        mask = result.class_ids == s.class_id
+        samples[s.class_id] = mask
+        if isinstance(s.size, Constant):
+            # the delay curve shifts the sorted waits by this service time
+            service = s.size.bits / s.service_rate_bps
+            assert np.all(result.service_s[mask] == service)
+        # e_c vs d_c: where the aggregate's boundary falls in class c
+        e = np.count_nonzero(mask[:skip])
+        sides.add(np.sign(e - int(np.count_nonzero(mask) * warmup)))
+    metrics = (("delay", result.delay_s), ("waiting", result.waiting_s))
+    for metric, values in metrics:
+        for cid, mask in samples.items():
+            want = empirical_ccdf(values[mask], config.grid(), warmup)
+            got = by_key[metric, cid]
+            assert np.array_equal(got.probs, want.fractions), (config.case_id, warmup, cid)
+            assert got.samples == want.sample_count
+    return sides
+
+
 class TestEmpiricalEntries:
     def test_every_curve_is_the_ccdf_of_its_own_samples(self):
         """The aggregate is counted from the class sorts; each curve must
@@ -506,29 +539,30 @@ class TestEmpiricalEntries:
             for warmup in (0.0, 0.1, 0.5, 0.9):
                 config = replace(base, customers=20_000, warmup_fraction=warmup)
                 result = simulate_case(config)
-                entries = _empirical_entries(config, result)
-                by_key = {(e.metric, e.class_id): e for e in entries}
-                assert len(by_key) == len(entries) == 2 * (1 + len(config.specs))
-                skip = int(len(result) * warmup)
-                samples = {None: np.ones(len(result), dtype=bool)}
-                for s in config.specs:
-                    mask = result.class_ids == s.class_id
-                    samples[s.class_id] = mask
-                    if isinstance(s.size, Constant):
-                        # the delay curve shifts the sorted waits by this service time
-                        service = s.size.bits / s.service_rate_bps
-                        assert np.all(result.service_s[mask] == service)
-                    # e_c vs d_c: where the aggregate's boundary falls in class c
-                    e = np.count_nonzero(mask[:skip])
-                    boundary_sides.add(np.sign(e - int(np.count_nonzero(mask) * warmup)))
-                metrics = (("delay", result.delay_s), ("waiting", result.waiting_s))
-                for metric, values in metrics:
-                    for cid, mask in samples.items():
-                        want = empirical_ccdf(values[mask], config.grid(), warmup)
-                        got = by_key[metric, cid]
-                        assert np.array_equal(got.probs, want.fractions), (case_id, warmup, cid)
-                        assert got.samples == want.sample_count
+                entries = _run_entries(config, result)
+                assert len(entries) == 2 * (1 + len(config.specs))
+                boundary_sides |= _assert_empirical_curves(config, result, entries)
         assert {-1, 1} <= boundary_sides
+
+    def test_window_scan_equals_the_whole_run(self, monkeypatch):
+        """run_comparison scans the run in windows and writes each window's
+        waits and delays back into class order: with windows of three
+        blocks, its curves and its D/D/1 check must still be those of the
+        whole run."""
+        monkeypatch.setattr(simulator, "CHUNK", 3 * FIFO_BLOCK)
+        configs = [preset(case_id) for case_id in range(1, 7)] + _uneven_configs()
+        for base in configs + _COUPLED_CONFIGS:
+            for warmup in (0.0, 0.1, 0.5, 0.9):
+                config = replace(base, customers=20_000, warmup_fraction=warmup)
+                result = simulate_case(config)
+                assert len(result) > 3 * simulator.CHUNK
+                r = run_comparison(config)
+                _assert_empirical_curves(config, result, r.curves)
+                if "dd1_bound_s" in r.values:
+                    delay = result.delay_s
+                    limit = r.values["dd1_bound_s"] + FLOAT_SLACK_S
+                    assert r.values["max_delay_s"] == delay.max()
+                    assert r.values["delays_above_dd1"] == np.count_nonzero(delay > limit)
 
     def test_constant_service_delays_are_counted_from_the_waits(self, monkeypatch):
         def refuse(self):
@@ -542,7 +576,7 @@ class TestEmpiricalEntries:
             RunResult, "delay_chunks", lambda self: chunked.append(self) or delay_chunks(self)
         )
         for case_id in range(1, 7):
-            _empirical_entries(preset(case_id), results[case_id])
+            _run_entries(preset(case_id), results[case_id])
         # only the exponential classes of presets 4 and 6 take their delays,
         # a chunk at a time
         assert [id(r) for r in chunked] == [id(results[4]), id(results[6])]
@@ -636,7 +670,7 @@ class TestCheckViolations:
 
     def test_matches_the_pointwise_check_on_case5(self):
         config = replace(preset(5), customers=50_000)
-        entries = _empirical_entries(config, simulate_case(config))
+        entries = _run_entries(config, simulate_case(config))
         targets = {(e.metric, e.class_id): e for e in entries}
         bounds, _ = case_bound_entries(config)
         for bound in bounds:
@@ -708,6 +742,23 @@ class TestRunBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * 8 * config.customers
+
+    @pytest.mark.parametrize("case_id", [3, 4])
+    def test_run_comparison_peak_memory(self, case_id):
+        # whole-run arrays of 8n bytes: the two draw buffers, which take the
+        # waits and delays back in class order, and the sort order; the
+        # window buffers and the FIFO scan's temporaries add about 0.27 at
+        # this n. Merged whole-run columns, or a class-order copy of the
+        # waits, add a whole one each
+        config = replace(preset(case_id), customers=1_000_000)
+        run_comparison(config)  # one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            run_comparison(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * config.customers
 
 
 class TestCaseConfig:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mcfifo.analytic import bound_dd1
+from mcfifo import simulator
 from mcfifo.errors import InvalidInputError
 from mcfifo.experiments import FLOAT_SLACK_S, preset, simulate_case
 from mcfifo.simulator import (
@@ -19,6 +20,9 @@ from mcfifo.simulator import (
     _transient_plan,
     empirical_ccdf,
     fifo_waits,
+    fifo_windows,
+    merge_buffers,
+    merge_order,
     merge_streams,
     run_fifo,
     replication_seed,
@@ -488,9 +492,10 @@ class TestGroupedScan:
         assert np.isnan(waits[..., -1]).all() and not np.isnan(waits[..., :FIFO_BLOCK]).any()
 
     def test_full_group_peak_memory(self):
-        # the waits and the scan's two temporaries take 8n bytes each; the
-        # broadcasting calls' buffers add about 0.25 more. A shifted
-        # subtraction through strided views adds about 0.5 of its own
+        # the waits and the scan's two temporaries take 8n bytes each, and
+        # the rest reads about 0.01. A broadcasting call over the group
+        # takes an iterator buffer of about 0.25, and a shifted subtraction
+        # through strided views about 0.5
         rng = np.random.default_rng(3)
         a = np.cumsum(rng.exponential(1.0, GROUP))
         s = rng.exponential(0.97, GROUP)
@@ -501,7 +506,71 @@ class TestGroupedScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 8 * GROUP
+        assert peak <= 3.05 * 8 * GROUP
+
+
+def _scanned(times, sizes, segments, rates):
+    """The windows of fifo_windows over class-ordered buffers: their
+    sources, service times and waits, each concatenated in merged order."""
+    source = merge_order(times, sizes, segments, rates)
+    windows = [[c.copy() for c in window] for window in fifo_windows(times, sizes, source)]
+    return [np.concatenate(column) for column in zip(*windows)]
+
+
+class TestFifoWindows:
+    @pytest.mark.parametrize(
+        "n", [1, FIFO_BLOCK, CHUNK, CHUNK + 1, 2 * CHUNK + 3 * FIFO_BLOCK + 5]
+    )
+    def test_equals_the_whole_run_scan(self, n):
+        # load near 1, so busy periods span blocks and windows
+        rng = np.random.default_rng(n)
+        ids, lengths = [1, 2], [n - n // 3, n // 3]
+        times = np.concatenate([np.cumsum(rng.exponential(1.0 / len(ids), k)) for k in lengths])
+        sizes = rng.exponential(0.95, n)
+        segments = [(1, 0, lengths[0]), (2, lengths[0], lengths[1])]
+        rates = {1: 1.0, 2: 2.0}
+        whole = run_fifo(merge_buffers(times.copy(), sizes.copy(), segments, rates))
+        at, service, waits = _scanned(times, sizes, segments, rates)
+        assert at.tobytes() == whole.source.tobytes()
+        assert service.tobytes() == whole.service_s.tobytes()
+        assert waits.tobytes() == whole.waiting_s.tobytes()
+
+    @pytest.mark.parametrize(
+        "buffer, value, message",
+        [
+            ("times", np.nan, "arrival times must be finite"),
+            ("times", np.inf, "arrival times must be finite"),
+            ("sizes", -1.0, "service times must be finite and >= 0"),
+            ("sizes", np.nan, "service times must be finite and >= 0"),
+        ],
+    )
+    def test_a_later_window_is_checked_as_run_fifo_checks(
+        self, monkeypatch, buffer, value, message
+    ):
+        monkeypatch.setattr(simulator, "CHUNK", FIFO_BLOCK)
+        n = 3 * FIFO_BLOCK + 10
+        times, sizes = 0.5 * np.arange(n), np.full(n, 0.25)
+        # a time that is not finite sorts last; a size stays at its source
+        {"times": times, "sizes": sizes}[buffer][2 * FIFO_BLOCK + 3] = value
+        source = merge_order(times, sizes, [(1, 0, n)], {1: 1.0})
+        scanned = []
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            for at, _, _ in fifo_windows(times, sizes, source):
+                scanned.append(at[0])
+        assert scanned[:2] == [0, FIFO_BLOCK]
+        # the whole run fails the same way
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            run_fifo(merge_buffers(times, sizes, [(1, 0, n)], {1: 1.0}))
+
+    def test_order_across_the_window_boundary_is_checked(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CHUNK", FIFO_BLOCK)
+        times, sizes = 0.5 * np.arange(2 * FIFO_BLOCK), np.full(2 * FIFO_BLOCK, 0.25)
+        # each window in order, the second before the first
+        source = np.roll(np.arange(2 * FIFO_BLOCK), FIFO_BLOCK)
+        windows = fifo_windows(times, sizes, source)
+        next(windows)
+        with pytest.raises(InvalidInputError, match="^aggregate arrivals must be time-ordered$"):
+            next(windows)
 
 
 class TestEmpiricalCcdf:

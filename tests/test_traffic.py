@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from mcfifo import traffic
-from mcfifo.errors import InvalidSpecError, NoDecayError, UnsupportedEnvelopeError
+from mcfifo.errors import (
+    InvalidInputError,
+    InvalidSpecError,
+    NoDecayError,
+    UnsupportedEnvelopeError,
+)
 from mcfifo.experiments import preset
 from mcfifo.traffic import (
     ArrivalSequence,
@@ -202,6 +207,14 @@ class TestArrivalStreams:
             ArrivalStreams(preset(3).specs, step, seed=1, rows=2)
         with pytest.raises(InvalidSpecError, match=message):
             generate_sequences(preset(3).specs, step, seed=1)
+
+    @pytest.mark.parametrize("rows", [0, -1, 2.5, True], ids=["zero", "negative", "float", "bool"])
+    def test_bad_rows_rejected(self, rows):
+        # a synchronized draw failed with numpy's bare ValueError at 0, and
+        # every draw with a bare TypeError at 2.5
+        message = f"^rows must be an integer >= 1, got {rows!r}$"
+        with pytest.raises(InvalidInputError, match=message):
+            ArrivalStreams(preset(5).specs, {1: 5, 2: 5}, seed=1, rows=rows)
 
     def test_numpy_counts_accepted(self):
         path = generate_sequences(preset(3).specs, {1: np.int64(5), 2: np.uint8(3)}, seed=1)

@@ -119,8 +119,32 @@ BAD_CONFIGS = {
         ],
         bounds=["md1"],
     ),
+    # ids and the rates and times a class implies, which ClassSpec checks
+    "class_id_negative": lambda c: c["classes"][1].update(class_id=-1),
+    "coupling_group_negative": lambda c: c.update(
+        classes=[
+            {**cls, "arrival": {"kind": "coupled_poisson", "rate_per_s": rate,
+                                "coupling_group": -4}}
+            for cls, rate in zip(c["classes"], (10000, 1000))
+        ],
+        bounds=[],
+    ),
+    # 1/period overflows to an infinite rate
+    "period_underflow": lambda c: c["classes"][0]["arrival"].update(period_ms=1e-320),
+    # size/rate underflows to a service time of 0
+    "service_time_underflow": lambda c: c["classes"][1].update(
+        size={"kind": "exponential", "mean_packet_bytes": 1e-300}, service_rate_mbps=1e300
+    ),
 }
 COMMANDS += [["bounds", "--config", f"configs/{name}.json"] for name in BAD_CONFIGS]
+# the ClassSpec checks reach every command: simulate and compare must reject
+# these configs as bounds does, not fail in the draw or the bounds
+COMMANDS += [
+    [command, "--config", f"configs/{name}.json", "--customers", "20000"]
+    for name in ("class_id_negative", "coupling_group_negative", "period_underflow",
+                 "service_time_underflow")
+    for command in ("simulate", "compare")
+]
 
 
 def _scaled(config: dict) -> None:

@@ -17,6 +17,14 @@ from .simulator import merge_streams
 from .traffic import ArrivalSequence
 
 
+def _scan(sequences, rates_bps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merged arrival times a_k, the prefix work (prefix[k] = work of the
+    first k customers) and the running maximum of a_k - prefix[k]."""
+    merged = merge_streams(sequences, rates_bps)
+    prefix = np.concatenate([[0.0], np.cumsum(merged.service_s)])
+    return merged.arrival_s, prefix, np.maximum.accumulate(merged.arrival_s - prefix[:-1])
+
+
 def virtual_waits_at_arrivals(
     sequences: Sequence[ArrivalSequence], rates_bps: Mapping[int, float]
 ) -> np.ndarray:
@@ -29,17 +37,11 @@ def virtual_waits_at_arrivals(
     running maximum of (a_k - total service before k) plus the work pending
     at the queried instant.
     """
-    merged = merge_streams(sequences, rates_bps)
-    n = len(merged)
-    times = merged.arrival_s
-    prefix = np.concatenate([[0.0], np.cumsum(merged.service_s)])  # prefix[k] = work of first k
-    running = np.maximum.accumulate(times - prefix[:-1])
-    new_group = np.concatenate([[True], times[1:] > times[:-1]])
-    group_start = np.maximum.accumulate(np.where(new_group, np.arange(n), 0))
-    out = np.zeros(n)
-    nonfirst = group_start > 0
-    g = group_start[nonfirst]
-    out[nonfirst] = np.maximum(0.0, running[g - 1] + prefix[g] - times[nonfirst])
+    times, prefix, running = _scan(sequences, rates_bps)
+    g = np.searchsorted(times, times)  # customer g starts each customer's tie group
+    out = np.zeros(len(times))
+    later = g > 0
+    out[later] = np.maximum(0.0, running[g[later] - 1] + prefix[g[later]] - times[later])
     return out
 
 
@@ -53,8 +55,5 @@ def samplepath_bounds_all(
     itself in merge order (co-arrivals behind it are excluded, which keeps
     the bound tight at ties).
     """
-    merged = merge_streams(sequences, rates_bps)
-    service = merged.service_s
-    prefix_prev = np.concatenate([[0.0], np.cumsum(service)])[:-1]
-    running = np.maximum.accumulate(merged.arrival_s - prefix_prev)
-    return running + (prefix_prev + service) - merged.arrival_s
+    times, prefix, running = _scan(sequences, rates_bps)
+    return running + prefix[1:] - times

@@ -15,11 +15,14 @@ and one of sizes, each drawn class one contiguous (rows, width) block in id
 order, and fills the blocks. The step table is checked where it is given:
 one integer count >= 1 for every class and none for another id. With one
 row (generate_sequences, the long run) the blocks are the class-ordered
-run that the merge then consumes. Draws are transformed in the block they
-were drawn into: uniforms become exponential gaps or sizes in place, and
-gaps become arrival times by a cumulative sum into the same block. Every
-member of a scaled coupling group reads the group's shared uniforms, so
-each member copies its slice into its own block and transforms it there.
+run that the merge then consumes. An independent class's draws are
+transformed in the block they were drawn into: uniforms become exponential
+gaps or sizes in place, and gaps become arrival times by a cumulative sum
+into the same block. A coupling group's stream is read once, in order,
+before the step is laid out: a scaled group's shared row of uniforms, or a
+synchronized group's master uniforms and then each slower member's mask.
+Its fill draws nothing: it transforms those uniforms straight into each
+member's block.
 
 A periodic class has one envelope type, DeterministicEnvelope: its rate/burst
 constraint, and at a reference rate its burst tail. A Poisson class's burst
@@ -104,11 +107,13 @@ class ClassSpec:
     service_rate_bps: float
 
     def __post_init__(self):
+        self._require("class_id", self.class_id, index=True)
         if isinstance(self.arrival, Periodic):
-            self._require_positive("period", self.arrival.period_s)
+            self._require("period", self.arrival.period_s)
         elif isinstance(self.arrival, (Poisson, CoupledPoisson)):
-            self._require_positive("rate", self.arrival.rate_hz)
+            self._require("rate", self.arrival.rate_hz)
             if isinstance(self.arrival, CoupledPoisson):
+                self._require("coupling_group", self.arrival.coupling_group, index=True)
                 if self.arrival.mechanism not in COUPLING_MECHANISMS:
                     raise InvalidSpecError(
                         f"class {self.class_id}: unknown coupling mechanism "
@@ -117,20 +122,24 @@ class ClassSpec:
         else:
             raise InvalidSpecError(f"class {self.class_id}: unknown arrival kind")
         if isinstance(self.size, Constant):
-            self._require_positive("size", self.size.bits)
+            self._require("size", self.size.bits)
         elif isinstance(self.size, ExponentialMean):
-            self._require_positive("mean size", self.size.mean_bits)
+            self._require("mean size", self.size.mean_bits)
         else:
             raise InvalidSpecError(f"class {self.class_id}: unknown size kind")
         if isinstance(self.arrival, Periodic) and not isinstance(self.size, Constant):
             raise InvalidSpecError(f"class {self.class_id}: periodic classes need constant sizes")
-        self._require_positive("service rate", self.service_rate_bps)
+        self._require("service rate", self.service_rate_bps)
+        # finite inputs can still imply an infinite rate or a service time of 0
+        for name in ("arrival_rate_hz", "mean_service_s", "service_completion_rate_hz"):
+            self._require(name, getattr(self, name))
 
-    def _require_positive(self, name: str, value: float) -> None:
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidSpecError(
-                f"class {self.class_id}: {name} must be finite and > 0, got {value!r}"
-            )
+    def _require(self, name: str, value, index: bool = False) -> None:
+        """value must be finite and > 0, or an integer >= 0 if it is an index
+        (an id keys a random substream, whose spawn key must be one)."""
+        if not (is_integer(value) and value >= 0 if index else math.isfinite(value) and value > 0):
+            rule = "an integer >= 0" if index else "finite and > 0"
+            raise InvalidSpecError(f"class {self.class_id}: {name} must be {rule}, got {value!r}")
 
     @property
     def arrival_rate_hz(self) -> float:
@@ -258,19 +267,20 @@ def _substream(seed: int, role: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(role, key)))
 
 
-def _log_of_uniforms(u: np.ndarray) -> np.ndarray:
-    """ln(u), computed in u's own buffer, which is returned."""
+def _log_of_uniforms(u: np.ndarray, out=None) -> np.ndarray:
+    """ln(u), computed in out (by default u's own buffer), which is returned."""
     # u == 0 has probability 2**-53 per draw but would give -inf; any other u
     # is at least 2**-53, so the maximum moves 0 alone
-    np.maximum(u, np.finfo(float).tiny, out=u)
-    return np.log(u, out=u)
+    out = np.maximum(u, np.finfo(float).tiny, out=u if out is None else out)
+    return np.log(out, out=out)
 
 
-def _exponential_from_uniforms(u: np.ndarray, rate_hz: float) -> np.ndarray:
-    """-ln(u)/rate, computed in u's own buffer, which is returned."""
-    np.negative(_log_of_uniforms(u), out=u)
-    u /= rate_hz
-    return u
+def _exponential_from_uniforms(u: np.ndarray, rate_hz: float, out=None) -> np.ndarray:
+    """-ln(u)/rate, computed in out (by default u's own buffer), which is returned."""
+    out = _log_of_uniforms(u, out)
+    np.negative(out, out=out)
+    out /= rate_hz
+    return out
 
 
 def _pack(kept: np.ndarray, values: np.ndarray, fill: float, out=None) -> np.ndarray:
@@ -301,9 +311,12 @@ class ArrivalStreams:
     """
 
     def __init__(self, specs: Sequence[ClassSpec], step: dict[int, int], seed: int, rows: int):
-        for cid in step.keys() - {s.class_id for s in specs}:
+        ids = [s.class_id for s in specs]
+        for cid in step.keys() - set(ids):
             raise InvalidSpecError(f"class {cid!r}: not a class of the specs")
         for s in specs:
+            if ids.count(s.class_id) > 1:  # its draws would run into one array
+                raise InvalidSpecError(f"duplicate class_id {s.class_id}")
             if s.class_id not in step:
                 raise InvalidSpecError(f"class {s.class_id}: no count given")
             count = step[s.class_id]
@@ -327,11 +340,13 @@ class ArrivalStreams:
     def draw(self, class_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray, list[Segment]]:
         """Append one step of arrivals to each named class and its coupling group.
 
-        A thinned class keeps a random subset of its master's instants, so
-        its width is known only from its mask: the masks are drawn first (see
-        _thinning). The step is then laid out in two flat buffers, of times
+        Each coupling group's stream is read first, once and in order (see
+        _group_uniforms): a thinned class keeps a random subset of its
+        master's instants, so its width is known only from its mask. The
+        step is then laid out in two flat buffers, of times
         and of sizes, each drawn class one contiguous (rows, width) block in
-        id order, and the blocks are filled, the independent classes first.
+        id order, and the blocks are filled, the independent classes first;
+        a group's fill transforms its uniforms straight into its blocks.
         Returns the buffers and the segments, one (class_id, start, width)
         per drawn class, class c's block being [start*rows, (start + width)*rows)
         of the buffers. With one row the blocks are the class-ordered run that
@@ -340,13 +355,12 @@ class ArrivalStreams:
         ids = set(class_ids)
         for cid in ids - self.step.keys():
             raise InvalidSpecError(f"class {cid!r}: not a class of the specs")
-        for members in self._groups.values():
+        drawn = {}
+        for group, members in self._groups.items():
             if not ids.isdisjoint(m.class_id for m in members):
                 ids.update(m.class_id for m in members)
-        kept = {}
-        for group, members in self._groups.items():
-            if members[0].class_id in ids and members[0].arrival.mechanism == "synchronized":
-                kept.update(self._thinning(group, members))
+                drawn[group] = self._group_uniforms(group, members)
+        kept = {cid: mask for _, masks in drawn.values() for cid, mask in masks.items()}
         segments, start = [], 0
         for cid in sorted(ids):
             width = int(kept[cid].sum(-1).max()) if cid in kept else self.step[cid]
@@ -376,13 +390,8 @@ class ArrivalStreams:
                 u = self._rng(_ROLE_ARRIVALS, cid).random(out=block)
                 gaps = _exponential_from_uniforms(u, spec.arrival.rate_hz)
                 self._append_gaps(spec, gaps, block_sizes)
-        for group, members in self._groups.items():
-            if members[0].class_id not in ids:
-                continue
-            if members[0].arrival.mechanism == "scaled":
-                self._draw_scaled(group, members, out)
-            else:
-                self._draw_synchronized(group, members, kept, out)
+        for group in list(drawn):  # popped: a synchronized step's uniforms live until its fill
+            self._fill_group(self._groups[group], *drawn.pop(group), out)
         return times, sizes, segments
 
     def draw_through(self, class_id: int, j: int) -> None:
@@ -439,52 +448,41 @@ class ArrivalStreams:
         self.times[spec.class_id] = times
         self.sizes[spec.class_id] = sizes
 
-    def _draw_scaled(self, group: int, members: list[ClassSpec], out: dict) -> None:
-        # class n's j-th gap is -ln(u_j)/rate_n for every class: the members
-        # consume one shared row of uniforms, each at its own step
-        u = self._shared.get(group, np.empty((self.rows, 0)))
-        need = max(self.times[m.class_id].shape[-1] + self.step[m.class_id] for m in members)
-        if need > u.shape[-1]:
-            more = self._rng(_ROLE_GROUP, group).random((self.rows, need - u.shape[-1]))
-            u = self._shared[group] = np.concatenate([u, more], axis=-1)
-        for m in members:
-            k = self.times[m.class_id].shape[-1]
-            times, sizes = out[m.class_id]
-            # copied out: the other members read the same uniforms again
-            np.copyto(times, u[:, k : k + times.shape[-1]])
-            self._append_gaps(m, _exponential_from_uniforms(times, m.arrival.rate_hz), sizes)
-
-    def _thinning(self, group: int, members: list[ClassSpec]) -> dict[int, np.ndarray]:
-        """Each slower member's mask of the master instants it keeps.
-
-        In the group's stream the masks follow the master's uniforms, which
-        _draw_synchronized draws later: the stream is advanced past them
-        (a float64 uniform is one 64-bit step), the masks are drawn, and the
-        stream is set back to draw the uniforms.
-        """
+    def _group_uniforms(self, group: int, members: list[ClassSpec]) -> tuple[np.ndarray, dict]:
+        """A coupling group's random numbers for one step, in the order its
+        stream yields them: a scaled group's shared row of uniforms, grown to
+        its furthest member, and no masks; or a synchronized group's master
+        uniforms and then each slower member's mask of the instants it keeps."""
         rng = self._rng(_ROLE_GROUP, group)
+        if members[0].arrival.mechanism == "scaled":
+            u = self._shared.get(group, np.empty((self.rows, 0)))
+            need = max(self.times[m.class_id].shape[-1] + self.step[m.class_id] for m in members)
+            if need > u.shape[-1]:
+                more = rng.random((self.rows, need - u.shape[-1]))
+                u = self._shared[group] = np.concatenate([u, more], axis=-1)
+            return u, {}
         master = max(members, key=lambda m: m.arrival.rate_hz)
-        shape = (self.rows, self.step[master.class_id])
-        before = rng.bit_generator.state
-        rng.bit_generator.advance(shape[0] * shape[1])
+        u = rng.random((self.rows, self.step[master.class_id]))
         # thinning keeps the Poisson marginal at the class rate
-        kept = {
-            m.class_id: rng.random(shape) < m.arrival.rate_hz / master.arrival.rate_hz
-            for m in members
-            if m is not master
-        }
-        rng.bit_generator.state = before
-        return kept
+        masks = {m.class_id: rng.random(u.shape) < m.arrival.rate_hz / master.arrival.rate_hz
+                 for m in members if m is not master}
+        return u, masks
 
-    def _draw_synchronized(
-        self, group: int, members: list[ClassSpec], kept: dict[int, np.ndarray], out: dict
-    ) -> None:
-        rng = self._rng(_ROLE_GROUP, group)
+    def _fill_group(self, members: list[ClassSpec], u: np.ndarray, kept: dict, out: dict) -> None:
+        """Transform a group's uniforms straight into its members' blocks."""
+        if members[0].arrival.mechanism == "scaled":
+            # class n's j-th gap is -ln(u_j)/rate_n for every member;
+            # u is left alone, as the other members read it again
+            for m in members:
+                k = self.times[m.class_id].shape[-1]
+                times, sizes = out[m.class_id]
+                mine = u[:, k : k + times.shape[-1]]
+                gaps = _exponential_from_uniforms(mine, m.arrival.rate_hz, times)
+                self._append_gaps(m, gaps, sizes)
+            return
         master = max(members, key=lambda m: m.arrival.rate_hz)
         times, sizes = out[master.class_id]
-        rng.random(out=times)
-        rng.bit_generator.advance((len(members) - 1) * times.size)  # past _thinning's masks
-        self._append_gaps(master, _exponential_from_uniforms(times, master.arrival.rate_hz),
+        self._append_gaps(master, _exponential_from_uniforms(u, master.arrival.rate_hz, times),
                           sizes)
         instants = self.times[master.class_id][:, -times.shape[-1] :]
         for m in members:

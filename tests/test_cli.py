@@ -516,6 +516,54 @@ class TestConfigHandling:
             assert not out.exists()
 
     @pytest.mark.parametrize(
+        "edit,message",
+        [
+            # bounds accepted it, and simulate and compare failed in
+            # np.random.SeedSequence with a bare ValueError
+            (
+                lambda c: c["classes"][1].update(class_id=-1),
+                "class -1: class_id must be an integer >= 0, got -1",
+            ),
+            (
+                lambda c: c.update(
+                    classes=[
+                        {**cls, "arrival": {"kind": "coupled_poisson", "rate_per_s": rate,
+                                            "coupling_group": -4}}
+                        for cls, rate in zip(c["classes"], (10000, 1000))
+                    ],
+                    bounds=[],
+                ),
+                "class 1: coupling_group must be an integer >= 0, got -4",
+            ),
+            # an infinite rate: simulate failed in proportional_counts
+            (
+                lambda c: c["classes"][0]["arrival"].update(period_ms=1e-320),
+                "class 1: arrival_rate_hz must be finite and > 0, got inf",
+            ),
+            # a service time of 0: bounds and compare failed with a ZeroDivisionError
+            (
+                lambda c: c["classes"][1].update(
+                    size={"kind": "exponential", "mean_packet_bytes": 1e-300},
+                    service_rate_mbps=1e300,
+                ),
+                "class 2: mean_service_s must be finite and > 0, got 0.0",
+            ),
+        ],
+        ids=["class_id", "coupling_group", "infinite_rate", "zero_service_time"],
+    )
+    def test_bad_class_rejected_by_every_command(self, tmp_path, capsys, edit, message):
+        config = _readme_config()
+        edit(config)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(config))
+        for command in ("bounds", "simulate", "compare"):
+            out = tmp_path / command
+            size = [] if command == "bounds" else ["--customers", "2000"]
+            assert main([command, "--config", str(path), "--out", str(out), *size]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
         "file_seed,flags,seed", [(5, [], 5), (None, [], 99), (5, ["--seed", "7"], 7)]
     )
     def test_seed_precedence_with_a_config_file(

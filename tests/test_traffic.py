@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,15 @@ class TestArrivalStreams:
             streams.draw([1, 9])
         assert all(streams.times[cid].shape == (2, 0) for cid in (1, 2))
 
+    def test_duplicate_class_ids_rejected(self):
+        # the second spec's draw was appended to the first's arrays, which
+        # then failed as "arrival times must be nondecreasing"
+        specs = [CASE1_CLASS1, ClassSpec(1, Poisson(1e3), Constant(800.0), 10e6)]
+        with pytest.raises(InvalidSpecError, match="^duplicate class_id 1$"):
+            ArrivalStreams(specs, {1: 5}, seed=1, rows=2)
+        with pytest.raises(InvalidSpecError, match="^duplicate class_id 1$"):
+            generate_sequences(specs, {1: 5}, seed=1)
+
     def test_synchronized_rows_are_ragged_subsets_of_the_master(self):
         specs = _coupled_pair(10000.0, 1000.0, "synchronized")
         streams = ArrivalStreams(specs, {1: 40, 2: 4}, seed=5, rows=200)
@@ -243,7 +254,7 @@ class TestArrivalStreams:
         np.testing.assert_array_equal(streams.horizon[2], master[:, -1])
 
 
-def _copying_exponential(u, rate_hz):
+def _copying_exponential(u, rate_hz, out=None):
     u = np.where(u == 0.0, np.finfo(float).tiny, u)
     return -np.log(u) / rate_hz
 
@@ -310,6 +321,60 @@ class TestInPlaceDraws:
         assert np.array_equal(streams._shared[9], fresh)
         streams.draw([1, 2])
         assert np.array_equal(streams._shared[9][:, :50], fresh)
+
+
+class TestGroupStreamOrder:
+    """A coupling group's stream read directly, step by step, gives every
+    member's arrival times bit for bit: a synchronized group reads its
+    master's uniforms and then each slower member's mask, and a scaled group
+    grows its shared row of uniforms to its furthest member."""
+
+    @staticmethod
+    def _streams(specs, step, rows):
+        streams = ArrivalStreams(specs, step, seed=11, rows=rows)
+        streams.draw([specs[0].class_id])
+        streams.draw([specs[-1].class_id])  # continues the group's stream
+        return streams
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize(
+        "rates",
+        [(1e4, 1e3), (1e3, 1e4), (1e4, 1e3, 3e3), (1e3, 3e3, 1e4)],
+        ids=["master_first", "master_last", "master_first_of_three", "master_last_of_three"],
+    )
+    def test_synchronized(self, rates, rows):
+        specs = [ClassSpec(cid, CoupledPoisson(rate, 9, "synchronized"), Constant(800.0), 10e6)
+                 for cid, rate in enumerate(rates, start=1)]
+        master = max(specs, key=lambda s: s.arrival.rate_hz)
+        rng = traffic._substream(11, traffic._ROLE_GROUP, 9)
+        uniforms, masks = [], {s.class_id: [] for s in specs if s is not master}
+        for _ in range(2):
+            uniforms.append(rng.random((rows, 40)))
+            for s in specs:
+                if s is not master:
+                    p = s.arrival.rate_hz / master.arrival.rate_hz
+                    masks[s.class_id].append(rng.random((rows, 40)) < p)
+        gaps = _copying_exponential(np.concatenate(uniforms, axis=-1), master.arrival.rate_hz)
+        instants = np.cumsum(gaps, axis=-1)
+        streams = self._streams(specs, {s.class_id: 40 for s in specs}, rows)
+        assert np.array_equal(streams.times[master.class_id], instants)
+        for cid, parts in masks.items():
+            kept, times = np.concatenate(parts, axis=-1), streams.times[cid]
+            for r in range(rows):
+                assert np.array_equal(times[r][np.isfinite(times[r])], instants[r][kept[r]])
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_scaled(self, rows):
+        specs = _coupled_pair(1e4, 1e3)
+        rng = traffic._substream(11, traffic._ROLE_GROUP, 9)
+        # each draw grows the row by class 1's 50; class 2 reads its first 30, then 60
+        uniforms = np.concatenate([rng.random((rows, 50)), rng.random((rows, 50))], axis=-1)
+        streams = self._streams(specs, {1: 50, 2: 30}, rows)
+        for s in specs:
+            n = streams.times[s.class_id].shape[-1]
+            gaps = _copying_exponential(uniforms[:, :n], s.arrival.rate_hz)
+            assert n == {1: 100, 2: 60}[s.class_id]
+            assert np.array_equal(streams.times[s.class_id], np.cumsum(gaps, axis=-1))
 
 
 class TestDeterministicEnvelope:
@@ -471,6 +536,47 @@ class TestSpecValidation:
     def test_invalid_parameters_rejected(self, arrival, size, rate):
         with pytest.raises(InvalidSpecError):
             ClassSpec(1, arrival, size, rate)
+
+    @pytest.mark.parametrize("class_id", [-1, 1.5, True, "1", None])
+    def test_bad_class_id_rejected(self, class_id):
+        # a negative id failed in np.random.SeedSequence when drawn
+        message = f"class {class_id}: class_id must be an integer >= 0, got {class_id!r}"
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            ClassSpec(class_id, Poisson(1.0), Constant(1.0), 1.0)
+
+    @pytest.mark.parametrize("group", [-4, 2.0, False])
+    def test_bad_coupling_group_rejected(self, group):
+        message = f"class 3: coupling_group must be an integer >= 0, got {group!r}"
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            ClassSpec(3, CoupledPoisson(1.0, group), Constant(1.0), 1.0)
+
+    def test_zero_ids_accepted(self):
+        spec = ClassSpec(0, CoupledPoisson(1.0, 0), Constant(1.0), 1.0)
+        assert spec.class_id == spec.arrival.coupling_group == 0
+
+    @pytest.mark.parametrize(
+        "arrival, size, rate, message",
+        [
+            # 1/period overflows
+            (Periodic(1e-323), Constant(1.0), 1.0,
+             "arrival_rate_hz must be finite and > 0, got inf"),
+            # size/rate underflows, then overflows
+            (Poisson(1.0), ExponentialMean(8e-300), 1e306,
+             "mean_service_s must be finite and > 0, got 0.0"),
+            (Poisson(1.0), Constant(1e300), 1e-300,
+             "mean_service_s must be finite and > 0, got inf"),
+            # 1/(size/rate) overflows
+            (Poisson(1.0), Constant(1e-310), 1.0,
+             "service_completion_rate_hz must be finite and > 0, got inf"),
+        ],
+        ids=["infinite_rate", "zero_service_time", "infinite_service_time",
+             "infinite_service_rate"],
+    )
+    def test_implied_rates_and_times_rejected(self, arrival, size, rate, message):
+        # an infinite rate failed in proportional_counts, a service time of 0
+        # with a ZeroDivisionError in the bounds
+        with pytest.raises(InvalidSpecError, match=f"^class 4: {message}$"):
+            ClassSpec(4, arrival, size, rate)
 
     def test_derived_quantities(self):
         spec = ClassSpec(1, Poisson(1e4), Constant(800.0), 10e6)

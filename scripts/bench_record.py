@@ -15,17 +15,28 @@ a change can be recorded in one file; --label names the side of such a pair.
 A run that exits non-zero or prints no result appends nothing. The run
 length is perfbench/run.py's own default, so every recorded run, parent or
 change, has the same one.
+
+Each run works in a fresh copy of --tree, file for file, in a new temporary
+directory, without .git, __pycache__, .perfbench_run and BENCH_*.json, and
+the copy is deleted afterwards. So both sides of a pair sit at paths of one
+shape and compile every module from source: set-up time and the cli
+workload's times depend on the tree's directory and on a stale compiled
+cache, not only on the code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: What a tree's copy leaves out: history, compiled modules and earlier runs.
+LEFT_OUT = (".git", "__pycache__", ".perfbench_run", "BENCH_*.json")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -40,12 +51,14 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def run_lines(args: argparse.Namespace) -> tuple[dict, dict]:
-    """The context and result objects of one benchmark run."""
-    tree = args.tree.resolve()
-    line = [sys.executable, str(tree / "perfbench" / "run.py"),
-            "--workload", args.workload, "--seed", str(args.seed),
-            "--trace", str(args.trace)]
-    proc = subprocess.run(line, cwd=tree, capture_output=True, text=True)
+    """The context and result objects of one benchmark run, in a fresh copy of args.tree."""
+    with tempfile.TemporaryDirectory(prefix="mcfifo-bench-") as work:
+        tree = Path(work) / "tree"
+        shutil.copytree(args.tree.resolve(), tree, ignore=shutil.ignore_patterns(*LEFT_OUT))
+        line = [sys.executable, str(tree / "perfbench" / "run.py"),
+                "--workload", args.workload, "--seed", str(args.seed),
+                "--trace", str(args.trace)]
+        proc = subprocess.run(line, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"error: benchmark exited {proc.returncode}: {proc.stderr[-2000:]}")
     objects = [json.loads(text) for text in proc.stdout.splitlines() if text.startswith("{")]

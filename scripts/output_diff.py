@@ -8,8 +8,8 @@ Usage (from any directory):
 
 Each side runs the CLI in a temporary directory of its own, with
 PYTHONPATH=<tree>/src and MCFIFO_SEED unset. Both directories hold the same
-config files (the README's example, and bad configs and two valid
-couplings built from it) and take the same relative --out paths, so every
+config files (the README's example, and bad configs and valid couplings
+built from it) and take the same relative --out paths, so every
 difference comes from the code. One line per command; the exit status is 1
 if any command differs.
 
@@ -32,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +122,8 @@ BAD_CONFIGS = {
     ),
     # ids and the rates and times a class implies, which ClassSpec checks
     "class_id_negative": lambda c: c["classes"][1].update(class_id=-1),
+    # one past the largest id of records.csv's int64 class column
+    "class_id_huge": lambda c: c["classes"][1].update(class_id=2**63),
     "coupling_group_negative": lambda c: c.update(
         classes=[
             {**cls, "arrival": {"kind": "coupled_poisson", "rate_per_s": rate,
@@ -141,8 +144,8 @@ COMMANDS += [["bounds", "--config", f"configs/{name}.json"] for name in BAD_CONF
 # these configs as bounds does, not fail in the draw or the bounds
 COMMANDS += [
     [command, "--config", f"configs/{name}.json", "--customers", "20000"]
-    for name in ("class_id_negative", "coupling_group_negative", "period_underflow",
-                 "service_time_underflow")
+    for name in ("class_id_negative", "class_id_huge", "coupling_group_negative",
+                 "period_underflow", "service_time_underflow")
     for command in ("simulate", "compare")
 ]
 
@@ -171,8 +174,27 @@ def _sync_master_last(config: dict) -> None:
     )
 
 
+def _case4_coupled(mechanism: str, config: dict) -> None:
+    """Case 4's classes in one coupling group of this mechanism, under mm1:
+    100 B and 1250 B mean sizes at 10,000 and 1,000 arrivals/s, served at 10
+    and 100 Mbps."""
+    first, second = config["classes"]
+    group = {"kind": "coupled_poisson", "coupling_group": 1, "mechanism": mechanism}
+    config.update(
+        classes=[
+            {**first, "arrival": {**group, "rate_per_s": 10000},
+             "size": {"kind": "exponential", "mean_packet_bytes": 100}, "service_rate_mbps": 10},
+            {**second, "arrival": {**group, "rate_per_s": 1000}},
+        ],
+        tau_max_ms=12,
+        bounds=["mm1"],
+    )
+
+
 #: Edits of the README example that give valid configs.
 GOOD_CONFIGS = {"scaled": _scaled, "sync_master_last": _sync_master_last}
+#: Case 4 coupled each way, where mm1's curves are informational.
+MM1_CONFIGS = {f"mm1_{m}": partial(_case4_coupled, m) for m in ("scaled", "synchronized")}
 # a scaled coupling group, and a synchronized one whose thinned class's block
 # comes before its master's, drawn by the long run and by the replications
 COMMANDS += [
@@ -182,6 +204,14 @@ COMMANDS += [
         ["simulate", "--config", f"configs/{name}.json", "--customers", "40000"],
         ["compare", "--config", f"configs/{name}.json", "--customers", "200000",
          "--replications", "2000"],
+    )
+]
+COMMANDS += [
+    command
+    for name in MM1_CONFIGS
+    for command in (
+        ["bounds", "--config", f"configs/{name}.json"],
+        ["compare", "--config", f"configs/{name}.json", "--customers", "200000"],
     )
 ]
 # the bad configs whose bound cannot be built, which compare must reject as bounds does
@@ -207,7 +237,7 @@ def write_configs(directory: Path) -> None:
     directory.mkdir(parents=True)
     example = readme_config()
     (directory / "readme.json").write_text(json.dumps(example))
-    for name, edit in {**BAD_CONFIGS, **GOOD_CONFIGS}.items():
+    for name, edit in {**BAD_CONFIGS, **GOOD_CONFIGS, **MM1_CONFIGS}.items():
         config = copy.deepcopy(example)
         text = edit(config)
         (directory / f"{name}.json").write_text(

@@ -25,14 +25,17 @@ class of constant sizes, counts the delay curve from the same sorted waits
 shifted by the class's one service time; only classes with exponential
 sizes (presets 4 and 6) have their delays sorted. A whole run
 (_run_entries, for the simulate command) reaches it by scattering its waits
-and delays into class order by source. Each grid check gives a
-ViolationReport(count, worst): how many checked points exceed the bound,
-and the one that does by the most binomial standard errors.
+and delays into class order by source. Every empirical curve, the
+transient ones included, is made by _counted_entry from its counts above
+the grid, and carries the binomial standard error of each fraction (se).
+Each grid check reads that se and gives a ViolationReport(count, worst):
+how many checked points exceed the bound by more than three of them, and
+the one that does by the most.
 write_curves_csv writes the bytes of csv.writer without a per-row writer
 call: each label is quoted once and each distinct grid's taus formatted once.
 
-BOUNDS gives each bound its builder and whether its proof allows coupled
-classes; from that, case_bound_entries alone decides which curves are
+BOUNDS gives each bound its builder and the set of coupling mechanisms its
+proof allows; from that, case_bound_entries alone decides which curves are
 guaranteed, and run_comparison calls it first, before the simulation.
 
 A config file is read here, by CaseConfig.from_dict from its parsed JSON:
@@ -60,7 +63,6 @@ from .simulator import (
     RunResult,
     Segment,
     count_above,
-    empirical_ccdf,
     fifo_windows,
     merge_buffers,
     merge_order,
@@ -69,6 +71,7 @@ from .simulator import (
     transient_delays,
 )
 from .traffic import (
+    COUPLING_MECHANISMS,
     ArrivalSequence,
     ClassSpec,
     Constant,
@@ -253,7 +256,12 @@ def _read_kind(kinds: dict, obj, where: str):
 
 @dataclass(frozen=True)
 class CurveEntry:
-    """One curve of a comparison, empirical or analytical, with its metadata."""
+    """One curve of a comparison, empirical or analytical, with its metadata.
+
+    An empirical curve's se is the standard error of each of its fractions,
+    which the violation check reads; a bound curve has None. se is written
+    to neither curves.csv nor summary.json.
+    """
 
     label: str
     kind: str  # "empirical" | "bound"
@@ -265,6 +273,7 @@ class CurveEntry:
     approximate: bool = False
     note: str = ""
     samples: int = 0  # sample count behind empirical curves
+    se: np.ndarray | None = None  # an empirical curve's standard error per grid point
 
     def metadata(self) -> dict:
         """What the JSON outputs report of a curve, without its values."""
@@ -439,11 +448,15 @@ def _counted_entry(
     grid,
     above: np.ndarray,
     samples: int,
+    note: str = "",
 ) -> CurveEntry:
-    """The empirical curve of samples values, above[i] of them above grid[i]."""
+    """The empirical curve of samples values, above[i] of them above grid[i],
+    with the binomial standard error of each of its fractions."""
     if samples == 0:
         raise InvalidInputError("no values left after warmup discard")
-    return CurveEntry(label, "empirical", metric, class_id, grid, above / samples, samples=samples)
+    p = above / samples
+    return CurveEntry(label, "empirical", metric, class_id, grid, p, note=note, samples=samples,
+                      se=np.sqrt(p * (1.0 - p) / samples))
 
 
 def _empirical_entries(
@@ -600,24 +613,24 @@ def _mixed_pair(specs, grid) -> tuple[list, dict]:
 @dataclass(frozen=True)
 class Bound:
     """A row of BOUNDS: build(specs, grid) returns (BoundCurve, metric,
-    class_id) triples and the scalar values, any_dependence says whether its
-    proof allows coupled classes, and note goes on each of its curves."""
+    class_id) triples and the scalar values, dependence holds the coupling
+    mechanisms (of traffic.COUPLING_MECHANISMS) that its proof allows, and
+    note goes on each of its curves."""
 
     build: Callable[[Sequence[ClassSpec], np.ndarray], tuple[list, dict]]
-    any_dependence: bool
+    dependence: frozenset[str]
     note: str = ""
 
 
+_ANY = frozenset(COUPLING_MECHANISMS)
 #: Bound name -> its row. Of these proofs only the Kingman-type decay rates
 #: of md1 and mm1 need independent classes.
 BOUNDS = {
-    "deterministic": Bound(_deterministic, any_dependence=True),
-    "md1": Bound(partial(_poisson, "md1"), any_dependence=False),
-    "mm1": Bound(partial(_poisson, "mm1"), any_dependence=False),
-    "split_constant": Bound(
-        _split_constant, any_dependence=True, note="valid under any cross-class dependence"
-    ),
-    "mixed_pair": Bound(_mixed_pair, any_dependence=True),
+    "deterministic": Bound(_deterministic, _ANY),
+    "md1": Bound(partial(_poisson, "md1"), frozenset()),
+    "mm1": Bound(partial(_poisson, "mm1"), frozenset()),
+    "split_constant": Bound(_split_constant, _ANY, note="valid under any cross-class dependence"),
+    "mixed_pair": Bound(_mixed_pair, _ANY),
 }
 
 
@@ -625,12 +638,14 @@ def case_bound_entries(config: CaseConfig) -> tuple[list[CurveEntry], dict]:
     """Analytical curves for the case plus the scalar summary values.
 
     A curve is guaranteed when it is not approximate and its row's proof
-    covers the case: the row allows any dependence or no classes are
-    coupled, and else its curves note "assumes independent classes". A
-    builder's error is raised again, of its type, after "bound <name>: ".
+    covers the case: the row's dependence holds the mechanism of every
+    coupling group of the config (so any row covers independent classes),
+    and else its curves note "assumes independent classes". A builder's
+    error is raised again, of its type, after "bound <name>: ".
     """
     grid = config.grid()
-    independent = not coupling_groups(config.specs)
+    groups = coupling_groups(config.specs).values()
+    mechanisms = {members[0].arrival.mechanism for members in groups}
     entries, values = [], {}
     for name in config.bounds:
         row = BOUNDS[name]
@@ -638,7 +653,7 @@ def case_bound_entries(config: CaseConfig) -> tuple[list[CurveEntry], dict]:
             curves, scalars = row.build(config.specs, grid)
         except (InvalidSpecError, InvalidInputError) as exc:
             raise type(exc)(f"bound {name}: {exc}") from exc
-        proven = row.any_dependence or independent
+        proven = mechanisms <= row.dependence
         note = row.note or ("" if proven else "assumes independent classes")
         for curve, metric, class_id in curves:
             guaranteed = proven and not curve.approximate
@@ -703,12 +718,11 @@ def preset(case_id: int) -> CaseConfig:
 
 def _check_violations(bound: CurveEntry, target: CurveEntry) -> ViolationReport:
     """The grid points where target's tail is above bound's by more than
-    three binomial standard errors, of those where it is above the noise
-    floor NOISE_FLOOR_COUNT / samples: their count and the worst of them."""
-    n_samples = max(1, target.samples)
-    emp, b = target.probs, bound.probs
-    checked = emp > NOISE_FLOOR_COUNT / n_samples
-    se = np.sqrt(emp * (1.0 - emp) / n_samples)
+    three of target's standard errors (target.se), of those where it is
+    above the noise floor NOISE_FLOOR_COUNT / samples: their count and the
+    worst of them."""
+    emp, b, se = target.probs, bound.probs, target.se
+    checked = emp > NOISE_FLOOR_COUNT / max(1, target.samples)
     over = np.flatnonzero(checked & (emp > b + 3.0 * se))
     worst = None
     if over.size:
@@ -785,10 +799,10 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
         grid = config.grid()
         delays = transient_delays(config, (1, 10, 100), first, config.replications)
         for j, sample in delays.items():
-            ccdf = empirical_ccdf(sample, grid, 0.0)
-            curves.append(CurveEntry(
-                f"sim_delay_c{first}_j{j}", "empirical", "delay", first, grid, ccdf.fractions,
-                note=f"delay of the {j}-th class-{first} customer", samples=ccdf.sample_count,
+            sample.sort()
+            curves.append(_counted_entry(
+                f"sim_delay_c{first}_j{j}", "delay", first, grid, count_above(sample, grid),
+                len(sample), note=f"delay of the {j}-th class-{first} customer",
             ))
 
     return ComparisonResult(

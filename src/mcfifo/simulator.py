@@ -42,9 +42,9 @@ the service times, and then the sizes buffer takes the ordered times. A
 long run hands it the buffers its draw wrote (experiments.simulate_case),
 so it copies no whole-run array; merge_streams first concatenates
 caller-owned sequences into fresh buffers and leaves the sequences as they
-were. The class-id and j columns (class_ids, class_index) are derived from
-source and segments on demand, for records.csv and tests; the long run and
-the replications never build them. A run's record is one type: RunResult
+were. records.csv derives its class-id and j columns from source and
+segments a chunk at a time (_class_columns); the long run and the
+replications never build them. A run's record is one type: RunResult
 is the MergedArrivals it ran, the same arrays, plus its waits, so every
 per-customer column is defined once. run_fifo rejects arrival times that
 are not finite or not time-ordered and service times that are not finite
@@ -142,9 +142,8 @@ class MergedArrivals:
 
     source[i] is customer i's position in the class-ordered concatenation
     of the streams, and segments lay the classes out in it, one
-    (class_id, start, count) per class in id order. class_ids and
-    class_index are derived from them when read. A batch holds (rows, n)
-    arrays, and its length counts every row.
+    (class_id, start, count) per class in id order; no class column is
+    stored. A batch holds (rows, n) arrays, and its length counts every row.
     """
 
     arrival_s: np.ndarray
@@ -155,22 +154,14 @@ class MergedArrivals:
     def __len__(self) -> int:
         return self.arrival_s.size
 
-    @property
-    def class_ids(self) -> np.ndarray:
-        return _class_columns(self.source, self.segments)[0]
-
-    @property
-    def class_index(self) -> np.ndarray:
-        return _class_columns(self.source, self.segments)[1]
-
 
 @dataclass(frozen=True)
 class RunResult(MergedArrivals):
     """The merged stream of one simulation run, or a batch, with its waits.
 
-    Waiting is the stored quantity; delay and departure derive from it, so
-    waiting >= 0 and delay = waiting + service hold exactly in floats. The
-    merged stream's arrays are held as they are, not copied.
+    Waiting is the stored quantity; delay derives from it, so waiting >= 0
+    and delay = waiting + service hold exactly in floats. The merged
+    stream's arrays are held as they are, not copied.
     """
 
     waiting_s: np.ndarray
@@ -178,10 +169,6 @@ class RunResult(MergedArrivals):
     @property
     def delay_s(self) -> np.ndarray:
         return self.waiting_s + self.service_s
-
-    @property
-    def departure_s(self) -> np.ndarray:
-        return self.arrival_s + self.delay_s
 
     def delay_chunks(self):
         """Yield (chunk, delays) for consecutive slices of CHUNK customers of

@@ -108,6 +108,10 @@ class ClassSpec:
 
     def __post_init__(self):
         self._require("class_id", self.class_id, index=True)
+        if self.class_id >= 2**63:  # the class column of records.csv is int64
+            raise InvalidSpecError(
+                f"class {self.class_id}: class_id must be below 2**63, got {self.class_id!r}"
+            )
         if isinstance(self.arrival, Periodic):
             self._require("period", self.arrival.period_s)
         elif isinstance(self.arrival, (Poisson, CoupledPoisson)):
@@ -406,13 +410,6 @@ class ArrivalStreams:
             if not short:
                 return
             self.draw(short)
-
-    def sequences(self) -> list[ArrivalSequence]:
-        """One (rows, n) ArrivalSequence per class, ordered like the specs."""
-        return [
-            ArrivalSequence(s.class_id, self.times[s.class_id], self.sizes[s.class_id])
-            for s in self.specs
-        ]
 
     def _rng(self, role: int, key: int) -> np.random.Generator:
         if (role, key) not in self._rngs:

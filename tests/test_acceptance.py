@@ -36,7 +36,13 @@ from mcfifo.experiments import (
     tightness_scenario,
 )
 from mcfifo.oracle import samplepath_bounds_all, virtual_waits_at_arrivals
-from mcfifo.simulator import empirical_ccdf, merge_streams, run_fifo, transient_delays
+from mcfifo.simulator import (
+    _class_columns,
+    empirical_ccdf,
+    merge_streams,
+    run_fifo,
+    transient_delays,
+)
 from mcfifo.traffic import (
     ClassSpec,
     Constant,
@@ -203,7 +209,7 @@ def test_criterion_7_transient_delays_increase_toward_steady_state():
 
     # the 100th customer must not sit above steady state beyond slack
     steady_run = simulate_case(config)
-    class1 = steady_run.delay_s[steady_run.class_ids == 1]
+    class1 = steady_run.delay_s[_class_columns(steady_run.source, steady_run.segments)[0] == 1]
     steady = empirical_ccdf(class1, grid, warmup_discard=0.1)
     se = 3.0 * np.sqrt(
         curves[100] * (1 - curves[100]) / reps

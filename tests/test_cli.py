@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -271,9 +272,18 @@ def test_readme_bound_names_are_the_registry():
     assert table[0] == "| bound | classes | coupled classes | curves |"
     rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table[2:]]
     assert [row[0] for row in rows] == [f"`{name}`" for name in BOUNDS]
-    # the dependence column is each row's any_dependence
+    # the coupled-classes column lists each row's dependence set
     for row, bound in zip(rows, BOUNDS.values()):
-        assert row[2] == ("yes" if bound.any_dependence else "no"), row[0]
+        assert row[2] == (", ".join(f"`{m}`" for m in sorted(bound.dependence)) or "none"), row[0]
+
+
+@pytest.mark.parametrize("name", list(BOUNDS))
+def test_readme_bound_table_follows_a_changed_set(monkeypatch, name):
+    # one mechanism more or less in one row's set fails the README test
+    row = BOUNDS[name]
+    monkeypatch.setitem(BOUNDS, name, replace(row, dependence=row.dependence ^ {"synchronized"}))
+    with pytest.raises(AssertionError, match=re.escape(f"`{name}`")):
+        test_readme_bound_names_are_the_registry()
 
 
 def test_readme_config_keys_are_the_table():
@@ -535,6 +545,13 @@ class TestConfigHandling:
                 ),
                 "class 1: coupling_group must be an integer >= 0, got -4",
             ),
+            # simulate failed with an OverflowError in the class column of
+            # records.csv, and bounds and compare exited 0
+            (
+                lambda c: c["classes"][1].update(class_id=2**63),
+                "class 9223372036854775808: class_id must be below 2**63, "
+                "got 9223372036854775808",
+            ),
             # an infinite rate: simulate failed in proportional_counts
             (
                 lambda c: c["classes"][0]["arrival"].update(period_ms=1e-320),
@@ -549,7 +566,8 @@ class TestConfigHandling:
                 "class 2: mean_service_s must be finite and > 0, got 0.0",
             ),
         ],
-        ids=["class_id", "coupling_group", "infinite_rate", "zero_service_time"],
+        ids=["class_id", "coupling_group", "class_id_huge", "infinite_rate",
+             "zero_service_time"],
     )
     def test_bad_class_rejected_by_every_command(self, tmp_path, capsys, edit, message):
         config = _readme_config()

@@ -37,8 +37,8 @@ from mcfifo.experiments import (
 )
 from mcfifo.simulator import (
     FIFO_BLOCK,
-    MergedArrivals,
     RunResult,
+    _class_columns,
     empirical_ccdf,
     fifo_waits,
     fifo_windows,
@@ -47,6 +47,7 @@ from mcfifo.simulator import (
     transient_delays,
 )
 from mcfifo.traffic import (
+    COUPLING_MECHANISMS,
     ArrivalSequence,
     ClassSpec,
     Constant,
@@ -453,7 +454,7 @@ class TestBoundRegistry:
             run_comparison(config)
 
     def test_guaranteed_is_decided_by_the_registry_row(self, monkeypatch):
-        row = replace(experiments.BOUNDS["md1"], any_dependence=True)
+        row = replace(experiments.BOUNDS["md1"], dependence=frozenset(COUPLING_MECHANISMS))
         monkeypatch.setitem(experiments.BOUNDS, "md1", row)
         entries, _ = case_bound_entries(preset(5))
         flags = {e.label: (e.guaranteed, e.note) for e in entries}
@@ -462,6 +463,23 @@ class TestBoundRegistry:
         assert flags["md1_waiting_approx"] == (False, "")
         split = (False, "valid under any cross-class dependence")
         assert flags["split_equal_constant_sizes"] == split
+
+    def test_a_row_proves_the_mechanisms_of_its_set_only(self, monkeypatch):
+        # md1 allowing synchronized coupling proves case 5's curves, and not
+        # those of the same pair coupled scaled: a bool cannot say this
+        row = replace(experiments.BOUNDS["md1"], dependence=frozenset({"synchronized"}))
+        monkeypatch.setitem(experiments.BOUNDS, "md1", row)
+        synchronized = preset(5)
+        scaled = replace(synchronized, specs=tuple(
+            replace(s, arrival=replace(s.arrival, mechanism="scaled")) for s in synchronized.specs
+        ))
+        independent = "assumes independent classes"
+        for config, want in ((synchronized, (True, "")), (scaled, (False, independent))):
+            entries, _ = case_bound_entries(config)
+            flags = {e.label: (e.guaranteed, e.note) for e in entries}
+            for label in ("md1_waiting_exact", "md1_delay_exact_c1", "md1_delay_exact_c2"):
+                assert flags[label] == want, (config.specs[0].arrival.mechanism, label)
+            assert flags["md1_waiting_approx"] == (False, want[1])
 
     def test_split_theta_is_the_second_order_md1_rate(self):
         config = preset(5)
@@ -510,7 +528,7 @@ def _assert_empirical_curves(config: CaseConfig, result: RunResult, entries) -> 
     samples = {None: np.ones(len(result), dtype=bool)}
     sides = set()
     for s in config.specs:
-        mask = result.class_ids == s.class_id
+        mask = _class_columns(result.source, result.segments)[0] == s.class_id
         samples[s.class_id] = mask
         if isinstance(s.size, Constant):
             # the delay curve shifts the sorted waits by this service time
@@ -643,7 +661,8 @@ class TestCheckViolations:
         emp = np.sort(rng.integers(0, samples + 1, len(grid)))[::-1] / samples
         emp[-50:] = 0.0
         bound_probs = np.clip(emp + rng.normal(0.0, 0.01, len(grid)), 0.0, 1.0)
-        target = CurveEntry("t", "empirical", "waiting", None, grid, emp, samples=samples)
+        target = CurveEntry("t", "empirical", "waiting", None, grid, emp, samples=samples,
+                            se=np.sqrt(emp * (1.0 - emp) / samples))
         bound = CurveEntry("b", "bound", "waiting", None, grid, bound_probs, guaranteed=True)
         checked, points = _assert_report_matches(_check_violations(bound, target), bound, target)
         assert 0 < len(points) < checked < len(grid)
@@ -652,8 +671,9 @@ class TestCheckViolations:
         # at a tail of 1 the standard error is 0, so any excess is infinitely
         # many of them, however small next to another point's
         grid = np.array([0.0, 1.0, 2.0])
-        target = CurveEntry("t", "empirical", "waiting", None, grid,
-                            np.array([0.5, 1.0, 0.5]), samples=10_000)
+        emp = np.array([0.5, 1.0, 0.5])
+        target = CurveEntry("t", "empirical", "waiting", None, grid, emp, samples=10_000,
+                            se=np.sqrt(emp * (1.0 - emp) / 10_000))
         bound = CurveEntry("b", "bound", "waiting", None, grid, np.array([0.1, 0.99, 0.2]))
         report = _check_violations(bound, target)
         assert (report.checked_points, report.count) == (3, 3)
@@ -662,8 +682,9 @@ class TestCheckViolations:
 
     def test_no_violation_has_no_worst_point(self):
         grid = np.array([0.0, 1.0])
-        target = CurveEntry("t", "empirical", "waiting", None, grid,
-                            np.array([0.5, 0.2]), samples=10_000)
+        emp = np.array([0.5, 0.2])
+        target = CurveEntry("t", "empirical", "waiting", None, grid, emp, samples=10_000,
+                            se=np.sqrt(emp * (1.0 - emp) / 10_000))
         bound = CurveEntry("b", "bound", "waiting", None, grid, np.array([0.6, 0.3]))
         report = _check_violations(bound, target)
         assert (report.checked_points, report.count, report.worst) == (2, 0, None)
@@ -706,6 +727,33 @@ _COUPLED_CONFIGS = [
         ClassSpec(3, Poisson(2e3), Constant(100.0), 1e7),
     ), customers=20_000),
 ]
+
+
+@pytest.mark.parametrize("case_id", [3, 4, 5, 6])
+def test_every_empirical_curve_carries_its_binomial_se(case_id):
+    # the long run's curves and the transient ones; bound curves carry none
+    config = replace(preset(case_id), customers=200_000, replications=500)
+    labels = set()
+    for curve in run_comparison(config).curves:
+        if curve.kind == "bound":
+            assert curve.se is None, curve.label
+            continue
+        p = curve.probs
+        assert curve.se.tobytes() == np.sqrt(p * (1.0 - p) / curve.samples).tobytes(), curve.label
+        labels.add(curve.label)
+    first = config.specs[0].class_id
+    assert {f"sim_delay_c{first}_j{j}" for j in (1, 10, 100)} < labels
+
+
+def test_the_check_reads_the_target_se():
+    # case 4's exact curve lies above the tail, so only sampling noise
+    # exceeds it: within three standard errors, and beyond zero of them
+    result = run_comparison(replace(preset(4), customers=200_000))
+    bound, target = result.curve("mm1_waiting_exact"), result.curve("sim_waiting")
+    report = _check_violations(bound, target)
+    zeroed = _check_violations(bound, replace(target, se=np.zeros_like(target.se)))
+    assert zeroed.checked_points == report.checked_points
+    assert report.count < zeroed.count
 
 
 class TestRunBuffers:
@@ -802,8 +850,9 @@ class TestCaseConfig:
         n = int(np.count_nonzero(full["arrival_s"] <= horizon))
         cut = simulate_case(config)
         assert 0 < n < len(times) and len(cut) == n
+        derived = dict(zip(("class_ids", "class_index"), _class_columns(cut.source, cut.segments)))
         for name, column in full.items():
-            kept = getattr(cut, name)
+            kept = derived[name] if name in derived else getattr(cut, name)
             assert kept.dtype == column.dtype, name
             assert kept.tobytes() == column[:n].tobytes(), name
 
@@ -954,17 +1003,15 @@ class TestFromDict:
                 CaseConfig.from_dict(data)
 
 
-def test_comparison_and_replications_build_no_class_columns(monkeypatch):
+def test_comparison_and_replications_build_no_class_columns(monkeypatch, tmp_path):
     # the long run and the replications work from source and segments; the
-    # class-id and j columns are derived for records.csv and tests only
-    def refuse(self):
+    # class-id and j columns are derived for records.csv only
+    def refuse(source, segments):
         raise AssertionError("a per-customer class column was built")
 
-    for owner in (MergedArrivals, RunResult):
-        for name in ("class_ids", "class_index"):
-            monkeypatch.setattr(owner, name, property(refuse))
+    monkeypatch.setattr(simulator, "_class_columns", refuse)
     with pytest.raises(AssertionError, match="class column"):
-        simulate_case(replace(preset(3), customers=1000)).class_index
+        simulate_case(replace(preset(3), customers=1000)).write_csv(tmp_path / "records.csv")
     for case_id in range(1, 7):
         run_comparison(replace(preset(case_id), customers=20_000))
     for case_id in (3, 5):

@@ -8,7 +8,7 @@ from mcfifo.analytic import theta_md1
 from mcfifo.errors import InvalidInputError
 from mcfifo.experiments import preset
 from mcfifo.oracle import samplepath_bounds_all, virtual_waits_at_arrivals
-from mcfifo.simulator import merge_streams, run_fifo
+from mcfifo.simulator import _class_columns, merge_streams, run_fifo
 from mcfifo.traffic import (
     ArrivalSequence,
     ClassSpec,
@@ -90,7 +90,8 @@ class TestVirtualWaitDirect:
         ordered = sorted(seqs, key=lambda q: q.class_id)
         times = np.concatenate([q.times_s for q in ordered])
         sizes = np.concatenate([q.sizes_bits for q in ordered])[np.argsort(times, kind="stable")]
-        expected = sizes / np.array([rates[c] for c in merged.class_ids.tolist()])
+        class_ids = _class_columns(merged.source, merged.segments)[0]
+        expected = sizes / np.array([rates[c] for c in class_ids.tolist()])
         assert merged.service_s.tobytes() == expected.tobytes()
 
     def test_class_without_rate_rejected(self):

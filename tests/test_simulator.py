@@ -17,6 +17,7 @@ from mcfifo.simulator import (
     FIFO_GROUP,
     MergedArrivals,
     _chunk_delays,
+    _class_columns,
     _transient_plan,
     empirical_ccdf,
     fifo_waits,
@@ -51,17 +52,19 @@ class TestMergeStreams:
         merged = merge_streams(
             [_seq(1, [1.0, 3.0], [1, 1]), _seq(2, [2.0, 4.0], [1, 1])], UNIT
         )
-        np.testing.assert_array_equal(merged.class_ids, [1, 2, 1, 2])
+        np.testing.assert_array_equal(_class_columns(merged.source, merged.segments)[0],
+                                      [1, 2, 1, 2])
         np.testing.assert_array_equal(merged.arrival_s, [1, 2, 3, 4])
 
     def test_tie_goes_to_lower_class_id(self):
         merged = merge_streams([_seq(2, [5.0], [1]), _seq(1, [5.0], [2])], UNIT)
-        np.testing.assert_array_equal(merged.class_ids, [1, 2])
+        np.testing.assert_array_equal(_class_columns(merged.source, merged.segments)[0], [1, 2])
 
     def test_tie_within_class_keeps_index_order(self):
         merged = merge_streams([_seq(1, [5.0, 5.0, 5.0], [1, 2, 3])], UNIT)
         np.testing.assert_array_equal(merged.service_s, [1, 2, 3])
-        np.testing.assert_array_equal(merged.class_index, [1, 2, 3])
+        np.testing.assert_array_equal(_class_columns(merged.source, merged.segments)[1],
+                                      [1, 2, 3])
 
     @pytest.mark.parametrize("rows", [None, 2])
     def test_sequences_left_untouched(self, rows):
@@ -139,8 +142,7 @@ class TestMergeAgainstReference:
         columns = (
             merged.arrival_s,
             merged.service_s,
-            merged.class_ids,
-            merged.class_index,
+            *_class_columns(merged.source, merged.segments),
             merged.source,
         )
         reference = _merge_reference(seqs, rates)
@@ -157,15 +159,17 @@ class TestMergeAgainstReference:
     def test_empty_class_among_others(self):
         seqs = [_seq(1, [1.0, 2.0], [1, 1]), _seq(2, [], []), _seq(3, [1.5], [1])]
         merged = merge_streams(seqs, {1: 1.0, 2: 1.0, 3: 4.0})
-        np.testing.assert_array_equal(merged.class_ids, [1, 3, 1])
-        np.testing.assert_array_equal(merged.class_index, [1, 1, 2])
+        ids, index = _class_columns(merged.source, merged.segments)
+        np.testing.assert_array_equal(ids, [1, 3, 1])
+        np.testing.assert_array_equal(index, [1, 1, 2])
         assert merged.segments == ((1, 0, 2), (2, 2, 0), (3, 2, 1))
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0)])
     def test_every_class_empty(self, shape):
         seqs = [_seq(c, np.empty(shape), np.empty(shape)) for c in (1, 2)]
         merged = merge_streams(seqs, UNIT)
-        for column in (merged.arrival_s, merged.service_s, merged.class_ids, merged.class_index):
+        columns = _class_columns(merged.source, merged.segments)
+        for column in (merged.arrival_s, merged.service_s, *columns):
             assert column.shape == shape
         assert run_fifo(merged).waiting_s.shape == shape
 
@@ -192,7 +196,8 @@ class TestRateLookup:
             _seq(-2, [2.0, 6.0], [1.0, 1.0]),
         ]
         merged = merge_streams(seqs, self.RATES)
-        np.testing.assert_array_equal(merged.class_ids, [3, -2, 8, 8, 8, -2])
+        np.testing.assert_array_equal(_class_columns(merged.source, merged.segments)[0],
+                                      [3, -2, 8, 8, 8, -2])
         np.testing.assert_array_equal(merged.service_s, [0.5, 1.0, 0.25, 0.25, 0.25, 1.0])
 
     @pytest.mark.parametrize("unknown", [-7, 0, 5, 11])  # below, between, above
@@ -216,13 +221,13 @@ class TestRateLookup:
 class TestRunFifo:
     def test_single_customer_empty_system(self):
         result = run_fifo(merge_streams([_seq(1, [1.0], [0.5])], UNIT))
-        assert result.departure_s[0] == pytest.approx(1.5)
+        assert result.arrival_s[0] + result.delay_s[0] == pytest.approx(1.5)
         assert result.delay_s[0] == pytest.approx(0.5)
         assert result.waiting_s[0] == 0.0
 
     def test_two_customers_hand_recursion(self):
         result = run_fifo(merge_streams([_seq(1, [1.0, 1.1], [0.5, 0.2])], UNIT))
-        np.testing.assert_allclose(result.departure_s, [1.5, 1.7], rtol=1e-12)
+        np.testing.assert_allclose(result.arrival_s + result.delay_s, [1.5, 1.7], rtol=1e-12)
         np.testing.assert_allclose(result.waiting_s, [0.0, 0.4], rtol=1e-12)
 
     def test_unordered_input_rejected(self):
@@ -280,8 +285,9 @@ class TestRunFifo:
         assert result.source is merged.source
         assert result.segments is merged.segments
         assert len(result) == len(merged) == 6 * (rows or 1)
-        np.testing.assert_array_equal(result.class_ids, merged.class_ids)
-        np.testing.assert_array_equal(result.class_index, merged.class_index)
+        for got, want in zip(_class_columns(result.source, result.segments),
+                             _class_columns(merged.source, merged.segments)):
+            np.testing.assert_array_equal(got, want)
         assert result.waiting_s.shape == merged.arrival_s.shape
 
     def test_departures_follow_arrival_order(self):
@@ -289,7 +295,7 @@ class TestRunFifo:
         result = simulate_case(
             type(config)(**{**config.__dict__, "customers": 20_000})
         )
-        assert np.all(np.diff(result.departure_s) >= 0)
+        assert np.all(np.diff(result.arrival_s + result.delay_s) >= 0)
 
     def test_delay_is_wait_plus_service(self):
         config = preset(4)
@@ -311,7 +317,7 @@ class TestRunFifo:
         from dataclasses import replace
 
         result = simulate_case(replace(preset(3), customers=5_000))
-        a, d, s = result.arrival_s, result.departure_s, result.service_s
+        a, d, s = result.arrival_s, result.arrival_s + result.delay_s, result.service_s
         starts = np.where(a > np.concatenate([[0.0], d[:-1]]))[0]
         bounds = np.concatenate([starts, [len(a)]])
         for k in range(len(starts)):
@@ -325,7 +331,7 @@ class TestRunFifo:
         config = replace(preset(4), customers=5_000)
         r1 = simulate_case(config)
         r2 = simulate_case(config)
-        np.testing.assert_array_equal(r1.departure_s, r2.departure_s)
+        np.testing.assert_array_equal(r1.arrival_s + r1.delay_s, r2.arrival_s + r2.delay_s)
         np.testing.assert_array_equal(r1.arrival_s, r2.arrival_s)
 
 
@@ -717,7 +723,8 @@ class TestTransient:
         step, rows = _transient_plan(config.specs, class_id, js[-1])
         streams = ArrivalStreams(config.specs, step, replication_seed(config.seed, 0), rows)
         streams.draw_through(class_id, js[-1])
-        seqs = streams.sequences()
+        seqs = [ArrivalSequence(cid, times, streams.sizes[cid])
+                for cid, times in streams.times.items()]
         batch = transient_delays(config, js, class_id, rows)
         t_needed = next(q for q in seqs if q.class_id == class_id).times_s[:, js[-1] - 1]
         for q in seqs:  # every row holds each class's arrivals up to t_needed
@@ -739,7 +746,7 @@ class TestTransient:
                 for q in seqs
             ]
             single = run_fifo(merge_streams(path, config.rates()))
-            target = single.class_ids == class_id
+            target = _class_columns(single.source, single.segments)[0] == class_id
             reference = sequential_waits(single.arrival_s, single.service_s)[target]
             for j in js:
                 delay = batch[j][r]
@@ -762,7 +769,9 @@ class TestTransient:
         streams = ArrivalStreams(config.specs, step, replication_seed(config.seed, 0), rows)
         streams.draw_through(class_id, js[-1])
         got = _chunk_delays(streams, config.rates(), class_id, js)
-        want = _chunk_reference(streams.sequences(), config.rates(), class_id, js)
+        seqs = [ArrivalSequence(cid, times, streams.sizes[cid])
+                for cid, times in streams.times.items()]
+        want = _chunk_reference(seqs, config.rates(), class_id, js)
         assert got.shape == want.shape == (len(js), rows)
         assert got.tobytes() == want.tobytes()
 
@@ -814,7 +823,7 @@ def _per_replication_delays(config, class_id, js, replications):
                 break
             scale *= 2.0
         result = run_fifo(merge_streams(seqs, config.rates()))
-        delays = result.delay_s[result.class_ids == class_id]
+        delays = result.delay_s[_class_columns(result.source, result.segments)[0] == class_id]
         for j in js:
             out[j][r] = delays[j - 1]
     return out
@@ -841,13 +850,15 @@ class TestCsvExport:
             writer.writerow(
                 ["class_id", "j", "arrival_s", "departure_s", "delay_s", "waiting_s"]
             )
+            ids, index = _class_columns(result.source, result.segments)
+            departure = result.arrival_s + result.delay_s
             for i in range(len(result)):
                 writer.writerow(
                     [
-                        int(result.class_ids[i]),
-                        int(result.class_index[i]),
+                        int(ids[i]),
+                        int(index[i]),
                         repr(float(result.arrival_s[i])),
-                        repr(float(result.departure_s[i])),
+                        repr(float(departure[i])),
                         repr(float(result.delay_s[i])),
                         repr(float(result.waiting_s[i])),
                     ]
@@ -862,13 +873,12 @@ class TestCsvExport:
         path = tmp_path / "records.csv"
         result.write_csv(path)
         columns = (
-            result.class_ids.tolist(),
-            result.class_index.tolist(),
+            *(column.tolist() for column in _class_columns(result.source, result.segments)),
             *(
                 [repr(v) for v in values.tolist()]
                 for values in (
                     result.arrival_s,
-                    result.departure_s,
+                    result.arrival_s + result.delay_s,
                     result.delay_s,
                     result.waiting_s,
                 )

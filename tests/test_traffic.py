@@ -153,9 +153,9 @@ class TestArrivalStreams:
         streams.draw([1, 2])
         streams.draw([1, 2])
         whole = generate_sequences(specs, {1: 100, 2: 60}, seed=3)
-        for seq, row in zip(whole, streams.sequences()):
-            np.testing.assert_array_equal(row.times_s[0], seq.times_s)
-            np.testing.assert_array_equal(row.sizes_bits[0], seq.sizes_bits)
+        for seq in whole:
+            np.testing.assert_array_equal(streams.times[seq.class_id][0], seq.times_s)
+            np.testing.assert_array_equal(streams.sizes[seq.class_id][0], seq.sizes_bits)
 
     @pytest.mark.parametrize(
         "rates, mechanism",
@@ -305,7 +305,8 @@ class TestInPlaceDraws:
             streams = ArrivalStreams(specs, {s.class_id: 40 for s in specs}, seed=6, rows=5)
             streams.draw([s.class_id for s in specs])
             streams.draw([specs[-1].class_id])
-            return streams.sequences()
+            return [ArrivalSequence(cid, times, streams.sizes[cid])
+                    for cid, times in streams.times.items()]
 
         fast = drawn()
         self._copying(monkeypatch)
@@ -544,6 +545,17 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
             ClassSpec(class_id, Poisson(1.0), Constant(1.0), 1.0)
 
+    @pytest.mark.parametrize("class_id", [2**63, 2**70, np.uint64(2**63)])
+    def test_class_id_beyond_int64_rejected(self, class_id):
+        # the class column of records.csv is int64: simulate failed with an
+        # OverflowError while bounds and compare accepted the id
+        message = f"class {class_id}: class_id must be below 2**63, got {class_id!r}"
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            ClassSpec(class_id, Poisson(1.0), Constant(1.0), 1.0)
+
+    def test_largest_int64_class_id_accepted(self):
+        assert ClassSpec(2**63 - 1, Poisson(1.0), Constant(1.0), 1.0).class_id == 2**63 - 1
+
     @pytest.mark.parametrize("group", [-4, 2.0, False])
     def test_bad_coupling_group_rejected(self, group):
         message = f"class 3: coupling_group must be an integer >= 0, got {group!r}"
@@ -659,7 +671,8 @@ class TestArrivalSequenceCut:
         specs = _coupled_pair(10000.0, 1000.0, "synchronized")
         streams = ArrivalStreams(specs, {1: 40, 2: 4}, seed=5, rows=50)
         streams.draw([2])
-        for seq in streams.sequences():
+        for cid, drawn in streams.times.items():
+            seq = ArrivalSequence(cid, drawn, streams.sizes[cid])
             times = streams.times[seq.class_id][:, :count]
             sizes = streams.sizes[seq.class_id][:, :count]
             cut = ArrivalSequence(seq.class_id, times, sizes)

@@ -60,6 +60,12 @@ COMMANDS = (
     # a D/D/1 run whose window, warmup and horizon boundaries all fall
     # inside a window of the comparison's scan
     + [["compare", "--case", "2", "--customers", "70001", "--warmup", "0.5"]]
+    # the edges of the windowed run: a warmup prefix of most of the run, none
+    # at all, a ragged last window, and the windows simulate collects
+    + [["compare", "--case", "5", "--warmup", "0.9"]]
+    + [["compare", "--case", "4", "--warmup", "0"]]
+    + [["compare", "--case", "6", "--customers", "3000001", "--seed", k] for k in ("1", "2")]
+    + [["simulate", "--case", "5", "--customers", "200001", "--format", "json"]]
     # flags of fields the command does not read, which it rejects
     + [["bounds", "--case", "3", "--seed", "7"]]
     + [["simulate", "--case", "4", "--customers", "2000", "--replications", "5"]]

@@ -11,23 +11,22 @@ bound. It builds every curve a comparison reports: with
 replications > 1 and some stochastic class, these include the transient
 delay tails of the first class's 1st, 10th and 100th customers.
 
-A run is drawn into two class-ordered buffers of times and sizes
-(generate_sequences) and each class cut at the horizon in them
-(_horizon_run). simulate_case hands them to the merge, which consumes them
-into a RunResult of whole columns. run_comparison keeps them: after the
-merge's order step, it scans the merged order in windows
-(simulator.fifo_windows), checks each window's delays against a periodic
-case's D/D/1 bound, and writes the window's waits back into the times
-buffer at the window's sources, and its delays into the sizes buffer when
-some class has exponential sizes. The CCDF stage (_empirical_entries) reads
-those class-ordered buffers: it sorts each class's waits once and, for a
-class of constant sizes, counts the delay curve from the same sorted waits
-shifted by the class's one service time; only classes with exponential
-sizes (presets 4 and 6) have their delays sorted. A whole run
-(_run_entries, for the simulate command) reaches it by scattering its waits
-and delays into class order by source. Every empirical curve, the
-transient ones included, is made by _counted_entry from its counts above
-the grid, and carries the binomial standard error of each fraction (se).
+A run is drawn, merged and scanned a window at a time
+(simulator.fifo_windows, from the case's one-row ArrivalStreams, _windows):
+no array grows with the run but the warmup prefix. simulate_case collects
+the windows into a RunResult of whole columns. run_comparison checks each
+window's delays against a periodic case's D/D/1 bound, lays its waits, and
+its delays when some class has exponential sizes, out in class order in the
+buffers the window was merged from, and counts them above the grid as they
+come (_TailCounts): contiguous class batches, one sort each, and for a
+class of constant sizes the delay counts from the same sorted waits shifted
+by the class's one service time. Only the warmup prefix is kept, the values
+that a bound on each class's warmup cut, and on the aggregate's, cannot yet
+place; _empirical_entries counts them at the end, against the exact cuts.
+A whole run (_run_entries, for the simulate command) is counted the same
+way, a chunk of its sources at a time. Every empirical curve, the transient
+ones included, is made by _counted_entry from its counts above the grid,
+and carries the binomial standard error of each fraction (se).
 Each grid check reads that se and gives a ViolationReport(count, worst):
 how many checked points exceed the bound by more than three of them, and
 the one that does by the most.
@@ -52,20 +51,19 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import analytic
+from . import analytic, simulator
 from .analytic import StabilityReport, step_bound_curve
 from .errors import InvalidInputError, InvalidSpecError
 from .simulator import (
+    FIFO_BLOCK,
     RunResult,
-    Segment,
+    Window,
     count_above,
     fifo_windows,
-    merge_buffers,
-    merge_order,
     merge_streams,
     run_fifo,
     transient_delays,
@@ -73,6 +71,7 @@ from .simulator import (
 from .traffic import (
     COUPLING_MECHANISMS,
     ArrivalSequence,
+    ArrivalStreams,
     ClassSpec,
     Constant,
     CoupledPoisson,
@@ -82,7 +81,6 @@ from .traffic import (
     Poisson,
     coupling_groups,
     deterministic_envelope,
-    generate_sequences,
     is_integer,
     proportional_counts,
 )
@@ -403,42 +401,53 @@ def tightness_scenario(
 
 def simulate_case(config: CaseConfig) -> RunResult:
     """Generate the case's arrivals and run them through the queue until the
-    horizon, the last arrival of the class that stops first."""
-    # the buffers pass straight to the merge, which consumes them: no name
-    # here keeps the spent times buffer alive through the FIFO scan
-    return run_fifo(merge_buffers(*_horizon_run(config), config.rates()))
+    horizon, the last arrival of the class that stops first.
 
-
-def _horizon_run(config: CaseConfig) -> tuple[np.ndarray, np.ndarray, list[Segment]]:
-    """The case's class-ordered buffers of times and sizes, cut at the
-    horizon, and their segments.
-
-    Only the span where every class is still arriving is kept, so the tail
-    of the run is not a partially-loaded system; that span holds a prefix of
-    each class and a prefix of the merged stream, and FIFO is causal, so
-    cutting each class before the merge leaves every wait unchanged. Each
-    class's segment moves down, in the same buffers, over the arrivals cut
-    from the classes before it.
+    The run is run_comparison's windows, collected. They are an eighth of
+    the comparison's, in whole blocks, since the columns already hold the
+    whole run. Each column grows in place by a window at a time; realloc
+    remaps its pages rather than copy them. source is a customer's class
+    start (the customers of the classes of lower id) plus its index in its
+    class. While the run grows, source holds index * classes + the class's
+    place in id order, and at the end the starts replace the places, a
+    window's worth at a time.
     """
+    ids = sorted(s.class_id for s in config.specs)
+    columns = [np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)]
+    counts = dict.fromkeys(ids, 0)
+    n, size = 0, FIFO_BLOCK * max(1, simulator.CHUNK // (8 * FIFO_BLOCK))
+    for window in _windows(config, size)[1]:
+        width = len(window.arrival_s)
+        codes = np.empty(len(window.times), dtype=np.intp)  # in the window's class order
+        for cid, start, count, first in window.parts:
+            part = codes[start : start + count]
+            np.multiply(np.arange(first, first + count), len(ids), out=part)
+            part += ids.index(cid)
+            counts[cid] += count
+        for column in columns:
+            column.resize(n + width, refcheck=False)
+        merged = (window.arrival_s, window.service_s, codes.take(window.order), window.waiting_s)
+        for column, value in zip(columns, merged):
+            column[n : n + width] = value
+        n += width
+    arrival, service, source, waiting = columns
+    starts = np.cumsum([0] + [counts[cid] for cid in ids[:-1]])
+    for lo in range(0, n, size):
+        index, place = np.divmod(source[lo : lo + size], len(ids))
+        np.add(index, starts.take(place), out=source[lo : lo + size])
+    segments = tuple((cid, int(start), counts[cid]) for cid, start in zip(ids, starts))
+    return RunResult(arrival, service, source, segments, waiting)
+
+
+def _windows(
+    config: CaseConfig, size: int | None = None
+) -> tuple[ArrivalStreams, Iterator[Window]]:
+    """The case's long run: its one-row arrival streams, whose step is the
+    config's proportional counts, and the windows of size customers
+    (fifo_windows) that merge and scan it."""
     counts = proportional_counts(config.specs, config.customers)
-    path = generate_sequences(config.specs, counts, config.seed)
-    horizon = min((seq.times_s[-1] for seq in path if len(seq)), default=0.0)
-    for seq in path:
-        # a short run can thin a class to nothing or end before its first
-        # arrival; every class of the config must be in the run
-        if len(seq) == 0 or seq.times_s[0] > horizon:
-            raise InvalidInputError(
-                f"class {seq.class_id} has no arrivals before the horizon: raise customers"
-            )
-    times, sizes, segments, end = path.times_s, path.sizes_bits, [], 0
-    for cid, start, n in path.segments:
-        count = int(np.searchsorted(times[start : start + n], horizon, "right"))
-        if end != start:
-            times[end : end + count] = times[start : start + count]
-            sizes[end : end + count] = sizes[start : start + count]
-        segments.append((cid, end, count))
-        end += count
-    return times[:end], sizes[:end], segments
+    streams = ArrivalStreams(config.specs, counts, config.seed, rows=1)
+    return streams, fifo_windows(streams, config.rates(), size)
 
 
 def _counted_entry(
@@ -459,105 +468,246 @@ def _counted_entry(
                       se=np.sqrt(p * (1.0 - p) / samples))
 
 
+class _TailCounts:
+    """Each class's waits and delays counted above the grid as they come,
+    for the empirical CCDFs, in class batches of CHUNK / 4 values.
+
+    Class c's values come in class order (add). Its curve keeps them from
+    d_c = int(n_c * warmup) on and the aggregate from e_c on, e_c being the
+    class-c customers among the first int(n * warmup) of the run, and
+    neither is known before the run ends. So the values below keep[c], a
+    bound on both that the caller lowers as the run goes (keep_below), are
+    kept as the class's warmup prefix, and the others are counted above
+    the grid in contiguous batches, one sort each: a part of a batch or more
+    where it is, and smaller parts gathered. A value the bound passes
+    on its way down is counted then. A class of Constant sizes keeps its
+    waits alone: its sorted delays are its sorted waits plus its one
+    service time s_c = bits / rate, the merge's own division, and adding a
+    constant keeps float order. The counts are integer sums over disjoint
+    sets, so they are those of one sort of all the values. _empirical_entries
+    counts the prefixes at the end.
+    """
+
+    def __init__(self, config: CaseConfig):
+        self.grid, self.warmup = config.grid(), config.warmup_fraction
+        self.service = {
+            s.class_id: s.size.bits / s.service_rate_bps
+            for s in config.specs
+            if isinstance(s.size, Constant)
+        }
+        ids = [s.class_id for s in config.specs]
+        self.added = dict.fromkeys(ids, 0)
+        self.keep = dict.fromkeys(ids, math.inf)
+        self.prefix = {cid: [] for cid in ids}  # (waits, delays or None) pieces
+        self.kept = dict.fromkeys(ids, 0)
+        self.batch = {}  # class id -> (waits, delays or None) of one batch
+        self.filled = dict.fromkeys(ids, 0)
+        self.above = {(metric, cid): np.zeros(len(self.grid), dtype=np.int64)
+                      for metric in ("delay", "waiting") for cid in ids}
+        # the class place, in id order, of each of the run's first customers
+        # up to the bound on int(n * warmup), and how many each place has
+        self.places = sorted(ids)
+        self.labels, self.seen = [], np.zeros(len(ids), dtype=np.int64)
+
+    def add_window(self, window: Window, most: dict[int, int]) -> None:
+        """A window of the run, its waits and delays in class order in the
+        buffers it was merged from (window.times, window.service); no class
+        has more customers in the run than most[c]. From those bounds, and
+        the classes of the run's first customers up to the bound on int(n *
+        warmup), follow bounds on d_c and e_c, and each class's values of
+        the window are added."""
+        skip = int(sum(most.values()) * self.warmup)
+        labelled = self._cut_labels(skip)
+        n = sum(self.added.values())  # the window's first customer
+        upto = min(skip, n + len(window.arrival_s))
+        if labelled < upto:
+            ends = [start + count for _, start, count, _ in window.parts]
+            place = np.searchsorted(ends, window.order[labelled - n : upto - n], side="right")
+            self.labels.append(place.astype(np.uint8 if len(self.seen) <= 256 else np.intp))
+            self.seen += np.bincount(place, minlength=len(self.seen))
+            labelled = upto
+        for place, (cid, start, count, _) in enumerate(window.parts):
+            e_most = int(self.seen[place]) + skip - labelled
+            self.keep_below(cid, max(int(most[cid] * self.warmup), e_most))
+            part = slice(start, start + count)
+            self.add(cid, window.times[part], window.service[part])
+
+    def aggregate_from(self) -> dict[int, int]:
+        """e_c of each class, once the run is added."""
+        self._cut_labels(int(sum(self.added.values()) * self.warmup))
+        return dict(zip(self.places, self.seen.tolist()))
+
+    def _cut_labels(self, skip: int) -> int:
+        """Cut the class places to the run's first skip customers, and
+        their counts; returns how many are left."""
+        labelled = sum(len(piece) for piece in self.labels)
+        while labelled > skip:
+            piece = self.labels.pop()
+            cut = max(0, skip - (labelled - len(piece)))
+            self.seen -= np.bincount(piece[cut:], minlength=len(self.seen))
+            if cut:
+                self.labels.append(piece[:cut])
+            labelled -= len(piece) - cut
+        return labelled
+
+    def add(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> None:
+        """The class's next values in class order, which it may sort in
+        place; delays may be None for a class of Constant sizes."""
+        delays = None if cid in self.service else delays
+        n = len(waits)
+        head = int(min(max(self.keep[cid] - self.added[cid], 0), n))
+        self.added[cid] += n
+        if head:
+            self.prefix[cid].append(
+                (waits[:head].copy(), None if delays is None else delays[:head].copy())
+            )
+            self.kept[cid] += head
+        size = simulator.CHUNK // 4
+        if n - head >= size:  # a batch already: counted where it is
+            self._count(cid, waits[head:], None if delays is None else delays[head:])
+            return
+        if cid not in self.batch:
+            self.batch[cid] = (np.empty(size), None if delays is None else np.empty(size))
+        batch_waits, batch_delays = self.batch[cid]
+        while head < n:
+            filled = self.filled[cid]
+            k = min(size - filled, n - head)
+            batch_waits[filled : filled + k] = waits[head : head + k]
+            if delays is not None:
+                batch_delays[filled : filled + k] = delays[head : head + k]
+            self.filled[cid] = filled + k
+            head += k
+            if self.filled[cid] == size:
+                self._count(cid, batch_waits, batch_delays)
+                self.filled[cid] = 0
+
+    def keep_below(self, cid: int, bound: int) -> None:
+        """Keep the class's values below bound alone, bound being no less
+        than d_c and e_c: the prefix's values from bound on are counted."""
+        if bound >= self.keep[cid]:
+            return
+        self.keep[cid] = bound
+        pieces = self.prefix[cid]
+        while self.kept[cid] > bound:
+            waits, delays = pieces.pop()
+            cut = max(0, bound - (self.kept[cid] - len(waits)))
+            if cut:
+                pieces.append((waits[:cut], None if delays is None else delays[:cut]))
+            self._count(cid, waits[cut:], None if delays is None else delays[cut:])
+            self.kept[cid] -= len(waits) - cut
+
+    def finish(self) -> None:
+        """Count each class's last, partial batch."""
+        for cid, (waits, delays) in self.batch.items():
+            n = self.filled[cid]
+            self._count(cid, waits[:n], None if delays is None else delays[:n])
+            self.filled[cid] = 0
+
+    def counts(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> dict:
+        """Each metric's counts above the grid of a class's values, which
+        are sorted in place."""
+        waits.sort()
+        above = {"waiting": count_above(waits, self.grid)}
+        if cid in self.service:
+            waits += self.service[cid]
+            delays = waits
+        else:
+            delays.sort()
+        above["delay"] = count_above(delays, self.grid)
+        return above
+
+    def _count(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> None:
+        """Count values past the prefix into the class's tail counts."""
+        for metric, above in self.counts(cid, waits, delays).items():
+            self.above[metric, cid] += above
+
+
 def _empirical_entries(
-    config: CaseConfig,
-    source: np.ndarray,
-    segments: Sequence[Segment],
-    waiting: np.ndarray,
-    delay: np.ndarray | None,
+    config: CaseConfig, tails: _TailCounts, aggregate_from: dict[int, int]
 ) -> list[CurveEntry]:
     """Empirical CCDFs of delay and waiting: aggregate, then one per class.
 
-    waiting and delay hold a run's values in class order, each customer at
-    its source; source is the run's merged order and segments its classes.
-    delay may be None when every class has Constant sizes. Each class's
-    segment of both is sorted in place.
-
-    Each curve equals empirical_ccdf of its values, but every class's kept
-    values are sorted once per metric and the aggregate is counted from them.
-    Class c's values in arrival order are its segment [start, start + n_c),
-    and its curve keeps them from d_c = int(n_c * warmup) on. The
-    aggregate keeps every customer from int(n * warmup) on, which is class
-    c's values from e_c on, e_c being the class-c sources among the first
-    int(n * warmup) customers. So the aggregate counts are the class counts,
-    less the count over class c's values between d_c and e_c when e_c > d_c,
-    or plus it when e_c < d_c.
-
-    A class of Constant sizes has the one service time s_c = bits / rate,
-    the merge's own division, and adding a constant keeps float order, so
-    its sorted delays are its sorted waits plus s_c: they are shifted in
-    place and counted, and only the other classes read delay.
+    tails has counted every value of the run but each class's warmup
+    prefix, and those counts go to both curves. Class c's curve keeps its
+    values from d_c = int(n_c * warmup) on, and the aggregate, which keeps
+    every customer from int(n * warmup) on, keeps them from e_c =
+    aggregate_from[c] on; both are within the prefix. So each piece of the
+    prefix is cut at d_c and e_c, and each part either curve keeps is
+    sorted once and counted into the curves that keep it. Each curve
+    equals empirical_ccdf of its values.
     """
     grid, warmup = config.grid(), config.warmup_fraction
-    skip = int(len(source) * warmup)
-    head = source[:skip]
-    service = {
-        s.class_id: s.size.bits / s.service_rate_bps
-        for s in config.specs
-        if isinstance(s.size, Constant)
-    }
-    classes = []  # per class: id, length, d_c and e_c
-    # (metric, class id) -> counts above the grid of the class's kept values
-    # and of its values between d_c and e_c
-    counts: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    for cid, start, n in segments:
-        d = int(n * warmup)
-        e = int(np.count_nonzero((head >= start) & (head < start + n)))
-        classes.append((cid, n, d, e))
-        kept, edge = _sorted_class(waiting[start : start + n], d, e)
-        counts["waiting", cid] = count_above(kept, grid), count_above(edge, grid)
-        if cid in service:
-            kept += service[cid]
-            edge += service[cid]
-        else:
-            kept, edge = _sorted_class(delay[start : start + n], d, e)
-        counts["delay", cid] = count_above(kept, grid), count_above(edge, grid)
-
-    entries = []
-    for metric in ("delay", "waiting"):
-        total = np.zeros(len(grid), dtype=np.int64)
-        per_class = []
-        for cid, n, d, e in classes:
-            above, edge = counts[metric, cid]
-            total += above
-            if e > d:
-                total -= edge
-            else:
-                total += edge
+    metrics = ("delay", "waiting")
+    n = sum(tails.added.values())
+    totals = {metric: np.zeros(len(grid), dtype=np.int64) for metric in metrics}
+    per_class = {metric: [] for metric in metrics}
+    for cid in sorted(tails.added):
+        n_c, e = tails.added[cid], aggregate_from[cid]
+        d = int(n_c * warmup)
+        mine = {metric: tails.above[metric, cid].copy() for metric in metrics}
+        for metric in metrics:
+            totals[metric] += mine[metric]
+        lo = 0
+        for waits, delays in tails.prefix[cid]:
+            hi = lo + len(waits)
+            cuts = sorted({lo, hi, min(max(d, lo), hi), min(max(e, lo), hi)})
+            for x, y in zip(cuts, cuts[1:]):
+                keep = [counts for counts, first in ((mine, d), (totals, e)) if x >= first]
+                if keep:
+                    part = slice(x - lo, y - lo)
+                    above = tails.counts(
+                        cid, waits[part], None if delays is None else delays[part]
+                    )
+                    for counts in keep:
+                        for metric in metrics:
+                            counts[metric] += above[metric]
+            lo = hi
+        for metric in metrics:
             label = f"sim_{metric}_c{cid}"
-            per_class.append(_counted_entry(label, metric, cid, grid, above, n - d))
-        samples = len(source) - skip
-        entries.append(_counted_entry(f"sim_{metric}", metric, None, grid, total, samples))
-        entries += per_class
+            entry = _counted_entry(label, metric, cid, grid, mine[metric], n_c - d)
+            per_class[metric].append(entry)
+    entries = []
+    samples = n - int(n * warmup)
+    for metric in metrics:
+        label = f"sim_{metric}"
+        entries.append(_counted_entry(label, metric, None, grid, totals[metric], samples))
+        entries += per_class[metric]
     return entries
 
 
 def _exponential_sizes(config: CaseConfig) -> bool:
-    """Whether some class has exponential sizes, so _empirical_entries reads delays."""
+    """Whether some class has exponential sizes, so the CCDFs read delays."""
     return not all(isinstance(s.size, Constant) for s in config.specs)
 
 
 def _run_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry]:
-    """_empirical_entries of a whole run: its waits, and its delays when
-    some class has exponential sizes, scattered into class order by source,
-    the delays a chunk of RunResult.delay_chunks at a time."""
-    waiting = np.empty(len(result))
-    waiting[result.source] = result.waiting_s
-    delay = None
+    """_empirical_entries of a whole run, counted by _TailCounts a chunk of
+    CHUNK customers at a time: a chunk's sources, sorted, lay its values
+    out in class order."""
+    tails = _TailCounts(config)
+    n, warmup = len(result), config.warmup_fraction
+    head = result.source[: int(n * warmup)]
+    aggregate_from = {}
+    for cid, start, count in result.segments:
+        aggregate_from[cid] = int(np.count_nonzero((head >= start) & (head < start + count)))
+        tails.keep_below(cid, max(int(count * warmup), aggregate_from[cid]))
+    ends = np.cumsum([count for _, _, count in result.segments])
+    step = simulator.CHUNK
     if _exponential_sizes(config):
-        delay = np.empty(len(result))
-        for chunk, delays in result.delay_chunks():
-            delay[result.source[chunk]] = delays
-    return _empirical_entries(config, result.source, result.segments, waiting, delay)
-
-
-def _sorted_class(values: np.ndarray, d: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """A class's values from d on, sorted in place, and a sorted copy of
-    its values between d and e, taken before the sort."""
-    edge = np.sort(values[min(d, e) : max(d, e)])
-    kept = values[d:]
-    kept.sort()
-    return kept, edge
+        chunks = result.delay_chunks()
+    else:
+        chunks = ((slice(lo, lo + step), None) for lo in range(0, n, step))
+    for chunk, delays in chunks:
+        order = np.argsort(result.source[chunk])  # distinct sources: class order
+        bounds = np.searchsorted(result.source[chunk].take(order), ends)
+        waits = result.waiting_s[chunk].take(order)
+        delays = None if delays is None else delays.take(order)
+        lo = 0
+        for (cid, _, _), hi in zip(result.segments, bounds):
+            tails.add(cid, waits[lo:hi], None if delays is None else delays[lo:hi])
+            lo = hi
+    tails.finish()
+    return _empirical_entries(config, tails, aggregate_from)
 
 
 def _deterministic(specs, grid) -> tuple[list, dict]:
@@ -755,8 +905,6 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     """
     # first, so a bound that cannot be built fails before the run
     bound_entries, values = case_bound_entries(config)
-    times, sizes, segments = _horizon_run(config)
-    source = merge_order(times, sizes, segments, config.rates())
     stability = analytic.stability(config.specs)
     deterministic = all(isinstance(s.arrival, Periodic) for s in config.specs)
     exponential = _exponential_sizes(config)
@@ -764,27 +912,33 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     # customer by customer
     dd1 = "dd1_bound_s" in values
     limit, largest, over = values.get("dd1_bound_s", 0.0) + FLOAT_SLACK_S, -np.inf, 0
-    # each window's waits, and its delays when a class reads them, go back
-    # into the buffers at the window's own sources, which the scan has read
-    # and does not read again: class order, as _empirical_entries takes them
-    for at, service, waits in fifo_windows(times, sizes, source):
-        times[at] = waits
+    streams, windows = _windows(config)
+    tails = _TailCounts(config)
+    for window in windows:
+        # each window's waits, and its delays when a class reads them, go
+        # into the buffers it was merged from, in class order as the counts
+        # take them: the waits first, as they sit at the service buffer's start
+        window.times[window.order] = window.waiting_s
         if exponential or dd1:
-            delays = np.add(waits, service, out=service)
+            delays = np.add(window.waiting_s, window.service_s, out=window.service_s)
             if exponential:
-                sizes[at] = delays
+                window.service[window.order] = delays
             if dd1:
                 largest = max(largest, float(delays.max()))
                 over += int(np.count_nonzero(delays > limit))
-    delay = sizes if exponential else None
-    empirical = _empirical_entries(config, source, segments, times, delay)
+        # no class has more customers in the run than it has drawn and has
+        # left to draw
+        tails.add_window(window, {cid: streams.drawn[cid] + streams.remaining(cid)
+                                  for cid in streams.step})
+    tails.finish()
+    empirical = _empirical_entries(config, tails, tails.aggregate_from())
 
     violations = []
     if dd1:
         values["max_delay_s"] = largest
         values["delays_above_dd1"] = over
     else:
-        # _horizon_run kept every class of the config, so every bound has its curve
+        # the run holds every class of the config, so every bound has its curve
         targets = {(e.metric, e.class_id): e for e in empirical}
         violations = [
             _check_violations(bound, targets[bound.metric, bound.class_id])

@@ -30,46 +30,51 @@ times sit in the group's slice of the waits, and the two other temporaries,
 one stack of every block of a 1M-customer run made 8 MB temporaries and, in
 place, ran no faster than one block per call.
 
-merge_order is the order step of every merge: it divides each class's
-sizes in place by its own rate, so run_fifo never looks a customer's class
-up, and sorts the class-ordered times once. That sort order is the one
-per-customer fact besides times and service: source, each customer's
-position in the buffers. Next to it sit the segments, one (class_id, start,
-count) per class in id order, so a class's customers are the sources in
-[start, start + count) and the j-th of them is source start + j - 1.
-merge_buffers consumes the buffers into whole merged columns: it gathers
-the service times, and then the sizes buffer takes the ordered times. A
-long run hands it the buffers its draw wrote (experiments.simulate_case),
-so it copies no whole-run array; merge_streams first concatenates
-caller-owned sequences into fresh buffers and leaves the sequences as they
-were. records.csv derives its class-id and j columns from source and
-segments a chunk at a time (_class_columns); the long run and the
-replications never build them. A run's record is one type: RunResult
-is the MergedArrivals it ran, the same arrays, plus its waits, so every
-per-customer column is defined once. run_fifo rejects arrival times that
-are not finite or not time-ordered and service times that are not finite
-and >= 0. RunResult.delay_chunks yields the delays CHUNK customers at a
-time: write_csv derives each chunk's columns from them and formats each row
-with one str.format, so writing records.csv takes memory bounded by the
-chunk.
+merge_order is the order step of a merge of whole runs: it divides each
+class's sizes in place by its own rate, so run_fifo never looks a
+customer's class up, and sorts the class-ordered times once. That sort
+order is the one per-customer fact besides times and service: source,
+each customer's position in the buffers. Next to it sit the segments, one
+(class_id, start, count) per class in id order, so a class's customers are
+the sources in [start, start + count) and the j-th of them is source start
++ j - 1. merge_buffers consumes the buffers into whole merged columns: it
+gathers the service times, and then the sizes buffer takes the ordered
+times. merge_streams first concatenates caller-owned sequences into fresh
+buffers and leaves the sequences as they were; batches and short runs
+merge that way. records.csv derives its class-id and j columns from source
+and segments a chunk at a time (_class_columns). A run's record is one
+type: RunResult is the MergedArrivals it ran, the same arrays, plus its
+waits, so every per-customer column is defined once. run_fifo rejects
+arrival times that are not finite or not time-ordered and service times
+that are not finite and >= 0. RunResult.delay_chunks yields the delays
+CHUNK customers at a time: write_csv derives each chunk's columns from
+them and formats each row with one str.format, so writing records.csv
+takes memory bounded by the chunk.
 
-The comparison (experiments.run_comparison) builds no merged column at
-all. fifo_windows scans the merged order of the class-ordered buffers in
-windows of CHUNK customers: it gathers a window's arrival and service
-times into window buffers, checks them as run_fifo checks a run and
-against the window before, and runs the scan with the backlog carried in
-from that window (_fifo_scan, the kernel of fifo_waits). CHUNK is a whole
-number of blocks, so every wait is bit for bit that of the whole run. The
-comparison then writes the window's waits into the times buffer at the
-window's own sources, and its delays, when a class of exponential sizes
-needs them, into the service buffer: slots the scan has read and never
-reads again. After the scan the two buffers hold the waits and delays in
-class order. Tail fractions count the values above each tau by
-count_above, one searchsorted on sorted values; empirical_ccdf uses it, and
-so does the comparison's CCDF stage (experiments._empirical_entries), which
-sorts each class's segment of those buffers once and counts the aggregate
-curve from the class counts; a class of constant sizes gets its sorted
-delays by shifting its sorted waits.
+A long run (experiments.run_comparison, and simulate_case, which collects
+it) holds no array that grows with the run. fifo_windows draws, merges and
+scans it a window of CHUNK customers at a time. Each class is drawn a
+piece at a time from the run's one step (ArrivalStreams.draw with
+widths), its share of a quarter window, so every class's horizon advances
+with the others. The merge frontier is the earliest horizon of a class
+still drawing: every arrival before it has been drawn. A window is the
+first CHUNK pending arrivals before it, cut by an arrival of the class with
+the most of them, copied into class order (the sizes divided by the rate
+on the way) and merged by one stable sort; the few the cut passes go back
+to pending. The horizon is the earliest last arrival of a class: once a
+spent class's last arrival lies before every class still drawing, the last
+windows take every class up to it, and a class with no arrival by then is
+an error. Until then no window passes the last kept instant of a thinned
+class still drawing, which may keep no more. Each window is gathered into window
+buffers, checked as run_fifo checks a run and against the window before,
+and scanned with the backlog carried in from that window (_fifo_scan, the
+kernel of fifo_waits); CHUNK is a whole number of blocks, so every wait is
+bit for bit that of the whole run. The waits go into the spent service
+buffer, and Window.order lays them, and the delays, out in class order in
+the buffers they were merged from, where the comparison counts them
+(experiments._TailCounts). Tail fractions count the values above each tau
+by count_above, one searchsorted on sorted values; empirical_ccdf uses it,
+and so does the comparison.
 
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
@@ -79,12 +84,10 @@ replication_seed(case seed, c) and always draws all its rows, so replication
 r is row r % rows of chunk r // rows, and results are a prefix-stable
 function of (case, js, class id) whatever the number of replications.
 Because FIFO is causal, a run is cut before the merge, never after it: the
-long run cuts each class's segment of its draw buffers at the horizon and
-moves the later segments down over the cut arrivals
-(experiments._horizon_run), and a chunk (_chunk_delays) cuts its rows at
-the target's last requested arrival: each class's columns up to the cut
-are the one ArrivalSequence built of it, checked by that constructor, so
-a class's segment holds exactly its customers in the run.
+long run stops merging at the horizon, and a chunk (_chunk_delays) cuts its
+rows at the target's last requested arrival: each class's columns up to the
+cut are the one ArrivalSequence built of it, checked by that constructor,
+so a class's segment holds exactly its customers in the run.
 """
 
 from __future__ import annotations
@@ -120,8 +123,10 @@ TRANSIENT_CHUNK = 2**17
 #: Customers per window of fifo_windows and per chunk of
 #: RunResult.delay_chunks, and so rows of records.csv formatted at a time: a
 #: chunk's six columns as Python objects take a few MB, where a whole run's
-#: would grow with its length. A whole number of FIFO_BLOCKs, so a window
-#: starts a block and its waits are those of the whole run's scan.
+#: would grow with its length. A long run's buffers hold a few windows of
+#: arrivals: about 6 MB in all at this size, a tenth of which the warmup
+#: prefix of a 1M-customer run adds. A whole number of FIFO_BLOCKs, so a
+#: window starts a block and its waits are those of the whole run's scan.
 CHUNK = 2**16
 
 
@@ -251,15 +256,18 @@ def merge_order(
     of the times, which breaks ties as merge_streams states.
     """
     for cid, start, count in segments:
-        if cid not in rates_bps:
-            raise InvalidInputError(f"no service rate for class {cid}")
-        rate = rates_bps[cid]
-        if not 0 < rate < np.inf:  # NaN fails too
-            raise InvalidInputError(
-                f"class {cid}: service rate must be finite and > 0, got {rate}"
-            )
-        sizes[..., start : start + count] /= rate
+        sizes[..., start : start + count] /= _rate(rates_bps, cid)
     return np.argsort(times, axis=-1, kind="stable")
+
+
+def _rate(rates_bps: Mapping[int, float], cid: int) -> float:
+    """Class cid's service rate, which must be given, finite and > 0."""
+    if cid not in rates_bps:
+        raise InvalidInputError(f"no service rate for class {cid}")
+    rate = rates_bps[cid]
+    if not 0 < rate < np.inf:  # NaN fails too
+        raise InvalidInputError(f"class {cid}: service rate must be finite and > 0, got {rate}")
+    return rate
 
 
 def merge_buffers(
@@ -293,7 +301,8 @@ def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:
     Arrivals must be time-ordered along the last axis; each leading index is
     its own queue. The server is empty at time 0, as in the recursion
     started from d = 0. See the module docstring for the formula and for how
-    blocks are grouped.
+    blocks are grouped. Check the input first (run_fifo does): the running
+    max skips a NaN where np.maximum would spread it.
     """
     waits = np.empty(arrival_s.shape)
     _fifo_scan(arrival_s, service_s, waits)
@@ -349,7 +358,8 @@ def _fifo_scan(
         # needs no buffer; a block's last lands on the next block's first
         np.subtract(rel, prefix, out=starts[1 : prefix.size + 1].reshape(shape))
         start[..., 0] = -np.inf
-        np.maximum.accumulate(start, axis=-1, out=start)
+        # fmax is maximum on input without NaN, and runs faster
+        np.fmax.accumulate(start, axis=-1, out=start)
         # the carry, block by block, in the operations of one block per call:
         # each block starts from the backlog after the previous block's last
         # arrival; max is exact, so taking it after the running max is too
@@ -403,36 +413,214 @@ def run_fifo(merged: MergedArrivals) -> RunResult:
     return RunResult(**vars(merged) | {"waiting_s": fifo_waits(times, service)})
 
 
-def fifo_windows(times: np.ndarray, service: np.ndarray, source: np.ndarray):
-    """The FIFO scan of one run in class-ordered buffers, CHUNK customers at
-    a time.
+@dataclass(frozen=True)
+class Window:
+    """One window of a run that fifo_windows scans.
 
-    times and service hold each customer at its source, and source is their
-    merged order (merge_order), so the k-th window is the customers
-    source[k * CHUNK : (k + 1) * CHUNK]. Yields (at, service, waits) per
-    window: its sources, and its service times and waits in merged order,
-    in window buffers that the next window reuses and the caller may
-    overwrite. Each window is checked as run_fifo checks a run, its first
-    arrival against the last of the window before, and the backlog is
-    carried from window to window; CHUNK is a whole number of FIFO_BLOCKs,
-    so every wait is bit for bit that of fifo_waits over the whole run. No
-    window reads the buffers at the sources of the windows before it, so
-    the caller may write each window's results there.
+    arrival_s, service_s and waiting_s are its customers in merged order.
+    times and service are the buffers the window was merged from, which the
+    scan has read: each class's customers of the window, in class order,
+    one part after another, a part (class_id, start, count, first) being
+    the class's customers first, first + 1, ... (0-based) at [start, start
+    + count) of the buffers. order[i] is the buffer slot of the window's
+    i-th customer, so times[order] = waiting_s lays the waits out in class
+    order. waiting_s is the start of service, which the scan read before it
+    wrote them: so service[order] may take values in class order only once
+    the waits have been read.
     """
-    size = min(CHUNK, len(source))
-    arrivals, services, waits = np.empty(size), np.empty(size), np.empty(size)
+
+    arrival_s: np.ndarray
+    service_s: np.ndarray
+    waiting_s: np.ndarray
+    order: np.ndarray
+    times: np.ndarray
+    service: np.ndarray
+    parts: tuple[tuple[int, int, int, int], ...]
+
+
+def fifo_windows(
+    streams: ArrivalStreams, rates_bps: Mapping[int, float], size: int | None = None
+):
+    """The FIFO run of a one-row stream's first step, merged and scanned a
+    window of size customers at a time (CHUNK by default, a whole number of
+    FIFO_BLOCKs), up to the horizon: the last arrival of the class whose
+    step ends first. Yields a Window per window, whose buffers the next
+    window may reuse.
+
+    _merged_windows draws and merges the windows. Each is checked as
+    run_fifo checks a run, its first arrival against the last of the window
+    before, and the backlog is carried from window to window; windows start
+    at whole blocks, so every wait is bit for bit that of fifo_waits over
+    the whole run.
+    """
+    if streams.rows != 1:
+        raise InvalidInputError("fifo_windows runs one path: streams must have one row")
+    size = CHUNK if size is None else size
     carry, after = (0.0, 0.0), -np.inf
-    for lo in range(0, len(source), CHUNK):
-        at = source[lo : lo + CHUNK]
+    arrivals = services = np.empty(0)
+    for times, service, order, parts in _merged_windows(streams, rates_bps, size):
+        width = len(order)
+        if len(arrivals) < width:
+            arrivals, services = np.empty(width), np.empty(width)
         # indices are in range, so clip mode changes nothing but skips the
         # buffered bounds check
-        a = times.take(at, out=arrivals[: len(at)], mode="clip")
-        s = service.take(at, out=services[: len(at)], mode="clip")
+        a = times.take(order, out=arrivals[:width], mode="clip")
+        s = service.take(order, out=services[:width], mode="clip")
         _check_run(a, s, after)
-        w = waits[: len(at)]
+        w = service[:width]  # read, so it takes the waits
         carry = _fifo_scan(a, s, w, *carry)
         after = a[-1]
-        yield at, s, w
+        yield Window(a, s, w, order, times, service, parts)
+
+
+def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], size: int):
+    """The windows of fifo_windows, merged: yields the buffers of times and
+    service times each was merged from, its merged order, and its parts,
+    as Window holds them.
+
+    Each class is drawn a piece at a time (streams.draw with widths), its
+    share of a quarter window by arrival rate, so the classes' horizons advance
+    together. The merge frontier is the earliest horizon of a class still
+    drawing: every arrival before it has been drawn. Once a window's worth
+    of arrivals is pending before it, the next window is the first of them
+    in merged order (_window_cut), merged by one stable sort of their
+    class-ordered concatenation, which breaks ties as merge_streams states;
+    a sort that takes a few more puts them back. Once a class's step is
+    spent its last arrival bounds the horizon, and when every class still
+    drawing has been drawn past that bound, the windows take each class's
+    arrivals up to it. A thinned class still drawing may keep none of its
+    master's later instants, so until its step is spent no window passes
+    its last kept one. A class with no arrival up to the horizon is an
+    error: the run would hold none of it.
+    """
+    ids = sorted(streams.step)
+    rates = {cid: _rate(rates_bps, cid) for cid in ids}
+    total_hz = sum(s.arrival_rate_hz for s in streams.specs)
+    # a quarter of a window's worth of arrivals per piece: the pending
+    # pieces hold up to a window and a quarter, and so do their buffers
+    widths = {s.class_id: max(1, math.ceil(size * s.arrival_rate_hz / total_hz / 4))
+              for s in streams.specs}
+    span = size / total_hz / 4  # the time a piece's worth of arrivals takes
+    # per class, pieces not yet taken: (times, sizes, divisor), the divisor
+    # that makes the sizes service times: the rate, or 1 once divided
+    pending = {cid: [] for cid in ids}
+    last = {}  # each class's last arrival drawn
+    first = dict.fromkeys(ids, 0)  # each class's customers taken
+    times = service = np.empty(0)
+    draw, end = ids, False
+    while not end:
+        if draw:
+            t, z, segments = streams.draw(draw, widths)
+            for cid, lo, n in segments:
+                pending[cid].append((t[lo : lo + n], z[lo : lo + n], rates[cid]))
+                last[cid] = t[lo + n - 1]
+        live = [cid for cid in ids if streams.remaining(cid)]
+        frontier = min((streams.horizon[cid][0] for cid in live), default=np.inf)
+        horizon = min((last[cid] for cid in ids if cid not in live and cid in last),
+                      default=np.inf)
+        # a thinned class still drawing may keep no more instants, so its
+        # last one may be its last arrival: no later arrival is yet sure to
+        # be in the run
+        sure = min((last[cid] for cid in live if cid in streams.thinned and cid in last),
+                   default=np.inf)
+        final = horizon < frontier and horizon <= sure
+        if final:
+            bound, side = horizon, "right"
+        else:
+            bound, side = (sure, "right") if sure < frontier else (frontier, "left")
+        cuts = {cid: _count(pending[cid], bound, side) for cid in ids}
+        m = sum(cuts.values())
+        if m < size and not final:
+            draw = [cid for cid in live if streams.horizon[cid][0] < frontier + span]
+            continue
+        if not m:  # the windows before took the run up to its horizon
+            break
+        draw, end = (), final and m <= size
+        if m > size:
+            cuts = _window_cut(pending, cuts, size)
+            m = sum(cuts.values())
+        if len(times) < m:  # a window and a few more, mostly: sized once
+            times, service = np.empty(m + FIFO_BLOCK), np.empty(m + FIFO_BLOCK)
+        parts, start = [], 0
+        for cid in ids:
+            _take(pending[cid], cuts[cid], times[start:], service[start:])
+            parts.append([cid, start, cuts[cid], first[cid]])
+            start += cuts[cid]
+        order = np.argsort(times[:m], kind="stable")
+        if m > size:  # the customers past the window go back to pending
+            back = np.searchsorted(np.sort(order[size:]), [p[1] + p[2] for p in parts])
+            for part, n_back in zip(parts, np.diff(back, prepend=0).tolist()):
+                part[2] -= n_back
+                if n_back:  # their service times, divided already
+                    lo = part[1] + part[2]
+                    pending[part[0]].insert(0, (times[lo : lo + n_back].copy(),
+                                                service[lo : lo + n_back].copy(), 1.0))
+            order = order[:size]
+        for part in parts:
+            first[part[0]] += part[2]
+        yield times, service, order, tuple(map(tuple, parts))
+    for spec in streams.specs:
+        if not first[spec.class_id]:
+            raise InvalidInputError(
+                f"class {spec.class_id} has no arrivals before the horizon: raise customers"
+            )
+
+
+def _count(pieces: list, bound: float, side: str) -> int:
+    """How many of a class's pending arrivals are before bound (side
+    "left") or up to it (side "right")."""
+    n = 0
+    for t, _, _ in pieces:
+        if t[-1] < bound or side == "right" and t[-1] == bound:
+            n += len(t)  # the whole piece, with no search
+            continue
+        return n + int(t.searchsorted(bound, side))
+    return n
+
+
+def _window_cut(pending: dict, below: dict[int, int], size: int) -> dict[int, int]:
+    """Each class's count of pending arrivals before a cut that leaves at
+    least size of the given counts, and few more.
+
+    The cut is an arrival of the class with the most of them, the k-th, k
+    first guessed from its share of them and raised by the shortfall
+    until the cut leaves size; every class's count stays within its own.
+    """
+    big = max(below, key=below.get)
+    k = size * below[big] // sum(below.values())
+    while k < below[big]:
+        cut = _at(pending[big], k)
+        counts = {cid: _count(pieces, cut, "left") for cid, pieces in pending.items()}
+        short = size - sum(counts.values())
+        if short <= 0:
+            return counts
+        k += short
+    return below
+
+
+def _at(pieces: list, k: int) -> float:
+    """A class's k-th pending arrival time, from 0."""
+    for t, _, _ in pieces:
+        if k < len(t):
+            return t[k]
+        k -= len(t)
+    raise IndexError(k)
+
+
+def _take(pieces: list, n: int, times: np.ndarray, service: np.ndarray) -> None:
+    """Move a class's first n pending arrivals into the buffers' starts,
+    their sizes divided into service times."""
+    done = 0
+    while done < n:
+        t, z, divisor = pieces[0]
+        k = min(len(t), n - done)
+        times[done : done + k] = t[:k]
+        np.divide(z[:k], divisor, out=service[done : done + k])
+        done += k
+        if k == len(t):
+            pieces.pop(0)
+        else:
+            pieces[0] = (t[k:], z[k:], divisor)
 
 
 def empirical_ccdf(

@@ -14,15 +14,23 @@ count comes from its mask), lays the step out in one flat buffer of times
 and one of sizes, each drawn class one contiguous (rows, width) block in id
 order, and fills the blocks. The step table is checked where it is given:
 one integer count >= 1 for every class and none for another id. With one
-row (generate_sequences, the long run) the blocks are the class-ordered
-run that the merge then consumes. An independent class's draws are
-transformed in the block they were drawn into: uniforms become exponential
-gaps or sizes in place, and gaps become arrival times by a cumulative sum
-into the same block. A coupling group's stream is read once, in order,
-before the step is laid out: a scaled group's shared row of uniforms, or a
-synchronized group's master uniforms and then each slower member's mask.
-Its fill draws nothing: it transforms those uniforms straight into each
-member's block.
+row (generate_sequences) the blocks are the class-ordered run. The long run
+draws its one step a piece at a time instead, by widths, and keeps no
+history: the pieces are, in order, the step drawn whole, byte for byte.
+Uniforms are drawn straight into a block and transformed there: into
+exponential gaps or sizes in place, and gaps into arrival times by a
+cumulative sum that carries the last time into the next piece's first gap.
+
+Every reader of a random stream has its own generator, so a stream read a
+piece at a time gives the numbers of one read. A coupling group's stream is
+read by each of its classes: a scaled member reads it from the start, so
+its j-th gap is -ln(u_j)/rate for every member, and rows take it in blocks
+of the group's largest step, as one shared array of rows grown a step at a
+time would hold it. A synchronized group's step is one stretch of its
+stream: the master's uniforms, then each slower member's mask of the
+instants it keeps, each read by a generator that PCG64.advance moves to its
+offset. A step drawn whole reads the masks first, since they fix the
+widths, and then the master's uniforms straight into the master's block.
 
 A periodic class has one envelope type, DeterministicEnvelope: its rate/burst
 constraint, and at a reference rate its burst tail. A Poisson class's burst
@@ -34,7 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -292,6 +300,9 @@ def _pack(kept: np.ndarray, values: np.ndarray, fill: float, out=None) -> np.nda
 
     The result is out when given, of as many columns as the fullest row.
     """
+    if out is not None and len(kept) == 1:  # one row, as wide as it keeps: no fill
+        np.compress(kept[0], values[0], out=out[0])
+        return out
     counts = kept.sum(-1)
     if out is None:
         out = np.empty((len(kept), counts.max()))
@@ -304,14 +315,20 @@ class ArrivalStreams:
     """Arrivals of every class over `rows` independent sample paths.
 
     Row r of each class's (rows, n) arrays is one path, time-ordered along
-    the last axis. Each draw appends `step[class_id]` arrivals to every row of
-    the named classes, continuing their random streams, so a path can be
-    lengthened after it has been inspected. A coupling group is drawn as a
-    whole. A synchronized group draws `step` instants of its fastest class;
-    the slower classes keep a random subset, so their rows are ragged and end
-    in +inf padding. `horizon[class_id][r]` is the time up to which row r
-    holds every arrival of the class: its last arrival, or for a thinned
-    class the last instant of the master stream it was thinned from.
+    the last axis. A step draws `step[class_id]` arrivals of each named
+    class, continuing its random streams; draw fills a step whole and
+    appends it to `times` and `sizes`, so a path can be lengthened after it
+    has been inspected. With widths, draw fills the first step a piece at a
+    time and keeps no history: the pieces of one step are, in order, the
+    step drawn whole. A synchronized group is drawn as a whole, and so is a
+    scaled group when its step is drawn whole. A synchronized group draws
+    `step` instants of its fastest class; the slower classes, `thinned`,
+    keep a random subset, so their rows are ragged and end in +inf padding.
+    `horizon[class_id][r]` is the time up to which row r holds every
+    arrival of the class: its last arrival, or for a thinned class the
+    last instant of the master stream it was thinned from.
+    `drawn[class_id]` counts the columns drawn of the class, and
+    remaining(class_id) bounds the arrivals the step in progress has left.
     """
 
     def __init__(self, specs: Sequence[ClassSpec], step: dict[int, int], seed: int, rows: int):
@@ -331,45 +348,80 @@ class ArrivalStreams:
         if not (is_integer(rows) and rows >= 1):
             raise InvalidInputError(f"rows must be an integer >= 1, got {rows!r}")
         self._groups = coupling_groups(specs)
+        # each synchronized class's master, the fastest of its group
+        self._master = {}
+        for members in self._groups.values():
+            if members[0].arrival.mechanism == "synchronized":
+                master = max(members, key=lambda m: m.arrival.rate_hz)
+                self._master.update((m.class_id, master.class_id) for m in members)
+        self.thinned = frozenset(cid for cid, master in self._master.items() if cid != master)
         self.specs = tuple(specs)
+        self._specs = {s.class_id: s for s in specs}
         self.step = step
         self.rows = rows
         self._seed = seed
-        self._rngs: dict[tuple[int, int], np.random.Generator] = {}
-        self._shared: dict[int, np.ndarray] = {}  # uniforms of each scaled group
+        self._rngs: dict[tuple[int, int, int], np.random.Generator] = {}
+        self._unread: dict[int, np.ndarray] = {}  # a scaled member's uniforms drawn, not read
+        self._left = {s.class_id: 0 for s in specs}  # of each count's step in progress
+        self.drawn = {s.class_id: 0 for s in specs}
         self.times = {s.class_id: np.empty((rows, 0)) for s in specs}
         self.sizes = {s.class_id: np.empty((rows, 0)) for s in specs}
         self.horizon = {s.class_id: np.zeros(rows) for s in specs}
 
-    def draw(self, class_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray, list[Segment]]:
-        """Append one step of arrivals to each named class and its coupling group.
+    def remaining(self, class_id: int) -> int:
+        """At most how many arrivals of the class the step in progress has
+        left: its own count's rest, or for a thinned class its master's."""
+        return self._left[self._master.get(class_id, class_id)]
 
-        Each coupling group's stream is read first, once and in order (see
-        _group_uniforms): a thinned class keeps a random subset of its
-        master's instants, so its width is known only from its mask. The
-        step is then laid out in two flat buffers, of times
+    def draw(
+        self, class_ids: Iterable[int], widths: Mapping[int, int] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, list[Segment]]:
+        """Draw one step of arrivals of each named class and its coupling
+        group, or with widths the next at most widths[c] arrivals of each
+        named class c's first step, which its first draw begins; a class
+        whose step is spent then draws no more. A thinned class draws
+        through its master, by the master's width.
+
+        A synchronized group's masks are read first, from their own offsets
+        in the group's stream (_begin_step): a thinned class keeps a random
+        subset of its master's instants, so its width is known only from
+        its mask. The draw is then laid out in two flat buffers, of times
         and of sizes, each drawn class one contiguous (rows, width) block in
-        id order, and the blocks are filled, the independent classes first;
-        a group's fill transforms its uniforms straight into its blocks.
-        Returns the buffers and the segments, one (class_id, start, width)
-        per drawn class, class c's block being [start*rows, (start + width)*rows)
-        of the buffers. With one row the blocks are the class-ordered run that
-        merge_buffers takes.
+        id order, and the blocks are filled: uniforms are drawn straight
+        into a block and transformed there. Returns the buffers and the
+        segments, one (class_id, start, width) per drawn class, class c's
+        block being [start*rows, (start + width)*rows) of the buffers. A
+        class whose step is spent draws nothing and has no segment. With one
+        row the blocks are the class-ordered run that merge_buffers takes.
         """
         ids = set(class_ids)
         for cid in ids - self.step.keys():
             raise InvalidSpecError(f"class {cid!r}: not a class of the specs")
-        drawn = {}
-        for group, members in self._groups.items():
-            if not ids.isdisjoint(m.class_id for m in members):
+        for members in self._groups.values():
+            whole = widths is None or members[0].class_id in self._master
+            if whole and not ids.isdisjoint(m.class_id for m in members):
                 ids.update(m.class_id for m in members)
-                drawn[group] = self._group_uniforms(group, members)
-        kept = {cid: mask for _, masks in drawn.values() for cid, mask in masks.items()}
+        counts = {}  # arrivals of each class that draws by its own count
+        for cid in ids:
+            if self._master.get(cid, cid) == cid:
+                if widths is None or not self.drawn[cid]:
+                    self._begin_step(cid)
+                left = self._left[cid]
+                counts[cid] = left if widths is None else min(widths[cid], left)
+        masks = {}
+        for cid in self.thinned & ids:
+            master = self._master[cid]
+            rng = self._rng(_ROLE_GROUP, self._group(cid), cid)
+            # thinning keeps the Poisson marginal at the class rate; no name
+            # keeps the uniforms, so they go before the layout is allocated
+            rate = self._spec(cid).arrival.rate_hz / self._spec(master).arrival.rate_hz
+            masks[cid] = rng.random((self.rows, counts[master])) < rate
         segments, start = [], 0
         for cid in sorted(ids):
-            width = int(kept[cid].sum(-1).max()) if cid in kept else self.step[cid]
-            segments.append((cid, start, width))
-            start += width
+            n = int(masks[cid].sum(-1).max()) if cid in masks else counts[cid]
+            if n:
+                segments.append((cid, start, n))
+                start += n
         rows = self.rows
         times, sizes = np.empty(start * rows), np.empty(start * rows)
         # blocks, not column slices of (rows, start) arrays: random(out=)
@@ -379,23 +431,23 @@ class ArrivalStreams:
                   sizes[lo * rows : (lo + n) * rows].reshape(rows, n))
             for cid, lo, n in segments
         }
-        for spec in self.specs:
+        for spec in self.specs:  # the masters before their thinned classes
             cid = spec.class_id
-            if cid not in ids or isinstance(spec.arrival, CoupledPoisson):
-                continue
-            block, block_sizes = out[cid]
-            if isinstance(spec.arrival, Periodic):
-                k = self.times[cid].shape[-1]
-                arrivals = np.arange(k + 1, k + block.shape[-1] + 1, dtype=float)
-                np.multiply(arrivals, np.full((rows, 1), spec.arrival.period_s), out=block)
-                self._append(spec, block, self._sizes(spec, block_sizes))
-                self.horizon[cid] = block[:, -1]
-            else:
-                u = self._rng(_ROLE_ARRIVALS, cid).random(out=block)
-                gaps = _exponential_from_uniforms(u, spec.arrival.rate_hz)
-                self._append_gaps(spec, gaps, block_sizes)
-        for group in list(drawn):  # popped: a synchronized step's uniforms live until its fill
-            self._fill_group(self._groups[group], *drawn.pop(group), out)
+            if cid in out and cid not in masks:
+                self._fill(spec, *out[cid])
+        for cid, kept in masks.items():
+            if cid in out:
+                block, block_sizes = out[cid]
+                master = self._master[cid]
+                _pack(kept, out[master][0], np.inf, block)
+                self._sizes(self._spec(cid), block_sizes)
+                self.horizon[cid] = self.horizon[master]
+        for cid, count in counts.items():
+            self._left[cid] -= count
+        for cid, _, n in segments:
+            self.drawn[cid] += n
+            if widths is None:
+                self._append(cid, *out[cid])
         return times, sizes, segments
 
     def draw_through(self, class_id: int, j: int) -> None:
@@ -411,10 +463,80 @@ class ArrivalStreams:
                 return
             self.draw(short)
 
-    def _rng(self, role: int, key: int) -> np.random.Generator:
-        if (role, key) not in self._rngs:
-            self._rngs[role, key] = _substream(self._seed, role, key)
-        return self._rngs[role, key]
+    def _spec(self, class_id: int) -> ClassSpec:
+        return self._specs[class_id]
+
+    def _group(self, class_id: int) -> int:
+        return self._spec(class_id).arrival.coupling_group
+
+    def _rng(self, role: int, key: int, reader: int | None = None) -> np.random.Generator:
+        """The generator of substream (role, key); each reader of a shared
+        stream, a class of its coupling group, reads it through its own."""
+        reader = key if reader is None else reader
+        if (role, key, reader) not in self._rngs:
+            self._rngs[role, key, reader] = _substream(self._seed, role, key)
+        return self._rngs[role, key, reader]
+
+    def _begin_step(self, class_id: int) -> None:
+        """Start the next step of a class that draws by its own count.
+
+        A synchronized group's step is one stretch of its stream: the
+        master's uniforms, rows*S of them for a step of S instants, then
+        each slower member's mask, as many, in spec order. Each reads the
+        stream through its own generator, so at the group's first step the
+        i-th mask skips i stretches, and at every later step each reader
+        skips the stretches of the other readers."""
+        self._left[class_id] = self.step[class_id]
+        if self._master.get(class_id) != class_id:
+            return
+        group = self._group(class_id)
+        readers = [m.class_id for m in self._groups[group]]
+        readers.remove(class_id)
+        stretch = self.rows * self.step[class_id]
+        first = self.drawn[class_id] == 0
+        for i, cid in enumerate([class_id] + readers):
+            skip = i * stretch if first else len(readers) * stretch
+            if skip:
+                self._rng(_ROLE_GROUP, group, cid).bit_generator.advance(skip)
+
+    def _fill(self, spec: ClassSpec, block: np.ndarray, block_sizes: np.ndarray) -> None:
+        """Draw a class that draws by its own count into its blocks."""
+        cid = spec.class_id
+        if isinstance(spec.arrival, Periodic):
+            k = self.drawn[cid]
+            arrivals = np.arange(k + 1, k + block.shape[-1] + 1, dtype=float)
+            np.multiply(arrivals, np.full((self.rows, 1), spec.arrival.period_s), out=block)
+            self._sizes(spec, block_sizes)
+            self.horizon[cid] = block[:, -1]
+            return
+        if isinstance(spec.arrival, Poisson):
+            u = self._rng(_ROLE_ARRIVALS, cid).random(out=block)
+        else:  # a coupled class reads its group's stream
+            u = self._group_uniforms(spec, block)
+        gaps = _exponential_from_uniforms(u, spec.arrival.rate_hz, block)
+        self._append_gaps(spec, gaps, block_sizes)
+
+    def _group_uniforms(self, spec: ClassSpec, out: np.ndarray) -> np.ndarray:
+        """The next uniforms of a coupled class, drawn into out.
+
+        A synchronized master reads its stretch of the group's stream. A
+        scaled class's j-th gap is -ln(u_j)/rate for every member, u being
+        the group's stream: with one row, each member reads it from the
+        start through its own generator. Rows take it in blocks of (rows,
+        W), W the largest step of the group, as one shared array of rows
+        grown a step at a time would hold it, so a member keeps the columns
+        of its last block that it has not read yet."""
+        cid, group = spec.class_id, spec.arrival.coupling_group
+        rng = self._rng(_ROLE_GROUP, group, cid)
+        if self.rows == 1 or cid in self._master:
+            return rng.random(out=out)
+        unread = self._unread.get(cid, np.empty((self.rows, 0)))
+        width = max(self.step[m.class_id] for m in self._groups[group])
+        while unread.shape[-1] < out.shape[-1]:
+            unread = np.concatenate([unread, rng.random((self.rows, width))], axis=-1)
+        out[...] = unread[:, : out.shape[-1]]
+        self._unread[cid] = unread[:, out.shape[-1] :]
+        return out
 
     def _sizes(self, spec: ClassSpec, out: np.ndarray) -> np.ndarray:
         """Sizes drawn into out, which is returned."""
@@ -430,64 +552,21 @@ class ArrivalStreams:
         summed in the gaps' own buffer, and draw their sizes into sizes."""
         gaps[:, 0] += self.horizon[spec.class_id]  # the same sums as one longer path
         times = np.cumsum(gaps, axis=-1, out=gaps)
-        self._append(spec, times, self._sizes(spec, sizes))
+        self._sizes(spec, sizes)
         self.horizon[spec.class_id] = times[:, -1]
 
-    def _append(self, spec: ClassSpec, times: np.ndarray, sizes: np.ndarray) -> None:
-        old = self.times[spec.class_id]
+    def _append(self, class_id: int, times: np.ndarray, sizes: np.ndarray) -> None:
+        old = self.times[class_id]
         if old.shape[-1]:
             times = np.concatenate([old, times], axis=-1)
-            sizes = np.concatenate([self.sizes[spec.class_id], sizes], axis=-1)
+            sizes = np.concatenate([self.sizes[class_id], sizes], axis=-1)
             if np.any(np.isinf(old[:, -1])):
                 # padding of the earlier draw now sits mid-row: move it to the end
                 real = np.isfinite(times)
-                times, sizes = _pack(real, times, np.inf), _pack(real, sizes, spec.mean_size_bits)
-        self.times[spec.class_id] = times
-        self.sizes[spec.class_id] = sizes
-
-    def _group_uniforms(self, group: int, members: list[ClassSpec]) -> tuple[np.ndarray, dict]:
-        """A coupling group's random numbers for one step, in the order its
-        stream yields them: a scaled group's shared row of uniforms, grown to
-        its furthest member, and no masks; or a synchronized group's master
-        uniforms and then each slower member's mask of the instants it keeps."""
-        rng = self._rng(_ROLE_GROUP, group)
-        if members[0].arrival.mechanism == "scaled":
-            u = self._shared.get(group, np.empty((self.rows, 0)))
-            need = max(self.times[m.class_id].shape[-1] + self.step[m.class_id] for m in members)
-            if need > u.shape[-1]:
-                more = rng.random((self.rows, need - u.shape[-1]))
-                u = self._shared[group] = np.concatenate([u, more], axis=-1)
-            return u, {}
-        master = max(members, key=lambda m: m.arrival.rate_hz)
-        u = rng.random((self.rows, self.step[master.class_id]))
-        # thinning keeps the Poisson marginal at the class rate
-        masks = {m.class_id: rng.random(u.shape) < m.arrival.rate_hz / master.arrival.rate_hz
-                 for m in members if m is not master}
-        return u, masks
-
-    def _fill_group(self, members: list[ClassSpec], u: np.ndarray, kept: dict, out: dict) -> None:
-        """Transform a group's uniforms straight into its members' blocks."""
-        if members[0].arrival.mechanism == "scaled":
-            # class n's j-th gap is -ln(u_j)/rate_n for every member;
-            # u is left alone, as the other members read it again
-            for m in members:
-                k = self.times[m.class_id].shape[-1]
-                times, sizes = out[m.class_id]
-                mine = u[:, k : k + times.shape[-1]]
-                gaps = _exponential_from_uniforms(mine, m.arrival.rate_hz, times)
-                self._append_gaps(m, gaps, sizes)
-            return
-        master = max(members, key=lambda m: m.arrival.rate_hz)
-        times, sizes = out[master.class_id]
-        self._append_gaps(master, _exponential_from_uniforms(u, master.arrival.rate_hz, times),
-                          sizes)
-        instants = self.times[master.class_id][:, -times.shape[-1] :]
-        for m in members:
-            if m is not master:
-                times, sizes = out[m.class_id]
-                self._append(m, _pack(kept[m.class_id], instants, np.inf, times),
-                             self._sizes(m, sizes))
-                self.horizon[m.class_id] = self.horizon[master.class_id]
+                mean = self._spec(class_id).mean_size_bits
+                times, sizes = _pack(real, times, np.inf), _pack(real, sizes, mean)
+        self.times[class_id] = times
+        self.sizes[class_id] = sizes
 
 
 class SamplePath(list):

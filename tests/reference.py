@@ -11,7 +11,11 @@ built, every exponential term added to the CDF at every fine point, and
 again in long double in the tail domain, for the version that computes the
 tail at the returned points alone. So are the split
 bound's water-filling passes, for its closed form in the leftover delay, and
-the excess-work MGF summed by sum() over a generator, for its loop.
+the excess-work MGF summed by sum() over a generator, for its loop. The
+long run is kept here as it was computed whole, for the windows that draw,
+merge, scan and count it a piece at a time: one draw of every class, cut
+at the horizon, one stable sort, the scan of that order and one sort of
+each class's values (whole_run_simulation, whole_run_comparison).
 """
 
 from __future__ import annotations
@@ -23,17 +27,37 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import signal
 
+from mcfifo import analytic
 from mcfifo.analytic import _fine_grid
 from mcfifo.errors import InvalidInputError, InvalidSpecError
-from mcfifo.simulator import merge_streams
+from mcfifo.experiments import (
+    FLOAT_SLACK_S,
+    ComparisonResult,
+    _check_violations,
+    _counted_entry,
+    case_bound_entries,
+)
+from mcfifo.simulator import (
+    _check_run,
+    _fifo_scan,
+    count_above,
+    merge_buffers,
+    merge_order,
+    merge_streams,
+    run_fifo,
+    transient_delays,
+)
 from mcfifo.traffic import (
     ArrivalSequence,
     ClassSpec,
     Constant,
     DeterministicEnvelope,
     ExponentialMean,
+    Periodic,
     Poisson,
     coupling_groups,
+    generate_sequences,
+    proportional_counts,
 )
 
 
@@ -412,3 +436,119 @@ def gsbb_split_every_pass(tails, rates_bps, grid_s) -> np.ndarray:
         else 0.0
     )
     return probs
+
+
+def horizon_run(config) -> tuple[np.ndarray, np.ndarray, list]:
+    """The case's class-ordered buffers of times and sizes, drawn whole and
+    cut at the horizon, the last arrival of the class that stops first,
+    and their segments; each class's segment moves down over the arrivals
+    cut from the classes before it."""
+    counts = proportional_counts(config.specs, config.customers)
+    path = generate_sequences(config.specs, counts, config.seed)
+    horizon = min((seq.times_s[-1] for seq in path if len(seq)), default=0.0)
+    for seq in path:
+        if len(seq) == 0 or seq.times_s[0] > horizon:
+            raise InvalidInputError(
+                f"class {seq.class_id} has no arrivals before the horizon: raise customers"
+            )
+    times, sizes, segments, end = path.times_s, path.sizes_bits, [], 0
+    for cid, start, n in path.segments:
+        count = int(np.searchsorted(times[start : start + n], horizon, "right"))
+        times[end : end + count] = times[start : start + count]
+        sizes[end : end + count] = sizes[start : start + count]
+        segments.append((cid, end, count))
+        end += count
+    return times[:end], sizes[:end], segments
+
+
+def whole_run_simulation(config):
+    """simulate_case computed whole: the merge of the horizon run."""
+    return run_fifo(merge_buffers(*horizon_run(config), config.rates()))
+
+
+def _windows_of_order(times, service, source, chunk):
+    """The scan of the merged order source over class-ordered buffers,
+    chunk customers at a time, with the backlog carried between chunks."""
+    carry, after = (0.0, 0.0), -np.inf
+    for lo in range(0, len(source), chunk):
+        at = source[lo : lo + chunk]
+        a, s = times[at], service[at]
+        _check_run(a, s, after)
+        waits = np.empty(len(at))
+        carry = _fifo_scan(a, s, waits, *carry)
+        after = a[-1]
+        yield at, s, waits
+
+
+def _whole_run_entries(config, source, segments, waiting, delay):
+    """The empirical curves of a run's waits and delays in class order:
+    each class's values from int(n_c * warmup) on, and the aggregate's
+    from int(n * warmup) on, each sorted once and counted above the grid."""
+    grid, warmup = config.grid(), config.warmup_fraction
+    head = source[: int(len(source) * warmup)]
+    aggregate = {"delay": [], "waiting": []}
+    entries = {"delay": [], "waiting": []}
+    for cid, start, n in segments:
+        spec = next(s for s in config.specs if s.class_id == cid)
+        waits = waiting[start : start + n]
+        if isinstance(spec.size, Constant):
+            delays = waits + spec.size.bits / spec.service_rate_bps
+        else:
+            delays = delay[start : start + n]
+        e = int(np.count_nonzero((head >= start) & (head < start + n)))
+        d = int(n * warmup)
+        for metric, values in (("delay", delays), ("waiting", waits)):
+            aggregate[metric].append(values[e:])
+            kept = np.sort(values[d:])
+            entries[metric].append(_counted_entry(
+                f"sim_{metric}_c{cid}", metric, cid, grid, count_above(kept, grid), n - d
+            ))
+    out = []
+    for metric in ("delay", "waiting"):
+        kept = np.sort(np.concatenate(aggregate[metric]))
+        out.append(_counted_entry(
+            f"sim_{metric}", metric, None, grid, count_above(kept, grid), len(kept)
+        ))
+        out += entries[metric]
+    return out
+
+
+def whole_run_comparison(config, chunk: int = 2**16) -> ComparisonResult:
+    """run_comparison computed whole: the horizon run merged by one stable
+    sort, scanned chunk customers at a time, its waits and delays written
+    back into class order, each class's values sorted once."""
+    bound_entries, values = case_bound_entries(config)
+    times, sizes, segments = horizon_run(config)
+    source = merge_order(times, sizes, segments, config.rates())
+    dd1 = "dd1_bound_s" in values
+    exponential = not all(isinstance(s.size, Constant) for s in config.specs)
+    limit, largest, over = values.get("dd1_bound_s", 0.0) + FLOAT_SLACK_S, -np.inf, 0
+    for at, service, waits in _windows_of_order(times, sizes, source, chunk):
+        times[at] = waits
+        delays = waits + service
+        if exponential:
+            sizes[at] = delays
+        if dd1:
+            largest = max(largest, float(delays.max()))
+            over += int(np.count_nonzero(delays > limit))
+    empirical = _whole_run_entries(config, source, segments, times, sizes)
+    violations = []
+    if dd1:
+        values["max_delay_s"] = largest
+        values["delays_above_dd1"] = over
+    else:
+        targets = {(e.metric, e.class_id): e for e in empirical}
+        violations = [_check_violations(b, targets[b.metric, b.class_id]) for b in bound_entries]
+    curves = empirical + bound_entries
+    if config.replications > 1 and not all(isinstance(s.arrival, Periodic) for s in config.specs):
+        first = config.specs[0].class_id
+        grid = config.grid()
+        delays = transient_delays(config, (1, 10, 100), first, config.replications)
+        for j, sample in delays.items():
+            curves.append(_counted_entry(
+                f"sim_delay_c{first}_j{j}", "delay", first, grid,
+                count_above(np.sort(sample), grid), len(sample),
+                note=f"delay of the {j}-th class-{first} customer",
+            ))
+    return ComparisonResult(config.case_id, analytic.stability(config.specs), values,
+                            tuple(curves), tuple(violations))

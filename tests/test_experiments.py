@@ -61,6 +61,7 @@ from mcfifo.traffic import (
     proportional_counts,
 )
 from mcfifo.units import bits_from_bytes, bps_from_mbps, seconds_from_ms
+from reference import whole_run_comparison, whole_run_simulation
 
 # golden preset parameters: any drift here is a regression
 GOLDEN = {
@@ -191,11 +192,11 @@ class TestRunComparison:
         config = replace(preset(2), customers=2000, tau_max_s=1.8e-4)
         bound = run_comparison(config).values["dd1_bound_s"]
 
-        def late(times, sizes, source):
+        def late(streams, rates, size=None):
             # one window: its last customer, the run's, leaves two slacks after the bound
-            for at, service, waits in fifo_windows(times, sizes, source):
-                waits[-1] = bound + 2 * FLOAT_SLACK_S - service[-1]
-                yield at, service, waits
+            for window in fifo_windows(streams, rates, size):
+                window.waiting_s[-1] = bound + 2 * FLOAT_SLACK_S - window.service_s[-1]
+                yield window
 
         monkeypatch.setattr("mcfifo.experiments.fifo_windows", late)
         r = run_comparison(config)
@@ -448,7 +449,7 @@ class TestBoundRegistry:
         def no_run(config):
             pytest.fail("the run was drawn for a bound that cannot be built")
 
-        monkeypatch.setattr(experiments, "_horizon_run", no_run)
+        monkeypatch.setattr(experiments, "_windows", no_run)
         config = CaseConfig("overloaded", _OVERLOADED_SPECS, bounds=("md1",))
         with pytest.raises(NoPositiveRootError, match="^bound md1: utilization"):
             run_comparison(config)
@@ -562,25 +563,37 @@ class TestEmpiricalEntries:
                 boundary_sides |= _assert_empirical_curves(config, result, entries)
         assert {-1, 1} <= boundary_sides
 
-    def test_window_scan_equals_the_whole_run(self, monkeypatch):
-        """run_comparison scans the run in windows and writes each window's
-        waits and delays back into class order: with windows of three
-        blocks, its curves and its D/D/1 check must still be those of the
-        whole run."""
+    def test_windows_equal_the_whole_run(self, monkeypatch):
+        """run_comparison draws, merges, scans and counts the run a window
+        at a time, and simulate_case collects the windows: with windows of
+        three blocks, every curve with its se, every value and violation
+        with its worst point, and every array of the run must be those of
+        the run computed whole, with the aggregate's warmup boundary both
+        before and after each class's own."""
         monkeypatch.setattr(simulator, "CHUNK", 3 * FIFO_BLOCK)
         configs = [preset(case_id) for case_id in range(1, 7)] + _uneven_configs()
+        boundary_sides = set()
         for base in configs + _COUPLED_CONFIGS:
             for warmup in (0.0, 0.1, 0.5, 0.9):
                 config = replace(base, customers=20_000, warmup_fraction=warmup)
-                result = simulate_case(config)
+                got, want = run_comparison(config), whole_run_comparison(config, 3 * FIFO_BLOCK)
+                assert got.values == want.values
+                assert got.violations == want.violations
+                assert [c.label for c in got.curves] == [c.label for c in want.curves]
+                for a, b in zip(got.curves, want.curves):
+                    assert a.probs.tobytes() == b.probs.tobytes(), (config.case_id, a.label)
+                    assert a.samples == b.samples
+                    assert (a.se is None) == (b.se is None)
+                    if a.se is not None:
+                        assert a.se.tobytes() == b.se.tobytes(), (config.case_id, a.label)
+                result, whole = simulate_case(config), whole_run_simulation(config)
                 assert len(result) > 3 * simulator.CHUNK
-                r = run_comparison(config)
-                _assert_empirical_curves(config, result, r.curves)
-                if "dd1_bound_s" in r.values:
-                    delay = result.delay_s
-                    limit = r.values["dd1_bound_s"] + FLOAT_SLACK_S
-                    assert r.values["max_delay_s"] == delay.max()
-                    assert r.values["delays_above_dd1"] == np.count_nonzero(delay > limit)
+                for name in ("arrival_s", "service_s", "source", "waiting_s"):
+                    a, b = getattr(result, name), getattr(whole, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert result.segments == whole.segments
+                boundary_sides |= _assert_empirical_curves(config, result, got.curves)
+        assert {-1, 1} <= boundary_sides
 
     def test_constant_service_delays_are_counted_from_the_waits(self, monkeypatch):
         def refuse(self):
@@ -791,22 +804,23 @@ class TestRunBuffers:
             tracemalloc.stop()
         assert peak <= 4.5 * 8 * config.customers
 
-    @pytest.mark.parametrize("case_id", [3, 4])
+    @pytest.mark.parametrize("case_id", [3, 4, 5])
     def test_run_comparison_peak_memory(self, case_id):
-        # whole-run arrays of 8n bytes: the two draw buffers, which take the
-        # waits and delays back in class order, and the sort order; the
-        # window buffers and the FIFO scan's temporaries add about 0.27 at
-        # this n. Merged whole-run columns, or a class-order copy of the
-        # waits, add a whole one each
-        config = replace(preset(case_id), customers=1_000_000)
-        run_comparison(config)  # one-time allocations stay out of the peak
-        tracemalloc.start()
-        try:
-            run_comparison(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * 8 * config.customers
+        # no array grows with the run but the warmup prefix, about 8 bytes
+        # of each warmup customer a metric that is kept (waits, and delays
+        # of exponential sizes): at 4M customers the peak exceeds the peak
+        # at 1M by at most a quarter of 8 bytes an added customer
+        peaks = {}
+        for customers in (1_000_000, 4_000_000):
+            config = replace(preset(case_id), customers=customers)
+            run_comparison(config)  # one-time allocations stay out of the peak
+            tracemalloc.start()
+            try:
+                run_comparison(config)
+                peaks[customers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4_000_000] - peaks[1_000_000] <= 0.25 * 8 * 3_000_000
 
 
 class TestCaseConfig:

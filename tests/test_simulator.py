@@ -10,7 +10,7 @@ import pytest
 from mcfifo.analytic import bound_dd1
 from mcfifo import simulator
 from mcfifo.errors import InvalidInputError
-from mcfifo.experiments import FLOAT_SLACK_S, preset, simulate_case
+from mcfifo.experiments import FLOAT_SLACK_S, CaseConfig, preset, simulate_case
 from mcfifo.simulator import (
     CHUNK,
     FIFO_BLOCK,
@@ -23,7 +23,6 @@ from mcfifo.simulator import (
     fifo_waits,
     fifo_windows,
     merge_buffers,
-    merge_order,
     merge_streams,
     run_fifo,
     replication_seed,
@@ -32,11 +31,14 @@ from mcfifo.simulator import (
 from mcfifo.traffic import (
     ArrivalSequence,
     ArrivalStreams,
+    ClassSpec,
+    Constant,
+    CoupledPoisson,
     deterministic_envelope,
     generate_sequences,
     proportional_counts,
 )
-from reference import sequential_waits
+from reference import sequential_waits, whole_run_simulation
 
 
 def _seq(class_id, times, sizes):
@@ -486,10 +488,12 @@ class TestGroupedScan:
         assert np.array_equal(result.waiting_s, _per_block_waits(a, s))
 
     @pytest.mark.parametrize("shape", [(GROUP + 9,), (2, GROUP + 9)])
-    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("column", [1])
     def test_nan_spreads_as_in_the_per_block_scan(self, shape, column):
-        # the carry between blocks follows np.maximum's NaN rule too: a NaN
-        # arrival inside a block reaches the carry only through the running max
+        # the carry between blocks follows np.maximum's NaN rule: a NaN
+        # service time reaches it through the block's prefix sums. A NaN
+        # arrival is refused before any scan (run_fifo, fifo_windows): the
+        # running max, np.fmax, would skip it
         a = np.cumsum(np.full(shape, 1.0), axis=-1)
         s = np.full(shape, 0.5)
         (a, s)[column][..., FIFO_BLOCK + 3] = np.nan
@@ -515,68 +519,128 @@ class TestGroupedScan:
         assert peak <= 3.05 * 8 * GROUP
 
 
-def _scanned(times, sizes, segments, rates):
-    """The windows of fifo_windows over class-ordered buffers: their
-    sources, service times and waits, each concatenated in merged order."""
-    source = merge_order(times, sizes, segments, rates)
-    windows = [[c.copy() for c in window] for window in fifo_windows(times, sizes, source)]
-    return [np.concatenate(column) for column in zip(*windows)]
+def _windows(config, size=None):
+    """The windows of fifo_windows over the case's long run, each column
+    copied: arrival, service and wait, in merged order."""
+    counts = proportional_counts(config.specs, config.customers)
+    streams = ArrivalStreams(config.specs, counts, config.seed, rows=1)
+    return [(w.arrival_s.copy(), w.service_s.copy(), w.waiting_s.copy())
+            for w in fifo_windows(streams, config.rates(), size)]
+
+
+def _spoiled_take(monkeypatch, call, spoil):
+    """Let spoil edit the buffers that the call-th move of pending arrivals
+    (simulator._take) fills, the window's times and service times."""
+    calls = []
+    take = simulator._take
+
+    def spoiled(pieces, n, times, service):
+        take(pieces, n, times, service)
+        calls.append(n)
+        if len(calls) == call:
+            spoil(times[:n], service[:n])
+
+    monkeypatch.setattr(simulator, "_take", spoiled)
 
 
 class TestFifoWindows:
-    @pytest.mark.parametrize(
-        "n", [1, FIFO_BLOCK, CHUNK, CHUNK + 1, 2 * CHUNK + 3 * FIFO_BLOCK + 5]
-    )
-    def test_equals_the_whole_run_scan(self, n):
-        # load near 1, so busy periods span blocks and windows
-        rng = np.random.default_rng(n)
-        ids, lengths = [1, 2], [n - n // 3, n // 3]
-        times = np.concatenate([np.cumsum(rng.exponential(1.0 / len(ids), k)) for k in lengths])
-        sizes = rng.exponential(0.95, n)
-        segments = [(1, 0, lengths[0]), (2, lengths[0], lengths[1])]
-        rates = {1: 1.0, 2: 2.0}
-        whole = run_fifo(merge_buffers(times.copy(), sizes.copy(), segments, rates))
-        at, service, waits = _scanned(times, sizes, segments, rates)
-        assert at.tobytes() == whole.source.tobytes()
-        assert service.tobytes() == whole.service_s.tobytes()
-        assert waits.tobytes() == whole.waiting_s.tobytes()
+    @pytest.mark.parametrize("case_id", range(1, 7))
+    @pytest.mark.parametrize("customers", [1_000, 3 * FIFO_BLOCK, 40_001])
+    def test_equals_the_whole_run(self, case_id, customers, monkeypatch):
+        # windows of three blocks: the run's windows are that long but the
+        # last, and together they are the merge of the horizon run
+        monkeypatch.setattr(simulator, "CHUNK", 3 * FIFO_BLOCK)
+        config = replace(preset(case_id), customers=customers, seed=4)
+        windows = _windows(config)
+        assert {len(a) for a, _, _ in windows[:-1]} <= {3 * FIFO_BLOCK}
+        assert 0 < len(windows[-1][0]) <= 3 * FIFO_BLOCK
+        whole = whole_run_simulation(config)
+        for column, name in zip(zip(*windows), ("arrival_s", "service_s", "waiting_s")):
+            assert np.concatenate(column).tobytes() == getattr(whole, name).tobytes(), name
+
+    @pytest.mark.parametrize("size", [FIFO_BLOCK, 5 * FIFO_BLOCK])
+    def test_a_window_size_leaves_the_run_alone(self, size):
+        config = replace(preset(5), customers=30_000, seed=2)
+        whole = whole_run_simulation(config)
+        windows = _windows(config, size)
+        assert {len(a) for a, _, _ in windows[:-1]} == {size}
+        assert np.concatenate([w for _, _, w in windows]).tobytes() == whole.waiting_s.tobytes()
+
+    def test_a_thinned_class_may_end_the_run_at_its_last_kept_instant(self):
+        # more than a window's worth of arrivals lies before the frontier,
+        # but class 1 keeps none of its master's last instants: the run ends
+        # at class 1's last instant, 2042 customers in, which the window
+        # must not pass
+        specs = tuple(
+            ClassSpec(cid, CoupledPoisson(rate, 3, "synchronized"), Constant(800.0), 1e7)
+            for cid, rate in ((1, 1e3), (2, 5e3), (3, 2e3))
+        )
+        config = CaseConfig("thinned-end", specs, customers=2049, seed=5)
+        windows = _windows(config, FIFO_BLOCK)
+        whole = whole_run_simulation(config)
+        assert [len(a) for a, _, _ in windows] == [len(whole)] == [2042]
+        for column, name in zip(windows[0], ("arrival_s", "service_s", "waiting_s")):
+            assert column.tobytes() == getattr(whole, name).tobytes(), name
+
+    def test_a_stream_of_several_rows_is_refused(self):
+        streams = ArrivalStreams(preset(3).specs, {1: 10, 2: 10}, seed=1, rows=2)
+        with pytest.raises(InvalidInputError, match="streams must have one row"):
+            next(fifo_windows(streams, preset(3).rates()))
 
     @pytest.mark.parametrize(
         "buffer, value, message",
         [
             ("times", np.nan, "arrival times must be finite"),
             ("times", np.inf, "arrival times must be finite"),
-            ("sizes", -1.0, "service times must be finite and >= 0"),
-            ("sizes", np.nan, "service times must be finite and >= 0"),
+            ("service", -1.0, "service times must be finite and >= 0"),
+            ("service", np.nan, "service times must be finite and >= 0"),
         ],
     )
     def test_a_later_window_is_checked_as_run_fifo_checks(
         self, monkeypatch, buffer, value, message
     ):
+        # the scan's running max skips a NaN that np.maximum would spread,
+        # so a window must be checked before it is scanned
         monkeypatch.setattr(simulator, "CHUNK", FIFO_BLOCK)
-        n = 3 * FIFO_BLOCK + 10
-        times, sizes = 0.5 * np.arange(n), np.full(n, 0.25)
-        # a time that is not finite sorts last; a size stays at its source
-        {"times": times, "sizes": sizes}[buffer][2 * FIFO_BLOCK + 3] = value
-        source = merge_order(times, sizes, [(1, 0, n)], {1: 1.0})
+        config = replace(preset(4), customers=20_000)
+
+        def spoil(times, service):
+            {"times": times, "service": service}[buffer][7] = value
+
+        _spoiled_take(monkeypatch, 5, spoil)  # class 1 of the third window
         scanned = []
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
-            for at, _, _ in fifo_windows(times, sizes, source):
-                scanned.append(at[0])
-        assert scanned[:2] == [0, FIFO_BLOCK]
-        # the whole run fails the same way
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
-            run_fifo(merge_buffers(times, sizes, [(1, 0, n)], {1: 1.0}))
+            for window in fifo_windows(
+                ArrivalStreams(config.specs, proportional_counts(config.specs, 20_000), 1, 1),
+                config.rates(),
+            ):
+                scanned.append(len(window.arrival_s))
+        assert scanned == [FIFO_BLOCK, FIFO_BLOCK]
 
     def test_order_across_the_window_boundary_is_checked(self, monkeypatch):
         monkeypatch.setattr(simulator, "CHUNK", FIFO_BLOCK)
-        times, sizes = 0.5 * np.arange(2 * FIFO_BLOCK), np.full(2 * FIFO_BLOCK, 0.25)
-        # each window in order, the second before the first
-        source = np.roll(np.arange(2 * FIFO_BLOCK), FIFO_BLOCK)
-        windows = fifo_windows(times, sizes, source)
+        config = replace(preset(3), customers=20_000)
+
+        def spoil(times, service):
+            times[0] = 0.0  # before the last arrival of the window before
+
+        _spoiled_take(monkeypatch, 3, spoil)  # class 1 of the second window
+        windows = fifo_windows(
+            ArrivalStreams(config.specs, proportional_counts(config.specs, 20_000), 1, 1),
+            config.rates(),
+        )
         next(windows)
         with pytest.raises(InvalidInputError, match="^aggregate arrivals must be time-ordered$"):
             next(windows)
+
+    def test_a_nan_arrival_fails_the_whole_run(self):
+        # run_fifo checks the run before fifo_waits's running max, which
+        # would skip the NaN
+        n = 3 * FIFO_BLOCK
+        times, sizes = 0.5 * np.arange(n), np.full(n, 0.25)
+        times[2 * FIFO_BLOCK + 3] = np.nan
+        with pytest.raises(InvalidInputError, match="^arrival times must be finite$"):
+            run_fifo(merge_buffers(times, sizes, [(1, 0, n)], {1: 1.0}))
 
 
 class TestEmpiricalCcdf:

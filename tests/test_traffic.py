@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,21 +257,30 @@ class TestArrivalStreams:
 
 def _copying_exponential(u, rate_hz, out=None):
     u = np.where(u == 0.0, np.finfo(float).tiny, u)
-    return -np.log(u) / rate_hz
+    gaps = -np.log(u) / rate_hz
+    if out is None:
+        return gaps
+    out[...] = gaps  # the block the draw lays out
+    return out
 
 
 def _copying_sizes(self, spec, out):
     if isinstance(spec.size, Constant):
-        return np.full(out.shape, spec.size.bits, dtype=float)
-    u = self._rng(traffic._ROLE_SIZES, spec.class_id).random(out.shape)
-    u = np.where(u == 0.0, np.finfo(float).tiny, u)
-    return -spec.size.mean_bits * np.log(u)
+        sizes = np.full(out.shape, spec.size.bits, dtype=float)
+    else:
+        u = self._rng(traffic._ROLE_SIZES, spec.class_id).random(out.shape)
+        u = np.where(u == 0.0, np.finfo(float).tiny, u)
+        sizes = -spec.size.mean_bits * np.log(u)
+    out[...] = sizes  # the block the draw lays out
+    return out
 
 
 def _copying_append_gaps(self, spec, gaps, sizes):
-    gaps[:, 0] += self.horizon[spec.class_id]
-    times = np.cumsum(gaps, axis=-1)
-    self._append(spec, times, self._sizes(spec, sizes))
+    # fresh arrays, copied into the blocks the draw lays out
+    times = np.cumsum(np.concatenate([gaps[:, :1] + self.horizon[spec.class_id][:, None],
+                                      gaps[:, 1:]], axis=-1), axis=-1)
+    gaps[...] = times
+    self._sizes(spec, sizes)
     self.horizon[spec.class_id] = times[:, -1]
 
 
@@ -314,14 +324,104 @@ class TestInPlaceDraws:
             assert np.array_equal(got.times_s, want.times_s)
             assert np.array_equal(got.sizes_bits, want.sizes_bits)
 
-    def test_scaled_draw_leaves_the_shared_uniforms_alone(self):
-        # every member reads the group's uniforms: a draw must not transform them
+    def test_scaled_members_keep_at_most_a_block_of_the_stream(self):
+        # each member reads the group's stream through its own generator:
+        # rows take it in blocks of the group's largest step, and a member
+        # keeps only the part of its last block it has not read
         streams = ArrivalStreams(_coupled_pair(10000.0, 1000.0), {1: 50, 2: 30}, seed=3, rows=4)
-        streams.draw([1, 2])
-        fresh = traffic._substream(3, traffic._ROLE_GROUP, 9).random((4, 50))
-        assert np.array_equal(streams._shared[9], fresh)
-        streams.draw([1, 2])
-        assert np.array_equal(streams._shared[9][:, :50], fresh)
+        for _ in range(3):
+            streams.draw([1, 2])
+        assert {cid: u.shape for cid, u in streams._unread.items()} == {1: (4, 0), 2: (4, 10)}
+        one = ArrivalStreams(_coupled_pair(10000.0, 1000.0), {1: 50, 2: 30}, seed=3, rows=1)
+        one.draw([1, 2])
+        assert one._unread == {}
+
+
+def _pieces(specs, counts, seed, widths, order):
+    """Each class's arrivals drawn a piece at a time with these widths, the
+    classes named in turn from order while any has arrivals left."""
+    streams = ArrivalStreams(specs, counts, seed, rows=1)
+    got = {s.class_id: ([], []) for s in specs}
+    turn = 0
+    while any(streams.remaining(s.class_id) or not streams.drawn[s.class_id] for s in specs):
+        cid = order[turn % len(order)]
+        turn += 1
+        times, sizes, segments = streams.draw([cid], widths)
+        assert streams.times[cid].shape == (1, 0)  # no history is kept
+        for c, lo, n in segments:
+            got[c][0].append(times[lo : lo + n])
+            got[c][1].append(sizes[lo : lo + n])
+    return {cid: (np.concatenate(t), np.concatenate(z)) for cid, (t, z) in got.items()}
+
+
+def _synchronized(rates, sizes=(Constant(800.0), ExponentialMean(800.0), Constant(100.0))):
+    return [ClassSpec(cid, CoupledPoisson(rate, 4, "synchronized"), size, 1e7)
+            for cid, rate, size in zip(range(1, len(rates) + 1), rates, sizes)]
+
+
+class TestWindowedDraws:
+    """A step drawn a piece at a time, by widths that divide no class's
+    count, is the step drawn whole, byte for byte, for every draw kind."""
+
+    SPECS = {
+        "periodic": preset(1).specs,
+        "poisson_constant": preset(3).specs,
+        "poisson_exponential": preset(4).specs,
+        "periodic_and_poisson": preset(6).specs,
+        "scaled": [
+            ClassSpec(1, CoupledPoisson(1e4, 9, "scaled"), Constant(800.0), 1e7),
+            ClassSpec(2, CoupledPoisson(1e3, 9, "scaled"), ExponentialMean(800.0), 1e7),
+            ClassSpec(3, Poisson(2e3), Constant(100.0), 1e7),
+        ],
+        "synchronized_two": preset(5).specs,
+        "synchronized_three": _synchronized((1e4, 1e3, 3e3)),
+        "thinned_class_of_lower_id": _synchronized((1e3, 1e4)),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    @pytest.mark.parametrize("widths", [997, 4099], ids=["997", "4099"])
+    def test_pieces_are_the_whole_step(self, name, widths):
+        specs = self.SPECS[name]
+        counts = proportional_counts(specs, 30_000)
+        whole = {q.class_id: q for q in generate_sequences(specs, counts, seed=7)}
+        ids = [s.class_id for s in specs]
+        for order in (ids, ids[::-1] + ids[:1]):
+            pieces = _pieces(specs, counts, 7, dict.fromkeys(ids, widths), order)
+            for cid, (times, sizes) in pieces.items():
+                assert times.tobytes() == whole[cid].times_s.tobytes(), (name, cid)
+                assert sizes.tobytes() == whole[cid].sizes_bits.tobytes(), (name, cid)
+
+    def test_a_spent_step_draws_no_more(self):
+        specs = preset(3).specs
+        streams = ArrivalStreams(specs, {1: 5, 2: 3}, seed=1, rows=1)
+        streams.draw([1, 2], {1: 4, 2: 4})
+        assert (streams.remaining(1), streams.remaining(2)) == (1, 0)
+        _, _, segments = streams.draw([1, 2], {1: 4, 2: 4})
+        assert segments == [(1, 0, 1)]
+        assert streams.draw([1, 2], {1: 4, 2: 4})[2] == []
+        assert streams.drawn == {1: 5, 2: 3}
+
+    def test_a_thinned_class_is_bounded_by_its_master(self):
+        streams = ArrivalStreams(preset(5).specs, {1: 100, 2: 10}, seed=1, rows=1)
+        streams.draw([2], {1: 30, 2: 30})
+        assert streams.drawn[1] == 30 and streams.remaining(2) == streams.remaining(1) == 70
+
+
+class TestSynchronizedDrawMemory:
+    def test_generate_sequences_peak(self):
+        # the masks are drawn before the layout and the master's uniforms
+        # straight into its block, so no step of uniforms waits beside the
+        # buffers: two buffers of 8n bytes, and a mask of n bytes
+        specs = preset(5).specs
+        counts = proportional_counts(specs, 1_000_000)
+        generate_sequences(specs, counts, seed=1)  # one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            generate_sequences(specs, counts, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.35 * 8 * 1_000_000
 
 
 class TestGroupStreamOrder:

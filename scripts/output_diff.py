@@ -65,7 +65,12 @@ COMMANDS = (
     + [["compare", "--case", "5", "--warmup", "0.9"]]
     + [["compare", "--case", "4", "--warmup", "0"]]
     + [["compare", "--case", "6", "--customers", "3000001", "--seed", k] for k in ("1", "2")]
-    + [["simulate", "--case", "5", "--customers", "200001", "--format", "json"]]
+    + [["simulate", "--case", k, "--customers", "200001", "--format", "json"]
+       for k in ("1", "2", "3", "5", "6")]
+    # ccdf.csv counted from the windows simulate collects: a warmup prefix of
+    # most of the run, and none at all
+    + [["simulate", "--case", "4", "--customers", "70001", "--warmup", "0.9"]]
+    + [["simulate", "--case", "6", "--customers", "70001", "--warmup", "0"]]
     # flags of fields the command does not read, which it rejects
     + [["bounds", "--case", "3", "--seed", "7"]]
     + [["simulate", "--case", "4", "--customers", "2000", "--replications", "5"]]

@@ -24,10 +24,9 @@ from .errors import InvalidInputError, InvalidSpecError
 from .experiments import (
     PRESETS,
     CaseConfig,
-    _run_entries,
+    _simulate,
     preset,
     run_comparison,
-    simulate_case,
     write_curves_csv,
     write_json,
 )
@@ -129,11 +128,9 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     out = _out_dir(args)
-    result = simulate_case(config)
+    result, entries = _simulate(config)
     result.write_csv(out / "records.csv")
-
-    entries = [e for e in _run_entries(config, result) if e.class_id is not None]
-    write_curves_csv(out / "ccdf.csv", entries)
+    write_curves_csv(out / "ccdf.csv", [e for e in entries if e.class_id is not None])
 
     summary = {
         "case_id": config.case_id,

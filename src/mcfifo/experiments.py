@@ -13,20 +13,20 @@ delay tails of the first class's 1st, 10th and 100th customers.
 
 A run is drawn, merged and scanned a window at a time
 (simulator.fifo_windows, from the case's one-row ArrivalStreams, _windows):
-no array grows with the run but the warmup prefix. simulate_case collects
-the windows into a RunResult of whole columns. run_comparison checks each
-window's delays against a periodic case's D/D/1 bound, lays its waits, and
-its delays when some class has exponential sizes, out in class order in the
-buffers the window was merged from, and counts them above the grid as they
+no array grows with the run but the warmup prefix. Both commands count
+each window the same way (_count_window): its waits, and its delays when
+some class has exponential sizes, are laid out in class order in the
+buffers the window was merged from, and counted above the grid as they
 come (_TailCounts): contiguous class batches, one sort each, and for a
 class of constant sizes the delay counts from the same sorted waits shifted
 by the class's one service time. Only the warmup prefix is kept, the values
 that a bound on each class's warmup cut, and on the aggregate's, cannot yet
 place; _empirical_entries counts them at the end, against the exact cuts.
-A whole run (_run_entries, for the simulate command) is counted the same
-way, a chunk of its sources at a time. Every empirical curve, the transient
-ones included, is made by _counted_entry from its counts above the grid,
-and carries the binomial standard error of each fraction (se).
+The simulate command (_simulate) collects each window into the columns of
+a RunResult before it counts it; run_comparison also checks each window's
+delays against a periodic case's D/D/1 bound. Every empirical curve, the
+transient ones included, is made by _counted_entry from its counts above
+the grid, and carries the binomial standard error of each fraction (se).
 Each grid check reads that se and gives a ViolationReport(count, worst):
 how many checked points exceed the bound by more than three of them, and
 the one that does by the most.
@@ -401,42 +401,61 @@ def tightness_scenario(
 
 def simulate_case(config: CaseConfig) -> RunResult:
     """Generate the case's arrivals and run them through the queue until the
-    horizon, the last arrival of the class that stops first.
+    horizon, the last arrival of the class that stops first: the run of
+    _simulate."""
+    return _simulate(config)[0]
 
-    The run is run_comparison's windows, collected. They are an eighth of
-    the comparison's, in whole blocks, since the columns already hold the
-    whole run. Each column grows in place by a window at a time; realloc
-    remaps its pages rather than copy them. source is a customer's class
-    start (the customers of the classes of lower id) plus its index in its
-    class. While the run grows, source holds index * classes + the class's
-    place in id order, and at the end the starts replace the places, a
-    window's worth at a time.
+
+def _simulate(config: CaseConfig) -> tuple[RunResult, list[CurveEntry]]:
+    """The case's run as a RunResult of whole columns, and its empirical
+    CCDFs (_empirical_entries).
+
+    The run is run_comparison's windows, collected, and each is counted as
+    the comparison counts it (_count_window) once its columns are taken.
+    They are an eighth of the comparison's, in whole blocks, since the
+    columns already hold the whole run. Each column grows by a window at a
+    time. source is a customer's class start (the customers of the classes
+    of lower id) plus its index in its class. While the run grows, source
+    holds index * classes + the class's place in id order, and at the end
+    the starts replace the places, a window's worth at a time. The curves
+    are made once the last window's buffers are gone.
     """
     ids = sorted(s.class_id for s in config.specs)
     columns = [np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)]
-    counts = dict.fromkeys(ids, 0)
+    arrival, service, source, waiting = columns
     n, size = 0, FIFO_BLOCK * max(1, simulator.CHUNK // (8 * FIFO_BLOCK))
-    for window in _windows(config, size)[1]:
+    streams, windows = _windows(config, size)
+    tails = _TailCounts(config)
+    for window in windows:
         width = len(window.arrival_s)
-        codes = np.empty(len(window.times), dtype=np.intp)  # in the window's class order
-        for cid, start, count, first in window.parts:
-            part = codes[start : start + count]
-            np.multiply(np.arange(first, first + count), len(ids), out=part)
-            part += ids.index(cid)
-            counts[cid] += count
         for column in columns:
             column.resize(n + width, refcheck=False)
-        merged = (window.arrival_s, window.service_s, codes.take(window.order), window.waiting_s)
-        for column, value in zip(columns, merged):
-            column[n : n + width] = value
+        new = slice(n, n + width)
+        arrival[new], service[new], waiting[new] = (
+            window.arrival_s, window.service_s, window.waiting_s
+        )
+        # the customer at slot k of a part (cid, start, count, first) of the
+        # class order has code k * classes + (first - start) * classes + the
+        # class's place: each part adds its step in that shift to the slots
+        # from its start on
+        codes, shift = source[new], 0
+        np.multiply(window.order, len(ids), out=codes)
+        for cid, start, _, first in window.parts:
+            step = (first - start) * len(ids) + ids.index(cid) - shift
+            np.add(codes, step, out=codes, where=window.order >= start)
+            shift += step
         n += width
-    arrival, service, source, waiting = columns
-    starts = np.cumsum([0] + [counts[cid] for cid in ids[:-1]])
+        _count_window(tails, streams, window)
+    del window  # spent: its buffers go before the curves are made
+    tails.finish()
+    counts = [tails.added[cid] for cid in ids]  # each class's customers in the run
+    starts = np.cumsum([0] + counts[:-1])
     for lo in range(0, n, size):
-        index, place = np.divmod(source[lo : lo + size], len(ids))
-        np.add(index, starts.take(place), out=source[lo : lo + size])
-    segments = tuple((cid, int(start), counts[cid]) for cid, start in zip(ids, starts))
-    return RunResult(arrival, service, source, segments, waiting)
+        codes = source[lo : lo + size]
+        np.add(codes // len(ids), starts.take(codes % len(ids)), out=codes)
+    segments = tuple((cid, int(start), count) for cid, start, count in zip(ids, starts, counts))
+    result = RunResult(arrival, service, source, segments, waiting)
+    return result, _empirical_entries(config, tails, tails.aggregate_from())
 
 
 def _windows(
@@ -470,7 +489,7 @@ def _counted_entry(
 
 class _TailCounts:
     """Each class's waits and delays counted above the grid as they come,
-    for the empirical CCDFs, in class batches of CHUNK / 4 values.
+    for the empirical CCDFs, in class batches of CHUNK / 16 values.
 
     Class c's values come in class order (add). Its curve keeps them from
     d_c = int(n_c * warmup) on and the aggregate from e_c on, e_c being the
@@ -479,12 +498,15 @@ class _TailCounts:
     bound on both that the caller lowers as the run goes (keep_below), are
     kept as the class's warmup prefix, and the others are counted above
     the grid in contiguous batches, one sort each: a part of a batch or more
-    where it is, and smaller parts gathered. A value the bound passes
-    on its way down is counted then. A class of Constant sizes keeps its
-    waits alone: its sorted delays are its sorted waits plus its one
-    service time s_c = bits / rate, the merge's own division, and adding a
-    constant keeps float order. The counts are integer sums over disjoint
-    sets, so they are those of one sort of all the values. _empirical_entries
+    where it is, and smaller parts gathered. At CHUNK / 16 the larger
+    class's part of a simulate window is counted where it is, and the
+    gathering batches stay small next to the run's columns. A value the
+    bound passes on its way down is counted then. A class of Constant sizes
+    keeps its waits alone: its sorted delays are its sorted waits plus its
+    one service time s_c = bits / rate, the merge's own division, and
+    adding a constant keeps float order; exponential says whether some
+    class reads its delays. The counts are integer sums over disjoint sets,
+    so they are those of one sort of all the values. _empirical_entries
     counts the prefixes at the end.
     """
 
@@ -496,6 +518,7 @@ class _TailCounts:
             if isinstance(s.size, Constant)
         }
         ids = [s.class_id for s in config.specs]
+        self.exponential = len(self.service) < len(ids)
         self.added = dict.fromkeys(ids, 0)
         self.keep = dict.fromkeys(ids, math.inf)
         self.prefix = {cid: [] for cid in ids}  # (waits, delays or None) pieces
@@ -562,7 +585,7 @@ class _TailCounts:
                 (waits[:head].copy(), None if delays is None else delays[:head].copy())
             )
             self.kept[cid] += head
-        size = simulator.CHUNK // 4
+        size = simulator.CHUNK // 16
         if n - head >= size:  # a batch already: counted where it is
             self._count(cid, waits[head:], None if delays is None else delays[head:])
             return
@@ -597,11 +620,12 @@ class _TailCounts:
             self.kept[cid] -= len(waits) - cut
 
     def finish(self) -> None:
-        """Count each class's last, partial batch."""
+        """Count each class's last, partial batch, and let the batches go."""
         for cid, (waits, delays) in self.batch.items():
             n = self.filled[cid]
             self._count(cid, waits[:n], None if delays is None else delays[:n])
             self.filled[cid] = 0
+        self.batch.clear()
 
     def counts(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> dict:
         """Each metric's counts above the grid of a class's values, which
@@ -620,6 +644,29 @@ class _TailCounts:
         """Count values past the prefix into the class's tail counts."""
         for metric, above in self.counts(cid, waits, delays).items():
             self.above[metric, cid] += above
+
+
+def _count_window(
+    tails: _TailCounts, streams: ArrivalStreams, window: Window, delays: bool = False
+) -> None:
+    """Count a window of the run of streams into tails.
+
+    Its waits go into the buffers it was merged from, in class order as the
+    counts take them: the waits first, as they sit at the service buffer's
+    start. When some class reads its delays (tails.exponential), or delays
+    is true, window.service_s takes the delays in merged order, where the
+    caller may read them, and in the first case the service buffer takes
+    them in class order.
+    """
+    window.times[window.order] = window.waiting_s
+    if delays or tails.exponential:
+        np.add(window.waiting_s, window.service_s, out=window.service_s)
+        if tails.exponential:
+            window.service[window.order] = window.service_s
+    # no class has more customers in the run than it has drawn and has
+    # left to draw
+    tails.add_window(window, {cid: streams.drawn[cid] + streams.remaining(cid)
+                              for cid in streams.step})
 
 
 def _empirical_entries(
@@ -673,41 +720,6 @@ def _empirical_entries(
         entries.append(_counted_entry(label, metric, None, grid, totals[metric], samples))
         entries += per_class[metric]
     return entries
-
-
-def _exponential_sizes(config: CaseConfig) -> bool:
-    """Whether some class has exponential sizes, so the CCDFs read delays."""
-    return not all(isinstance(s.size, Constant) for s in config.specs)
-
-
-def _run_entries(config: CaseConfig, result: RunResult) -> list[CurveEntry]:
-    """_empirical_entries of a whole run, counted by _TailCounts a chunk of
-    CHUNK customers at a time: a chunk's sources, sorted, lay its values
-    out in class order."""
-    tails = _TailCounts(config)
-    n, warmup = len(result), config.warmup_fraction
-    head = result.source[: int(n * warmup)]
-    aggregate_from = {}
-    for cid, start, count in result.segments:
-        aggregate_from[cid] = int(np.count_nonzero((head >= start) & (head < start + count)))
-        tails.keep_below(cid, max(int(count * warmup), aggregate_from[cid]))
-    ends = np.cumsum([count for _, _, count in result.segments])
-    step = simulator.CHUNK
-    if _exponential_sizes(config):
-        chunks = result.delay_chunks()
-    else:
-        chunks = ((slice(lo, lo + step), None) for lo in range(0, n, step))
-    for chunk, delays in chunks:
-        order = np.argsort(result.source[chunk])  # distinct sources: class order
-        bounds = np.searchsorted(result.source[chunk].take(order), ends)
-        waits = result.waiting_s[chunk].take(order)
-        delays = None if delays is None else delays.take(order)
-        lo = 0
-        for (cid, _, _), hi in zip(result.segments, bounds):
-            tails.add(cid, waits[lo:hi], None if delays is None else delays[lo:hi])
-            lo = hi
-    tails.finish()
-    return _empirical_entries(config, tails, aggregate_from)
 
 
 def _deterministic(specs, grid) -> tuple[list, dict]:
@@ -907,7 +919,6 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     bound_entries, values = case_bound_entries(config)
     stability = analytic.stability(config.specs)
     deterministic = all(isinstance(s.arrival, Periodic) for s in config.specs)
-    exponential = _exponential_sizes(config)
     # the deterministic bound, a periodic case's only one, is checked
     # customer by customer
     dd1 = "dd1_bound_s" in values
@@ -915,21 +926,10 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     streams, windows = _windows(config)
     tails = _TailCounts(config)
     for window in windows:
-        # each window's waits, and its delays when a class reads them, go
-        # into the buffers it was merged from, in class order as the counts
-        # take them: the waits first, as they sit at the service buffer's start
-        window.times[window.order] = window.waiting_s
-        if exponential or dd1:
-            delays = np.add(window.waiting_s, window.service_s, out=window.service_s)
-            if exponential:
-                window.service[window.order] = delays
-            if dd1:
-                largest = max(largest, float(delays.max()))
-                over += int(np.count_nonzero(delays > limit))
-        # no class has more customers in the run than it has drawn and has
-        # left to draw
-        tails.add_window(window, {cid: streams.drawn[cid] + streams.remaining(cid)
-                                  for cid in streams.step})
+        _count_window(tails, streams, window, delays=dd1)
+        if dd1:  # the window's delays, in merged order
+            largest = max(largest, float(window.service_s.max()))
+            over += int(np.count_nonzero(window.service_s > limit))
     tails.finish()
     empirical = _empirical_entries(config, tails, tails.aggregate_from())
 

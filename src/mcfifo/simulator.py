@@ -30,26 +30,25 @@ times sit in the group's slice of the waits, and the two other temporaries,
 one stack of every block of a 1M-customer run made 8 MB temporaries and, in
 place, ran no faster than one block per call.
 
-merge_order is the order step of a merge of whole runs: it divides each
-class's sizes in place by its own rate, so run_fifo never looks a
-customer's class up, and sorts the class-ordered times once. That sort
-order is the one per-customer fact besides times and service: source,
-each customer's position in the buffers. Next to it sit the segments, one
-(class_id, start, count) per class in id order, so a class's customers are
-the sources in [start, start + count) and the j-th of them is source start
-+ j - 1. merge_buffers consumes the buffers into whole merged columns: it
-gathers the service times, and then the sizes buffer takes the ordered
-times. merge_streams first concatenates caller-owned sequences into fresh
-buffers and leaves the sequences as they were; batches and short runs
-merge that way. records.csv derives its class-id and j columns from source
-and segments a chunk at a time (_class_columns). A run's record is one
-type: RunResult is the MergedArrivals it ran, the same arrays, plus its
+merge_streams merges whole runs. It concatenates the sequences, in class id
+order, into fresh buffers of times and sizes, and leaves the sequences as
+they were; batches and short runs merge that way. It divides each class's
+sizes by its own rate, so run_fifo never looks a customer's class up, and
+sorts the class-ordered times once. That sort order is the one per-customer
+fact besides times and service: source, each customer's position in the
+buffers. Next to it sit the segments, one (class_id, start, count) per
+class in id order, so a class's customers are the sources in [start, start
++ count) and the j-th of them is source start + j - 1. Two gathers make the
+merged columns: the service times, and then the spent sizes buffer takes
+the ordered times. records.csv derives its class-id and j columns from
+source and segments a chunk at a time (_class_columns). A run's record is
+one type: RunResult is the MergedArrivals it ran, the same arrays, plus its
 waits, so every per-customer column is defined once. run_fifo rejects
 arrival times that are not finite or not time-ordered and service times
 that are not finite and >= 0. RunResult.delay_chunks yields the delays
-CHUNK customers at a time: write_csv derives each chunk's columns from
-them and formats each row with one str.format, so writing records.csv
-takes memory bounded by the chunk.
+CHUNK customers at a time: write_csv derives each chunk's columns from them
+and formats each row with one str.format, so writing records.csv takes
+memory bounded by the chunk.
 
 A long run (experiments.run_comparison, and simulate_case, which collects
 it) holds no array that grows with the run. fifo_windows draws, merges and
@@ -71,8 +70,8 @@ and scanned with the backlog carried in from that window (_fifo_scan, the
 kernel of fifo_waits); CHUNK is a whole number of blocks, so every wait is
 bit for bit that of the whole run. The waits go into the spent service
 buffer, and Window.order lays them, and the delays, out in class order in
-the buffers they were merged from, where the comparison counts them
-(experiments._TailCounts). Tail fractions count the values above each tau
+the buffers they were merged from, where both commands count them
+(experiments._count_window). Tail fractions count the values above each tau
 by count_above, one searchsorted on sorted values; empirical_ccdf uses it,
 and so does the comparison.
 
@@ -222,8 +221,10 @@ def merge_streams(
     """Stable time-ordered merge; ties go to the lower class id, then lower j.
 
     Streams are copied into class-ordered buffers, one concatenation each of
-    times and sizes, which merge_buffers consumes; the sequences are left as
-    they are. Batches of shape (rows, n) merge row by row.
+    times and sizes; the sequences are left as they are. Each class's
+    segment of sizes is divided by its service rate, one stable sort of the
+    times gives each customer's source, and two gathers the merged columns.
+    Batches of shape (rows, n) merge row by row.
     """
     if not sequences:
         raise InvalidInputError("need at least one arrival sequence")
@@ -237,27 +238,19 @@ def merge_streams(
         start += len(seq)
     times = np.concatenate([s.times_s for s in sequences], axis=-1)
     sizes = np.concatenate([s.sizes_bits for s in sequences], axis=-1)
-    return merge_buffers(times, sizes, segments, rates_bps)
-
-
-def merge_order(
-    times: np.ndarray,
-    sizes: np.ndarray,
-    segments: Sequence[Segment],
-    rates_bps: Mapping[int, float],
-) -> np.ndarray:
-    """The merged order of class-ordered buffers of times and sizes.
-
-    Class c's arrivals are [start, start + count) of the buffers along the
-    last axis, for its segment (c, start, count), segments being in class-id
-    order; each class is time-ordered. Each class's segment of sizes is
-    divided in place by its service rate, so the buffer then holds service
-    times. Returns each customer's source in merged order: one stable sort
-    of the times, which breaks ties as merge_streams states.
-    """
-    for cid, start, count in segments:
-        sizes[..., start : start + count] /= _rate(rates_bps, cid)
-    return np.argsort(times, axis=-1, kind="stable")
+    for cid, lo, count in segments:
+        sizes[..., lo : lo + count] /= _rate(rates_bps, cid)
+    source = np.argsort(times, axis=-1, kind="stable")
+    # a batch row's sources count from that row's start in the flat arrays
+    n = times.shape[-1]
+    flat = source if source.ndim == 1 else source + n * np.arange(len(source))[:, None]
+    # indices are in range, so clip mode changes nothing but skips the
+    # buffered bounds check; once the service times are gathered the sizes
+    # are spent, and their buffer takes the ordered times, which saves the
+    # fresh pages of one more array
+    service_s = sizes.take(flat, mode="clip")
+    arrival_s = times.take(flat, out=sizes, mode="clip")
+    return MergedArrivals(arrival_s, service_s, source, tuple(segments))
 
 
 def _rate(rates_bps: Mapping[int, float], cid: int) -> float:
@@ -268,31 +261,6 @@ def _rate(rates_bps: Mapping[int, float], cid: int) -> float:
     if not 0 < rate < np.inf:  # NaN fails too
         raise InvalidInputError(f"class {cid}: service rate must be finite and > 0, got {rate}")
     return rate
-
-
-def merge_buffers(
-    times: np.ndarray,
-    sizes: np.ndarray,
-    segments: Sequence[Segment],
-    rates_bps: Mapping[int, float],
-) -> MergedArrivals:
-    """The merge of class-ordered buffers of times and sizes, which it consumes.
-
-    merge_order gives the sort order, kept as each customer's source, and
-    turns the sizes into service times in place, so the gathered column
-    holds service times; after that gather the sizes buffer takes the
-    ordered times.
-    """
-    source = merge_order(times, sizes, segments, rates_bps)
-    # a batch row's sources count from that row's start in the flat arrays
-    n = times.shape[-1]
-    flat = source if source.ndim == 1 else source + n * np.arange(len(source))[:, None]
-    service_s = sizes.take(flat)
-    # the sizes are spent: their buffer takes the ordered times, which saves
-    # the fresh pages of one more array (indices are in range, so clip mode
-    # changes nothing but skips the buffered bounds check)
-    arrival_s = times.take(flat, out=sizes, mode="clip")
-    return MergedArrivals(arrival_s, service_s, source, tuple(segments))
 
 
 def fifo_waits(arrival_s: np.ndarray, service_s: np.ndarray) -> np.ndarray:

@@ -290,9 +290,8 @@ def _log_of_uniforms(u: np.ndarray, out=None) -> np.ndarray:
 def _exponential_from_uniforms(u: np.ndarray, rate_hz: float, out=None) -> np.ndarray:
     """-ln(u)/rate, computed in out (by default u's own buffer), which is returned."""
     out = _log_of_uniforms(u, out)
-    np.negative(out, out=out)
-    out /= rate_hz
-    return out
+    # IEEE division is sign-symmetric: ln(u)/-rate is -ln(u)/rate bit for bit
+    return np.divide(out, -rate_hz, out=out)
 
 
 def _pack(kept: np.ndarray, values: np.ndarray, fill: float, out=None) -> np.ndarray:
@@ -392,7 +391,7 @@ class ArrivalStreams:
         segments, one (class_id, start, width) per drawn class, class c's
         block being [start*rows, (start + width)*rows) of the buffers. A
         class whose step is spent draws nothing and has no segment. With one
-        row the blocks are the class-ordered run that merge_buffers takes.
+        row the blocks are the class-ordered run.
         """
         ids = set(class_ids)
         for cid in ids - self.step.keys():
@@ -569,36 +568,22 @@ class ArrivalStreams:
         self.sizes[class_id] = sizes
 
 
-class SamplePath(list):
-    """One sample path of every class: a list of ArrivalSequence, one per
-    class in spec order, whose arrays are views into the one-row draw's
-    buffers, times_s and sizes_bits, each class's block laid out by
-    segments, one (class_id, start, count) per class in id order."""
-
-    def __init__(self, sequences, times_s: np.ndarray, sizes_bits: np.ndarray, segments):
-        super().__init__(sequences)
-        self.times_s, self.sizes_bits, self.segments = times_s, sizes_bits, segments
-
-
 def generate_sequences(
     specs: Sequence[ClassSpec],
     counts: dict[int, int],
     seed: int,
-) -> SamplePath:
+) -> list[ArrivalSequence]:
     """Generate one sample path of every class, ordered like `specs`.
 
     This is the one-row ArrivalStreams draw, so a long run and a batch of
     replications come from the same generator.
     """
     streams = ArrivalStreams(specs, counts, seed, rows=1)
-    buffers = streams.draw(counts)
-    return SamplePath(
-        [
-            ArrivalSequence(s.class_id, streams.times[s.class_id][0], streams.sizes[s.class_id][0])
-            for s in specs
-        ],
-        *buffers,
-    )
+    streams.draw(counts)
+    return [
+        ArrivalSequence(s.class_id, streams.times[s.class_id][0], streams.sizes[s.class_id][0])
+        for s in specs
+    ]
 
 
 def proportional_counts(specs: Sequence[ClassSpec], total: int) -> dict[int, int]:

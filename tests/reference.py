@@ -41,8 +41,6 @@ from mcfifo.simulator import (
     _check_run,
     _fifo_scan,
     count_above,
-    merge_buffers,
-    merge_order,
     merge_streams,
     run_fifo,
     transient_delays,
@@ -438,46 +436,40 @@ def gsbb_split_every_pass(tails, rates_bps, grid_s) -> np.ndarray:
     return probs
 
 
-def horizon_run(config) -> tuple[np.ndarray, np.ndarray, list]:
-    """The case's class-ordered buffers of times and sizes, drawn whole and
-    cut at the horizon, the last arrival of the class that stops first,
-    and their segments; each class's segment moves down over the arrivals
-    cut from the classes before it."""
+def horizon_run(config):
+    """The case's run, drawn whole, cut at the horizon (the last arrival of
+    the class that stops first) and merged by one stable sort."""
     counts = proportional_counts(config.specs, config.customers)
     path = generate_sequences(config.specs, counts, config.seed)
     horizon = min((seq.times_s[-1] for seq in path if len(seq)), default=0.0)
+    cut = []
     for seq in path:
         if len(seq) == 0 or seq.times_s[0] > horizon:
             raise InvalidInputError(
                 f"class {seq.class_id} has no arrivals before the horizon: raise customers"
             )
-    times, sizes, segments, end = path.times_s, path.sizes_bits, [], 0
-    for cid, start, n in path.segments:
-        count = int(np.searchsorted(times[start : start + n], horizon, "right"))
-        times[end : end + count] = times[start : start + count]
-        sizes[end : end + count] = sizes[start : start + count]
-        segments.append((cid, end, count))
-        end += count
-    return times[:end], sizes[:end], segments
+        count = int(np.searchsorted(seq.times_s, horizon, "right"))
+        cut.append(ArrivalSequence(seq.class_id, seq.times_s[:count], seq.sizes_bits[:count]))
+    return merge_streams(cut, config.rates())
 
 
 def whole_run_simulation(config):
-    """simulate_case computed whole: the merge of the horizon run."""
-    return run_fifo(merge_buffers(*horizon_run(config), config.rates()))
+    """simulate_case computed whole: the FIFO run of the horizon run."""
+    return run_fifo(horizon_run(config))
 
 
-def _windows_of_order(times, service, source, chunk):
-    """The scan of the merged order source over class-ordered buffers,
-    chunk customers at a time, with the backlog carried between chunks."""
+def _scan_chunks(merged, chunk):
+    """The scan of a merged run, chunk customers at a time, with the
+    backlog carried between chunks."""
     carry, after = (0.0, 0.0), -np.inf
-    for lo in range(0, len(source), chunk):
-        at = source[lo : lo + chunk]
-        a, s = times[at], service[at]
+    for lo in range(0, len(merged), chunk):
+        a = merged.arrival_s[lo : lo + chunk]
+        s = merged.service_s[lo : lo + chunk]
         _check_run(a, s, after)
-        waits = np.empty(len(at))
+        waits = np.empty(len(a))
         carry = _fifo_scan(a, s, waits, *carry)
         after = a[-1]
-        yield at, s, waits
+        yield slice(lo, lo + chunk), s, waits
 
 
 def _whole_run_entries(config, source, segments, waiting, delay):
@@ -518,20 +510,20 @@ def whole_run_comparison(config, chunk: int = 2**16) -> ComparisonResult:
     sort, scanned chunk customers at a time, its waits and delays written
     back into class order, each class's values sorted once."""
     bound_entries, values = case_bound_entries(config)
-    times, sizes, segments = horizon_run(config)
-    source = merge_order(times, sizes, segments, config.rates())
+    merged = horizon_run(config)
+    source, segments = merged.source, merged.segments
+    # the waits and delays in class order, each customer's at its source
+    waiting, delay = np.empty(len(merged)), np.empty(len(merged))
     dd1 = "dd1_bound_s" in values
-    exponential = not all(isinstance(s.size, Constant) for s in config.specs)
     limit, largest, over = values.get("dd1_bound_s", 0.0) + FLOAT_SLACK_S, -np.inf, 0
-    for at, service, waits in _windows_of_order(times, sizes, source, chunk):
-        times[at] = waits
+    for at, service, waits in _scan_chunks(merged, chunk):
         delays = waits + service
-        if exponential:
-            sizes[at] = delays
+        waiting[source[at]] = waits
+        delay[source[at]] = delays
         if dd1:
             largest = max(largest, float(delays.max()))
             over += int(np.count_nonzero(delays > limit))
-    empirical = _whole_run_entries(config, source, segments, times, sizes)
+    empirical = _whole_run_entries(config, source, segments, waiting, delay)
     violations = []
     if dd1:
         values["max_delay_s"] = largest

@@ -25,8 +25,9 @@ from mcfifo.experiments import (
     CaseConfig,
     CurveEntry,
     ViolationPoint,
+    _TailCounts,
     _check_violations,
-    _run_entries,
+    _simulate,
     case_bound_entries,
     preset,
     run_comparison,
@@ -557,8 +558,7 @@ class TestEmpiricalEntries:
         for base in [preset(case_id) for case_id in range(1, 7)] + _uneven_configs():
             for warmup in (0.0, 0.1, 0.5, 0.9):
                 config = replace(base, customers=20_000, warmup_fraction=warmup)
-                result = simulate_case(config)
-                entries = _run_entries(config, result)
+                result, entries = _simulate(config)
                 assert len(entries) == 2 * (1 + len(config.specs))
                 boundary_sides |= _assert_empirical_curves(config, result, entries)
         assert {-1, 1} <= boundary_sides
@@ -595,25 +595,47 @@ class TestEmpiricalEntries:
                 boundary_sides |= _assert_empirical_curves(config, result, got.curves)
         assert {-1, 1} <= boundary_sides
 
+    def test_simulate_counts_the_comparisons_curves(self, monkeypatch):
+        """simulate collects windows an eighth of the comparison's and
+        counts each as the comparison does: with windows of three blocks,
+        and so simulate's of one, every per-class curve must be the
+        comparison's, with its se and samples."""
+        monkeypatch.setattr(simulator, "CHUNK", 3 * FIFO_BLOCK)
+        for case_id in range(1, 7):
+            for warmup in (0.0, 0.1, 0.9):
+                config = replace(preset(case_id), customers=20_000, warmup_fraction=warmup)
+                got = {e.label: e for e in _simulate(config)[1] if e.class_id is not None}
+                want = {e.label: e for e in run_comparison(config).curves
+                        if e.kind == "empirical" and e.class_id is not None}
+                assert sorted(got) == sorted(want)
+                for label, entry in got.items():
+                    assert entry.probs.tobytes() == want[label].probs.tobytes(), (case_id, label)
+                    assert entry.se.tobytes() == want[label].se.tobytes(), (case_id, label)
+                    assert entry.samples == want[label].samples
+
     def test_constant_service_delays_are_counted_from_the_waits(self, monkeypatch):
         def refuse(self):
             raise AssertionError("delay_s was built")
 
-        results = {k: simulate_case(replace(preset(k), customers=20_000)) for k in range(1, 7)}
-        chunked = []
-        delay_chunks = RunResult.delay_chunks
+        read = set()  # (case, class) of every count that sorted delays of its own
+        counts = _TailCounts.counts
+
+        def spy(self, cid, waits, delays):
+            if delays is not None:
+                read.add((case_id, cid))
+            return counts(self, cid, waits, delays)
+
         monkeypatch.setattr(RunResult, "delay_s", property(refuse))
-        monkeypatch.setattr(
-            RunResult, "delay_chunks", lambda self: chunked.append(self) or delay_chunks(self)
-        )
+        monkeypatch.setattr(_TailCounts, "counts", spy)
         for case_id in range(1, 7):
-            _run_entries(preset(case_id), results[case_id])
-        # only the exponential classes of presets 4 and 6 take their delays,
-        # a chunk at a time
-        assert [id(r) for r in chunked] == [id(results[4]), id(results[6])]
+            _simulate(replace(preset(case_id), customers=20_000))
+        # only the exponential classes of presets 4 and 6 take their delays
+        assert read == {(4, 1), (4, 2), (6, 2)}
         # nor does a comparison build them, the D/D/1 check of presets 1 and 2 included
+        read.clear()
         for case_id in (1, 2, 4):
             run_comparison(replace(preset(case_id), customers=20_000))
+        assert read == {(4, 1), (4, 2)}
 
 
 def _uneven_configs() -> list[CaseConfig]:
@@ -704,7 +726,7 @@ class TestCheckViolations:
 
     def test_matches_the_pointwise_check_on_case5(self):
         config = replace(preset(5), customers=50_000)
-        entries = _run_entries(config, simulate_case(config))
+        entries = _simulate(config)[1]
         targets = {(e.metric, e.class_id): e for e in entries}
         bounds, _ = case_bound_entries(config)
         for bound in bounds:

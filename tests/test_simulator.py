@@ -22,7 +22,6 @@ from mcfifo.simulator import (
     empirical_ccdf,
     fifo_waits,
     fifo_windows,
-    merge_buffers,
     merge_streams,
     run_fifo,
     replication_seed,
@@ -635,12 +634,13 @@ class TestFifoWindows:
 
     def test_a_nan_arrival_fails_the_whole_run(self):
         # run_fifo checks the run before fifo_waits's running max, which
-        # would skip the NaN
+        # would skip the NaN; an ArrivalSequence would reject it first
         n = 3 * FIFO_BLOCK
-        times, sizes = 0.5 * np.arange(n), np.full(n, 0.25)
+        times = 0.5 * np.arange(n)
         times[2 * FIFO_BLOCK + 3] = np.nan
+        merged = MergedArrivals(times, np.full(n, 0.25), np.arange(n), ((1, 0, n),))
         with pytest.raises(InvalidInputError, match="^arrival times must be finite$"):
-            run_fifo(merge_buffers(times, sizes, [(1, 0, n)], {1: 1.0}))
+            run_fifo(merged)
 
 
 class TestEmpiricalCcdf:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 from itertools import combinations
@@ -176,7 +177,12 @@ def main(argv=None) -> int:
     layers = layer_summary(path, benchmark.get("per_layer", []), args.seeds)
     if not runs and not layers:
         sys.exit(f"error: no runs with every end-to-end metric in {path.name}")
-    print("\n".join((summary(runs, metrics) if runs else []) + layers))
+    try:
+        print("\n".join((summary(runs, metrics) if runs else []) + layers), flush=True)
+    except BrokenPipeError:
+        # the reader stopped reading, as `| head -1` does: stop quietly, and
+        # point stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

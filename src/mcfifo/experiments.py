@@ -17,11 +17,11 @@ no array grows with the run but the warmup prefix. Both commands count
 each window the same way (_count_window): its waits, and its delays when
 some class has exponential sizes, are laid out in class order in the
 buffers the window was merged from, and counted above the grid as they
-come (_TailCounts): contiguous class batches, one sort each, and for a
-class of constant sizes the delay counts from the same sorted waits shifted
-by the class's one service time. Only the warmup prefix is kept, the values
-that a bound on each class's warmup cut, and on the aggregate's, cannot yet
-place; _empirical_entries counts them at the end, against the exact cuts.
+come (_TailCounts): each class's part of a window sorted where it lies,
+and for a class of constant sizes the delay counts from the same sorted
+waits shifted by the class's one service time. Only the warmup prefix is
+kept, the values that a bound on each class's warmup cut, and on the
+aggregate's, cannot yet place; _empirical_entries counts them at the end, against the exact cuts.
 The simulate command (_simulate) collects each window into the columns of
 a RunResult before it counts it; run_comparison also checks each window's
 delays against a periodic case's D/D/1 bound. Every empirical curve, the
@@ -412,24 +412,29 @@ def _simulate(config: CaseConfig) -> tuple[RunResult, list[CurveEntry]]:
 
     The run is run_comparison's windows, collected, and each is counted as
     the comparison counts it (_count_window) once its columns are taken.
-    They are an eighth of the comparison's, in whole blocks, since the
-    columns already hold the whole run. Each column grows by a window at a
-    time. source is a customer's class start (the customers of the classes
-    of lower id) plus its index in its class. While the run grows, source
-    holds index * classes + the class's place in id order, and at the end
-    the starts replace the places, a window's worth at a time. The curves
+    They are a sixteenth of the comparison's, in whole blocks, since the
+    columns already hold the whole run. The columns are sized once, at the
+    config's counts, and grow by a window only when a thinned class keeps
+    more than its count; the horizon cuts them short at the end. source is
+    a customer's class start (the customers of the classes of lower id)
+    plus its index in its class. While the run grows, source holds index *
+    classes + the class's place in id order, and at the end the starts
+    replace the places, a window's worth at a time. The curves
     are made once the last window's buffers are gone.
     """
     ids = sorted(s.class_id for s in config.specs)
-    columns = [np.empty(0), np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)]
-    arrival, service, source, waiting = columns
-    n, size = 0, FIFO_BLOCK * max(1, simulator.CHUNK // (8 * FIFO_BLOCK))
+    n, size = 0, FIFO_BLOCK * max(1, simulator.CHUNK // (16 * FIFO_BLOCK))
     streams, windows = _windows(config, size)
+    budget = sum(streams.step.values())
+    columns = [np.empty(budget), np.empty(budget), np.empty(budget, dtype=np.intp),
+               np.empty(budget)]
+    arrival, service, source, waiting = columns
     tails = _TailCounts(config)
     for window in windows:
         width = len(window.arrival_s)
-        for column in columns:
-            column.resize(n + width, refcheck=False)
+        if n + width > len(arrival):  # a thinned class kept more than its count
+            for column in columns:
+                column.resize(n + width, refcheck=False)
         new = slice(n, n + width)
         arrival[new], service[new], waiting[new] = (
             window.arrival_s, window.service_s, window.waiting_s
@@ -447,7 +452,8 @@ def _simulate(config: CaseConfig) -> tuple[RunResult, list[CurveEntry]]:
         n += width
         _count_window(tails, streams, window)
     del window  # spent: its buffers go before the curves are made
-    tails.finish()
+    for column in columns:
+        column.resize(n, refcheck=False)
     counts = [tails.added[cid] for cid in ids]  # each class's customers in the run
     starts = np.cumsum([0] + counts[:-1])
     for lo in range(0, n, size):
@@ -489,7 +495,7 @@ def _counted_entry(
 
 class _TailCounts:
     """Each class's waits and delays counted above the grid as they come,
-    for the empirical CCDFs, in class batches of CHUNK / 16 values.
+    for the empirical CCDFs.
 
     Class c's values come in class order (add). Its curve keeps them from
     d_c = int(n_c * warmup) on and the aggregate from e_c on, e_c being the
@@ -497,17 +503,14 @@ class _TailCounts:
     neither is known before the run ends. So the values below keep[c], a
     bound on both that the caller lowers as the run goes (keep_below), are
     kept as the class's warmup prefix, and the others are counted above
-    the grid in contiguous batches, one sort each: a part of a batch or more
-    where it is, and smaller parts gathered. At CHUNK / 16 the larger
-    class's part of a simulate window is counted where it is, and the
-    gathering batches stay small next to the run's columns. A value the
-    bound passes on its way down is counted then. A class of Constant sizes
-    keeps its waits alone: its sorted delays are its sorted waits plus its
-    one service time s_c = bits / rate, the merge's own division, and
-    adding a constant keeps float order; exponential says whether some
-    class reads its delays. The counts are integer sums over disjoint sets,
-    so they are those of one sort of all the values. _empirical_entries
-    counts the prefixes at the end.
+    the grid where they lie, one sort of each class's part of a window. A
+    value the bound passes on its way down is counted then. A class of
+    Constant sizes keeps its waits alone: its sorted delays are its sorted
+    waits plus its one service time s_c = bits / rate, the merge's own
+    division, and adding a constant keeps float order; exponential says
+    whether some class reads its delays. The counts are integer sums over
+    disjoint sets, so they are those of one sort of all the values.
+    _empirical_entries counts the prefixes at the end.
     """
 
     def __init__(self, config: CaseConfig):
@@ -523,8 +526,6 @@ class _TailCounts:
         self.keep = dict.fromkeys(ids, math.inf)
         self.prefix = {cid: [] for cid in ids}  # (waits, delays or None) pieces
         self.kept = dict.fromkeys(ids, 0)
-        self.batch = {}  # class id -> (waits, delays or None) of one batch
-        self.filled = dict.fromkeys(ids, 0)
         self.above = {(metric, cid): np.zeros(len(self.grid), dtype=np.int64)
                       for metric in ("delay", "waiting") for cid in ids}
         # the class place, in id order, of each of the run's first customers
@@ -585,24 +586,8 @@ class _TailCounts:
                 (waits[:head].copy(), None if delays is None else delays[:head].copy())
             )
             self.kept[cid] += head
-        size = simulator.CHUNK // 16
-        if n - head >= size:  # a batch already: counted where it is
+        if head < n:
             self._count(cid, waits[head:], None if delays is None else delays[head:])
-            return
-        if cid not in self.batch:
-            self.batch[cid] = (np.empty(size), None if delays is None else np.empty(size))
-        batch_waits, batch_delays = self.batch[cid]
-        while head < n:
-            filled = self.filled[cid]
-            k = min(size - filled, n - head)
-            batch_waits[filled : filled + k] = waits[head : head + k]
-            if delays is not None:
-                batch_delays[filled : filled + k] = delays[head : head + k]
-            self.filled[cid] = filled + k
-            head += k
-            if self.filled[cid] == size:
-                self._count(cid, batch_waits, batch_delays)
-                self.filled[cid] = 0
 
     def keep_below(self, cid: int, bound: int) -> None:
         """Keep the class's values below bound alone, bound being no less
@@ -618,14 +603,6 @@ class _TailCounts:
                 pieces.append((waits[:cut], None if delays is None else delays[:cut]))
             self._count(cid, waits[cut:], None if delays is None else delays[cut:])
             self.kept[cid] -= len(waits) - cut
-
-    def finish(self) -> None:
-        """Count each class's last, partial batch, and let the batches go."""
-        for cid, (waits, delays) in self.batch.items():
-            n = self.filled[cid]
-            self._count(cid, waits[:n], None if delays is None else delays[:n])
-            self.filled[cid] = 0
-        self.batch.clear()
 
     def counts(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> dict:
         """Each metric's counts above the grid of a class's values, which
@@ -930,7 +907,6 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
         if dd1:  # the window's delays, in merged order
             largest = max(largest, float(window.service_s.max()))
             over += int(np.count_nonzero(window.service_s > limit))
-    tails.finish()
     empirical = _empirical_entries(config, tails, tails.aggregate_from())
 
     violations = []

@@ -52,21 +52,22 @@ memory bounded by the chunk.
 
 A long run (experiments.run_comparison, and simulate_case, which collects
 it) holds no array that grows with the run. fifo_windows draws, merges and
-scans it a window of CHUNK customers at a time. Each class is drawn a
-piece at a time from the run's one step (ArrivalStreams.draw with
-widths), its share of a quarter window, so every class's horizon advances
-with the others. The merge frontier is the earliest horizon of a class
-still drawing: every arrival before it has been drawn. A window is the
-first CHUNK pending arrivals before it, cut by an arrival of the class with
-the most of them, copied into class order (the sizes divided by the rate
-on the way) and merged by one stable sort; the few the cut passes go back
-to pending. The horizon is the earliest last arrival of a class: once a
-spent class's last arrival lies before every class still drawing, the last
-windows take every class up to it, and a class with no arrival by then is
-an error. Until then no window passes the last kept instant of a thinned
-class still drawing, which may keep no more. Each window is gathered into window
-buffers, checked as run_fifo checks a run and against the window before,
-and scanned with the backlog carried in from that window (_fifo_scan, the
+scans it a window of CHUNK customers at a time. The classes are drawn
+from the run's one step (ArrivalStreams.draw with widths) in one call per
+window, mostly: each class draws what its rate gives it up to the time the
+window is expected to be full, and REACH more. The merge frontier is the
+earliest horizon of a class still drawing: every arrival before it has
+been drawn. A window is the first CHUNK pending arrivals before it, cut by
+an arrival of the class with the most of them, copied into class order
+(the sizes divided by the rate on the way) and merged by one stable sort;
+the few the cut passes go back to pending. The horizon is the earliest
+last arrival of a class: once a spent class's last arrival lies before
+every class still drawing, the last windows take every class up to it,
+and a class with no arrival by then is an error. Until then no window
+passes the last kept instant of a thinned class still drawing, which may
+keep no more. Each window is gathered into the buffers of its first draw,
+checked as run_fifo checks a run and against the window before, and
+scanned with the backlog carried in from that window (_fifo_scan, the
 kernel of fifo_waits); CHUNK is a whole number of blocks, so every wait is
 bit for bit that of the whole run. The waits go into the spent service
 buffer, and Window.order lays them, and the delays, out in class order in
@@ -122,11 +123,15 @@ TRANSIENT_CHUNK = 2**17
 #: Customers per window of fifo_windows and per chunk of
 #: RunResult.delay_chunks, and so rows of records.csv formatted at a time: a
 #: chunk's six columns as Python objects take a few MB, where a whole run's
-#: would grow with its length. A long run's buffers hold a few windows of
-#: arrivals: about 6 MB in all at this size, a tenth of which the warmup
-#: prefix of a 1M-customer run adds. A whole number of FIFO_BLOCKs, so a
-#: window starts a block and its waits are those of the whole run's scan.
+#: would grow with its length. A long run holds two windows of buffers,
+#: the merge's and the draw's: 4.8-5.7 MB at the peak at 1M customers, with
+#: the warmup prefix. A whole number of FIFO_BLOCKs, so a window starts a
+#: block and its waits are those of the whole run's scan.
 CHUNK = 2**16
+
+#: A draw of fifo_windows takes this many times the arrivals a class's rate
+#: gives it up to the window's expected end: a window mostly takes one draw.
+REACH = 1.02
 
 
 def _class_columns(
@@ -415,73 +420,72 @@ def fifo_windows(
     step ends first. Yields a Window per window, whose buffers the next
     window may reuse.
 
-    _merged_windows draws and merges the windows. Each is checked as
-    run_fifo checks a run, its first arrival against the last of the window
-    before, and the backlog is carried from window to window; windows start
-    at whole blocks, so every wait is bit for bit that of fifo_waits over
-    the whole run.
+    _merged_windows draws, merges and gathers the windows. Each is checked
+    as run_fifo checks a run, its first arrival against the last of the
+    window before, and the backlog is carried from window to window;
+    windows start at whole blocks, so every wait is bit for bit that of
+    fifo_waits over the whole run.
     """
     if streams.rows != 1:
         raise InvalidInputError("fifo_windows runs one path: streams must have one row")
     size = CHUNK if size is None else size
     carry, after = (0.0, 0.0), -np.inf
-    arrivals = services = np.empty(0)
-    for times, service, order, parts in _merged_windows(streams, rates_bps, size):
-        width = len(order)
-        if len(arrivals) < width:
-            arrivals, services = np.empty(width), np.empty(width)
-        # indices are in range, so clip mode changes nothing but skips the
-        # buffered bounds check
-        a = times.take(order, out=arrivals[:width], mode="clip")
-        s = service.take(order, out=services[:width], mode="clip")
+    for a, s, times, service, order, parts in _merged_windows(streams, rates_bps, size):
         _check_run(a, s, after)
-        w = service[:width]  # read, so it takes the waits
+        w = service[: len(order)]  # read, so it takes the waits
         carry = _fifo_scan(a, s, w, *carry)
         after = a[-1]
         yield Window(a, s, w, order, times, service, parts)
 
 
 def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], size: int):
-    """The windows of fifo_windows, merged: yields the buffers of times and
-    service times each was merged from, its merged order, and its parts,
-    as Window holds them.
+    """The windows of fifo_windows, merged: yields each one's arrival and
+    service times in merged order, the buffers of times and service times
+    it was merged from, its merged order, and its parts, as Window holds
+    them.
 
-    Each class is drawn a piece at a time (streams.draw with widths), its
-    share of a quarter window by arrival rate, so the classes' horizons advance
-    together. The merge frontier is the earliest horizon of a class still
-    drawing: every arrival before it has been drawn. Once a window's worth
-    of arrivals is pending before it, the next window is the first of them
-    in merged order (_window_cut), merged by one stable sort of their
+    The merge frontier is the earliest horizon of a class still drawing:
+    every arrival before it has been drawn. While fewer than size arrivals
+    are pending before it, the window should be full at need, when the
+    missing ones have come at the total rate; each class still drawing
+    whose horizon lags need draws REACH times what its rate gives it up to
+    need, in one call (streams.draw with widths). Once size arrivals are
+    pending before the frontier, the next window is the first of them in
+    merged order (_window_cut), merged by one stable sort of their
     class-ordered concatenation, which breaks ties as merge_streams states;
-    a sort that takes a few more puts them back. Once a class's step is
-    spent its last arrival bounds the horizon, and when every class still
-    drawing has been drawn past that bound, the windows take each class's
-    arrivals up to it. A thinned class still drawing may keep none of its
-    master's later instants, so until its step is spent no window passes
-    its last kept one. A class with no arrival up to the horizon is an
-    error: the run would hold none of it.
+    a sort that takes a few more puts them back. What is left pending is
+    copied (_take), so the buffers of the window's first draw take its
+    merged columns, and then the next window's first draw: no fresh pages
+    are mapped and zeroed for each window. Once a class's step is spent its
+    last arrival bounds the horizon, and when every class still drawing has
+    been drawn past that bound, the windows take each class's arrivals up
+    to it. A thinned class still drawing may keep none of its master's
+    later instants, so until its step is spent no window passes its last
+    kept one. A class with no arrival up to the horizon is an error: the
+    run would hold none of it.
     """
     ids = sorted(streams.step)
     rates = {cid: _rate(rates_bps, cid) for cid in ids}
-    total_hz = sum(s.arrival_rate_hz for s in streams.specs)
-    # a quarter of a window's worth of arrivals per piece: the pending
-    # pieces hold up to a window and a quarter, and so do their buffers
-    widths = {s.class_id: max(1, math.ceil(size * s.arrival_rate_hz / total_hz / 4))
-              for s in streams.specs}
-    span = size / total_hz / 4  # the time a piece's worth of arrivals takes
+    hz = {s.class_id: s.arrival_rate_hz for s in streams.specs}
+    total_hz = sum(hz.values())
     # per class, pieces not yet taken: (times, sizes, divisor), the divisor
     # that makes the sizes service times: the rate, or 1 once divided
     pending = {cid: [] for cid in ids}
     last = {}  # each class's last arrival drawn
     first = dict.fromkeys(ids, 0)  # each class's customers taken
     times = service = np.empty(0)
-    draw, end = ids, False
+    pair, free = None, True  # a first draw's buffers; free: no pending piece views them
+    draw, need, end = ids, size / total_hz, False  # the first window's share
     while not end:
         if draw:
-            t, z, segments = streams.draw(draw, widths)
+            widths = {cid: max(1, math.ceil((need - streams.horizon[cid][0]) * hz[cid] * REACH))
+                      for cid in draw}
+            t, z, segments = streams.draw(draw, widths, pair if free else None)
             for cid, lo, n in segments:
                 pending[cid].append((t[lo : lo + n], z[lo : lo + n], rates[cid]))
                 last[cid] = t[lo + n - 1]
+            if free:
+                pair, free = (t, z), False
         live = [cid for cid in ids if streams.remaining(cid)]
         frontier = min((streams.horizon[cid][0] for cid in live), default=np.inf)
         horizon = min((last[cid] for cid in ids if cid not in live and cid in last),
@@ -499,7 +503,9 @@ def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], siz
         cuts = {cid: _count(pending[cid], bound, side) for cid in ids}
         m = sum(cuts.values())
         if m < size and not final:
-            draw = [cid for cid in live if streams.horizon[cid][0] < frontier + span]
+            # the frontier's class lags need, so it draws
+            need = frontier + (size - m) / total_hz
+            draw = [cid for cid in live if streams.horizon[cid][0] < need]
             continue
         if not m:  # the windows before took the run up to its horizon
             break
@@ -514,6 +520,7 @@ def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], siz
             _take(pending[cid], cuts[cid], times[start:], service[start:])
             parts.append([cid, start, cuts[cid], first[cid]])
             start += cuts[cid]
+        free = True  # what is left pending is copied
         order = np.argsort(times[:m], kind="stable")
         if m > size:  # the customers past the window go back to pending
             back = np.searchsorted(np.sort(order[size:]), [p[1] + p[2] for p in parts])
@@ -526,7 +533,14 @@ def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], siz
             order = order[:size]
         for part in parts:
             first[part[0]] += part[2]
-        yield times, service, order, tuple(map(tuple, parts))
+        width = len(order)
+        if len(pair[0]) < width:
+            pair = np.empty(width), np.empty(width)
+        # indices are in range, so clip mode changes nothing but skips the
+        # buffered bounds check
+        a = times.take(order, out=pair[0][:width], mode="clip")
+        s = service.take(order, out=pair[1][:width], mode="clip")
+        yield a, s, times, service, order, tuple(map(tuple, parts))
     for spec in streams.specs:
         if not first[spec.class_id]:
             raise InvalidInputError(
@@ -577,7 +591,7 @@ def _at(pieces: list, k: int) -> float:
 
 def _take(pieces: list, n: int, times: np.ndarray, service: np.ndarray) -> None:
     """Move a class's first n pending arrivals into the buffers' starts,
-    their sizes divided into service times."""
+    their sizes divided into service times; the rest stay, copied."""
     done = 0
     while done < n:
         t, z, divisor = pieces[0]
@@ -589,6 +603,7 @@ def _take(pieces: list, n: int, times: np.ndarray, service: np.ndarray) -> None:
             pieces.pop(0)
         else:
             pieces[0] = (t[k:], z[k:], divisor)
+    pieces[:] = [(t.copy(), z.copy(), divisor) for t, z, divisor in pieces]
 
 
 def empirical_ccdf(

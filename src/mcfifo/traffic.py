@@ -372,9 +372,8 @@ class ArrivalStreams:
         left: its own count's rest, or for a thinned class its master's."""
         return self._left[self._master.get(class_id, class_id)]
 
-    def draw(
-        self, class_ids: Iterable[int], widths: Mapping[int, int] | None = None
-    ) -> tuple[np.ndarray, np.ndarray, list[Segment]]:
+    def draw(self, class_ids: Iterable[int], widths: Mapping[int, int] | None = None,
+             buffers: tuple | None = None) -> tuple[np.ndarray, np.ndarray, list[Segment]]:
         """Draw one step of arrivals of each named class and its coupling
         group, or with widths the next at most widths[c] arrivals of each
         named class c's first step, which its first draw begins; a class
@@ -387,7 +386,8 @@ class ArrivalStreams:
         its mask. The draw is then laid out in two flat buffers, of times
         and of sizes, each drawn class one contiguous (rows, width) block in
         id order, and the blocks are filled: uniforms are drawn straight
-        into a block and transformed there. Returns the buffers and the
+        into a block and transformed there; the flat buffers are the pair
+        given as buffers, when it holds them. Returns the buffers and the
         segments, one (class_id, start, width) per drawn class, class c's
         block being [start*rows, (start + width)*rows) of the buffers. A
         class whose step is spent draws nothing and has no segment. With one
@@ -422,7 +422,9 @@ class ArrivalStreams:
                 segments.append((cid, start, n))
                 start += n
         rows = self.rows
-        times, sizes = np.empty(start * rows), np.empty(start * rows)
+        if buffers is None or len(buffers[0]) < start * rows:
+            buffers = np.empty(start * rows), np.empty(start * rows)
+        times, sizes = buffers
         # blocks, not column slices of (rows, start) arrays: random(out=)
         # takes only contiguous arrays
         out = {
@@ -435,12 +437,12 @@ class ArrivalStreams:
             if cid in out and cid not in masks:
                 self._fill(spec, *out[cid])
         for cid, kept in masks.items():
+            master = self._master[cid]
+            self.horizon[cid] = self.horizon[master]  # if it keeps none of them, too
             if cid in out:
                 block, block_sizes = out[cid]
-                master = self._master[cid]
                 _pack(kept, out[master][0], np.inf, block)
                 self._sizes(self._spec(cid), block_sizes)
-                self.horizon[cid] = self.horizon[master]
         for cid, count in counts.items():
             self._left[cid] -= count
         for cid, _, n in segments:
@@ -506,7 +508,7 @@ class ArrivalStreams:
             arrivals = np.arange(k + 1, k + block.shape[-1] + 1, dtype=float)
             np.multiply(arrivals, np.full((self.rows, 1), spec.arrival.period_s), out=block)
             self._sizes(spec, block_sizes)
-            self.horizon[cid] = block[:, -1]
+            self.horizon[cid] = block[:, -1].copy()  # the buffers may be reused
             return
         if isinstance(spec.arrival, Poisson):
             u = self._rng(_ROLE_ARRIVALS, cid).random(out=block)
@@ -552,7 +554,7 @@ class ArrivalStreams:
         gaps[:, 0] += self.horizon[spec.class_id]  # the same sums as one longer path
         times = np.cumsum(gaps, axis=-1, out=gaps)
         self._sizes(spec, sizes)
-        self.horizon[spec.class_id] = times[:, -1]
+        self.horizon[spec.class_id] = times[:, -1].copy()  # as in _fill
 
     def _append(self, class_id: int, times: np.ndarray, sizes: np.ndarray) -> None:
         old = self.times[class_id]

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,3 +150,20 @@ def test_missing_file_is_an_error(tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
     with pytest.raises(SystemExit, match="no BENCH_toy.json"):
         bench_summary.main(["--workload", "toy", "--root", str(tmp_path)])
+
+
+def test_a_reader_that_stops_reading_ends_the_output_quietly(tmp_path):
+    # as `bench_summary.py ... | head -1` does: the pipe is closed before
+    # the summary is written, so every write of it fails
+    _write(tmp_path, [("parent", 1, 1.0, 0), ("change", 1, 0.9, 0)])
+    proc = subprocess.Popen(
+        [sys.executable, str(_PATH), "--workload", "toy", "--root", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.stderr.close()
+    assert err == b""

@@ -546,14 +546,20 @@ def _assert_empirical_curves(config: CaseConfig, result: RunResult, entries) -> 
             got = by_key[metric, cid]
             assert np.array_equal(got.probs, want.fractions), (config.case_id, warmup, cid)
             assert got.samples == want.sample_count
+            p = want.fractions
+            se = np.sqrt(p * (1.0 - p) / want.sample_count)
+            assert got.se.tobytes() == se.tobytes(), (config.case_id, warmup, cid)
     return sides
 
 
 class TestEmpiricalEntries:
-    def test_every_curve_is_the_ccdf_of_its_own_samples(self):
+    def test_every_curve_is_the_ccdf_of_its_own_samples(self, monkeypatch):
         """The aggregate is counted from the class sorts; each curve must
         still equal empirical_ccdf of its samples, with the aggregate's
-        warmup boundary both before and after each class's own."""
+        warmup boundary both before and after each class's own. So must
+        those of a class below 1 % of the arrivals in windows of one block,
+        whose parts hold a few customers or none, in simulate and in the
+        comparison."""
         boundary_sides = set()
         for base in [preset(case_id) for case_id in range(1, 7)] + _uneven_configs():
             for warmup in (0.0, 0.1, 0.5, 0.9):
@@ -562,6 +568,16 @@ class TestEmpiricalEntries:
                 assert len(entries) == 2 * (1 + len(config.specs))
                 boundary_sides |= _assert_empirical_curves(config, result, entries)
         assert {-1, 1} <= boundary_sides
+        monkeypatch.setattr(simulator, "CHUNK", FIFO_BLOCK)
+        rare = CaseConfig("rare", (
+            ClassSpec(1, Poisson(1e4), Constant(800.0), 1e7),
+            ClassSpec(2, Poisson(60.0), ExponentialMean(8000.0), 1e8),
+        ), customers=20_000)
+        for warmup in (0.0, 0.1, 0.9):
+            config = replace(rare, warmup_fraction=warmup)
+            result, entries = _simulate(config)
+            _assert_empirical_curves(config, result, entries)
+            _assert_empirical_curves(config, result, run_comparison(config).curves)
 
     def test_windows_equal_the_whole_run(self, monkeypatch):
         """run_comparison draws, merges, scans and counts the run a window
@@ -596,7 +612,7 @@ class TestEmpiricalEntries:
         assert {-1, 1} <= boundary_sides
 
     def test_simulate_counts_the_comparisons_curves(self, monkeypatch):
-        """simulate collects windows an eighth of the comparison's and
+        """simulate collects windows a sixteenth of the comparison's and
         counts each as the comparison does: with windows of three blocks,
         and so simulate's of one, every per-class curve must be the
         comparison's, with its se and samples."""
@@ -811,11 +827,12 @@ class TestRunBuffers:
 
     @pytest.mark.parametrize("case_id", [3, 5])
     def test_simulate_case_peak_memory(self, case_id):
-        # whole-run arrays of 8n bytes: the two draw buffers, the sort order
-        # and the gathered service times, then the waits in place of the spent
-        # times buffer; the FIFO scan's fixed temporaries add about 0.45 at
-        # this n. A concatenation, or a spent buffer alive through the scan,
-        # adds a whole one
+        # the run's four columns of 8n bytes (arrival, service, source and
+        # waits), sized once at the config's counts; the warmup prefix of
+        # waits, the windows' merge buffers and the draw's, which the merged
+        # columns reuse, and the FIFO scan's temporaries add the rest. A copy
+        # of a column, or a buffer of a column's size alive beside them, adds
+        # a whole one
         config = replace(preset(case_id), customers=200_000)
         simulate_case(config)  # one-time allocations stay out of the peak
         tracemalloc.start()

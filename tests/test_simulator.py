@@ -33,6 +33,9 @@ from mcfifo.traffic import (
     ClassSpec,
     Constant,
     CoupledPoisson,
+    ExponentialMean,
+    Periodic,
+    Poisson,
     deterministic_envelope,
     generate_sequences,
     proportional_counts,
@@ -564,6 +567,53 @@ class TestFifoWindows:
         windows = _windows(config, size)
         assert {len(a) for a, _, _ in windows[:-1]} == {size}
         assert np.concatenate([w for _, _, w in windows]).tobytes() == whole.waiting_s.tobytes()
+
+    @pytest.mark.parametrize("reach", [0.01, 1.5])
+    @pytest.mark.parametrize("config", [
+        replace(preset(3), customers=10_000, seed=3),
+        replace(preset(5), customers=10_000, seed=3),  # thinned
+        replace(preset(6), customers=10_000, seed=3),  # periodic plus Poisson
+        CaseConfig("three-classes", (
+            ClassSpec(1, Periodic(5e-4), Constant(800.0), 1e7),
+            ClassSpec(2, Poisson(3e3), ExponentialMean(800.0), 1e7),
+            ClassSpec(3, Poisson(300.0), Constant(4000.0), 1e7),
+        ), customers=10_000, seed=3),
+    ], ids=lambda c: str(c.case_id))
+    def test_windows_do_not_depend_on_how_the_draw_is_cut(self, monkeypatch, config, reach):
+        # a draw of 1 % of what each class lacks takes a few arrivals at a
+        # time; one of half as much again leaves much of each draw pending
+        # for the windows after
+        monkeypatch.setattr(simulator, "REACH", reach)
+        drawn = []
+        draw = ArrivalStreams.draw
+
+        def spy(self, *args):
+            out = draw(self, *args)
+            drawn.append(sum(n for _, _, n in out[2]))
+            return out
+
+        monkeypatch.setattr(ArrivalStreams, "draw", spy)
+        windows = _windows(config, FIFO_BLOCK)
+        if reach < 1:
+            assert len(drawn) > 20 * len(windows) and max(drawn) <= 0.02 * FIFO_BLOCK
+        else:
+            assert drawn[0] >= 1.4 * FIFO_BLOCK
+        whole = whole_run_simulation(config)
+        for column, name in zip(zip(*windows), ("arrival_s", "service_s", "waiting_s")):
+            assert np.concatenate(column).tobytes() == getattr(whole, name).tobytes(), name
+
+    @pytest.mark.parametrize("case_id", [3, 4, 5])
+    def test_a_window_takes_about_one_draw(self, monkeypatch, case_id):
+        calls = []
+        draw = ArrivalStreams.draw
+
+        def spy(self, *args):
+            calls.append(args)
+            return draw(self, *args)
+
+        monkeypatch.setattr(ArrivalStreams, "draw", spy)
+        windows = _windows(replace(preset(case_id), customers=200_000))
+        assert len(windows) >= 3 and len(calls) <= 1.5 * len(windows)
 
     def test_a_thinned_class_may_end_the_run_at_its_last_kept_instant(self):
         # more than a window's worth of arrivals lies before the frontier,

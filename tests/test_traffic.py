@@ -406,6 +406,38 @@ class TestWindowedDraws:
         streams.draw([2], {1: 30, 2: 30})
         assert streams.drawn[1] == 30 and streams.remaining(2) == streams.remaining(1) == 70
 
+    def test_a_thinned_class_that_keeps_none_has_its_masters_horizon(self):
+        # class 2 keeps about one master instant in ten: of single
+        # instants, most draws keep none, and its horizon still moves
+        streams = ArrivalStreams(preset(5).specs, {1: 100, 2: 10}, seed=1, rows=1)
+        empty = 0
+        for _ in range(20):
+            segments = streams.draw([1, 2], {1: 1, 2: 1})[2]
+            empty += [cid for cid, _, _ in segments] == [1]
+            assert streams.horizon[2].tobytes() == streams.horizon[1].tobytes()
+        assert empty >= 10
+
+    def test_a_draw_is_laid_out_in_given_buffers_that_hold_it(self):
+        def draw(buffers=None):
+            streams = ArrivalStreams(preset(4).specs, {1: 100, 2: 10}, seed=1, rows=1)
+            return streams.draw([1, 2], {1: 40, 2: 4}, buffers)
+
+        times, sizes, segments = draw()
+        assert segments == [(1, 0, 40), (2, 40, 4)] and len(times) == len(sizes) == 44
+        given = np.empty(60), np.empty(60)
+        got = draw(given)
+        assert got[0] is given[0] and got[1] is given[1] and got[2] == segments
+        assert got[0][:44].tobytes() == times.tobytes()
+        assert got[1][:44].tobytes() == sizes.tobytes()
+        short = np.empty(43), np.empty(43)
+        got = draw(short)  # too short: new buffers, as with none
+        assert got[0] is not short[0] and got[0].tobytes() == times.tobytes()
+
+    def test_a_horizon_holds_no_draw_buffer(self):
+        streams = ArrivalStreams(preset(6).specs, {1: 100, 2: 10}, seed=1, rows=1)
+        streams.draw([1, 2], {1: 50, 2: 5})
+        assert all(h.base is None for h in streams.horizon.values())
+
 
 class TestSynchronizedDrawMemory:
     def test_generate_sequences_peak(self):

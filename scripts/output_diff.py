@@ -217,6 +217,11 @@ COMMANDS += [
          "--replications", "2000"],
     )
 ]
+# the synchronized pair with its master at the higher id, and a warmup
+# prefix of most of the run: the long run cuts its warmup labels and its
+# prefix as their bounds fall
+COMMANDS += [["compare", "--config", "configs/sync_master_last.json", "--customers", "200000",
+              "--warmup", "0.9"]]
 COMMANDS += [
     command
     for name in MM1_CONFIGS

@@ -14,14 +14,15 @@ delay tails of the first class's 1st, 10th and 100th customers.
 A run is drawn, merged and scanned a window at a time
 (simulator.fifo_windows, from the case's one-row ArrivalStreams, _windows):
 no array grows with the run but the warmup prefix. Both commands count
-each window the same way (_count_window): its waits, and its delays when
-some class has exponential sizes, are laid out in class order in the
-buffers the window was merged from, and counted above the grid as they
-come (_TailCounts): each class's part of a window sorted where it lies,
-and for a class of constant sizes the delay counts from the same sorted
-waits shifted by the class's one service time. Only the warmup prefix is
-kept, the values that a bound on each class's warmup cut, and on the
-aggregate's, cannot yet place; _empirical_entries counts them at the end, against the exact cuts.
+each window the same way (_TailCounts.add_window): its waits, and its
+delays when some class has exponential sizes, are laid out in class order
+in the buffers the window was merged from, and counted above the grid as
+they come: each class's part of a window sorted where it lies, and for a
+class of constant sizes the delay counts from the same sorted waits
+shifted by the class's one service time. Only the warmup prefix is kept,
+the values that a bound on each class's warmup cut, and on the
+aggregate's, cannot yet place; _empirical_entries counts them at the end,
+against the exact cuts, which the counter then knows.
 The simulate command (_simulate) collects each window into the columns of
 a RunResult before it counts it; run_comparison also checks each window's
 delays against a periodic case's D/D/1 bound. Every empirical curve, the
@@ -411,7 +412,8 @@ def _simulate(config: CaseConfig) -> tuple[RunResult, list[CurveEntry]]:
     CCDFs (_empirical_entries).
 
     The run is run_comparison's windows, collected, and each is counted as
-    the comparison counts it (_count_window) once its columns are taken.
+    the comparison counts it (_TailCounts.add_window) once its columns are
+    taken.
     They are a sixteenth of the comparison's, in whole blocks, since the
     columns already hold the whole run. The columns are sized once, at the
     config's counts, and grow by a window only when a thinned class keeps
@@ -450,7 +452,7 @@ def _simulate(config: CaseConfig) -> tuple[RunResult, list[CurveEntry]]:
             np.add(codes, step, out=codes, where=window.order >= start)
             shift += step
         n += width
-        _count_window(tails, streams, window)
+        tails.add_window(streams, window)
     del window  # spent: its buffers go before the curves are made
     for column in columns:
         column.resize(n, refcheck=False)
@@ -461,7 +463,7 @@ def _simulate(config: CaseConfig) -> tuple[RunResult, list[CurveEntry]]:
         np.add(codes // len(ids), starts.take(codes % len(ids)), out=codes)
     segments = tuple((cid, int(start), count) for cid, start, count in zip(ids, starts, counts))
     result = RunResult(arrival, service, source, segments, waiting)
-    return result, _empirical_entries(config, tails, tails.aggregate_from())
+    return result, _empirical_entries(config, tails)
 
 
 def _windows(
@@ -511,6 +513,12 @@ class _TailCounts:
     whether some class reads its delays. The counts are integer sums over
     disjoint sets, so they are those of one sort of all the values.
     _empirical_entries counts the prefixes at the end.
+
+    labels holds the class place, in id order, of each of the run's first
+    customers up to the bound on int(n * warmup), and seen how many of
+    them each place has. It is one array, sized at the first window's
+    bound, which only falls: a window labels its slice of it, and a lower
+    bound cuts the labels past it from seen.
     """
 
     def __init__(self, config: CaseConfig):
@@ -528,51 +536,53 @@ class _TailCounts:
         self.kept = dict.fromkeys(ids, 0)
         self.above = {(metric, cid): np.zeros(len(self.grid), dtype=np.int64)
                       for metric in ("delay", "waiting") for cid in ids}
-        # the class place, in id order, of each of the run's first customers
-        # up to the bound on int(n * warmup), and how many each place has
-        self.places = sorted(ids)
-        self.labels, self.seen = [], np.zeros(len(ids), dtype=np.int64)
+        self.labels, self.labelled = None, 0
+        self.seen = np.zeros(len(ids), dtype=np.int64)
 
-    def add_window(self, window: Window, most: dict[int, int]) -> None:
-        """A window of the run, its waits and delays in class order in the
-        buffers it was merged from (window.times, window.service); no class
-        has more customers in the run than most[c]. From those bounds, and
-        the classes of the run's first customers up to the bound on int(n *
-        warmup), follow bounds on d_c and e_c, and each class's values of
-        the window are added."""
+    def add_window(self, streams: ArrivalStreams, window: Window, delays: bool = False) -> None:
+        """Count a window of the run of streams.
+
+        Its waits go into the buffers it was merged from, in class order as
+        the counts take them: the waits first, as they sit at the service
+        buffer's start. When some class reads its delays (exponential), or
+        delays is true, window.service_s takes the delays in merged order,
+        where the caller may read them, and in the first case the service
+        buffer takes them in class order. No class has more customers in the
+        run than it has drawn and has left to draw: from those bounds, and
+        the labels, follow bounds on d_c and e_c, and each class's values of
+        the window are added.
+        """
+        window.times[window.order] = window.waiting_s
+        if delays or self.exponential:
+            np.add(window.waiting_s, window.service_s, out=window.service_s)
+            if self.exponential:
+                window.service[window.order] = window.service_s
+        most = {cid: streams.drawn[cid] + streams.remaining(cid) for cid in streams.step}
         skip = int(sum(most.values()) * self.warmup)
+        if self.labels is None:
+            self.labels = np.empty(skip, dtype=np.uint8 if len(self.seen) <= 256 else np.intp)
         labelled = self._cut_labels(skip)
         n = sum(self.added.values())  # the window's first customer
         upto = min(skip, n + len(window.arrival_s))
         if labelled < upto:
             ends = [start + count for _, start, count, _ in window.parts]
-            place = np.searchsorted(ends, window.order[labelled - n : upto - n], side="right")
-            self.labels.append(place.astype(np.uint8 if len(self.seen) <= 256 else np.intp))
+            place = self.labels[labelled:upto]
+            place[:] = np.searchsorted(ends, window.order[labelled - n : upto - n], side="right")
             self.seen += np.bincount(place, minlength=len(self.seen))
-            labelled = upto
+            labelled = self.labelled = upto
         for place, (cid, start, count, _) in enumerate(window.parts):
             e_most = int(self.seen[place]) + skip - labelled
             self.keep_below(cid, max(int(most[cid] * self.warmup), e_most))
             part = slice(start, start + count)
             self.add(cid, window.times[part], window.service[part])
 
-    def aggregate_from(self) -> dict[int, int]:
-        """e_c of each class, once the run is added."""
-        self._cut_labels(int(sum(self.added.values()) * self.warmup))
-        return dict(zip(self.places, self.seen.tolist()))
-
     def _cut_labels(self, skip: int) -> int:
-        """Cut the class places to the run's first skip customers, and
-        their counts; returns how many are left."""
-        labelled = sum(len(piece) for piece in self.labels)
-        while labelled > skip:
-            piece = self.labels.pop()
-            cut = max(0, skip - (labelled - len(piece)))
-            self.seen -= np.bincount(piece[cut:], minlength=len(self.seen))
-            if cut:
-                self.labels.append(piece[:cut])
-            labelled -= len(piece) - cut
-        return labelled
+        """Cut the labels to the run's first skip customers, and their
+        counts; returns how many are left."""
+        if self.labelled > skip:
+            self.seen -= np.bincount(self.labels[skip : self.labelled], minlength=len(self.seen))
+            self.labelled = skip
+        return self.labelled
 
     def add(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> None:
         """The class's next values in class order, which it may sort in
@@ -623,73 +633,36 @@ class _TailCounts:
             self.above[metric, cid] += above
 
 
-def _count_window(
-    tails: _TailCounts, streams: ArrivalStreams, window: Window, delays: bool = False
-) -> None:
-    """Count a window of the run of streams into tails.
-
-    Its waits go into the buffers it was merged from, in class order as the
-    counts take them: the waits first, as they sit at the service buffer's
-    start. When some class reads its delays (tails.exponential), or delays
-    is true, window.service_s takes the delays in merged order, where the
-    caller may read them, and in the first case the service buffer takes
-    them in class order.
-    """
-    window.times[window.order] = window.waiting_s
-    if delays or tails.exponential:
-        np.add(window.waiting_s, window.service_s, out=window.service_s)
-        if tails.exponential:
-            window.service[window.order] = window.service_s
-    # no class has more customers in the run than it has drawn and has
-    # left to draw
-    tails.add_window(window, {cid: streams.drawn[cid] + streams.remaining(cid)
-                              for cid in streams.step})
-
-
-def _empirical_entries(
-    config: CaseConfig, tails: _TailCounts, aggregate_from: dict[int, int]
-) -> list[CurveEntry]:
+def _empirical_entries(config: CaseConfig, tails: _TailCounts) -> list[CurveEntry]:
     """Empirical CCDFs of delay and waiting: aggregate, then one per class.
 
     tails has counted every value of the run but each class's warmup
-    prefix, and those counts go to both curves. Class c's curve keeps its
-    values from d_c = int(n_c * warmup) on, and the aggregate, which keeps
-    every customer from int(n * warmup) on, keeps them from e_c =
-    aggregate_from[c] on; both are within the prefix. So each piece of the
-    prefix is cut at d_c and e_c, and each part either curve keeps is
-    sorted once and counted into the curves that keep it. Each curve
-    equals empirical_ccdf of its values.
+    prefix. Class c's curve keeps its values from d_c = int(n_c * warmup)
+    on, and the aggregate, which keeps every customer from int(n * warmup)
+    on, keeps them from e_c on, the class-c labels among the run's first
+    int(n * warmup); both are within the prefix. keep_below(c, max(d_c,
+    e_c)) counts the values both curves keep, and keep_below(c, min(d_c,
+    e_c)) then the values that only one of them keeps. Each curve equals
+    empirical_ccdf of its values.
     """
     grid, warmup = config.grid(), config.warmup_fraction
     metrics = ("delay", "waiting")
     n = sum(tails.added.values())
+    tails._cut_labels(int(n * warmup))
     totals = {metric: np.zeros(len(grid), dtype=np.int64) for metric in metrics}
     per_class = {metric: [] for metric in metrics}
-    for cid in sorted(tails.added):
-        n_c, e = tails.added[cid], aggregate_from[cid]
+    for place, cid in enumerate(sorted(tails.added)):
+        n_c, e = tails.added[cid], int(tails.seen[place])
         d = int(n_c * warmup)
-        mine = {metric: tails.above[metric, cid].copy() for metric in metrics}
+        tails.keep_below(cid, max(d, e))
+        both = {metric: tails.above[metric, cid].copy() for metric in metrics}
+        tails.keep_below(cid, min(d, e))
         for metric in metrics:
-            totals[metric] += mine[metric]
-        lo = 0
-        for waits, delays in tails.prefix[cid]:
-            hi = lo + len(waits)
-            cuts = sorted({lo, hi, min(max(d, lo), hi), min(max(e, lo), hi)})
-            for x, y in zip(cuts, cuts[1:]):
-                keep = [counts for counts, first in ((mine, d), (totals, e)) if x >= first]
-                if keep:
-                    part = slice(x - lo, y - lo)
-                    above = tails.counts(
-                        cid, waits[part], None if delays is None else delays[part]
-                    )
-                    for counts in keep:
-                        for metric in metrics:
-                            counts[metric] += above[metric]
-            lo = hi
-        for metric in metrics:
+            wide = tails.above[metric, cid]  # from min(d, e) on
+            totals[metric] += wide if e <= d else both[metric]
             label = f"sim_{metric}_c{cid}"
-            entry = _counted_entry(label, metric, cid, grid, mine[metric], n_c - d)
-            per_class[metric].append(entry)
+            mine = wide if d <= e else both[metric]
+            per_class[metric].append(_counted_entry(label, metric, cid, grid, mine, n_c - d))
     entries = []
     samples = n - int(n * warmup)
     for metric in metrics:
@@ -903,11 +876,11 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     streams, windows = _windows(config)
     tails = _TailCounts(config)
     for window in windows:
-        _count_window(tails, streams, window, delays=dd1)
+        tails.add_window(streams, window, delays=dd1)
         if dd1:  # the window's delays, in merged order
             largest = max(largest, float(window.service_s.max()))
             over += int(np.count_nonzero(window.service_s > limit))
-    empirical = _empirical_entries(config, tails, tails.aggregate_from())
+    empirical = _empirical_entries(config, tails)
 
     violations = []
     if dd1:

@@ -51,30 +51,31 @@ and formats each row with one str.format, so writing records.csv takes
 memory bounded by the chunk.
 
 A long run (experiments.run_comparison, and simulate_case, which collects
-it) holds no array that grows with the run. fifo_windows draws, merges and
-scans it a window of CHUNK customers at a time. The classes are drawn
-from the run's one step (ArrivalStreams.draw with widths) in one call per
-window, mostly: each class draws what its rate gives it up to the time the
-window is expected to be full, and REACH more. The merge frontier is the
-earliest horizon of a class still drawing: every arrival before it has
-been drawn. A window is the first CHUNK pending arrivals before it, cut by
-an arrival of the class with the most of them, copied into class order
-(the sizes divided by the rate on the way) and merged by one stable sort;
-the few the cut passes go back to pending. The horizon is the earliest
-last arrival of a class: once a spent class's last arrival lies before
-every class still drawing, the last windows take every class up to it,
-and a class with no arrival by then is an error. Until then no window
-passes the last kept instant of a thinned class still drawing, which may
-keep no more. Each window is gathered into the buffers of its first draw,
-checked as run_fifo checks a run and against the window before, and
-scanned with the backlog carried in from that window (_fifo_scan, the
-kernel of fifo_waits); CHUNK is a whole number of blocks, so every wait is
-bit for bit that of the whole run. The waits go into the spent service
-buffer, and Window.order lays them, and the delays, out in class order in
-the buffers they were merged from, where both commands count them
-(experiments._count_window). Tail fractions count the values above each tau
-by count_above, one searchsorted on sorted values; empirical_ccdf uses it,
-and so does the comparison.
+it) holds no array that grows with the run. fifo_windows, one generator,
+draws, merges, checks and scans it a window of CHUNK customers at a time.
+The classes are drawn from the run's one step (ArrivalStreams.draw with
+widths) in one call per window, mostly: each class draws what its rate
+gives it up to the time the window is expected to be full, and REACH more.
+The merge frontier is the earliest horizon of a class still drawing: every
+arrival before it has been drawn. A window is the first CHUNK pending
+arrivals before it, cut by an arrival of the class with the most of them,
+copied into class order (the sizes divided by the rate on the way) and
+merged by one stable sort; the few the cut passes go back to pending, once
+the last of them is known to be finite. The horizon is the earliest last
+arrival of a class: once a spent class's last arrival lies before every
+class still drawing, the last windows take every class up to it, and a
+class with no arrival by then is an error. Until then no window passes the
+last kept instant of a thinned class still drawing, which may keep no
+more. Each window is gathered into the buffers of its first draw, checked
+as run_fifo checks a run and against the window before, and scanned with
+the backlog carried in from that window (_fifo_scan, the kernel of
+fifo_waits); CHUNK is a whole number of blocks, so every wait is bit for
+bit that of the whole run. The waits go into the spent service buffer, and
+Window.order lays them, and the delays, out in class order in the buffers
+they were merged from, where both commands count them
+(experiments._TailCounts.add_window). Tail fractions count the values
+above each tau by count_above, one searchsorted on sorted values;
+empirical_ccdf uses it, and so does the comparison.
 
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
@@ -397,9 +398,10 @@ class Window:
     the class's customers first, first + 1, ... (0-based) at [start, start
     + count) of the buffers. order[i] is the buffer slot of the window's
     i-th customer, so times[order] = waiting_s lays the waits out in class
-    order. waiting_s is the start of service, which the scan read before it
-    wrote them: so service[order] may take values in class order only once
-    the waits have been read.
+    order, as experiments._TailCounts.add_window does. waiting_s is the
+    start of service, which the scan read before it wrote them: so
+    service[order] may take values in class order only once the waits have
+    been read.
     """
 
     arrival_s: np.ndarray
@@ -420,30 +422,6 @@ def fifo_windows(
     step ends first. Yields a Window per window, whose buffers the next
     window may reuse.
 
-    _merged_windows draws, merges and gathers the windows. Each is checked
-    as run_fifo checks a run, its first arrival against the last of the
-    window before, and the backlog is carried from window to window;
-    windows start at whole blocks, so every wait is bit for bit that of
-    fifo_waits over the whole run.
-    """
-    if streams.rows != 1:
-        raise InvalidInputError("fifo_windows runs one path: streams must have one row")
-    size = CHUNK if size is None else size
-    carry, after = (0.0, 0.0), -np.inf
-    for a, s, times, service, order, parts in _merged_windows(streams, rates_bps, size):
-        _check_run(a, s, after)
-        w = service[: len(order)]  # read, so it takes the waits
-        carry = _fifo_scan(a, s, w, *carry)
-        after = a[-1]
-        yield Window(a, s, w, order, times, service, parts)
-
-
-def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], size: int):
-    """The windows of fifo_windows, merged: yields each one's arrival and
-    service times in merged order, the buffers of times and service times
-    it was merged from, its merged order, and its parts, as Window holds
-    them.
-
     The merge frontier is the earliest horizon of a class still drawing:
     every arrival before it has been drawn. While fewer than size arrivals
     are pending before it, the window should be full at need, when the
@@ -453,17 +431,25 @@ def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], siz
     pending before the frontier, the next window is the first of them in
     merged order (_window_cut), merged by one stable sort of their
     class-ordered concatenation, which breaks ties as merge_streams states;
-    a sort that takes a few more puts them back. What is left pending is
-    copied (_take), so the buffers of the window's first draw take its
-    merged columns, and then the next window's first draw: no fresh pages
-    are mapped and zeroed for each window. Once a class's step is spent its
-    last arrival bounds the horizon, and when every class still drawing has
-    been drawn past that bound, the windows take each class's arrivals up
-    to it. A thinned class still drawing may keep none of its master's
-    later instants, so until its step is spent no window passes its last
-    kept one. A class with no arrival up to the horizon is an error: the
-    run would hold none of it.
+    a sort that takes a few more puts them back, once the last of them is
+    known to be finite. What is left pending is copied (_take), so the
+    buffers of the window's first draw take its merged columns, and then
+    the next window's first draw: no fresh pages are mapped and zeroed for
+    each window. Once a class's step is spent its last arrival bounds the
+    horizon, and when every class still drawing has been drawn past that
+    bound, the windows take each class's arrivals up to it. A thinned class
+    still drawing may keep none of its master's later instants, so until
+    its step is spent no window passes its last kept one. A class with no
+    arrival up to the horizon is an error: the run would hold none of it.
+
+    Each window is checked as run_fifo checks a run, its first arrival
+    against the last of the window before, and scanned with the backlog
+    carried from that window; windows start at whole blocks, so every wait
+    is bit for bit that of fifo_waits over the whole run.
     """
+    if streams.rows != 1:
+        raise InvalidInputError("fifo_windows runs one path: streams must have one row")
+    size = CHUNK if size is None else size
     ids = sorted(streams.step)
     rates = {cid: _rate(rates_bps, cid) for cid in ids}
     hz = {s.class_id: s.arrival_rate_hz for s in streams.specs}
@@ -476,6 +462,7 @@ def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], siz
     times = service = np.empty(0)
     pair, free = None, True  # a first draw's buffers; free: no pending piece views them
     draw, need, end = ids, size / total_hz, False  # the first window's share
+    carry, after = (0.0, 0.0), -np.inf  # the scan's carry, the last arrival scanned
     while not end:
         if draw:
             widths = {cid: max(1, math.ceil((need - streams.horizon[cid][0]) * hz[cid] * REACH))
@@ -523,6 +510,10 @@ def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], siz
         free = True  # what is left pending is copied
         order = np.argsort(times[:m], kind="stable")
         if m > size:  # the customers past the window go back to pending
+            # NaN and +inf sort last: the put-back below takes each part's
+            # last slots, so a time that is not finite must fail here
+            if not times[order[-1]] < np.inf:
+                raise InvalidInputError("arrival times must be finite")
             back = np.searchsorted(np.sort(order[size:]), [p[1] + p[2] for p in parts])
             for part, n_back in zip(parts, np.diff(back, prepend=0).tolist()):
                 part[2] -= n_back
@@ -540,7 +531,11 @@ def _merged_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float], siz
         # buffered bounds check
         a = times.take(order, out=pair[0][:width], mode="clip")
         s = service.take(order, out=pair[1][:width], mode="clip")
-        yield a, s, times, service, order, tuple(map(tuple, parts))
+        _check_run(a, s, after)
+        w = service[:width]  # read, so it takes the waits
+        carry = _fifo_scan(a, s, w, *carry)
+        after = a[-1]
+        yield Window(a, s, w, order, times, service, tuple(map(tuple, parts)))
     for spec in streams.specs:
         if not first[spec.class_id]:
             raise InvalidInputError(

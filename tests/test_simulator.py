@@ -545,6 +545,15 @@ def _spoiled_take(monkeypatch, call, spoil):
     monkeypatch.setattr(simulator, "_take", spoiled)
 
 
+#: Spoiled values of a window's buffer, and the error each must raise.
+_SPOILS = [
+    ("times", np.nan, "arrival times must be finite"),
+    ("times", np.inf, "arrival times must be finite"),
+    ("service", -1.0, "service times must be finite and >= 0"),
+    ("service", np.nan, "service times must be finite and >= 0"),
+]
+
+
 class TestFifoWindows:
     @pytest.mark.parametrize("case_id", range(1, 7))
     @pytest.mark.parametrize("customers", [1_000, 3 * FIFO_BLOCK, 40_001])
@@ -636,17 +645,17 @@ class TestFifoWindows:
         with pytest.raises(InvalidInputError, match="streams must have one row"):
             next(fifo_windows(streams, preset(3).rates()))
 
-    @pytest.mark.parametrize(
-        "buffer, value, message",
-        [
-            ("times", np.nan, "arrival times must be finite"),
-            ("times", np.inf, "arrival times must be finite"),
-            ("service", -1.0, "service times must be finite and >= 0"),
-            ("service", np.nan, "service times must be finite and >= 0"),
-        ],
-    )
+    @pytest.mark.parametrize("buffer, value, message, take, windows", [
+        # take 5 is class 1 of the third window
+        *(pytest.param(*spoil, 5, 2, id="-".join(map(str, spoil))) for spoil in _SPOILS),
+        # takes 8 (class 2) and 13 (class 1) fill a cut that takes more than
+        # the window, the spoiled arrival among those past it, which must
+        # not go back to pending unchecked
+        *(pytest.param(*spoil, take, windows, id=f"take{take}-" + "-".join(map(str, spoil)))
+          for take, windows in ((8, 3), (13, 6)) for spoil in _SPOILS),
+    ])
     def test_a_later_window_is_checked_as_run_fifo_checks(
-        self, monkeypatch, buffer, value, message
+        self, monkeypatch, buffer, value, message, take, windows
     ):
         # the scan's running max skips a NaN that np.maximum would spread,
         # so a window must be checked before it is scanned
@@ -656,7 +665,7 @@ class TestFifoWindows:
         def spoil(times, service):
             {"times": times, "service": service}[buffer][7] = value
 
-        _spoiled_take(monkeypatch, 5, spoil)  # class 1 of the third window
+        _spoiled_take(monkeypatch, take, spoil)
         scanned = []
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             for window in fifo_windows(
@@ -664,7 +673,7 @@ class TestFifoWindows:
                 config.rates(),
             ):
                 scanned.append(len(window.arrival_s))
-        assert scanned == [FIFO_BLOCK, FIFO_BLOCK]
+        assert scanned == [FIFO_BLOCK] * windows
 
     def test_order_across_the_window_boundary_is_checked(self, monkeypatch):
         monkeypatch.setattr(simulator, "CHUNK", FIFO_BLOCK)

@@ -67,6 +67,10 @@ COMMANDS = (
     + [["compare", "--case", "6", "--customers", "3000001", "--seed", k] for k in ("1", "2")]
     + [["simulate", "--case", k, "--customers", "200001", "--format", "json"]
        for k in ("1", "2", "3", "5", "6")]
+    # records.csv written a window at a time at full size, and a run that
+    # fails once its rows are written, which must leave no records.csv
+    + [["simulate", "--case", "3", "--customers", "1000000"]]
+    + [["simulate", "--case", "5", "--customers", "3", "--seed", "3"]]
     # ccdf.csv counted from the windows simulate collects: a warmup prefix of
     # most of the run, and none at all
     + [["simulate", "--case", "4", "--customers", "70001", "--warmup", "0.9"]]

@@ -24,9 +24,9 @@ from .errors import InvalidInputError, InvalidSpecError
 from .experiments import (
     PRESETS,
     CaseConfig,
-    _simulate,
     preset,
     run_comparison,
+    simulate,
     write_curves_csv,
     write_json,
 )
@@ -128,17 +128,10 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     out = _out_dir(args)
-    result, entries = _simulate(config)
-    result.write_csv(out / "records.csv")
+    entries, values = simulate(config, out / "records.csv")
     write_curves_csv(out / "ccdf.csv", [e for e in entries if e.class_id is not None])
 
-    summary = {
-        "case_id": config.case_id,
-        "customers": len(result),
-        "max_delay_s": max(float(delays.max()) for _, delays in result.delay_chunks()),
-        "mean_waiting_s": float(result.waiting_s.mean()),
-        "seed": config.seed,
-    }
+    summary = {"case_id": config.case_id, **values, "seed": config.seed}
     if args.format == "json":
         write_json(out / "summary.json", summary)
     print(

@@ -22,12 +22,13 @@ class of constant sizes the delay counts from the same sorted waits
 shifted by the class's one service time. Only the warmup prefix is kept,
 the values that a bound on each class's warmup cut, and on the
 aggregate's, cannot yet place; _empirical_entries counts them at the end,
-against the exact cuts, which the counter then knows.
-The simulate command (_simulate) collects each window into the columns of
-a RunResult before it counts it; run_comparison also checks each window's
-delays against a periodic case's D/D/1 bound. Every empirical curve, the
-transient ones included, is made by _counted_entry from its counts above
-the grid, and carries the binomial standard error of each fraction (se).
+against the exact cuts, which the counter then knows. run_comparison also
+checks each window's delays against a periodic case's D/D/1 bound;
+simulate writes each window's rows of records.csv and keeps its waits, for
+their mean. simulate_case collects the run's columns and counts nothing.
+Every empirical curve, the transient ones included, is made by
+_counted_entry from its counts above the grid, and carries the binomial
+standard error of each fraction (se).
 Each grid check reads that se and gives a ViolationReport(count, worst):
 how many checked points exceed the bound by more than three of them, and
 the one that does by the most.
@@ -49,9 +50,11 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from itertools import repeat
+from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -402,79 +405,87 @@ def tightness_scenario(
 
 def simulate_case(config: CaseConfig) -> RunResult:
     """Generate the case's arrivals and run them through the queue until the
-    horizon, the last arrival of the class that stops first: the run of
-    _simulate."""
-    return _simulate(config)[0]
-
-
-def _simulate(config: CaseConfig) -> tuple[RunResult, list[CurveEntry]]:
-    """The case's run as a RunResult of whole columns, and its empirical
-    CCDFs (_empirical_entries).
-
-    The run is run_comparison's windows, collected, and each is counted as
-    the comparison counts it (_TailCounts.add_window) once its columns are
-    taken.
-    They are a sixteenth of the comparison's, in whole blocks, since the
-    columns already hold the whole run. The columns are sized once, at the
-    config's counts, and grow by a window only when a thinned class keeps
-    more than its count; the horizon cuts them short at the end. source is
-    a customer's class start (the customers of the classes of lower id)
-    plus its index in its class. While the run grows, source holds index *
-    classes + the class's place in id order, and at the end the starts
-    replace the places, a window's worth at a time. The curves
-    are made once the last window's buffers are gone.
-    """
+    horizon, the last arrival of the class that stops first: simulate's run,
+    as a RunResult of whole columns, sized at the config's counts and grown
+    by a window only when a thinned class keeps more than its count. source
+    holds index * classes + place (Window.places) until, at the end, each
+    class's start (its customers of lower id) replaces its place."""
     ids = sorted(s.class_id for s in config.specs)
-    n, size = 0, FIFO_BLOCK * max(1, simulator.CHUNK // (16 * FIFO_BLOCK))
-    streams, windows = _windows(config, size)
-    budget = sum(streams.step.values())
-    columns = [np.empty(budget), np.empty(budget), np.empty(budget, dtype=np.intp),
-               np.empty(budget)]
+    budget = sum(proportional_counts(config.specs, config.customers).values())
+    columns = [np.empty(budget, dtype=dtype) for dtype in (float, float, np.intp, float)]
     arrival, service, source, waiting = columns
-    tails = _TailCounts(config)
-    for window in windows:
+    n, size = 0, _record_size()
+    for window in _windows(config, size):
         width = len(window.arrival_s)
         if n + width > len(arrival):  # a thinned class kept more than its count
             for column in columns:
                 column.resize(n + width, refcheck=False)
         new = slice(n, n + width)
-        arrival[new], service[new], waiting[new] = (
-            window.arrival_s, window.service_s, window.waiting_s
-        )
-        # the customer at slot k of a part (cid, start, count, first) of the
-        # class order has code k * classes + (first - start) * classes + the
-        # class's place: each part adds its step in that shift to the slots
-        # from its start on
-        codes, shift = source[new], 0
-        np.multiply(window.order, len(ids), out=codes)
-        for cid, start, _, first in window.parts:
-            step = (first - start) * len(ids) + ids.index(cid) - shift
-            np.add(codes, step, out=codes, where=window.order >= start)
-            shift += step
+        arrival[new], service[new] = window.arrival_s, window.service_s
+        waiting[new] = window.waiting_s
+        place, index = window.places()
+        np.add(index * len(ids), place, out=source[new])
         n += width
-        tails.add_window(streams, window)
-    del window  # spent: its buffers go before the curves are made
     for column in columns:
         column.resize(n, refcheck=False)
-    counts = [tails.added[cid] for cid in ids]  # each class's customers in the run
+    counts = [first + count for _, _, count, first in window.parts]  # each class's customers
     starts = np.cumsum([0] + counts[:-1])
     for lo in range(0, n, size):
         codes = source[lo : lo + size]
         np.add(codes // len(ids), starts.take(codes % len(ids)), out=codes)
     segments = tuple((cid, int(start), count) for cid, start, count in zip(ids, starts, counts))
-    result = RunResult(arrival, service, source, segments, waiting)
-    return result, _empirical_entries(config, tails)
+    return RunResult(arrival, service, source, segments, waiting)
 
 
-def _windows(
-    config: CaseConfig, size: int | None = None
-) -> tuple[ArrivalStreams, Iterator[Window]]:
-    """The case's long run: its one-row arrival streams, whose step is the
-    config's proportional counts, and the windows of size customers
-    (fifo_windows) that merge and scan it."""
+def simulate(config: CaseConfig, path) -> tuple[list[CurveEntry], dict]:
+    """Run the case, write its records.csv at path, and return its empirical
+    CCDFs with the summary's customers, max_delay_s and mean_waiting_s.
+
+    Each window is counted as run_comparison counts it once its waits are
+    copied (the count may write delays over them), and its rows are written
+    from those and the delays the count leaves. The waits are kept for
+    numpy's mean of one column, grown as simulate_case grows its. The file
+    is renamed into place only once the run is done."""
+    ids = np.array(sorted(s.class_id for s in config.specs), dtype=np.int64)
+    waiting = np.empty(sum(proportional_counts(config.specs, config.customers).values()))
+    n, largest = 0, -np.inf
+    tails, part = _TailCounts(config), f"{path}.part"
+    try:
+        with open(part, "w", newline="") as fh:
+            fh.write(simulator.RECORDS_HEADER)
+            for window in _windows(config, _record_size()):
+                width = len(window.arrival_s)
+                if n + width > len(waiting):
+                    waiting.resize(n + width, refcheck=False)
+                waits = waiting[n : n + width]
+                waits[:] = window.waiting_s
+                place, index = window.places()
+                tails.add_window(window)  # the delays, in window.service_s
+                simulator.write_records(fh, ids.take(place), index + 1, window.arrival_s,
+                                        window.service_s, waits)
+                largest = max(largest, float(window.service_s.max()))
+                n += width
+            entries = _empirical_entries(config, tails)
+        os.replace(part, path)
+    except BaseException:
+        Path(part).unlink(missing_ok=True)
+        raise
+    waiting.resize(n, refcheck=False)
+    return entries, {"customers": n, "max_delay_s": largest,
+                     "mean_waiting_s": float(waiting.mean())}
+
+
+def _record_size() -> int:
+    """Customers per window of simulate and simulate_case: CHUNK / 16, in whole blocks."""
+    return FIFO_BLOCK * max(1, simulator.CHUNK // (16 * FIFO_BLOCK))
+
+
+def _windows(config: CaseConfig, size: int | None = None) -> Iterator[Window]:
+    """The windows of size customers (fifo_windows) of the case's one-row
+    arrival streams, whose step is the config's proportional counts."""
     counts = proportional_counts(config.specs, config.customers)
     streams = ArrivalStreams(config.specs, counts, config.seed, rows=1)
-    return streams, fifo_windows(streams, config.rates(), size)
+    return fifo_windows(streams, config.rates(), size)
 
 
 def _counted_entry(
@@ -514,11 +525,10 @@ class _TailCounts:
     disjoint sets, so they are those of one sort of all the values.
     _empirical_entries counts the prefixes at the end.
 
-    labels holds the class place, in id order, of each of the run's first
-    customers up to the bound on int(n * warmup), and seen how many of
-    them each place has. It is one array, sized at the first window's
-    bound, which only falls: a window labels its slice of it, and a lower
-    bound cuts the labels past it from seen.
+    labels holds the class place (Window.places) of each of the run's
+    first customers up to the bound on int(n * warmup), and seen how many
+    of them each place has: each window adds its labels up to the bound,
+    which only falls, and a lower bound cuts those past it.
     """
 
     def __init__(self, config: CaseConfig):
@@ -536,53 +546,41 @@ class _TailCounts:
         self.kept = dict.fromkeys(ids, 0)
         self.above = {(metric, cid): np.zeros(len(self.grid), dtype=np.int64)
                       for metric in ("delay", "waiting") for cid in ids}
-        self.labels, self.labelled = None, 0
+        self.labels = np.empty(0, dtype=np.uint8 if len(ids) <= 256 else np.intp)
         self.seen = np.zeros(len(ids), dtype=np.int64)
 
-    def add_window(self, streams: ArrivalStreams, window: Window, delays: bool = False) -> None:
-        """Count a window of the run of streams.
+    def add_window(self, window: Window) -> None:
+        """Count a window of the run.
 
-        Its waits go into the buffers it was merged from, in class order as
-        the counts take them: the waits first, as they sit at the service
-        buffer's start. When some class reads its delays (exponential), or
-        delays is true, window.service_s takes the delays in merged order,
-        where the caller may read them, and in the first case the service
-        buffer takes them in class order. No class has more customers in the
-        run than it has drawn and has left to draw: from those bounds, and
-        the labels, follow bounds on d_c and e_c, and each class's values of
-        the window are added.
+        Its waits go into the buffers it was merged from, in class order,
+        and window.service_s takes the delays, where the caller may read
+        them; when some class reads its delays (exponential), the service
+        buffer takes them in class order. From window.most and the labels
+        follow bounds on d_c and e_c, and each class's values are added.
         """
         window.times[window.order] = window.waiting_s
-        if delays or self.exponential:
-            np.add(window.waiting_s, window.service_s, out=window.service_s)
-            if self.exponential:
-                window.service[window.order] = window.service_s
-        most = {cid: streams.drawn[cid] + streams.remaining(cid) for cid in streams.step}
-        skip = int(sum(most.values()) * self.warmup)
-        if self.labels is None:
-            self.labels = np.empty(skip, dtype=np.uint8 if len(self.seen) <= 256 else np.intp)
-        labelled = self._cut_labels(skip)
-        n = sum(self.added.values())  # the window's first customer
-        upto = min(skip, n + len(window.arrival_s))
-        if labelled < upto:
-            ends = [start + count for _, start, count, _ in window.parts]
-            place = self.labels[labelled:upto]
-            place[:] = np.searchsorted(ends, window.order[labelled - n : upto - n], side="right")
+        np.add(window.waiting_s, window.service_s, out=window.service_s)
+        if self.exponential:
+            window.service[window.order] = window.service_s
+        skip = int(sum(window.most.values()) * self.warmup)
+        self._cut_labels(skip)
+        n = sum(self.added.values())  # the window's first customer, and labels up to it
+        if n < skip:
+            self.labels.resize(min(skip, n + len(window.arrival_s)), refcheck=False)
+            place = self.labels[n:]
+            place[:] = window.places(len(place))[0]
             self.seen += np.bincount(place, minlength=len(self.seen))
-            labelled = self.labelled = upto
         for place, (cid, start, count, _) in enumerate(window.parts):
-            e_most = int(self.seen[place]) + skip - labelled
-            self.keep_below(cid, max(int(most[cid] * self.warmup), e_most))
+            e_most = int(self.seen[place]) + skip - len(self.labels)
+            self.keep_below(cid, max(int(window.most[cid] * self.warmup), e_most))
             part = slice(start, start + count)
             self.add(cid, window.times[part], window.service[part])
 
-    def _cut_labels(self, skip: int) -> int:
-        """Cut the labels to the run's first skip customers, and their
-        counts; returns how many are left."""
-        if self.labelled > skip:
-            self.seen -= np.bincount(self.labels[skip : self.labelled], minlength=len(self.seen))
-            self.labelled = skip
-        return self.labelled
+    def _cut_labels(self, skip: int) -> None:
+        """Cut the labels, and their counts, to the run's first skip customers."""
+        if len(self.labels) > skip:
+            self.seen -= np.bincount(self.labels[skip:], minlength=len(self.seen))
+            self.labels.resize(skip, refcheck=False)
 
     def add(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> None:
         """The class's next values in class order, which it may sort in
@@ -873,10 +871,9 @@ def run_comparison(config: CaseConfig) -> ComparisonResult:
     # customer by customer
     dd1 = "dd1_bound_s" in values
     limit, largest, over = values.get("dd1_bound_s", 0.0) + FLOAT_SLACK_S, -np.inf, 0
-    streams, windows = _windows(config)
     tails = _TailCounts(config)
-    for window in windows:
-        tails.add_window(streams, window, delays=dd1)
+    for window in _windows(config):
+        tails.add_window(window)
         if dd1:  # the window's delays, in merged order
             largest = max(largest, float(window.service_s.max()))
             over += int(np.count_nonzero(window.service_s > limit))

@@ -40,18 +40,17 @@ buffers. Next to it sit the segments, one (class_id, start, count) per
 class in id order, so a class's customers are the sources in [start, start
 + count) and the j-th of them is source start + j - 1. Two gathers make the
 merged columns: the service times, and then the spent sizes buffer takes
-the ordered times. records.csv derives its class-id and j columns from
-source and segments a chunk at a time (_class_columns). A run's record is
-one type: RunResult is the MergedArrivals it ran, the same arrays, plus its
-waits, so every per-customer column is defined once. run_fifo rejects
-arrival times that are not finite or not time-ordered and service times
-that are not finite and >= 0. RunResult.delay_chunks yields the delays
-CHUNK customers at a time: write_csv derives each chunk's columns from them
-and formats each row with one str.format, so writing records.csv takes
-memory bounded by the chunk.
+the ordered times. A run's record is one type: RunResult is the
+MergedArrivals it ran, the same arrays, plus its waits, so every
+per-customer column is defined once. run_fifo rejects arrival times that
+are not finite or not time-ordered and service times that are not finite
+and >= 0. write_records formats rows of records.csv, each with one
+str.format: RunResult.write_csv CHUNK customers at a time, their class-id
+and j columns derived from source and segments (_class_columns), and
+experiments.simulate a window at a time.
 
-A long run (experiments.run_comparison, and simulate_case, which collects
-it) holds no array that grows with the run. fifo_windows, one generator,
+A long run holds no array that grows with the run (but what
+experiments.simulate_case collects). fifo_windows, one generator,
 draws, merges, checks and scans it a window of CHUNK customers at a time.
 The classes are drawn from the run's one step (ArrivalStreams.draw with
 widths) in one call per window, mostly: each class draws what its rate
@@ -73,7 +72,9 @@ fifo_waits); CHUNK is a whole number of blocks, so every wait is bit for
 bit that of the whole run. The waits go into the spent service buffer, and
 Window.order lays them, and the delays, out in class order in the buffers
 they were merged from, where both commands count them
-(experiments._TailCounts.add_window). Tail fractions count the values
+(experiments._TailCounts.add_window). One rule, _places, gives a slot's
+class and its index in it: for records.csv, simulate_case's sources and the
+counter's warmup labels. Tail fractions count the values
 above each tau by count_above, one searchsorted on sorted values;
 empirical_ccdf uses it, and so does the comparison.
 
@@ -121,29 +122,45 @@ FIFO_GROUP = 16
 #: per-call overhead, few enough that a chunk's arrays stay near 1 MB each.
 TRANSIENT_CHUNK = 2**17
 
-#: Customers per window of fifo_windows and per chunk of
-#: RunResult.delay_chunks, and so rows of records.csv formatted at a time: a
-#: chunk's six columns as Python objects take a few MB, where a whole run's
-#: would grow with its length. A long run holds two windows of buffers,
-#: the merge's and the draw's: 4.8-5.7 MB at the peak at 1M customers, with
-#: the warmup prefix. A whole number of FIFO_BLOCKs, so a window starts a
-#: block and its waits are those of the whole run's scan.
+#: Customers per window of fifo_windows, and rows of records.csv that
+#: RunResult.write_csv formats at a time (experiments.simulate's windows
+#: are a sixteenth of it): a chunk's six columns as Python objects take a
+#: few MB. A long run holds two windows of buffers, the merge's and the
+#: draw's: 4.8-5.7 MB at the peak at 1M customers, with the warmup prefix.
+#: A whole number of FIFO_BLOCKs, so a window starts a block and its waits
+#: are those of the whole run's scan.
 CHUNK = 2**16
+
+#: The first line of records.csv.
+RECORDS_HEADER = "class_id,j,arrival_s,departure_s,delay_s,waiting_s\r\n"
 
 #: A draw of fifo_windows takes this many times the arrivals a class's rate
 #: gives it up to the window's expected end: a window mostly takes one draw.
 REACH = 1.02
 
 
-def _class_columns(
-    source: np.ndarray, segments: Sequence[Segment]
-) -> tuple[np.ndarray, np.ndarray]:
+def _places(slots: np.ndarray, parts: Sequence[tuple[int, int, int, int]]):
+    """Each slot's part and its 0-based index in its class, of parts
+    (class_id, start, count, first) whose slot start + k holds the class's
+    customer first + k."""
+    place = np.searchsorted([start + count for _, start, count, _ in parts], slots, "right")
+    firsts = np.array([first - start for _, start, _, first in parts], dtype=np.int64)
+    return place, slots + firsts.take(place)
+
+
+def _class_columns(source: np.ndarray, segments: Sequence[Segment]):
     """Class ids and 1-based j of the customers with the given sources."""
-    positions = np.zeros(source.shape, dtype=np.intp)  # each customer's segment
-    for _, start, _ in segments[1:]:
-        positions += source >= start
-    ids, starts = np.array([(cid, start) for cid, start, _ in segments], dtype=np.int64).T
-    return ids.take(positions), source - starts.take(positions) + 1
+    place, index = _places(source, [(*segment, 0) for segment in segments])
+    ids = np.array([cid for cid, _, _ in segments], dtype=np.int64)
+    return ids.take(place), index + 1
+
+
+def write_records(fh, class_id, j, arrival, delay, waiting) -> None:
+    """Write the records.csv rows of these columns to fh, departure being
+    arrival + delay: the bytes of csv.writer on repr of each float."""
+    row = "{},{},{!r},{!r},{!r},{!r}\r\n".format
+    columns = (class_id, j, arrival, arrival + delay, delay, waiting)
+    fh.write("".join(starmap(row, zip(*(c.tolist() for c in columns)))))
 
 
 @dataclass(frozen=True)
@@ -180,37 +197,21 @@ class RunResult(MergedArrivals):
     def delay_s(self) -> np.ndarray:
         return self.waiting_s + self.service_s
 
-    def delay_chunks(self):
-        """Yield (chunk, delays) for consecutive slices of CHUNK customers of
-        one run, delays being the chunk's waiting + service, so no
-        whole-run delay array is built."""
-        for lo in range(0, len(self), CHUNK):
-            chunk = slice(lo, lo + CHUNK)
-            yield chunk, self.waiting_s[chunk] + self.service_s[chunk]
-
     def write_csv(self, path) -> None:
         """records.csv: one row per customer, in arrival order.
 
-        Rows are formatted a chunk of delay_chunks at a time from that
-        chunk's slices, so memory stays bounded whatever the run's length.
-        The bytes are those of csv.writer on repr of each float: no field
-        needs quoting.
+        Rows are written CHUNK customers at a time, so memory stays
+        bounded whatever the run's length.
         """
         if self.arrival_s.ndim != 1:
             raise InvalidInputError("records.csv holds one run: this result is a batch")
-        row = "{},{},{!r},{!r},{!r},{!r}\r\n".format
         with open(path, "w", newline="") as fh:
-            fh.write("class_id,j,arrival_s,departure_s,delay_s,waiting_s\r\n")
-            for chunk, delay in self.delay_chunks():
-                arrival = self.arrival_s[chunk]
-                columns = (
-                    *_class_columns(self.source[chunk], self.segments),
-                    arrival,
-                    arrival + delay,
-                    delay,
-                    self.waiting_s[chunk],
-                )
-                fh.write("".join(starmap(row, zip(*(c.tolist() for c in columns)))))
+            fh.write(RECORDS_HEADER)
+            for lo in range(0, len(self), CHUNK):
+                at = slice(lo, lo + CHUNK)
+                waiting = self.waiting_s[at]
+                write_records(fh, *_class_columns(self.source[at], self.segments),
+                              self.arrival_s[at], waiting + self.service_s[at], waiting)
 
 
 @dataclass(frozen=True)
@@ -398,10 +399,10 @@ class Window:
     the class's customers first, first + 1, ... (0-based) at [start, start
     + count) of the buffers. order[i] is the buffer slot of the window's
     i-th customer, so times[order] = waiting_s lays the waits out in class
-    order, as experiments._TailCounts.add_window does. waiting_s is the
-    start of service, which the scan read before it wrote them: so
-    service[order] may take values in class order only once the waits have
-    been read.
+    order. waiting_s is the start of the service buffer: service[order] may
+    take values only once the waits are read, and service_s the delays
+    (experiments._TailCounts.add_window does both). most[c] bounds class
+    c's customers in the run: drawn, and left to draw in its step.
     """
 
     arrival_s: np.ndarray
@@ -411,6 +412,12 @@ class Window:
     times: np.ndarray
     service: np.ndarray
     parts: tuple[tuple[int, int, int, int], ...]
+    most: Mapping[int, int]
+
+    def places(self, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The part, and the 0-based index in its class, of each of the
+        window's first n customers (all by default), in merged order."""
+        return _places(self.order[:n], self.parts)
 
 
 def fifo_windows(
@@ -535,7 +542,8 @@ def fifo_windows(
         w = service[:width]  # read, so it takes the waits
         carry = _fifo_scan(a, s, w, *carry)
         after = a[-1]
-        yield Window(a, s, w, order, times, service, tuple(map(tuple, parts)))
+        most = {cid: streams.drawn[cid] + streams.remaining(cid) for cid in ids}
+        yield Window(a, s, w, order, times, service, tuple(map(tuple, parts)), most)
     for spec in streams.specs:
         if not first[spec.class_id]:
             raise InvalidInputError(

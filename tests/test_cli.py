@@ -92,6 +92,21 @@ class TestSimulateCommand:
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
 
 
+    def test_a_failing_run_leaves_no_records(self, tmp_path, capsys):
+        # the thinned class of case 5 keeps no instant of three customers:
+        # the run fails after its rows are written, so records.csv must not
+        # appear, and an older one stays as it was
+        out = tmp_path / "o"
+        args = ["simulate", "--case", "5", "--customers", "3", "--seed", "3", "--out", str(out)]
+        assert main(args) == EXIT_CONFIG
+        assert "class 2 has no arrivals" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        (out / "records.csv").write_text("older\n")
+        assert main(args) == EXIT_CONFIG
+        assert list(out.iterdir()) == [out / "records.csv"]
+        assert (out / "records.csv").read_text() == "older\n"
+
+
 class TestCompareCommand:
     def test_case3_passes(self, tmp_path):
         # short-run regression: seed picked so the single-run tail wander

@@ -27,10 +27,10 @@ from mcfifo.experiments import (
     ViolationPoint,
     _TailCounts,
     _check_violations,
-    _simulate,
     case_bound_entries,
     preset,
     run_comparison,
+    simulate,
     simulate_case,
     tightness_scenario,
     write_curves_csv,
@@ -104,6 +104,14 @@ def _fingerprint(spec):
     size_param = spec.size.bits if size_kind == "const" else spec.size.mean_bits
     return (kind, param, size_kind, size_param, spec.service_rate_bps)
 
+
+
+@pytest.fixture
+def simulated_curves(monkeypatch, tmp_path):
+    """simulate's curves of a config, with no rows of records.csv formatted:
+    tests of the curves alone skip most of simulate's time."""
+    monkeypatch.setattr(simulator, "write_records", lambda *columns: None)
+    return lambda config: simulate(config, tmp_path / "records.csv")[0]
 
 class TestPresets:
     @pytest.mark.parametrize("case_id", range(1, 7))
@@ -553,7 +561,7 @@ def _assert_empirical_curves(config: CaseConfig, result: RunResult, entries) -> 
 
 
 class TestEmpiricalEntries:
-    def test_every_curve_is_the_ccdf_of_its_own_samples(self, monkeypatch):
+    def test_every_curve_is_the_ccdf_of_its_own_samples(self, monkeypatch, simulated_curves):
         """The aggregate is counted from the class sorts; each curve must
         still equal empirical_ccdf of its samples, with the aggregate's
         warmup boundary both before and after each class's own. So must
@@ -564,7 +572,7 @@ class TestEmpiricalEntries:
         for base in [preset(case_id) for case_id in range(1, 7)] + _uneven_configs():
             for warmup in (0.0, 0.1, 0.5, 0.9):
                 config = replace(base, customers=20_000, warmup_fraction=warmup)
-                result, entries = _simulate(config)
+                result, entries = simulate_case(config), simulated_curves(config)
                 assert len(entries) == 2 * (1 + len(config.specs))
                 boundary_sides |= _assert_empirical_curves(config, result, entries)
         assert {-1, 1} <= boundary_sides
@@ -575,7 +583,7 @@ class TestEmpiricalEntries:
         ), customers=20_000)
         for warmup in (0.0, 0.1, 0.9):
             config = replace(rare, warmup_fraction=warmup)
-            result, entries = _simulate(config)
+            result, entries = simulate_case(config), simulated_curves(config)
             _assert_empirical_curves(config, result, entries)
             _assert_empirical_curves(config, result, run_comparison(config).curves)
 
@@ -611,16 +619,16 @@ class TestEmpiricalEntries:
                 boundary_sides |= _assert_empirical_curves(config, result, got.curves)
         assert {-1, 1} <= boundary_sides
 
-    def test_simulate_counts_the_comparisons_curves(self, monkeypatch):
-        """simulate collects windows a sixteenth of the comparison's and
-        counts each as the comparison does: with windows of three blocks,
-        and so simulate's of one, every per-class curve must be the
-        comparison's, with its se and samples."""
+    def test_simulate_counts_the_comparisons_curves(self, monkeypatch, simulated_curves):
+        """simulate runs windows a sixteenth of the comparison's and counts
+        each as the comparison does: with windows of three blocks, and so
+        simulate's of one, every per-class curve must be the comparison's,
+        with its se and samples."""
         monkeypatch.setattr(simulator, "CHUNK", 3 * FIFO_BLOCK)
         for case_id in range(1, 7):
             for warmup in (0.0, 0.1, 0.9):
                 config = replace(preset(case_id), customers=20_000, warmup_fraction=warmup)
-                got = {e.label: e for e in _simulate(config)[1] if e.class_id is not None}
+                got = {e.label: e for e in simulated_curves(config) if e.class_id is not None}
                 want = {e.label: e for e in run_comparison(config).curves
                         if e.kind == "empirical" and e.class_id is not None}
                 assert sorted(got) == sorted(want)
@@ -629,7 +637,9 @@ class TestEmpiricalEntries:
                     assert entry.se.tobytes() == want[label].se.tobytes(), (case_id, label)
                     assert entry.samples == want[label].samples
 
-    def test_constant_service_delays_are_counted_from_the_waits(self, monkeypatch):
+    def test_constant_service_delays_are_counted_from_the_waits(
+        self, monkeypatch, simulated_curves
+    ):
         def refuse(self):
             raise AssertionError("delay_s was built")
 
@@ -644,7 +654,7 @@ class TestEmpiricalEntries:
         monkeypatch.setattr(RunResult, "delay_s", property(refuse))
         monkeypatch.setattr(_TailCounts, "counts", spy)
         for case_id in range(1, 7):
-            _simulate(replace(preset(case_id), customers=20_000))
+            simulated_curves(replace(preset(case_id), customers=20_000))
         # only the exponential classes of presets 4 and 6 take their delays
         assert read == {(4, 1), (4, 2), (6, 2)}
         # nor does a comparison build them, the D/D/1 check of presets 1 and 2 included
@@ -740,9 +750,9 @@ class TestCheckViolations:
         report = _check_violations(bound, target)
         assert (report.checked_points, report.count, report.worst) == (2, 0, None)
 
-    def test_matches_the_pointwise_check_on_case5(self):
+    def test_matches_the_pointwise_check_on_case5(self, simulated_curves):
         config = replace(preset(5), customers=50_000)
-        entries = _simulate(config)[1]
+        entries = simulated_curves(config)
         targets = {(e.metric, e.class_id): e for e in entries}
         bounds, _ = case_bound_entries(config)
         for bound in bounds:
@@ -860,6 +870,84 @@ class TestRunBuffers:
             finally:
                 tracemalloc.stop()
         assert peaks[4_000_000] - peaks[1_000_000] <= 0.25 * 8 * 3_000_000
+
+    @pytest.mark.parametrize("case_id", [3, 4, 5])
+    def test_simulate_peak_memory(self, monkeypatch, tmp_path, case_id):
+        # one column grows with the run, the waits kept for their mean (8
+        # bytes a customer), beside the comparison's warmup prefix: at 4M
+        # customers the peak exceeds the peak at 1M by at most 8 bytes and a
+        # quarter of 8 an added customer. The rows are not formatted, but
+        # each call of the row writer takes one window's rows, and no more.
+        # The windows are the comparison's: what grows does not depend on
+        # them, and tracemalloc's cost grows with the windows' count
+        monkeypatch.setattr(simulator, "CHUNK", 16 * simulator.CHUNK)
+        rows = []
+        monkeypatch.setattr(simulator, "write_records",
+                            lambda fh, *columns: rows.append(len(columns[0])))
+        peaks = {}
+        for customers in (1_000_000, 4_000_000):
+            config = replace(preset(case_id), customers=customers)
+            simulate(config, tmp_path / "records.csv")  # one-time allocations stay out of the peak
+            tracemalloc.start()
+            try:
+                simulate(config, tmp_path / "records.csv")
+                peaks[customers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4_000_000] - peaks[1_000_000] <= (8 + 0.25 * 8) * 3_000_000
+        assert max(rows) == simulator.CHUNK // 16
+
+    @pytest.mark.parametrize(("case_id", "warmup"), [(5, 0.9), (5, 0.1), (3, 0.9)])
+    def test_warmup_labels_grow_a_window_at_a_time(self, monkeypatch, case_id, warmup):
+        # the labels run up to the bound on int(n * warmup), which falls as
+        # the run goes: a synchronized case's first bound counts the
+        # master's instants left once for each thinned class. At every
+        # window the labels exceed the labelled prefix by at most a window
+        excess = []
+        add_window = _TailCounts.add_window
+
+        def spy(self, window):
+            add_window(self, window)
+            skip = int(sum(window.most.values()) * self.warmup)
+            labelled = min(skip, sum(self.added.values()))
+            excess.append(len(self.labels) - labelled - len(window.arrival_s))
+
+        monkeypatch.setattr(_TailCounts, "add_window", spy)
+        run_comparison(replace(preset(case_id), customers=1_000_000, warmup_fraction=warmup))
+        assert len(excess) > 10 and max(excess) <= 0
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_records_equal_the_collected_run(self, monkeypatch, tmp_path, blocks):
+        """simulate writes records.csv a window at a time, from each
+        window's waits, copied before the window is counted, and the delays
+        the counter leaves: byte for byte the records of simulate_case's
+        run, at each warmup, whatever the counter keeps, and with no
+        temporary file left."""
+        monkeypatch.setattr(simulator, "CHUNK", blocks * FIFO_BLOCK)
+        for base in [preset(k) for k in range(1, 7)] + _COUPLED_CONFIGS:
+            config = replace(base, customers=5_000)
+            run = simulate_case(config)
+            assert len(run) > 2 * FIFO_BLOCK  # the windows of simulate and their chunks
+            run.write_csv(tmp_path / "whole.csv")
+            whole = (tmp_path / "whole.csv").read_bytes()
+            for warmup in (0.0, 0.1, 0.9):
+                simulate(replace(config, warmup_fraction=warmup), tmp_path / "records.csv")
+                assert (tmp_path / "records.csv").read_bytes() == whole, (config.case_id, warmup)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["records.csv", "whole.csv"]
+
+    def test_summary_values_are_those_of_the_run(self, tmp_path):
+        # the customers, the largest delay and numpy's mean of the waits,
+        # of the run simulate_case collects; master-high's run outgrows the
+        # config's counts, and so the waits column its first size
+        for config in [replace(preset(k), customers=10_000) for k in range(1, 7)] + [
+            _COUPLED_CONFIGS[0]
+        ]:
+            run = simulate_case(config)
+            values = simulate(config, tmp_path / "records.csv")[1]
+            assert values == {"customers": len(run), "max_delay_s": float(run.delay_s.max()),
+                              "mean_waiting_s": float(run.waiting_s.mean())}
 
 
 class TestCaseConfig:

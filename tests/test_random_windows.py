@@ -1,24 +1,26 @@
 """The long run's window loop against the run computed whole, on seeded
 random configs.
 
-run_comparison and _simulate (whose run simulate_case returns) draw,
-merge, scan and count a run a window at a time (simulator.fifo_windows,
-experiments._TailCounts); tests/reference.py computes the same run whole.
+run_comparison, simulate and simulate_case draw, merge and scan a run a
+window at a time (simulator.fifo_windows), and the first two count it as it
+comes (experiments._TailCounts); tests/reference.py computes the same run
+whole.
 random_case draws the structures the windows must carry across their
 boundaries: 1-5 classes of sparse ids, periodic and Poisson classes and
 scaled or synchronized groups of 2-3 (the master of higher or lower id
 than its thinned classes), constant and exponential sizes, rate ratios up
 to 1:1000, loads 0.3-0.95, warmups 0, 0.1 and 0.9, windows of 1-4
 FIFO_BLOCKs, and REACH at 0.01, 1.02 and 1.5. Every array, curve, standard
-error and sample count must be byte for byte the whole run's. A failing
-case names its seed, and its config's repr holds the spec list.
+error and sample count, and records.csv, must be byte for byte the whole
+run's. A failing case names its seed, and its config's repr holds the spec
+list. The tier-1 run takes SEEDS; SLOW_SEEDS run with -m slow.
 """
 
 import numpy as np
 import pytest
 
 from mcfifo import simulator
-from mcfifo.experiments import CaseConfig, _simulate, run_comparison
+from mcfifo.experiments import CaseConfig, run_comparison, simulate, simulate_case
 from mcfifo.simulator import FIFO_BLOCK
 from mcfifo.traffic import ClassSpec, Constant, CoupledPoisson, ExponentialMean, Periodic, Poisson
 from reference import whole_run_comparison, whole_run_simulation
@@ -27,6 +29,8 @@ from reference import whole_run_comparison, whole_run_simulation
 IDS = (0, 1, 2, 7, 2**40)
 #: Seeds of the tier-1 cases.
 SEEDS = range(36)
+#: Seeds of the slow cases, which the default run deselects.
+SLOW_SEEDS = range(36, 1036)
 
 
 def random_case(seed: int) -> tuple[CaseConfig, int, float]:
@@ -76,8 +80,10 @@ def _assert_curves_equal(got, want, where):
         assert a.samples == b.samples, (where, a.label)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_windows_equal_the_whole_run(monkeypatch, seed):
+@pytest.mark.parametrize(
+    "seed", [*SEEDS, *(pytest.param(seed, marks=pytest.mark.slow) for seed in SLOW_SEEDS)]
+)
+def test_windows_equal_the_whole_run(monkeypatch, tmp_path, seed):
     config, size, reach = random_case(seed)
     where = f"seed {seed}: {config!r}, window {size}, REACH {reach}"
     monkeypatch.setattr(simulator, "CHUNK", size)
@@ -85,13 +91,16 @@ def test_windows_equal_the_whole_run(monkeypatch, seed):
     got, want = run_comparison(config), whole_run_comparison(config, size)
     assert got.values == want.values and got.violations == want.violations, where
     _assert_curves_equal(got.curves, want.curves, where)
-    result, curves = _simulate(config)
-    whole = whole_run_simulation(config)
+    result, whole = simulate_case(config), whole_run_simulation(config)
     for name in ("arrival_s", "service_s", "source", "waiting_s"):
         a, b = getattr(result, name), getattr(whole, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (where, name)
     assert result.segments == whole.segments, where
+    curves = simulate(config, tmp_path / "records.csv")[0]
     _assert_curves_equal(curves, want.curves, where)
+    whole.write_csv(tmp_path / "whole.csv")
+    records = (tmp_path / "records.csv").read_bytes()
+    assert records == (tmp_path / "whole.csv").read_bytes(), where
 
 
 def test_the_cases_cover_the_window_loops_structures():

@@ -1,6 +1,8 @@
 """Run a fixed list of mcfifo commands under this checkout and under another,
 and report each command whose exit code, stdout, stderr or output files
-differ byte for byte.
+differ byte for byte. A JSON output that differs is followed by the
+top-level keys whose values differ, and inside "values" by the nested ones,
+as values.<key>.
 
 Usage (from any directory):
 
@@ -272,6 +274,30 @@ def diff_trees(a: Path, b: Path) -> list[str]:
     return sorted(str(p) for p in (files[0] ^ files[1]) | changed)
 
 
+def moved_keys(a: Path, b: Path) -> list[str]:
+    """The top-level keys of two JSON files whose values differ, a key that
+    one file lacks included, with "values" replaced by the keys that differ
+    inside it, as values.<key>. Empty unless both files hold JSON objects."""
+    try:
+        docs = [json.loads(path.read_text()) for path in (a, b)]
+    except (OSError, ValueError):
+        return []
+    if not all(isinstance(doc, dict) for doc in docs):
+        return []
+    keys = _differing(*docs)
+    if "values" in keys and all(isinstance(doc.get("values"), dict) for doc in docs):
+        at = keys.index("values")
+        keys[at : at + 1] = [f"values.{key}" for key in _differing(*(d["values"] for d in docs))]
+    return keys
+
+
+def _differing(x: dict, y: dict) -> list[str]:
+    """The keys of two objects whose values differ as JSON, or that one lacks."""
+    return [key for key in sorted(x.keys() | y.keys())
+            if key not in x or key not in y
+            or json.dumps(x[key], sort_keys=True) != json.dumps(y[key], sort_keys=True)]
+
+
 def run(tree: Path, work: Path, argv: list[str]) -> tuple[int, bytes, bytes, float]:
     """The exit code, stdout and stderr of one CLI command, and its peak RSS in MB."""
     env = {k: v for k, v in os.environ.items() if k != "MCFIFO_SEED"}
@@ -308,7 +334,9 @@ def main(argv=None) -> int:
                 if pair[0] != pair[1]
             ]
             outs = [work / "out" / str(i) for work in works]
-            problems += diff_trees(*outs)
+            for path in diff_trees(*outs):
+                keys = moved_keys(*(out / path for out in outs)) if path.endswith(".json") else []
+                problems.append(f"{path} ({', '.join(keys)})" if keys else path)
             for out in outs:
                 shutil.rmtree(out, ignore_errors=True)
             line = " ".join(command)

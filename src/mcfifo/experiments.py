@@ -24,14 +24,13 @@ the values that a bound on each class's warmup cut, and on the
 aggregate's, cannot yet place; _empirical_entries counts them at the end,
 against the exact cuts, which the counter then knows. run_comparison also
 checks each window's delays against a periodic case's D/D/1 bound;
-simulate writes each window's rows of records.csv and keeps its waits, for
-their mean. simulate_case collects the run's columns and counts nothing.
+simulate writes each window's rows of records.csv, then counts it, and
+sums its waits exactly; simulate_case collects the run and counts nothing.
 Every empirical curve, the transient ones included, is made by
 _counted_entry from its counts above the grid, and carries the binomial
-standard error of each fraction (se).
-Each grid check reads that se and gives a ViolationReport(count, worst):
-how many checked points exceed the bound by more than three of them, and
-the one that does by the most.
+standard error of each fraction (se). Each grid check reads that se and
+gives a ViolationReport(count, worst): how many checked points exceed the
+bound by more than three of them, and the one that does by the most.
 write_curves_csv writes the bytes of csv.writer without a per-row writer
 call: each label is quoted once and each distinct grid's taus formatted once.
 
@@ -53,7 +52,7 @@ import math
 import os
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -407,14 +406,15 @@ def simulate_case(config: CaseConfig) -> RunResult:
     """Generate the case's arrivals and run them through the queue until the
     horizon, the last arrival of the class that stops first: simulate's run,
     as a RunResult of whole columns, sized at the config's counts and grown
-    by a window only when a thinned class keeps more than its count. source
-    holds index * classes + place (Window.places) until, at the end, each
-    class's start (its customers of lower id) replaces its place."""
+    by a window only when a thinned class keeps more than its count; as they
+    hold the run, its windows are CHUNK / 16, in whole blocks. source holds
+    index * classes + place (Window.places) until, at the end, each class's
+    start (its customers of lower id) replaces its place."""
     ids = sorted(s.class_id for s in config.specs)
     budget = sum(proportional_counts(config.specs, config.customers).values())
     columns = [np.empty(budget, dtype=dtype) for dtype in (float, float, np.intp, float)]
     arrival, service, source, waiting = columns
-    n, size = 0, _record_size()
+    n, size = 0, FIFO_BLOCK * max(1, simulator.CHUNK // (16 * FIFO_BLOCK))
     for window in _windows(config, size):
         width = len(window.arrival_s)
         if n + width > len(arrival):  # a thinned class kept more than its count
@@ -441,43 +441,39 @@ def simulate(config: CaseConfig, path) -> tuple[list[CurveEntry], dict]:
     """Run the case, write its records.csv at path, and return its empirical
     CCDFs with the summary's customers, max_delay_s and mean_waiting_s.
 
-    Each window is counted as run_comparison counts it once its waits are
-    copied (the count may write delays over them), and its rows are written
-    from those and the delays the count leaves. The waits are kept for
-    numpy's mean of one column, grown as simulate_case grows its. The file
-    is renamed into place only once the run is done."""
+    Each window's rows are written, RECORD_ROWS at a time, before the count
+    of run_comparison may write delays over its waits; max_delay_s is read
+    from the delays it leaves. mean_waiting_s is one math.fsum of every wait
+    over the customers. The file is renamed into place once the run is done."""
     ids = np.array(sorted(s.class_id for s in config.specs), dtype=np.int64)
-    waiting = np.empty(sum(proportional_counts(config.specs, config.customers).values()))
-    n, largest = 0, -np.inf
-    tails, part = _TailCounts(config), f"{path}.part"
+    tails, part, largest = _TailCounts(config), f"{path}.part", -np.inf
+
+    def written_waits(fh):
+        """Write and count each window, yielding views of its waits,
+        RECORD_ROWS at a time: each is read before the window is counted."""
+        nonlocal largest
+        for window in _windows(config):
+            place, index = window.places()
+            for lo in range(0, len(place), simulator.RECORD_ROWS):
+                at = slice(lo, lo + simulator.RECORD_ROWS)
+                waits = window.waiting_s[at]
+                simulator.write_records(fh, ids.take(place[at]), index[at] + 1,
+                                        window.arrival_s[at], waits + window.service_s[at], waits)
+                yield memoryview(waits)
+            tails.add_window(window)  # the delays, in window.service_s
+            largest = max(largest, float(window.service_s.max()))
+
     try:
         with open(part, "w", newline="") as fh:
             fh.write(simulator.RECORDS_HEADER)
-            for window in _windows(config, _record_size()):
-                width = len(window.arrival_s)
-                if n + width > len(waiting):
-                    waiting.resize(n + width, refcheck=False)
-                waits = waiting[n : n + width]
-                waits[:] = window.waiting_s
-                place, index = window.places()
-                tails.add_window(window)  # the delays, in window.service_s
-                simulator.write_records(fh, ids.take(place), index + 1, window.arrival_s,
-                                        window.service_s, waits)
-                largest = max(largest, float(window.service_s.max()))
-                n += width
+            total = math.fsum(chain.from_iterable(written_waits(fh)))
             entries = _empirical_entries(config, tails)
         os.replace(part, path)
     except BaseException:
         Path(part).unlink(missing_ok=True)
         raise
-    waiting.resize(n, refcheck=False)
-    return entries, {"customers": n, "max_delay_s": largest,
-                     "mean_waiting_s": float(waiting.mean())}
-
-
-def _record_size() -> int:
-    """Customers per window of simulate and simulate_case: CHUNK / 16, in whole blocks."""
-    return FIFO_BLOCK * max(1, simulator.CHUNK // (16 * FIFO_BLOCK))
+    n = sum(tails.added.values())
+    return entries, {"customers": n, "max_delay_s": largest, "mean_waiting_s": total / n}
 
 
 def _windows(config: CaseConfig, size: int | None = None) -> Iterator[Window]:
@@ -526,9 +522,9 @@ class _TailCounts:
     _empirical_entries counts the prefixes at the end.
 
     labels holds the class place (Window.places) of each of the run's
-    first customers up to the bound on int(n * warmup), and seen how many
-    of them each place has: each window adds its labels up to the bound,
-    which only falls, and a lower bound cuts those past it.
+    first customers up to the bound on int(n * warmup), a piece a window,
+    and seen how many of them each place has: each window adds its piece up
+    to the bound, which only falls, and a lower bound cuts those past it.
     """
 
     def __init__(self, config: CaseConfig):
@@ -546,7 +542,8 @@ class _TailCounts:
         self.kept = dict.fromkeys(ids, 0)
         self.above = {(metric, cid): np.zeros(len(self.grid), dtype=np.int64)
                       for metric in ("delay", "waiting") for cid in ids}
-        self.labels = np.empty(0, dtype=np.uint8 if len(ids) <= 256 else np.intp)
+        self.labels, self.labelled = [], 0
+        self.label_type = np.uint8 if len(ids) <= 256 else np.intp
         self.seen = np.zeros(len(ids), dtype=np.int64)
 
     def add_window(self, window: Window) -> None:
@@ -566,21 +563,25 @@ class _TailCounts:
         self._cut_labels(skip)
         n = sum(self.added.values())  # the window's first customer, and labels up to it
         if n < skip:
-            self.labels.resize(min(skip, n + len(window.arrival_s)), refcheck=False)
-            place = self.labels[n:]
-            place[:] = window.places(len(place))[0]
+            place = window.places(skip - n)[0].astype(self.label_type)
+            self.labels.append(place)
+            self.labelled += len(place)
             self.seen += np.bincount(place, minlength=len(self.seen))
         for place, (cid, start, count, _) in enumerate(window.parts):
-            e_most = int(self.seen[place]) + skip - len(self.labels)
+            e_most = int(self.seen[place]) + skip - self.labelled
             self.keep_below(cid, max(int(window.most[cid] * self.warmup), e_most))
             part = slice(start, start + count)
             self.add(cid, window.times[part], window.service[part])
 
     def _cut_labels(self, skip: int) -> None:
         """Cut the labels, and their counts, to the run's first skip customers."""
-        if len(self.labels) > skip:
-            self.seen -= np.bincount(self.labels[skip:], minlength=len(self.seen))
-            self.labels.resize(skip, refcheck=False)
+        while self.labelled > skip:
+            piece = self.labels.pop()
+            keep = max(0, skip - (self.labelled - len(piece)))
+            if keep:
+                self.labels.append(piece[:keep])
+            self.seen -= np.bincount(piece[keep:], minlength=len(self.seen))
+            self.labelled -= len(piece) - keep
 
     def add(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> None:
         """The class's next values in class order, which it may sort in

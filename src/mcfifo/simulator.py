@@ -45,9 +45,9 @@ MergedArrivals it ran, the same arrays, plus its waits, so every
 per-customer column is defined once. run_fifo rejects arrival times that
 are not finite or not time-ordered and service times that are not finite
 and >= 0. write_records formats rows of records.csv, each with one
-str.format: RunResult.write_csv CHUNK customers at a time, their class-id
-and j columns derived from source and segments (_class_columns), and
-experiments.simulate a window at a time.
+str.format. Both of its callers pass it RECORD_ROWS rows at a time:
+RunResult.write_csv, which derives their class-id and j columns from source
+and segments (_class_columns), and experiments.simulate, from each window.
 
 A long run holds no array that grows with the run (but what
 experiments.simulate_case collects). fifo_windows, one generator,
@@ -74,9 +74,9 @@ Window.order lays them, and the delays, out in class order in the buffers
 they were merged from, where both commands count them
 (experiments._TailCounts.add_window). One rule, _places, gives a slot's
 class and its index in it: for records.csv, simulate_case's sources and the
-counter's warmup labels. Tail fractions count the values
-above each tau by count_above, one searchsorted on sorted values;
-empirical_ccdf uses it, and so does the comparison.
+counter's warmup labels. Tail fractions count the values above each tau by
+count_above, one searchsorted on sorted values; empirical_ccdf uses it, and
+so does the comparison.
 
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
@@ -122,14 +122,14 @@ FIFO_GROUP = 16
 #: per-call overhead, few enough that a chunk's arrays stay near 1 MB each.
 TRANSIENT_CHUNK = 2**17
 
-#: Customers per window of fifo_windows, and rows of records.csv that
-#: RunResult.write_csv formats at a time (experiments.simulate's windows
-#: are a sixteenth of it): a chunk's six columns as Python objects take a
-#: few MB. A long run holds two windows of buffers, the merge's and the
-#: draw's: 4.8-5.7 MB at the peak at 1M customers, with the warmup prefix.
-#: A whole number of FIFO_BLOCKs, so a window starts a block and its waits
-#: are those of the whole run's scan.
+#: Customers per window of fifo_windows. A long run holds two windows of
+#: buffers, the merge's and the draw's: 4.8-5.7 MB at the peak at 1M
+#: customers, with the warmup prefix. A whole number of FIFO_BLOCKs, so a
+#: window starts a block and its waits are those of the whole run's scan.
 CHUNK = 2**16
+
+#: Rows of records.csv formatted at a time, about a MB as Python objects.
+RECORD_ROWS = 2**12
 
 #: The first line of records.csv.
 RECORDS_HEADER = "class_id,j,arrival_s,departure_s,delay_s,waiting_s\r\n"
@@ -198,17 +198,14 @@ class RunResult(MergedArrivals):
         return self.waiting_s + self.service_s
 
     def write_csv(self, path) -> None:
-        """records.csv: one row per customer, in arrival order.
-
-        Rows are written CHUNK customers at a time, so memory stays
-        bounded whatever the run's length.
-        """
+        """records.csv: one row per customer, in arrival order, written
+        RECORD_ROWS rows at a time, so memory stays bounded."""
         if self.arrival_s.ndim != 1:
             raise InvalidInputError("records.csv holds one run: this result is a batch")
         with open(path, "w", newline="") as fh:
             fh.write(RECORDS_HEADER)
-            for lo in range(0, len(self), CHUNK):
-                at = slice(lo, lo + CHUNK)
+            for lo in range(0, len(self), RECORD_ROWS):
+                at = slice(lo, lo + RECORD_ROWS)
                 waiting = self.waiting_s[at]
                 write_records(fh, *_class_columns(self.source[at], self.segments),
                               self.arrival_s[at], waiting + self.service_s[at], waiting)
@@ -399,10 +396,10 @@ class Window:
     the class's customers first, first + 1, ... (0-based) at [start, start
     + count) of the buffers. order[i] is the buffer slot of the window's
     i-th customer, so times[order] = waiting_s lays the waits out in class
-    order. waiting_s is the start of the service buffer: service[order] may
-    take values only once the waits are read, and service_s the delays
-    (experiments._TailCounts.add_window does both). most[c] bounds class
-    c's customers in the run: drawn, and left to draw in its step.
+    order. waiting_s is the start of the service buffer: counting the window
+    (experiments._TailCounts.add_window) puts the delays in service_s and
+    may write over the waits, so read them first. most[c] bounds class c's
+    customers in the run: drawn, and left to draw in its step.
     """
 
     arrival_s: np.ndarray

@@ -38,6 +38,7 @@ from mcfifo.experiments import (
 )
 from mcfifo.simulator import (
     FIFO_BLOCK,
+    RECORD_ROWS,
     RunResult,
     _class_columns,
     empirical_ccdf,
@@ -620,10 +621,10 @@ class TestEmpiricalEntries:
         assert {-1, 1} <= boundary_sides
 
     def test_simulate_counts_the_comparisons_curves(self, monkeypatch, simulated_curves):
-        """simulate runs windows a sixteenth of the comparison's and counts
-        each as the comparison does: with windows of three blocks, and so
-        simulate's of one, every per-class curve must be the comparison's,
-        with its se and samples."""
+        """simulate runs the comparison's windows and counts each as the
+        comparison does, after writing its rows: with windows of three
+        blocks, every per-class curve must be the comparison's, with its se
+        and samples."""
         monkeypatch.setattr(simulator, "CHUNK", 3 * FIFO_BLOCK)
         for case_id in range(1, 7):
             for warmup in (0.0, 0.1, 0.9):
@@ -873,14 +874,12 @@ class TestRunBuffers:
 
     @pytest.mark.parametrize("case_id", [3, 4, 5])
     def test_simulate_peak_memory(self, monkeypatch, tmp_path, case_id):
-        # one column grows with the run, the waits kept for their mean (8
-        # bytes a customer), beside the comparison's warmup prefix: at 4M
-        # customers the peak exceeds the peak at 1M by at most 8 bytes and a
-        # quarter of 8 an added customer. The rows are not formatted, but
-        # each call of the row writer takes one window's rows, and no more.
-        # The windows are the comparison's: what grows does not depend on
-        # them, and tracemalloc's cost grows with the windows' count
-        monkeypatch.setattr(simulator, "CHUNK", 16 * simulator.CHUNK)
+        # the waits are summed as they come, not kept, so nothing grows with
+        # the run but the comparison's warmup prefix: at 4M customers the
+        # peak exceeds the peak at 1M by at most a quarter of 8 bytes an
+        # added customer, as the comparison's does. The rows are not
+        # formatted, but each call of the row writer takes RECORD_ROWS rows
+        # of a window, and no more
         rows = []
         monkeypatch.setattr(simulator, "write_records",
                             lambda fh, *columns: rows.append(len(columns[0])))
@@ -894,8 +893,8 @@ class TestRunBuffers:
                 peaks[customers] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4_000_000] - peaks[1_000_000] <= (8 + 0.25 * 8) * 3_000_000
-        assert max(rows) == simulator.CHUNK // 16
+        assert peaks[4_000_000] - peaks[1_000_000] <= 0.25 * 8 * 3_000_000
+        assert max(rows) == RECORD_ROWS
 
     @pytest.mark.parametrize(("case_id", "warmup"), [(5, 0.9), (5, 0.1), (3, 0.9)])
     def test_warmup_labels_grow_a_window_at_a_time(self, monkeypatch, case_id, warmup):
@@ -910,44 +909,68 @@ class TestRunBuffers:
             add_window(self, window)
             skip = int(sum(window.most.values()) * self.warmup)
             labelled = min(skip, sum(self.added.values()))
-            excess.append(len(self.labels) - labelled - len(window.arrival_s))
+            assert self.labelled == sum(map(len, self.labels))
+            excess.append(self.labelled - labelled - len(window.arrival_s))
 
         monkeypatch.setattr(_TailCounts, "add_window", spy)
         run_comparison(replace(preset(case_id), customers=1_000_000, warmup_fraction=warmup))
         assert len(excess) > 10 and max(excess) <= 0
 
+    @pytest.mark.parametrize("case_id", [3, 5, 6])
+    def test_warmup_labels_are_never_moved(self, monkeypatch, case_id):
+        # the labels are a piece a window, and a falling bound cuts or drops
+        # the last pieces: no window moves a label written before it, so the
+        # labels of a long warmup grow without a copy
+        pieces, add_window = [], _TailCounts.add_window
+
+        def spy(self, window):
+            before = [piece.ctypes.data for piece in self.labels]
+            add_window(self, window)
+            after = [piece.ctypes.data for piece in self.labels]
+            assert after[: len(before)] == before[: len(after)]
+            pieces.append(len(after))
+
+        monkeypatch.setattr(_TailCounts, "add_window", spy)
+        run_comparison(replace(preset(case_id), customers=1_000_000, warmup_fraction=0.9))
+        assert len(pieces) > 10 and max(pieces) > 10
+
 
 class TestSimulate:
     @pytest.mark.parametrize("blocks", [1, 3])
     def test_records_equal_the_collected_run(self, monkeypatch, tmp_path, blocks):
-        """simulate writes records.csv a window at a time, from each
-        window's waits, copied before the window is counted, and the delays
-        the counter leaves: byte for byte the records of simulate_case's
-        run, at each warmup, whatever the counter keeps, and with no
-        temporary file left."""
+        """simulate writes records.csv a window at a time, RECORD_ROWS rows
+        at a time, before it counts the window: byte for byte the records of
+        simulate_case's run, at each warmup, whatever the counter keeps,
+        with slices of rows of 1 and 7 that do not line up with the blocks,
+        and with no temporary file left."""
         monkeypatch.setattr(simulator, "CHUNK", blocks * FIFO_BLOCK)
         for base in [preset(k) for k in range(1, 7)] + _COUPLED_CONFIGS:
             config = replace(base, customers=5_000)
             run = simulate_case(config)
             assert len(run) > 2 * FIFO_BLOCK  # the windows of simulate and their chunks
+            monkeypatch.setattr(simulator, "RECORD_ROWS", RECORD_ROWS)
             run.write_csv(tmp_path / "whole.csv")
             whole = (tmp_path / "whole.csv").read_bytes()
-            for warmup in (0.0, 0.1, 0.9):
-                simulate(replace(config, warmup_fraction=warmup), tmp_path / "records.csv")
-                assert (tmp_path / "records.csv").read_bytes() == whole, (config.case_id, warmup)
+            for rows in (RECORD_ROWS, 1, 7):
+                monkeypatch.setattr(simulator, "RECORD_ROWS", rows)
+                for warmup in (0.0, 0.1, 0.9):
+                    simulate(replace(config, warmup_fraction=warmup), tmp_path / "records.csv")
+                    got = (tmp_path / "records.csv").read_bytes()
+                    assert got == whole, (config.case_id, rows, warmup)
             assert sorted(p.name for p in tmp_path.iterdir()) == ["records.csv", "whole.csv"]
 
     def test_summary_values_are_those_of_the_run(self, tmp_path):
-        # the customers, the largest delay and numpy's mean of the waits,
-        # of the run simulate_case collects; master-high's run outgrows the
-        # config's counts, and so the waits column its first size
+        # the customers, the largest delay and the correctly rounded mean of
+        # the waits (one math.fsum of them all, over the customers), of the
+        # run simulate_case collects; master-high's run outgrows the
+        # config's counts
         for config in [replace(preset(k), customers=10_000) for k in range(1, 7)] + [
             _COUPLED_CONFIGS[0]
         ]:
             run = simulate_case(config)
             values = simulate(config, tmp_path / "records.csv")[1]
             assert values == {"customers": len(run), "max_delay_s": float(run.delay_s.max()),
-                              "mean_waiting_s": float(run.waiting_s.mean())}
+                              "mean_waiting_s": math.fsum(run.waiting_s.tolist()) / len(run)}
 
 
 class TestCaseConfig:

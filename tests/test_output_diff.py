@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "output_diff.py"
@@ -28,3 +30,22 @@ def test_one_byte_is_a_difference(tmp_path):
     (b / "extra.csv").write_bytes(b"")
     assert output_diff.diff_trees(a, b) == [str(Path("extra.csv")), str(Path("sub/curves.csv"))]
 
+
+def test_a_json_output_names_the_keys_that_moved(tmp_path):
+    # top-level keys whose values differ or that one side lacks, and inside
+    # "values" the nested ones; equal values read as equal, and a file that
+    # holds no JSON object names none
+    summary = {"case_id": 4, "mean_waiting_s": 0.1, "seed": 1,
+               "values": {"max_delay_s": 2.0, "theta_star_per_s": 5.0}}
+    moved = {**summary, "mean_waiting_s": math.nextafter(0.1, 1.0), "extra": [],
+             "values": {"max_delay_s": 2.5, "theta_star_per_s": 5.0, "added": 1}}
+    files = {"a.json": summary, "b.json": moved, "c.json": [1], "d.json": summary}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert output_diff.moved_keys(tmp_path / "a.json", tmp_path / "b.json") == [
+        "extra", "mean_waiting_s", "values.added", "values.max_delay_s"
+    ]
+    assert output_diff.moved_keys(tmp_path / "a.json", tmp_path / "d.json") == []
+    assert output_diff.moved_keys(tmp_path / "a.json", tmp_path / "c.json") == []
+    (tmp_path / "e.json").write_text("{")
+    assert output_diff.moved_keys(tmp_path / "a.json", tmp_path / "e.json") == []

@@ -44,7 +44,6 @@ from .traffic import (
     CoupledPoisson,
     DeterministicEnvelope,
     ExponentialMean,
-    ExponentialTail,
     GsbbTail,
     Periodic,
     Poisson,

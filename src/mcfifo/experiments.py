@@ -62,7 +62,6 @@ from . import analytic, simulator
 from .analytic import StabilityReport, step_bound_curve
 from .errors import InvalidInputError, InvalidSpecError
 from .simulator import (
-    FIFO_BLOCK,
     RunResult,
     Window,
     count_above,
@@ -405,17 +404,18 @@ def tightness_scenario(
 def simulate_case(config: CaseConfig) -> RunResult:
     """Generate the case's arrivals and run them through the queue until the
     horizon, the last arrival of the class that stops first: simulate's run,
-    as a RunResult of whole columns, sized at the config's counts and grown
-    by a window only when a thinned class keeps more than its count; as they
-    hold the run, its windows are CHUNK / 16, in whole blocks. source holds
-    index * classes + place (Window.places) until, at the end, each class's
-    start (its customers of lower id) replaces its place."""
+    collected from the CHUNK windows that run_comparison and simulate count
+    into a RunResult of whole columns, sized at the config's counts and
+    grown by a window only when a thinned class keeps more than its count.
+    source holds index * classes + place (Window.places) until, at the end,
+    each class's start (its customers of lower id) replaces its place, a
+    window's length at a time."""
     ids = sorted(s.class_id for s in config.specs)
     budget = sum(proportional_counts(config.specs, config.customers).values())
     columns = [np.empty(budget, dtype=dtype) for dtype in (float, float, np.intp, float)]
     arrival, service, source, waiting = columns
-    n, size = 0, FIFO_BLOCK * max(1, simulator.CHUNK // (16 * FIFO_BLOCK))
-    for window in _windows(config, size):
+    n = 0
+    for window in _windows(config):
         width = len(window.arrival_s)
         if n + width > len(arrival):  # a thinned class kept more than its count
             for column in columns:
@@ -430,8 +430,8 @@ def simulate_case(config: CaseConfig) -> RunResult:
         column.resize(n, refcheck=False)
     counts = [first + count for _, _, count, first in window.parts]  # each class's customers
     starts = np.cumsum([0] + counts[:-1])
-    for lo in range(0, n, size):
-        codes = source[lo : lo + size]
+    for lo in range(0, n, simulator.CHUNK):
+        codes = source[lo : lo + simulator.CHUNK]
         np.add(codes // len(ids), starts.take(codes % len(ids)), out=codes)
     segments = tuple((cid, int(start), count) for cid, start, count in zip(ids, starts, counts))
     return RunResult(arrival, service, source, segments, waiting)
@@ -476,12 +476,12 @@ def simulate(config: CaseConfig, path) -> tuple[list[CurveEntry], dict]:
     return entries, {"customers": n, "max_delay_s": largest, "mean_waiting_s": total / n}
 
 
-def _windows(config: CaseConfig, size: int | None = None) -> Iterator[Window]:
-    """The windows of size customers (fifo_windows) of the case's one-row
+def _windows(config: CaseConfig) -> Iterator[Window]:
+    """The windows of CHUNK customers (fifo_windows) of the case's one-row
     arrival streams, whose step is the config's proportional counts."""
     counts = proportional_counts(config.specs, config.customers)
     streams = ArrivalStreams(config.specs, counts, config.seed, rows=1)
-    return fifo_windows(streams, config.rates(), size)
+    return fifo_windows(streams, config.rates())
 
 
 def _counted_entry(

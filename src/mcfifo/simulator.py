@@ -122,10 +122,11 @@ FIFO_GROUP = 16
 #: per-call overhead, few enough that a chunk's arrays stay near 1 MB each.
 TRANSIENT_CHUNK = 2**17
 
-#: Customers per window of fifo_windows. A long run holds two windows of
-#: buffers, the merge's and the draw's: 4.8-5.7 MB at the peak at 1M
-#: customers, with the warmup prefix. A whole number of FIFO_BLOCKs, so a
-#: window starts a block and its waits are those of the whole run's scan.
+#: Customers per window of fifo_windows, the one window size of every long
+#: run, read as each run starts. A long run holds two windows of buffers,
+#: the merge's and the draw's: 4.8-5.7 MB at the peak at 1M customers, with
+#: the warmup prefix. A whole number of FIFO_BLOCKs, so a window starts a
+#: block and its waits are those of the whole run's scan.
 CHUNK = 2**16
 
 #: Rows of records.csv formatted at a time, about a MB as Python objects.
@@ -417,21 +418,18 @@ class Window:
         return _places(self.order[:n], self.parts)
 
 
-def fifo_windows(
-    streams: ArrivalStreams, rates_bps: Mapping[int, float], size: int | None = None
-):
+def fifo_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float]):
     """The FIFO run of a one-row stream's first step, merged and scanned a
-    window of size customers at a time (CHUNK by default, a whole number of
-    FIFO_BLOCKs), up to the horizon: the last arrival of the class whose
-    step ends first. Yields a Window per window, whose buffers the next
-    window may reuse.
+    window of CHUNK customers at a time, up to the horizon: the last arrival
+    of the class whose step ends first. Yields a Window per window, whose
+    buffers the next window may reuse.
 
     The merge frontier is the earliest horizon of a class still drawing:
-    every arrival before it has been drawn. While fewer than size arrivals
+    every arrival before it has been drawn. While fewer than CHUNK arrivals
     are pending before it, the window should be full at need, when the
     missing ones have come at the total rate; each class still drawing
     whose horizon lags need draws REACH times what its rate gives it up to
-    need, in one call (streams.draw with widths). Once size arrivals are
+    need, in one call (streams.draw with widths). Once CHUNK arrivals are
     pending before the frontier, the next window is the first of them in
     merged order (_window_cut), merged by one stable sort of their
     class-ordered concatenation, which breaks ties as merge_streams states;
@@ -453,7 +451,6 @@ def fifo_windows(
     """
     if streams.rows != 1:
         raise InvalidInputError("fifo_windows runs one path: streams must have one row")
-    size = CHUNK if size is None else size
     ids = sorted(streams.step)
     rates = {cid: _rate(rates_bps, cid) for cid in ids}
     hz = {s.class_id: s.arrival_rate_hz for s in streams.specs}
@@ -465,7 +462,7 @@ def fifo_windows(
     first = dict.fromkeys(ids, 0)  # each class's customers taken
     times = service = np.empty(0)
     pair, free = None, True  # a first draw's buffers; free: no pending piece views them
-    draw, need, end = ids, size / total_hz, False  # the first window's share
+    draw, need, end = ids, CHUNK / total_hz, False  # the first window's share
     carry, after = (0.0, 0.0), -np.inf  # the scan's carry, the last arrival scanned
     while not end:
         if draw:
@@ -493,16 +490,16 @@ def fifo_windows(
             bound, side = (sure, "right") if sure < frontier else (frontier, "left")
         cuts = {cid: _count(pending[cid], bound, side) for cid in ids}
         m = sum(cuts.values())
-        if m < size and not final:
+        if m < CHUNK and not final:
             # the frontier's class lags need, so it draws
-            need = frontier + (size - m) / total_hz
+            need = frontier + (CHUNK - m) / total_hz
             draw = [cid for cid in live if streams.horizon[cid][0] < need]
             continue
         if not m:  # the windows before took the run up to its horizon
             break
-        draw, end = (), final and m <= size
-        if m > size:
-            cuts = _window_cut(pending, cuts, size)
+        draw, end = (), final and m <= CHUNK
+        if m > CHUNK:
+            cuts = _window_cut(pending, cuts, CHUNK)
             m = sum(cuts.values())
         if len(times) < m:  # a window and a few more, mostly: sized once
             times, service = np.empty(m + FIFO_BLOCK), np.empty(m + FIFO_BLOCK)
@@ -513,19 +510,19 @@ def fifo_windows(
             start += cuts[cid]
         free = True  # what is left pending is copied
         order = np.argsort(times[:m], kind="stable")
-        if m > size:  # the customers past the window go back to pending
+        if m > CHUNK:  # the customers past the window go back to pending
             # NaN and +inf sort last: the put-back below takes each part's
             # last slots, so a time that is not finite must fail here
             if not times[order[-1]] < np.inf:
                 raise InvalidInputError("arrival times must be finite")
-            back = np.searchsorted(np.sort(order[size:]), [p[1] + p[2] for p in parts])
+            back = np.searchsorted(np.sort(order[CHUNK:]), [p[1] + p[2] for p in parts])
             for part, n_back in zip(parts, np.diff(back, prepend=0).tolist()):
                 part[2] -= n_back
                 if n_back:  # their service times, divided already
                     lo = part[1] + part[2]
                     pending[part[0]].insert(0, (times[lo : lo + n_back].copy(),
                                                 service[lo : lo + n_back].copy(), 1.0))
-            order = order[:size]
+            order = order[:CHUNK]
         for part in parts:
             first[part[0]] += part[2]
         width = len(order)

@@ -279,19 +279,18 @@ def _substream(seed: int, role: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(role, key)))
 
 
-def _log_of_uniforms(u: np.ndarray, out=None) -> np.ndarray:
-    """ln(u), computed in out (by default u's own buffer), which is returned."""
+def _log_of_uniforms(u: np.ndarray) -> np.ndarray:
+    """ln(u), computed in u's own buffer, which is returned."""
     # u == 0 has probability 2**-53 per draw but would give -inf; any other u
     # is at least 2**-53, so the maximum moves 0 alone
-    out = np.maximum(u, np.finfo(float).tiny, out=u if out is None else out)
-    return np.log(out, out=out)
+    np.maximum(u, np.finfo(float).tiny, out=u)
+    return np.log(u, out=u)
 
 
-def _exponential_from_uniforms(u: np.ndarray, rate_hz: float, out=None) -> np.ndarray:
-    """-ln(u)/rate, computed in out (by default u's own buffer), which is returned."""
-    out = _log_of_uniforms(u, out)
+def _exponential_from_uniforms(u: np.ndarray, rate_hz: float) -> np.ndarray:
+    """-ln(u)/rate, computed in u's own buffer, which is returned."""
     # IEEE division is sign-symmetric: ln(u)/-rate is -ln(u)/rate bit for bit
-    return np.divide(out, -rate_hz, out=out)
+    return np.divide(_log_of_uniforms(u), -rate_hz, out=u)
 
 
 def _pack(kept: np.ndarray, values: np.ndarray, fill: float, out=None) -> np.ndarray:
@@ -413,7 +412,7 @@ class ArrivalStreams:
             rng = self._rng(_ROLE_GROUP, self._group(cid), cid)
             # thinning keeps the Poisson marginal at the class rate; no name
             # keeps the uniforms, so they go before the layout is allocated
-            rate = self._spec(cid).arrival.rate_hz / self._spec(master).arrival.rate_hz
+            rate = self._specs[cid].arrival.rate_hz / self._specs[master].arrival.rate_hz
             masks[cid] = rng.random((self.rows, counts[master])) < rate
         segments, start = [], 0
         for cid in sorted(ids):
@@ -442,7 +441,7 @@ class ArrivalStreams:
             if cid in out:
                 block, block_sizes = out[cid]
                 _pack(kept, out[master][0], np.inf, block)
-                self._sizes(self._spec(cid), block_sizes)
+                self._sizes(self._specs[cid], block_sizes)
         for cid, count in counts.items():
             self._left[cid] -= count
         for cid, _, n in segments:
@@ -464,11 +463,8 @@ class ArrivalStreams:
                 return
             self.draw(short)
 
-    def _spec(self, class_id: int) -> ClassSpec:
-        return self._specs[class_id]
-
     def _group(self, class_id: int) -> int:
-        return self._spec(class_id).arrival.coupling_group
+        return self._specs[class_id].arrival.coupling_group
 
     def _rng(self, role: int, key: int, reader: int | None = None) -> np.random.Generator:
         """The generator of substream (role, key); each reader of a shared
@@ -514,7 +510,7 @@ class ArrivalStreams:
             u = self._rng(_ROLE_ARRIVALS, cid).random(out=block)
         else:  # a coupled class reads its group's stream
             u = self._group_uniforms(spec, block)
-        gaps = _exponential_from_uniforms(u, spec.arrival.rate_hz, block)
+        gaps = _exponential_from_uniforms(u, spec.arrival.rate_hz)
         self._append_gaps(spec, gaps, block_sizes)
 
     def _group_uniforms(self, spec: ClassSpec, out: np.ndarray) -> np.ndarray:
@@ -564,7 +560,7 @@ class ArrivalStreams:
             if np.any(np.isinf(old[:, -1])):
                 # padding of the earlier draw now sits mid-row: move it to the end
                 real = np.isfinite(times)
-                mean = self._spec(class_id).mean_size_bits
+                mean = self._specs[class_id].mean_size_bits
                 times, sizes = _pack(real, times, np.inf), _pack(real, sizes, mean)
         self.times[class_id] = times
         self.sizes[class_id] = sizes

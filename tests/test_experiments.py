@@ -202,9 +202,9 @@ class TestRunComparison:
         config = replace(preset(2), customers=2000, tau_max_s=1.8e-4)
         bound = run_comparison(config).values["dd1_bound_s"]
 
-        def late(streams, rates, size=None):
+        def late(streams, rates):
             # one window: its last customer, the run's, leaves two slacks after the bound
-            for window in fifo_windows(streams, rates, size):
+            for window in fifo_windows(streams, rates):
                 window.waiting_s[-1] = bound + 2 * FLOAT_SLACK_S - window.service_s[-1]
                 yield window
 
@@ -838,21 +838,23 @@ class TestRunBuffers:
 
     @pytest.mark.parametrize("case_id", [3, 5])
     def test_simulate_case_peak_memory(self, case_id):
-        # the run's four columns of 8n bytes (arrival, service, source and
-        # waits), sized once at the config's counts; the warmup prefix of
-        # waits, the windows' merge buffers and the draw's, which the merged
-        # columns reuse, and the FIFO scan's temporaries add the rest. A copy
-        # of a column, or a buffer of a column's size alive beside them, adds
-        # a whole one
-        config = replace(preset(case_id), customers=200_000)
-        simulate_case(config)  # one-time allocations stay out of the peak
-        tracemalloc.start()
-        try:
-            simulate_case(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * 8 * config.customers
+        # the run's four columns (arrival, service, source and waits), sized
+        # once at the config's counts, are all that grows with the run: the
+        # windows' merge and draw buffers and the FIFO scan's temporaries do
+        # not. At 4M customers the peak exceeds the peak at 1M by at most
+        # 4 + 0.25 times 8 bytes an added customer; a copy of a column, or a
+        # buffer of a column's size alive beside them, adds 8 bytes more
+        peaks = {}
+        for customers in (1_000_000, 4_000_000):
+            config = replace(preset(case_id), customers=customers)
+            simulate_case(config)  # one-time allocations stay out of the peak
+            tracemalloc.start()
+            try:
+                simulate_case(config)
+                peaks[customers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4_000_000] - peaks[1_000_000] <= (4 + 0.25) * 8 * 3_000_000
 
     @pytest.mark.parametrize("case_id", [3, 4, 5])
     def test_run_comparison_peak_memory(self, case_id):
@@ -942,12 +944,24 @@ class TestSimulate:
         at a time, before it counts the window: byte for byte the records of
         simulate_case's run, at each warmup, whatever the counter keeps,
         with slices of rows of 1 and 7 that do not line up with the blocks,
-        and with no temporary file left."""
+        and with no temporary file left. simulate_case, simulate and
+        run_comparison all see the same windows, of CHUNK but the last."""
         monkeypatch.setattr(simulator, "CHUNK", blocks * FIFO_BLOCK)
+        seen, windows = [], experiments._windows
+
+        def spy(config, *args):
+            seen.append([])
+            for window in windows(config, *args):
+                seen[-1].append(len(window.arrival_s))
+                yield window
+
+        monkeypatch.setattr(experiments, "_windows", spy)
         for base in [preset(k) for k in range(1, 7)] + _COUPLED_CONFIGS:
             config = replace(base, customers=5_000)
+            seen.clear()
             run = simulate_case(config)
             assert len(run) > 2 * FIFO_BLOCK  # the windows of simulate and their chunks
+            run_comparison(config)
             monkeypatch.setattr(simulator, "RECORD_ROWS", RECORD_ROWS)
             run.write_csv(tmp_path / "whole.csv")
             whole = (tmp_path / "whole.csv").read_bytes()
@@ -958,6 +972,8 @@ class TestSimulate:
                     got = (tmp_path / "records.csv").read_bytes()
                     assert got == whole, (config.case_id, rows, warmup)
             assert sorted(p.name for p in tmp_path.iterdir()) == ["records.csv", "whole.csv"]
+            assert len(seen) == 2 + 3 * 3 and all(lengths == seen[0] for lengths in seen)
+            assert set(seen[0][:-1]) <= {simulator.CHUNK} and 0 < seen[0][-1] <= simulator.CHUNK
 
     def test_summary_values_are_those_of_the_run(self, tmp_path):
         # the customers, the largest delay and the correctly rounded mean of

@@ -523,11 +523,15 @@ class TestGroupedScan:
 
 def _windows(config, size=None):
     """The windows of fifo_windows over the case's long run, each column
-    copied: arrival, service and wait, in merged order."""
+    copied: arrival, service and wait, in merged order; with a size, CHUNK
+    is that size while they run."""
     counts = proportional_counts(config.specs, config.customers)
     streams = ArrivalStreams(config.specs, counts, config.seed, rows=1)
-    return [(w.arrival_s.copy(), w.service_s.copy(), w.waiting_s.copy())
-            for w in fifo_windows(streams, config.rates(), size)]
+    with pytest.MonkeyPatch.context() as patch:
+        if size is not None:
+            patch.setattr(simulator, "CHUNK", size)
+        return [(w.arrival_s.copy(), w.service_s.copy(), w.waiting_s.copy())
+                for w in fifo_windows(streams, config.rates())]
 
 
 def _spoiled_take(monkeypatch, call, spoil):

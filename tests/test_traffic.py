@@ -255,13 +255,10 @@ class TestArrivalStreams:
         np.testing.assert_array_equal(streams.horizon[2], master[:, -1])
 
 
-def _copying_exponential(u, rate_hz, out=None):
-    u = np.where(u == 0.0, np.finfo(float).tiny, u)
-    gaps = -np.log(u) / rate_hz
-    if out is None:
-        return gaps
-    out[...] = gaps  # the block the draw lays out
-    return out
+def _copying_exponential(u, rate_hz):
+    gaps = -np.log(np.where(u == 0.0, np.finfo(float).tiny, u)) / rate_hz
+    u[...] = gaps  # the block the draw lays out
+    return u
 
 
 def _copying_sizes(self, spec, out):
@@ -505,7 +502,8 @@ class TestGroupStreamOrder:
         streams = self._streams(specs, {1: 50, 2: 30}, rows)
         for s in specs:
             n = streams.times[s.class_id].shape[-1]
-            gaps = _copying_exponential(uniforms[:, :n], s.arrival.rate_hz)
+            # a copy: the gaps are written into the uniforms they are drawn from
+            gaps = _copying_exponential(uniforms[:, :n].copy(), s.arrival.rate_hz)
             assert n == {1: 100, 2: 60}[s.class_id]
             assert np.array_equal(streams.times[s.class_id], np.cumsum(gaps, axis=-1))
 

@@ -613,23 +613,17 @@ class _TailCounts:
             self._count(cid, waits[cut:], None if delays is None else delays[cut:])
             self.kept[cid] -= len(waits) - cut
 
-    def counts(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> dict:
-        """Each metric's counts above the grid of a class's values, which
-        are sorted in place."""
+    def _count(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> None:
+        """Count values past the prefix into the class's tail counts, each
+        metric's above the grid; the values are sorted in place."""
         waits.sort()
-        above = {"waiting": count_above(waits, self.grid)}
+        self.above["waiting", cid] += count_above(waits, self.grid)
         if cid in self.service:
             waits += self.service[cid]
             delays = waits
         else:
             delays.sort()
-        above["delay"] = count_above(delays, self.grid)
-        return above
-
-    def _count(self, cid: int, waits: np.ndarray, delays: np.ndarray | None) -> None:
-        """Count values past the prefix into the class's tail counts."""
-        for metric, above in self.counts(cid, waits, delays).items():
-            self.above[metric, cid] += above
+        self.above["delay", cid] += count_above(delays, self.grid)
 
 
 def _empirical_entries(config: CaseConfig, tails: _TailCounts) -> list[CurveEntry]:

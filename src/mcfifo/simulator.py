@@ -50,33 +50,32 @@ RunResult.write_csv, which derives their class-id and j columns from source
 and segments (_class_columns), and experiments.simulate, from each window.
 
 A long run holds no array that grows with the run (but what
-experiments.simulate_case collects). fifo_windows, one generator,
-draws, merges, checks and scans it a window of CHUNK customers at a time.
-The classes are drawn from the run's one step (ArrivalStreams.draw with
-widths) in one call per window, mostly: each class draws what its rate
-gives it up to the time the window is expected to be full, and REACH more.
-The merge frontier is the earliest horizon of a class still drawing: every
-arrival before it has been drawn. A window is the first CHUNK pending
-arrivals before it, cut by an arrival of the class with the most of them,
-copied into class order (the sizes divided by the rate on the way) and
-merged by one stable sort; the few the cut passes go back to pending, once
-the last of them is known to be finite. The horizon is the earliest last
-arrival of a class: once a spent class's last arrival lies before every
-class still drawing, the last windows take every class up to it, and a
-class with no arrival by then is an error. Until then no window passes the
-last kept instant of a thinned class still drawing, which may keep no
-more. Each window is gathered into the buffers of its first draw, checked
-as run_fifo checks a run and against the window before, and scanned with
-the backlog carried in from that window (_fifo_scan, the kernel of
-fifo_waits); CHUNK is a whole number of blocks, so every wait is bit for
-bit that of the whole run. The waits go into the spent service buffer, and
-Window.order lays them, and the delays, out in class order in the buffers
-they were merged from, where both commands count them
-(experiments._TailCounts.add_window). One rule, _places, gives a slot's
-class and its index in it: for records.csv, simulate_case's sources and the
-counter's warmup labels. Tail fractions count the values above each tau by
-count_above, one searchsorted on sorted values; empirical_ccdf uses it, and
-so does the comparison.
+experiments.simulate_case collects). fifo_windows, one generator, draws,
+merges, checks and scans it a window of CHUNK customers at a time. The
+classes are drawn from the run's one step (ArrivalStreams.draw with widths)
+in one call per window, mostly: each class draws what its rate gives it up
+to the time the window is expected to be full, and REACH more. The merge
+frontier is the earliest horizon of a class still drawing: every arrival
+before it has been drawn. A window is the first CHUNK of the arrivals
+pending before it: all of them are copied into class order (the sizes
+divided by the rate on the way) and merged by one stable sort, and those it
+places past CHUNK, about REACH - 1 of a window, go back to pending, once the
+last of them is known to be finite. The horizon is the earliest last arrival
+of a class: once a spent class's last arrival lies before every class still
+drawing, the last windows take every class up to it, and a class with no
+arrival by then is an error. Until then no window passes the last kept
+instant of a thinned class still drawing, which may keep no more. Each
+window is gathered into the buffers of its first draw, checked as run_fifo
+checks a run and against the window before, and scanned with the backlog
+carried in from that window (_fifo_scan, the kernel of fifo_waits); CHUNK is
+a whole number of blocks, so every wait is bit for bit that of the whole
+run. The waits go into the spent service buffer, and Window.order lays them,
+and the delays, out in class order in the buffers they were merged from,
+where both commands count them (experiments._TailCounts.add_window). One
+rule, _places, gives a slot's class and its index in it: for records.csv,
+simulate_case's sources and the counter's warmup labels. Tail fractions
+count the values above each tau by count_above, one searchsorted on sorted
+values; empirical_ccdf uses it, and so does the comparison.
 
 Generation, merge_streams and fifo_waits work along the last axis, so the
 same code runs one long path of shape (n,) and a batch of independent paths
@@ -427,21 +426,21 @@ def fifo_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float]):
     The merge frontier is the earliest horizon of a class still drawing:
     every arrival before it has been drawn. While fewer than CHUNK arrivals
     are pending before it, the window should be full at need, when the
-    missing ones have come at the total rate; each class still drawing
-    whose horizon lags need draws REACH times what its rate gives it up to
-    need, in one call (streams.draw with widths). Once CHUNK arrivals are
-    pending before the frontier, the next window is the first of them in
-    merged order (_window_cut), merged by one stable sort of their
-    class-ordered concatenation, which breaks ties as merge_streams states;
-    a sort that takes a few more puts them back, once the last of them is
+    missing ones have come at the total rate; each class still drawing whose
+    horizon lags need draws REACH times what its rate gives it up to need,
+    in one call (streams.draw with widths). Once CHUNK arrivals are pending
+    before the frontier, one stable sort merges the class-ordered
+    concatenation of all of them, which breaks ties as merge_streams states:
+    the next window is the first CHUNK in merged order, and the rest, about
+    REACH - 1 of a window, go back to pending, once the last of them is
     known to be finite. What is left pending is copied (_take), so the
-    buffers of the window's first draw take its merged columns, and then
-    the next window's first draw: no fresh pages are mapped and zeroed for
-    each window. Once a class's step is spent its last arrival bounds the
+    buffers of the window's first draw take its merged columns, and then the
+    next window's first draw: no fresh pages are mapped and zeroed for each
+    window. Once a class's step is spent its last arrival bounds the
     horizon, and when every class still drawing has been drawn past that
     bound, the windows take each class's arrivals up to it. A thinned class
-    still drawing may keep none of its master's later instants, so until
-    its step is spent no window passes its last kept one. A class with no
+    still drawing may keep none of its master's later instants, so until its
+    step is spent no window passes its last kept one. A class with no
     arrival up to the horizon is an error: the run would hold none of it.
 
     Each window is checked as run_fifo checks a run, its first arrival
@@ -498,10 +497,7 @@ def fifo_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float]):
         if not m:  # the windows before took the run up to its horizon
             break
         draw, end = (), final and m <= CHUNK
-        if m > CHUNK:
-            cuts = _window_cut(pending, cuts, CHUNK)
-            m = sum(cuts.values())
-        if len(times) < m:  # a window and a few more, mostly: sized once
+        if len(times) < m:  # REACH times a window, mostly: sized once, a block spare
             times, service = np.empty(m + FIFO_BLOCK), np.empty(m + FIFO_BLOCK)
         parts, start = [], 0
         for cid in ids:
@@ -510,21 +506,20 @@ def fifo_windows(streams: ArrivalStreams, rates_bps: Mapping[int, float]):
             start += cuts[cid]
         free = True  # what is left pending is copied
         order = np.argsort(times[:m], kind="stable")
-        if m > CHUNK:  # the customers past the window go back to pending
-            # NaN and +inf sort last: the put-back below takes each part's
-            # last slots, so a time that is not finite must fail here
-            if not times[order[-1]] < np.inf:
-                raise InvalidInputError("arrival times must be finite")
-            back = np.searchsorted(np.sort(order[CHUNK:]), [p[1] + p[2] for p in parts])
-            for part, n_back in zip(parts, np.diff(back, prepend=0).tolist()):
-                part[2] -= n_back
-                if n_back:  # their service times, divided already
-                    lo = part[1] + part[2]
-                    pending[part[0]].insert(0, (times[lo : lo + n_back].copy(),
-                                                service[lo : lo + n_back].copy(), 1.0))
-            order = order[:CHUNK]
-        for part in parts:
+        # the customers past the window go back to pending. NaN and +inf
+        # sort last, and the put-back takes each part's last slots, so a
+        # time that is not finite must fail here
+        if not times[order[-1]] < np.inf:
+            raise InvalidInputError("arrival times must be finite")
+        back = np.searchsorted(np.sort(order[CHUNK:]), [p[1] + p[2] for p in parts])
+        for part, n_back in zip(parts, np.diff(back, prepend=0).tolist()):
+            part[2] -= n_back
             first[part[0]] += part[2]
+            if n_back:  # their service times, divided already
+                lo = part[1] + part[2]
+                pending[part[0]].insert(0, (times[lo : lo + n_back].copy(),
+                                            service[lo : lo + n_back].copy(), 1.0))
+        order = order[:CHUNK]
         width = len(order)
         if len(pair[0]) < width:
             pair = np.empty(width), np.empty(width)
@@ -555,35 +550,6 @@ def _count(pieces: list, bound: float, side: str) -> int:
             continue
         return n + int(t.searchsorted(bound, side))
     return n
-
-
-def _window_cut(pending: dict, below: dict[int, int], size: int) -> dict[int, int]:
-    """Each class's count of pending arrivals before a cut that leaves at
-    least size of the given counts, and few more.
-
-    The cut is an arrival of the class with the most of them, the k-th, k
-    first guessed from its share of them and raised by the shortfall
-    until the cut leaves size; every class's count stays within its own.
-    """
-    big = max(below, key=below.get)
-    k = size * below[big] // sum(below.values())
-    while k < below[big]:
-        cut = _at(pending[big], k)
-        counts = {cid: _count(pieces, cut, "left") for cid, pieces in pending.items()}
-        short = size - sum(counts.values())
-        if short <= 0:
-            return counts
-        k += short
-    return below
-
-
-def _at(pieces: list, k: int) -> float:
-    """A class's k-th pending arrival time, from 0."""
-    for t, _, _ in pieces:
-        if k < len(t):
-            return t[k]
-        k -= len(t)
-    raise IndexError(k)
 
 
 def _take(pieces: list, n: int, times: np.ndarray, service: np.ndarray) -> None:

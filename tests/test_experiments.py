@@ -44,13 +44,10 @@ from mcfifo.simulator import (
     empirical_ccdf,
     fifo_waits,
     fifo_windows,
-    merge_streams,
-    run_fifo,
     transient_delays,
 )
 from mcfifo.traffic import (
     COUPLING_MECHANISMS,
-    ArrivalSequence,
     ClassSpec,
     Constant,
     CoupledPoisson,
@@ -645,15 +642,15 @@ class TestEmpiricalEntries:
             raise AssertionError("delay_s was built")
 
         read = set()  # (case, class) of every count that sorted delays of its own
-        counts = _TailCounts.counts
+        count = _TailCounts._count
 
         def spy(self, cid, waits, delays):
             if delays is not None:
                 read.add((case_id, cid))
-            return counts(self, cid, waits, delays)
+            count(self, cid, waits, delays)
 
         monkeypatch.setattr(RunResult, "delay_s", property(refuse))
-        monkeypatch.setattr(_TailCounts, "counts", spy)
+        monkeypatch.setattr(_TailCounts, "_count", spy)
         for case_id in range(1, 7):
             simulated_curves(replace(preset(case_id), customers=20_000))
         # only the exponential classes of presets 4 and 6 take their delays
@@ -761,21 +758,6 @@ class TestCheckViolations:
             _assert_report_matches(_check_violations(bound, target), bound, target)
 
 
-def _trimmed_merge(config: CaseConfig) -> tuple[RunResult, list[int]]:
-    """run_fifo of merge_streams over the case's sequences cut at the
-    horizon, and the arrivals cut from each class, in class-id order."""
-    counts = proportional_counts(config.specs, config.customers)
-    seqs = sorted(generate_sequences(config.specs, counts, config.seed), key=lambda q: q.class_id)
-    horizon = min(q.times_s[-1] for q in seqs)
-    kept = [int(np.searchsorted(q.times_s, horizon, "right")) for q in seqs]
-    cut = [len(q) - k for q, k in zip(seqs, kept)]
-    trimmed = [
-        ArrivalSequence(q.class_id, q.times_s[:k], q.sizes_bits[:k]) for q, k in zip(seqs, kept)
-    ]
-    result = run_fifo(merge_streams(trimmed, config.rates()))
-    return result, cut
-
-
 #: A synchronized group whose master (the faster class) has the higher id,
 #: and a scaled group beside an independent class.
 _COUPLED_CONFIGS = [
@@ -821,16 +803,21 @@ def test_the_check_reads_the_target_se():
 class TestRunBuffers:
     def test_simulate_case_equals_the_merge_of_the_trimmed_sequences(self):
         # the run draws into class-ordered buffers and cuts them at the
-        # horizon in place: bit for bit the merge of the cut sequences
+        # horizon in place: bit for bit the merge of the cut sequences,
+        # whole_run_simulation
         cut_classes = set()
         configs = [replace(preset(k), customers=20_000) for k in range(1, 7)]
         for config in configs + _COUPLED_CONFIGS:
-            got = simulate_case(config)
-            want, cut = _trimmed_merge(config)
+            got, want = simulate_case(config), whole_run_simulation(config)
             for name in ("arrival_s", "service_s", "source", "waiting_s"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (config.case_id, name)
             assert got.segments == want.segments
+            # the arrivals past the horizon of each class, in class-id order
+            counts = proportional_counts(config.specs, config.customers)
+            drawn = {q.class_id: len(q)
+                     for q in generate_sequences(config.specs, counts, config.seed)}
+            cut = [drawn[cid] - count for cid, _, count in got.segments]
             cut_classes |= {"last" if i == len(cut) - 1 else "earlier"
                             for i, c in enumerate(cut) if c}
         # both an earlier class (whose later segments move down) and the last one
@@ -841,11 +828,11 @@ class TestRunBuffers:
         # the run's four columns (arrival, service, source and waits), sized
         # once at the config's counts, are all that grows with the run: the
         # windows' merge and draw buffers and the FIFO scan's temporaries do
-        # not. At 4M customers the peak exceeds the peak at 1M by at most
+        # not. At 1M customers the peak exceeds the peak at 250k by at most
         # 4 + 0.25 times 8 bytes an added customer; a copy of a column, or a
         # buffer of a column's size alive beside them, adds 8 bytes more
         peaks = {}
-        for customers in (1_000_000, 4_000_000):
+        for customers in (250_000, 1_000_000):
             config = replace(preset(case_id), customers=customers)
             simulate_case(config)  # one-time allocations stay out of the peak
             tracemalloc.start()
@@ -854,16 +841,16 @@ class TestRunBuffers:
                 peaks[customers] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4_000_000] - peaks[1_000_000] <= (4 + 0.25) * 8 * 3_000_000
+        assert peaks[1_000_000] - peaks[250_000] <= (4 + 0.25) * 8 * 750_000
 
     @pytest.mark.parametrize("case_id", [3, 4, 5])
     def test_run_comparison_peak_memory(self, case_id):
         # no array grows with the run but the warmup prefix, about 8 bytes
         # of each warmup customer a metric that is kept (waits, and delays
-        # of exponential sizes): at 4M customers the peak exceeds the peak
-        # at 1M by at most a quarter of 8 bytes an added customer
+        # of exponential sizes): at 1M customers the peak exceeds the peak
+        # at 250k by at most a quarter of 8 bytes an added customer
         peaks = {}
-        for customers in (1_000_000, 4_000_000):
+        for customers in (250_000, 1_000_000):
             config = replace(preset(case_id), customers=customers)
             run_comparison(config)  # one-time allocations stay out of the peak
             tracemalloc.start()
@@ -872,13 +859,13 @@ class TestRunBuffers:
                 peaks[customers] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4_000_000] - peaks[1_000_000] <= 0.25 * 8 * 3_000_000
+        assert peaks[1_000_000] - peaks[250_000] <= 0.25 * 8 * 750_000
 
     @pytest.mark.parametrize("case_id", [3, 4, 5])
     def test_simulate_peak_memory(self, monkeypatch, tmp_path, case_id):
         # the waits are summed as they come, not kept, so nothing grows with
-        # the run but the comparison's warmup prefix: at 4M customers the
-        # peak exceeds the peak at 1M by at most a quarter of 8 bytes an
+        # the run but the comparison's warmup prefix: at 1M customers the
+        # peak exceeds the peak at 250k by at most a quarter of 8 bytes an
         # added customer, as the comparison's does. The rows are not
         # formatted, but each call of the row writer takes RECORD_ROWS rows
         # of a window, and no more
@@ -886,7 +873,7 @@ class TestRunBuffers:
         monkeypatch.setattr(simulator, "write_records",
                             lambda fh, *columns: rows.append(len(columns[0])))
         peaks = {}
-        for customers in (1_000_000, 4_000_000):
+        for customers in (250_000, 1_000_000):
             config = replace(preset(case_id), customers=customers)
             simulate(config, tmp_path / "records.csv")  # one-time allocations stay out of the peak
             tracemalloc.start()
@@ -895,7 +882,7 @@ class TestRunBuffers:
                 peaks[customers] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4_000_000] - peaks[1_000_000] <= 0.25 * 8 * 3_000_000
+        assert peaks[1_000_000] - peaks[250_000] <= 0.25 * 8 * 750_000
         assert max(rows) == RECORD_ROWS
 
     @pytest.mark.parametrize(("case_id", "warmup"), [(5, 0.9), (5, 0.1), (3, 0.9)])

@@ -650,11 +650,12 @@ class TestFifoWindows:
             next(fifo_windows(streams, preset(3).rates()))
 
     @pytest.mark.parametrize("buffer, value, message, take, windows", [
-        # take 5 is class 1 of the third window
+        # take 5 is class 1 of the third window, take 8 class 2 of the
+        # fourth and take 13 class 1 of the seventh. Every window but the
+        # last sorts more arrivals than it keeps: a spoiled time sorts past
+        # the window and is checked before the put-back returns it to
+        # pending, and a spoiled service time is checked with the window
         *(pytest.param(*spoil, 5, 2, id="-".join(map(str, spoil))) for spoil in _SPOILS),
-        # takes 8 (class 2) and 13 (class 1) fill a cut that takes more than
-        # the window, the spoiled arrival among those past it, which must
-        # not go back to pending unchecked
         *(pytest.param(*spoil, take, windows, id=f"take{take}-" + "-".join(map(str, spoil)))
           for take, windows in ((8, 3), (13, 6)) for spoil in _SPOILS),
     ])
